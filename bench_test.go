@@ -18,6 +18,7 @@ import (
 	"os"
 	"strconv"
 	"testing"
+	"time"
 
 	"dynunlock/internal/bench"
 	"dynunlock/internal/core"
@@ -44,30 +45,44 @@ func scaledKey(kb, scale int) int {
 }
 
 // runAttack locks the benchmark, fabricates one chip per iteration, and
-// attacks it, reporting candidates/iterations as benchmark metrics.
-// Solver conflicts are reported too: unlike ns/op they are machine-speed
-// independent, so perf regressions in the search itself stay visible.
+// attacks it, reporting candidates/iterations as benchmark metrics. The
+// attack takes the encode path the CLIs default to (native XOR rows, the
+// shared AIG, level-0 simplify between DIPs), the one the committed
+// paper-scale bundles record. Solver conflicts are reported too: unlike
+// ns/op they are machine-speed independent, so perf regressions in the
+// search itself stay visible; props/s and ns/conflict divide the solver's
+// work by the attack's wall time and measure the solver's speed.
 func runAttack(b *testing.B, name string, keyBits int, policy Policy) {
 	b.Helper()
+	b.ReportAllocs()
 	scale := scaleFactor()
 	design, err := LockBenchmark(name, scaledKey(keyBits, scale), policy, scale)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var cands, iters, successes, conflicts float64
+	var cands, iters, successes, conflicts, props float64
+	var attackTime time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		chip, err := Fabricate(design, int64(i)*7919+101)
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := core.Attack(chip, core.Options{EnumerateLimit: 256})
+		start := time.Now()
+		res, err := core.Attack(chip, core.Options{
+			EnumerateLimit: 256,
+			NativeXor:      true,
+			AIG:            true,
+			Simplify:       true,
+		})
+		attackTime += time.Since(start)
 		if err != nil {
 			b.Fatal(err)
 		}
 		cands += float64(len(res.SeedCandidates))
 		iters += float64(res.Iterations)
 		conflicts += float64(res.SolverStats.Conflicts)
+		props += float64(res.SolverStats.Propagations)
 		if core.ContainsSeed(res.SeedCandidates, chip.SecretSeed()) {
 			successes++
 		}
@@ -76,6 +91,10 @@ func runAttack(b *testing.B, name string, keyBits int, policy Policy) {
 	b.ReportMetric(iters/float64(b.N), "iterations")
 	b.ReportMetric(successes/float64(b.N), "success")
 	b.ReportMetric(conflicts/float64(b.N), "conflicts")
+	b.ReportMetric(props/attackTime.Seconds(), "props/s")
+	if conflicts > 0 {
+		b.ReportMetric(float64(attackTime.Nanoseconds())/conflicts, "ns/conflict")
+	}
 }
 
 // --- Table I: evolution of scan locking -------------------------------
@@ -130,13 +149,15 @@ func BenchmarkTableII_b17(b *testing.B)    { runAttack(b, "b17", 128, PerCycle) 
 // --- Concurrent sweep runner: Table II conditions in parallel ---------
 
 // benchSweep runs the first four Table II conditions as independent
-// experiments through the bench.Sweep worker pool. Workers <= 0 selects
+// experiments through the bench.Sweep worker pool, on the CLI-default
+// encode path. Workers <= 0 selects
 // ParallelDefault() (DYNUNLOCK_PARALLEL or GOMAXPROCS); 1 is the
 // sequential reference whose results are bit-identical by construction.
 // On a multi-core host the parallel variant shows the sweep speedup; on a
 // single-core host both variants measure the same work.
 func benchSweep(b *testing.B, workers int) {
 	b.Helper()
+	b.ReportAllocs()
 	scale := scaleFactor()
 	conds := bench.Table2[:4]
 	b.ResetTimer()
@@ -149,6 +170,9 @@ func benchSweep(b *testing.B, workers int) {
 				Scale:     scale,
 				Trials:    1,
 				SeedBase:  int64(j)*104729 + 13,
+				NativeXor: true,
+				AIG:       true,
+				Simplify:  true,
 			})
 		})
 		if err != nil {

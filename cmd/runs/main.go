@@ -220,13 +220,13 @@ func cmdReplay(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "runs: %v\n", err)
 		return exitCorrupt
 	}
-	diffs := flight.Compare(&b.Result, replayed)
+	diffs := flight.Compare(&b.Manifest, &b.Result, replayed)
 	tb := report.New(fmt.Sprintf("Replay of %s (%d trial(s), %.2fs offline)",
 		b.Dir, len(replayed.Trials), time.Since(start).Seconds()),
 		"Trial", "Candidates", "Iterations", "Queries", "Match")
 	for i, t := range replayed.Trials {
 		match := i < len(b.Result.Trials) &&
-			len(flight.Compare(
+			len(flight.Compare(&b.Manifest,
 				&flight.ResultDoc{Trials: b.Result.Trials[i : i+1]},
 				&flight.ResultDoc{Trials: replayed.Trials[i : i+1]})) == 0
 		tb.AddRow(t.Trial, len(t.SeedCandidates), t.Iterations, t.Queries, match)

@@ -183,6 +183,33 @@ type SolverStats struct {
 	SimplifyStrength uint64 `json:"simplifyStrengthened,omitempty"`
 }
 
+// diff names every counter that differs between s and o, as
+// "name recorded != replayed", in field order.
+func (s SolverStats) diff(o SolverStats) []string {
+	var out []string
+	for _, c := range []struct {
+		name string
+		a, b uint64
+	}{
+		{"decisions", s.Decisions, o.Decisions},
+		{"propagations", s.Propagations, o.Propagations},
+		{"conflicts", s.Conflicts, o.Conflicts},
+		{"restarts", s.Restarts, o.Restarts},
+		{"learnt", s.Learnt, o.Learnt},
+		{"removed", s.Removed, o.Removed},
+		{"xorPropagations", s.XorPropagations, o.XorPropagations},
+		{"xorConflicts", s.XorConflicts, o.XorConflicts},
+		{"simplifyCalls", s.SimplifyCalls, o.SimplifyCalls},
+		{"simplifyRemoved", s.SimplifyRemoved, o.SimplifyRemoved},
+		{"simplifyStrengthened", s.SimplifyStrength, o.SimplifyStrength},
+	} {
+		if c.a != c.b {
+			out = append(out, fmt.Sprintf("%s %d != %d", c.name, c.a, c.b))
+		}
+	}
+	return out
+}
+
 // FromSatStats converts solver counters to the serialized form.
 func FromSatStats(s sat.Stats) SolverStats {
 	return SolverStats{

@@ -226,10 +226,14 @@ func (b *Bundle) Replay(ctx context.Context) (*ResultDoc, error) {
 
 // Compare diffs the deterministic fields of a recorded and a replayed
 // result: per-trial seed-candidate sets, iteration and query counts, and
-// the exact/converged/success flags. Wall times and solver counters are
-// excluded — they legitimately vary across hosts. An empty slice means the
-// replay is bit-identical on everything the attack computes.
-func Compare(recorded, replayed *ResultDoc) []string {
+// the exact/converged/success flags. When the manifest records a
+// sequential run (portfolio ≤ 1) the search itself is deterministic, so
+// every solver counter stored per trial must match too, and a moved
+// counter is named: it means the solver took a different search path.
+// Portfolio races finish on whichever instance wins, so their counters are
+// not compared. Wall times never are. An empty slice means the replay is
+// bit-identical on everything the attack computes.
+func Compare(m *Manifest, recorded, replayed *ResultDoc) []string {
 	var diffs []string
 	if len(recorded.Trials) != len(replayed.Trials) {
 		return []string{fmt.Sprintf("trial count: recorded %d, replayed %d",
@@ -255,6 +259,11 @@ func Compare(recorded, replayed *ResultDoc) []string {
 		}
 		if a.Success != b.Success {
 			diffs = append(diffs, fmt.Sprintf("%ssuccess %v != %v", pfx, a.Success, b.Success))
+		}
+		if m.Portfolio <= 1 {
+			for _, c := range a.Solver.diff(b.Solver) {
+				diffs = append(diffs, pfx+"solver "+c)
+			}
 		}
 		if len(a.SeedCandidates) != len(b.SeedCandidates) {
 			diffs = append(diffs, fmt.Sprintf("%scandidates %d != %d",

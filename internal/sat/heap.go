@@ -1,19 +1,19 @@
 package sat
 
 // varHeap is an indexed max-heap of variables ordered by activity. It
-// supports decrease/increase-key via the position index, as required by
-// VSIDS branching.
+// supports increase-key via the position index (bump), as required by
+// VSIDS branching. Variables and positions are stored as int32.
 type varHeap struct {
-	act     *[]float64 // shared activity array, indexed by variable
-	heap    []int      // heap of variables
-	indices []int      // variable -> position in heap, -1 if absent
+	act     []float64 // the solver's activity array, indexed by variable
+	heap    []int32   // heap of variables
+	indices []int32   // variable -> position in heap, -1 if absent
 }
 
-func newVarHeap(act *[]float64) *varHeap {
+func newVarHeap(act []float64) *varHeap {
 	return &varHeap{act: act}
 }
 
-func (h *varHeap) less(a, b int) bool { return (*h.act)[a] > (*h.act)[b] }
+func (h *varHeap) less(a, b int32) bool { return h.act[a] > h.act[b] }
 
 func (h *varHeap) grow(v int) {
 	for len(h.indices) <= v {
@@ -32,8 +32,8 @@ func (h *varHeap) insert(v int) {
 	if h.indices[v] >= 0 {
 		return
 	}
-	h.indices[v] = len(h.heap)
-	h.heap = append(h.heap, v)
+	h.indices[v] = int32(len(h.heap))
+	h.heap = append(h.heap, int32(v))
 	h.percolateUp(h.indices[v])
 }
 
@@ -47,19 +47,18 @@ func (h *varHeap) removeMax() int {
 	if len(h.heap) > 1 {
 		h.percolateDown(0)
 	}
-	return v
+	return int(v)
 }
 
-// decrease notifies the heap that v's activity increased (so it may need to
-// move up; the name follows the MiniSat convention of a min-heap on
-// negated activity).
+// bump notifies the heap that v's activity increased, so it may need to
+// move up.
 func (h *varHeap) bump(v int) {
 	if h.contains(v) {
 		h.percolateUp(h.indices[v])
 	}
 }
 
-func (h *varHeap) percolateUp(i int) {
+func (h *varHeap) percolateUp(i int32) {
 	v := h.heap[i]
 	for i > 0 {
 		p := (i - 1) / 2
@@ -74,9 +73,9 @@ func (h *varHeap) percolateUp(i int) {
 	h.indices[v] = i
 }
 
-func (h *varHeap) percolateDown(i int) {
+func (h *varHeap) percolateDown(i int32) {
 	v := h.heap[i]
-	n := len(h.heap)
+	n := int32(len(h.heap))
 	for {
 		l, r := 2*i+1, 2*i+2
 		if l >= n {

@@ -22,13 +22,14 @@ func (s *Solver) Simplify() bool {
 		return false
 	}
 	s.cancelUntil(0)
-	if s.propagate() != nil {
+	if s.propagate() != crefUndef {
 		s.ok = false
 		return false
 	}
 	s.Stats.SimplifyCalls++
 	s.clauses = s.cleanDB(s.clauses)
 	s.learnts = s.cleanDB(s.learnts)
+	s.maybeCompact()
 	// Counters changed outside a Solve call: deliver them to the telemetry
 	// hook now rather than at the next solve boundary.
 	s.flushHook()
@@ -40,43 +41,41 @@ func (s *Solver) Simplify() bool {
 // clause cannot have an assigned watched literal (it would have been unit),
 // so strengthening only ever trims positions >= 2 and the watch lists of
 // survivors stay valid as-is.
-func (s *Solver) cleanDB(cs []*clause) []*clause {
+func (s *Solver) cleanDB(cs []cref) []cref {
 	kept := cs[:0]
-	for _, c := range cs {
+	for _, cr := range cs {
+		lits := s.lits(cr)
 		satisfied := false
-		for _, l := range c.lits {
+		for _, l := range lits {
 			if s.value(l) == lTrue {
 				satisfied = true
 				break
 			}
 		}
 		if satisfied {
-			if s.locked(c) {
+			if s.locked(cr) {
 				// The clause is the stored reason of a level-0 literal.
 				// Level-0 assignments are permanent and never re-examined
-				// by conflict analysis, so the pointer can be dropped
+				// by conflict analysis, so the reference can be dropped
 				// rather than dangled.
-				s.reason[c.lits[0].Var()] = nil
+				s.reason[lits[0].Var()] = crefUndef
 			}
-			s.detach(c)
+			s.detach(cr)
+			s.freeClause(cr)
 			s.Stats.SimplifyRemoved++
 			continue
 		}
 		n := 2
-		for k := 2; k < len(c.lits); k++ {
-			if s.value(c.lits[k]) == lFalse {
+		for k := 2; k < len(lits); k++ {
+			if s.value(lits[k]) == lFalse {
 				s.Stats.SimplifyStrengthened++
 				continue
 			}
-			c.lits[n] = c.lits[k]
+			lits[n] = lits[k]
 			n++
 		}
-		c.lits = c.lits[:n]
-		kept = append(kept, c)
-	}
-	// Zero the tail so removed clauses are collectable.
-	for i := len(kept); i < len(cs); i++ {
-		cs[i] = nil
+		s.shrinkClause(cr, n)
+		kept = append(kept, cr)
 	}
 	return kept
 }

@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -53,18 +54,6 @@ const (
 	lFalse lbool = -1
 )
 
-type clause struct {
-	lits   []cnf.Lit
-	act    float64
-	lbd    int32
-	learnt bool
-}
-
-type watcher struct {
-	c       *clause
-	blocker cnf.Lit
-}
-
 // Stats accumulates solver counters across Solve calls.
 type Stats struct {
 	Decisions    uint64
@@ -91,28 +80,52 @@ type Stats struct {
 // Solver is an incremental CDCL SAT solver. The zero value is not usable;
 // call New.
 type Solver struct {
-	ok      bool
-	clauses []*clause
-	learnts []*clause
+	ok bool
+
+	// Clause arena (arena.go): problem and learnt clauses by reference,
+	// the number of dead arena words awaiting compaction, and the number
+	// of compactions run so far.
+	arena       []cnf.Lit
+	clauses     []cref
+	learnts     []cref
+	wasted      int
+	compactions int
 
 	watches  [][]watcher // indexed by cnf.Lit
-	assigns  []lbool     // indexed by variable
+	vals     []lbool     // indexed by cnf.Lit: vals[l] is l's value
 	polarity []bool      // saved phase, true = last assigned false
 	activity []float64
 	level    []int32
-	reason   []*clause
+	reason   []cref
 	seen     []byte
 
 	// XOR layer (xor.go): stored parity rows in their original sparse form
-	// (what search propagates over), the echelon-reduced shadow system used
-	// only inside AddXor for dependence/inconsistency detection with its
-	// pivot-variable index, per-variable row watch lists, and per-variable
-	// lazy reasons (xorRows index + 1; 0 = not XOR-implied).
-	xorRows  []*xorRow
-	xorEch   []xorEchRow
-	xorPivot map[int32]int32 // pivot variable → xorEch index
-	xwatches [][]int32       // indexed by variable
-	reasonX  []int32         // indexed by variable
+	// (what search propagates over) with their variables in xorPool, the
+	// echelon-reduced shadow system used only inside AddXor for
+	// dependence/inconsistency detection with its pivot-variable index,
+	// per-variable row watch lists, and per-variable lazy reasons (xorRows
+	// index + 1; 0 = not XOR-implied).
+	xorRows    []xorRow
+	xorPool    []int32
+	xorEch     []xorEchRow
+	xorEchPool []int32
+	xorPivot   map[int32]int32 // pivot variable → xorEch index
+	xwatches   [][]int32       // indexed by variable
+	reasonX    []int32         // indexed by variable
+
+	// Scratch buffers owned by the solver so that conflicts allocate
+	// nothing: the clause synthesized from an XOR row (crefXor), analyze's
+	// learnt clause and seen-variable list, lbd's per-level stamps,
+	// AddClause normalization, and AddXor normalization and reduction.
+	xorBuf     []cnf.Lit
+	learntBuf  []cnf.Lit
+	toClear    []int
+	levelStamp []uint32
+	stamp      uint32
+	addBuf     []cnf.Lit
+	xorBufA    []int32
+	xorBufB    []int32
+	xorBufC    []int32
 
 	order    *varHeap
 	varInc   float64
@@ -248,14 +261,14 @@ func New() *Solver {
 		claDecay:     0.999,
 		learntGrowth: 1.1,
 	}
-	s.order = newVarHeap(&s.activity)
+	s.order = newVarHeap(nil)
 	return s
 }
 
 // NewVar allocates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
-	v := len(s.assigns)
-	s.assigns = append(s.assigns, lUndef)
+	v := len(s.level)
+	s.vals = append(s.vals, lUndef, lUndef)
 	phase := true // branch false first (MiniSat convention)
 	switch s.cfg.PhaseInit {
 	case PhaseTrue:
@@ -265,8 +278,9 @@ func (s *Solver) NewVar() int {
 	}
 	s.polarity = append(s.polarity, phase)
 	s.activity = append(s.activity, 0)
+	s.order.act = s.activity // append may have moved the array
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, crefUndef)
 	s.reasonX = append(s.reasonX, 0)
 	s.seen = append(s.seen, 0)
 	s.watches = append(s.watches, nil, nil)
@@ -276,22 +290,19 @@ func (s *Solver) NewVar() int {
 }
 
 // NumVars returns the number of variables allocated.
-func (s *Solver) NumVars() int { return len(s.assigns) }
+func (s *Solver) NumVars() int { return len(s.level) }
 
 // ensureVars allocates variables up to and including v.
 func (s *Solver) ensureVars(v int) {
-	for len(s.assigns) <= v {
+	for len(s.level) <= v {
 		s.NewVar()
 	}
 }
 
-func (s *Solver) value(l cnf.Lit) lbool {
-	v := s.assigns[l.Var()]
-	if l.Sign() {
-		return -v
-	}
-	return v
-}
+func (s *Solver) value(l cnf.Lit) lbool { return s.vals[l] }
+
+// varValue returns the value of variable v (its positive literal).
+func (s *Solver) varValue(v int32) lbool { return s.vals[v<<1] }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
@@ -305,12 +316,12 @@ func (s *Solver) AddClause(lits ...cnf.Lit) bool {
 	s.cancelUntil(0)
 	// Normalize: sort, dedupe, drop false-at-top-level literals, detect
 	// tautologies and satisfied clauses.
-	ls := make([]cnf.Lit, len(lits))
-	copy(ls, lits)
+	ls := append(s.addBuf[:0], lits...)
+	s.addBuf = ls
 	for _, l := range ls {
 		s.ensureVars(l.Var())
 	}
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+	slices.Sort(ls)
 	out := ls[:0]
 	var prev cnf.Lit = -1
 	for _, l := range ls {
@@ -328,16 +339,16 @@ func (s *Solver) AddClause(lits ...cnf.Lit) bool {
 		s.ok = false
 		return false
 	case 1:
-		s.uncheckedEnqueue(out[0], nil)
-		if s.propagate() != nil {
+		s.uncheckedEnqueue(out[0], crefUndef)
+		if s.propagate() != crefUndef {
 			s.ok = false
 			return false
 		}
 		return true
 	}
-	c := &clause{lits: append([]cnf.Lit(nil), out...)}
-	s.clauses = append(s.clauses, c)
-	s.attach(c)
+	cr := s.allocClause(out, false)
+	s.clauses = append(s.clauses, cr)
+	s.attach(cr)
 	return true
 }
 
@@ -358,17 +369,19 @@ func (s *Solver) AddFormula(f *cnf.Formula) bool {
 	return s.ok
 }
 
-func (s *Solver) attach(c *clause) {
-	w0, w1 := c.lits[0], c.lits[1]
-	s.watches[w0.Not()] = append(s.watches[w0.Not()], watcher{c, w1})
-	s.watches[w1.Not()] = append(s.watches[w1.Not()], watcher{c, w0})
+func (s *Solver) attach(cr cref) {
+	lits := s.lits(cr)
+	w0, w1 := lits[0], lits[1]
+	s.watches[w0.Not()] = append(s.watches[w0.Not()], watcher{cr, w1})
+	s.watches[w1.Not()] = append(s.watches[w1.Not()], watcher{cr, w0})
 }
 
-func (s *Solver) detach(c *clause) {
-	for _, w := range []cnf.Lit{c.lits[0].Not(), c.lits[1].Not()} {
+func (s *Solver) detach(cr cref) {
+	lits := s.lits(cr)
+	for _, w := range [2]cnf.Lit{lits[0].Not(), lits[1].Not()} {
 		ws := s.watches[w]
 		for i := range ws {
-			if ws[i].c == c {
+			if ws[i].cr == cr {
 				ws[i] = ws[len(ws)-1]
 				s.watches[w] = ws[:len(ws)-1]
 				break
@@ -377,21 +390,18 @@ func (s *Solver) detach(c *clause) {
 	}
 }
 
-func (s *Solver) uncheckedEnqueue(p cnf.Lit, from *clause) {
+func (s *Solver) uncheckedEnqueue(p cnf.Lit, from cref) {
+	s.vals[p] = lTrue
+	s.vals[p^1] = lFalse
 	v := p.Var()
-	if p.Sign() {
-		s.assigns[v] = lFalse
-	} else {
-		s.assigns[v] = lTrue
-	}
-	s.level[v] = int32(s.decisionLevel())
+	s.level[v] = int32(len(s.trailLim))
 	s.reason[v] = from
 	s.trail = append(s.trail, p)
 }
 
 // propagate performs unit propagation; it returns the conflicting clause or
-// nil.
-func (s *Solver) propagate() *clause {
+// crefUndef.
+func (s *Solver) propagate() cref {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
@@ -401,45 +411,46 @@ func (s *Solver) propagate() *clause {
 		// onto the current level, which keeps the learnt clauses from the
 		// parity-heavy lock logic tight.
 		if len(s.xorRows) > 0 {
-			if confl := s.propagateXor(p); confl != nil {
+			if confl := s.propagateXor(p); confl != crefUndef {
 				s.qhead = len(s.trail)
 				return confl
 			}
 		}
 		ws := s.watches[p]
 		falseLit := p.Not()
+		vals, arena := s.vals, s.arena
 		n := 0
 	nextWatcher:
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if s.value(w.blocker) == lTrue {
+			if vals[w.blocker] == lTrue {
 				ws[n] = w
 				n++
 				continue
 			}
-			c := w.c
-			lits := c.lits
+			cr := w.cr
+			lits := arena[cr+hdrWords : cr+hdrWords+cref(uint32(arena[cr])>>2)]
 			if lits[0] == falseLit {
 				lits[0], lits[1] = lits[1], lits[0]
 			}
 			first := lits[0]
-			if first != w.blocker && s.value(first) == lTrue {
-				ws[n] = watcher{c, first}
+			if first != w.blocker && vals[first] == lTrue {
+				ws[n] = watcher{cr, first}
 				n++
 				continue
 			}
 			for k := 2; k < len(lits); k++ {
-				if s.value(lits[k]) != lFalse {
+				if vals[lits[k]] != lFalse {
 					lits[1], lits[k] = lits[k], lits[1]
 					nw := lits[1].Not()
-					s.watches[nw] = append(s.watches[nw], watcher{c, first})
+					s.watches[nw] = append(s.watches[nw], watcher{cr, first})
 					continue nextWatcher
 				}
 			}
 			// No new watch: clause is unit or conflicting.
-			ws[n] = watcher{c, first}
+			ws[n] = watcher{cr, first}
 			n++
-			if s.value(first) == lFalse {
+			if vals[first] == lFalse {
 				// Conflict: copy remaining watchers and bail.
 				for i++; i < len(ws); i++ {
 					ws[n] = ws[i]
@@ -447,13 +458,15 @@ func (s *Solver) propagate() *clause {
 				}
 				s.watches[p] = ws[:n]
 				s.qhead = len(s.trail)
-				return c
+				return cr
 			}
-			s.uncheckedEnqueue(first, c)
+			s.uncheckedEnqueue(first, cr)
 		}
-		s.watches[p] = ws[:n]
+		if n < len(ws) {
+			s.watches[p] = ws[:n]
+		}
 	}
-	return nil
+	return crefUndef
 }
 
 func (s *Solver) cancelUntil(lvl int) {
@@ -463,9 +476,10 @@ func (s *Solver) cancelUntil(lvl int) {
 	for i := len(s.trail) - 1; i >= s.trailLim[lvl]; i-- {
 		p := s.trail[i]
 		v := p.Var()
-		s.assigns[v] = lUndef
+		s.vals[p] = lUndef
+		s.vals[p^1] = lUndef
 		s.polarity[v] = p.Sign()
-		s.reason[v] = nil
+		s.reason[v] = crefUndef
 		s.reasonX[v] = 0
 		s.order.insert(v)
 	}
@@ -485,30 +499,32 @@ func (s *Solver) varBump(v int) {
 	s.order.bump(v)
 }
 
-func (s *Solver) claBump(c *clause) {
-	c.act += s.claInc
-	if c.act > 1e20 {
+func (s *Solver) claBump(cr cref) {
+	act := s.claAct(cr) + s.claInc
+	s.setClaAct(cr, act)
+	if act > 1e20 {
 		for _, l := range s.learnts {
-			l.act *= 1e-20
+			s.setClaAct(l, s.claAct(l)*1e-20)
 		}
 		s.claInc *= 1e-20
 	}
 }
 
 // analyze performs first-UIP conflict analysis, returning the learnt clause
-// (asserting literal first) and the backtrack level.
-func (s *Solver) analyze(confl *clause) ([]cnf.Lit, int) {
-	learnt := []cnf.Lit{0} // placeholder for asserting literal
+// (asserting literal first) and the backtrack level. The clause is a view
+// of learntBuf, valid until the next call.
+func (s *Solver) analyze(confl cref) ([]cnf.Lit, int) {
+	learnt := append(s.learntBuf[:0], 0) // placeholder for asserting literal
 	pathC := 0
 	var p cnf.Lit = -1
 	index := len(s.trail) - 1
 	for {
-		lits := confl.lits
+		lits := s.lits(confl)
 		start := 0
 		if p != -1 {
 			start = 1
 		}
-		if confl.learnt {
+		if confl != crefXor && s.isLearnt(confl) {
 			s.claBump(confl)
 		}
 		for _, q := range lits[start:] {
@@ -538,7 +554,7 @@ func (s *Solver) analyze(confl *clause) ([]cnf.Lit, int) {
 	learnt[0] = p.Not()
 
 	// Clause minimization (local): drop literals implied by the rest.
-	toClear := make([]int, 0, len(learnt))
+	toClear := s.toClear[:0]
 	for _, l := range learnt {
 		toClear = append(toClear, l.Var())
 	}
@@ -546,13 +562,13 @@ func (s *Solver) analyze(confl *clause) ([]cnf.Lit, int) {
 	for i := 1; i < len(learnt); i++ {
 		v := learnt[i].Var()
 		r := s.reasonFor(v)
-		if r == nil {
+		if r == crefUndef {
 			learnt[j] = learnt[i]
 			j++
 			continue
 		}
 		redundant := true
-		for _, q := range r.lits[1:] {
+		for _, q := range s.lits(r)[1:] {
 			if s.seen[q.Var()] == 0 && s.level[q.Var()] > 0 {
 				redundant = false
 				break
@@ -563,10 +579,12 @@ func (s *Solver) analyze(confl *clause) ([]cnf.Lit, int) {
 			j++
 		}
 	}
+	s.learntBuf = learnt
 	learnt = learnt[:j]
 	for _, v := range toClear {
 		s.seen[v] = 0
 	}
+	s.toClear = toClear
 
 	// Backtrack level: highest level among the non-asserting literals.
 	btLevel := 0
@@ -597,10 +615,10 @@ func (s *Solver) analyzeFinal(p cnf.Lit) {
 		if s.seen[v] == 0 {
 			continue
 		}
-		if r := s.reasonFor(v); r == nil {
+		if r := s.reasonFor(v); r == crefUndef {
 			s.conflict = append(s.conflict, s.trail[i].Not())
 		} else {
-			for _, q := range r.lits[1:] {
+			for _, q := range s.lits(r)[1:] {
 				if s.level[q.Var()] > 0 {
 					s.seen[q.Var()] = 1
 				}
@@ -611,38 +629,55 @@ func (s *Solver) analyzeFinal(p cnf.Lit) {
 	s.seen[p.Var()] = 0
 }
 
+// lbd counts the distinct decision levels among lits, stamping each level
+// seen in this call.
 func (s *Solver) lbd(lits []cnf.Lit) int32 {
-	levels := map[int32]struct{}{}
-	for _, l := range lits {
-		levels[s.level[l.Var()]] = struct{}{}
+	s.stamp++
+	if s.stamp == 0 { // wrapped: forget every old stamp
+		clear(s.levelStamp)
+		s.stamp = 1
 	}
-	return int32(len(levels))
+	n := int32(0)
+	for _, l := range lits {
+		lv := int(s.level[l.Var()])
+		if lv >= len(s.levelStamp) {
+			s.levelStamp = append(s.levelStamp, make([]uint32, lv+1-len(s.levelStamp))...)
+		}
+		if s.levelStamp[lv] != s.stamp {
+			s.levelStamp[lv] = s.stamp
+			n++
+		}
+	}
+	return n
 }
 
 func (s *Solver) reduceDB() {
 	sort.Slice(s.learnts, func(i, j int) bool {
 		a, b := s.learnts[i], s.learnts[j]
-		if (a.lbd <= 2) != (b.lbd <= 2) {
-			return a.lbd <= 2
+		la, lb := s.clauseLBD(a), s.clauseLBD(b)
+		if (la <= 2) != (lb <= 2) {
+			return la <= 2
 		}
-		if (len(a.lits) == 2) != (len(b.lits) == 2) {
-			return len(a.lits) == 2
+		na, nb := s.clauseSize(a), s.clauseSize(b)
+		if (na == 2) != (nb == 2) {
+			return na == 2
 		}
-		return a.act > b.act
+		return s.claAct(a) > s.claAct(b)
 	})
 	keep := s.learnts[:0]
 	limit := len(s.learnts) / 2
-	for i, c := range s.learnts {
+	for i, cr := range s.learnts {
 		// Glue and binary clauses sort to the front and survive while the
 		// budget allows; beyond the halfway point only clauses that are
 		// the reason for a current assignment are exempt. (A blanket
 		// exemption for low-LBD clauses would let XOR-heavy instances,
 		// whose learnt clauses are mostly glue, defeat the reduction and
 		// thrash this routine.)
-		if i < limit || s.locked(c) {
-			keep = append(keep, c)
+		if i < limit || s.locked(cr) {
+			keep = append(keep, cr)
 		} else {
-			s.detach(c)
+			s.detach(cr)
+			s.freeClause(cr)
 			s.Stats.Removed++
 		}
 	}
@@ -652,17 +687,19 @@ func (s *Solver) reduceDB() {
 	if float64(len(s.learnts)) >= s.maxLearnts {
 		s.maxLearnts = float64(len(s.learnts)) * 1.5
 	}
+	s.maybeCompact()
 }
 
-func (s *Solver) locked(c *clause) bool {
-	return s.value(c.lits[0]) == lTrue && s.reason[c.lits[0].Var()] == c
+func (s *Solver) locked(cr cref) bool {
+	l0 := s.lits(cr)[0]
+	return s.value(l0) == lTrue && s.reason[l0.Var()] == cr
 }
 
 // pickBranchVar returns the unassigned variable with the highest activity.
 func (s *Solver) pickBranchVar() int {
 	for !s.order.empty() {
 		v := s.order.removeMax()
-		if s.assigns[v] == lUndef {
+		if s.varValue(int32(v)) == lUndef {
 			return v
 		}
 	}
@@ -701,7 +738,7 @@ func (s *Solver) search(nofConflicts int64, assumptions []cnf.Lit) Status {
 			return Unknown
 		}
 		confl := s.propagate()
-		if confl != nil {
+		if confl != crefUndef {
 			s.Stats.Conflicts++
 			conflictC++
 			if s.decisionLevel() == 0 {
@@ -712,15 +749,15 @@ func (s *Solver) search(nofConflicts int64, assumptions []cnf.Lit) Status {
 			s.cancelUntil(btLevel)
 			var lbd int32 = 1
 			if len(learnt) == 1 {
-				s.uncheckedEnqueue(learnt[0], nil)
+				s.uncheckedEnqueue(learnt[0], crefUndef)
 			} else {
-				c := &clause{lits: append([]cnf.Lit(nil), learnt...), learnt: true}
-				c.lbd = s.lbd(c.lits)
-				lbd = c.lbd
-				s.learnts = append(s.learnts, c)
-				s.attach(c)
-				s.claBump(c)
-				s.uncheckedEnqueue(learnt[0], c)
+				cr := s.allocClause(learnt, true)
+				lbd = s.lbd(learnt)
+				s.setLBD(cr, lbd)
+				s.learnts = append(s.learnts, cr)
+				s.attach(cr)
+				s.claBump(cr)
+				s.uncheckedEnqueue(learnt[0], cr)
 				s.Stats.Learnt++
 			}
 			// Exponential moving averages for the restart policy.
@@ -780,8 +817,8 @@ func (s *Solver) search(nofConflicts int64, assumptions []cnf.Lit) Status {
 			v := -1
 			// Occasional random decisions decorrelate portfolio instances
 			// that would otherwise follow identical VSIDS trajectories.
-			if s.cfg.RandomSeed != 0 && s.rnd()&127 == 0 && len(s.assigns) > 0 {
-				if r := int(s.rnd() % uint64(len(s.assigns))); s.assigns[r] == lUndef {
+			if nv := s.NumVars(); s.cfg.RandomSeed != 0 && s.rnd()&127 == 0 && nv > 0 {
+				if r := int(s.rnd() % uint64(nv)); s.varValue(int32(r)) == lUndef {
 					v = r
 				}
 			}
@@ -790,9 +827,9 @@ func (s *Solver) search(nofConflicts int64, assumptions []cnf.Lit) Status {
 			}
 			if v == -1 {
 				// All variables assigned: model found.
-				s.model = make([]bool, len(s.assigns))
-				for i, a := range s.assigns {
-					s.model[i] = a == lTrue
+				s.model = make([]bool, s.NumVars())
+				for i := range s.model {
+					s.model[i] = s.vals[2*i] == lTrue
 				}
 				return Sat
 			}
@@ -800,7 +837,7 @@ func (s *Solver) search(nofConflicts int64, assumptions []cnf.Lit) Status {
 			next = cnf.MkLit(v, s.polarity[v])
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.uncheckedEnqueue(next, nil)
+		s.uncheckedEnqueue(next, crefUndef)
 	}
 }
 
@@ -980,17 +1017,18 @@ func (s *Solver) WriteDimacs(w io.Writer) error {
 	for i := 0; i < units; i++ {
 		fmt.Fprintf(bw, "%d 0\n", s.trail[i].Dimacs())
 	}
-	for _, c := range s.clauses {
-		for _, l := range c.lits {
+	for _, cr := range s.clauses {
+		for _, l := range s.lits(cr) {
 			fmt.Fprintf(bw, "%d ", l.Dimacs())
 		}
 		fmt.Fprintln(bw, 0)
 	}
-	for _, row := range s.xorRows {
+	for i := range s.xorRows {
+		row := &s.xorRows[i]
 		// The XOR of the listed literals must be true: a false rhs is
 		// folded into the first literal's sign.
 		bw.WriteString("x")
-		for i, v := range row.vars {
+		for i, v := range s.xorPool[row.off : row.off+row.n] {
 			fmt.Fprintf(bw, " %d", cnf.MkLit(int(v), i == 0 && !row.rhs).Dimacs())
 		}
 		fmt.Fprintln(bw, " 0")

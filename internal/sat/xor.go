@@ -1,7 +1,7 @@
 // XOR layer: native GF(2) parity constraints beside the CNF watch-list
 // engine, in the cryptominisat style. Each constraint is a row
 // "XOR(vars) = rhs". AddXor reduces a scratch copy of every new row against
-// a top-level echelon (pivot = smallest variable) with level-0 assignments
+// a top-level echelon (pivot = largest variable) with level-0 assignments
 // folded out, so injecting linearly dependent rows — the common case when
 // the insight tracker streams certified constraints after every DIP —
 // costs no storage and immediately detects inconsistency or a forced
@@ -11,37 +11,41 @@
 // implication reason into a near-full-width clause and poisoning conflict
 // analysis. The echelon is Gaussian bookkeeping only; the sparse originals
 // are what search propagates over. During search each row watches two of
-// its variables; when a watched variable is assigned the row is scanned in
-// full: with one unassigned variable left the forced value is enqueued
-// (reason materialized lazily, see reasonFor), with none left and wrong
-// parity a conflict clause is synthesized for the standard first-UIP
-// analysis. The full scan — rather than minimal watch movement — keeps
-// propagation complete when both watches of a row are assigned within one
-// propagation batch.
+// its variables; when a watched variable is assigned the row is scanned
+// from its first variable until a second unassigned one turns up: with one
+// unassigned variable left the forced value is enqueued (reason
+// materialized lazily, see reasonFor), with none left and wrong parity a
+// conflict clause is synthesized for the standard first-UIP analysis.
+// Scanning the row's values — rather than trusting the watched pair —
+// keeps propagation complete when both watches of a row are assigned
+// within one propagation batch. Synthesized clauses are written into the
+// solver's xorBuf and passed around as crefXor, so they allocate nothing.
 package sat
 
 import (
-	"sort"
+	"slices"
 
 	"dynunlock/internal/cnf"
 )
 
-// xorRow is one parity constraint XOR(vars) = rhs. vars are distinct and
-// sorted ascending; rows are immutable once stored (reason indices into
-// xorRows stay valid for the solver's lifetime).
+// xorRow is one parity constraint XOR(vars) = rhs, its variables being
+// xorPool[off : off+n], distinct and sorted ascending. Rows are immutable
+// once stored apart from their watches (reason indices into xorRows stay
+// valid for the solver's lifetime).
 type xorRow struct {
-	vars  []int32
-	rhs   bool
-	watch [2]int32 // the two watched variables, always distinct row members
+	off, n int32
+	watch  [2]int32 // the two watched variables, always distinct row members
+	rhs    bool
 }
 
-// xorEchRow is one row of the AddXor-time echelon: the same constraint
-// shape as xorRow but never watched or used as a reason — it exists only
-// so new rows can be tested for linear dependence and inconsistency
-// without densifying the rows search propagates over.
+// xorEchRow is one row of the AddXor-time echelon, its variables being
+// xorEchPool[off : off+n]: the same constraint shape as xorRow but never
+// watched or used as a reason — it exists only so new rows can be tested
+// for linear dependence and inconsistency without densifying the rows
+// search propagates over.
 type xorEchRow struct {
-	vars []int32
-	rhs  bool
+	off, n int32
+	rhs    bool
 }
 
 // AddXor adds the parity constraint "XOR of the literal values = rhs".
@@ -60,7 +64,7 @@ func (s *Solver) AddXor(lits []cnf.Lit, rhs bool) bool {
 		return false
 	}
 	s.cancelUntil(0)
-	vars := make([]int32, 0, len(lits))
+	vars := s.xorBufA[:0]
 	for _, l := range lits {
 		s.ensureVars(l.Var())
 		if l.Sign() {
@@ -68,7 +72,8 @@ func (s *Solver) AddXor(lits []cnf.Lit, rhs bool) bool {
 		}
 		vars = append(vars, int32(l.Var()))
 	}
-	sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
+	s.xorBufA = vars
+	slices.Sort(vars)
 	// Cancel duplicate pairs: v ⊕ v = 0.
 	out := vars[:0]
 	for i := 0; i < len(vars); {
@@ -96,8 +101,9 @@ func (s *Solver) AddXor(lits []cnf.Lit, rhs bool) bool {
 	// together through shared inputs. For the unrolled keystream generator
 	// the fixpoint expresses every cycle's parity bit directly over the
 	// seed variables.
-	rv := append([]int32(nil), vars...)
+	rv := append(s.xorBufB[:0], vars...)
 	rrhs := rhs
+	spare := s.xorBufC
 	for {
 		rv, rrhs = s.xorFoldAssigned(rv, rrhs)
 		if len(rv) == 0 {
@@ -111,8 +117,10 @@ func (s *Solver) AddXor(lits []cnf.Lit, rhs bool) bool {
 		if ech.rhs {
 			rrhs = !rrhs
 		}
-		rv = xorMerge(rv, ech.vars)
+		merged := xorMerge(spare[:0], rv, s.xorEchPool[ech.off:ech.off+ech.n])
+		spare, rv = rv, merged
 	}
+	s.xorBufB, s.xorBufC = rv, spare
 	if len(rv) <= 1 {
 		// Linearly dependent modulo a possible forced literal: the stored
 		// system plus that assignment already implies the new row, so it
@@ -123,18 +131,22 @@ func (s *Solver) AddXor(lits []cnf.Lit, rhs bool) bool {
 		s.xorPivot = make(map[int32]int32)
 	}
 	s.xorPivot[rv[len(rv)-1]] = int32(len(s.xorEch))
-	s.xorEch = append(s.xorEch, xorEchRow{vars: rv, rhs: rrhs})
+	s.xorEch = append(s.xorEch, xorEchRow{off: int32(len(s.xorEchPool)), n: int32(len(rv)), rhs: rrhs})
+	s.xorEchPool = append(s.xorEchPool, rv...)
 
 	s.xorStore(vars, rhs)
 	return true
 }
 
-// xorStore attaches a normalized row (≥2 distinct sorted unassigned
-// variables) to the watch lists.
+// xorStore copies a normalized row (≥2 distinct sorted unassigned
+// variables) into the pool and attaches it to the watch lists.
 func (s *Solver) xorStore(vars []int32, rhs bool) {
-	row := &xorRow{vars: vars, rhs: rhs, watch: [2]int32{vars[0], vars[1]}}
 	ri := int32(len(s.xorRows))
-	s.xorRows = append(s.xorRows, row)
+	s.xorRows = append(s.xorRows, xorRow{
+		off: int32(len(s.xorPool)), n: int32(len(vars)),
+		watch: [2]int32{vars[0], vars[1]}, rhs: rhs,
+	})
+	s.xorPool = append(s.xorPool, vars...)
 	s.xwatches[vars[0]] = append(s.xwatches[vars[0]], ri)
 	s.xwatches[vars[1]] = append(s.xwatches[vars[1]], ri)
 }
@@ -144,7 +156,7 @@ func (s *Solver) xorStore(vars []int32, rhs bool) {
 func (s *Solver) xorFoldAssigned(vars []int32, rhs bool) ([]int32, bool) {
 	n := 0
 	for _, v := range vars {
-		switch s.assigns[v] {
+		switch s.varValue(v) {
 		case lTrue:
 			rhs = !rhs
 		case lFalse:
@@ -167,35 +179,33 @@ func (s *Solver) xorFinishSmall(vars []int32, rhs bool) bool {
 		}
 		return true
 	}
-	s.uncheckedEnqueue(cnf.MkLit(int(vars[0]), !rhs), nil)
-	if s.propagate() != nil {
+	s.uncheckedEnqueue(cnf.MkLit(int(vars[0]), !rhs), crefUndef)
+	if s.propagate() != crefUndef {
 		s.ok = false
 		return false
 	}
 	return true
 }
 
-// xorMerge returns the symmetric difference of two sorted variable lists
-// (the GF(2) sum of the two rows).
-func xorMerge(a, b []int32) []int32 {
-	out := make([]int32, 0, len(a)+len(b))
+// xorMerge appends to dst the symmetric difference of two sorted variable
+// lists (the GF(2) sum of the two rows). dst must not alias a or b.
+func xorMerge(dst, a, b []int32) []int32 {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
 		case a[i] < b[j]:
-			out = append(out, a[i])
+			dst = append(dst, a[i])
 			i++
 		case a[i] > b[j]:
-			out = append(out, b[j])
+			dst = append(dst, b[j])
 			j++
 		default:
 			i++
 			j++
 		}
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
 }
 
 // NumXors returns the number of parity rows currently stored and watched
@@ -207,27 +217,38 @@ func (s *Solver) NumXors() int { return len(s.xorRows) }
 // synthesized conflict clause (all literals false under the current
 // assignment, including at least one at the current decision level — the
 // trigger variable itself).
-func (s *Solver) propagateXor(p cnf.Lit) *clause {
+func (s *Solver) propagateXor(p cnf.Lit) cref {
 	v := int32(p.Var())
 	ws := s.xwatches[v]
+	if len(ws) == 0 {
+		return crefUndef
+	}
+	vals := s.vals
 	n := 0
 	for i := 0; i < len(ws); i++ {
 		ri := ws[i]
-		row := s.xorRows[ri]
+		row := &s.xorRows[ri]
+		vars := s.xorPool[row.off : row.off+row.n]
+		// Scan until a second unassigned variable turns up: the row is then
+		// neither unit nor violated, and u1, u2 are its first two unassigned
+		// variables in row order. A complete scan leaves the row's parity.
 		parity := row.rhs
-		var unassigned int32 = -1
-		count := 0
-		for _, u := range row.vars {
-			switch s.assigns[u] {
+		u1, u2 := int32(-1), int32(-1)
+	scan:
+		for _, u := range vars {
+			switch vals[u<<1] {
 			case lUndef:
-				count++
-				unassigned = u
+				if u1 >= 0 {
+					u2 = u
+					break scan
+				}
+				u1 = u
 			case lTrue:
 				parity = !parity
 			}
 		}
 		switch {
-		case count == 0:
+		case u1 < 0:
 			// parity is rhs ⊕ sum(values): true means the row is violated.
 			if parity {
 				s.Stats.XorConflicts++
@@ -236,82 +257,90 @@ func (s *Solver) propagateXor(p cnf.Lit) *clause {
 					n++
 				}
 				s.xwatches[v] = ws[:n]
-				return s.xorConflictClause(row)
+				return s.xorConflict(vars)
 			}
 			ws[n] = ri
 			n++
-		case count == 1:
-			// The remaining variable must restore the parity.
+		case u2 < 0:
+			// The one unassigned variable must restore the parity.
 			s.Stats.XorPropagations++
-			s.reasonX[unassigned] = ri + 1
-			s.uncheckedEnqueue(cnf.MkLit(int(unassigned), !parity), nil)
+			s.reasonX[u1] = ri + 1
+			s.uncheckedEnqueue(cnf.MkLit(int(u1), !parity), crefUndef)
 			ws[n] = ri
 			n++
+		case row.watch[0] == v || row.watch[1] == v:
+			// ≥2 unassigned: move this watch onto the first unassigned
+			// variable that is not the other watch, so the next relevant
+			// assignment re-triggers the scan.
+			slot := 0
+			if row.watch[1] == v {
+				slot = 1
+			}
+			u := u1
+			if u == row.watch[1-slot] {
+				u = u2
+			}
+			row.watch[slot] = u
+			s.xwatches[u] = append(s.xwatches[u], ri)
 		default:
-			// ≥2 unassigned: move this watch onto an unassigned variable so
-			// the next relevant assignment re-triggers the scan.
-			moved := false
-			if row.watch[0] == v || row.watch[1] == v {
-				slot := 0
-				if row.watch[1] == v {
-					slot = 1
-				}
-				other := row.watch[1-slot]
-				for _, u := range row.vars {
-					if u != other && s.assigns[u] == lUndef {
-						row.watch[slot] = u
-						s.xwatches[u] = append(s.xwatches[u], ri)
-						moved = true
-						break
-					}
-				}
-			}
-			if !moved {
-				ws[n] = ri
-				n++
-			}
+			// A stale entry: v is no longer watched by this row.
+			ws[n] = ri
+			n++
 		}
 	}
-	s.xwatches[v] = ws[:n]
-	return nil
-}
-
-// xorConflictClause materializes a violated row as a clause: one literal
-// per row variable, each false under the current assignment.
-func (s *Solver) xorConflictClause(row *xorRow) *clause {
-	lits := make([]cnf.Lit, 0, len(row.vars))
-	for _, u := range row.vars {
-		lits = append(lits, cnf.MkLit(int(u), s.assigns[u] == lTrue))
+	if n < len(ws) {
+		s.xwatches[v] = ws[:n]
 	}
-	return &clause{lits: lits}
+	return crefUndef
 }
 
-// xorReasonClause materializes the reason for an XOR-implied variable v:
-// the implied literal (true under the current assignment) first, then the
-// falsified antecedent literals — the shape analyze, minimization, and
-// analyzeFinal expect from CNF reasons. Synthesized reasons never enter
-// the clause database, so reduceDB and locked() are unaffected.
-func (s *Solver) xorReasonClause(v int, row *xorRow) *clause {
-	lits := make([]cnf.Lit, 0, len(row.vars))
-	lits = append(lits, cnf.MkLit(v, s.assigns[v] == lFalse))
-	for _, u := range row.vars {
-		if int(u) == v {
-			continue
+// falseLit returns the literal of variable u that is false under the
+// current assignment.
+func (s *Solver) falseLit(u int32) cnf.Lit {
+	l := cnf.Lit(u << 1)
+	if s.vals[l] == lTrue {
+		return l ^ 1
+	}
+	return l
+}
+
+// xorConflict materializes a violated row as a clause in xorBuf: one
+// literal per row variable, each false under the current assignment.
+func (s *Solver) xorConflict(vars []int32) cref {
+	buf := s.xorBuf[:0]
+	for _, u := range vars {
+		buf = append(buf, s.falseLit(u))
+	}
+	s.xorBuf = buf
+	return crefXor
+}
+
+// xorReason materializes the reason for an XOR-implied variable v in
+// xorBuf: the implied literal (true under the current assignment) first,
+// then the falsified antecedent literals — the shape analyze,
+// minimization, and analyzeFinal expect from CNF reasons. Synthesized
+// reasons never enter the clause database, so reduceDB and locked() are
+// unaffected.
+func (s *Solver) xorReason(v int32, row *xorRow) cref {
+	buf := append(s.xorBuf[:0], s.falseLit(v)^1)
+	for _, u := range s.xorPool[row.off : row.off+row.n] {
+		if u != v {
+			buf = append(buf, s.falseLit(u))
 		}
-		lits = append(lits, cnf.MkLit(int(u), s.assigns[u] == lTrue))
 	}
-	return &clause{lits: lits}
+	s.xorBuf = buf
+	return crefXor
 }
 
 // reasonFor returns the reason clause of an assigned variable: the stored
-// CNF reason, a lazily materialized XOR reason, or nil for decisions and
-// top-level facts.
-func (s *Solver) reasonFor(v int) *clause {
-	if r := s.reason[v]; r != nil {
+// CNF reason, a lazily materialized XOR reason (crefXor, overwriting the
+// previous one), or crefUndef for decisions and top-level facts.
+func (s *Solver) reasonFor(v int) cref {
+	if r := s.reason[v]; r != crefUndef {
 		return r
 	}
 	if ri := s.reasonX[v]; ri != 0 {
-		return s.xorReasonClause(v, s.xorRows[ri-1])
+		return s.xorReason(int32(v), &s.xorRows[ri-1])
 	}
-	return nil
+	return crefUndef
 }
