@@ -68,7 +68,8 @@ type Options struct {
 	// portfolio instance).
 	ConflictBudget int64
 	// Portfolio is the number of diversified solver instances racing each
-	// SAT call (<= 1 = sequential; see satattack portfolio engine).
+	// SAT call (<= 1 runs one, the sequential attack; see
+	// satattack.Options.Portfolio).
 	Portfolio int
 	// VerifyProbes is the number of random probe sessions used to check
 	// each recovered seed against the chip (attacker-side validation).
@@ -230,18 +231,6 @@ func AttackCtx(ctx context.Context, chip Chip, opts Options) (*Result, error) {
 	defer chip.SetSessionHook(prevHook)
 
 	adapter := NewChipOracle(chip, opts.TestKey)
-	saOpts := satattack.Options{
-		Portfolio:      opts.Portfolio,
-		MaxIterations:  opts.MaxIterations,
-		EnumerateLimit: opts.EnumerateLimit,
-		ConflictBudget: opts.ConflictBudget,
-		Log:            opts.Log,
-		OnDIP:          opts.OnDIP,
-		Search:         opts.Search,
-		NativeXor:      opts.NativeXor,
-		AIG:            opts.AIG,
-		Simplify:       opts.Simplify,
-	}
 
 	res := &Result{Mode: opts.Mode}
 	switch opts.Mode {
@@ -263,22 +252,10 @@ func AttackCtx(ctx context.Context, chip Chip, opts Options) (*Result, error) {
 		}
 		// Direct mode searches the seed space itself: the tracker's
 		// seed-bit constraints are key-bit constraints verbatim.
-		saOpts.Insight = opts.Insight
-		saRes, err := satattack.RunCtx(ctx, model.Locked, adapter, saOpts)
+		saRes, err := runEngine(ctx, model.Locked, adapter, opts, opts.Insight, res)
 		if err != nil {
 			return nil, err
 		}
-		res.Iterations = saRes.Iterations
-		res.Converged = saRes.Converged
-		res.Analytic = saRes.Analytic
-		res.Exact = saRes.CandidatesExact
-		res.SolverStats = saRes.SolverStats
-		res.InstanceStats = saRes.InstanceStats
-		res.InstanceWins = saRes.InstanceWins
-		res.Stopped = saRes.Stopped
-		res.StopReason = saRes.StopReason
-		res.EncodeVars = saRes.EncodeVars
-		res.EncodeClauses = saRes.EncodeClauses
 		for _, c := range saRes.Candidates {
 			res.SeedCandidates = append(res.SeedCandidates, gf2.FromBools(c))
 		}
@@ -305,28 +282,18 @@ func AttackCtx(ctx context.Context, chip Chip, opts Options) (*Result, error) {
 		}
 		// Linear mode searches the mask space, so the tracker's seed-bit
 		// rows must be re-expressed over the mask key bits first.
+		var insight satattack.InsightSource
 		if opts.Insight != nil {
-			saOpts.Insight = newMaskInsight(mm, opts.Insight)
+			insight = newMaskInsight(mm, opts.Insight)
 		}
-		saRes, err := satattack.RunCtx(ctx, mm.Locked, adapter, saOpts)
+		saRes, err := runEngine(ctx, mm.Locked, adapter, opts, insight, res)
 		if err != nil {
 			return nil, err
 		}
-		res.Iterations = saRes.Iterations
-		res.Converged = saRes.Converged
-		res.Analytic = saRes.Analytic
-		res.SolverStats = saRes.SolverStats
-		res.InstanceStats = saRes.InstanceStats
-		res.InstanceWins = saRes.InstanceWins
-		res.Stopped = saRes.Stopped
-		res.StopReason = saRes.StopReason
-		res.EncodeVars = saRes.EncodeVars
-		res.EncodeClauses = saRes.EncodeClauses
 		masks := saRes.Candidates
 		if len(masks) == 0 && saRes.Key != nil {
 			masks = [][]bool{saRes.Key}
 		}
-		res.Exact = saRes.CandidatesExact
 		refine := tr.Start("refine")
 		members := make([]gf2.Vec, len(masks))
 		for i, mk := range masks {
@@ -393,6 +360,41 @@ func AttackCtx(ctx context.Context, chip Chip, opts Options) (*Result, error) {
 		"elapsed_ms":      res.Elapsed.Milliseconds(),
 	}})
 	return res, nil
+}
+
+// runEngine runs the SAT attack on locked with the engine options opts
+// selects and the given insight source (nil for none), then copies the
+// engine's outcome and counters into res. Every attack mode goes through
+// it, so each honours the same options.
+func runEngine(ctx context.Context, locked *satattack.Locked, o satattack.Oracle, opts Options, insight satattack.InsightSource, res *Result) (*satattack.Result, error) {
+	saRes, err := satattack.RunCtx(ctx, locked, o, satattack.Options{
+		Portfolio:      opts.Portfolio,
+		MaxIterations:  opts.MaxIterations,
+		EnumerateLimit: opts.EnumerateLimit,
+		ConflictBudget: opts.ConflictBudget,
+		Log:            opts.Log,
+		OnDIP:          opts.OnDIP,
+		Search:         opts.Search,
+		NativeXor:      opts.NativeXor,
+		AIG:            opts.AIG,
+		Simplify:       opts.Simplify,
+		Insight:        insight,
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.Iterations = saRes.Iterations
+	res.Converged = saRes.Converged
+	res.Analytic = saRes.Analytic
+	res.Exact = saRes.CandidatesExact
+	res.SolverStats = saRes.SolverStats
+	res.InstanceStats = saRes.InstanceStats
+	res.InstanceWins = saRes.InstanceWins
+	res.Stopped = saRes.Stopped
+	res.StopReason = saRes.StopReason
+	res.EncodeVars = saRes.EncodeVars
+	res.EncodeClauses = saRes.EncodeClauses
+	return saRes, nil
 }
 
 // Verifier replays scan sessions in closed form for a hypothesized seed —

@@ -229,7 +229,9 @@ func AttackMulti(chip Chip, captures int, opts Options) (*Result, error) {
 }
 
 // AttackMultiCtx is AttackMulti with cancellation and tracing, with the
-// same partial-result semantics as AttackCtx.
+// same partial-result semantics as AttackCtx. It honours every engine
+// option AttackCtx does except Insight: the tracker's rows address the
+// single-capture mask space, so Options.Insight is ignored here.
 func AttackMultiCtx(ctx context.Context, chip Chip, captures int, opts Options) (*Result, error) {
 	if captures < 2 {
 		return AttackCtx(ctx, chip, opts)
@@ -252,33 +254,15 @@ func AttackMultiCtx(ctx context.Context, chip Chip, captures int, opts Options) 
 		opts.TestKey = make([]bool, d.Config.KeyBits)
 	}
 	adapter := &multiChipOracle{chip: chip, testKey: opts.TestKey, captures: captures}
-	saRes, err := satattack.RunCtx(ctx, mm.Locked, adapter, satattack.Options{
-		Portfolio:      opts.Portfolio,
-		MaxIterations:  opts.MaxIterations,
-		EnumerateLimit: opts.EnumerateLimit,
-		ConflictBudget: opts.ConflictBudget,
-		Log:            opts.Log,
-		OnDIP:          opts.OnDIP,
-		Search:         opts.Search,
-	})
+	res := &Result{Mode: ModeLinear}
+	saRes, err := runEngine(ctx, mm.Locked, adapter, opts, nil, res)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Mode:       ModeLinear,
-		Iterations: saRes.Iterations,
-		Queries:    adapter.sessions,
-		Converged:  saRes.Converged,
-		Exact:      saRes.CandidatesExact,
-		Stopped:    saRes.Stopped,
-		StopReason: saRes.StopReason,
-	}
+	res.Queries = adapter.sessions
 	stacked := gf2.VStack(mm.A, mm.B)
 	res.Rank = gf2.Rank(stacked)
 	res.PredictedLog2 = d.Config.KeyBits - res.Rank
-	res.SolverStats = saRes.SolverStats
-	res.InstanceStats = saRes.InstanceStats
-	res.InstanceWins = saRes.InstanceWins
 
 	masks := saRes.Candidates
 	if len(masks) == 0 && saRes.Key != nil {

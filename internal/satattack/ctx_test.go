@@ -181,7 +181,7 @@ func TestRunCtxBackgroundMatchesRun(t *testing.T) {
 }
 
 // A trace sink must observe one span per engine stage with solver counters,
-// for both the sequential and the portfolio engine.
+// for one instance and for a race of two.
 func TestRunCtxTraceSpans(t *testing.T) {
 	for _, pf := range []int{1, 2} {
 		l, oracle := testLocked(t)

@@ -30,10 +30,15 @@ type attackMetrics struct {
 }
 
 // newAttackMetrics creates the attack-level series tagged with the engine
-// kind ("sequential" or "portfolio"); a nil handle returns nil.
-func newAttackMetrics(h *metrics.Handle, engine string) *attackMetrics {
+// kind: "sequential" for one solver instance, "portfolio" for more. A nil
+// handle returns nil.
+func newAttackMetrics(h *metrics.Handle, instances int) *attackMetrics {
 	if h == nil {
 		return nil
+	}
+	engine := "sequential"
+	if instances > 1 {
+		engine = "portfolio"
 	}
 	return &attackMetrics{
 		dips:       h.Counter(metrics.MetricAttackDIPs, "engine", engine),

@@ -50,6 +50,14 @@ func TestSequentialMetricsSeries(t *testing.T) {
 	if got := sumOf(r, metrics.MetricSatPropagations); got != float64(res.SolverStats.Propagations) {
 		t.Errorf("propagations counter = %v, want %d", got, res.SolverStats.Propagations)
 	}
+	// One instance is the sequential attack: its attack series carry
+	// engine="sequential" and it publishes no race wins.
+	if got, _ := r.SumLabeled(metrics.MetricAttackDIPs, "engine", "sequential"); got != float64(res.Iterations) {
+		t.Errorf("engine=sequential dips = %v, want %d", got, res.Iterations)
+	}
+	if _, ok := r.Sum(metrics.MetricPortfolioWins); ok {
+		t.Error("a one-instance run published portfolio wins")
+	}
 	if res.Iterations > 0 && sumOf(r, metrics.MetricAttackDIPSolveSec) != float64(res.Iterations+1) {
 		// One solve per DIP plus the final UNSAT call.
 		t.Errorf("dip solve histogram count = %v, want %d",
@@ -68,8 +76,8 @@ func TestPortfolioMetricsSeries(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("did not converge")
 	}
-	if got := sumOf(r, metrics.MetricAttackDIPs); got != float64(res.Iterations) {
-		t.Errorf("dips counter = %v, want %d", got, res.Iterations)
+	if got, _ := r.SumLabeled(metrics.MetricAttackDIPs, "engine", "portfolio"); got != float64(res.Iterations) {
+		t.Errorf("engine=portfolio dips = %v, want %d", got, res.Iterations)
 	}
 	var wins int
 	for _, w := range res.InstanceWins {

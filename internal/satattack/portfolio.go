@@ -1,40 +1,39 @@
-// Portfolio SAT attack: every SAT call of the DIP loop and of candidate
-// enumeration is raced across N diversified solver/encoder instances. The
-// race is context-scoped: each race derives a child context, the first
-// instance to return a definitive answer wins and cancels the child, and
-// the losers' ctx watchers interrupt their searches — so cancelling the
-// parent context (deadline, cmd-line -timeout, caller cancellation) tears
-// the whole race down through the same mechanism. The winning
-// distinguishing input and oracle response — or blocking clause — are
-// replayed into every instance, so all clause databases stay logically
-// equivalent and any instance can win the next race.
+// The attack's solver portfolio: every SAT call of the DIP loop, key
+// extraction and candidate enumeration is a race across N diversified
+// solver/encoder instances, and RunCtx always runs on one. A race of one
+// solves inline on the caller's goroutine and context, which is the plain
+// sequential attack. A race of N derives a child context: the first
+// instance to return a definitive answer wins and cancels it, and the
+// losers' ctx watchers interrupt their searches — so cancelling the parent
+// context (deadline, cmd-line -timeout, caller cancellation) tears the
+// whole race down through the same mechanism. The winning distinguishing
+// input and oracle response — or blocking clause — are replayed into every
+// instance, so all clause databases stay logically equivalent and any
+// instance can win the next race.
 //
 // Diversification (sat.Diversify) varies the VSIDS decay, restart policy,
 // initial phases, and random-decision seed per instance; instance 0 always
-// runs the zero config, i.e. the sequential solver. SAT-call latency, not
-// iteration count, dominates dynamic-scan attacks (ScanSAT, GF-Flush), so
-// racing the solve is where the wall-clock parallelism is.
+// runs the zero config, i.e. the solver sat.New builds. SAT-call latency,
+// not iteration count, dominates dynamic-scan attacks (ScanSAT, GF-Flush),
+// so racing the solve is where the wall-clock parallelism is.
 //
 // Determinism: the *set* of enumerated keys is the full equivalence class
 // of the oracle constraints, which is independent of which instance wins
 // which race; only the DIP order, iteration count, and per-instance stats
-// vary between runs. Tests assert candidate-set equality across portfolio
-// sizes 1, 2, and 4.
+// vary between runs of more than one instance. Tests assert candidate-set
+// equality across portfolio sizes 1, 2, and 4.
 package satattack
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"strconv"
-	"time"
 
 	"dynunlock/internal/aig"
 	"dynunlock/internal/cnf"
 	"dynunlock/internal/encode"
 	"dynunlock/internal/metrics"
 	"dynunlock/internal/sat"
-	"dynunlock/internal/trace"
 )
 
 // pfInstance is one diversified solver with its own encoding of the locked
@@ -54,14 +53,12 @@ type portfolio struct {
 	insts []*pfInstance
 	wins  []int
 	// winCtr mirrors wins as live per-instance counters; entries are nil
-	// (no-op) when metrics are disabled.
+	// (no-op) when metrics are disabled or there is only one instance.
 	winCtr []*metrics.Counter
 	// aig, when non-nil, is the compacted arena every instance's copies
 	// are encoded from (Options.AIG). The graph is read-only after
 	// construction, so all instances share one.
 	aig *aig.Graph
-	// simplify arms per-instance level-0 inprocessing between DIPs.
-	simplify bool
 }
 
 // encodeCopy instantiates one circuit copy on instance in, through the
@@ -80,9 +77,10 @@ func (p *portfolio) emitted() (uint64, uint64) {
 	return uint64(s.NumVars()), uint64(s.NumClauses() + s.NumXors())
 }
 
-func newPortfolio(l *Locked, opts Options, mh *metrics.Handle) (*portfolio, error) {
-	n := opts.Portfolio
-	p := &portfolio{l: l, wins: make([]int, n), simplify: opts.Simplify}
+// newPortfolio encodes the miter on n instances. Only a portfolio of more
+// than one instance publishes race-win counters.
+func newPortfolio(l *Locked, n int, opts Options, mh *metrics.Handle) (*portfolio, error) {
+	p := &portfolio{l: l, wins: make([]int, n), winCtr: make([]*metrics.Counter, n)}
 	if opts.AIG {
 		g, err := aig.FromCombView(l.View)
 		if err != nil {
@@ -94,7 +92,9 @@ func newPortfolio(l *Locked, opts Options, mh *metrics.Handle) (*portfolio, erro
 		s := sat.NewWithConfig(sat.Diversify(i))
 		s.ConflictBudget = opts.ConflictBudget
 		installSolverMetrics(mh, opts.Search, s, i)
-		p.winCtr = append(p.winCtr, mh.Counter(metrics.MetricPortfolioWins, "instance", strconv.Itoa(i)))
+		if n > 1 {
+			p.winCtr[i] = mh.Counter(metrics.MetricPortfolioWins, "instance", strconv.Itoa(i))
+		}
 		e := encode.NewWithConfig(s, encode.Config{NativeXor: opts.NativeXor})
 		in := &pfInstance{
 			s:  s,
@@ -106,6 +106,8 @@ func newPortfolio(l *Locked, opts Options, mh *metrics.Handle) (*portfolio, erro
 		y1 := p.encodeCopy(in, l.assemble(e, in.x, in.k1))
 		y2 := p.encodeCopy(in, l.assemble(e, in.x, in.k2))
 		in.miter = e.Miter(y1, y2)
+		// Branch on key variables first: the miter search closes fastest
+		// when the candidate keys are fixed before the shared inputs.
 		for _, ks := range [][]cnf.Lit{in.k1, in.k2} {
 			for _, kl := range ks {
 				s.BumpActivity(kl.Var(), 1)
@@ -116,43 +118,49 @@ func newPortfolio(l *Locked, opts Options, mh *metrics.Handle) (*portfolio, erro
 	return p, nil
 }
 
-// race runs one SAT call on every instance concurrently and returns the
-// index and status of the first definitive (Sat/Unsat) finisher, after
-// cancelling and draining the rest. Every instance solves under a child
+// race runs one SAT call on every instance and returns the index and
+// status of the first definitive (Sat/Unsat) finisher. One instance solves
+// inline under ctx. More instances solve concurrently under a child
 // context of ctx: the winner cancels it to stop the losers, and a parent
-// cancellation or deadline stops the whole race the same way. If every
-// instance returns Unknown (parent cancelled, or conflict budget
-// exhausted) the winner index is -1.
+// cancellation or deadline stops the whole race the same way; the losers
+// are drained before race returns. If every instance returns Unknown
+// (parent cancelled, or conflict budget exhausted) the winner index is -1.
 func (p *portfolio) race(ctx context.Context, withMiter bool) (int, sat.Status) {
-	type outcome struct {
-		idx int
-		st  sat.Status
-	}
-	raceCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan outcome, len(p.insts))
-	for i, in := range p.insts {
-		in.s.ClearInterrupt()
-		go func(i int, in *pfInstance) {
-			var st sat.Status
-			if withMiter {
-				st = in.s.SolveCtx(raceCtx, in.miter)
-			} else {
-				st = in.s.SolveCtx(raceCtx)
-			}
-			ch <- outcome{i, st}
-		}(i, in)
+	solve := func(ctx context.Context, in *pfInstance) sat.Status {
+		if withMiter {
+			return in.s.SolveCtx(ctx, in.miter)
+		}
+		return in.s.SolveCtx(ctx)
 	}
 	winner, st := -1, sat.Unknown
-	for range p.insts {
-		o := <-ch
-		if winner == -1 && o.st != sat.Unknown {
-			winner, st = o.idx, o.st
-			cancel() // losers stop via their ctx watchers
+	if len(p.insts) == 1 {
+		if st = solve(ctx, p.insts[0]); st != sat.Unknown {
+			winner = 0
 		}
-	}
-	for _, in := range p.insts {
-		in.s.ClearInterrupt()
+	} else {
+		type outcome struct {
+			idx int
+			st  sat.Status
+		}
+		raceCtx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		ch := make(chan outcome, len(p.insts))
+		for i, in := range p.insts {
+			in.s.ClearInterrupt()
+			go func(i int, in *pfInstance) {
+				ch <- outcome{i, solve(raceCtx, in)}
+			}(i, in)
+		}
+		for range p.insts {
+			o := <-ch
+			if winner == -1 && o.st != sat.Unknown {
+				winner, st = o.idx, o.st
+				cancel() // losers stop via their ctx watchers
+			}
+		}
+		for _, in := range p.insts {
+			in.s.ClearInterrupt()
+		}
 	}
 	if winner >= 0 {
 		p.wins[winner]++
@@ -162,8 +170,7 @@ func (p *portfolio) race(ctx context.Context, withMiter bool) (int, sat.Status) 
 }
 
 // replayDIP asserts the oracle's response for a distinguishing input on
-// both key copies of every instance — the same constraint the sequential
-// engine adds, issued N times. It returns instance 0's problem-size
+// both key copies of every instance. It returns instance 0's problem-size
 // growth (encoding is deterministic, so every instance grows alike).
 func (p *portfolio) replayDIP(dip, resp []bool) (dVars, dClauses uint64) {
 	ev0, ec0 := p.emitted()
@@ -174,6 +181,11 @@ func (p *portfolio) replayDIP(dip, resp []bool) (dVars, dClauses uint64) {
 	}
 	ev1, ec1 := p.emitted()
 	return ev1 - ev0, ec1 - ec0
+}
+
+// key returns the first key copy of instance i's last model.
+func (p *portfolio) key(i int) []bool {
+	return p.insts[i].e.ModelBits(p.insts[i].k1)
 }
 
 // block adds a blocking clause for key k to every instance. It reports
@@ -196,11 +208,39 @@ func (p *portfolio) block(k []bool) bool {
 	return ok
 }
 
+// enumerate lists the keys consistent with every asserted constraint via
+// blocking clauses, starting from first, up to limit (> 0) keys. exact
+// reports that no further key exists. When a context or budget bound cuts
+// the enumeration short it returns the stop reason; the list is then a
+// valid but possibly incomplete prefix, reported inexact.
+func (p *portfolio) enumerate(ctx context.Context, first []bool, limit int) (keys [][]bool, exact bool, stop StopReason) {
+	keys = [][]bool{append([]bool(nil), first...)}
+	if !p.block(first) {
+		return keys, true, StopNone
+	}
+	for {
+		winner, st := p.race(ctx, false)
+		switch {
+		case st == sat.Unknown:
+			return keys, false, ctxStopReason(ctx)
+		case st == sat.Unsat:
+			return keys, true, StopNone
+		case len(keys) == limit:
+			return keys, false, StopNone // the limit is reached and a key remains
+		}
+		k := p.key(winner)
+		keys = append(keys, k)
+		if !p.block(k) {
+			return keys, true, StopNone
+		}
+	}
+}
+
 // statsSum returns the element-wise sum of every instance's solver
 // counters: total work across the portfolio, not critical-path work.
 func (p *portfolio) statsSum() sat.Stats {
-	var sum sat.Stats
-	for _, in := range p.insts {
+	sum := p.insts[0].s.Stats
+	for _, in := range p.insts[1:] {
 		sum.Decisions += in.s.Stats.Decisions
 		sum.Propagations += in.s.Stats.Propagations
 		sum.Conflicts += in.s.Stats.Conflicts
@@ -214,217 +254,6 @@ func (p *portfolio) statsSum() sat.Stats {
 		sum.SimplifyStrengthened += in.s.Stats.SimplifyStrengthened
 	}
 	return sum
-}
-
-// runPortfolio is the portfolio counterpart of RunCtx: same stage spans,
-// same typed partial results, with every SAT call raced across instances.
-func runPortfolio(ctx context.Context, l *Locked, o Oracle, opts Options) (*Result, error) {
-	tr := trace.From(ctx)
-	mh := metrics.From(ctx)
-	am := newAttackMetrics(mh, "portfolio")
-	start := time.Now()
-
-	enc := tr.Start("encode")
-	p, err := newPortfolio(l, opts, mh)
-	if err != nil {
-		enc.End()
-		return nil, err
-	}
-	enc.Add("instances", uint64(len(p.insts)))
-	enc.Add("vars", uint64(p.insts[0].s.NumVars()))
-	enc.Add("clauses", uint64(p.insts[0].s.NumClauses()))
-	if p.aig != nil {
-		enc.Add("aig_nodes", uint64(p.aig.NumNodes()))
-	}
-	enc.End()
-
-	res := &Result{}
-	res.EncodeVars, res.EncodeClauses = p.emitted()
-	am.observeEncode(res.EncodeVars, res.EncodeClauses)
-	finish := func(reason StopReason) *Result {
-		if reason != StopNone {
-			res.Stopped = true
-			res.StopReason = reason
-		}
-		res.SolverStats = p.statsSum()
-		for _, in := range p.insts {
-			res.InstanceStats = append(res.InstanceStats, in.s.Stats)
-		}
-		res.InstanceWins = append([]int(nil), p.wins...)
-		res.Elapsed = time.Since(start)
-		return res
-	}
-
-	loop := tr.Start("dip_loop")
-	loopMark := p.statsSum()
-	var loopEncV, loopEncC uint64
-	endLoop := func() {
-		addStatsDelta(loop, loopMark, p.statsSum())
-		loop.Add("dips", uint64(res.Iterations))
-		loop.Add("oracle_queries", uint64(res.Queries))
-		loop.Add("encode_vars", loopEncV)
-		loop.Add("encode_clauses", loopEncC)
-		loop.End()
-	}
-	stop := StopNone
-	insCursor := 0
-dipLoop:
-	for {
-		if err := ctx.Err(); err != nil {
-			stop = ctxStopReason(ctx)
-			break
-		}
-		if opts.MaxIterations > 0 && res.Iterations >= opts.MaxIterations {
-			stop = StopIterations
-			break
-		}
-		var solveT0, solveT1 time.Time
-		if am != nil || opts.OnDIP != nil {
-			solveT0 = time.Now()
-		}
-		winner, st := p.race(ctx, true)
-		if am != nil || opts.OnDIP != nil {
-			solveT1 = time.Now()
-		}
-		if am != nil {
-			am.observeSolve(solveT1.Sub(solveT0))
-		}
-		switch st {
-		case sat.Unsat:
-			res.Converged = true
-			break dipLoop
-		case sat.Unknown:
-			stop = ctxStopReason(ctx)
-			break dipLoop
-		case sat.Sat:
-			w := p.insts[winner]
-			dip := w.e.ModelBits(w.x)
-			resp := o.Query(dip)
-			res.Queries++
-			res.Iterations++
-			if len(resp) != len(l.View.Outputs) {
-				endLoop()
-				return nil, fmt.Errorf("satattack: oracle returned %d outputs, want %d", len(resp), len(l.View.Outputs))
-			}
-			am.observeDIP(res.Iterations)
-			if opts.OnDIP != nil {
-				opts.OnDIP(res.Iterations, dip, resp, p.statsSum(), solveT1.Sub(solveT0))
-			}
-			dv, dc := p.replayDIP(dip, resp)
-			res.EncodeVars += dv
-			res.EncodeClauses += dc
-			loopEncV += dv
-			loopEncC += dc
-			am.observeEncode(dv, dc)
-			if opts.Insight != nil {
-				// Replay the certified rows into every instance so all
-				// clause databases stay logically equivalent and any
-				// instance can win the next race.
-				var cs []KeyConstraint
-				cs, insCursor = opts.Insight.ConstraintsSince(insCursor)
-				for _, in := range p.insts {
-					injectInsight(in.s, in.k1, in.k2, cs)
-				}
-				if key, ok := opts.Insight.SolveKey(); ok && len(key) == len(l.KeyIdx) {
-					res.Key = append([]bool(nil), key...)
-					res.Analytic = true
-					res.Converged = true
-					break dipLoop
-				}
-			}
-			if p.simplify {
-				// Per-instance level-0 inprocessing: clause databases differ
-				// (learnts diverge between instances) but each rewrite is
-				// equivalence-preserving, so the race stays fair.
-				for _, in := range p.insts {
-					in.s.Simplify()
-				}
-			}
-			tr.Progressf("iter %d: dip=%s inst=%d clauses=%d",
-				res.Iterations, bitString(dip), winner, w.s.NumClauses())
-			if opts.Log != nil {
-				fmt.Fprintf(opts.Log, "iter %d: dip=%s inst=%d clauses=%d\n",
-					res.Iterations, bitString(dip), winner, w.s.NumClauses())
-			}
-			if opts.DumpCNF != nil {
-				opts.DumpCNF(res.Iterations, w.s.WriteDimacs)
-			}
-		}
-	}
-	endLoop()
-	if stop != StopNone && stop != StopIterations {
-		return finish(stop), nil
-	}
-	if res.Analytic {
-		// Rank-k short-circuit (see the sequential engine): the key is
-		// unique, so extraction and enumeration races are skipped.
-		if opts.EnumerateLimit > 0 {
-			res.Candidates = [][]bool{append([]bool(nil), res.Key...)}
-			res.CandidatesExact = true
-		}
-		return finish(stop), nil
-	}
-
-	// Key extraction.
-	ext := tr.Start("extract")
-	extMark := p.statsSum()
-	winner, st := p.race(ctx, false)
-	addStatsDelta(ext, extMark, p.statsSum())
-	ext.End()
-	switch st {
-	case sat.Unsat:
-		return nil, ErrUnsat
-	case sat.Unknown:
-		return finish(ctxStopReason(ctx)), nil
-	}
-	w := p.insts[winner]
-	res.Key = w.e.ModelBits(w.k1)
-
-	if opts.EnumerateLimit > 0 {
-		enumSp := tr.Start("enumerate")
-		enumMark := p.statsSum()
-		res.Candidates = [][]bool{append([]bool(nil), res.Key...)}
-		res.CandidatesExact = false
-		if p.block(res.Key) {
-		enumLoop:
-			for len(res.Candidates) < opts.EnumerateLimit {
-				winner, st := p.race(ctx, false)
-				switch {
-				case st == sat.Unknown:
-					stop = ctxStopReason(ctx)
-					break enumLoop
-				case st != sat.Sat:
-					res.CandidatesExact = st == sat.Unsat
-					break enumLoop
-				}
-				w := p.insts[winner]
-				k := w.e.ModelBits(w.k1)
-				res.Candidates = append(res.Candidates, k)
-				if !p.block(k) {
-					res.CandidatesExact = true
-					break
-				}
-			}
-			if stop == StopNone && len(res.Candidates) == opts.EnumerateLimit && !res.CandidatesExact {
-				// Limit reached; check whether anything remains.
-				_, st := p.race(ctx, false)
-				if st == sat.Unknown {
-					stop = ctxStopReason(ctx)
-				} else {
-					res.CandidatesExact = st == sat.Unsat
-				}
-			}
-		} else {
-			res.CandidatesExact = true
-		}
-		// Race winners enumerate keys in solver-dependent order; report the
-		// class in a canonical order so portfolio size never changes output.
-		sortKeys(res.Candidates)
-		addStatsDelta(enumSp, enumMark, p.statsSum())
-		enumSp.Add("candidates", uint64(len(res.Candidates)))
-		enumSp.End()
-	}
-	return finish(stop), nil
 }
 
 // sortKeys orders bit vectors lexicographically (false < true).

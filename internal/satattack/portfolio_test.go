@@ -10,6 +10,7 @@ import (
 	"dynunlock/internal/sim"
 )
 
+// keySet renders keys as bit strings in their returned order.
 func keySet(cands [][]bool) []string {
 	out := make([]string, len(cands))
 	for i, c := range cands {
@@ -23,13 +24,12 @@ func keySet(cands [][]bool) []string {
 		}
 		out[i] = b.String()
 	}
-	sort.Strings(out)
 	return out
 }
 
 // Portfolio sizes 1, 2, and 4 must recover the same candidate equivalence
-// class and convergence status: which instance wins a race changes the DIP
-// order, never the answer.
+// class, in the same canonical order, and convergence status: which
+// instance wins a race changes the DIP order, never the answer.
 func TestPortfolioDeterministicCandidates(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 4; trial++ {
@@ -60,6 +60,9 @@ func TestPortfolioDeterministicCandidates(t *testing.T) {
 				t.Fatalf("trial %d portfolio %d: no races won", trial, n)
 			}
 			got := keySet(res.Candidates)
+			if !sort.StringsAreSorted(got) {
+				t.Fatalf("trial %d portfolio %d: candidates not in canonical order: %v", trial, n, got)
+			}
 			if n == 1 {
 				ref, refConverged = got, res.Converged
 				continue

@@ -20,7 +20,6 @@ import (
 	"io"
 	"time"
 
-	"dynunlock/internal/aig"
 	"dynunlock/internal/cnf"
 	"dynunlock/internal/encode"
 	"dynunlock/internal/metrics"
@@ -94,9 +93,8 @@ func (f OracleFunc) Query(in []bool) []bool { return f(in) }
 // Options tunes the attack.
 type Options struct {
 	// Portfolio is the number of diversified solver/encoder instances that
-	// race each SAT call (see Portfolio in portfolio.go). Values <= 1 run
-	// the sequential engine, whose behavior is bit-identical to the
-	// pre-portfolio implementation.
+	// race each SAT call (see portfolio.go). Values <= 1 run one instance,
+	// the plain sequential attack.
 	Portfolio int
 	// MaxIterations bounds the DIP loop; 0 means unlimited.
 	MaxIterations int
@@ -280,11 +278,12 @@ type Result struct {
 	// SolverStats snapshots the SAT solver counters. Under a portfolio it
 	// is the sum over all instances (total work, not critical-path work).
 	SolverStats sat.Stats
-	// InstanceStats holds per-instance solver counters: one entry for the
-	// sequential engine, Options.Portfolio entries for a portfolio run.
+	// InstanceStats holds per-instance solver counters, one entry per
+	// instance (max(1, Options.Portfolio)).
 	InstanceStats []sat.Stats
 	// InstanceWins counts, per instance, the races that instance finished
-	// first (every SAT call is one race; sequential runs win them all).
+	// first with a definitive answer (every SAT call is one race; a call
+	// that a bound interrupted has no winner).
 	InstanceWins []int
 	// Stopped is true when a deadline, cancellation, or budget bounded the
 	// attack before it finished; the Result is then partial (Key and
@@ -306,94 +305,65 @@ func Run(l *Locked, o Oracle, opts Options) (*Result, error) {
 	return RunCtx(context.Background(), l, o, opts)
 }
 
-// RunCtx executes the SAT attack. With Options.Portfolio > 1 the DIP loop
-// and enumeration race diversified solver instances (see portfolio.go);
-// otherwise the sequential engine below runs.
+// RunCtx executes the SAT attack on a portfolio of max(1,
+// Options.Portfolio) diversified solver instances (see portfolio.go): a
+// portfolio of one is the plain sequential attack.
 //
 // Cancelling ctx — or exhausting its deadline, or the conflict budget —
 // never returns an error: the attack stops at the next solver check point
 // and returns the partial Result with Stopped set and StopReason naming
-// the bound. A background context and no trace sink reproduce the
-// unbounded sequential behavior bit for bit.
+// the bound. One instance under a background context and no trace sink
+// takes the same search path on every run, bit for bit.
 func RunCtx(ctx context.Context, l *Locked, o Oracle, opts Options) (*Result, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.Portfolio > 1 {
-		return runPortfolio(ctx, l, o, opts)
-	}
+	n := max(1, opts.Portfolio)
 	tr := trace.From(ctx)
 	mh := metrics.From(ctx)
-	am := newAttackMetrics(mh, "sequential")
+	am := newAttackMetrics(mh, n)
 	start := time.Now()
 
 	enc := tr.Start("encode")
-	s := sat.New()
-	s.ConflictBudget = opts.ConflictBudget
-	installSolverMetrics(mh, opts.Search, s, 0)
-	e := encode.NewWithConfig(s, encode.Config{NativeXor: opts.NativeXor})
-
-	// Stage one of the AIG pipeline: compile the locked view once into a
-	// compacted arena shared by every circuit copy this attack emits.
-	var g *aig.Graph
-	if opts.AIG {
-		var err error
-		g, err = aig.FromCombView(l.View)
-		if err != nil {
-			return nil, err
-		}
-		enc.Add("aig_nodes", uint64(g.NumNodes()))
+	p, err := newPortfolio(l, n, opts, mh)
+	if err != nil {
+		enc.End()
+		return nil, err
 	}
-	encodeCopy := func(in []cnf.Lit) []cnf.Lit {
-		if g != nil {
-			return e.EncodeAIG(g, in)
-		}
-		return e.EncodeComb(l.View, in)
+	// Only a race reports its width, so a one-instance span carries the
+	// same counter set as recorded bundles, which `runs compare` diffs.
+	if n > 1 {
+		enc.Add("instances", uint64(n))
 	}
-	emitted := func() (uint64, uint64) {
-		return uint64(s.NumVars()), uint64(s.NumClauses() + s.NumXors())
+	if p.aig != nil {
+		enc.Add("aig_nodes", uint64(p.aig.NumNodes()))
 	}
-
-	x := e.FreshVec(len(l.InIdx))
-	k1 := e.FreshVec(len(l.KeyIdx))
-	k2 := e.FreshVec(len(l.KeyIdx))
-
-	y1 := encodeCopy(l.assemble(e, x, k1))
-	y2 := encodeCopy(l.assemble(e, x, k2))
-	miter := e.Miter(y1, y2)
-
-	// Branch on key variables first: the miter search closes fastest when
-	// the candidate keys are fixed before the shared inputs.
-	for _, ks := range [][]cnf.Lit{k1, k2} {
-		for _, kl := range ks {
-			s.BumpActivity(kl.Var(), 1)
-		}
-	}
-	res := &Result{}
-	res.EncodeVars, res.EncodeClauses = emitted()
-	am.observeEncode(res.EncodeVars, res.EncodeClauses)
-	enc.Add("vars", uint64(s.NumVars()))
-	enc.Add("clauses", uint64(s.NumClauses()))
+	enc.Add("vars", uint64(p.insts[0].s.NumVars()))
+	enc.Add("clauses", uint64(p.insts[0].s.NumClauses()))
 	enc.End()
 
-	finish := func(reason StopReason, solves int) *Result {
+	res := &Result{}
+	res.EncodeVars, res.EncodeClauses = p.emitted()
+	am.observeEncode(res.EncodeVars, res.EncodeClauses)
+	finish := func(reason StopReason) *Result {
 		if reason != StopNone {
 			res.Stopped = true
 			res.StopReason = reason
 		}
-		res.SolverStats = s.Stats
-		res.InstanceStats = []sat.Stats{s.Stats}
-		res.InstanceWins = []int{solves}
+		res.SolverStats = p.statsSum()
+		for _, in := range p.insts {
+			res.InstanceStats = append(res.InstanceStats, in.s.Stats)
+		}
+		res.InstanceWins = p.wins
 		res.Elapsed = time.Since(start)
 		return res
 	}
 
-	solves := 0
 	loop := tr.Start("dip_loop")
-	loopMark := s.Stats
+	loopMark := p.statsSum()
 	var loopEncV, loopEncC uint64
 	endLoop := func() {
-		addStatsDelta(loop, loopMark, s.Stats)
+		addStatsDelta(loop, loopMark, p.statsSum())
 		loop.Add("dips", uint64(res.Iterations))
 		loop.Add("oracle_queries", uint64(res.Queries))
 		loop.Add("encode_vars", loopEncV)
@@ -412,14 +382,13 @@ dipLoop:
 			stop = StopIterations
 			break
 		}
-		solves++
 		// The timestamp is taken only when an observer is live so the
 		// disabled path stays bit-identical and syscall-free.
 		var solveT0, solveT1 time.Time
 		if am != nil || opts.OnDIP != nil {
 			solveT0 = time.Now()
 		}
-		st := s.SolveCtx(ctx, miter)
+		winner, st := p.race(ctx, true)
 		if am != nil || opts.OnDIP != nil {
 			solveT1 = time.Now()
 		}
@@ -433,64 +402,67 @@ dipLoop:
 		case sat.Unknown:
 			stop = ctxStopReason(ctx)
 			break dipLoop
-		case sat.Sat:
-			dip := e.ModelBits(x)
-			resp := o.Query(dip)
-			res.Queries++
-			res.Iterations++
-			if len(resp) != len(l.View.Outputs) {
-				endLoop()
-				return nil, fmt.Errorf("satattack: oracle returned %d outputs, want %d", len(resp), len(l.View.Outputs))
+		}
+		w := p.insts[winner]
+		dip := w.e.ModelBits(w.x)
+		resp := o.Query(dip)
+		res.Queries++
+		res.Iterations++
+		if len(resp) != len(l.View.Outputs) {
+			endLoop()
+			return nil, fmt.Errorf("satattack: oracle returned %d outputs, want %d", len(resp), len(l.View.Outputs))
+		}
+		am.observeDIP(res.Iterations)
+		if opts.OnDIP != nil {
+			opts.OnDIP(res.Iterations, dip, resp, p.statsSum(), solveT1.Sub(solveT0))
+		}
+		dv, dc := p.replayDIP(dip, resp)
+		res.EncodeVars += dv
+		res.EncodeClauses += dc
+		loopEncV += dv
+		loopEncC += dc
+		am.observeEncode(dv, dc)
+		if opts.Insight != nil {
+			// The OnDIP chain above let the insight source observe this
+			// response; its new rows are linear consequences of the
+			// constraints just asserted, so injecting them into every
+			// instance prunes no candidate key.
+			var cs []KeyConstraint
+			cs, insCursor = opts.Insight.ConstraintsSince(insCursor)
+			for _, in := range p.insts {
+				injectInsight(in.s, in.k1, in.k2, cs)
 			}
-			am.observeDIP(res.Iterations)
-			if opts.OnDIP != nil {
-				opts.OnDIP(res.Iterations, dip, resp, s.Stats, solveT1.Sub(solveT0))
+			if key, ok := opts.Insight.SolveKey(); ok && len(key) == len(l.KeyIdx) {
+				res.Key = append([]bool(nil), key...)
+				res.Analytic = true
+				res.Converged = true
+				break dipLoop
 			}
-			cx := e.ConstVec(dip)
-			ev0, ec0 := emitted()
-			e.AssertEqualConst(encodeCopy(l.assemble(e, cx, k1)), resp)
-			e.AssertEqualConst(encodeCopy(l.assemble(e, cx, k2)), resp)
-			ev1, ec1 := emitted()
-			res.EncodeVars += ev1 - ev0
-			res.EncodeClauses += ec1 - ec0
-			loopEncV += ev1 - ev0
-			loopEncC += ec1 - ec0
-			am.observeEncode(ev1-ev0, ec1-ec0)
-			if opts.Insight != nil {
-				// The OnDIP chain above let the insight source observe this
-				// response; its new rows are linear consequences of the
-				// constraints just asserted, so injecting them prunes no
-				// candidate key.
-				var cs []KeyConstraint
-				cs, insCursor = opts.Insight.ConstraintsSince(insCursor)
-				injectInsight(s, k1, k2, cs)
-				if key, ok := opts.Insight.SolveKey(); ok && len(key) == len(k1) {
-					res.Key = append([]bool(nil), key...)
-					res.Analytic = true
-					res.Converged = true
-					break dipLoop
-				}
+		}
+		if opts.Simplify {
+			// Level-0 inprocessing between DIPs: the response units just
+			// asserted satisfy or shorten clauses of earlier copies. Each
+			// instance rewrites its own (diverged) database equivalently,
+			// and an UNSAT result here surfaces on the next solve.
+			for _, in := range p.insts {
+				in.s.Simplify()
 			}
-			if opts.Simplify {
-				// Level-0 inprocessing between DIPs: the response units just
-				// asserted satisfy or shorten clauses of earlier copies. An
-				// UNSAT result here surfaces on the next solve.
-				s.Simplify()
-			}
-			tr.Progressf("iter %d: dip=%s clauses=%d conflicts=%d",
-				res.Iterations, bitString(dip), s.NumClauses(), s.Stats.Conflicts)
+		}
+		if tr.Enabled() || opts.Log != nil {
+			line := fmt.Sprintf("iter %d: dip=%s inst=%d clauses=%d conflicts=%d",
+				res.Iterations, bitString(dip), winner, w.s.NumClauses(), w.s.Stats.Conflicts)
+			tr.Progressf("%s", line)
 			if opts.Log != nil {
-				fmt.Fprintf(opts.Log, "iter %d: dip=%s clauses=%d conflicts=%d\n",
-					res.Iterations, bitString(dip), s.NumClauses(), s.Stats.Conflicts)
+				fmt.Fprintln(opts.Log, line)
 			}
-			if opts.DumpCNF != nil {
-				opts.DumpCNF(res.Iterations, s.WriteDimacs)
-			}
+		}
+		if opts.DumpCNF != nil {
+			opts.DumpCNF(res.Iterations, w.s.WriteDimacs)
 		}
 	}
 	endLoop()
 	if stop != StopNone && stop != StopIterations {
-		return finish(stop, solves), nil
+		return finish(stop), nil
 	}
 	if res.Analytic {
 		// Rank-k short-circuit: the certified system determines the key
@@ -500,39 +472,39 @@ dipLoop:
 			res.Candidates = [][]bool{append([]bool(nil), res.Key...)}
 			res.CandidatesExact = true
 		}
-		return finish(stop, solves), nil
+		return finish(stop), nil
 	}
 
 	// Key extraction: any key consistent with all recorded I/O pairs.
 	ext := tr.Start("extract")
-	extMark := s.Stats
-	solves++
-	st := s.SolveCtx(ctx)
-	addStatsDelta(ext, extMark, s.Stats)
+	extMark := p.statsSum()
+	winner, st := p.race(ctx, false)
+	addStatsDelta(ext, extMark, p.statsSum())
 	ext.End()
 	switch st {
 	case sat.Unsat:
 		return nil, ErrUnsat
 	case sat.Unknown:
-		return finish(ctxStopReason(ctx), solves), nil
+		return finish(ctxStopReason(ctx)), nil
 	}
-	res.Key = e.ModelBits(k1)
+	res.Key = p.key(winner)
 
 	if opts.EnumerateLimit > 0 {
 		enumSp := tr.Start("enumerate")
-		enumMark := s.Stats
-		var enumSolves int
+		enumMark := p.statsSum()
 		var enumStop StopReason
-		res.Candidates, res.CandidatesExact, enumSolves, enumStop = enumerate(ctx, s, e, k1, res.Key, opts.EnumerateLimit)
-		solves += enumSolves
+		res.Candidates, res.CandidatesExact, enumStop = p.enumerate(ctx, res.Key, opts.EnumerateLimit)
 		if enumStop != StopNone {
 			stop = enumStop
 		}
-		addStatsDelta(enumSp, enumMark, s.Stats)
+		// Race winners enumerate keys in solver-dependent order; report the
+		// class in a canonical order so portfolio size never changes output.
+		sortKeys(res.Candidates)
+		addStatsDelta(enumSp, enumMark, p.statsSum())
 		enumSp.Add("candidates", uint64(len(res.Candidates)))
 		enumSp.End()
 	}
-	return finish(stop, solves), nil
+	return finish(stop), nil
 }
 
 // addStatsDelta records the solver-counter growth between two snapshots on
@@ -584,52 +556,6 @@ func (l *Locked) assemble(e *encode.Encoder, in, key []cnf.Lit) []cnf.Lit {
 		full[idx] = key[i]
 	}
 	return full
-}
-
-// enumerate lists satisfying assignments of the key literals via blocking
-// clauses, starting from first. It also returns the number of Solve calls
-// it issued (for win accounting) and, when a context or budget bound cut
-// the enumeration short, the stop reason (the candidate list is then a
-// valid but possibly incomplete prefix, reported inexact).
-func enumerate(ctx context.Context, s *sat.Solver, e *encode.Encoder, keyLits []cnf.Lit, first []bool, limit int) ([][]bool, bool, int, StopReason) {
-	candidates := [][]bool{append([]bool(nil), first...)}
-	solves := 0
-	block := func(k []bool) bool {
-		clause := make([]cnf.Lit, len(keyLits))
-		for i, l := range keyLits {
-			if k[i] {
-				clause[i] = l.Not()
-			} else {
-				clause[i] = l
-			}
-		}
-		return s.AddClause(clause...)
-	}
-	if !block(first) {
-		return candidates, true, solves, StopNone
-	}
-	for len(candidates) < limit {
-		solves++
-		st := s.SolveCtx(ctx)
-		if st == sat.Unknown {
-			return candidates, false, solves, ctxStopReason(ctx)
-		}
-		if st != sat.Sat {
-			return candidates, st == sat.Unsat, solves, StopNone
-		}
-		k := e.ModelBits(keyLits)
-		candidates = append(candidates, k)
-		if !block(k) {
-			return candidates, true, solves, StopNone
-		}
-	}
-	// Limit reached; check whether anything remains.
-	solves++
-	st := s.SolveCtx(ctx)
-	if st == sat.Unknown {
-		return candidates, false, solves, ctxStopReason(ctx)
-	}
-	return candidates, st == sat.Unsat, solves, StopNone
 }
 
 func bitString(bs []bool) string {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -262,19 +264,41 @@ func TestMaxIterations(t *testing.T) {
 	}
 }
 
+// Options.Log receives exactly one line per DIP, in the engine's single
+// format, whatever the portfolio size.
 func TestLogOutput(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	orig, locked, _ := lockedPair(rng, 5, 30, 3)
 	l := NewLocked(locked, func(i int, s netlist.SignalID) bool {
 		return locked.N.SignalName(s)[0] == 'k'
 	})
-	var buf bytes.Buffer
-	if _, err := Run(l, &simOracle{c: sim.NewComb(orig)}, Options{Log: &buf}); err != nil {
-		t.Fatal(err)
+	format := regexp.MustCompile(`^iter (\d+): dip=[01]{5} inst=(\d+) clauses=\d+ conflicts=\d+$`)
+	for _, pf := range []int{1, 2} {
+		var buf bytes.Buffer
+		res, err := Run(l, &simOracle{c: sim.NewComb(orig)}, Options{Portfolio: pf, Log: &buf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Iterations == 0 {
+			t.Fatalf("portfolio %d: no DIPs, so the log is not exercised", pf)
+		}
+		lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+		if len(lines) != res.Iterations {
+			t.Fatalf("portfolio %d: %d log lines for %d DIPs:\n%s", pf, len(lines), res.Iterations, buf.String())
+		}
+		for i, line := range lines {
+			m := format.FindStringSubmatch(line)
+			if m == nil {
+				t.Fatalf("portfolio %d: line %q does not match %v", pf, line, format)
+			}
+			if m[1] != strconv.Itoa(i+1) {
+				t.Fatalf("portfolio %d: line %d reports iteration %s", pf, i+1, m[1])
+			}
+			if inst, _ := strconv.Atoi(m[2]); inst >= pf {
+				t.Fatalf("portfolio %d: line %q names instance %d", pf, line, inst)
+			}
+		}
 	}
-	// A converging attack with zero iterations is possible (fully
-	// symmetric keys), but with 3 key bits at least one DIP is typical.
-	_ = buf
 }
 
 func TestLockedValidate(t *testing.T) {
