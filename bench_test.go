@@ -45,10 +45,8 @@ func scaledKey(kb, scale int) int {
 }
 
 // runAttack locks the benchmark, fabricates one chip per iteration, and
-// attacks it, reporting candidates/iterations as benchmark metrics. The
-// attack takes the encode path the CLIs default to (native XOR rows, the
-// shared AIG, level-0 simplify between DIPs), the one the committed
-// paper-scale bundles record. Solver conflicts are reported too: unlike
+// attacks it, reporting candidates/iterations as benchmark metrics.
+// Solver conflicts are reported too: unlike
 // ns/op they are machine-speed independent, so perf regressions in the
 // search itself stay visible; props/s and ns/conflict divide the solver's
 // work by the attack's wall time and measure the solver's speed.
@@ -69,12 +67,7 @@ func runAttack(b *testing.B, name string, keyBits int, policy Policy) {
 			b.Fatal(err)
 		}
 		start := time.Now()
-		res, err := core.Attack(chip, core.Options{
-			EnumerateLimit: 256,
-			NativeXor:      true,
-			AIG:            true,
-			Simplify:       true,
-		})
+		res, err := core.Attack(chip, core.Options{EnumerateLimit: 256})
 		attackTime += time.Since(start)
 		if err != nil {
 			b.Fatal(err)
@@ -149,8 +142,7 @@ func BenchmarkTableII_b17(b *testing.B)    { runAttack(b, "b17", 128, PerCycle) 
 // --- Concurrent sweep runner: Table II conditions in parallel ---------
 
 // benchSweep runs the first four Table II conditions as independent
-// experiments through the bench.Sweep worker pool, on the CLI-default
-// encode path. Workers <= 0 selects
+// experiments through the bench.Sweep worker pool. Workers <= 0 selects
 // ParallelDefault() (DYNUNLOCK_PARALLEL or GOMAXPROCS); 1 is the
 // sequential reference whose results are bit-identical by construction.
 // On a multi-core host the parallel variant shows the sweep speedup; on a
@@ -170,9 +162,6 @@ func benchSweep(b *testing.B, workers int) {
 				Scale:     scale,
 				Trials:    1,
 				SeedBase:  int64(j)*104729 + 13,
-				NativeXor: true,
-				AIG:       true,
-				Simplify:  true,
 			})
 		})
 		if err != nil {

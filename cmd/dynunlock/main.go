@@ -58,9 +58,6 @@ func main() {
 		seedBase  = flag.Int64("seed", 1, "base RNG seed for the chip secrets")
 		timeout   = flag.Duration("timeout", 0, "wall-clock budget for the whole experiment (0 = unlimited)")
 		maxIters  = flag.Int("max-iters", 0, "bound each trial's DIP loop (0 = unlimited)")
-		nativeXor = flag.Bool("native-xor", true, "encode XOR gates as native GF(2) solver rows instead of Tseitin CNF")
-		aigFlag   = flag.Bool("aig", true, "encode miter copies from a shared structurally-hashed AIG built once per attack")
-		simplify  = flag.Bool("simplify", true, "run level-0 solver inprocessing between DIP iterations")
 		analytic  = flag.Bool("analytic", false, "feed certified insight constraints back into the solver and short-circuit at full key rank")
 		tracePath = flag.String("trace", "", "write a JSONL event trace to this path")
 		recordDir = flag.String("record", "", "write a flight-recorder bundle (manifest, oracle/DIP transcripts, trace, metrics, result) to this directory")
@@ -92,9 +89,6 @@ func main() {
 		EnumerateLimit: *limit,
 		MaxIterations:  *maxIters,
 		SeedBase:       *seedBase,
-		NativeXor:      *nativeXor,
-		AIG:            *aigFlag,
-		Simplify:       *simplify,
 		Analytic:       *analytic,
 	}
 	switch strings.ToLower(*policyStr) {
@@ -244,15 +238,11 @@ func main() {
 }
 
 // buildInfoLabels describes this binary for the dynunlock_build_info
-// gauge: toolchain and bundle-format versions plus the compiled-in
-// defaults of the encode flags (what a bare invocation runs with).
+// gauge: toolchain and bundle-format versions.
 func buildInfoLabels() []string {
 	return []string{
 		"goversion", runtime.Version(),
 		"format", strconv.Itoa(flight.FormatVersion),
-		"native_xor", flag.Lookup("native-xor").DefValue,
-		"aig", flag.Lookup("aig").DefValue,
-		"simplify", flag.Lookup("simplify").DefValue,
 	}
 }
 

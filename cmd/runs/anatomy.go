@@ -20,10 +20,10 @@ import (
 // elapsedSeconds), the solver counter totals (exactly the sum of
 // result.json's per-trial snapshots), the hottest stage, the hardest DIP
 // iterations by difficulty score, and — when the bundle carries live
-// search telemetry (anatomy.json, format v4) — the sampled LBD
-// distribution and restart counts. Works on every bundle version: v1–v3
-// bundles explain from their trace/DIP transcript alone. -json emits the
-// report as machine-readable JSON for CI assertions.
+// search telemetry (anatomy.json) — the sampled LBD distribution and
+// restart counts. A bundle recorded with the capture off explains from its
+// trace/DIP transcript alone. -json emits the report as machine-readable
+// JSON for CI assertions.
 func cmdExplain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("explain", flag.ContinueOnError)
 	fs.SetOutput(stderr)

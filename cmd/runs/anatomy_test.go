@@ -18,7 +18,7 @@ import (
 	"dynunlock/internal/flight"
 )
 
-const xorBundle = "../../bench/bundles/table2_parallel1_xor/table2_s5378"
+const paperBundle = "../../bench/bundles/paper128/s5378"
 
 // explainJSON is the shape `explain -json` emits that the invariant checks
 // need (a subset of anatomy.Report).
@@ -39,8 +39,8 @@ type explainJSON struct {
 // sum to the recorded wall time, and the solver counters exactly equal the
 // sum of result.json's per-trial snapshots.
 func TestExplainInvariantsOnCommittedBundles(t *testing.T) {
-	dirs, err := expandBundleDirs([]string{bundleDir, "../../bench/bundles/table2_parallel1_xor",
-		"../../bench/bundles/affine_cnf", "../../bench/bundles/affine_xor"})
+	dirs, err := expandBundleDirs([]string{bundleDir, "../../bench/bundles/affine",
+		"../../bench/bundles/paper128"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,13 +110,13 @@ func TestExplainDeterministicReport(t *testing.T) {
 			t.Errorf("explain output missing %q:\n%s", want, out1)
 		}
 	}
-	// Committed pre-v4 bundles carry no live telemetry section.
-	if strings.Contains(out1, "search telemetry") {
-		t.Errorf("pre-v4 bundle unexpectedly shows live search telemetry:\n%s", out1)
+	// Committed bundles were recorded with the live capture on.
+	if !strings.Contains(out1, "search telemetry (live-captured, 2 trial(s))") {
+		t.Errorf("committed bundle shows no live search telemetry:\n%s", out1)
 	}
 }
 
-// TestExplainFreshRecordingShowsSearchTelemetry records a fresh v4 bundle
+// TestExplainFreshRecordingShowsSearchTelemetry records a fresh bundle
 // through the facade and checks explain surfaces the live-captured section:
 // LBD samples and restart counts that no offline file records.
 func TestExplainFreshRecordingShowsSearchTelemetry(t *testing.T) {
@@ -144,20 +144,20 @@ func TestExplainFreshRecordingShowsSearchTelemetry(t *testing.T) {
 		t.Fatalf("explain exit %d\n%s", code, errOut)
 	}
 	if !strings.Contains(out, "search telemetry (live-captured, 1 trial(s))") {
-		t.Errorf("fresh v4 bundle missing the live telemetry section:\n%s", out)
+		t.Errorf("fresh bundle missing the live telemetry section:\n%s", out)
 	}
 	if !strings.Contains(out, "lbd distribution:") {
-		t.Errorf("fresh v4 bundle missing the LBD distribution line:\n%s", out)
+		t.Errorf("fresh bundle missing the LBD distribution line:\n%s", out)
 	}
 }
 
 // TestCompareAttributesSeededRegression pins the acceptance criterion on
-// committed data: comparing the CNF sweep's s5378 run against the XOR
-// variant must attribute the movement — the dip_loop stage grew and the
-// xor_propagations series appeared from zero. Committed bundles are frozen
-// files, so the attribution is fully deterministic.
+// committed data: comparing the scale-16, 8-bit s5378 run against the
+// paper-scale 128-bit one must attribute the movement — the dip_loop stage
+// grew and decisions grew most. Committed bundles are frozen files, so the
+// attribution is fully deterministic.
 func TestCompareAttributesSeededRegression(t *testing.T) {
-	code, out, errOut := runCLI(t, "compare", goodBundle, xorBundle)
+	code, out, errOut := runCLI(t, "compare", goodBundle, paperBundle)
 	if code != exitOK {
 		t.Fatalf("compare exit %d\n%s", code, errOut)
 	}
@@ -165,7 +165,7 @@ func TestCompareAttributesSeededRegression(t *testing.T) {
 		"Stage wall-time movement",
 		"Solver series movement",
 		"regressed stage: dip_loop (+",
-		"regressed solver series: xor_propagations (16917.00x)",
+		"regressed solver series: decisions (184.67x)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("compare output missing %q:\n%s", want, out)
@@ -339,6 +339,27 @@ func TestWatchCorruptFrameNeverRetries(t *testing.T) {
 		url: srv.URL, retries: 5, wait: time.Millisecond,
 		stdout: &stdout, stderr: &stderr,
 		sleep: func(d time.Duration) { t.Errorf("slept %v on a corrupt stream", d) },
+	}
+	if code := w.run(); code != exitCorrupt {
+		t.Fatalf("watch exit %d, want %d", code, exitCorrupt)
+	}
+}
+
+// An over-long SSE line is corrupt, not a broken connection: watch exits 3
+// without reconnecting.
+func TestWatchOverlongLineNeverRetries(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		w.Write([]byte(sseFrame(1, "delta", `{"iterations":1}`)))
+		w.Write([]byte("data: " + strings.Repeat("x", 5<<20) + "\n\n"))
+	}))
+	defer srv.Close()
+
+	var stdout, stderr strings.Builder
+	w := &watcher{
+		url: srv.URL, retries: 5, wait: time.Millisecond,
+		stdout: &stdout, stderr: &stderr,
+		sleep: func(d time.Duration) { t.Fatalf("slept %v on an over-long line", d) },
 	}
 	if code := w.run(); code != exitCorrupt {
 		t.Fatalf("watch exit %d, want %d", code, exitCorrupt)

@@ -23,10 +23,10 @@
 // across the Fig. 3 stages (rows sum exactly to the recorded wall time),
 // solver counter totals (exactly the sum of result.json's per-trial
 // snapshots), the hardest DIP iterations by difficulty score, and — on
-// format-v4 bundles — the live-captured LBD distribution and restart
-// telemetry. compare runs the same attribution over two bundles and names
-// the stage and solver series that regressed, instead of only reporting
-// that something differs.
+// bundles recorded with the live capture — the LBD distribution and
+// restart telemetry. compare runs the same attribution over two bundles
+// and names the stage and solver series that regressed, instead of only
+// reporting that something differs.
 //
 // Exit codes are uniform across subcommands so scripts and CI can tell the
 // failure classes apart:
@@ -36,7 +36,7 @@
 //	   columns, or the baseline comparison failed
 //	2  usage error
 //	3  corrupt or unreadable bundle/ledger (malformed JSON, failed schema
-//	   validation, missing files)
+//	   validation, missing files, a bundle format older than 5)
 //
 // replay is the post-mortem tool: it rebuilds the locked design from the
 // manifest, serves every oracle query from oracle.jsonl (no chip
@@ -161,8 +161,8 @@ func cmdShow(args []string, stdout, stderr io.Writer) int {
 	if m.Fingerprint.GitCommit != "" {
 		fmt.Fprintf(stdout, "commit      %s\n", m.Fingerprint.GitCommit)
 	}
-	fmt.Fprintf(stdout, "experiment  %s scale=%d keybits=%d policy=%s mode=%s portfolio=%d seed=%d nativexor=%v aig=%v simplify=%v analytic=%v\n",
-		m.Benchmark, m.Scale, m.Lock.KeyBits, m.Lock.Policy, m.Mode, m.Portfolio, m.SeedBase, m.NativeXor, m.AIG, m.Simplify, m.Analytic)
+	fmt.Fprintf(stdout, "experiment  %s scale=%d keybits=%d policy=%s mode=%s portfolio=%d seed=%d analytic=%v\n",
+		m.Benchmark, m.Scale, m.Lock.KeyBits, m.Lock.Policy, m.Mode, m.Portfolio, m.SeedBase, m.Analytic)
 	if len(m.Profiles) > 0 {
 		fmt.Fprintf(stdout, "profiles    %v\n", m.Profiles)
 	}
@@ -267,7 +267,7 @@ func cmdDiff(args []string, stdout, stderr io.Writer) int {
 		tb.AddRow(name, va, vb, vb-va)
 	}
 	tb.AddRow("benchmark", ra.Benchmark, rb.Benchmark, "")
-	tb.AddRow("config", cfgString(ra), cfgString(rb), "")
+	tb.AddRow("config", ra.ConfigString(), rb.ConfigString(), "")
 	tb.AddRow("recorded", ra.RecordedAt, rb.RecordedAt, "")
 	tb.AddRow("commit", orDash(ra.GitCommit), orDash(rb.GitCommit), "")
 	addNum("trials", float64(ra.Trials), float64(rb.Trials))
@@ -298,23 +298,6 @@ func cmdDiff(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stdout, "\nbundles match on deterministic columns")
 	return exitOK
-}
-
-func cfgString(r flight.BenchRow) string {
-	s := fmt.Sprintf("scale=%d k=%d %s %s pf=%d", r.Scale, r.KeyBits, r.Policy, r.Mode, r.Portfolio)
-	if r.NativeXor {
-		s += " xor"
-	}
-	if r.AIG {
-		s += " aig"
-	}
-	if r.Simplify {
-		s += " simplify"
-	}
-	if r.Analytic {
-		s += " analytic"
-	}
-	return s
 }
 
 // stageDiffTable sums span durations per stage for each bundle and lines
@@ -378,7 +361,7 @@ func cmdBench(args []string, stdout, stderr io.Writer) int {
 		row := flight.BenchRowFrom(b)
 		ledger.Rows = append(ledger.Rows, row)
 		fmt.Fprintf(stdout, "runs: %s: %s %s avg_iters=%.1f avg_secs=%.3f conflicts=%d broken=%v\n",
-			*out, row.Benchmark, cfgString(row), row.AvgIterations, row.AvgSeconds,
+			*out, row.Benchmark, row.ConfigString(), row.AvgIterations, row.AvgSeconds,
 			row.TotalConflicts, row.Broken)
 	}
 	if err := ledger.Write(*out); err != nil {
@@ -410,10 +393,10 @@ func cmdBaseline(args []string, stdout, stderr io.Writer) int {
 	row := flight.BenchRowFrom(b)
 	base, found := ledger.FindRow(row)
 	if !found {
-		fmt.Fprintf(stderr, "runs: no baseline row in %s for %s %s\n", *ledgerPath, row.Benchmark, cfgString(row))
+		fmt.Fprintf(stderr, "runs: no baseline row in %s for %s %s\n", *ledgerPath, row.Benchmark, row.ConfigString())
 		return exitMismatch
 	}
-	tb := report.New(fmt.Sprintf("Baseline comparison: %s %s", row.Benchmark, cfgString(row)),
+	tb := report.New(fmt.Sprintf("Baseline comparison: %s %s", row.Benchmark, row.ConfigString()),
 		"Metric", "Baseline", "Current", "Delta")
 	num := func(name string, vb, vc float64) { tb.AddRow(name, vb, vc, vc-vb) }
 	num("trials", float64(base.Trials), float64(row.Trials))

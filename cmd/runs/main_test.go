@@ -9,9 +9,9 @@ import (
 )
 
 const (
-	goodBundle  = "../../bench/bundles/table2_parallel1/table2_s5378"
-	otherBundle = "../../bench/bundles/table2_parallel1/table2_b20"
-	bundleDir   = "../../bench/bundles/table2_parallel1"
+	goodBundle  = "../../bench/bundles/table2/table2_s5378"
+	otherBundle = "../../bench/bundles/table2/table2_b20"
+	bundleDir   = "../../bench/bundles/table2"
 )
 
 // runCLI drives the command in-process and returns (exit code, stdout, stderr).
@@ -28,6 +28,30 @@ func corruptBundle(t *testing.T) string {
 	dir := t.TempDir()
 	for _, f := range []string{"manifest.json", "result.json", "oracle.jsonl", "dips.jsonl", "trace.jsonl"} {
 		if err := os.WriteFile(filepath.Join(dir, f), []byte("{not json"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// staleBundle copies goodBundle with its manifest rewritten to format 4,
+// the last format before the one attack pipeline.
+func staleBundle(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	entries, err := os.ReadDir(goodBundle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(goodBundle, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Name() == "manifest.json" {
+			data = bytes.Replace(data, []byte(`"formatVersion": 5`), []byte(`"formatVersion": 4`), 1)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -56,6 +80,15 @@ func TestExitCodes(t *testing.T) {
 	}
 	if code, _, _ := runCLI(t, "validate", filepath.Join(bad, "absent")); code != exitCorrupt {
 		t.Errorf("validate missing: want exit %d", exitCorrupt)
+	}
+	// A pre-v5 bundle is refused, never replayed on the current pipeline.
+	stale := staleBundle(t)
+	for _, cmd := range []string{"validate", "replay"} {
+		if code, _, errOut := runCLI(t, cmd, stale); code != exitCorrupt {
+			t.Errorf("%s format-4 bundle: exit %d, want %d\n%s", cmd, code, exitCorrupt, errOut)
+		} else if !strings.Contains(errOut, "formatVersion 4") || !strings.Contains(errOut, "re-record") {
+			t.Errorf("%s format-4 bundle: refusal does not name the version: %q", cmd, errOut)
+		}
 	}
 
 	if code, out, _ := runCLI(t, "diff", goodBundle, goodBundle); code != exitOK {

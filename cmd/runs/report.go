@@ -16,7 +16,7 @@ import (
 // cmdReport renders one or more bundles into a single self-contained HTML
 // report. Arguments are bundle directories or parents of bundles: a
 // directory without a manifest.json expands to its immediate children that
-// have one, in sorted order — so `runs report bench/bundles/table2_parallel1`
+// have one, in sorted order — so `runs report bench/bundles/table2`
 // reports every committed condition of that sweep.
 func cmdReport(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("report", flag.ContinueOnError)

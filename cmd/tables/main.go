@@ -53,9 +53,6 @@ func main() {
 		portfolio = flag.Int("portfolio", 1, "diversified solver instances racing each SAT call")
 		timeout   = flag.Duration("timeout", 0, "wall-clock budget shared by the whole table sweep (0 = unlimited); completed conditions are still rendered")
 		maxIters  = flag.Int("max-iters", 0, "bound each trial's DIP loop (0 = unlimited)")
-		nativeXor = flag.Bool("native-xor", true, "encode XOR gates as native GF(2) solver rows instead of Tseitin CNF")
-		aigFlag   = flag.Bool("aig", true, "encode miter copies from a shared structurally-hashed AIG built once per attack")
-		simplify  = flag.Bool("simplify", true, "run level-0 solver inprocessing between DIP iterations")
 		analytic  = flag.Bool("analytic", false, "feed certified insight constraints back into the solver and short-circuit at full key rank")
 		tracePath = flag.String("trace", "", "write a JSONL event trace to this path")
 		recordDir = flag.String("record", "", "write one flight-recorder bundle per table condition under this directory (tables 2 and 3)")
@@ -162,14 +159,13 @@ func main() {
 	start := time.Now()
 	var rows []condRow
 	var err error
-	variant := attackVariant{nativeXor: *nativeXor, aig: *aigFlag, simplify: *simplify, analytic: *analytic}
 	switch *table {
 	case 1:
-		rows, err = table1(ctx, *scale, *portfolio, workers, variant, logw)
+		rows, err = table1(ctx, *scale, *portfolio, workers, logw)
 	case 2:
-		rows, err = table2(ctx, *scale, *trials, *kbits, *portfolio, *maxIters, workers, *recordDir, *profile, variant, reg, bus, logw)
+		rows, err = table2(ctx, *scale, *trials, *kbits, *portfolio, *maxIters, workers, *recordDir, *profile, *analytic, reg, bus, logw)
 	case 3:
-		rows, err = table3(ctx, *scale, *trials, *portfolio, *maxIters, workers, *recordDir, *profile, variant, reg, bus, logw)
+		rows, err = table3(ctx, *scale, *trials, *portfolio, *maxIters, workers, *recordDir, *profile, *analytic, reg, bus, logw)
 	default:
 		fmt.Fprintf(os.Stderr, "tables: no table %d in the paper\n", *table)
 		os.Exit(2)
@@ -254,15 +250,6 @@ func writeJSON(path string, rep *jsonReport) error {
 	return f.Close()
 }
 
-// attackVariant carries the solver-encoding selection (-native-xor, -aig,
-// -simplify, -analytic) into every table condition.
-type attackVariant struct {
-	nativeXor bool
-	aig       bool
-	simplify  bool
-	analytic  bool
-}
-
 func policyName(p dynunlock.Policy) string {
 	switch p {
 	case dynunlock.Static:
@@ -308,7 +295,7 @@ func rowFromExperiment(table string, res *dynunlock.ExperimentResult, elapsed ti
 
 // table1 reproduces the evolution table: each defense family attacked by
 // the technique that broke it, demonstrated live on one mid-size circuit.
-func table1(ctx context.Context, scale, portfolio, workers int, variant attackVariant, logw io.Writer) ([]condRow, error) {
+func table1(ctx context.Context, scale, portfolio, workers int, logw io.Writer) ([]condRow, error) {
 	type cond struct {
 		defense, obfType, attackName string
 		policy                       dynunlock.Policy
@@ -330,8 +317,7 @@ func table1(ctx context.Context, scale, portfolio, workers int, variant attackVa
 	}
 	dynUnlock := func(ctx context.Context, chip *oracle.Chip) (bool, int, int, error) {
 		res, err := core.AttackCtx(ctx, chip, core.Options{
-			Portfolio: portfolio, EnumerateLimit: 256, NativeXor: variant.nativeXor,
-			AIG: variant.aig, Simplify: variant.simplify, Log: logw})
+			Portfolio: portfolio, EnumerateLimit: 256, Log: logw})
 		if err != nil {
 			return false, 0, 0, err
 		}
@@ -435,7 +421,7 @@ func recordCondition(ctx context.Context, dir, name string, profile bool, reg *m
 }
 
 // table2 reproduces Table II: ten benchmarks, 128-bit dynamic keys.
-func table2(ctx context.Context, scale, trials, keyBits, portfolio, maxIters, workers int, recordDir string, profile bool, variant attackVariant, reg *metrics.Registry, bus *stream.Bus, logw io.Writer) ([]condRow, error) {
+func table2(ctx context.Context, scale, trials, keyBits, portfolio, maxIters, workers int, recordDir string, profile, analytic bool, reg *metrics.Registry, bus *stream.Bus, logw io.Writer) ([]condRow, error) {
 	title := fmt.Sprintf("Table II: scan locked circuits with %d-bit dynamic keys (EFF-Dyn, %d trial(s)", keyBits, trials)
 	if scale > 1 {
 		title += fmt.Sprintf(", circuits and keys scaled 1/%d", scale)
@@ -457,10 +443,7 @@ func table2(ctx context.Context, scale, trials, keyBits, portfolio, maxIters, wo
 			Portfolio:     portfolio,
 			MaxIterations: maxIters,
 			SeedBase:      100,
-			NativeXor:     variant.nativeXor,
-			AIG:           variant.aig,
-			Simplify:      variant.simplify,
-			Analytic:      variant.analytic,
+			Analytic:      analytic,
 			Stream:        bus,
 			Log:           logw,
 		}
@@ -502,7 +485,7 @@ func table2(ctx context.Context, scale, trials, keyBits, portfolio, maxIters, wo
 
 // table3 reproduces Table III: key-size sweep on the three largest
 // benchmarks.
-func table3(ctx context.Context, scale, trials, portfolio, maxIters, workers int, recordDir string, profile bool, variant attackVariant, reg *metrics.Registry, bus *stream.Bus, logw io.Writer) ([]condRow, error) {
+func table3(ctx context.Context, scale, trials, portfolio, maxIters, workers int, recordDir string, profile, analytic bool, reg *metrics.Registry, bus *stream.Bus, logw io.Writer) ([]condRow, error) {
 	benches := []string{"s38584", "s38417", "s35932"}
 	title := "Table III: larger keys on the three largest benchmarks"
 	if scale > 1 {
@@ -534,10 +517,7 @@ func table3(ctx context.Context, scale, trials, portfolio, maxIters, workers int
 			Portfolio:     portfolio,
 			MaxIterations: maxIters,
 			SeedBase:      int64(c.kb),
-			NativeXor:     variant.nativeXor,
-			AIG:           variant.aig,
-			Simplify:      variant.simplify,
-			Analytic:      variant.analytic,
+			Analytic:      analytic,
 			Stream:        bus,
 			Log:           logw,
 		}
@@ -598,15 +578,11 @@ func max(a, b int) int {
 }
 
 // buildInfoLabels describes this binary for the dynunlock_build_info
-// gauge: toolchain and bundle-format versions plus the compiled-in
-// defaults of the encode flags (what a bare invocation runs with).
+// gauge: toolchain and bundle-format versions.
 func buildInfoLabels() []string {
 	return []string{
 		"goversion", runtime.Version(),
 		"format", strconv.Itoa(flight.FormatVersion),
-		"native_xor", flag.Lookup("native-xor").DefValue,
-		"aig", flag.Lookup("aig").DefValue,
-		"simplify", flag.Lookup("simplify").DefValue,
 	}
 }
 

@@ -77,19 +77,6 @@ type ExperimentConfig struct {
 	// SeedBase derives the per-trial secrets; experiments with the same
 	// base are reproducible.
 	SeedBase int64
-	// NativeXor encodes XOR gates as native GF(2) solver rows instead of
-	// Tseitin CNF (see core.Options.NativeXor). The CLIs default it on;
-	// the zero value keeps the pure-CNF encoding so bundles recorded
-	// before the XOR layer replay bit-identically.
-	NativeXor bool
-	// AIG builds the structurally-hashed AIG once per attack and encodes
-	// every miter copy from it (see core.Options.AIG). The CLIs default it
-	// on; the zero value keeps the direct netlist→CNF encoding so older
-	// bundles replay bit-identically.
-	AIG bool
-	// Simplify runs level-0 solver inprocessing between DIP iterations (see
-	// core.Options.Simplify). Same default discipline as AIG.
-	Simplify bool
 	// Analytic closes the insight feedback loop: the tracker's certified
 	// seed constraints are injected into the SAT solver after each DIP and
 	// the attack short-circuits analytically once they reach full key rank
@@ -344,9 +331,6 @@ func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (*ExperimentRes
 			EnumerateLimit: cfg.EnumerateLimit,
 			MaxIterations:  cfg.MaxIterations,
 			SeedBase:       cfg.SeedBase,
-			NativeXor:      cfg.NativeXor,
-			AIG:            cfg.AIG,
-			Simplify:       cfg.Simplify,
 			Analytic:       cfg.Analytic,
 			Anatomy:        cap != nil,
 			Lock:           flight.LockInfoFor(design),
@@ -369,9 +353,6 @@ func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (*ExperimentRes
 			Portfolio:      cfg.Portfolio,
 			EnumerateLimit: cfg.EnumerateLimit,
 			MaxIterations:  cfg.MaxIterations,
-			NativeXor:      cfg.NativeXor,
-			AIG:            cfg.AIG,
-			Simplify:       cfg.Simplify,
 			Log:            cfg.Log,
 		}
 		var atkChip core.Chip = chip

@@ -7,15 +7,15 @@
 //
 // Two sources feed it:
 //
-//   - Derivation (Derive/FromDir): everything computable offline from any
-//     bundle version — trace spans give the stage split, consecutive
-//     dips.jsonl solver snapshots difference into per-DIP deltas, and
-//     result.json anchors the wall time and counter totals. This is why
-//     `runs explain` works on every committed v1–v3 bundle.
+//   - Derivation (Derive/FromDir): everything computable offline from a
+//     bundle — trace spans give the stage split, consecutive dips.jsonl
+//     solver snapshots difference into per-DIP deltas, and result.json
+//     anchors the wall time and counter totals. This is why `runs explain`
+//     also works on bundles recorded with the live capture off.
 //   - Live capture (Capture, capture.go): sampled learnt-clause LBD and
 //     restart telemetry from the solver hook, which no offline file
-//     records. It persists as anatomy.json (bundle format v4) and merges
-//     into the derived report when present.
+//     records. It persists as anatomy.json and merges into the derived
+//     report when present.
 package anatomy
 
 import (
@@ -43,7 +43,7 @@ type Report struct {
 	// definition equal to the bundle's recorded sat.Stats.
 	Solver flight.SolverStats `json:"solver"`
 	// XorShare is the fraction of propagations handled by the native
-	// GF(2) XOR layer (0 on pure-CNF runs).
+	// GF(2) XOR layer (0 on a circuit without XOR gates).
 	XorShare float64 `json:"xorShare"`
 	// DIPs lists every SAT-attack iteration across all trials in record
 	// order, with per-iteration counter deltas and difficulty scores.

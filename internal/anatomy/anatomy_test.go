@@ -10,7 +10,7 @@ import (
 	"dynunlock/internal/trace"
 )
 
-const committedBundle = "../../bench/bundles/table2_parallel1/table2_s5378"
+const committedBundle = "../../bench/bundles/table2/table2_s5378"
 
 // TestDeriveCommittedBundleInvariants pins the two acceptance invariants of
 // the attribution layer on a committed (pre-anatomy, v1-era) bundle: the
@@ -67,9 +67,15 @@ func TestDeriveCommittedBundleInvariants(t *testing.T) {
 		t.Errorf("report has %d DIP rows, bundle transcript has %d", len(r.DIPs), len(b.DIPs))
 	}
 
-	// A v1-v3 bundle carries no live capture.
-	if r.Search != nil {
-		t.Errorf("committed pre-v4 bundle unexpectedly has search telemetry: %+v", r.Search)
+	// Committed bundles were recorded with the live capture on; its restart
+	// count agrees with the recorded solver counter.
+	if r.Search == nil || len(r.Search.Trials) != len(b.Result.Trials) {
+		t.Fatalf("committed bundle has no per-trial search telemetry: %+v", r.Search)
+	}
+	for i, ta := range r.Search.Trials {
+		if rs := b.Result.Trials[i].Solver.Restarts; ta.Restarts != rs {
+			t.Errorf("trial %d: anatomy restarts %d, result.json %d", ta.Trial, ta.Restarts, rs)
+		}
 	}
 }
 

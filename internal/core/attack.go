@@ -84,17 +84,13 @@ type Options struct {
 	// Search, when non-nil, taps per-instance solver search telemetry (see
 	// satattack.Options.Search); the anatomy capture layer installs it.
 	Search satattack.SearchObserver
-	// NativeXor encodes XOR gates as native GF(2) solver rows instead of
-	// Tseitin clauses (see satattack.Options.NativeXor). Off by default so
-	// committed flight bundles replay bit-identically.
-	NativeXor bool
-	// AIG routes encoding through the shared structurally-hashed AIG built
-	// once from the unrolled netlist (see satattack.Options.AIG). Off by
-	// default for the same replay-compatibility reason; the CLIs enable it.
-	AIG bool
-	// Simplify runs level-0 solver inprocessing between DIP iterations (see
-	// satattack.Options.Simplify). Off by default; the CLIs enable it.
-	Simplify bool
+	// NativeXor, AIG and Simplify are ignored: every attack encodes from a
+	// shared AIG with native XOR rows and runs inprocessing between DIPs
+	// (see package satattack).
+	//
+	// Deprecated: ignored. They remain only because cmd/dynbench still
+	// sets them; the next change to that benchmark deletes them.
+	NativeXor, AIG, Simplify bool
 	// Insight, when non-nil, is a seed-space constraint source (the
 	// internal/insight tracker) whose certified rows are fed back into the
 	// solver after each DIP and which arms the analytic rank-k
@@ -375,9 +371,6 @@ func runEngine(ctx context.Context, locked *satattack.Locked, o satattack.Oracle
 		Log:            opts.Log,
 		OnDIP:          opts.OnDIP,
 		Search:         opts.Search,
-		NativeXor:      opts.NativeXor,
-		AIG:            opts.AIG,
-		Simplify:       opts.Simplify,
 		Insight:        insight,
 	})
 	if err != nil {

@@ -71,47 +71,24 @@ func TestMultiCaptureModelMatchesChip(t *testing.T) {
 	}
 }
 
-// AttackMulti must recover the seed end to end, and the encoder options
-// must reach its engine: they change how the CNF is built, never which
-// seeds survive.
+// AttackMulti must recover the seed end to end through the attack
+// pipeline: encode counters reported and inprocessing run between DIPs.
 func TestAttackMultiRecoversSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	_, chip := lockedChip(t, 9, 5, scan.PerCycle, rng.Int63n(1<<40)+1, rng.Int63n(1<<40)+1)
-	var ref []gf2.Vec
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"zero", Options{EnumerateLimit: 64}},
-		{"xor+aig+simplify", Options{EnumerateLimit: 64, NativeXor: true, AIG: true, Simplify: true}},
-	} {
-		res, err := AttackMulti(chip, 2, tc.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Converged || !ContainsSeed(res.SeedCandidates, chip.SecretSeed()) {
-			t.Fatalf("%s: multi-capture attack failed: converged=%v candidates=%d",
-				tc.name, res.Converged, len(res.SeedCandidates))
-		}
-		if res.EncodeVars == 0 || res.EncodeClauses == 0 {
-			t.Fatalf("%s: encode counters not reported: vars=%d clauses=%d",
-				tc.name, res.EncodeVars, res.EncodeClauses)
-		}
-		if ref == nil {
-			ref = res.SeedCandidates
-			continue
-		}
-		if len(res.SeedCandidates) != len(ref) {
-			t.Fatalf("%s: %d seed candidates, want %d", tc.name, len(res.SeedCandidates), len(ref))
-		}
-		for _, s := range ref {
-			if !ContainsSeed(res.SeedCandidates, s) {
-				t.Fatalf("%s: seed candidate set differs from the zero options", tc.name)
-			}
-		}
-		if res.SolverStats.SimplifyCalls == 0 {
-			t.Fatalf("%s: the Simplify option did not reach the solver: %+v", tc.name, res.SolverStats)
-		}
+	res, err := AttackMulti(chip, 2, Options{EnumerateLimit: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged || !ContainsSeed(res.SeedCandidates, chip.SecretSeed()) {
+		t.Fatalf("multi-capture attack failed: converged=%v candidates=%d",
+			res.Converged, len(res.SeedCandidates))
+	}
+	if res.EncodeVars == 0 || res.EncodeClauses == 0 {
+		t.Fatalf("encode counters not reported: vars=%d clauses=%d", res.EncodeVars, res.EncodeClauses)
+	}
+	if res.Iterations > 0 && res.SolverStats.SimplifyCalls == 0 {
+		t.Fatalf("%d DIPs but no inprocessing: %+v", res.Iterations, res.SolverStats)
 	}
 	// captures < 2 falls back to the standard attack.
 	res1, err := AttackMulti(chip, 1, Options{EnumerateLimit: 64})

@@ -382,6 +382,42 @@ func TestResumeFromPartialBundleMatchesUninterrupted(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsPathOutsideDataDir plants a resumable bundle next to
+// the data directory and requires every resume name that reaches it, or
+// any other path that is not one element inside the data directory, to be
+// refused with 400 and counted as an invalid submission.
+func TestResumeRejectsPathOutsideDataDir(t *testing.T) {
+	root := t.TempDir()
+	d := startDaemon(t, daemon.Config{DataDir: filepath.Join(root, "data")})
+	fin := waitTerminal(t, d.Addr(), submit(t, d.Addr(), quickSpec()).ID)
+	if fin.State != daemon.StateDone {
+		t.Fatalf("job finished %s (%s)", fin.State, fin.Error)
+	}
+	outside := filepath.Join(root, "outside", "b")
+	if err := os.MkdirAll(outside, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []string{flight.ManifestFile, flight.OracleFile, flight.DIPsFile} {
+		copyFile(t, filepath.Join(fin.Bundle, f), filepath.Join(outside, f))
+	}
+	if _, err := flight.OpenPartial(outside); err != nil {
+		t.Fatalf("planted bundle does not open: %v", err)
+	}
+
+	bad := []string{"../outside/b", outside, "..", "job-0001/../../outside/b", fin.ID + "/"}
+	for i, name := range bad {
+		if _, code := submitRaw(t, d.Addr(), daemon.JobSpec{Resume: name}); code != http.StatusBadRequest {
+			t.Errorf("resume %q: status %d, want 400", name, code)
+		}
+		if v, _ := d.Registry().SumLabeled(daemon.MetricJobsRejected, "reason", "invalid"); v != float64(i+1) {
+			t.Errorf("resume %q: invalid rejections = %v, want %d", name, v, i+1)
+		}
+	}
+	if _, err := d.Submit(daemon.JobSpec{Resume: "../outside/b"}); err == nil {
+		t.Error("Submit accepted a resume path outside the data directory")
+	}
+}
+
 // TestShutdownDrainsGracefully verifies the SIGTERM sequence: readyz
 // flips 503, new submissions bounce 503, queued jobs evict, running
 // jobs finish with valid bundles.

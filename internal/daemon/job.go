@@ -38,12 +38,11 @@ const (
 	StateEvicted  = "evicted"
 )
 
-// JobSpec is the POST /jobs request body. The three encode flags default
-// to true (the CLI's defaults) when omitted — pointer fields distinguish
-// "absent" from "false". Resume names a previous job whose partial
-// bundle seeds this one: every other field is then taken from that
-// bundle's manifest and the recorded transcript prefix is replayed
-// before the attack touches silicon.
+// JobSpec is the POST /jobs request body. Resume names a previous job
+// (its ID, which is also its bundle directory inside the data directory)
+// whose partial bundle seeds this one: every other field is then taken
+// from that bundle's manifest and the recorded transcript prefix is
+// replayed before the attack touches silicon.
 type JobSpec struct {
 	Benchmark string `json:"benchmark,omitempty"`
 	KeyBits   int    `json:"keyBits,omitempty"`
@@ -55,9 +54,6 @@ type JobSpec struct {
 	Limit     int    `json:"limit,omitempty"`
 	MaxIters  int    `json:"maxIters,omitempty"`
 	Seed      int64  `json:"seed,omitempty"`
-	NativeXor *bool  `json:"nativeXor,omitempty"`
-	AIG       *bool  `json:"aig,omitempty"`
-	Simplify  *bool  `json:"simplify,omitempty"`
 	Analytic  bool   `json:"analytic,omitempty"`
 	Resume    string `json:"resume,omitempty"`
 }
@@ -191,35 +187,27 @@ func parseMode(s string) (dynunlock.Mode, error) {
 	}
 }
 
-func boolOr(p *bool, def bool) bool {
-	if p == nil {
-		return def
-	}
-	return *p
-}
-
 // resolveSpec validates a submission. A resume spec is rehydrated from
 // the source job's manifest so the resumed attack re-runs the exact
 // recorded configuration; explicit fields alongside "resume" are
-// rejected rather than silently ignored.
+// rejected rather than silently ignored, and so is a resume name that is
+// not a single path element inside the data directory.
 func (d *Daemon) resolveSpec(spec JobSpec) (JobSpec, string, error) {
 	if spec.Resume != "" {
 		if spec.Benchmark != "" || spec.KeyBits != 0 {
 			return spec, "", fmt.Errorf("daemon: a resume spec must not also set benchmark/keyBits")
 		}
 		src := spec.Resume
+		// One local path element only, so joining it onto the data
+		// directory cannot leave it.
+		if !filepath.IsLocal(src) || strings.ContainsAny(src, `/\`) {
+			return spec, "", fmt.Errorf("daemon: resume %q: want a job ID inside the data directory", src)
+		}
 		part, err := flight.OpenPartial(filepath.Join(d.cfg.DataDir, src))
 		if err != nil {
 			return spec, "", fmt.Errorf("daemon: resume %s: %w", src, err)
 		}
 		m := &part.Manifest
-		t, f := true, false
-		b := func(v bool) *bool {
-			if v {
-				return &t
-			}
-			return &f
-		}
 		out := JobSpec{
 			Benchmark: m.Benchmark,
 			KeyBits:   m.Lock.KeyBits,
@@ -231,9 +219,6 @@ func (d *Daemon) resolveSpec(spec JobSpec) (JobSpec, string, error) {
 			Limit:     m.EnumerateLimit,
 			MaxIters:  m.MaxIterations,
 			Seed:      m.SeedBase,
-			NativeXor: b(m.NativeXor),
-			AIG:       b(m.AIG),
-			Simplify:  b(m.Simplify),
 			Analytic:  m.Analytic,
 			Resume:    src,
 		}
@@ -273,9 +258,6 @@ func (s JobSpec) Config() dynunlock.ExperimentConfig {
 		EnumerateLimit: limit,
 		MaxIterations:  s.MaxIters,
 		SeedBase:       s.Seed,
-		NativeXor:      boolOr(s.NativeXor, true),
-		AIG:            boolOr(s.AIG, true),
-		Simplify:       boolOr(s.Simplify, true),
 		Analytic:       s.Analytic,
 	}
 }

@@ -31,8 +31,8 @@ type Encoder struct {
 }
 
 // Config tunes the encoding. The zero value is the classic pure-CNF
-// Tseitin encoding, which keeps committed flight bundles replayable
-// bit-identically; CLIs opt into the native path explicitly.
+// Tseitin encoding, which the ATPG and equivalence-checking encoders use;
+// the SAT attack always sets NativeXor.
 type Config struct {
 	// NativeXor emits XOR/XNOR gates (and therefore the DynUnlock
 	// seed-mask ladders) as native solver XOR rows via sat.Solver.AddXor

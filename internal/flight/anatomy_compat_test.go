@@ -1,9 +1,9 @@
 package flight_test
 
-// Forward-compat tests for the format v4 (anatomy) bump: the reader must
-// accept every committed v1–v3 bundle unchanged, and fresh recordings must
-// carry a live-captured anatomy.json whose telemetry cross-checks against
-// the solver counters in result.json.
+// Format checks for the committed bundles and for fresh recordings: every
+// committed bundle is at the current format, and a fresh recording carries
+// a live-captured anatomy.json whose telemetry cross-checks against the
+// solver counters in result.json.
 
 import (
 	"os"
@@ -37,31 +37,28 @@ func committedBundleDirs(t *testing.T) []string {
 	return dirs
 }
 
-// TestV4ReaderAcceptsCommittedBundles opens every committed bundle with the
-// v4 reader: all are older formats (v1–v3), must open cleanly, and must
-// report no anatomy telemetry — ReadAnatomy returns (nil, nil) when the
-// file is absent rather than failing.
-func TestV4ReaderAcceptsCommittedBundles(t *testing.T) {
-	for _, dir := range committedBundleDirs(t) {
+// TestCommittedBundlesAreV5 opens every committed bundle: all 21 (ten
+// paper128, ten table2, one affine) are at the current format, were
+// recorded with the anatomy capture, and carry a readable anatomy.json.
+func TestCommittedBundlesAreV5(t *testing.T) {
+	dirs := committedBundleDirs(t)
+	if len(dirs) != 21 {
+		t.Errorf("%d committed bundles, want 21", len(dirs))
+	}
+	for _, dir := range dirs {
 		b, err := flight.Open(dir)
 		if err != nil {
 			t.Errorf("%s: open: %v", dir, err)
 			continue
 		}
-		v := b.Manifest.FormatVersion
-		if v < flight.MinFormatVersion || v > flight.FormatVersion {
-			t.Errorf("%s: formatVersion %d outside accepted range [%d, %d]",
-				dir, v, flight.MinFormatVersion, flight.FormatVersion)
+		if v := b.Manifest.FormatVersion; v != 5 {
+			t.Errorf("%s: formatVersion %d, want 5", dir, v)
 		}
-		if v < flight.FormatVersion && b.Manifest.Anatomy {
-			t.Errorf("%s: pre-v4 bundle claims anatomy telemetry", dir)
+		if !b.Manifest.Anatomy {
+			t.Errorf("%s: manifest does not declare anatomy telemetry", dir)
 		}
-		doc, err := flight.ReadAnatomy(dir)
-		if err != nil {
-			t.Errorf("%s: ReadAnatomy: %v", dir, err)
-		}
-		if !b.Manifest.Anatomy && doc != nil {
-			t.Errorf("%s: anatomy doc present but manifest does not declare it", dir)
+		if doc, err := flight.ReadAnatomy(dir); err != nil || doc == nil {
+			t.Errorf("%s: ReadAnatomy = %v, %v; want a document", dir, doc, err)
 		}
 	}
 }

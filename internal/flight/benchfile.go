@@ -21,10 +21,7 @@ type BenchRow struct {
 	Policy            string  `json:"policy"`
 	Mode              string  `json:"mode"`
 	Portfolio         int     `json:"portfolio"`
-	NativeXor         bool    `json:"nativeXor,omitempty"`
 	Analytic          bool    `json:"analytic,omitempty"`
-	AIG               bool    `json:"aig,omitempty"`
-	Simplify          bool    `json:"simplify,omitempty"`
 	Trials            int     `json:"trials"`
 	AvgCandidates     float64 `json:"avgCandidates"`
 	AvgIterations     float64 `json:"avgIterations"`
@@ -33,12 +30,22 @@ type BenchRow struct {
 	TotalConflicts    uint64  `json:"totalConflicts"`
 	TotalPropagations uint64  `json:"totalPropagations"`
 	// TotalEncodeClauses sums the per-trial encode clause counters: the
-	// measure the AIG path is meant to shrink. Zero on pre-v3 bundles.
+	// measure the AIG encoding is meant to shrink.
 	TotalEncodeClauses uint64 `json:"totalEncodeClauses,omitempty"`
 	Broken             bool   `json:"broken"`
 	GoVersion          string `json:"goVersion"`
 	Host               string `json:"host,omitempty"`
 	GitCommit          string `json:"gitCommit,omitempty"`
+}
+
+// ConfigString renders the row's configuration for reports:
+// "scale=16 k=8 per-cycle linear pf=0", plus " analytic" when armed.
+func (r BenchRow) ConfigString() string {
+	s := fmt.Sprintf("scale=%d k=%d %s %s pf=%d", r.Scale, r.KeyBits, r.Policy, r.Mode, r.Portfolio)
+	if r.Analytic {
+		s += " analytic"
+	}
+	return s
 }
 
 // BenchFile is the BENCH_attack.json document: an append-only ledger of
@@ -61,10 +68,7 @@ func BenchRowFrom(b *Bundle) BenchRow {
 		Policy:     m.Lock.Policy,
 		Mode:       m.Mode,
 		Portfolio:  m.Portfolio,
-		NativeXor:  m.NativeXor,
 		Analytic:   m.Analytic,
-		AIG:        m.AIG,
-		Simplify:   m.Simplify,
 		Trials:     len(b.Result.Trials),
 		GoVersion:  m.Fingerprint.GoVersion,
 		Host:       m.Fingerprint.Host,
@@ -119,19 +123,16 @@ func (f *BenchFile) Write(path string) error {
 }
 
 // FindRow returns the ledger row matching a bundle's configuration
-// (benchmark, scale, key width, policy, mode, portfolio, encoding
-// variant), for baseline comparisons; ok is false when no row matches.
-// The encoding variant (nativeXor, analytic, aig, simplify) is part of the
-// key so runs of the same benchmark under different encode paths keep
-// separate baselines.
+// (benchmark, scale, key width, policy, mode, portfolio, analytic), for
+// baseline comparisons; ok is false when no row matches. Analytic is part
+// of the key because the short-circuit changes the iteration count.
 func (f *BenchFile) FindRow(row BenchRow) (BenchRow, bool) {
 	for i := len(f.Rows) - 1; i >= 0; i-- {
 		r := f.Rows[i]
 		if r.Benchmark == row.Benchmark && r.Scale == row.Scale &&
 			r.KeyBits == row.KeyBits && r.Policy == row.Policy &&
 			r.Mode == row.Mode && r.Portfolio == row.Portfolio &&
-			r.NativeXor == row.NativeXor && r.Analytic == row.Analytic &&
-			r.AIG == row.AIG && r.Simplify == row.Simplify {
+			r.Analytic == row.Analytic {
 			return r, true
 		}
 	}

@@ -86,6 +86,9 @@ func Open(dir string) (*Bundle, error) {
 // (docs/manifest.schema.json): required fields present, widths consistent,
 // gate positions in range. cmd/runs validate and Open both enforce it.
 func ValidateManifest(m *Manifest) error {
+	if v := m.FormatVersion; v >= 1 && v < MinFormatVersion {
+		return fmt.Errorf("formatVersion %d predates the one attack pipeline of format %d; re-record the bundle", v, FormatVersion)
+	}
 	if m.FormatVersion < MinFormatVersion || m.FormatVersion > FormatVersion {
 		return fmt.Errorf("formatVersion %d, want %d..%d", m.FormatVersion, MinFormatVersion, FormatVersion)
 	}
@@ -201,10 +204,9 @@ func (b *Bundle) Design() (*lock.Design, error) {
 	return d, nil
 }
 
-// ReadAnatomy loads a bundle's anatomy.json. Bundles recorded without the
-// anatomy capture (all v1–v3 bundles and v4 runs with the capture off)
-// have no such file: that returns (nil, nil), never an error, so readers
-// degrade to the derivable attribution alone.
+// ReadAnatomy loads a bundle's anatomy.json. Bundles recorded with the
+// anatomy capture off have no such file: that returns (nil, nil), never an
+// error, so readers degrade to the derivable attribution alone.
 func ReadAnatomy(dir string) (*AnatomyDoc, error) {
 	path := filepath.Join(dir, AnatomyFile)
 	if _, err := os.Stat(path); err != nil {

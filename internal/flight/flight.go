@@ -46,17 +46,19 @@ import (
 //
 //	1  initial layout (manifest, oracle/DIP transcripts, trace, metrics, result)
 //	2  adds Manifest.Profiles: optional pprof captures stored in the bundle
-//	3  adds Manifest.AIG/Simplify (encode-path provenance) and the trial
-//	   encode counters EncodeVars/EncodeClauses
+//	3  adds the trial encode counters EncodeVars/EncodeClauses
 //	4  adds anatomy.json (live-captured solver search telemetry: LBD
 //	   histograms and restart counts per DIP) and Manifest.Anatomy
+//	5  one attack pipeline (AIG encoding, native XOR rows, inprocessing):
+//	   the manifest drops the nativeXor/aig/simplify encode-variant keys
 //
-// Readers accept any version in [MinFormatVersion, FormatVersion]: each
-// version is a strict superset of the previous, so older bundles load
-// unchanged (absent fields mean the corresponding feature was off).
+// Readers accept only FormatVersion. Bundles of versions 1–4 may have been
+// recorded on an encode path that no longer exists, so they are refused
+// with a *BundleError asking for a re-recording instead of being replayed
+// on the wrong path.
 const (
-	FormatVersion    = 4
-	MinFormatVersion = 1
+	FormatVersion    = 5
+	MinFormatVersion = 5
 )
 
 // BenchFormatVersion identifies the BENCH_attack.json ledger layout. The
@@ -82,23 +84,13 @@ type Manifest struct {
 	// SeedBase is the seed of record: every per-trial chip secret derives
 	// from it, so the whole experiment is reproducible from this one value.
 	SeedBase int64 `json:"seedBase"`
-	// NativeXor records that XOR gates were encoded as native GF(2) solver
-	// rows; Analytic that the insight feedback loop was armed. Both are
-	// optional additions within format version 2 — absent (older bundles)
-	// means off, and replay then reproduces the pure-CNF attack exactly.
-	NativeXor bool `json:"nativeXor,omitempty"`
-	Analytic  bool `json:"analytic,omitempty"`
-	// AIG records that miter copies were encoded from the shared
-	// structurally-hashed AIG; Simplify that level-0 solver inprocessing ran
-	// between DIP iterations. Both are format-version-3 additions with the
-	// same discipline as NativeXor: absent means off, and replay arms the
-	// exact encode path the bundle was recorded with.
-	AIG      bool `json:"aig,omitempty"`
-	Simplify bool `json:"simplify,omitempty"`
+	// Analytic records that the insight feedback loop was armed; replay
+	// arms it too.
+	Analytic bool `json:"analytic,omitempty"`
 	// Anatomy records that live solver search telemetry was captured into
-	// anatomy.json (format version 4). Absent means the capture was off;
-	// the attribution derivable from the other files (stage wall-time
-	// split, per-DIP counter deltas) is unaffected either way.
+	// anatomy.json. Absent means the capture was off; the attribution
+	// derivable from the other files (stage wall-time split, per-DIP
+	// counter deltas) is unaffected either way.
 	Anatomy bool `json:"anatomy,omitempty"`
 
 	Lock        LockInfo    `json:"lock"`
@@ -106,8 +98,7 @@ type Manifest struct {
 
 	// Profiles lists pprof capture files stored in the bundle directory
 	// (e.g. "cpu.pprof", "heap.pprof"), recorded when the run was started
-	// with -profile. Empty on unprofiled runs and on v1 bundles (new in
-	// format version 2).
+	// with -profile. Empty on unprofiled runs.
 	Profiles []string `json:"profiles,omitempty"`
 }
 
@@ -165,10 +156,9 @@ type DIPRecord struct {
 	SolveMS   float64     `json:"solveMS"` // wall time of the producing SAT call
 }
 
-// SolverStats mirrors sat.Stats with stable lowercase JSON names. The XOR
-// counters are zero (and omitted) on pure-CNF runs and on bundles recorded
-// before the native XOR layer existed; likewise the simplify counters on
-// runs without inprocessing (pre-v3 bundles or -simplify=false).
+// SolverStats mirrors sat.Stats with stable lowercase JSON names. Zero
+// counters are omitted: the XOR counters stay zero on a circuit without XOR
+// gates, and the simplify counters on an attack that needed no DIP.
 type SolverStats struct {
 	Decisions        uint64 `json:"decisions"`
 	Propagations     uint64 `json:"propagations"`
@@ -257,17 +247,16 @@ type TrialRecord struct {
 	Solver         SolverStats `json:"solver"`
 	// EncodeVars/EncodeClauses count solver variables and emitted clauses
 	// (including native XOR rows) attributable to circuit encoding across
-	// the whole DIP loop (format version 3; zero and omitted before that).
+	// the whole DIP loop.
 	EncodeVars    uint64 `json:"encodeVars,omitempty"`
 	EncodeClauses uint64 `json:"encodeClauses,omitempty"`
 }
 
-// AnatomyDoc is anatomy.json (bundle format version 4): live-captured
-// solver search telemetry that cannot be derived from the other bundle
-// files — sampled learnt-clause LBD histograms and restart telemetry,
-// attack-wide and per DIP. The stage wall-time attribution and per-DIP
+// AnatomyDoc is anatomy.json: live-captured solver search telemetry that
+// cannot be derived from the other bundle files — sampled learnt-clause
+// LBD histograms and restart telemetry, attack-wide and per DIP. The stage wall-time attribution and per-DIP
 // counter deltas are NOT stored here: internal/anatomy derives them from
-// trace.jsonl, dips.jsonl, and result.json on any bundle version.
+// trace.jsonl, dips.jsonl, and result.json.
 type AnatomyDoc struct {
 	FormatVersion int `json:"formatVersion"` // the doc's own version, 1
 	// LBDBounds are the upper bucket bounds of every LBDHist in the doc;

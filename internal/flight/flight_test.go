@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dynunlock/internal/sat"
@@ -117,6 +118,30 @@ func writeBundleFixture(t *testing.T, dir string) {
 	line := `{"trial":0,"seq":0,"testKey":"00000000","scanIn":"0000000000","pis":["00"],"scanOut":"0000000000","pos":["0"],"cycles":21}` + "\n"
 	if err := os.WriteFile(filepath.Join(dir, OracleFile), []byte(line), 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A bundle older than format 5 may have been recorded on a retired encode
+// path, so both readers refuse it with a typed error that names the
+// version and asks for a re-recording, instead of replaying it on the one
+// pipeline.
+func TestOpenRefusesPreV5Bundle(t *testing.T) {
+	dir := t.TempDir()
+	writeBundleFixture(t, dir)
+	m := validManifest()
+	m.FormatVersion = 4
+	if err := writeJSONFile(filepath.Join(dir, ManifestFile), &m); err != nil {
+		t.Fatal(err)
+	}
+	for name, open := range map[string]func(string) (*Bundle, error){"Open": Open, "OpenPartial": OpenPartial} {
+		_, err := open(dir)
+		var be *BundleError
+		if !errors.As(err, &be) || !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: err = %v, want a *BundleError wrapping ErrCorrupt", name, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "formatVersion 4") || !strings.Contains(msg, "re-record") {
+			t.Errorf("%s: error %q does not name the version and ask for a re-recording", name, msg)
+		}
 	}
 }
 

@@ -187,9 +187,6 @@ func (b *Bundle) Replay(ctx context.Context) (*ResultDoc, error) {
 			Mode:           mode,
 			EnumerateLimit: b.Manifest.EnumerateLimit,
 			MaxIterations:  b.Manifest.MaxIterations,
-			NativeXor:      b.Manifest.NativeXor,
-			AIG:            b.Manifest.AIG,
-			Simplify:       b.Manifest.Simplify,
 		}
 		// An analytic recording ran with the insight feedback loop armed;
 		// rebuild the same tracker so the replay short-circuits at the same

@@ -22,13 +22,13 @@ func committedBundle(rel string) string {
 	return filepath.Join("..", "..", "bench", "bundles", filepath.FromSlash(rel))
 }
 
-// TestCommittedBundlesReplaySearch replays one committed bundle per encode
-// path and requires an empty Compare, solver counters included.
+// TestCommittedBundlesReplaySearch replays one committed bundle of each
+// set and requires an empty Compare, solver counters included.
 func TestCommittedBundlesReplaySearch(t *testing.T) {
 	for _, rel := range []string{
-		"table2_parallel1/table2_s5378",     // pure CNF
-		"table2_parallel1_xor/table2_s5378", // native XOR rows
-		"paper128/s5378",                    // AIG, native XOR, simplify: the CLI default
+		"table2/table2_s5378", // scale 16, 8-bit keys, two trials
+		"affine",              // analytic short-circuit on the affine core
+		"paper128/s5378",      // paper scale, 128-bit keys
 	} {
 		t.Run(rel, func(t *testing.T) {
 			b, err := flight.Open(committedBundle(rel))
@@ -50,7 +50,7 @@ func TestCommittedBundlesReplaySearch(t *testing.T) {
 // recorded conflict count by one, and replays the copy.
 func replayTampered(t *testing.T) (*flight.Bundle, *flight.ResultDoc) {
 	t.Helper()
-	src := committedBundle("table2_parallel1/table2_s5378")
+	src := committedBundle("table2/table2_s5378")
 	dir := t.TempDir()
 	entries, err := os.ReadDir(src)
 	if err != nil {

@@ -45,7 +45,7 @@ const (
 	// by violated rows (zero on pure-CNF instances).
 	MetricSatXorPropagations = "dynunlock_sat_xor_propagations_total"
 	MetricSatXorConflicts    = "dynunlock_sat_xor_conflicts_total"
-	// Inprocessing layer (Solver.Simplify, zero unless enabled): clauses
+	// Inprocessing layer (Solver.Simplify, run between DIPs): clauses
 	// removed as satisfied at the top level and falsified literals
 	// strengthened out of surviving clauses.
 	MetricSatSimplifyRemoved      = "dynunlock_sat_simplify_removed_total"
@@ -441,10 +441,8 @@ func (r *Registry) Histogram(name string, bounds []float64, labelPairs ...string
 }
 
 // SetBuildInfo publishes the MetricBuildInfo gauge: constant 1 with the
-// given label pairs describing the binary (conventionally goversion,
-// format, and the default native_xor/aig/simplify flag values — the CLIs
-// read them off their flag definitions so the gauge tracks the build's
-// defaults, not a particular invocation). Nil-safe.
+// given label pairs describing the binary (conventionally goversion and
+// the bundle format). Nil-safe.
 func (r *Registry) SetBuildInfo(labelPairs ...string) {
 	if r == nil {
 		return

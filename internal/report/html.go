@@ -97,7 +97,7 @@ func writeOverviewTable(b *strings.Builder, bundles []*flight.Bundle) {
 		fmt.Fprintf(b, `<tr><td><a href="#bundle-%d">%s</a></td><td>%s</td><td>%s</td><td>%d</td>`+
 			"<td>%s</td><td>%s</td><td>%s</td><td>%s</td><td>%d</td><td>%d</td><td>%v</td></tr>\n",
 			i, html.EscapeString(filepath.Base(bun.Dir)), html.EscapeString(r.Benchmark),
-			html.EscapeString(benchConfigString(r)), r.Trials,
+			html.EscapeString(r.ConfigString()), r.Trials,
 			trimFloat(r.AvgIterations), trimFloat(r.AvgQueries), trimFloat(r.AvgCandidates),
 			trimFloat(r.AvgSeconds), r.TotalConflicts, r.TotalPropagations, r.Broken)
 	}
@@ -123,27 +123,10 @@ func writeLedgerTable(b *strings.Builder, ledger *flight.BenchFile, path string,
 		}
 		fmt.Fprintf(b, "<tr><td>%s</td><td>%s</td><td>%s</td><td>%s</td><td>%d</td><td>%s</td><td>%s</td><td>%d</td><td>%v</td><td>%s</td></tr>\n",
 			html.EscapeString(r.RecordedAt), html.EscapeString(r.Bundle), html.EscapeString(r.Benchmark),
-			html.EscapeString(benchConfigString(r)), r.Trials, trimFloat(r.AvgIterations),
+			html.EscapeString(r.ConfigString()), r.Trials, trimFloat(r.AvgIterations),
 			trimFloat(r.AvgSeconds), r.TotalConflicts, r.Broken, delta)
 	}
 	b.WriteString("</table>\n")
-}
-
-func benchConfigString(r flight.BenchRow) string {
-	s := fmt.Sprintf("scale=%d k=%d %s %s pf=%d", r.Scale, r.KeyBits, r.Policy, r.Mode, r.Portfolio)
-	if r.NativeXor {
-		s += " xor"
-	}
-	if r.AIG {
-		s += " aig"
-	}
-	if r.Simplify {
-		s += " simplify"
-	}
-	if r.Analytic {
-		s += " analytic"
-	}
-	return s
 }
 
 // writeBundleSection renders one bundle: summary, trial table, charts,
@@ -159,7 +142,7 @@ func writeBundleSection(b *strings.Builder, idx int, bun *flight.Bundle, opts HT
 		html.EscapeString(m.Benchmark), m.Scale, m.Lock.KeyBits, html.EscapeString(m.Lock.Policy),
 		html.EscapeString(m.Mode), m.Portfolio, m.SeedBase, len(bun.Sessions), len(bun.DIPs))
 
-	// Trial outcomes. Encode columns are zero on pre-v3 bundles.
+	// Trial outcomes.
 	b.WriteString("<table><tr><th>Trial</th><th>Candidates</th><th>Iterations</th><th>Queries</th>" +
 		"<th>Rank</th><th>Seconds</th><th>Conflicts</th><th>Enc vars</th><th>Enc clauses</th><th>Success</th></tr>\n")
 	for _, t := range bun.Result.Trials {

@@ -9,7 +9,7 @@ import (
 	"dynunlock/internal/flight"
 )
 
-const committedBundle = "../../bench/bundles/table2_parallel1/table2_s5378"
+const committedBundle = "../../bench/bundles/table2/table2_s5378"
 
 func openCommitted(t *testing.T, dir string) *flight.Bundle {
 	t.Helper()
@@ -75,8 +75,8 @@ func TestWriteHTMLSelfContainedAndDeterministic(t *testing.T) {
 
 func TestWriteHTMLOneSectionPerBundle(t *testing.T) {
 	bundles := []*flight.Bundle{
-		openCommitted(t, "../../bench/bundles/table2_parallel1/table2_s5378"),
-		openCommitted(t, "../../bench/bundles/table2_parallel1/table2_b20"),
+		openCommitted(t, "../../bench/bundles/table2/table2_s5378"),
+		openCommitted(t, "../../bench/bundles/table2/table2_b20"),
 	}
 	var buf bytes.Buffer
 	if err := WriteHTML(&buf, bundles, HTMLOptions{}); err != nil {

@@ -203,6 +203,9 @@ func TestRunCtxTraceSpans(t *testing.T) {
 		if spans["encode"].Counters["clauses"] == 0 {
 			t.Fatalf("portfolio %d: encode span has no clause counter", pf)
 		}
+		if spans["encode"].Counters["aig_nodes"] == 0 {
+			t.Fatalf("portfolio %d: encode span has no aig_nodes counter", pf)
+		}
 		if spans["dip_loop"].Counters["dips"] != uint64(res.Iterations) {
 			t.Fatalf("portfolio %d: dip counter %d != iterations %d",
 				pf, spans["dip_loop"].Counters["dips"], res.Iterations)

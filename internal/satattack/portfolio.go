@@ -55,19 +55,10 @@ type portfolio struct {
 	// winCtr mirrors wins as live per-instance counters; entries are nil
 	// (no-op) when metrics are disabled or there is only one instance.
 	winCtr []*metrics.Counter
-	// aig, when non-nil, is the compacted arena every instance's copies
-	// are encoded from (Options.AIG). The graph is read-only after
-	// construction, so all instances share one.
+	// aig is the compacted arena every instance's copies are encoded
+	// from. The graph is read-only after construction, so all instances
+	// share one.
 	aig *aig.Graph
-}
-
-// encodeCopy instantiates one circuit copy on instance in, through the
-// shared AIG when armed and the direct netlist walk otherwise.
-func (p *portfolio) encodeCopy(in *pfInstance, lits []cnf.Lit) []cnf.Lit {
-	if p.aig != nil {
-		return in.e.EncodeAIG(p.aig, lits)
-	}
-	return in.e.EncodeComb(p.l.View, lits)
 }
 
 // emitted snapshots instance 0's problem size (variables; clauses plus
@@ -77,17 +68,15 @@ func (p *portfolio) emitted() (uint64, uint64) {
 	return uint64(s.NumVars()), uint64(s.NumClauses() + s.NumXors())
 }
 
-// newPortfolio encodes the miter on n instances. Only a portfolio of more
-// than one instance publishes race-win counters.
+// newPortfolio compiles the locked view into an AIG once and encodes the
+// miter from it on n instances, XOR gates as native GF(2) rows. Only a
+// portfolio of more than one instance publishes race-win counters.
 func newPortfolio(l *Locked, n int, opts Options, mh *metrics.Handle) (*portfolio, error) {
-	p := &portfolio{l: l, wins: make([]int, n), winCtr: make([]*metrics.Counter, n)}
-	if opts.AIG {
-		g, err := aig.FromCombView(l.View)
-		if err != nil {
-			return nil, err
-		}
-		p.aig = g
+	g, err := aig.FromCombView(l.View)
+	if err != nil {
+		return nil, err
 	}
+	p := &portfolio{l: l, wins: make([]int, n), winCtr: make([]*metrics.Counter, n), aig: g}
 	for i := 0; i < n; i++ {
 		s := sat.NewWithConfig(sat.Diversify(i))
 		s.ConflictBudget = opts.ConflictBudget
@@ -95,7 +84,7 @@ func newPortfolio(l *Locked, n int, opts Options, mh *metrics.Handle) (*portfoli
 		if n > 1 {
 			p.winCtr[i] = mh.Counter(metrics.MetricPortfolioWins, "instance", strconv.Itoa(i))
 		}
-		e := encode.NewWithConfig(s, encode.Config{NativeXor: opts.NativeXor})
+		e := encode.NewWithConfig(s, encode.Config{NativeXor: true})
 		in := &pfInstance{
 			s:  s,
 			e:  e,
@@ -103,8 +92,8 @@ func newPortfolio(l *Locked, n int, opts Options, mh *metrics.Handle) (*portfoli
 			k1: e.FreshVec(len(l.KeyIdx)),
 			k2: e.FreshVec(len(l.KeyIdx)),
 		}
-		y1 := p.encodeCopy(in, l.assemble(e, in.x, in.k1))
-		y2 := p.encodeCopy(in, l.assemble(e, in.x, in.k2))
+		y1 := in.e.EncodeAIG(p.aig, l.assemble(e, in.x, in.k1))
+		y2 := in.e.EncodeAIG(p.aig, l.assemble(e, in.x, in.k2))
 		in.miter = e.Miter(y1, y2)
 		// Branch on key variables first: the miter search closes fastest
 		// when the candidate keys are fixed before the shared inputs.
@@ -176,8 +165,8 @@ func (p *portfolio) replayDIP(dip, resp []bool) (dVars, dClauses uint64) {
 	ev0, ec0 := p.emitted()
 	for _, in := range p.insts {
 		cx := in.e.ConstVec(dip)
-		in.e.AssertEqualConst(p.encodeCopy(in, p.l.assemble(in.e, cx, in.k1)), resp)
-		in.e.AssertEqualConst(p.encodeCopy(in, p.l.assemble(in.e, cx, in.k2)), resp)
+		in.e.AssertEqualConst(in.e.EncodeAIG(p.aig, p.l.assemble(in.e, cx, in.k1)), resp)
+		in.e.AssertEqualConst(in.e.EncodeAIG(p.aig, p.l.assemble(in.e, cx, in.k2)), resp)
 	}
 	ev1, ec1 := p.emitted()
 	return ev1 - ev0, ec1 - ec0

@@ -9,6 +9,14 @@
 // key satisfying the accumulated I/O constraints is functionally correct
 // on all inputs.
 //
+// Every attack runs one encode pipeline. The locked view is compiled once
+// into an and-inverter graph (internal/aig: structural hashing, constant
+// folding, cone-of-influence restriction), and every circuit copy — the two
+// fresh-key copies and each DIP-constrained pair — replays it through
+// encode.EncodeAIG with XOR gates as native GF(2) solver rows. After each
+// DIP's constraints are asserted, level-0 inprocessing (sat.Solver.Simplify)
+// removes satisfied clauses and strengthens the rest.
+//
 // DynUnlock (internal/core) feeds this engine a combinational model of a
 // dynamically scan-locked circuit whose key inputs are the LFSR seed bits.
 package satattack
@@ -120,25 +128,6 @@ type Options struct {
 	// duration of the call. nil leaves the hot loop free of timestamps and
 	// allocations, preserving the bit-identical unobserved path.
 	OnDIP DIPObserver
-	// NativeXor encodes XOR gates as native GF(2) solver rows instead of
-	// Tseitin clauses (encode.Config.NativeXor). Off by default so recorded
-	// bundles replay bit-identically; the CLIs enable it.
-	NativeXor bool
-	// AIG routes every circuit copy through the two-stage pipeline: the
-	// locked view is compiled once into an arena AIG (structural hashing,
-	// constant folding, cone-of-influence restriction; internal/aig) and
-	// each copy — the two fresh-key copies and every DIP-constrained copy —
-	// replays the compacted arena via encode.EncodeAIG, collapsing under
-	// its constant inputs before any clause is emitted. Off by default for
-	// bundle replay compatibility (the NativeXor precedent); the CLIs
-	// enable it.
-	AIG bool
-	// Simplify runs level-0 solver inprocessing (sat.Solver.Simplify)
-	// after each DIP's constraints are asserted: clauses satisfied by the
-	// accumulated top-level units are removed and the rest strengthened.
-	// Equivalence-preserving, so candidate sets are unchanged. Off by
-	// default; the CLIs enable it.
-	Simplify bool
 	// Search, when non-nil, taps the sampled solver search telemetry that
 	// the metrics hook sees — learnt-clause LBD observations and restarts —
 	// per solver instance. The anatomy capture layer (internal/anatomy)
@@ -335,9 +324,7 @@ func RunCtx(ctx context.Context, l *Locked, o Oracle, opts Options) (*Result, er
 	if n > 1 {
 		enc.Add("instances", uint64(n))
 	}
-	if p.aig != nil {
-		enc.Add("aig_nodes", uint64(p.aig.NumNodes()))
-	}
+	enc.Add("aig_nodes", uint64(p.aig.NumNodes()))
 	enc.Add("vars", uint64(p.insts[0].s.NumVars()))
 	enc.Add("clauses", uint64(p.insts[0].s.NumClauses()))
 	enc.End()
@@ -439,14 +426,12 @@ dipLoop:
 				break dipLoop
 			}
 		}
-		if opts.Simplify {
-			// Level-0 inprocessing between DIPs: the response units just
-			// asserted satisfy or shorten clauses of earlier copies. Each
-			// instance rewrites its own (diverged) database equivalently,
-			// and an UNSAT result here surfaces on the next solve.
-			for _, in := range p.insts {
-				in.s.Simplify()
-			}
+		// Level-0 inprocessing between DIPs: the response units just
+		// asserted satisfy or shorten clauses of earlier copies. Each
+		// instance rewrites its own (diverged) database equivalently, and
+		// an UNSAT result here surfaces on the next solve.
+		for _, in := range p.insts {
+			in.s.Simplify()
 		}
 		if tr.Enabled() || opts.Log != nil {
 			line := fmt.Sprintf("iter %d: dip=%s inst=%d clauses=%d conflicts=%d",

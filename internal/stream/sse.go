@@ -85,22 +85,28 @@ type Decoder struct {
 	sc *bufio.Scanner
 }
 
-// NewDecoder wraps r. Frames up to ~4MiB are accepted (snapshots of
-// large label spaces are the big ones).
+// maxFrameBytes bounds one SSE line and the summed data lines of one
+// frame (snapshots of large label spaces are the big ones).
+const maxFrameBytes = 4 << 20
+
+// NewDecoder wraps r. Frames of up to 4 MiB of data are accepted.
 func NewDecoder(r io.Reader) *Decoder {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxFrameBytes)
 	return &Decoder{sc: sc}
 }
 
 // Next returns the next event. io.EOF signals a cleanly ended stream;
-// any grammar violation returns an error wrapping ErrCorrupt.
+// any grammar violation, an over-long line or a frame with more than
+// 4 MiB of data included, returns an error wrapping ErrCorrupt. Other
+// errors are the reader's own (a broken connection).
 func (d *Decoder) Next() (Event, error) {
 	var (
-		id      string
-		typ     string
-		data    []string
-		inFrame bool
+		id       string
+		typ      string
+		data     []string
+		dataSize int
+		inFrame  bool
 	)
 	for d.sc.Scan() {
 		line := d.sc.Text()
@@ -131,6 +137,9 @@ func (d *Decoder) Next() (Event, error) {
 		case "event":
 			typ = value
 		case "data":
+			if dataSize += len(value) + 1; dataSize > maxFrameBytes {
+				return Event{}, fmt.Errorf("%w: frame data exceeds %d bytes", ErrCorrupt, maxFrameBytes)
+			}
 			data = append(data, value)
 		case "retry":
 			// reconnect hint; nothing to validate
@@ -140,6 +149,9 @@ func (d *Decoder) Next() (Event, error) {
 		inFrame = true
 	}
 	if err := d.sc.Err(); err != nil {
+		if errors.Is(err, bufio.ErrTooLong) {
+			return Event{}, fmt.Errorf("%w: %w", ErrCorrupt, err)
+		}
 		return Event{}, err
 	}
 	if inFrame {

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bufio"
 	"errors"
 	"io"
 	"strings"
@@ -119,6 +120,30 @@ func TestDecoderCorruptCases(t *testing.T) {
 		if _, err := d.Next(); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
+	}
+}
+
+// A line longer than the scanner accepts is a corrupt stream, not a
+// broken connection: retrying would read the same line again.
+func TestDecoderOverlongLineIsCorrupt(t *testing.T) {
+	in := "data: " + strings.Repeat("x", maxFrameBytes) + "\n\n"
+	_, err := NewDecoder(strings.NewReader(in)).Next()
+	if !errors.Is(err, ErrCorrupt) || !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("err = %v, want ErrCorrupt wrapping bufio.ErrTooLong", err)
+	}
+}
+
+// Data lines that each fit the line limit must not add up to an unbounded
+// frame: twelve 3 MiB lines stop at the 4 MiB frame cap.
+func TestDecoderCapsFrameData(t *testing.T) {
+	line := "data: " + strings.Repeat("x", 3<<20) + "\n"
+	readers := make([]io.Reader, 12)
+	for i := range readers {
+		readers[i] = strings.NewReader(line)
+	}
+	_, err := NewDecoder(io.MultiReader(readers...)).Next()
+	if !errors.Is(err, ErrCorrupt) || errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("err = %v, want ErrCorrupt for the frame cap", err)
 	}
 }
 
