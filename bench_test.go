@@ -16,6 +16,7 @@ package dynunlock
 
 import (
 	"os"
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -142,8 +143,7 @@ func BenchmarkTableII_b17(b *testing.B)    { runAttack(b, "b17", 128, PerCycle) 
 // --- Concurrent sweep runner: Table II conditions in parallel ---------
 
 // benchSweep runs the first four Table II conditions as independent
-// experiments through the bench.Sweep worker pool. Workers <= 0 selects
-// ParallelDefault() (DYNUNLOCK_PARALLEL or GOMAXPROCS); 1 is the
+// experiments through the bench.Sweep worker pool. 1 worker is the
 // sequential reference whose results are bit-identical by construction.
 // On a multi-core host the parallel variant shows the sweep speedup; on a
 // single-core host both variants measure the same work.
@@ -176,7 +176,7 @@ func benchSweep(b *testing.B, workers int) {
 }
 
 func BenchmarkSweep_TableII_Sequential(b *testing.B) { benchSweep(b, 1) }
-func BenchmarkSweep_TableII_Parallel(b *testing.B)   { benchSweep(b, ParallelDefault()) }
+func BenchmarkSweep_TableII_Parallel(b *testing.B)   { benchSweep(b, runtime.GOMAXPROCS(0)) }
 
 // --- Table III: key-size sweep on the three largest benchmarks --------
 

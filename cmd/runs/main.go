@@ -161,8 +161,8 @@ func cmdShow(args []string, stdout, stderr io.Writer) int {
 	if m.Fingerprint.GitCommit != "" {
 		fmt.Fprintf(stdout, "commit      %s\n", m.Fingerprint.GitCommit)
 	}
-	fmt.Fprintf(stdout, "experiment  %s scale=%d keybits=%d policy=%s mode=%s portfolio=%d seed=%d analytic=%v\n",
-		m.Benchmark, m.Scale, m.Lock.KeyBits, m.Lock.Policy, m.Mode, m.Portfolio, m.SeedBase, m.Analytic)
+	fmt.Fprintf(stdout, "experiment  %s scale=%d keybits=%d policy=%s mode=%s seed=%d analytic=%v\n",
+		m.Benchmark, m.Scale, m.Lock.KeyBits, m.Lock.Policy, m.Mode, m.SeedBase, m.Analytic)
 	if len(m.Profiles) > 0 {
 		fmt.Fprintf(stdout, "profiles    %v\n", m.Profiles)
 	}
@@ -220,13 +220,13 @@ func cmdReplay(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "runs: %v\n", err)
 		return exitCorrupt
 	}
-	diffs := flight.Compare(&b.Manifest, &b.Result, replayed)
+	diffs := flight.Compare(&b.Result, replayed)
 	tb := report.New(fmt.Sprintf("Replay of %s (%d trial(s), %.2fs offline)",
 		b.Dir, len(replayed.Trials), time.Since(start).Seconds()),
 		"Trial", "Candidates", "Iterations", "Queries", "Match")
 	for i, t := range replayed.Trials {
 		match := i < len(b.Result.Trials) &&
-			len(flight.Compare(&b.Manifest,
+			len(flight.Compare(
 				&flight.ResultDoc{Trials: b.Result.Trials[i : i+1]},
 				&flight.ResultDoc{Trials: replayed.Trials[i : i+1]})) == 0
 		tb.AddRow(t.Trial, len(t.SeedCandidates), t.Iterations, t.Queries, match)

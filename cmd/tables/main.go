@@ -3,10 +3,9 @@
 // attack, and prints rows in the paper's format.
 //
 // Independent table conditions (benchmark × keyBits × policy) run on a
-// worker pool sized by -parallel (default: DYNUNLOCK_PARALLEL or
-// GOMAXPROCS), so regeneration scales with cores; -parallel 1 reproduces
-// the sequential reference run bit for bit. Within a trial, -portfolio N
-// races N diversified CDCL instances per SAT call.
+// worker pool sized by -parallel (default: GOMAXPROCS), so regeneration
+// scales with cores; -parallel 1 reproduces the sequential reference run
+// bit for bit.
 //
 // Paper-scale runs (-scale 1 -trials 10) take a while on the from-scratch
 // CDCL solver; -scale 8 reproduces the qualitative shape in seconds.
@@ -49,8 +48,7 @@ func main() {
 		scale     = flag.Int("scale", 1, "divide circuit sizes by this factor")
 		trials    = flag.Int("trials", 10, "secret seeds per benchmark (paper: 10)")
 		kbits     = flag.Int("keybits", 128, "key width for Table II (paper: 128)")
-		parallel  = flag.Int("parallel", 0, "worker pool size for table conditions (0 = DYNUNLOCK_PARALLEL or GOMAXPROCS)")
-		portfolio = flag.Int("portfolio", 1, "diversified solver instances racing each SAT call")
+		parallel  = flag.Int("parallel", 0, "worker pool size for table conditions (0 = GOMAXPROCS)")
 		timeout   = flag.Duration("timeout", 0, "wall-clock budget shared by the whole table sweep (0 = unlimited); completed conditions are still rendered")
 		maxIters  = flag.Int("max-iters", 0, "bound each trial's DIP loop (0 = unlimited)")
 		analytic  = flag.Bool("analytic", false, "feed certified insight constraints back into the solver and short-circuit at full key rank")
@@ -71,7 +69,7 @@ func main() {
 	}
 	workers := *parallel
 	if workers <= 0 {
-		workers = dynunlock.ParallelDefault()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if logw != nil && workers > 1 {
 		// Interleaved per-trial logs from concurrent conditions are useless.
@@ -161,11 +159,11 @@ func main() {
 	var err error
 	switch *table {
 	case 1:
-		rows, err = table1(ctx, *scale, *portfolio, workers, logw)
+		rows, err = table1(ctx, *scale, workers, logw)
 	case 2:
-		rows, err = table2(ctx, *scale, *trials, *kbits, *portfolio, *maxIters, workers, *recordDir, *profile, *analytic, reg, bus, logw)
+		rows, err = table2(ctx, *scale, *trials, *kbits, *maxIters, workers, *recordDir, *profile, *analytic, reg, bus, logw)
 	case 3:
-		rows, err = table3(ctx, *scale, *trials, *portfolio, *maxIters, workers, *recordDir, *profile, *analytic, reg, bus, logw)
+		rows, err = table3(ctx, *scale, *trials, *maxIters, workers, *recordDir, *profile, *analytic, reg, bus, logw)
 	default:
 		fmt.Fprintf(os.Stderr, "tables: no table %d in the paper\n", *table)
 		os.Exit(2)
@@ -187,7 +185,6 @@ func main() {
 			Scale:          *scale,
 			Trials:         *trials,
 			Parallel:       workers,
-			Portfolio:      *portfolio,
 			GOMAXPROCS:     runtime.GOMAXPROCS(0),
 			NumCPU:         runtime.NumCPU(),
 			ElapsedSeconds: time.Since(start).Seconds(),
@@ -229,7 +226,6 @@ type jsonReport struct {
 	Scale          int       `json:"scale"`
 	Trials         int       `json:"trials"`
 	Parallel       int       `json:"parallel"`
-	Portfolio      int       `json:"portfolio"`
 	GOMAXPROCS     int       `json:"gomaxprocs"`
 	NumCPU         int       `json:"numCPU"`
 	ElapsedSeconds float64   `json:"elapsedSeconds"`
@@ -295,7 +291,7 @@ func rowFromExperiment(table string, res *dynunlock.ExperimentResult, elapsed ti
 
 // table1 reproduces the evolution table: each defense family attacked by
 // the technique that broke it, demonstrated live on one mid-size circuit.
-func table1(ctx context.Context, scale, portfolio, workers int, logw io.Writer) ([]condRow, error) {
+func table1(ctx context.Context, scale, workers int, logw io.Writer) ([]condRow, error) {
 	type cond struct {
 		defense, obfType, attackName string
 		policy                       dynunlock.Policy
@@ -316,8 +312,7 @@ func table1(ctx context.Context, scale, portfolio, workers int, logw io.Writer) 
 		return ok && res.Converged, len(res.KeyCandidates), res.Iterations, nil
 	}
 	dynUnlock := func(ctx context.Context, chip *oracle.Chip) (bool, int, int, error) {
-		res, err := core.AttackCtx(ctx, chip, core.Options{
-			Portfolio: portfolio, EnumerateLimit: 256, Log: logw})
+		res, err := core.AttackCtx(ctx, chip, core.Options{EnumerateLimit: 256, Log: logw})
 		if err != nil {
 			return false, 0, 0, err
 		}
@@ -421,7 +416,7 @@ func recordCondition(ctx context.Context, dir, name string, profile bool, reg *m
 }
 
 // table2 reproduces Table II: ten benchmarks, 128-bit dynamic keys.
-func table2(ctx context.Context, scale, trials, keyBits, portfolio, maxIters, workers int, recordDir string, profile, analytic bool, reg *metrics.Registry, bus *stream.Bus, logw io.Writer) ([]condRow, error) {
+func table2(ctx context.Context, scale, trials, keyBits, maxIters, workers int, recordDir string, profile, analytic bool, reg *metrics.Registry, bus *stream.Bus, logw io.Writer) ([]condRow, error) {
 	title := fmt.Sprintf("Table II: scan locked circuits with %d-bit dynamic keys (EFF-Dyn, %d trial(s)", keyBits, trials)
 	if scale > 1 {
 		title += fmt.Sprintf(", circuits and keys scaled 1/%d", scale)
@@ -440,7 +435,6 @@ func table2(ctx context.Context, scale, trials, keyBits, portfolio, maxIters, wo
 			Policy:        dynunlock.PerCycle,
 			Scale:         scale,
 			Trials:        trials,
-			Portfolio:     portfolio,
 			MaxIterations: maxIters,
 			SeedBase:      100,
 			Analytic:      analytic,
@@ -485,7 +479,7 @@ func table2(ctx context.Context, scale, trials, keyBits, portfolio, maxIters, wo
 
 // table3 reproduces Table III: key-size sweep on the three largest
 // benchmarks.
-func table3(ctx context.Context, scale, trials, portfolio, maxIters, workers int, recordDir string, profile, analytic bool, reg *metrics.Registry, bus *stream.Bus, logw io.Writer) ([]condRow, error) {
+func table3(ctx context.Context, scale, trials, maxIters, workers int, recordDir string, profile, analytic bool, reg *metrics.Registry, bus *stream.Bus, logw io.Writer) ([]condRow, error) {
 	benches := []string{"s38584", "s38417", "s35932"}
 	title := "Table III: larger keys on the three largest benchmarks"
 	if scale > 1 {
@@ -514,7 +508,6 @@ func table3(ctx context.Context, scale, trials, portfolio, maxIters, workers int
 			Policy:        dynunlock.PerCycle,
 			Scale:         scale,
 			Trials:        trials,
-			Portfolio:     portfolio,
 			MaxIterations: maxIters,
 			SeedBase:      int64(c.kb),
 			Analytic:      analytic,

@@ -15,7 +15,8 @@
 //   - internal/scan     — scan-chain geometry and cycle timing
 //   - internal/lock     — EFF / DOS / EFF-Dyn scan locking
 //   - internal/oracle   — the attacker-owned chip (Fig. 2 authentication)
-//   - internal/encode   — Tseitin CNF encoding and miters
+//   - internal/aig      — and-inverter graphs compiled from netlists
+//   - internal/encode   — AIG encoding with native XOR rows, and miters
 //   - internal/satattack— the classic oracle-guided SAT attack
 //   - internal/core     — DynUnlock itself (Algorithm 1 + attack loop)
 //   - internal/scansat  — the ScanSAT static baseline

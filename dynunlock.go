@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
-	"runtime"
-	"strconv"
 	"time"
 
 	"dynunlock/internal/anatomy"
@@ -66,9 +63,6 @@ type ExperimentConfig struct {
 	Trials int
 	// Mode selects the attack formulation (default ModeLinear).
 	Mode Mode
-	// Portfolio is the number of diversified SAT solver instances racing
-	// each SAT call within a trial (<= 1 = sequential).
-	Portfolio int
 	// EnumerateLimit bounds seed-candidate enumeration (0 = 256).
 	EnumerateLimit int
 	// MaxIterations bounds each trial's DIP loop (0 = unlimited); extraction
@@ -125,9 +119,9 @@ type TrialResult struct {
 	// this trial (see core.Result); the trial's counters stay valid.
 	Stopped    bool
 	StopReason core.StopReason
-	// SolverStats snapshots the CDCL solver counters for the trial (summed
-	// over portfolio instances), making perf trajectories comparable across
-	// machines: conflicts don't depend on clock speed.
+	// SolverStats snapshots the CDCL solver counters for the trial, making
+	// perf trajectories comparable across machines: conflicts don't depend
+	// on clock speed.
 	SolverStats sat.Stats
 }
 
@@ -187,19 +181,6 @@ func (r *ExperimentResult) avg(f func(TrialResult) float64) float64 {
 		sum += f(t)
 	}
 	return sum / float64(len(r.Trials))
-}
-
-// ParallelDefault returns the worker count for concurrent sweeps: the
-// DYNUNLOCK_PARALLEL environment variable when set to a positive integer,
-// otherwise runtime.GOMAXPROCS(0). A value of 1 forces the sequential
-// reference path everywhere.
-func ParallelDefault() int {
-	if s := os.Getenv("DYNUNLOCK_PARALLEL"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v >= 1 {
-			return v
-		}
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // LockBenchmark builds the synthetic stand-in for a named benchmark,
@@ -327,7 +308,6 @@ func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (*ExperimentRes
 			Scale:          cfg.Scale,
 			Trials:         cfg.Trials,
 			Mode:           cfg.Mode.String(),
-			Portfolio:      cfg.Portfolio,
 			EnumerateLimit: cfg.EnumerateLimit,
 			MaxIterations:  cfg.MaxIterations,
 			SeedBase:       cfg.SeedBase,
@@ -350,7 +330,6 @@ func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (*ExperimentRes
 		}
 		opts := core.Options{
 			Mode:           cfg.Mode,
-			Portfolio:      cfg.Portfolio,
 			EnumerateLimit: cfg.EnumerateLimit,
 			MaxIterations:  cfg.MaxIterations,
 			Log:            cfg.Log,

@@ -374,9 +374,9 @@ func FromCombView(v *netlist.CombView) (*Graph, error) {
 }
 
 // Sim is a reusable bit-parallel evaluator over a finished graph. The
-// graph itself stays read-only, so one graph can back many Sims (e.g. one
-// per portfolio instance) concurrently; each Sim carries its own value
-// buffer and is not goroutine-safe.
+// graph itself stays read-only, so one graph can back many Sims
+// concurrently; each Sim carries its own value buffer and is not
+// goroutine-safe.
 type Sim struct {
 	g   *Graph
 	val []uint64

@@ -121,18 +121,18 @@ func TestCaptureSegmentsAtDIPBoundaries(t *testing.T) {
 	c := NewCapture()
 
 	// Observations before any trial are dropped, not crashed on.
-	c.SearchLearnt(0, 5, 10)
-	c.SearchRestart(0, 3)
+	c.SearchLearnt(5, 10)
+	c.SearchRestart(3)
 
 	c.StartTrial(1)
-	c.SearchLearnt(0, 2, 4)  // glue clause → bucket <=2
-	c.SearchLearnt(0, 7, 12) // → bucket <=8
-	c.SearchRestart(0, 100)
+	c.SearchLearnt(2, 4)  // glue clause → bucket <=2
+	c.SearchLearnt(7, 12) // → bucket <=8
+	c.SearchRestart(100)
 	c.ObserveDIP(1, nil, nil, sat.Stats{}, 0)
-	c.SearchLearnt(0, 100, 50) // beyond the last bound → overflow bucket
+	c.SearchLearnt(100, 50) // beyond the last bound → overflow bucket
 	c.ObserveDIP(2, nil, nil, sat.Stats{}, 0)
-	c.SearchLearnt(0, 3, 3) // after the last DIP: trial-wide only
-	c.SearchRestart(0, 7)
+	c.SearchLearnt(3, 3) // after the last DIP: trial-wide only
+	c.SearchRestart(7)
 	c.EndTrial()
 
 	doc := c.Doc()

@@ -17,9 +17,8 @@ var LBDBounds = []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64}
 // sampled learnt-clause LBD/size observations and restarts, segmented at
 // DIP boundaries. It implements satattack.SearchObserver (SearchLearnt,
 // SearchRestart), and ObserveDIP matches satattack.DIPObserver so it
-// chains onto the existing OnDIP hook. All methods are mutex-serialized:
-// portfolio instances report concurrently and the capture aggregates
-// across them.
+// chains onto the existing OnDIP hook. All methods are mutex-serialized,
+// so Live can read from another goroutine while the attack reports.
 //
 // Usage per trial: StartTrial, attack (hooks fire), EndTrial. Doc seals
 // the accumulated trials into the anatomy.json document.
@@ -66,8 +65,8 @@ func (c *Capture) sealLocked() {
 }
 
 // SearchLearnt implements satattack.SearchObserver: one sampled learnt
-// clause. Instances aggregate together.
-func (c *Capture) SearchLearnt(_ int, lbd int32, size int) {
+// clause.
+func (c *Capture) SearchLearnt(lbd int32, size int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.cur == nil {
@@ -79,7 +78,7 @@ func (c *Capture) SearchLearnt(_ int, lbd int32, size int) {
 
 // SearchRestart implements satattack.SearchObserver: one solver restart
 // with its segment conflict count.
-func (c *Capture) SearchRestart(_ int, conflicts uint64) {
+func (c *Capture) SearchRestart(conflicts uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.cur == nil {

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"dynunlock/internal/aig"
 	"dynunlock/internal/cnf"
 	"dynunlock/internal/encode"
 	"dynunlock/internal/fault"
@@ -47,16 +48,19 @@ func (r Result) String() string {
 // GenerateTest finds an input pattern detecting fault f on view v, or
 // proves the fault redundant. conflictBudget 0 means unlimited.
 func GenerateTest(v *netlist.CombView, f fault.Fault, conflictBudget int64) ([]bool, Result, error) {
+	good, err := aig.FromCombView(v)
+	if err != nil {
+		return nil, Aborted, fmt.Errorf("atpg: %w", err)
+	}
 	s := sat.New()
 	s.ConflictBudget = conflictBudget
 	e := encode.New(s)
 	in := e.FreshVec(len(v.Inputs))
-	good := e.EncodeComb(v, in)
-	bad, err := encodeFaulty(e, v, in, f)
+	bad, err := encodeFaulty(e, v, good, in, f)
 	if err != nil {
 		return nil, Aborted, err
 	}
-	act := e.Miter(good, bad)
+	act := e.Miter(e.EncodeAIG(good, in), bad)
 	switch s.Solve(act) {
 	case sat.Sat:
 		return e.ModelBits(in), Detected, nil
@@ -68,78 +72,26 @@ func GenerateTest(v *netlist.CombView, f fault.Fault, conflictBudget int64) ([]b
 }
 
 // encodeFaulty encodes a copy of v with f.Signal replaced by its stuck
-// value everywhere it is read.
-func encodeFaulty(e *encode.Encoder, v *netlist.CombView, in []cnf.Lit, f fault.Fault) ([]cnf.Lit, error) {
-	n := v.N
-	lits := make([]cnf.Lit, n.NumSignals())
-	have := make([]bool, n.NumSignals())
+// value everywhere it is read. A fault site that is a view input reuses
+// the fault-free graph with that input's literal replaced by the stuck
+// constant; any other site is cut out of the netlist as an extra graph
+// input bound to the constant, so its fan-in cone drops out of the copy.
+func encodeFaulty(e *encode.Encoder, v *netlist.CombView, good *aig.Graph, in []cnf.Lit, f fault.Fault) ([]cnf.Lit, error) {
+	stuck := e.Const(f.StuckAt)
 	for i, sig := range v.Inputs {
-		lits[sig] = in[i]
-		have[sig] = true
-	}
-	for id := 0; id < n.NumSignals(); id++ {
-		switch n.Type(netlist.SignalID(id)) {
-		case netlist.Const0:
-			lits[id] = e.False()
-			have[id] = true
-		case netlist.Const1:
-			lits[id] = e.True()
-			have[id] = true
+		if sig == f.Signal {
+			lits := append([]cnf.Lit(nil), in...)
+			lits[i] = stuck
+			return e.EncodeAIG(good, lits), nil
 		}
 	}
-	force := func(id netlist.SignalID) {
-		lits[id] = e.Const(f.StuckAt)
-		have[id] = true
+	cut := *v
+	cut.Inputs = append(append([]netlist.SignalID(nil), v.Inputs...), f.Signal)
+	g, err := aig.FromCombView(&cut)
+	if err != nil {
+		return nil, fmt.Errorf("atpg: %w", err)
 	}
-	if have[f.Signal] {
-		force(f.Signal)
-	}
-	for _, id := range v.Order {
-		if id == f.Signal {
-			force(id)
-			continue
-		}
-		g := n.Gate(id)
-		fan := make([]cnf.Lit, len(g.Fanin))
-		for i, fi := range g.Fanin {
-			if !have[fi] {
-				return nil, fmt.Errorf("atpg: signal %q unresolved", n.SignalName(fi))
-			}
-			fan[i] = lits[fi]
-		}
-		lits[id] = encodeGate(e, g.Type, fan)
-		have[id] = true
-	}
-	out := make([]cnf.Lit, len(v.Outputs))
-	for i, sig := range v.Outputs {
-		out[i] = lits[sig]
-	}
-	return out, nil
-}
-
-func encodeGate(e *encode.Encoder, t netlist.GateType, fan []cnf.Lit) cnf.Lit {
-	switch t {
-	case netlist.Buf:
-		return fan[0]
-	case netlist.Not:
-		return fan[0].Not()
-	case netlist.And:
-		return e.And(fan...)
-	case netlist.Nand:
-		return e.And(fan...).Not()
-	case netlist.Or:
-		return e.Or(fan...)
-	case netlist.Nor:
-		return e.Or(fan...).Not()
-	case netlist.Xor:
-		return e.XorN(fan...)
-	case netlist.Xnor:
-		return e.XorN(fan...).Not()
-	case netlist.Mux:
-		return e.Mux(fan[0], fan[1], fan[2])
-	default:
-		panic(fmt.Sprintf("atpg: cannot encode %v", t))
-	}
+	return e.EncodeAIG(g, append(append([]cnf.Lit(nil), in...), stuck)), nil
 }
 
 // Options tunes a pattern-generation campaign.

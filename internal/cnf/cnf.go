@@ -1,6 +1,6 @@
 // Package cnf defines propositional literals, clauses, and CNF formulas,
 // with DIMACS import/export. It is the interchange layer between the
-// Tseitin encoder and the SAT solver.
+// circuit encoder and the SAT solver.
 package cnf
 
 import (

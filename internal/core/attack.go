@@ -64,13 +64,8 @@ type Options struct {
 	EnumerateLimit int
 	// MaxIterations bounds the DIP loop (0 = unlimited).
 	MaxIterations int
-	// ConflictBudget bounds total SAT conflicts (0 = unlimited; applied per
-	// portfolio instance).
+	// ConflictBudget bounds total SAT conflicts (0 = unlimited).
 	ConflictBudget int64
-	// Portfolio is the number of diversified solver instances racing each
-	// SAT call (<= 1 runs one, the sequential attack; see
-	// satattack.Options.Portfolio).
-	Portfolio int
 	// VerifyProbes is the number of random probe sessions used to check
 	// each recovered seed against the chip (attacker-side validation).
 	// 0 selects 8.
@@ -81,7 +76,7 @@ type Options struct {
 	// satattack.Options.OnDIP). The flight recorder installs it to persist
 	// the per-iteration transcript; nil keeps the hot loop untouched.
 	OnDIP satattack.DIPObserver
-	// Search, when non-nil, taps per-instance solver search telemetry (see
+	// Search, when non-nil, taps the solver's search telemetry (see
 	// satattack.Options.Search); the anatomy capture layer installs it.
 	Search satattack.SearchObserver
 	// NativeXor, AIG and Simplify are ignored: every attack encodes from a
@@ -130,13 +125,8 @@ type Result struct {
 	Verified bool
 	// Elapsed is total attack wall time.
 	Elapsed time.Duration
-	// SolverStats snapshots the CDCL solver counters (summed over portfolio
-	// instances when Options.Portfolio > 1).
+	// SolverStats snapshots the CDCL solver counters.
 	SolverStats sat.Stats
-	// InstanceStats and InstanceWins report per-solver-instance counters
-	// and race wins (one entry for sequential runs).
-	InstanceStats []sat.Stats
-	InstanceWins  []int
 	// Stopped is true when a deadline, cancellation, or budget bounded the
 	// attack (see satattack.Result.Stopped); counters and any recovered
 	// candidates remain valid, but the set may be incomplete.
@@ -145,8 +135,8 @@ type Result struct {
 	StopReason StopReason
 	// EncodeVars and EncodeClauses count solver variables and emitted
 	// clauses (including native XOR rows) attributable to circuit encoding,
-	// summed over the initial miter and every DIP-constrained copy pair
-	// (instance 0 under a portfolio). The AIG path exists to shrink these.
+	// summed over the initial miter and every DIP-constrained copy pair.
+	// The AIG path exists to shrink these.
 	EncodeVars    uint64
 	EncodeClauses uint64
 }
@@ -364,7 +354,6 @@ func AttackCtx(ctx context.Context, chip Chip, opts Options) (*Result, error) {
 // it, so each honours the same options.
 func runEngine(ctx context.Context, locked *satattack.Locked, o satattack.Oracle, opts Options, insight satattack.InsightSource, res *Result) (*satattack.Result, error) {
 	saRes, err := satattack.RunCtx(ctx, locked, o, satattack.Options{
-		Portfolio:      opts.Portfolio,
 		MaxIterations:  opts.MaxIterations,
 		EnumerateLimit: opts.EnumerateLimit,
 		ConflictBudget: opts.ConflictBudget,
@@ -381,8 +370,6 @@ func runEngine(ctx context.Context, locked *satattack.Locked, o satattack.Oracle
 	res.Analytic = saRes.Analytic
 	res.Exact = saRes.CandidatesExact
 	res.SolverStats = saRes.SolverStats
-	res.InstanceStats = saRes.InstanceStats
-	res.InstanceWins = saRes.InstanceWins
 	res.Stopped = saRes.Stopped
 	res.StopReason = saRes.StopReason
 	res.EncodeVars = saRes.EncodeVars
@@ -400,8 +387,8 @@ type Verifier struct {
 }
 
 // NewVerifier builds a verifier for the design, precomputing the session-0
-// mask matrices. The sequential core runs on the AIG fast path (bit-identical
-// to the gate-level stepper), falling back to it only if compilation fails.
+// mask matrices. The sequential core runs on the AIG stepper; a view the
+// AIG compiler rejects is an error.
 func NewVerifier(d *lock.Design) (*Verifier, error) {
 	A, B, err := maskMatrices(d, 0)
 	if err != nil {
@@ -409,7 +396,7 @@ func NewVerifier(d *lock.Design) (*Verifier, error) {
 	}
 	seq, err := sim.NewSeqAIG(d.View)
 	if err != nil {
-		seq = sim.NewSeq(d.View)
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	return &Verifier{d: d, seq: seq, a: A, b: B}, nil
 }

@@ -162,6 +162,25 @@ func TestAttackRankDeficient(t *testing.T) {
 	}
 }
 
+// A mid-size locked circuit must satisfy the analytic candidate-count
+// prediction 2^(k - rank[A;B]) exactly.
+func TestCandidatesMatchAnalyticPrediction(t *testing.T) {
+	_, chip := lockedChip(t, 12, 6, scan.PerCycle, 31, 77)
+	res, err := Attack(chip, Options{EnumerateLimit: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged || !res.Exact {
+		t.Fatal("attack not exactly converged")
+	}
+	if got, want := len(res.SeedCandidates), 1<<uint(res.PredictedLog2); got != want {
+		t.Fatalf("candidates = %d, predicted %d", got, want)
+	}
+	if !ContainsSeed(res.SeedCandidates, chip.SecretSeed()) {
+		t.Fatal("secret seed not recovered")
+	}
+}
+
 // Unlock must hand back working scan access: encode/decode through the
 // recovered seed reproduces plain scan semantics.
 func TestUnlockGrantsScanAccess(t *testing.T) {

@@ -140,7 +140,7 @@ func TestDaemonJobMatchesCLIAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diffs := flight.Compare(&refBundle.Manifest, &refBundle.Result, &jobBundle.Result); len(diffs) != 0 {
+	if diffs := flight.Compare(&refBundle.Result, &jobBundle.Result); len(diffs) != 0 {
 		t.Fatalf("daemon attack diverged from direct attack:\n  %s", strings.Join(diffs, "\n  "))
 	}
 	for i := range refBundle.Result.Trials {
@@ -157,7 +157,7 @@ func TestDaemonJobMatchesCLIAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diffs := flight.Compare(&jobBundle.Manifest, &jobBundle.Result, replayed); len(diffs) != 0 {
+	if diffs := flight.Compare(&jobBundle.Result, replayed); len(diffs) != 0 {
 		t.Fatalf("daemon bundle replay diverged:\n  %s", strings.Join(diffs, "\n  "))
 	}
 }
@@ -377,7 +377,7 @@ func TestResumeFromPartialBundleMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diffs := flight.Compare(&full.Manifest, &full.Result, &rb.Result); len(diffs) != 0 {
+	if diffs := flight.Compare(&full.Result, &rb.Result); len(diffs) != 0 {
 		t.Fatalf("resumed run diverged from uninterrupted run:\n  %s", strings.Join(diffs, "\n  "))
 	}
 }
@@ -409,7 +409,7 @@ func TestResumeRejectsPathOutsideDataDir(t *testing.T) {
 		if _, code := submitRaw(t, d.Addr(), daemon.JobSpec{Resume: name}); code != http.StatusBadRequest {
 			t.Errorf("resume %q: status %d, want 400", name, code)
 		}
-		if v, _ := d.Registry().SumLabeled(daemon.MetricJobsRejected, "reason", "invalid"); v != float64(i+1) {
+		if v, _ := d.Registry().Sum(daemon.MetricJobsRejected, "reason", "invalid"); v != float64(i+1) {
 			t.Errorf("resume %q: invalid rejections = %v, want %d", name, v, i+1)
 		}
 	}

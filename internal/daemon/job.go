@@ -419,7 +419,7 @@ func (d *Daemon) runJob(j *Job) {
 	// The bundle's metrics.json is scoped to this job's series, so its
 	// totals equal what /events?job=<id> reported — one source of truth
 	// per job even though the registry is shared.
-	if err := rec.WriteMetricsSnapshot(d.reg.SnapshotLabeled("job", j.ID)); err != nil && runErr == nil {
+	if err := rec.WriteMetricsSnapshot(d.reg.Snapshot("job", j.ID)); err != nil && runErr == nil {
 		runErr = err
 	}
 	if err := rec.Close(); err != nil && runErr == nil {

@@ -21,70 +21,68 @@ func graphFor(t testing.TB, v *netlist.CombView) *aig.Graph {
 	return g
 }
 
-// The AIG pipeline must agree with the simulator on every input pattern,
-// under both the pure-CNF and native-XOR encodings.
+// A copy whose inputs mix constants and free literals — the shape of the
+// attack's DIP-constrained copies — must agree with the simulator on every
+// pattern of the free inputs: constant folding and the liveness sweep may
+// drop nodes but never change an output.
 func TestEncodeAIGMatchesSimulatorExhaustive(t *testing.T) {
-	for _, cfg := range []Config{{}, {NativeXor: true}} {
-		rng := rand.New(rand.NewSource(41))
-		for trial := 0; trial < 25; trial++ {
-			nIn := 2 + rng.Intn(5)
-			v := randomCircuit(rng, nIn, 3+rng.Intn(25))
-			g := graphFor(t, v)
-			simulator := sim.NewComb(v)
-			s := sat.New()
-			e := NewWithConfig(s, cfg)
-			inLits := e.FreshVec(len(v.Inputs))
-			outLits := e.EncodeAIG(g, inLits)
-			for pat := 0; pat < 1<<uint(nIn); pat++ {
-				in := make([]bool, nIn)
-				assumptions := make([]cnf.Lit, nIn)
-				for i := range in {
-					in[i] = pat>>uint(i)&1 == 1
-					assumptions[i] = inLits[i]
-					if !in[i] {
-						assumptions[i] = inLits[i].Not()
-					}
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 25; trial++ {
+		nIn := 2 + rng.Intn(5)
+		v := randomCircuit(rng, nIn, 3+rng.Intn(25))
+		g := graphFor(t, v)
+		simulator := sim.NewComb(v)
+		s := sat.New()
+		e := New(s)
+		// Each input is a constant with probability 1/3, else a fresh literal.
+		constant := make([]bool, nIn)
+		fixed := make([]bool, nIn)
+		inLits := make([]cnf.Lit, nIn)
+		for i := range inLits {
+			if constant[i] = rng.Intn(3) == 0; constant[i] {
+				fixed[i] = rng.Intn(2) == 1
+				inLits[i] = e.Const(fixed[i])
+			} else {
+				inLits[i] = e.Fresh()
+			}
+		}
+		outLits := e.EncodeAIG(g, inLits)
+		for pat := 0; pat < 1<<uint(nIn); pat++ {
+			in := make([]bool, nIn)
+			var assumptions []cnf.Lit
+			skip := false
+			for i := range in {
+				in[i] = pat>>uint(i)&1 == 1
+				if constant[i] {
+					skip = skip || in[i] != fixed[i]
+					continue
 				}
-				if s.Solve(assumptions...) != sat.Sat {
-					t.Fatalf("cfg %+v trial %d pat %d: UNSAT", cfg, trial, pat)
+				l := inLits[i]
+				if !in[i] {
+					l = l.Not()
 				}
-				got := e.ModelBits(outLits)
-				want := simulator.EvalBits(in)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("cfg %+v trial %d pat %d out %d: aig=%v sim=%v", cfg, trial, pat, i, got[i], want[i])
-					}
+				assumptions = append(assumptions, l)
+			}
+			if skip {
+				continue
+			}
+			if s.Solve(assumptions...) != sat.Sat {
+				t.Fatalf("trial %d pat %d: UNSAT", trial, pat)
+			}
+			got := e.ModelBits(outLits)
+			want := simulator.EvalBits(in)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d pat %d out %d: aig=%v sim=%v", trial, pat, i, got[i], want[i])
 				}
 			}
 		}
 	}
 }
 
-// An AIG copy and a direct copy of the same circuit over shared inputs can
-// never differ: the cross-pipeline miter must be UNSAT.
-func TestEncodeAIGEquivalentToDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 20; trial++ {
-		v := randomCircuit(rng, 4, 24)
-		g := graphFor(t, v)
-		s := sat.New()
-		e := New(s)
-		in := e.FreshVec(len(v.Inputs))
-		y1 := e.EncodeComb(v, in)
-		y2 := e.EncodeAIG(g, in)
-		act := e.Miter(y1, y2)
-		if s.Solve(act) != sat.Unsat {
-			t.Fatalf("trial %d: AIG copy differs from direct copy", trial)
-		}
-		if s.Solve() != sat.Sat {
-			t.Fatalf("trial %d: solver unusable after miter", trial)
-		}
-	}
-}
-
 // A fully constant-input copy must collapse to constants without emitting a
-// single clause, and a DIP-style copy (constant non-key inputs, shared key
-// literals) must emit far fewer clauses than a direct re-encode.
+// single clause, and a DIP-style copy (half the inputs constant, half free)
+// must emit fewer constraints than a copy with every input free.
 func TestEncodeAIGConstantCollapse(t *testing.T) {
 	e2 := bench.Table2[0].Scaled(16)
 	n, err := e2.Build(0)
@@ -129,27 +127,17 @@ func TestEncodeAIGConstantCollapse(t *testing.T) {
 			mixed[i] = free[i-half]
 		}
 	}
-	before = s.NumClauses()
+	emitted := func() int { return s.NumClauses() + s.NumXors() }
+	before = emitted()
 	e.EncodeAIG(g, mixed)
-	aigDelta := s.NumClauses() - before
+	mixedDelta := emitted() - before
 
-	s2 := sat.New()
-	e2e := New(s2)
-	mixed2 := make([]cnf.Lit, len(v.Inputs))
-	free2 := e2e.FreshVec(len(v.Inputs) - half)
-	for i := range mixed2 {
-		if i < half {
-			mixed2[i] = e2e.Const(vals[i])
-		} else {
-			mixed2[i] = free2[i-half]
-		}
-	}
-	before = s2.NumClauses()
-	e2e.EncodeComb(v, mixed2)
-	directDelta := s2.NumClauses() - before
+	before = emitted()
+	e.EncodeAIG(g, e.FreshVec(len(v.Inputs)))
+	freeDelta := emitted() - before
 
-	if aigDelta > directDelta {
-		t.Errorf("AIG copy emitted more clauses than direct: %d vs %d", aigDelta, directDelta)
+	if mixedDelta >= freeDelta {
+		t.Errorf("DIP-style copy emitted %d constraints, free copy %d", mixedDelta, freeDelta)
 	}
-	t.Logf("DIP-style copy: aig %d clauses vs direct %d (%.1fx)", aigDelta, directDelta, float64(directDelta)/float64(aigDelta+1))
+	t.Logf("DIP-style copy: %d constraints vs free copy %d (%.1fx)", mixedDelta, freeDelta, float64(freeDelta)/float64(mixedDelta+1))
 }

@@ -10,6 +10,7 @@ package equiv
 import (
 	"fmt"
 
+	"dynunlock/internal/aig"
 	"dynunlock/internal/cnf"
 	"dynunlock/internal/encode"
 	"dynunlock/internal/netlist"
@@ -37,13 +38,19 @@ func Check(a, b *netlist.CombView, conflictBudget int64) (Result, error) {
 	if len(a.Outputs) != len(b.Outputs) {
 		return Result{}, fmt.Errorf("equiv: output arity %d vs %d", len(a.Outputs), len(b.Outputs))
 	}
+	ga, err := aig.FromCombView(a)
+	if err != nil {
+		return Result{}, fmt.Errorf("equiv: %w", err)
+	}
+	gb, err := aig.FromCombView(b)
+	if err != nil {
+		return Result{}, fmt.Errorf("equiv: %w", err)
+	}
 	s := sat.New()
 	s.ConflictBudget = conflictBudget
 	e := encode.New(s)
 	in := e.FreshVec(len(a.Inputs))
-	ya := e.EncodeComb(a, in)
-	yb := e.EncodeComb(b, in)
-	return decide(s, e, in, ya, yb)
+	return decide(s, e, in, e.EncodeAIG(ga, in), e.EncodeAIG(gb, in))
 }
 
 // CheckKeyed decides whether one locked view under key1 computes the same
@@ -64,6 +71,10 @@ func CheckKeyed(view *netlist.CombView, keyIdx []int, key1, key2 []bool, conflic
 		}
 		isKey[i] = true
 	}
+	g, err := aig.FromCombView(view)
+	if err != nil {
+		return Result{}, fmt.Errorf("equiv: %w", err)
+	}
 	s := sat.New()
 	s.ConflictBudget = conflictBudget
 	e := encode.New(s)
@@ -83,9 +94,7 @@ func CheckKeyed(view *netlist.CombView, keyIdx []int, key1, key2 []bool, conflic
 		full1[i] = e.Const(key1[ki])
 		full2[i] = e.Const(key2[ki])
 	}
-	y1 := e.EncodeComb(view, full1)
-	y2 := e.EncodeComb(view, full2)
-	return decide(s, e, free, y1, y2)
+	return decide(s, e, free, e.EncodeAIG(g, full1), e.EncodeAIG(g, full2))
 }
 
 func decide(s *sat.Solver, e *encode.Encoder, in, ya, yb []cnf.Lit) (Result, error) {

@@ -20,7 +20,6 @@ type BenchRow struct {
 	KeyBits           int     `json:"keyBits"`
 	Policy            string  `json:"policy"`
 	Mode              string  `json:"mode"`
-	Portfolio         int     `json:"portfolio"`
 	Analytic          bool    `json:"analytic,omitempty"`
 	Trials            int     `json:"trials"`
 	AvgCandidates     float64 `json:"avgCandidates"`
@@ -39,9 +38,9 @@ type BenchRow struct {
 }
 
 // ConfigString renders the row's configuration for reports:
-// "scale=16 k=8 per-cycle linear pf=0", plus " analytic" when armed.
+// "scale=16 k=8 per-cycle linear", plus " analytic" when armed.
 func (r BenchRow) ConfigString() string {
-	s := fmt.Sprintf("scale=%d k=%d %s %s pf=%d", r.Scale, r.KeyBits, r.Policy, r.Mode, r.Portfolio)
+	s := fmt.Sprintf("scale=%d k=%d %s %s", r.Scale, r.KeyBits, r.Policy, r.Mode)
 	if r.Analytic {
 		s += " analytic"
 	}
@@ -67,7 +66,6 @@ func BenchRowFrom(b *Bundle) BenchRow {
 		KeyBits:    m.Lock.KeyBits,
 		Policy:     m.Lock.Policy,
 		Mode:       m.Mode,
-		Portfolio:  m.Portfolio,
 		Analytic:   m.Analytic,
 		Trials:     len(b.Result.Trials),
 		GoVersion:  m.Fingerprint.GoVersion,
@@ -123,7 +121,7 @@ func (f *BenchFile) Write(path string) error {
 }
 
 // FindRow returns the ledger row matching a bundle's configuration
-// (benchmark, scale, key width, policy, mode, portfolio, analytic), for
+// (benchmark, scale, key width, policy, mode, analytic), for
 // baseline comparisons; ok is false when no row matches. Analytic is part
 // of the key because the short-circuit changes the iteration count.
 func (f *BenchFile) FindRow(row BenchRow) (BenchRow, bool) {
@@ -131,8 +129,7 @@ func (f *BenchFile) FindRow(row BenchRow) (BenchRow, bool) {
 		r := f.Rows[i]
 		if r.Benchmark == row.Benchmark && r.Scale == row.Scale &&
 			r.KeyBits == row.KeyBits && r.Policy == row.Policy &&
-			r.Mode == row.Mode && r.Portfolio == row.Portfolio &&
-			r.Analytic == row.Analytic {
+			r.Mode == row.Mode && r.Analytic == row.Analytic {
 			return r, true
 		}
 	}

@@ -78,7 +78,6 @@ type Manifest struct {
 	Scale          int    `json:"scale"`
 	Trials         int    `json:"trials"`
 	Mode           string `json:"mode"` // "linear" | "direct"
-	Portfolio      int    `json:"portfolio"`
 	EnumerateLimit int    `json:"enumerateLimit"`
 	MaxIterations  int    `json:"maxIterations"`
 	// SeedBase is the seed of record: every per-trial chip secret derives

@@ -241,8 +241,7 @@ type recordingChip struct {
 	trial     int
 	// lastCycles is the cycle cost of the most recent session, set by the
 	// recorder's session hook before SessionN returns. Attack layers issue
-	// sessions sequentially (DIP queries and probes are serialized even
-	// under a portfolio), so a single slot suffices.
+	// sessions sequentially, so a single slot suffices.
 	lastCycles uint64
 }
 
@@ -343,7 +342,7 @@ func (r *Recorder) WriteMetrics(reg *metrics.Registry) error {
 
 // WriteMetricsSnapshot writes metrics.json from a prebuilt snapshot map
 // — the daemon scopes a shared registry down to one job's series
-// (Registry.SnapshotLabeled) before recording it, so a job's bundle
+// (Registry.Snapshot with a label pair) before recording it, so a job's bundle
 // carries only its own totals.
 func (r *Recorder) WriteMetricsSnapshot(snap map[string]any) error {
 	if snap == nil {

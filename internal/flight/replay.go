@@ -26,12 +26,10 @@ import (
 // returned by Err, and the session gets correctly-sized zero outputs so the
 // attack can wind down.
 //
-// Bit-identical replay is guaranteed for sequentially recorded bundles
-// (portfolio 1): the sequential engine is deterministic, so the replayed
-// attack issues exactly the recorded queries and reproduces the recorded
-// result. Portfolio-recorded bundles replay best-effort — the recorded
-// transcript covers one race schedule, and a replay that diverges from it
-// reports ErrOracleMiss rather than inventing responses.
+// Replay is bit-identical: the attack engine is deterministic, so the
+// replayed attack issues exactly the recorded queries and reproduces the
+// recorded result. A replay that diverges from the transcript reports
+// ErrOracleMiss rather than inventing responses.
 type Replay struct {
 	design *lock.Design
 
@@ -167,10 +165,8 @@ func (r *Replay) SessionN(testKey, scanIn []bool, pis [][]bool) (scanOut []bool,
 
 // Replay re-runs the recorded experiment offline: every trial in
 // result.json is re-attacked through a replay oracle built from
-// oracle.jsonl, under the manifest's attack options. The engine is forced
-// sequential regardless of the recorded portfolio width — replay has no
-// silicon to race for, and the sequential engine is what makes the re-run
-// bit-identical. Success is scored against the recorded secret seed.
+// oracle.jsonl, under the manifest's attack options. Success is scored
+// against the recorded secret seed.
 func (b *Bundle) Replay(ctx context.Context) (*ResultDoc, error) {
 	mode := core.ModeLinear
 	if b.Manifest.Mode == "direct" {
@@ -222,15 +218,13 @@ func (b *Bundle) Replay(ctx context.Context) (*ResultDoc, error) {
 }
 
 // Compare diffs the deterministic fields of a recorded and a replayed
-// result: per-trial seed-candidate sets, iteration and query counts, and
-// the exact/converged/success flags. When the manifest records a
-// sequential run (portfolio ≤ 1) the search itself is deterministic, so
-// every solver counter stored per trial must match too, and a moved
-// counter is named: it means the solver took a different search path.
-// Portfolio races finish on whichever instance wins, so their counters are
-// not compared. Wall times never are. An empty slice means the replay is
-// bit-identical on everything the attack computes.
-func Compare(m *Manifest, recorded, replayed *ResultDoc) []string {
+// result: per-trial seed-candidate sets, iteration and query counts, the
+// exact/converged/success flags, and every solver counter stored per
+// trial. The search is deterministic, so a moved counter is named: it
+// means the solver took a different search path. Wall times are never
+// compared. An empty slice means the replay is bit-identical on
+// everything the attack computes.
+func Compare(recorded, replayed *ResultDoc) []string {
 	var diffs []string
 	if len(recorded.Trials) != len(replayed.Trials) {
 		return []string{fmt.Sprintf("trial count: recorded %d, replayed %d",
@@ -257,10 +251,8 @@ func Compare(m *Manifest, recorded, replayed *ResultDoc) []string {
 		if a.Success != b.Success {
 			diffs = append(diffs, fmt.Sprintf("%ssuccess %v != %v", pfx, a.Success, b.Success))
 		}
-		if m.Portfolio <= 1 {
-			for _, c := range a.Solver.diff(b.Solver) {
-				diffs = append(diffs, pfx+"solver "+c)
-			}
+		for _, c := range a.Solver.diff(b.Solver) {
+			diffs = append(diffs, pfx+"solver "+c)
 		}
 		if len(a.SeedCandidates) != len(b.SeedCandidates) {
 			diffs = append(diffs, fmt.Sprintf("%scandidates %d != %d",

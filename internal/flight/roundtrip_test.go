@@ -75,7 +75,7 @@ func TestRecordReplayBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if diffs := flight.Compare(&b.Manifest, &b.Result, replayed); len(diffs) != 0 {
+			if diffs := flight.Compare(&b.Result, replayed); len(diffs) != 0 {
 				t.Fatalf("replay diverged:\n  %s", strings.Join(diffs, "\n  "))
 			}
 			// Spot-check the bit-identical fields the issue pins down.

@@ -1,6 +1,6 @@
 package flight_test
 
-// Search-path gate: a sequentially recorded bundle fixes not only what the
+// Search-path gate: a recorded bundle fixes not only what the
 // attack found but how the solver searched for it. Replaying one must
 // reproduce every solver counter in result.json, so a solver change that
 // alters a decision, the propagation order or a tie-break fails here even
@@ -39,14 +39,14 @@ func TestCommittedBundlesReplaySearch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if diffs := flight.Compare(&b.Manifest, &b.Result, replayed); len(diffs) != 0 {
+			if diffs := flight.Compare(&b.Result, replayed); len(diffs) != 0 {
 				t.Fatalf("replay diverged from the committed recording:\n  %s", strings.Join(diffs, "\n  "))
 			}
 		})
 	}
 }
 
-// replayTampered copies a committed sequential bundle, raises trial 0's
+// replayTampered copies a committed bundle, raises trial 0's
 // recorded conflict count by one, and replays the copy.
 func replayTampered(t *testing.T) (*flight.Bundle, *flight.ResultDoc) {
 	t.Helper()
@@ -79,9 +79,6 @@ func replayTampered(t *testing.T) (*flight.Bundle, *flight.ResultDoc) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := b.Manifest.Portfolio; p > 1 {
-		t.Fatalf("fixture recorded with portfolio %d, want a sequential bundle", p)
-	}
 	replayed, err := b.Replay(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -93,17 +90,8 @@ func TestCompareNamesMovedSolverCounter(t *testing.T) {
 	b, replayed := replayTampered(t)
 	rec := b.Result.Trials[0].Solver.Conflicts
 	want := fmt.Sprintf("trial 0: solver conflicts %d != %d", rec, rec-1)
-	diffs := flight.Compare(&b.Manifest, &b.Result, replayed)
+	diffs := flight.Compare(&b.Result, replayed)
 	if len(diffs) != 1 || diffs[0] != want {
 		t.Fatalf("Compare = %q, want [%q]", diffs, want)
-	}
-}
-
-func TestCompareIgnoresPortfolioSolverCounters(t *testing.T) {
-	b, replayed := replayTampered(t)
-	m := b.Manifest
-	m.Portfolio = 4
-	if diffs := flight.Compare(&m, &b.Result, replayed); len(diffs) != 0 {
-		t.Fatalf("portfolio run compared solver counters: %q", diffs)
 	}
 }

@@ -23,8 +23,8 @@
 // the base of the DIP-rate ETA. Progress is published three ways:
 // metrics gauges (dynunlock_insight_*), "insight" trace events, and the
 // extended -progress line (internal/metrics.Progress picks the gauges
-// up). The tracker is safe for concurrent Observe calls (portfolio
-// engines) and its final rank is insertion-order independent.
+// up). The tracker is safe for concurrent Observe calls and its final
+// rank is insertion-order independent.
 package insight
 
 import (

@@ -206,9 +206,9 @@ func TestRankMatchesBruteForceXOROnly(t *testing.T) {
 	}
 }
 
-// TestObserveConcurrentOrderIndependent covers portfolio-mode delivery:
-// concurrent Observe calls must be race-free and the final rank must not
-// depend on arrival order.
+// TestObserveConcurrentOrderIndependent covers concurrent delivery:
+// Observe calls from several goroutines must be race-free and the final
+// rank must not depend on arrival order.
 func TestObserveConcurrentOrderIndependent(t *testing.T) {
 	const k = 10
 	d := lockedDesign(t, xorBench, k)

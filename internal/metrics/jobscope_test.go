@@ -20,19 +20,19 @@ func TestRegistryLabeledViewsAndScopedReads(t *testing.T) {
 	j2.Counter(MetricAttackDIPs, "engine", "sequential").Add(5)
 	r.Counter(MetricAttackDIPs, "engine", "sequential").Add(7) // unscoped
 
-	if got, ok := r.SumLabeled(MetricAttackDIPs, "job", "j1"); !ok || got != 3 {
-		t.Fatalf("SumLabeled j1 = %v,%v want 3,true", got, ok)
+	if got, ok := r.Sum(MetricAttackDIPs, "job", "j1"); !ok || got != 3 {
+		t.Fatalf("Sum j1 = %v,%v want 3,true", got, ok)
 	}
-	if got, ok := r.SumLabeled(MetricAttackDIPs, "job", "j2"); !ok || got != 5 {
-		t.Fatalf("SumLabeled j2 = %v,%v want 5,true", got, ok)
+	if got, ok := r.Sum(MetricAttackDIPs, "job", "j2"); !ok || got != 5 {
+		t.Fatalf("Sum j2 = %v,%v want 5,true", got, ok)
 	}
 	if got, _ := r.Sum(MetricAttackDIPs); got != 15 {
 		t.Fatalf("unfiltered Sum = %v, want 15", got)
 	}
 
-	snap := r.SnapshotLabeled("job", "j1")
+	snap := r.Snapshot("job", "j1")
 	if len(snap) != 1 {
-		t.Fatalf("SnapshotLabeled j1 has %d series, want 1: %v", len(snap), snap)
+		t.Fatalf("Snapshot j1 has %d series, want 1: %v", len(snap), snap)
 	}
 	for k, v := range snap {
 		if !strings.Contains(k, `job="j1"`) || v.(float64) != 3 {
@@ -43,16 +43,16 @@ func TestRegistryLabeledViewsAndScopedReads(t *testing.T) {
 	bounds := []float64{0.1, 1, 10}
 	j1.Histogram(MetricAttackDIPSolveSec, bounds).Observe(0.05)
 	j2.Histogram(MetricAttackDIPSolveSec, bounds).Observe(5)
-	if q, ok := r.QuantileOfLabeled(MetricAttackDIPSolveSec, 0.5, "job", "j2"); !ok || q <= 1 {
-		t.Fatalf("QuantileOfLabeled j2 = %v,%v want >1", q, ok)
+	if q, ok := r.QuantileOf(MetricAttackDIPSolveSec, 0.5, "job", "j2"); !ok || q <= 1 {
+		t.Fatalf("QuantileOf j2 = %v,%v want >1", q, ok)
 	}
 	// Nil and empty-pair views degrade to unscoped behavior.
 	var nr *Registry
 	if nr.WithLabels("job", "x") != nil {
 		t.Fatal("nil registry WithLabels should return nil handle")
 	}
-	if got, ok := r.SumLabeled(MetricAttackDIPs); !ok || got != 15 {
-		t.Fatalf("SumLabeled with no pairs = %v,%v want unfiltered 15,true", got, ok)
+	if got, ok := r.Sum(MetricAttackDIPs); !ok || got != 15 {
+		t.Fatalf("Sum with no pairs = %v,%v want unfiltered 15,true", got, ok)
 	}
 }
 

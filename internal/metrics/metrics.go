@@ -15,8 +15,8 @@
 //
 // Metric naming follows Prometheus conventions and is documented in
 // DESIGN.md §3e: dynunlock_sat_* (solver), dynunlock_attack_* (DIP loop),
-// dynunlock_portfolio_* (race wins), dynunlock_oracle_* (tester time),
-// dynunlock_sweep_* (condition sweeps), dynunlock_process_* (runtime).
+// dynunlock_oracle_* (tester time), dynunlock_sweep_* (condition sweeps),
+// dynunlock_process_* (runtime).
 package metrics
 
 import (
@@ -51,7 +51,7 @@ const (
 	MetricSatSimplifyRemoved      = "dynunlock_sat_simplify_removed_total"
 	MetricSatSimplifyStrengthened = "dynunlock_sat_simplify_strengthened_total"
 
-	// Attack series (label: engine = sequential | portfolio).
+	// Attack series (label: engine = sequential).
 	MetricAttackDIPs        = "dynunlock_attack_dips_total"
 	MetricAttackQueries     = "dynunlock_attack_oracle_queries_total"
 	MetricAttackIterations  = "dynunlock_attack_iterations"
@@ -61,9 +61,6 @@ const (
 	// copy. Clause counts include native XOR rows.
 	MetricEncodeVars    = "dynunlock_encode_vars_total"
 	MetricEncodeClauses = "dynunlock_encode_clauses_total"
-
-	// Portfolio series (label: instance).
-	MetricPortfolioWins = "dynunlock_portfolio_wins_total"
 
 	// Oracle (tester-time) series.
 	MetricOracleSessions = "dynunlock_oracle_sessions_total"
@@ -469,51 +466,19 @@ func (r *Registry) SetHelp(name, help string) {
 	}
 }
 
-// Sum returns the sum of a family's values across all labeled children —
+// Sum returns the sum of a family's values across its labeled children —
 // counters sum their counts, gauges their values, histograms their
-// observation counts — and whether the family exists. Nil-safe. The
-// progress reporter uses it to collapse per-instance series into totals.
-func (r *Registry) Sum(name string) (float64, bool) {
-	if r == nil {
-		return 0, false
-	}
-	r.mu.RLock()
-	f, ok := r.families[name]
-	r.mu.RUnlock()
-	if !ok {
-		return 0, false
-	}
-	var sum float64
-	for _, c := range f.sortedChildren() {
-		switch f.kind {
-		case KindCounter:
-			sum += float64(c.ctr.Value())
-		case KindGauge:
-			sum += c.gauge.Value()
-		case KindHistogram:
-			sum += float64(c.hist.Count())
-		}
-	}
-	return sum, true
-}
-
-// SumLabeled is Sum restricted to children carrying every given label
-// pair — what a per-job progress sampler totals so concurrent jobs in
-// one registry do not bleed into each other's deltas. Nil-safe.
-func (r *Registry) SumLabeled(name string, labelPairs ...string) (float64, bool) {
-	if r == nil {
+// observation counts — and whether the family exists. Optional label
+// pairs restrict the sum to children carrying every pair; none means every
+// child. A per-job progress sampler sums its own job's series so
+// concurrent jobs in one registry do not bleed into each other's deltas.
+// Nil-safe.
+func (r *Registry) Sum(name string, labelPairs ...string) (float64, bool) {
+	f := r.lookup(name)
+	if f == nil {
 		return 0, false
 	}
 	want := normalizePairs(labelPairs)
-	if len(want) == 0 {
-		return r.Sum(name)
-	}
-	r.mu.RLock()
-	f, ok := r.families[name]
-	r.mu.RUnlock()
-	if !ok {
-		return 0, false
-	}
 	var sum float64
 	for _, c := range f.sortedChildren() {
 		if !labelsContain(c.labels, want) {
@@ -529,53 +494,25 @@ func (r *Registry) SumLabeled(name string, labelPairs ...string) (float64, bool)
 		}
 	}
 	return sum, true
-}
-
-// QuantileOfLabeled is QuantileOf restricted to children carrying every
-// given label pair. Nil-safe.
-func (r *Registry) QuantileOfLabeled(name string, q float64, labelPairs ...string) (float64, bool) {
-	if r == nil {
-		return 0, false
-	}
-	want := normalizePairs(labelPairs)
-	if len(want) == 0 {
-		return r.QuantileOf(name, q)
-	}
-	r.mu.RLock()
-	f, ok := r.families[name]
-	r.mu.RUnlock()
-	if !ok || f.kind != KindHistogram {
-		return 0, false
-	}
-	counts := make([]uint64, len(f.bounds)+1)
-	for _, c := range f.sortedChildren() {
-		if !labelsContain(c.labels, want) {
-			continue
-		}
-		for i := range c.hist.buckets {
-			counts[i] += c.hist.buckets[i].Load()
-		}
-	}
-	return quantileFromBuckets(f.bounds, counts, q), true
 }
 
 // QuantileOf estimates the q-quantile of a histogram family, merging the
-// per-bucket counts of every labeled child (identical bounds by
-// construction). ok is false when the family is absent or not a
-// histogram. Nil-safe. The progress reporter uses it for the latency
-// percentile fields.
-func (r *Registry) QuantileOf(name string, q float64) (float64, bool) {
-	if r == nil {
+// per-bucket counts of its labeled children (identical bounds by
+// construction). Optional label pairs restrict the merge to children
+// carrying every pair; none means every child. ok is false when the
+// family is absent or not a histogram. Nil-safe. The progress reporter
+// uses it for the latency percentile fields.
+func (r *Registry) QuantileOf(name string, q float64, labelPairs ...string) (float64, bool) {
+	f := r.lookup(name)
+	if f == nil || f.kind != KindHistogram {
 		return 0, false
 	}
-	r.mu.RLock()
-	f, ok := r.families[name]
-	r.mu.RUnlock()
-	if !ok || f.kind != KindHistogram {
-		return 0, false
-	}
+	want := normalizePairs(labelPairs)
 	counts := make([]uint64, len(f.bounds)+1)
 	for _, c := range f.sortedChildren() {
+		if !labelsContain(c.labels, want) {
+			continue
+		}
 		for i := range c.hist.buckets {
 			counts[i] += c.hist.buckets[i].Load()
 		}
@@ -583,37 +520,30 @@ func (r *Registry) QuantileOf(name string, q float64) (float64, bool) {
 	return quantileFromBuckets(f.bounds, counts, q), true
 }
 
-// Snapshot returns every series as a flat map from "name{labels}" to a
+// lookup returns the named family, or nil when it is absent. Nil-safe.
+func (r *Registry) lookup(name string) *family {
+	if r == nil {
+		return nil
+	}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.families[name]
+}
+
+// Snapshot returns series as a flat map from "name{labels}" to a
 // JSON-friendly value: float64 for counters and gauges, a
 // {count, sum, buckets, p50, p95, p99} object for histograms (the
 // quantiles are fixed-bucket interpolation estimates; the Prometheus
-// exposition stays raw buckets). The expvar endpoint and tests consume
-// this.
-func (r *Registry) Snapshot() map[string]any {
-	return r.snapshotWhere(nil)
-}
-
-// SnapshotLabeled returns the Snapshot restricted to series carrying
-// every given label pair exactly — the per-job view: the daemon writes a
+// exposition stays raw buckets). Optional label pairs restrict it to
+// series carrying every pair exactly; none means every series. The
+// expvar endpoint and tests consume the full map; the daemon writes a
 // job's bundle metrics.json and its filtered SSE snapshots from
-// SnapshotLabeled("job", id). Nil-safe.
-func (r *Registry) SnapshotLabeled(labelPairs ...string) map[string]any {
+// Snapshot("job", id). Nil-safe.
+func (r *Registry) Snapshot(labelPairs ...string) map[string]any {
 	if r == nil {
 		return nil
 	}
 	want := normalizePairs(labelPairs)
-	if len(want) == 0 {
-		return r.snapshotWhere(nil)
-	}
-	return r.snapshotWhere(func(c *child) bool { return labelsContain(c.labels, want) })
-}
-
-// snapshotWhere builds the snapshot map over children accepted by match
-// (nil matches all).
-func (r *Registry) snapshotWhere(match func(*child) bool) map[string]any {
-	if r == nil {
-		return nil
-	}
 	out := make(map[string]any)
 	r.mu.RLock()
 	fams := make([]*family, 0, len(r.families))
@@ -623,7 +553,7 @@ func (r *Registry) snapshotWhere(match func(*child) bool) map[string]any {
 	r.mu.RUnlock()
 	for _, f := range fams {
 		for _, c := range f.sortedChildren() {
-			if match != nil && !match(c) {
+			if !labelsContain(c.labels, want) {
 				continue
 			}
 			key := f.name

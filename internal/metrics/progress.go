@@ -74,7 +74,7 @@ func (p *Progress) SetJSON(on bool) {
 }
 
 // SetScope restricts every sum and quantile behind the snapshot to
-// series carrying the given label pairs (Registry.SumLabeled) — a
+// series carrying the given label pairs (Registry.Sum) — a
 // per-job sampler in the daemon scopes to ("job", id) so concurrent
 // jobs sharing one registry do not bleed into each other's delta
 // events. Call before Start. Nil-safe.
@@ -148,18 +148,12 @@ func (p *Progress) run() {
 
 // sum totals one family within the reporter's label scope.
 func (p *Progress) sum(name string) (float64, bool) {
-	if len(p.scope) > 0 {
-		return p.reg.SumLabeled(name, p.scope...)
-	}
-	return p.reg.Sum(name)
+	return p.reg.Sum(name, p.scope...)
 }
 
 // quantile estimates one quantile within the reporter's label scope.
 func (p *Progress) quantile(name string, q float64) (float64, bool) {
-	if len(p.scope) > 0 {
-		return p.reg.QuantileOfLabeled(name, q, p.scope...)
-	}
-	return p.reg.QuantileOf(name, q)
+	return p.reg.QuantileOf(name, q, p.scope...)
 }
 
 // emit renders one snapshot line and trace event.

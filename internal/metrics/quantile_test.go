@@ -67,7 +67,7 @@ func TestQuantileOfMergesLabeledChildren(t *testing.T) {
 	r := NewRegistry()
 	bounds := []float64{1, 2, 4}
 	a := r.Histogram("fam_seconds", bounds, "engine", "sequential")
-	b := r.Histogram("fam_seconds", bounds, "engine", "portfolio")
+	b := r.Histogram("fam_seconds", bounds, "engine", "other")
 	// Child a: 2 samples in (0,1]; child b: 2 samples in (1,2]. Merged
 	// median sits at the first bucket's upper edge.
 	a.Observe(0.5)

@@ -126,12 +126,11 @@ func (s *Server) serveEvents(w http.ResponseWriter, req *http.Request) {
 // restricts it to series labeled job="<id>".
 func (s *Server) snapshotEvent(job string) stream.Event {
 	s.refreshProcessGauges()
-	var snap map[string]any
+	var scope []string
 	if job != "" {
-		snap = s.reg.SnapshotLabeled("job", job)
-	} else {
-		snap = s.reg.Snapshot()
+		scope = []string{"job", job}
 	}
+	snap := s.reg.Snapshot(scope...)
 	data := make(map[string]any, len(snap))
 	for k, v := range snap {
 		data[k] = v

@@ -68,12 +68,12 @@ func New(d *lock.Design, secretSeed gf2.Vec, authKey []bool) (*Chip, error) {
 	if len(authKey) != d.Config.KeyBits {
 		return nil, fmt.Errorf("oracle: auth key width %d, want %d", len(authKey), d.Config.KeyBits)
 	}
-	// The capture-cycle core runs on the AIG fast path when the view
-	// compiles (bit-identical to the gate-level stepper; property tests in
-	// internal/sim and internal/core pin that down).
+	// The capture-cycle core runs on the AIG stepper (bit-identical to the
+	// gate-level one; property tests in internal/sim and internal/core pin
+	// that down). A view the AIG compiler rejects is an error.
 	seq, err := sim.NewSeqAIG(d.View)
 	if err != nil {
-		seq = sim.NewSeq(d.View)
+		return nil, fmt.Errorf("oracle: %w", err)
 	}
 	c := &Chip{
 		design:     d,

@@ -116,7 +116,7 @@ func writeLedgerTable(b *strings.Builder, ledger *flight.BenchFile, path string,
 		for _, bun := range bundles {
 			cur := flight.BenchRowFrom(bun)
 			if cur.Benchmark == r.Benchmark && cur.Scale == r.Scale && cur.KeyBits == r.KeyBits &&
-				cur.Policy == r.Policy && cur.Mode == r.Mode && cur.Portfolio == r.Portfolio {
+				cur.Policy == r.Policy && cur.Mode == r.Mode {
 				delta = trimFloat(cur.AvgIterations - r.AvgIterations)
 				break
 			}
@@ -138,9 +138,9 @@ func writeBundleSection(b *strings.Builder, idx int, bun *flight.Bundle, opts HT
 		html.EscapeString(bun.Dir), html.EscapeString(m.CreatedAt), html.EscapeString(orDashHTML(m.Tool)),
 		html.EscapeString(m.Fingerprint.GoVersion), html.EscapeString(m.Fingerprint.GOOS),
 		html.EscapeString(m.Fingerprint.GOARCH), m.FormatVersion)
-	fmt.Fprintf(b, "<p>%s scale=%d keybits=%d policy=%s mode=%s portfolio=%d seed=%d · %d session(s), %d DIP iteration(s)</p>\n",
+	fmt.Fprintf(b, "<p>%s scale=%d keybits=%d policy=%s mode=%s seed=%d · %d session(s), %d DIP iteration(s)</p>\n",
 		html.EscapeString(m.Benchmark), m.Scale, m.Lock.KeyBits, html.EscapeString(m.Lock.Policy),
-		html.EscapeString(m.Mode), m.Portfolio, m.SeedBase, len(bun.Sessions), len(bun.DIPs))
+		html.EscapeString(m.Mode), m.SeedBase, len(bun.Sessions), len(bun.DIPs))
 
 	// Trial outcomes.
 	b.WriteString("<table><tr><th>Trial</th><th>Candidates</th><th>Iterations</th><th>Queries</th>" +

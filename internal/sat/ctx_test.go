@@ -68,7 +68,7 @@ func TestSolveCtxCancelMidSolve(t *testing.T) {
 	if el := time.Since(start); el > 5*time.Second {
 		t.Fatalf("cancellation took %v", el)
 	}
-	if s.Interrupted() {
+	if s.interrupt.Load() {
 		t.Fatal("interrupt not re-armed after ctx cancellation")
 	}
 	if !s.Okay() {

@@ -160,8 +160,8 @@ type Solver struct {
 	// instances.
 	PropagationBudget int64
 
-	cfg       Config
-	rngState  uint64
+	// interrupt stops the search at its next check point; SolveCtx's
+	// watcher goroutine sets it when the context is done.
 	interrupt atomic.Bool
 
 	hook     *Hook
@@ -269,14 +269,7 @@ func New() *Solver {
 func (s *Solver) NewVar() int {
 	v := len(s.level)
 	s.vals = append(s.vals, lUndef, lUndef)
-	phase := true // branch false first (MiniSat convention)
-	switch s.cfg.PhaseInit {
-	case PhaseTrue:
-		phase = false
-	case PhaseRandom:
-		phase = s.rnd()&1 == 1
-	}
-	s.polarity = append(s.polarity, phase)
+	s.polarity = append(s.polarity, true) // branch false first (MiniSat convention)
 	s.activity = append(s.activity, 0)
 	s.order.act = s.activity // append may have moved the array
 	s.level = append(s.level, 0)
@@ -774,8 +767,7 @@ func (s *Solver) search(nofConflicts int64, assumptions []cnf.Lit) Status {
 
 		// No conflict.
 		restart := nofConflicts >= 0 && conflictC >= nofConflicts
-		if !restart && s.cfg.RestartPolicy == RestartHybrid &&
-			conflictC >= 64 && s.Stats.Conflicts > 4096 &&
+		if !restart && conflictC >= 64 && s.Stats.Conflicts > 4096 &&
 			s.lbdFast > 1.25*s.lbdSlow &&
 			float64(len(s.trail)) < 1.4*s.trailAvg {
 			restart = true
@@ -814,17 +806,7 @@ func (s *Solver) search(nofConflicts int64, assumptions []cnf.Lit) Status {
 			}
 		}
 		if next == -1 {
-			v := -1
-			// Occasional random decisions decorrelate portfolio instances
-			// that would otherwise follow identical VSIDS trajectories.
-			if nv := s.NumVars(); s.cfg.RandomSeed != 0 && s.rnd()&127 == 0 && nv > 0 {
-				if r := int(s.rnd() % uint64(nv)); s.varValue(int32(r)) == lUndef {
-					v = r
-				}
-			}
-			if v == -1 {
-				v = s.pickBranchVar()
-			}
+			v := s.pickBranchVar()
 			if v == -1 {
 				// All variables assigned: model found.
 				s.model = make([]bool, s.NumVars())
@@ -866,17 +848,7 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 		if s.budgetExhausted() {
 			break
 		}
-		var base float64
-		switch s.cfg.RestartPolicy {
-		case RestartGeometric:
-			base = 100
-			for i := 0; i < restarts; i++ {
-				base *= 1.5
-			}
-		default: // RestartHybrid, RestartLuby
-			base = luby(2, restarts) * 100
-		}
-		status = s.search(int64(base), assumptions)
+		status = s.search(int64(luby(2, restarts)*100), assumptions)
 		s.maxLearnts *= s.learntGrowth
 	}
 	s.cancelUntil(0)
@@ -905,12 +877,12 @@ func (s *Solver) budgetExhausted() bool {
 // mix budgets with cancellation use it to attribute the stop.
 func (s *Solver) BudgetExhausted() bool { return s.budgetExhausted() }
 
-// SolveCtx is Solve with context-scoped cancellation, built on the same
-// atomic interrupt flag a portfolio race uses: a watcher goroutine
-// observes ctx.Done and interrupts the in-flight search, which then
-// returns Unknown. The watcher is joined before SolveCtx returns and the
-// interrupt is re-armed when the context was the cause, so the solver
-// stays reusable for later Solve/SolveCtx calls.
+// SolveCtx is Solve with context-scoped cancellation: a watcher goroutine
+// observes ctx.Done and sets the solver's interrupt flag, and the
+// in-flight search returns Unknown at its next check point. The watcher is
+// joined before SolveCtx returns and the flag is cleared when the context
+// was the cause, so the solver stays reusable for later Solve/SolveCtx
+// calls.
 //
 // A context that can never be cancelled (ctx.Done() == nil, e.g.
 // context.Background()) takes the plain Solve path with no goroutine and
@@ -928,7 +900,7 @@ func (s *Solver) SolveCtx(ctx context.Context, assumptions ...cnf.Lit) Status {
 		defer close(watcherDone)
 		select {
 		case <-ctx.Done():
-			s.Interrupt()
+			s.interrupt.Store(true)
 		case <-quit:
 		}
 	}()
@@ -938,7 +910,7 @@ func (s *Solver) SolveCtx(ctx context.Context, assumptions ...cnf.Lit) Status {
 	if st == Unknown && ctx.Err() != nil {
 		// The interrupt belongs to this call's context; clear it so the
 		// solver is not poisoned for subsequent calls.
-		s.ClearInterrupt()
+		s.interrupt.Store(false)
 	}
 	return st
 }

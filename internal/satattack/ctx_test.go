@@ -43,36 +43,30 @@ func (o *cancellingOracle) Query(in []bool) []bool {
 }
 
 func TestRunCtxCancelMidDIPLoop(t *testing.T) {
-	for _, pf := range []int{1, 2, 4} {
-		l, oracle := testLocked(t)
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		co := &cancellingOracle{inner: oracle, after: 1, cancel: cancel}
-		res, err := RunCtx(ctx, l, co, Options{Portfolio: pf, EnumerateLimit: 64})
-		if err != nil {
-			t.Fatalf("portfolio %d: %v", pf, err)
-		}
-		if !res.Stopped || res.StopReason != StopCancelled {
-			t.Fatalf("portfolio %d: stopped=%v reason=%q", pf, res.Stopped, res.StopReason)
-		}
-		if res.Converged || res.Key != nil {
-			t.Fatalf("portfolio %d: cancelled run must not report a key", pf)
-		}
-		if res.Iterations < 1 || res.Queries != res.Iterations {
-			t.Fatalf("portfolio %d: iterations=%d queries=%d", pf, res.Iterations, res.Queries)
-		}
-		if len(res.InstanceStats) != pf || len(res.InstanceWins) != pf {
-			t.Fatalf("portfolio %d: instance slices %d/%d", pf,
-				len(res.InstanceStats), len(res.InstanceWins))
-		}
-		// A fresh context completes the same attack: nothing was corrupted.
-		full, err := RunCtx(context.Background(), l, oracle, Options{Portfolio: pf, EnumerateLimit: 64})
-		if err != nil {
-			t.Fatalf("portfolio %d rerun: %v", pf, err)
-		}
-		if !full.Converged || !full.CandidatesExact {
-			t.Fatalf("portfolio %d rerun: converged=%v exact=%v", pf, full.Converged, full.CandidatesExact)
-		}
+	l, oracle := testLocked(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	co := &cancellingOracle{inner: oracle, after: 1, cancel: cancel}
+	res, err := RunCtx(ctx, l, co, Options{EnumerateLimit: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stopped || res.StopReason != StopCancelled {
+		t.Fatalf("stopped=%v reason=%q", res.Stopped, res.StopReason)
+	}
+	if res.Converged || res.Key != nil {
+		t.Fatal("cancelled run must not report a key")
+	}
+	if res.Iterations < 1 || res.Queries != res.Iterations {
+		t.Fatalf("iterations=%d queries=%d", res.Iterations, res.Queries)
+	}
+	// A fresh context completes the same attack: nothing was corrupted.
+	full, err := RunCtx(context.Background(), l, oracle, Options{EnumerateLimit: 64})
+	if err != nil {
+		t.Fatalf("rerun: %v", err)
+	}
+	if !full.Converged || !full.CandidatesExact {
+		t.Fatalf("rerun: converged=%v exact=%v", full.Converged, full.CandidatesExact)
 	}
 }
 
@@ -98,37 +92,28 @@ func TestRunCtxDeadline(t *testing.T) {
 }
 
 func TestRunCtxPreCancelled(t *testing.T) {
-	for _, pf := range []int{1, 2} {
-		l, oracle := testLocked(t)
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		res, err := RunCtx(ctx, l, oracle, Options{Portfolio: pf})
-		if err != nil {
-			t.Fatalf("portfolio %d: %v", pf, err)
-		}
-		if !res.Stopped || res.StopReason != StopCancelled || res.Iterations != 0 {
-			t.Fatalf("portfolio %d: stopped=%v reason=%q iters=%d",
-				pf, res.Stopped, res.StopReason, res.Iterations)
-		}
+	l, oracle := testLocked(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := RunCtx(ctx, l, oracle, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stopped || res.StopReason != StopCancelled || res.Iterations != 0 {
+		t.Fatalf("stopped=%v reason=%q iters=%d", res.Stopped, res.StopReason, res.Iterations)
 	}
 }
 
 func TestRunCtxConflictBudget(t *testing.T) {
-	for _, pf := range []int{1, 2, 4} {
-		l, oracle := testLocked(t)
-		res, err := RunCtx(context.Background(), l, oracle, Options{
-			Portfolio:      pf,
-			ConflictBudget: 1,
-		})
-		if err != nil {
-			t.Fatalf("portfolio %d: %v", pf, err)
-		}
-		// The convergence proof (miter UNSAT) cannot complete within one
-		// conflict on this circuit, so the budget must fire somewhere.
-		if !res.Stopped || res.StopReason != StopBudget {
-			t.Fatalf("portfolio %d: stopped=%v reason=%q conflicts=%d",
-				pf, res.Stopped, res.StopReason, res.SolverStats.Conflicts)
-		}
+	l, oracle := testLocked(t)
+	res, err := RunCtx(context.Background(), l, oracle, Options{ConflictBudget: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The convergence proof (miter UNSAT) cannot complete within one
+	// conflict on this circuit, so the budget must fire somewhere.
+	if !res.Stopped || res.StopReason != StopBudget {
+		t.Fatalf("stopped=%v reason=%q conflicts=%d", res.Stopped, res.StopReason, res.SolverStats.Conflicts)
 	}
 }
 
@@ -180,38 +165,34 @@ func TestRunCtxBackgroundMatchesRun(t *testing.T) {
 	}
 }
 
-// A trace sink must observe one span per engine stage with solver counters,
-// for one instance and for a race of two.
+// A trace sink must observe one span per engine stage with solver counters.
 func TestRunCtxTraceSpans(t *testing.T) {
-	for _, pf := range []int{1, 2} {
-		l, oracle := testLocked(t)
-		c := trace.NewCollector()
-		ctx := trace.With(context.Background(), c)
-		res, err := RunCtx(ctx, l, oracle, Options{Portfolio: pf, EnumerateLimit: 64})
-		if err != nil {
-			t.Fatalf("portfolio %d: %v", pf, err)
+	l, oracle := testLocked(t)
+	c := trace.NewCollector()
+	ctx := trace.With(context.Background(), c)
+	res, err := RunCtx(ctx, l, oracle, Options{EnumerateLimit: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := map[string]trace.SpanRecord{}
+	for _, sp := range c.Spans() {
+		spans[sp.Name] = sp
+	}
+	for _, name := range []string{"encode", "dip_loop", "extract", "enumerate"} {
+		if _, ok := spans[name]; !ok {
+			t.Fatalf("missing span %q (have %v)", name, c.Spans())
 		}
-		spans := map[string]trace.SpanRecord{}
-		for _, sp := range c.Spans() {
-			spans[sp.Name] = sp
-		}
-		for _, name := range []string{"encode", "dip_loop", "extract", "enumerate"} {
-			if _, ok := spans[name]; !ok {
-				t.Fatalf("portfolio %d: missing span %q (have %v)", pf, name, c.Spans())
-			}
-		}
-		if spans["encode"].Counters["clauses"] == 0 {
-			t.Fatalf("portfolio %d: encode span has no clause counter", pf)
-		}
-		if spans["encode"].Counters["aig_nodes"] == 0 {
-			t.Fatalf("portfolio %d: encode span has no aig_nodes counter", pf)
-		}
-		if spans["dip_loop"].Counters["dips"] != uint64(res.Iterations) {
-			t.Fatalf("portfolio %d: dip counter %d != iterations %d",
-				pf, spans["dip_loop"].Counters["dips"], res.Iterations)
-		}
-		if spans["enumerate"].Counters["candidates"] != uint64(len(res.Candidates)) {
-			t.Fatalf("portfolio %d: candidates counter mismatch", pf)
-		}
+	}
+	if spans["encode"].Counters["clauses"] == 0 {
+		t.Fatal("encode span has no clause counter")
+	}
+	if spans["encode"].Counters["aig_nodes"] == 0 {
+		t.Fatal("encode span has no aig_nodes counter")
+	}
+	if spans["dip_loop"].Counters["dips"] != uint64(res.Iterations) {
+		t.Fatalf("dip counter %d != iterations %d", spans["dip_loop"].Counters["dips"], res.Iterations)
+	}
+	if spans["enumerate"].Counters["candidates"] != uint64(len(res.Candidates)) {
+		t.Fatal("candidates counter mismatch")
 	}
 }

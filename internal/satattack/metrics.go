@@ -1,7 +1,6 @@
 package satattack
 
 import (
-	"strconv"
 	"time"
 
 	"dynunlock/internal/metrics"
@@ -29,16 +28,19 @@ type attackMetrics struct {
 	encClauses *metrics.Counter
 }
 
-// newAttackMetrics creates the attack-level series tagged with the engine
-// kind: "sequential" for one solver instance, "portfolio" for more. A nil
-// handle returns nil.
-func newAttackMetrics(h *metrics.Handle, instances int) *attackMetrics {
+// engine and instance label the attack-level and solver series. The
+// attack runs one solver; the labels keep the published series names and
+// labels stable for dashboards and scrapes.
+const (
+	engine   = "sequential"
+	instance = "0"
+)
+
+// newAttackMetrics creates the attack-level series. A nil handle returns
+// nil.
+func newAttackMetrics(h *metrics.Handle) *attackMetrics {
 	if h == nil {
 		return nil
-	}
-	engine := "sequential"
-	if instances > 1 {
-		engine = "portfolio"
 	}
 	return &attackMetrics{
 		dips:       h.Counter(metrics.MetricAttackDIPs, "engine", engine),
@@ -80,29 +82,28 @@ func (m *attackMetrics) observeDIP(iterations int) {
 }
 
 // installSolverMetrics attaches a sampled sat.Hook publishing the
-// instance's counters, learnt-DB gauge, and LBD histogram, and feeding
-// the search observer (anatomy capture) when one is installed. With a nil
+// solver's counters, learnt-DB gauge, and LBD histogram, and feeding the
+// search observer (anatomy capture) when one is installed. With a nil
 // handle and nil observer no hook is installed, so the solver keeps its
 // zero-overhead search loop.
-func installSolverMetrics(h *metrics.Handle, obs SearchObserver, s *sat.Solver, instance int) {
+func installSolverMetrics(h *metrics.Handle, obs SearchObserver, s *sat.Solver) {
 	if h == nil && obs == nil {
 		return
 	}
 	hook := &sat.Hook{}
 	if h != nil {
-		inst := strconv.Itoa(instance)
-		dec := h.Counter(metrics.MetricSatDecisions, "instance", inst)
-		confl := h.Counter(metrics.MetricSatConflicts, "instance", inst)
-		prop := h.Counter(metrics.MetricSatPropagations, "instance", inst)
-		rest := h.Counter(metrics.MetricSatRestarts, "instance", inst)
-		learnt := h.Counter(metrics.MetricSatLearnt, "instance", inst)
-		removed := h.Counter(metrics.MetricSatRemoved, "instance", inst)
-		xorProp := h.Counter(metrics.MetricSatXorPropagations, "instance", inst)
-		xorConfl := h.Counter(metrics.MetricSatXorConflicts, "instance", inst)
-		simpRemoved := h.Counter(metrics.MetricSatSimplifyRemoved, "instance", inst)
-		simpStrength := h.Counter(metrics.MetricSatSimplifyStrengthened, "instance", inst)
-		db := h.Gauge(metrics.MetricSatLearntDB, "instance", inst)
-		lbd := h.Histogram(metrics.MetricSatLearntLBD, lbdBuckets, "instance", inst)
+		dec := h.Counter(metrics.MetricSatDecisions, "instance", instance)
+		confl := h.Counter(metrics.MetricSatConflicts, "instance", instance)
+		prop := h.Counter(metrics.MetricSatPropagations, "instance", instance)
+		rest := h.Counter(metrics.MetricSatRestarts, "instance", instance)
+		learnt := h.Counter(metrics.MetricSatLearnt, "instance", instance)
+		removed := h.Counter(metrics.MetricSatRemoved, "instance", instance)
+		xorProp := h.Counter(metrics.MetricSatXorPropagations, "instance", instance)
+		xorConfl := h.Counter(metrics.MetricSatXorConflicts, "instance", instance)
+		simpRemoved := h.Counter(metrics.MetricSatSimplifyRemoved, "instance", instance)
+		simpStrength := h.Counter(metrics.MetricSatSimplifyStrengthened, "instance", instance)
+		db := h.Gauge(metrics.MetricSatLearntDB, "instance", instance)
+		lbd := h.Histogram(metrics.MetricSatLearntLBD, lbdBuckets, "instance", instance)
 		hook.OnSample = func(d sat.Stats, learntDB int) {
 			dec.Add(d.Decisions)
 			confl.Add(d.Conflicts)
@@ -128,11 +129,9 @@ func installSolverMetrics(h *metrics.Handle, obs SearchObserver, s *sat.Solver, 
 			if prevLearnt != nil {
 				prevLearnt(l, size)
 			}
-			obs.SearchLearnt(instance, l, size)
+			obs.SearchLearnt(l, size)
 		}
-		hook.OnRestart = func(conflicts uint64) {
-			obs.SearchRestart(instance, conflicts)
-		}
+		hook.OnRestart = obs.SearchRestart
 	}
 	s.SetHook(hook)
 }

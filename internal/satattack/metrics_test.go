@@ -50,45 +50,18 @@ func TestSequentialMetricsSeries(t *testing.T) {
 	if got := sumOf(r, metrics.MetricSatPropagations); got != float64(res.SolverStats.Propagations) {
 		t.Errorf("propagations counter = %v, want %d", got, res.SolverStats.Propagations)
 	}
-	// One instance is the sequential attack: its attack series carry
-	// engine="sequential" and it publishes no race wins.
-	if got, _ := r.SumLabeled(metrics.MetricAttackDIPs, "engine", "sequential"); got != float64(res.Iterations) {
+	// The attack series carry engine="sequential" and the solver series
+	// instance="0", the labels dashboards and scrapes select on.
+	if got, _ := r.Sum(metrics.MetricAttackDIPs, "engine", "sequential"); got != float64(res.Iterations) {
 		t.Errorf("engine=sequential dips = %v, want %d", got, res.Iterations)
 	}
-	if _, ok := r.Sum(metrics.MetricPortfolioWins); ok {
-		t.Error("a one-instance run published portfolio wins")
+	if got, _ := r.Sum(metrics.MetricSatConflicts, "instance", "0"); got != float64(res.SolverStats.Conflicts) {
+		t.Errorf("instance=0 conflicts = %v, want %d", got, res.SolverStats.Conflicts)
 	}
 	if res.Iterations > 0 && sumOf(r, metrics.MetricAttackDIPSolveSec) != float64(res.Iterations+1) {
 		// One solve per DIP plus the final UNSAT call.
 		t.Errorf("dip solve histogram count = %v, want %d",
 			sumOf(r, metrics.MetricAttackDIPSolveSec), res.Iterations+1)
-	}
-}
-
-func TestPortfolioMetricsSeries(t *testing.T) {
-	l, o := metricsFixture(t)
-	r := metrics.NewRegistry()
-	ctx := metrics.With(context.Background(), r)
-	res, err := RunCtx(ctx, l, o, Options{Portfolio: 3, EnumerateLimit: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatal("did not converge")
-	}
-	if got, _ := r.SumLabeled(metrics.MetricAttackDIPs, "engine", "portfolio"); got != float64(res.Iterations) {
-		t.Errorf("engine=portfolio dips = %v, want %d", got, res.Iterations)
-	}
-	var wins int
-	for _, w := range res.InstanceWins {
-		wins += w
-	}
-	if got := sumOf(r, metrics.MetricPortfolioWins); got != float64(wins) {
-		t.Errorf("portfolio wins counter = %v, want %d", got, wins)
-	}
-	if got := sumOf(r, metrics.MetricSatConflicts); got != float64(res.SolverStats.Conflicts) {
-		t.Errorf("conflicts counter = %v, want %d (summed across instances)",
-			got, res.SolverStats.Conflicts)
 	}
 }
 

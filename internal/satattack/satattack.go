@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"dynunlock/internal/cnf"
-	"dynunlock/internal/encode"
 	"dynunlock/internal/metrics"
 	"dynunlock/internal/netlist"
 	"dynunlock/internal/sat"
@@ -100,10 +99,6 @@ func (f OracleFunc) Query(in []bool) []bool { return f(in) }
 
 // Options tunes the attack.
 type Options struct {
-	// Portfolio is the number of diversified solver/encoder instances that
-	// race each SAT call (see portfolio.go). Values <= 1 run one instance,
-	// the plain sequential attack.
-	Portfolio int
 	// MaxIterations bounds the DIP loop; 0 means unlimited.
 	MaxIterations int
 	// EnumerateLimit bounds post-convergence key-candidate enumeration:
@@ -121,23 +116,23 @@ type Options struct {
 	DumpCNF func(iteration int, dump func(w io.Writer) error)
 	// OnDIP, when non-nil, observes every completed DIP iteration: the
 	// iteration number (1-based), the distinguishing input, the oracle's
-	// response, a snapshot of the solver counters after the iteration
-	// (summed over portfolio instances), and the wall time of the SAT call
-	// that produced the DIP. The flight recorder (internal/flight) uses it
-	// to persist dips.jsonl. The dip and resp slices are only valid for the
-	// duration of the call. nil leaves the hot loop free of timestamps and
-	// allocations, preserving the bit-identical unobserved path.
+	// response, a snapshot of the solver counters after the iteration, and
+	// the wall time of the SAT call that produced the DIP. The flight
+	// recorder (internal/flight) uses it to persist dips.jsonl. The dip and
+	// resp slices are only valid for the duration of the call. nil leaves
+	// the hot loop free of timestamps and allocations, preserving the
+	// bit-identical unobserved path.
 	OnDIP DIPObserver
 	// Search, when non-nil, taps the sampled solver search telemetry that
-	// the metrics hook sees — learnt-clause LBD observations and restarts —
-	// per solver instance. The anatomy capture layer (internal/anatomy)
-	// implements it to build per-DIP LBD histograms and restart telemetry.
-	// It is strictly observational and composes with the metrics hook; nil
-	// keeps the no-telemetry solver path hook-free.
+	// the metrics hook sees — learnt-clause LBD observations and restarts.
+	// The anatomy capture layer (internal/anatomy) implements it to build
+	// per-DIP LBD histograms and restart telemetry. It is strictly
+	// observational and composes with the metrics hook; nil keeps the
+	// no-telemetry solver path hook-free.
 	Search SearchObserver
 	// Insight, when non-nil, closes the insight→solver feedback loop:
 	// after each DIP the freshly certified key constraints are injected
-	// into the solver(s) as XOR rows, and once the source determines the
+	// into the solver as XOR rows, and once the source determines the
 	// key completely the attack short-circuits analytically — the DIP loop
 	// stops, the derived key becomes the single exact candidate, and no
 	// further SAT calls are issued (Result.Analytic). The source must only
@@ -171,13 +166,12 @@ type InsightSource interface {
 // DIPObserver receives one callback per DIP iteration (see Options.OnDIP).
 type DIPObserver func(iteration int, dip, resp []bool, stats sat.Stats, solveTime time.Duration)
 
-// SearchObserver receives solver search telemetry per instance (see
-// Options.Search): sampled learnt-clause LBD/size observations and every
-// restart with its segment conflict count. Implementations must tolerate
-// concurrent calls when the attack runs a portfolio.
+// SearchObserver receives solver search telemetry (see Options.Search):
+// sampled learnt-clause LBD/size observations and every restart with its
+// segment conflict count.
 type SearchObserver interface {
-	SearchLearnt(instance int, lbd int32, size int)
-	SearchRestart(instance int, conflicts uint64)
+	SearchLearnt(lbd int32, size int)
+	SearchRestart(conflicts uint64)
 }
 
 // ChainObservers composes DIP observers into one that invokes each in
@@ -257,23 +251,13 @@ type Result struct {
 	// Elapsed is the wall-clock attack time.
 	Elapsed time.Duration
 	// EncodeVars and EncodeClauses total the CNF growth emitted by circuit
-	// encoding — the initial miter plus every DIP-constrained copy pair —
-	// on one instance (instance 0 under a portfolio; encoding is
-	// deterministic and identical across instances). Clause counts include
-	// native XOR rows. These are the measured evidence for the AIG
-	// pipeline's structural compaction.
+	// encoding — the initial miter plus every DIP-constrained copy pair.
+	// Clause counts include native XOR rows. These are the measured
+	// evidence for the AIG pipeline's structural compaction.
 	EncodeVars    uint64
 	EncodeClauses uint64
-	// SolverStats snapshots the SAT solver counters. Under a portfolio it
-	// is the sum over all instances (total work, not critical-path work).
+	// SolverStats snapshots the SAT solver counters.
 	SolverStats sat.Stats
-	// InstanceStats holds per-instance solver counters, one entry per
-	// instance (max(1, Options.Portfolio)).
-	InstanceStats []sat.Stats
-	// InstanceWins counts, per instance, the races that instance finished
-	// first with a definitive answer (every SAT call is one race; a call
-	// that a bound interrupted has no winner).
-	InstanceWins []int
 	// Stopped is true when a deadline, cancellation, or budget bounded the
 	// attack before it finished; the Result is then partial (Key and
 	// Candidates may be nil) but every counter is valid. StopIterations is
@@ -294,63 +278,51 @@ func Run(l *Locked, o Oracle, opts Options) (*Result, error) {
 	return RunCtx(context.Background(), l, o, opts)
 }
 
-// RunCtx executes the SAT attack on a portfolio of max(1,
-// Options.Portfolio) diversified solver instances (see portfolio.go): a
-// portfolio of one is the plain sequential attack.
+// RunCtx executes the SAT attack on one solver (see miter.go).
 //
 // Cancelling ctx — or exhausting its deadline, or the conflict budget —
 // never returns an error: the attack stops at the next solver check point
 // and returns the partial Result with Stopped set and StopReason naming
-// the bound. One instance under a background context and no trace sink
-// takes the same search path on every run, bit for bit.
+// the bound. Under a background context and no trace sink the attack takes
+// the same search path on every run, bit for bit.
 func RunCtx(ctx context.Context, l *Locked, o Oracle, opts Options) (*Result, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
-	n := max(1, opts.Portfolio)
 	tr := trace.From(ctx)
 	mh := metrics.From(ctx)
-	am := newAttackMetrics(mh, n)
+	am := newAttackMetrics(mh)
 	start := time.Now()
 
 	enc := tr.Start("encode")
-	p, err := newPortfolio(l, n, opts, mh)
+	m, err := newMiter(l, opts, mh)
 	if err != nil {
 		enc.End()
 		return nil, err
 	}
-	// Only a race reports its width, so a one-instance span carries the
-	// same counter set as recorded bundles, which `runs compare` diffs.
-	if n > 1 {
-		enc.Add("instances", uint64(n))
-	}
-	enc.Add("aig_nodes", uint64(p.aig.NumNodes()))
-	enc.Add("vars", uint64(p.insts[0].s.NumVars()))
-	enc.Add("clauses", uint64(p.insts[0].s.NumClauses()))
+	enc.Add("aig_nodes", uint64(m.aig.NumNodes()))
+	enc.Add("vars", uint64(m.s.NumVars()))
+	enc.Add("clauses", uint64(m.s.NumClauses()))
 	enc.End()
 
 	res := &Result{}
-	res.EncodeVars, res.EncodeClauses = p.emitted()
+	res.EncodeVars, res.EncodeClauses = m.emitted()
 	am.observeEncode(res.EncodeVars, res.EncodeClauses)
 	finish := func(reason StopReason) *Result {
 		if reason != StopNone {
 			res.Stopped = true
 			res.StopReason = reason
 		}
-		res.SolverStats = p.statsSum()
-		for _, in := range p.insts {
-			res.InstanceStats = append(res.InstanceStats, in.s.Stats)
-		}
-		res.InstanceWins = p.wins
+		res.SolverStats = m.s.Stats
 		res.Elapsed = time.Since(start)
 		return res
 	}
 
 	loop := tr.Start("dip_loop")
-	loopMark := p.statsSum()
+	loopMark := m.s.Stats
 	var loopEncV, loopEncC uint64
 	endLoop := func() {
-		addStatsDelta(loop, loopMark, p.statsSum())
+		addStatsDelta(loop, loopMark, m.s.Stats)
 		loop.Add("dips", uint64(res.Iterations))
 		loop.Add("oracle_queries", uint64(res.Queries))
 		loop.Add("encode_vars", loopEncV)
@@ -375,7 +347,7 @@ dipLoop:
 		if am != nil || opts.OnDIP != nil {
 			solveT0 = time.Now()
 		}
-		winner, st := p.race(ctx, true)
+		st := m.s.SolveCtx(ctx, m.act)
 		if am != nil || opts.OnDIP != nil {
 			solveT1 = time.Now()
 		}
@@ -390,8 +362,7 @@ dipLoop:
 			stop = ctxStopReason(ctx)
 			break dipLoop
 		}
-		w := p.insts[winner]
-		dip := w.e.ModelBits(w.x)
+		dip := m.e.ModelBits(m.x)
 		resp := o.Query(dip)
 		res.Queries++
 		res.Iterations++
@@ -401,9 +372,9 @@ dipLoop:
 		}
 		am.observeDIP(res.Iterations)
 		if opts.OnDIP != nil {
-			opts.OnDIP(res.Iterations, dip, resp, p.statsSum(), solveT1.Sub(solveT0))
+			opts.OnDIP(res.Iterations, dip, resp, m.s.Stats, solveT1.Sub(solveT0))
 		}
-		dv, dc := p.replayDIP(dip, resp)
+		dv, dc := m.replayDIP(dip, resp)
 		res.EncodeVars += dv
 		res.EncodeClauses += dc
 		loopEncV += dv
@@ -412,13 +383,11 @@ dipLoop:
 		if opts.Insight != nil {
 			// The OnDIP chain above let the insight source observe this
 			// response; its new rows are linear consequences of the
-			// constraints just asserted, so injecting them into every
-			// instance prunes no candidate key.
+			// constraints just asserted, so injecting them prunes no
+			// candidate key.
 			var cs []KeyConstraint
 			cs, insCursor = opts.Insight.ConstraintsSince(insCursor)
-			for _, in := range p.insts {
-				injectInsight(in.s, in.k1, in.k2, cs)
-			}
+			injectInsight(m.s, m.k1, m.k2, cs)
 			if key, ok := opts.Insight.SolveKey(); ok && len(key) == len(l.KeyIdx) {
 				res.Key = append([]bool(nil), key...)
 				res.Analytic = true
@@ -427,22 +396,19 @@ dipLoop:
 			}
 		}
 		// Level-0 inprocessing between DIPs: the response units just
-		// asserted satisfy or shorten clauses of earlier copies. Each
-		// instance rewrites its own (diverged) database equivalently, and
-		// an UNSAT result here surfaces on the next solve.
-		for _, in := range p.insts {
-			in.s.Simplify()
-		}
+		// asserted satisfy or shorten clauses of earlier copies, and an
+		// UNSAT result here surfaces on the next solve.
+		m.s.Simplify()
 		if tr.Enabled() || opts.Log != nil {
-			line := fmt.Sprintf("iter %d: dip=%s inst=%d clauses=%d conflicts=%d",
-				res.Iterations, bitString(dip), winner, w.s.NumClauses(), w.s.Stats.Conflicts)
+			line := fmt.Sprintf("iter %d: dip=%s clauses=%d conflicts=%d",
+				res.Iterations, bitString(dip), m.s.NumClauses(), m.s.Stats.Conflicts)
 			tr.Progressf("%s", line)
 			if opts.Log != nil {
 				fmt.Fprintln(opts.Log, line)
 			}
 		}
 		if opts.DumpCNF != nil {
-			opts.DumpCNF(res.Iterations, w.s.WriteDimacs)
+			opts.DumpCNF(res.Iterations, m.s.WriteDimacs)
 		}
 	}
 	endLoop()
@@ -462,9 +428,9 @@ dipLoop:
 
 	// Key extraction: any key consistent with all recorded I/O pairs.
 	ext := tr.Start("extract")
-	extMark := p.statsSum()
-	winner, st := p.race(ctx, false)
-	addStatsDelta(ext, extMark, p.statsSum())
+	extMark := m.s.Stats
+	st := m.s.SolveCtx(ctx)
+	addStatsDelta(ext, extMark, m.s.Stats)
 	ext.End()
 	switch st {
 	case sat.Unsat:
@@ -472,20 +438,20 @@ dipLoop:
 	case sat.Unknown:
 		return finish(ctxStopReason(ctx)), nil
 	}
-	res.Key = p.key(winner)
+	res.Key = m.e.ModelBits(m.k1)
 
 	if opts.EnumerateLimit > 0 {
 		enumSp := tr.Start("enumerate")
-		enumMark := p.statsSum()
+		enumMark := m.s.Stats
 		var enumStop StopReason
-		res.Candidates, res.CandidatesExact, enumStop = p.enumerate(ctx, res.Key, opts.EnumerateLimit)
+		res.Candidates, res.CandidatesExact, enumStop = m.enumerate(ctx, res.Key, opts.EnumerateLimit)
 		if enumStop != StopNone {
 			stop = enumStop
 		}
-		// Race winners enumerate keys in solver-dependent order; report the
-		// class in a canonical order so portfolio size never changes output.
+		// The solver enumerates keys in search order; report the class in
+		// a canonical order, independent of how the search found it.
 		sortKeys(res.Candidates)
-		addStatsDelta(enumSp, enumMark, p.statsSum())
+		addStatsDelta(enumSp, enumMark, m.s.Stats)
 		enumSp.Add("candidates", uint64(len(res.Candidates)))
 		enumSp.End()
 	}
@@ -532,7 +498,7 @@ func injectInsight(s *sat.Solver, k1, k2 []cnf.Lit, cs []KeyConstraint) {
 
 // assemble builds the full view-input literal vector from attacker inputs
 // and key literals.
-func (l *Locked) assemble(e *encode.Encoder, in, key []cnf.Lit) []cnf.Lit {
+func (l *Locked) assemble(in, key []cnf.Lit) []cnf.Lit {
 	full := make([]cnf.Lit, len(l.View.Inputs))
 	for i, idx := range l.InIdx {
 		full[idx] = in[i]

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -118,6 +119,86 @@ func TestAttackRecoversEquivalentKey(t *testing.T) {
 			t.Fatalf("queries %d != iterations %d", res.Queries, res.Iterations)
 		}
 	}
+}
+
+// Every enumerated candidate must unlock the circuit, the class must be
+// complete under the limit, and it is reported in canonical (sorted)
+// order.
+func TestEnumeratedCandidatesUnlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 4; trial++ {
+		orig, locked, _ := lockedPair(rng, 5+rng.Intn(3), 40+rng.Intn(30), 5)
+		l := NewLocked(locked, func(i int, s netlist.SignalID) bool {
+			return len(locked.N.SignalName(s)) > 0 && locked.N.SignalName(s)[0] == 'k'
+		})
+		res, err := Run(l, &simOracle{c: sim.NewComb(orig)}, Options{EnumerateLimit: 64})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !res.Converged || !res.CandidatesExact {
+			t.Fatalf("trial %d: converged=%v exact=%v", trial, res.Converged, res.CandidatesExact)
+		}
+		if got := keySet(res.Candidates); !sort.StringsAreSorted(got) {
+			t.Fatalf("trial %d: candidates not in canonical order: %v", trial, got)
+		}
+		for _, k := range res.Candidates {
+			checkEquivalent(t, orig, locked, l, k)
+		}
+	}
+}
+
+// Repeated attacks on the same instance must recover the same candidate
+// class, in the same canonical order, with the same convergence status and
+// DIP count: the search has no source of run-to-run variation.
+func TestDeterministicCandidates(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for trial := 0; trial < 4; trial++ {
+		orig, locked, _ := lockedPair(rng, 5+rng.Intn(3), 40+rng.Intn(30), 5)
+		l := NewLocked(locked, func(i int, s netlist.SignalID) bool {
+			return len(locked.N.SignalName(s)) > 0 && locked.N.SignalName(s)[0] == 'k'
+		})
+		var ref *Result
+		for run := 0; run < 3; run++ {
+			res, err := Run(l, &simOracle{c: sim.NewComb(orig)}, Options{EnumerateLimit: 64})
+			if err != nil {
+				t.Fatalf("trial %d run %d: %v", trial, run, err)
+			}
+			if !res.CandidatesExact {
+				t.Fatalf("trial %d run %d: enumeration not exact", trial, run)
+			}
+			got := keySet(res.Candidates)
+			if !sort.StringsAreSorted(got) {
+				t.Fatalf("trial %d run %d: candidates not in canonical order: %v", trial, run, got)
+			}
+			if ref == nil {
+				ref = res
+				continue
+			}
+			if res.Converged != ref.Converged || res.Iterations != ref.Iterations {
+				t.Fatalf("trial %d run %d: converged=%v iterations=%d, want %v/%d",
+					trial, run, res.Converged, res.Iterations, ref.Converged, ref.Iterations)
+			}
+			want := keySet(ref.Candidates)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d run %d: %d candidates, want %d", trial, run, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d run %d: candidate set differs at %d: %s vs %s",
+						trial, run, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// keySet renders keys as bit strings in their returned order.
+func keySet(cands [][]bool) []string {
+	out := make([]string, len(cands))
+	for i, c := range cands {
+		out[i] = bitString(c)
+	}
+	return out
 }
 
 func checkEquivalent(t *testing.T, orig, locked *netlist.CombView, l *Locked, key []bool) {
@@ -265,38 +346,33 @@ func TestMaxIterations(t *testing.T) {
 }
 
 // Options.Log receives exactly one line per DIP, in the engine's single
-// format, whatever the portfolio size.
+// format.
 func TestLogOutput(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	orig, locked, _ := lockedPair(rng, 5, 30, 3)
 	l := NewLocked(locked, func(i int, s netlist.SignalID) bool {
 		return locked.N.SignalName(s)[0] == 'k'
 	})
-	format := regexp.MustCompile(`^iter (\d+): dip=[01]{5} inst=(\d+) clauses=\d+ conflicts=\d+$`)
-	for _, pf := range []int{1, 2} {
-		var buf bytes.Buffer
-		res, err := Run(l, &simOracle{c: sim.NewComb(orig)}, Options{Portfolio: pf, Log: &buf})
-		if err != nil {
-			t.Fatal(err)
+	format := regexp.MustCompile(`^iter (\d+): dip=[01]{5} clauses=\d+ conflicts=\d+$`)
+	var buf bytes.Buffer
+	res, err := Run(l, &simOracle{c: sim.NewComb(orig)}, Options{Log: &buf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Iterations == 0 {
+		t.Fatal("no DIPs, so the log is not exercised")
+	}
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != res.Iterations {
+		t.Fatalf("%d log lines for %d DIPs:\n%s", len(lines), res.Iterations, buf.String())
+	}
+	for i, line := range lines {
+		m := format.FindStringSubmatch(line)
+		if m == nil {
+			t.Fatalf("line %q does not match %v", line, format)
 		}
-		if res.Iterations == 0 {
-			t.Fatalf("portfolio %d: no DIPs, so the log is not exercised", pf)
-		}
-		lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
-		if len(lines) != res.Iterations {
-			t.Fatalf("portfolio %d: %d log lines for %d DIPs:\n%s", pf, len(lines), res.Iterations, buf.String())
-		}
-		for i, line := range lines {
-			m := format.FindStringSubmatch(line)
-			if m == nil {
-				t.Fatalf("portfolio %d: line %q does not match %v", pf, line, format)
-			}
-			if m[1] != strconv.Itoa(i+1) {
-				t.Fatalf("portfolio %d: line %d reports iteration %s", pf, i+1, m[1])
-			}
-			if inst, _ := strconv.Atoi(m[2]); inst >= pf {
-				t.Fatalf("portfolio %d: line %q names instance %d", pf, line, inst)
-			}
+		if m[1] != strconv.Itoa(i+1) {
+			t.Fatalf("line %d reports iteration %s", i+1, m[1])
 		}
 	}
 }

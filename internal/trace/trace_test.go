@@ -137,8 +137,8 @@ func TestMultiSink(t *testing.T) {
 	}
 }
 
-// Sinks and spans must be race-clean: portfolio goroutines emit
-// concurrently into one sink.
+// Sinks and spans must be race-clean: concurrent sweep workers emit into
+// one sink.
 func TestConcurrentEmit(t *testing.T) {
 	c := NewCollector()
 	var jbuf, tbuf bytes.Buffer
@@ -164,7 +164,7 @@ func TestConcurrentEmit(t *testing.T) {
 }
 
 // TestConcurrentSpanEmissionJSONL is the regression test for the JSONL
-// sink under portfolio-style concurrency: many goroutines each opening,
+// sink under sweep-style concurrency: many goroutines each opening,
 // annotating, and closing their own spans against one shared sink. Run
 // under -race (CI does) it catches any lost synchronization; the JSON
 // decode below catches interleaved partial lines.
