@@ -4,8 +4,11 @@
 Checks on every capture:
   * each frame uses only the id/event/data/retry SSE fields, and every
     data payload parses as one stream envelope {seq, type, t, data};
-  * the envelope type is in the published taxonomy (hello, snapshot,
-    delta, dip, stage, insight, span, result, job);
+  * the envelope type is in the published taxonomy of stream protocol 2
+    (hello, snapshot, delta, dip, span, result, job);
+  * every `dip` envelope carries trial, iteration, solve_ms and
+    difficulty, and no (job, trial, iteration) repeats: each DIP is
+    published exactly once;
   * the frame's `event:` name matches the envelope type and its `id:`
     equals the envelope seq;
   * the first frame is the synthesized hello and a snapshot follows;
@@ -31,8 +34,9 @@ import argparse
 import json
 import sys
 
-TYPES = ("hello", "snapshot", "delta", "dip", "stage", "insight",
-         "span", "result", "job")
+TYPES = ("hello", "snapshot", "delta", "dip", "span", "result", "job")
+
+DIP_FIELDS = ("trial", "iteration", "solve_ms", "difficulty")
 
 CONFLICTS = "dynunlock_sat_conflicts_total"
 
@@ -85,10 +89,17 @@ def main():
 
     frames = parse_frames(args.capture)
     assert frames, "no SSE frames captured"
-    events, last_id = [], None
+    events, last_id, dips = [], None, set()
     for f in frames:
         ev = json.loads(f["data"])
         assert ev["type"] in TYPES, ev
+        if ev["type"] == "dip":
+            data = ev.get("data", {})
+            missing = [k for k in DIP_FIELDS if k not in data]
+            assert not missing, f"dip event missing {missing}: {ev}"
+            key = (ev.get("job"), data["trial"], data["iteration"])
+            assert key not in dips, f"DIP published twice: {key}"
+            dips.add(key)
         if f.get("event"):
             assert f["event"] == ev["type"], f
         if f.get("id"):

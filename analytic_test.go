@@ -10,7 +10,6 @@ import (
 	"dynunlock/internal/insight"
 	"dynunlock/internal/lock"
 	"dynunlock/internal/netlist"
-	"dynunlock/internal/satattack"
 )
 
 // sortedSeedSet renders a candidate set as sorted bit strings so two
@@ -80,7 +79,7 @@ func TestAnalyticShortCircuitAffineCore(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					opts.OnDIP = satattack.ChainObservers(opts.OnDIP, tk.DIPObserver())
+					opts.OnDIP = tk.DIPObserver()
 					opts.Insight = tk
 				}
 				res, err := Unlock(chip, opts)

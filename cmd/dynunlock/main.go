@@ -15,9 +15,9 @@
 //
 // -metrics-addr serves live Prometheus metrics at /metrics, an expvar-style
 // JSON snapshot at /debug/vars, pprof profiles at /debug/pprof/, a live SSE
-// event feed at /events (deltas, DIPs, insight updates, stage spans — see
-// internal/stream), and an in-browser dashboard at /live while the attack
-// runs; `runs watch ADDR` follows the same feed from a terminal.
+// event feed at /events (deltas, one event per DIP, stage spans, results —
+// see internal/stream), and an in-browser dashboard at /live while the
+// attack runs; `runs watch ADDR` follows the same feed from a terminal.
 // -progress[=interval] prints a one-line status snapshot to stderr
 // (-progress=json swaps the line for a stream-schema delta event, one JSON
 // object per line; with -trace the same snapshot is emitted as "snapshot"
@@ -122,14 +122,14 @@ func main() {
 		defer cancel()
 	}
 	collector := trace.NewCollector()
-	sinks := []trace.Sink{collector}
+	ctx = trace.With(ctx, collector)
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err != nil {
 			fatalf("%v", err)
 		}
 		defer f.Close()
-		sinks = append(sinks, trace.NewJSONLSink(f))
+		ctx = trace.With(ctx, trace.NewJSONLSink(f))
 	}
 	var rec *flight.Recorder
 	if *recordDir != "" {
@@ -140,7 +140,6 @@ func main() {
 		}
 		rec.Tool = "dynunlock"
 		cfg.Recorder = rec
-		sinks = append(sinks, rec.TraceSink())
 		if *profile {
 			if err := rec.StartProfiles(); err != nil {
 				fatalf("%v", err)
@@ -156,9 +155,7 @@ func main() {
 	if *metricsAddr != "" {
 		bus = stream.NewBus()
 		cfg.Stream = bus
-		sinks = append(sinks, trace.NewStreamSink(bus))
 	}
-	ctx = trace.With(ctx, trace.Multi(sinks...))
 
 	// Metrics are opt-in: without -metrics-addr, -progress, or -record no
 	// registry is installed and the attack runs the uninstrumented path.
@@ -205,9 +202,6 @@ func main() {
 		fatalf("%v", err)
 	}
 	if rec != nil {
-		if err := rec.WriteMetrics(reg); err != nil {
-			fatalf("%v", err)
-		}
 		if err := rec.Close(); err != nil {
 			fatalf("%v", err)
 		}

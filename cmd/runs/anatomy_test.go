@@ -133,9 +133,6 @@ func TestExplainFreshRecordingShowsSearchTelemetry(t *testing.T) {
 	if _, err := dynunlock.RunExperimentCtx(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.WriteMetrics(nil); err != nil {
-		t.Fatal(err)
-	}
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -240,14 +237,14 @@ func TestWatchReconnectResumesFromLastSeq(t *testing.T) {
 		switch n {
 		case 1:
 			// Two sequenced events, then the connection drops (EOF).
-			body := sseFrame(0, "hello", `{"proto":1,"last_seq":0}`) +
+			body := sseFrame(0, "hello", `{"proto":2,"last_seq":0}`) +
 				sseFrame(1, "delta", `{"iterations":1}`) +
 				sseFrame(2, "dip", `{"trial":0,"iteration":1,"conflicts":3,"solve_ms":0.5}`)
 			w.Write([]byte(body))
 		default:
 			resumeID.Store(r.Header.Get("Last-Event-ID"))
-			body := sseFrame(0, "hello", `{"proto":1,"last_seq":2}`) +
-				sseFrame(3, "stage", `{"trial":0,"iteration":1,"difficulty":3.5,"lbd_mean":2.5,"restarts":1,"xor_share":0,"solve_ms":0.5}`) +
+			body := sseFrame(0, "hello", `{"proto":2,"last_seq":2}`) +
+				sseFrame(3, "dip", `{"trial":0,"iteration":2,"conflicts":5,"solve_ms":0.5,"difficulty":3.5,"lbd_mean":2.5,"restarts":1,"xor_share":0}`) +
 				sseFrame(4, "result", `{"scope":"experiment","trials_run":1,"succeeded":true,"stopped":false}`)
 			w.Write([]byte(body))
 		}
@@ -277,8 +274,8 @@ func TestWatchReconnectResumesFromLastSeq(t *testing.T) {
 		t.Errorf("reconnect not announced:\n%s", stderr.String())
 	}
 	for _, want := range []string{
-		"dip: trial=0 iter=1",
-		"stage: trial=0 iter=1 difficulty=3.5 lbd=2.5 restarts=1",
+		"dip: trial=0 iter=1 conflicts=3 solve_ms=0.5\n",
+		"dip: trial=0 iter=2 conflicts=5 solve_ms=0.5 difficulty=3.5 lbd=2.5 restarts=1 xor=0",
 		"result: experiment done trials=1 succeeded=true",
 	} {
 		if !strings.Contains(stdout.String(), want) {

@@ -208,16 +208,7 @@ func renderEvent(w io.Writer, ev stream.Event) (done bool) {
 	case stream.TypeDelta:
 		fmt.Fprintln(w, deltaLine(ev.Data))
 	case stream.TypeDIP:
-		fmt.Fprintf(w, "dip: trial=%v iter=%v conflicts=%v solve_ms=%s\n",
-			ev.Data["trial"], ev.Data["iteration"], ev.Data["conflicts"], numStr(ev.Data["solve_ms"]))
-	case stream.TypeStage:
-		fmt.Fprintf(w, "stage: trial=%v iter=%v difficulty=%s lbd=%s restarts=%v xor=%s solve_ms=%s\n",
-			ev.Data["trial"], ev.Data["iteration"], numStr(ev.Data["difficulty"]),
-			numStr(ev.Data["lbd_mean"]), ev.Data["restarts"], numStr(ev.Data["xor_share"]),
-			numStr(ev.Data["solve_ms"]))
-	case stream.TypeInsight:
-		fmt.Fprintf(w, "insight: rank=%v/%v seeds=2^%v\n",
-			ev.Data["rank"], ev.Data["rank_target"], ev.Data["seeds_log2"])
+		fmt.Fprintln(w, dipLine(ev.Data))
 	case stream.TypeSpan:
 		fmt.Fprintf(w, "span: %v %sms\n", ev.Data["span"], numStr(ev.Data["dur_ms"]))
 	case stream.TypeJob:
@@ -240,6 +231,22 @@ func renderEvent(w io.Writer, ev stream.Event) (done bool) {
 			ev.Data["iterations"], ev.Data["candidates"], ev.Data["converged"], ev.Data["verified"])
 	}
 	return false
+}
+
+// dipLine is the watch rendering of one DIP: the iteration's solver
+// work, then its search anatomy and seed-space state when present.
+func dipLine(d map[string]any) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "dip: trial=%v iter=%v conflicts=%v solve_ms=%s",
+		d["trial"], d["iteration"], d["conflicts"], numStr(d["solve_ms"]))
+	if _, ok := d["difficulty"]; ok {
+		fmt.Fprintf(&b, " difficulty=%s lbd=%s restarts=%v xor=%s",
+			numStr(d["difficulty"]), numStr(d["lbd_mean"]), d["restarts"], numStr(d["xor_share"]))
+	}
+	if _, ok := d["rank"]; ok {
+		fmt.Fprintf(&b, " rank=%v/%v seeds=2^%v", d["rank"], d["rank_target"], d["seeds_log2"])
+	}
+	return b.String()
 }
 
 // deltaLine is the watch rendering of one periodic delta: a superset of

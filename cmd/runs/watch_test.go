@@ -31,8 +31,7 @@ func TestWatchFollowsLiveRunToCompletion(t *testing.T) {
 		})
 		bus.Publish(stream.TypeDIP, map[string]any{
 			"trial": 0, "iteration": 5, "conflicts": 17, "solve_ms": 1.25,
-		})
-		bus.Publish(stream.TypeInsight, map[string]any{
+			"difficulty": 17.5, "lbd_mean": 4.25, "restarts": 2, "xor_share": 0.5,
 			"rank": 6.0, "rank_target": 8.0, "seeds_log2": 2.0,
 		})
 		bus.Publish(stream.TypeResult, map[string]any{
@@ -48,11 +47,10 @@ func TestWatchFollowsLiveRunToCompletion(t *testing.T) {
 		t.Fatalf("watch exit = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
 	}
 	for _, want := range []string{
-		"watch: connected proto=1",
+		"watch: connected proto=2",
 		"snapshot: iters=4",
 		"vars=900 clauses=3100", // the superset over the -progress line
-		"dip: trial=0 iter=5",
-		"insight: rank=6/8 seeds=2^2",
+		"dip: trial=0 iter=5 conflicts=17 solve_ms=1.25 difficulty=17.5 lbd=4.25 restarts=2 xor=0.5 rank=6/8 seeds=2^2",
 		"result: trial done iterations=5 candidates=1 converged=true verified=true",
 		"result: experiment done trials=1 succeeded=true",
 	} {

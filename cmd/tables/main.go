@@ -88,21 +88,19 @@ func main() {
 	if *metricsAddr != "" {
 		bus = stream.NewBus()
 	}
-	var sinks []trace.Sink
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err != nil {
 			fatalf("%v", err)
 		}
 		defer f.Close()
-		sinks = append(sinks, trace.NewJSONLSink(f))
+		ctx = trace.With(ctx, trace.NewJSONLSink(f))
 	}
-	sinks = append(sinks, trace.NewStreamSink(bus)) // nil bus drops to nil sink
-	ctx = trace.With(ctx, trace.Multi(sinks...))
 
-	// Metrics are opt-in; the sweep closures add a per-benchmark label so
-	// every downstream series is tagged with its table condition. Recording
-	// forces a registry so each bundle's metrics.json is populated.
+	// Metrics are opt-in; the sweep closures label every downstream series
+	// with its table condition, which also scopes each bundle's
+	// metrics.json to its own condition. Recording forces a registry so
+	// each bundle's metrics.json is populated.
 	var reg *metrics.Registry
 	if *metricsAddr != "" || progress.Interval > 0 || *recordDir != "" {
 		reg = metrics.NewRegistry()
@@ -161,9 +159,9 @@ func main() {
 	case 1:
 		rows, err = table1(ctx, *scale, workers, logw)
 	case 2:
-		rows, err = table2(ctx, *scale, *trials, *kbits, *maxIters, workers, *recordDir, *profile, *analytic, reg, bus, logw)
+		rows, err = table2(ctx, *scale, *trials, *kbits, *maxIters, workers, *recordDir, *profile, *analytic, bus, logw)
 	case 3:
-		rows, err = table3(ctx, *scale, *trials, *maxIters, workers, *recordDir, *profile, *analytic, reg, bus, logw)
+		rows, err = table3(ctx, *scale, *trials, *maxIters, workers, *recordDir, *profile, *analytic, bus, logw)
 	default:
 		fmt.Fprintf(os.Stderr, "tables: no table %d in the paper\n", *table)
 		os.Exit(2)
@@ -382,41 +380,34 @@ func table1(ctx context.Context, scale, workers int, logw io.Writer) ([]condRow,
 	return out, err
 }
 
-// recordCondition opens a per-condition flight-recorder bundle under dir,
-// attaches it to cfg, and layers the bundle's trace sink over any sink ctx
-// already carries (so -trace and -record coexist). The returned finish
-// func writes the terminal metrics snapshot and closes the bundle; call it
-// after the experiment.
-func recordCondition(ctx context.Context, dir, name string, profile bool, reg *metrics.Registry, cfg *dynunlock.ExperimentConfig) (context.Context, func() error, error) {
-	rec, err := flight.Create(filepath.Join(dir, name))
+// runCondition runs one table condition. With recordDir set it records
+// the condition as bundle name under recordDir: RunExperimentCtx wires
+// the recorder into the run, and the bundle is closed here.
+func runCondition(ctx context.Context, cfg dynunlock.ExperimentConfig, recordDir, name string, profile bool) (*dynunlock.ExperimentResult, error) {
+	if recordDir == "" {
+		return dynunlock.RunExperimentCtx(ctx, cfg)
+	}
+	rec, err := flight.Create(filepath.Join(recordDir, name))
 	if err != nil {
-		return ctx, nil, err
+		return nil, err
 	}
 	rec.Tool = "tables"
 	cfg.Recorder = rec
 	if profile {
 		if err := rec.StartProfiles(); err != nil {
 			rec.Close()
-			return ctx, nil, err
+			return nil, err
 		}
 	}
-	sinks := []trace.Sink{rec.TraceSink()}
-	if parent := trace.From(ctx).Sink(); parent != nil {
-		sinks = append(sinks, parent)
+	res, err := dynunlock.RunExperimentCtx(ctx, cfg)
+	if cerr := rec.Close(); cerr != nil && err == nil {
+		err = cerr
 	}
-	ctx = trace.With(ctx, trace.Multi(sinks...))
-	finish := func() error {
-		if err := rec.WriteMetrics(reg); err != nil {
-			rec.Close()
-			return err
-		}
-		return rec.Close()
-	}
-	return ctx, finish, nil
+	return res, err
 }
 
 // table2 reproduces Table II: ten benchmarks, 128-bit dynamic keys.
-func table2(ctx context.Context, scale, trials, keyBits, maxIters, workers int, recordDir string, profile, analytic bool, reg *metrics.Registry, bus *stream.Bus, logw io.Writer) ([]condRow, error) {
+func table2(ctx context.Context, scale, trials, keyBits, maxIters, workers int, recordDir string, profile, analytic bool, bus *stream.Bus, logw io.Writer) ([]condRow, error) {
 	title := fmt.Sprintf("Table II: scan locked circuits with %d-bit dynamic keys (EFF-Dyn, %d trial(s)", keyBits, trials)
 	if scale > 1 {
 		title += fmt.Sprintf(", circuits and keys scaled 1/%d", scale)
@@ -441,20 +432,7 @@ func table2(ctx context.Context, scale, trials, keyBits, maxIters, workers int, 
 			Stream:        bus,
 			Log:           logw,
 		}
-		var finish func() error
-		if recordDir != "" {
-			var err error
-			ctx, finish, err = recordCondition(ctx, recordDir, "table2_"+e.Name, profile, reg, &cfg)
-			if err != nil {
-				return outcome{}, err
-			}
-		}
-		res, err := dynunlock.RunExperimentCtx(ctx, cfg)
-		if finish != nil {
-			if ferr := finish(); ferr != nil && err == nil {
-				err = ferr
-			}
-		}
+		res, err := runCondition(ctx, cfg, recordDir, "table2_"+e.Name, profile)
 		if err != nil {
 			return outcome{}, err
 		}
@@ -479,7 +457,7 @@ func table2(ctx context.Context, scale, trials, keyBits, maxIters, workers int, 
 
 // table3 reproduces Table III: key-size sweep on the three largest
 // benchmarks.
-func table3(ctx context.Context, scale, trials, maxIters, workers int, recordDir string, profile, analytic bool, reg *metrics.Registry, bus *stream.Bus, logw io.Writer) ([]condRow, error) {
+func table3(ctx context.Context, scale, trials, maxIters, workers int, recordDir string, profile, analytic bool, bus *stream.Bus, logw io.Writer) ([]condRow, error) {
 	benches := []string{"s38584", "s38417", "s35932"}
 	title := "Table III: larger keys on the three largest benchmarks"
 	if scale > 1 {
@@ -500,7 +478,9 @@ func table3(ctx context.Context, scale, trials, maxIters, workers int, recordDir
 		elapsed time.Duration
 	}
 	outs, err := bench.SweepCtx(ctx, workers, conds, func(ctx context.Context, i int, c cond) (outcome, error) {
-		ctx = metrics.WithLabels(ctx, "benchmark", c.name)
+		// Each circuit runs at 15 key widths; the key_bits label keeps the
+		// conditions' series apart.
+		ctx = metrics.WithLabels(ctx, "benchmark", c.name, "key_bits", strconv.Itoa(c.kb))
 		condStart := time.Now()
 		cfg := dynunlock.ExperimentConfig{
 			Benchmark:     c.name,
@@ -514,20 +494,7 @@ func table3(ctx context.Context, scale, trials, maxIters, workers int, recordDir
 			Stream:        bus,
 			Log:           logw,
 		}
-		var finish func() error
-		if recordDir != "" {
-			var err error
-			ctx, finish, err = recordCondition(ctx, recordDir, fmt.Sprintf("table3_%s_k%d", c.name, c.kb), profile, reg, &cfg)
-			if err != nil {
-				return outcome{}, err
-			}
-		}
-		res, err := dynunlock.RunExperimentCtx(ctx, cfg)
-		if finish != nil {
-			if ferr := finish(); ferr != nil && err == nil {
-				err = ferr
-			}
-		}
+		res, err := runCondition(ctx, cfg, recordDir, fmt.Sprintf("table3_%s_k%d", c.name, c.kb), profile)
 		if err != nil {
 			return outcome{}, err
 		}

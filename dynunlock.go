@@ -75,13 +75,17 @@ type ExperimentConfig struct {
 	// seed constraints are injected into the SAT solver after each DIP and
 	// the attack short-circuits analytically once they reach full key rank
 	// (see core.Options.Insight). Implies running the insight tracker even
-	// without metrics or tracing sinks.
+	// when the run is not otherwise live (no recorder, bus or registry).
 	Analytic bool
 	// Recorder, when non-nil, captures the experiment as a flight-recorder
-	// bundle: the manifest is written from the resolved design, every scan
-	// session and DIP iteration streams into the bundle, and each trial's
-	// outcome is appended to result.json. Nil costs nothing — the attack
-	// path is untouched.
+	// bundle, and RunExperimentCtx wires all of it: the manifest is written
+	// from the resolved design, every scan session and DIP iteration
+	// streams into the bundle, the run's trace events land in trace.jsonl,
+	// each trial's outcome is appended to result.json, and on return
+	// metrics.json holds the run's own series (the label scope of the
+	// metrics handle on ctx; an empty document without one). The caller
+	// only creates the recorder and closes it afterwards. Nil costs
+	// nothing — the attack path is untouched.
 	Recorder *flight.Recorder
 	// ChipWrapper, when non-nil, wraps each trial's fabricated chip before
 	// the attack (and before the Recorder's own wrapping, so a recorder
@@ -90,10 +94,12 @@ type ExperimentConfig struct {
 	// reads the secret seed from the unwrapped oracle.
 	ChipWrapper func(trial int, chip core.Chip) core.Chip
 	// Stream, when non-nil, publishes live attack events to the bus: one
-	// "dip" event per DIP iteration and a terminal "result" via the trace
-	// layer. With no subscribers attached the publish path is a single
-	// atomic load and allocates nothing, so an idle bus never perturbs the
-	// attack (pinned by TestStreamDoesNotPerturbAttack).
+	// "dip" event per DIP iteration carrying the DIP, the solver counters,
+	// the search anatomy and the seed-space state, plus the run's "span"
+	// and "result" events, which RunExperimentCtx bridges from its trace.
+	// With no subscribers attached the publish path is a single atomic
+	// load and allocates nothing, so an idle bus never perturbs the attack
+	// (pinned by TestStreamDoesNotPerturbAttack).
 	Stream *stream.Bus
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer
@@ -266,8 +272,15 @@ func ctxStop(ctx context.Context) core.StopReason {
 // with Stopped set — never an error. A trace sink on ctx observes every
 // trial's stage spans and "result" events plus one final "experiment"
 // event summarizing the run.
-func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (*ExperimentResult, error) {
-	tr := trace.From(ctx)
+//
+// RunExperimentCtx is the one place a run's telemetry is wired. The run
+// is live when a recorder, a stream bus or a metrics registry is
+// attached; then each trial gets one OnDIP observer (see dipObserver),
+// the recorder and the bus bridge join whatever trace sink the caller
+// installed on ctx, and a recorder gets its metrics.json on every return
+// after the manifest. A run that is neither live nor Analytic installs
+// no hook at all.
+func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (res *ExperimentResult, err error) {
 	entry, ok := bench.ByName(cfg.Benchmark)
 	if !ok {
 		return nil, fmt.Errorf("dynunlock: unknown benchmark %q", cfg.Benchmark)
@@ -290,20 +303,19 @@ func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (*ExperimentRes
 	if err != nil {
 		return nil, err
 	}
-	res := &ExperimentResult{Entry: entry, Config: cfg}
-	// Anatomy capture rides the same "telemetry is live" gate as the other
-	// observers: a recorder persists it as anatomy.json, a stream bus
-	// publishes "stage" events from it, and a metrics registry surfaces it
-	// as dynunlock_anatomy_* series. With none of the three the capture is
-	// never built and the solver stays hook-free.
+	res = &ExperimentResult{Entry: entry, Config: cfg}
 	mh := metrics.From(ctx)
+	live := cfg.Recorder != nil || cfg.Stream != nil || mh != nil
+	// The anatomy capture rides the live gate: a recorder persists it as
+	// anatomy.json and the bus publishes it in each "dip" event. Without
+	// telemetry it is never built and the solver stays hook-free.
 	var cap *anatomy.Capture
-	if cfg.Recorder != nil || cfg.Stream != nil || mh != nil {
+	if live {
 		cap = anatomy.NewCapture()
 	}
-	if cfg.Recorder != nil {
-		if err := cfg.Recorder.WriteManifest(flight.Manifest{
-			Tool:           cfg.Recorder.Tool,
+	if rec := cfg.Recorder; rec != nil {
+		if err := rec.WriteManifest(flight.Manifest{
+			Tool:           rec.Tool,
 			Benchmark:      cfg.Benchmark,
 			Scale:          cfg.Scale,
 			Trials:         cfg.Trials,
@@ -312,13 +324,23 @@ func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (*ExperimentRes
 			MaxIterations:  cfg.MaxIterations,
 			SeedBase:       cfg.SeedBase,
 			Analytic:       cfg.Analytic,
-			Anatomy:        cap != nil,
+			Anatomy:        true,
 			Lock:           flight.LockInfoFor(design),
 			Fingerprint:    flight.NewFingerprint(),
 		}); err != nil {
 			return nil, err
 		}
+		defer func() {
+			if werr := rec.WriteMetrics(mh.Snapshot()); werr != nil && err == nil {
+				res, err = nil, werr
+			}
+		}()
+		ctx = trace.With(ctx, rec)
 	}
+	if cfg.Stream != nil {
+		ctx = trace.With(ctx, streamSink{cfg.Stream})
+	}
+	tr := trace.From(ctx)
 	for trial := 0; trial < cfg.Trials; trial++ {
 		if ctx.Err() != nil {
 			res.Stopped, res.StopReason = true, ctxStop(ctx)
@@ -340,33 +362,28 @@ func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (*ExperimentRes
 		}
 		if cfg.Recorder != nil {
 			atkChip = cfg.Recorder.WrapChip(trial, atkChip)
-			opts.OnDIP = cfg.Recorder.DIPHook(trial)
 		}
 		if cap != nil {
 			cap.StartTrial(trial)
 			opts.Search = cap
-			opts.OnDIP = satattack.ChainObservers(opts.OnDIP, cap.ObserveDIP)
-			opts.OnDIP = satattack.ChainObservers(opts.OnDIP, stagePublisher(cfg.Stream, mh, cap, trial))
 		}
-		// Seed-space insight rides the same OnDIP hook whenever telemetry
-		// is live: a registry or trace sink on ctx turns the tracker on, no
-		// sinks leaves the hot loop untouched. Analytic mode forces the
-		// tracker on and additionally feeds its certified rows back into
-		// the solver. A tracker setup failure (e.g. a nonlinear PRNG the
-		// linear model refuses) degrades to an untracked (and non-analytic)
-		// run rather than failing the attack.
-		if mh != nil || tr.Enabled() || cfg.Analytic {
-			if tk, err := insight.New(design, insight.Options{Metrics: mh, Tracer: tr}); err == nil {
-				opts.OnDIP = satattack.ChainObservers(opts.OnDIP, tk.DIPObserver())
-				if cfg.Analytic {
-					opts.Insight = tk
-				}
-			} else if cfg.Log != nil {
-				fmt.Fprintf(cfg.Log, "insight tracker disabled: %v\n", err)
+		// Seed-space insight runs whenever the run is live, and in Analytic
+		// mode, which also feeds its certified rows back into the solver. A
+		// tracker setup failure (e.g. a nonlinear PRNG the linear model
+		// refuses) degrades to an untracked (and non-analytic) run rather
+		// than failing the attack.
+		var tk *insight.Tracker
+		if live || cfg.Analytic {
+			var terr error
+			if tk, terr = insight.New(design, insight.Options{Metrics: mh}); terr != nil && cfg.Log != nil {
+				fmt.Fprintf(cfg.Log, "insight tracker disabled: %v\n", terr)
+			}
+			if tk != nil && cfg.Analytic {
+				opts.Insight = tk
 			}
 		}
-		if cfg.Stream != nil {
-			opts.OnDIP = satattack.ChainObservers(opts.OnDIP, dipPublisher(cfg.Stream, trial))
+		if live || tk != nil {
+			opts.OnDIP = dipObserver(cfg.Recorder, cfg.Stream, cap, tk, trial)
 		}
 		start := time.Now()
 		atk, err := core.AttackCtx(ctx, atkChip, opts)
@@ -411,7 +428,7 @@ func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (*ExperimentRes
 	if cfg.Recorder != nil && res.Stopped {
 		cfg.Recorder.SetStopped(true, string(res.StopReason))
 	}
-	if cfg.Recorder != nil && cap != nil {
+	if cfg.Recorder != nil {
 		if err := cfg.Recorder.WriteAnatomy(cap.Doc()); err != nil {
 			return nil, err
 		}
@@ -441,65 +458,128 @@ func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (*ExperimentRes
 	return res, nil
 }
 
-// stagePublisher surfaces the anatomy capture live at each DIP boundary:
-// one "stage" stream event (trial, iteration, per-iteration solve time and
-// difficulty, cumulative sampled LBD mean, restarts, XOR share) and the
-// dynunlock_anatomy_* metrics series. The bus path is gated on Enabled so
-// an idle bus costs one atomic load; the metrics handle is nil-safe.
-func stagePublisher(bus *stream.Bus, mh *metrics.Handle, cap *anatomy.Capture, trial int) satattack.DIPObserver {
+// dipObserver is a trial's one OnDIP hook. At each DIP it appends the
+// dips.jsonl record, seals the anatomy segment, feeds the insight tracker
+// and publishes one "dip" event carrying all of it: the DIP and response
+// bits, the solver counters and solve_ms; the iteration's difficulty, the
+// sampled mean LBD, restarts and the XOR propagation share; and the
+// tracker's rank, rank_target, seeds_log2, eta_ms and inconsistent flag.
+// Each nil part is skipped. The bit strings and the event map are only
+// built when a recorder or a subscriber needs them, so an idle bus costs
+// one atomic load.
+func dipObserver(rec *flight.Recorder, bus *stream.Bus, cap *anatomy.Capture, tk *insight.Tracker, trial int) satattack.DIPObserver {
 	var prev sat.Stats
-	return func(iter int, _, _ []bool, stats sat.Stats, solveTime time.Duration) {
+	return func(iter int, dip, resp []bool, stats sat.Stats, solveTime time.Duration) {
+		d := flight.DIPRecord{
+			Trial:     trial,
+			Iteration: iter,
+			Solver:    flight.FromSatStats(stats),
+			SolveMS:   float64(solveTime) / float64(time.Millisecond),
+		}
+		publish := bus.Enabled()
+		if rec != nil || publish {
+			d.DIP, d.Response = flight.BitString(dip), flight.BitString(resp)
+		}
+		if rec != nil {
+			rec.AppendDIP(d)
+		}
+		var lbdMean float64
+		var lbdSamples, restarts uint64
+		if cap != nil {
+			lbdMean, lbdSamples, restarts = cap.ObserveDIP(iter)
+		}
+		var ins insight.Snapshot
+		if tk != nil {
+			ins = tk.Observe(dip, resp)
+		}
 		delta := flight.SolverStats{
 			Conflicts:    stats.Conflicts - prev.Conflicts,
 			Propagations: stats.Propagations - prev.Propagations,
 		}
 		prev = stats
-		difficulty := anatomy.Difficulty(delta)
+		if !publish {
+			return
+		}
 		xorShare := 0.0
 		if stats.Propagations > 0 {
 			xorShare = float64(stats.XorPropagations) / float64(stats.Propagations)
 		}
-		if mh != nil {
-			meanLBD, _, restarts := cap.Live()
-			mh.Gauge(metrics.MetricAnatomySolveSeconds).Add(solveTime.Seconds())
-			mh.Gauge(metrics.MetricAnatomyLBDMean).Set(meanLBD)
-			mh.Gauge(metrics.MetricAnatomyRestarts).Set(float64(restarts))
-			mh.Gauge(metrics.MetricAnatomyDifficulty).Set(difficulty)
-			mh.Gauge(metrics.MetricAnatomyXorShare).Set(xorShare)
-		}
-		if bus != nil && bus.Enabled() {
-			meanLBD, samples, restarts := cap.Live()
-			bus.Publish(stream.TypeStage, map[string]any{
-				"trial":       trial,
-				"iteration":   iter,
-				"solve_ms":    float64(solveTime) / float64(time.Millisecond),
-				"difficulty":  difficulty,
-				"lbd_mean":    meanLBD,
-				"lbd_samples": samples,
-				"restarts":    restarts,
-				"xor_share":   xorShare,
-			})
-		}
-	}
-}
-
-// dipPublisher adapts a DIP iteration into one "dip" stream event. The
-// Enabled check keeps the no-subscriber path allocation-free: the maps and
-// bit strings below are only built when someone is listening.
-func dipPublisher(bus *stream.Bus, trial int) satattack.DIPObserver {
-	return func(iter int, dip, resp []bool, stats sat.Stats, solveTime time.Duration) {
-		if !bus.Enabled() {
-			return
-		}
-		bus.Publish(stream.TypeDIP, map[string]any{
+		data := map[string]any{
 			"trial":        trial,
 			"iteration":    iter,
-			"dip":          flight.BitString(dip),
-			"response":     flight.BitString(resp),
+			"dip":          d.DIP,
+			"response":     d.Response,
 			"conflicts":    stats.Conflicts,
 			"propagations": stats.Propagations,
 			"learnt":       stats.Learnt,
-			"solve_ms":     float64(solveTime) / float64(time.Millisecond),
-		})
+			"solve_ms":     d.SolveMS,
+			"difficulty":   anatomy.Difficulty(delta),
+			"lbd_mean":     lbdMean,
+			"lbd_samples":  lbdSamples,
+			"restarts":     restarts,
+			"xor_share":    xorShare,
+		}
+		if tk != nil {
+			data["rank"] = ins.Rank
+			data["rank_target"] = ins.TargetRank
+			data["seeds_log2"] = ins.SeedsLog2
+			data["eta_ms"] = ins.ETA.Milliseconds()
+			data["inconsistent"] = ins.Inconsistent
+		}
+		bus.Publish(stream.TypeDIP, data)
 	}
+}
+
+// streamSink bridges a run's trace events onto its stream bus:
+//
+//	span_end   → "span"   {span, dur_ms, counters?}
+//	result     → "result" with data.scope = "trial"
+//	experiment → "result" with data.scope = "experiment"
+//	            (the terminal event a `runs watch` session exits 0 on)
+//
+// Other trace events are dropped: span_start (span_end carries the
+// duration), progress (free text) and snapshot (metrics.Progress
+// publishes its sample as a "delta" event). The sink checks
+// bus.Enabled() before building any payload, preserving the
+// no-subscriber zero-allocation path.
+type streamSink struct {
+	bus *stream.Bus
+}
+
+// Emit implements trace.Sink.
+func (s streamSink) Emit(ev trace.Event) {
+	if !s.bus.Enabled() {
+		return
+	}
+	switch ev.Type {
+	case "span_end":
+		data := map[string]any{
+			"span":   ev.Span,
+			"dur_ms": float64(ev.Duration) / float64(time.Millisecond),
+		}
+		if len(ev.Counters) > 0 {
+			counters := make(map[string]any, len(ev.Counters))
+			for k, v := range ev.Counters {
+				counters[k] = v
+			}
+			data["counters"] = counters
+		}
+		s.bus.Publish(stream.TypeSpan, data)
+	case "result":
+		s.bus.Publish(stream.TypeResult, withScope(ev.Fields, "trial"))
+	case "experiment":
+		s.bus.Publish(stream.TypeResult, withScope(ev.Fields, "experiment"))
+	}
+}
+
+// withScope copies fields and adds the scope marker; the source map is
+// shared with the other sinks of the run's trace, so it must not be
+// mutated here.
+func withScope(fields map[string]any, scope string) map[string]any {
+	data := make(map[string]any, len(fields)+1)
+	for k, v := range fields {
+		data[k] = v
+	}
+	data["scope"] = scope
+	return data
 }

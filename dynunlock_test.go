@@ -2,9 +2,17 @@ package dynunlock
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"dynunlock/internal/core"
+	"dynunlock/internal/flight"
+	"dynunlock/internal/metrics"
 )
 
 func TestRunExperimentSmall(t *testing.T) {
@@ -80,5 +88,67 @@ func TestExperimentResultEmptyAggregates(t *testing.T) {
 	r := &ExperimentResult{}
 	if r.AvgCandidates() != 0 || r.AllSucceeded() {
 		t.Fatal("empty aggregates wrong")
+	}
+}
+
+// TestMetricsJSONHoldsOnlyItsOwnSeries records two experiments into one
+// registry under different label scopes — two key widths of one circuit,
+// as a Table III sweep runs them — and checks that each bundle's
+// metrics.json holds only its own series, whose conflict total equals its
+// own result.json.
+func TestMetricsJSONHoldsOnlyItsOwnSeries(t *testing.T) {
+	reg := metrics.NewRegistry()
+	reg.SetBuildInfo("goversion", "test")
+	base := metrics.With(context.Background(), reg)
+	dirs := map[string]string{}
+	for _, keyBits := range []int{8, 12} {
+		kb := strconv.Itoa(keyBits)
+		dir := t.TempDir()
+		rec, err := flight.Create(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := metrics.WithLabels(base, "benchmark", "s5378", "key_bits", kb)
+		_, err = RunExperimentCtx(ctx, ExperimentConfig{
+			Benchmark: "s5378", KeyBits: keyBits, Policy: PerCycle, Scale: 16,
+			Trials: 2, SeedBase: int64(keyBits), Recorder: rec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+		dirs[kb] = dir
+	}
+	for kb, dir := range dirs {
+		data, err := os.ReadFile(filepath.Join(dir, flight.MetricsFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap map[string]any
+		if err := json.Unmarshal(data, &snap); err != nil {
+			t.Fatal(err)
+		}
+		var conflicts float64
+		for key, v := range snap {
+			if !strings.Contains(key, `key_bits="`+kb+`"`) {
+				t.Errorf("k=%s metrics.json holds a foreign series %q", kb, key)
+			}
+			if strings.HasPrefix(key, metrics.MetricSatConflicts+"{") {
+				conflicts += v.(float64)
+			}
+		}
+		b, err := flight.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recorded uint64
+		for _, tr := range b.Result.Trials {
+			recorded += tr.Solver.Conflicts
+		}
+		if recorded == 0 || uint64(conflicts) != recorded {
+			t.Errorf("k=%s metrics.json sums %v conflicts, result.json records %d", kb, conflicts, recorded)
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"dynunlock/internal/flight"
-	"dynunlock/internal/sat"
 	"dynunlock/internal/trace"
 )
 
@@ -128,9 +127,11 @@ func TestCaptureSegmentsAtDIPBoundaries(t *testing.T) {
 	c.SearchLearnt(2, 4)  // glue clause → bucket <=2
 	c.SearchLearnt(7, 12) // → bucket <=8
 	c.SearchRestart(100)
-	c.ObserveDIP(1, nil, nil, sat.Stats{}, 0)
+	if mean, samples, restarts := c.ObserveDIP(1); mean != 4.5 || samples != 2 || restarts != 1 {
+		t.Errorf("DIP 1 live telemetry = %v/%d/%d, want mean LBD 4.5, 2 samples, 1 restart", mean, samples, restarts)
+	}
 	c.SearchLearnt(100, 50) // beyond the last bound → overflow bucket
-	c.ObserveDIP(2, nil, nil, sat.Stats{}, 0)
+	c.ObserveDIP(2)
 	c.SearchLearnt(3, 3) // after the last DIP: trial-wide only
 	c.SearchRestart(7)
 	c.EndTrial()

@@ -2,10 +2,8 @@ package anatomy
 
 import (
 	"sync"
-	"time"
 
 	"dynunlock/internal/flight"
-	"dynunlock/internal/sat"
 )
 
 // LBDBounds are the capture's LBD histogram bucket upper bounds: glue
@@ -16,9 +14,8 @@ var LBDBounds = []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64}
 // Capture accumulates live solver search telemetry for one experiment:
 // sampled learnt-clause LBD/size observations and restarts, segmented at
 // DIP boundaries. It implements satattack.SearchObserver (SearchLearnt,
-// SearchRestart), and ObserveDIP matches satattack.DIPObserver so it
-// chains onto the existing OnDIP hook. All methods are mutex-serialized,
-// so Live can read from another goroutine while the attack reports.
+// SearchRestart); the experiment's OnDIP hook calls ObserveDIP at each
+// DIP boundary. All methods are mutex-serialized.
 //
 // Usage per trial: StartTrial, attack (hooks fire), EndTrial. Doc seals
 // the accumulated trials into the anatomy.json document.
@@ -89,29 +86,20 @@ func (c *Capture) SearchRestart(conflicts uint64) {
 	c.cur.seg.Restarts++
 }
 
-// ObserveDIP matches satattack.DIPObserver: a DIP boundary seals the open
-// telemetry segment as that iteration's record.
-func (c *Capture) ObserveDIP(iteration int, _, _ []bool, _ sat.Stats, _ time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.cur == nil {
-		return
-	}
-	seg := c.cur.seg
-	seg.Iteration = iteration
-	c.cur.rec.DIPs = append(c.cur.rec.DIPs, seg)
-	c.cur.seg = flight.DIPSearchRecord{}
-}
-
-// Live snapshots the in-flight trial's cumulative telemetry for live
-// publication: mean sampled LBD, sample count, and restarts so far.
-// Zeroes outside a trial.
-func (c *Capture) Live() (meanLBD float64, samples, restarts uint64) {
+// ObserveDIP marks a DIP boundary: it seals the open telemetry segment as
+// that iteration's record and returns the trial's cumulative telemetry
+// for live publication — mean sampled LBD, sample count, and restarts so
+// far. Outside a trial it records nothing and returns zeroes.
+func (c *Capture) ObserveDIP(iteration int) (meanLBD float64, samples, restarts uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.cur == nil {
 		return 0, 0, 0
 	}
+	seg := c.cur.seg
+	seg.Iteration = iteration
+	c.cur.rec.DIPs = append(c.cur.rec.DIPs, seg)
+	c.cur.seg = flight.DIPSearchRecord{}
 	return c.cur.rec.LBD.MeanLBD(), c.cur.rec.LBD.Samples, c.cur.rec.Restarts
 }
 

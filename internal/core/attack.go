@@ -91,9 +91,9 @@ type Options struct {
 	// solver after each DIP and which arms the analytic rank-k
 	// short-circuit (see satattack.Options.Insight). The source must
 	// address seed bits: ModeDirect passes it through unchanged, ModeLinear
-	// translates its rows into the mask key space. It must also be wired
-	// into OnDIP (satattack.ChainObservers with the tracker's DIPObserver)
-	// so it actually observes the responses.
+	// translates its rows into the mask key space. OnDIP must also feed it
+	// each response (the tracker's DIPObserver, or an observer that calls
+	// its Observe) so it actually observes the responses.
 	Insight satattack.InsightSource
 }
 

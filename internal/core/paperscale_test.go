@@ -16,9 +16,9 @@ import (
 //
 // Measured results are recorded in EXPERIMENTS.md. The largest circuits
 // (s38584/s38417/s35932, 1233–1728 flops) take tens of minutes to hours
-// per trial on the built-in solver. Progress streams through a trace
-// TextSink onto stderr (visible under -v), and per-stage timings come from
-// the span records — no raw prints from library or test code.
+// per trial on the built-in solver. Per-stage timings come from the span
+// records of a trace collector, logged with t.Logf (visible under -v) —
+// no raw prints from library or test code.
 func TestPaperScale(t *testing.T) {
 	if os.Getenv("DYNUNLOCK_PAPERSCALE") == "" {
 		t.Skip("set DYNUNLOCK_PAPERSCALE=1 for paper-scale runs")
@@ -44,7 +44,7 @@ func TestPaperScale(t *testing.T) {
 			start := time.Now()
 			_, chip := lockedChip(t, tc.ffs, tc.k, scan.PerCycle, 42, 43)
 			collector := trace.NewCollector()
-			ctx := trace.With(context.Background(), trace.Multi(collector, trace.NewTextSink(os.Stderr)))
+			ctx := trace.With(context.Background(), collector)
 			res, err := AttackCtx(ctx, chip, Options{EnumerateLimit: 256})
 			if err != nil {
 				t.Fatal(err)

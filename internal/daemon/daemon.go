@@ -9,9 +9,9 @@
 // One registry, one bus, one listener serve every job:
 //
 //   - Every dynunlock_* series a job publishes carries a job="<id>"
-//     label via the registry's label-scoped handle view
-//     (metrics.Registry.WithLabels) — no instrumentation call site knows
-//     about jobs.
+//     label via the job context's metrics labels (metrics.WithLabels) —
+//     no instrumentation call site knows about jobs, and the job
+//     bundle's metrics.json holds only that job's series.
 //   - Every stream event a job publishes is stamped with its job ID via
 //     the bus's job view (stream.Bus.WithJob); /events aggregates all
 //     jobs under one strictly increasing sequence and /events?job=<id>

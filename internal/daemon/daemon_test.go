@@ -125,9 +125,6 @@ func TestDaemonJobMatchesCLIAttack(t *testing.T) {
 	if _, err := dynunlock.RunExperimentCtx(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.WriteMetrics(nil); err != nil {
-		t.Fatal(err)
-	}
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}

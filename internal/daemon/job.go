@@ -14,7 +14,6 @@ import (
 	"dynunlock/internal/flight"
 	"dynunlock/internal/metrics"
 	"dynunlock/internal/stream"
-	"dynunlock/internal/trace"
 )
 
 // Job lifecycle states. The machine is linear with three exits:
@@ -377,13 +376,14 @@ func (d *Daemon) runJob(j *Job) {
 		}
 	}
 
-	// One registry serves every job; the handle view stamps job="<id>"
-	// (plus the benchmark) onto each series this job publishes, and the
-	// progress sampler sums only within that scope so concurrent jobs
-	// never bleed into each other's delta events.
-	ctx = metrics.WithHandle(ctx, d.reg.WithLabels("job", j.ID, "benchmark", cfg.Benchmark))
-	ctx = trace.With(ctx, trace.Multi(rec.TraceSink(), trace.NewStreamSink(jobBus)))
-	p := metrics.NewProgress(d.reg, d.cfg.SampleInterval, io.Discard, trace.From(ctx))
+	// One registry serves every job; the context labels stamp job="<id>"
+	// (plus the benchmark) onto each series this job publishes, which
+	// also scopes the bundle's metrics.json to this job, and the progress
+	// sampler sums only within that scope so concurrent jobs never bleed
+	// into each other's delta events. RunExperimentCtx wires the
+	// recorder and the job's bus view into the attack.
+	ctx = metrics.WithLabels(metrics.With(ctx, d.reg), "job", j.ID, "benchmark", cfg.Benchmark)
+	p := metrics.NewProgress(d.reg, d.cfg.SampleInterval, io.Discard, nil)
 	p.SetScope("job", j.ID)
 	p.AttachStream(jobBus)
 	p.Start()
@@ -416,12 +416,6 @@ func (d *Daemon) runJob(j *Job) {
 	j.result = res
 	j.mu.Unlock()
 
-	// The bundle's metrics.json is scoped to this job's series, so its
-	// totals equal what /events?job=<id> reported — one source of truth
-	// per job even though the registry is shared.
-	if err := rec.WriteMetricsSnapshot(d.reg.Snapshot("job", j.ID)); err != nil && runErr == nil {
-		runErr = err
-	}
 	if err := rec.Close(); err != nil && runErr == nil {
 		runErr = err
 	}

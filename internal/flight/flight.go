@@ -12,15 +12,19 @@
 //	                line per session, in issue order
 //	dips.jsonl      one line per SAT-attack iteration: the DIP, the
 //	                oracle response, a solver-counter snapshot, wall time
-//	trace.jsonl     the structured trace stream (internal/trace JSONL schema)
-//	metrics.json    terminal snapshot of the live-metrics registry
+//	trace.jsonl     the run's structured trace stream (internal/trace
+//	                JSONL schema): stage spans, progress lines, results
+//	metrics.json    terminal snapshot of the run's own metric series (its
+//	                label scope in the live-metrics registry)
 //	result.json     per-trial outcomes: seed candidates, counters, stop
 //	                reason, solver stats
 //
 // Recording is strictly additive: a Recorder taps the existing extension
-// points (the core.Chip oracle interface, satattack.Options.OnDIP, a
-// trace.Sink) and never changes what the attack computes; with no recorder
-// installed the attack path is bit-identical to an unrecorded run.
+// points (the core.Chip oracle interface, satattack.Options.OnDIP, and it
+// is itself a trace.Sink) and never changes what the attack computes; with
+// no recorder installed the attack path is bit-identical to an unrecorded
+// run. dynunlock.RunExperimentCtx installs every tap; a front end only
+// creates the recorder and closes it.
 //
 // Replay inverts the capture: Bundle.ReplayChip returns a core.Chip that
 // serves recorded sessions instead of simulating silicon, so a recorded

@@ -108,8 +108,8 @@ func writeBundleFixture(t *testing.T, dir string) {
 		t.Fatal(err)
 	}
 	rec.RecordTrial(TrialRecord{Trial: 0, SecretSeed: "10000000", Iterations: 1, Queries: 1})
-	hook := rec.DIPHook(0)
-	hook(1, []bool{true, false}, []bool{false}, sat.Stats{Conflicts: 7}, 0)
+	rec.AppendDIP(DIPRecord{Trial: 0, Iteration: 1, DIP: "10", Response: "0",
+		Solver: FromSatStats(sat.Stats{Conflicts: 7})})
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -14,9 +14,6 @@ import (
 
 	"dynunlock/internal/core"
 	"dynunlock/internal/gf2"
-	"dynunlock/internal/metrics"
-	"dynunlock/internal/sat"
-	"dynunlock/internal/satattack"
 	"dynunlock/internal/trace"
 )
 
@@ -40,9 +37,10 @@ const (
 
 // Recorder writes a run bundle. It is safe for concurrent use: condition
 // sweeps record trials from worker goroutines, and all appends are
-// serialized under one mutex. Create it, install its taps (WrapChip,
-// DIPHook, TraceSink), feed it trial results, and Close it to finalize
-// result.json.
+// serialized under one mutex. Create it, hand it to the experiment layer
+// (which installs its taps: WrapChip, AppendDIP, and the recorder itself
+// as the trace sink, then feeds it trial results and metrics.json), and
+// Close it to finalize result.json.
 type Recorder struct {
 	// Tool names the recording command ("dynunlock", "tables"); it is
 	// stamped into the manifest when the experiment layer writes it.
@@ -56,7 +54,7 @@ type Recorder struct {
 	dipsF    *os.File
 	dipsW    *bufio.Writer
 	traceF   *os.File
-	sink     trace.Sink
+	traceW   *trace.JSONLSink
 	seq      int
 	result   ResultDoc
 	start    time.Time
@@ -102,7 +100,7 @@ func Create(dir string) (*Recorder, error) {
 		r.dipsF.Close()
 		return nil, fmt.Errorf("flight: %w", err)
 	}
-	r.sink = trace.NewJSONLSink(r.traceF)
+	r.traceW = trace.NewJSONLSink(r.traceF)
 	return r, nil
 }
 
@@ -185,31 +183,20 @@ func (r *Recorder) stopProfiles() error {
 	return err
 }
 
-// TraceSink returns a sink that streams the run's trace events into the
-// bundle's trace.jsonl; add it to the CLI's sink list.
-func (r *Recorder) TraceSink() trace.Sink { return r.sink }
+// Emit implements trace.Sink: the run's trace events stream into the
+// bundle's trace.jsonl.
+func (r *Recorder) Emit(ev trace.Event) { r.traceW.Emit(ev) }
 
-// DIPHook returns a satattack.DIPObserver that appends dips.jsonl lines
-// tagged with the given trial.
-func (r *Recorder) DIPHook(trial int) satattack.DIPObserver {
-	return func(iter int, dip, resp []bool, stats sat.Stats, solveTime time.Duration) {
-		rec := DIPRecord{
-			Trial:     trial,
-			Iteration: iter,
-			DIP:       BitString(dip),
-			Response:  BitString(resp),
-			Solver:    FromSatStats(stats),
-			SolveMS:   float64(solveTime) / float64(time.Millisecond),
-		}
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if r.closed {
-			return
-		}
-		appendJSONL(r.dipsW, &rec)
-		if r.durable {
-			r.dipsW.Flush()
-		}
+// AppendDIP appends one dips.jsonl line.
+func (r *Recorder) AppendDIP(rec DIPRecord) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		return
+	}
+	appendJSONL(r.dipsW, &rec)
+	if r.durable {
+		r.dipsW.Flush()
 	}
 }
 
@@ -333,18 +320,11 @@ func (r *Recorder) WriteAnatomy(doc *AnatomyDoc) error {
 	return writeJSONFile(filepath.Join(r.dir, AnatomyFile), doc)
 }
 
-// WriteMetrics writes metrics.json: the terminal snapshot of the live
-// registry. A nil registry writes an empty document so the bundle layout
-// stays uniform.
-func (r *Recorder) WriteMetrics(reg *metrics.Registry) error {
-	return r.WriteMetricsSnapshot(reg.Snapshot())
-}
-
-// WriteMetricsSnapshot writes metrics.json from a prebuilt snapshot map
-// — the daemon scopes a shared registry down to one job's series
-// (Registry.Snapshot with a label pair) before recording it, so a job's bundle
-// carries only its own totals.
-func (r *Recorder) WriteMetricsSnapshot(snap map[string]any) error {
+// WriteMetrics writes metrics.json from a metrics snapshot — the run's
+// own label scope (metrics.Handle.Snapshot), so a bundle carries only its
+// own totals even when runs share a registry. A nil snapshot writes an
+// empty document so the bundle layout stays uniform.
+func (r *Recorder) WriteMetrics(snap map[string]any) error {
 	if snap == nil {
 		snap = map[string]any{}
 	}

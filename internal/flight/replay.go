@@ -11,7 +11,6 @@ import (
 	"dynunlock/internal/gf2"
 	"dynunlock/internal/insight"
 	"dynunlock/internal/lock"
-	"dynunlock/internal/satattack"
 )
 
 // Replay is an oracle that answers scan sessions from a recorded transcript
@@ -190,7 +189,7 @@ func (b *Bundle) Replay(ctx context.Context) (*ResultDoc, error) {
 		// recording side (dynunlock.RunExperimentCtx): untracked attack.
 		if b.Manifest.Analytic {
 			if tk, terr := insight.New(chip.Design(), insight.Options{}); terr == nil {
-				opts.OnDIP = satattack.ChainObservers(opts.OnDIP, tk.DIPObserver())
+				opts.OnDIP = tk.DIPObserver()
 				opts.Insight = tk
 			}
 		}

@@ -33,9 +33,6 @@ func recordExperiment(t *testing.T, cfg dynunlock.ExperimentConfig) (string, *dy
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.WriteMetrics(nil); err != nil {
-		t.Fatal(err)
-	}
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}

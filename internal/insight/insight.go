@@ -21,10 +21,11 @@
 // Rank is capped by rank([A;B]) — every certified row lies in the row
 // space of the session masks — so that cap is the published target and
 // the base of the DIP-rate ETA. Progress is published three ways:
-// metrics gauges (dynunlock_insight_*), "insight" trace events, and the
-// extended -progress line (internal/metrics.Progress picks the gauges
-// up). The tracker is safe for concurrent Observe calls and its final
-// rank is insertion-order independent.
+// metrics gauges (dynunlock_insight_*), the snapshot Observe returns
+// (the experiment layer folds it into each DIP's "dip" stream event),
+// and the extended -progress line (internal/metrics.Progress picks the
+// gauges up). The tracker is safe for concurrent Observe calls and its
+// final rank is insertion-order independent.
 package insight
 
 import (
@@ -39,17 +40,14 @@ import (
 	"dynunlock/internal/netlist"
 	"dynunlock/internal/sat"
 	"dynunlock/internal/satattack"
-	"dynunlock/internal/trace"
 )
 
-// Options configures a Tracker's publication sinks. The zero value is a
+// Options configures a Tracker's publication sink. The zero value is a
 // silent tracker (state queries only), which the offline report
 // generator uses to replay recorded DIP transcripts.
 type Options struct {
 	// Metrics, when non-nil, receives the insight gauges.
 	Metrics *metrics.Handle
-	// Tracer, when non-nil, receives one "insight" event per DIP.
-	Tracer *trace.Tracer
 	// Now overrides the clock used for the ETA estimate (tests).
 	Now func() time.Time
 }
@@ -97,8 +95,7 @@ type Tracker struct {
 	k      int
 	target int
 
-	h  *metrics.Handle
-	tr *trace.Tracer
+	h *metrics.Handle
 
 	mu      sync.Mutex
 	basis   *gf2.Basis
@@ -131,7 +128,6 @@ func New(d *lock.Design, opts Options) (*Tracker, error) {
 		k:      k,
 		target: gf2.Rank(gf2.VStack(A, B)),
 		h:      opts.Metrics,
-		tr:     opts.Tracer,
 		basis:  gf2.NewBasis(k),
 		now:    now,
 		forms:  make([]form, d.Netlist.NumSignals()),
@@ -148,15 +144,16 @@ func New(d *lock.Design, opts Options) (*Tracker, error) {
 // and the analytic constraint count the attack converges to.
 func (t *Tracker) TargetRank() int { return t.target }
 
-// Observe absorbs one DIP: dip is the model input vector (primary
-// inputs followed by the scan-in vector, as delivered by the OnDIP
-// hook) and resp the oracle response (primary outputs followed by the
-// observed scan-out). Vectors of the wrong length are ignored.
-func (t *Tracker) Observe(dip, resp []bool) {
+// Observe absorbs one DIP and returns the tracker's state after it: dip
+// is the model input vector (primary inputs followed by the scan-in
+// vector, as delivered by the OnDIP hook) and resp the oracle response
+// (primary outputs followed by the observed scan-out). Vectors of the
+// wrong length are ignored.
+func (t *Tracker) Observe(dip, resp []bool) Snapshot {
 	numPI, numPO := t.view.NumPI, t.view.NumPO
 	n := t.d.Chain.Length
 	if len(dip) != numPI+n || len(resp) != numPO+n {
-		return
+		return t.Snapshot()
 	}
 	t.mu.Lock()
 	if !t.started {
@@ -179,6 +176,7 @@ func (t *Tracker) Observe(dip, resp []bool) {
 	snap := t.snapshotLocked()
 	t.mu.Unlock()
 	t.publish(snap, learned)
+	return snap
 }
 
 // insert certifies one response bit: a non-⊤ form f plus an optional
@@ -246,32 +244,22 @@ func (t *Tracker) History() []Point {
 	return append([]Point(nil), t.points...)
 }
 
-// publish pushes a snapshot to the metrics gauges and the trace sink.
+// publish pushes a snapshot to the metrics gauges.
 func (t *Tracker) publish(s Snapshot, learned int) {
-	if t.h != nil {
-		t.h.Gauge(metrics.MetricInsightRank).Set(float64(s.Rank))
-		t.h.Gauge(metrics.MetricInsightRankTarget).Set(float64(s.TargetRank))
-		t.h.Gauge(metrics.MetricInsightSeedsLog2).Set(float64(s.SeedsLog2))
-		t.h.Counter(metrics.MetricInsightBits).Add(uint64(learned))
-		if s.ETA >= 0 {
-			t.h.Gauge(metrics.MetricInsightETA).Set(s.ETA.Seconds())
-		}
+	if t.h == nil {
+		return
 	}
-	t.tr.Emit(trace.Event{Type: "insight", Fields: map[string]any{
-		"dips":           s.DIPs,
-		"rank":           s.Rank,
-		"rank_target":    s.TargetRank,
-		"bits_learned":   s.Rank,
-		"seeds_log2":     s.SeedsLog2,
-		"rows_certified": s.Rows,
-		"bits_skipped":   s.Skipped,
-		"eta_ms":         s.ETA.Milliseconds(),
-		"inconsistent":   s.Inconsistent,
-	}})
+	t.h.Gauge(metrics.MetricInsightRank).Set(float64(s.Rank))
+	t.h.Gauge(metrics.MetricInsightRankTarget).Set(float64(s.TargetRank))
+	t.h.Gauge(metrics.MetricInsightSeedsLog2).Set(float64(s.SeedsLog2))
+	t.h.Counter(metrics.MetricInsightBits).Add(uint64(learned))
+	if s.ETA >= 0 {
+		t.h.Gauge(metrics.MetricInsightETA).Set(s.ETA.Seconds())
+	}
 }
 
-// DIPObserver adapts the tracker to the satattack OnDIP hook. Chain it
-// with other observers via satattack.ChainObservers.
+// DIPObserver adapts the tracker to the satattack OnDIP hook, for
+// attacks where the tracker is the only observer (replay, tests).
 func (t *Tracker) DIPObserver() satattack.DIPObserver {
 	return func(_ int, dip, resp []bool, _ sat.Stats, _ time.Duration) {
 		t.Observe(dip, resp)

@@ -17,7 +17,6 @@ import (
 	"dynunlock/internal/oracle"
 	"dynunlock/internal/sat"
 	"dynunlock/internal/scan"
-	"dynunlock/internal/trace"
 )
 
 // xorBench is an XOR-only sequential core: every gate preserves affine
@@ -304,7 +303,8 @@ func TestSoundOnNonlinearCore(t *testing.T) {
 	}
 }
 
-// TestTrackerPublishes checks the metrics gauges and trace events.
+// TestTrackerPublishes checks the metrics gauges and the snapshot each
+// Observe returns.
 func TestTrackerPublishes(t *testing.T) {
 	const k = 8
 	d := lockedDesign(t, xorBench, k)
@@ -313,11 +313,9 @@ func TestTrackerPublishes(t *testing.T) {
 
 	reg := metrics.NewRegistry()
 	h := metrics.From(metrics.With(context.Background(), reg))
-	col := trace.NewCollector()
 	fake := time.Unix(1000, 0)
 	tracker, err := New(d, Options{
 		Metrics: h,
-		Tracer:  trace.New(col),
 		Now: func() time.Time {
 			fake = fake.Add(time.Second)
 			return fake
@@ -329,14 +327,21 @@ func TestTrackerPublishes(t *testing.T) {
 	numPI := d.View.NumPI
 	n := d.Chain.Length
 	rng := rand.New(rand.NewSource(21))
+	var last Snapshot
 	for i := 0; i < 8; i++ {
 		dip := make([]bool, numPI+n)
 		for j := range dip {
 			dip[j] = rng.Intn(2) == 1
 		}
-		tracker.Observe(dip, adapter.Query(dip))
+		last = tracker.Observe(dip, adapter.Query(dip))
+		if last.DIPs != i+1 {
+			t.Fatalf("Observe %d returned a snapshot of %d DIPs", i+1, last.DIPs)
+		}
 	}
 	snap := tracker.Snapshot()
+	if last.Rank != snap.Rank || last.SeedsLog2 != snap.SeedsLog2 || last.TargetRank != snap.TargetRank {
+		t.Fatalf("last Observe returned %+v, tracker reports %+v", last, snap)
+	}
 	if snap.Rank <= 0 {
 		t.Fatal("no rank learned")
 	}
@@ -356,19 +361,6 @@ func TestTrackerPublishes(t *testing.T) {
 		if _, ok := reg.Sum("dynunlock_insight_eta_seconds"); !ok {
 			t.Fatal("eta gauge missing despite learned rank")
 		}
-	}
-	events := col.Events()
-	insightEvents := 0
-	for _, ev := range events {
-		if ev.Type == "insight" {
-			insightEvents++
-			if ev.Fields["rank"] == nil || ev.Fields["seeds_log2"] == nil {
-				t.Fatalf("insight event missing fields: %v", ev.Fields)
-			}
-		}
-	}
-	if insightEvents != 8 {
-		t.Fatalf("got %d insight events, want 8", insightEvents)
 	}
 	// History matches the last point.
 	hist := tracker.History()

@@ -27,7 +27,10 @@ func With(ctx context.Context, r *Registry) context.Context {
 // WithLabels returns a context whose handle carries additional base
 // labels (alternating key/value pairs) merged into every instrument
 // created below. Without a registry on ctx it is a no-op, so label
-// tagging costs nothing on the disabled path.
+// tagging costs nothing on the disabled path. It is the one way to scope
+// a run's series: the daemon gives each job
+// WithLabels(With(ctx, reg), "job", id, "benchmark", name), and the CLIs
+// label each experiment by its benchmark.
 func WithLabels(ctx context.Context, labelPairs ...string) context.Context {
 	h := From(ctx)
 	if h == nil || len(labelPairs) == 0 {
@@ -40,33 +43,6 @@ func WithLabels(ctx context.Context, labelPairs ...string) context.Context {
 		reg:  h.reg,
 		base: mergePairs(h.base, labelPairs),
 	})
-}
-
-// WithLabels returns a Handle on r whose base labels are merged into
-// every instrument created through it — a label-scoped view of the
-// registry. The daemon gives each job the view WithLabels("job", id)
-// (installed on the job's context via WithHandle) so every dynunlock_*
-// series the attack publishes carries the job label without any
-// instrumentation call site changing. A nil registry returns the nil
-// no-op handle; no label pairs returns an unscoped handle.
-func (r *Registry) WithLabels(labelPairs ...string) *Handle {
-	if r == nil {
-		return nil
-	}
-	if len(labelPairs)%2 != 0 {
-		panic("metrics: odd number of label pair elements")
-	}
-	return &Handle{reg: r, base: labelPairs}
-}
-
-// WithHandle returns a context carrying h verbatim — how a prebuilt
-// label-scoped view (Registry.WithLabels) is installed for the layers
-// below. A nil handle returns ctx unchanged.
-func WithHandle(ctx context.Context, h *Handle) context.Context {
-	if h == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, h)
 }
 
 // From returns the handle carried by ctx, or nil when telemetry is
@@ -82,12 +58,16 @@ func From(ctx context.Context) *Handle {
 	return nil
 }
 
-// Registry returns the underlying registry (nil on the nil handle).
-func (h *Handle) Registry() *Registry {
+// Snapshot returns the series in the handle's own label scope: the
+// registry's Snapshot restricted to the handle's base labels, so a run
+// labeled WithLabels("job", id) reads back only its own series while
+// other runs share the registry. A handle without base labels returns
+// every series; the nil handle returns nil.
+func (h *Handle) Snapshot() map[string]any {
 	if h == nil {
 		return nil
 	}
-	return h.reg
+	return h.reg.Snapshot(h.base...)
 }
 
 // Counter returns a counter with the handle's base labels merged in.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -12,10 +13,16 @@ import (
 	"dynunlock/internal/stream"
 )
 
+// scoped returns the handle a run labeled with labelPairs gets below
+// WithLabels(With(ctx, r), labelPairs...).
+func scoped(r *Registry, labelPairs ...string) *Handle {
+	return From(WithLabels(With(context.Background(), r), labelPairs...))
+}
+
 func TestRegistryLabeledViewsAndScopedReads(t *testing.T) {
 	r := NewRegistry()
-	j1 := r.WithLabels("job", "j1")
-	j2 := r.WithLabels("job", "j2")
+	j1 := scoped(r, "job", "j1")
+	j2 := scoped(r, "job", "j2")
 	j1.Counter(MetricAttackDIPs, "engine", "sequential").Add(3)
 	j2.Counter(MetricAttackDIPs, "engine", "sequential").Add(5)
 	r.Counter(MetricAttackDIPs, "engine", "sequential").Add(7) // unscoped
@@ -39,6 +46,10 @@ func TestRegistryLabeledViewsAndScopedReads(t *testing.T) {
 			t.Fatalf("scoped snapshot wrong series %q=%v", k, v)
 		}
 	}
+	// A handle reads back its own scope.
+	if !reflect.DeepEqual(j1.Snapshot(), snap) {
+		t.Fatalf("j1 handle snapshot = %v, want %v", j1.Snapshot(), snap)
+	}
 	// Scoped histograms merge only matching children.
 	bounds := []float64{0.1, 1, 10}
 	j1.Histogram(MetricAttackDIPSolveSec, bounds).Observe(0.05)
@@ -48,20 +59,31 @@ func TestRegistryLabeledViewsAndScopedReads(t *testing.T) {
 	}
 	// Nil and empty-pair views degrade to unscoped behavior.
 	var nr *Registry
-	if nr.WithLabels("job", "x") != nil {
-		t.Fatal("nil registry WithLabels should return nil handle")
+	if scoped(nr, "job", "x") != nil {
+		t.Fatal("labels without a registry should leave the nil handle")
+	}
+	if got := len(scoped(r).Snapshot()); got != len(r.Snapshot()) {
+		t.Fatalf("unlabeled handle snapshot has %d series, want all %d", got, len(r.Snapshot()))
 	}
 	if got, ok := r.Sum(MetricAttackDIPs); !ok || got != 15 {
 		t.Fatalf("Sum with no pairs = %v,%v want unfiltered 15,true", got, ok)
 	}
 }
 
+// instrumenter is what a Registry and a Handle share: the three
+// instrument constructors.
+type instrumenter interface {
+	Counter(name string, labelPairs ...string) *Counter
+	Gauge(name string, labelPairs ...string) *Gauge
+	Histogram(name string, bounds []float64, labelPairs ...string) *Histogram
+}
+
 func TestUnlabeledExpositionUnchangedByJobViews(t *testing.T) {
-	// The zero-cost pin: instrumenting through an empty Registry.WithLabels
-	// view must be byte-identical to instrumenting the registry directly,
+	// The zero-cost pin: instrumenting through a context handle with no
+	// labels must be byte-identical to instrumenting the registry directly,
 	// and the existence of labeled views elsewhere must not alter the
 	// unlabeled series' rendering.
-	build := func(via func(r *Registry) *Handle) string {
+	build := func(via func(r *Registry) instrumenter) string {
 		r := NewRegistry()
 		h := via(r)
 		h.Counter(MetricAttackDIPs, "engine", "sequential").Add(42)
@@ -73,11 +95,8 @@ func TestUnlabeledExpositionUnchangedByJobViews(t *testing.T) {
 		}
 		return sb.String()
 	}
-	direct := build(func(r *Registry) *Handle { return r.WithLabels() })
-	viaCtx := build(func(r *Registry) *Handle {
-		ctx := With(context.Background(), r)
-		return From(ctx)
-	})
+	direct := build(func(r *Registry) instrumenter { return r })
+	viaCtx := build(func(r *Registry) instrumenter { return scoped(r) })
 	if direct != viaCtx {
 		t.Fatalf("empty view exposition diverged:\n--- direct ---\n%s--- ctx ---\n%s", direct, viaCtx)
 	}
@@ -176,8 +195,8 @@ func TestServerHandleAndHealthEndpoints(t *testing.T) {
 
 func TestEventsJobFilterStreamsOnlyThatJob(t *testing.T) {
 	r := NewRegistry()
-	r.WithLabels("job", "j1").Counter(MetricAttackDIPs, "engine", "sequential").Add(2)
-	r.WithLabels("job", "j2").Counter(MetricAttackDIPs, "engine", "sequential").Add(9)
+	scoped(r, "job", "j1").Counter(MetricAttackDIPs, "engine", "sequential").Add(2)
+	scoped(r, "job", "j2").Counter(MetricAttackDIPs, "engine", "sequential").Add(9)
 	bus := stream.NewBus()
 	srv, err := ServeBus("127.0.0.1:0", r, bus)
 	if err != nil {
@@ -238,8 +257,8 @@ func TestEventsJobFilterStreamsOnlyThatJob(t *testing.T) {
 
 func TestEventsJobFilterDrainSnapshotIsScoped(t *testing.T) {
 	r := NewRegistry()
-	r.WithLabels("job", "j1").Counter(MetricAttackDIPs, "engine", "sequential").Add(4)
-	r.WithLabels("job", "j2").Counter(MetricAttackDIPs, "engine", "sequential").Add(6)
+	scoped(r, "job", "j1").Counter(MetricAttackDIPs, "engine", "sequential").Add(4)
+	scoped(r, "job", "j2").Counter(MetricAttackDIPs, "engine", "sequential").Add(6)
 	bus := stream.NewBus()
 	srv, err := ServeBus("127.0.0.1:0", r, bus)
 	if err != nil {

@@ -275,33 +275,28 @@ function applyDelta(d) {
   rates.prop.push(d.props_per_s || 0);
 }
 
-function applyInsight(d) {
+// applyDIP renders one DIP iteration: its solve time on the timeline,
+// the search anatomy at that boundary (difficulty, sampled mean
+// learnt-clause LBD with the trial's restart count, XOR-layer propagation
+// share; see internal/anatomy) and, when the insight tracker runs, the
+// seed-space convergence point.
+function applyDIP(d) {
+  solve.n++;
+  solve.x.push(solve.n);
+  solve.ms.push(d.solve_ms || 0);
+  if (d.iteration !== undefined) setTile("t-iters", fmtCount(d.iteration));
+  if (d.difficulty !== undefined) setTile("t-difficulty", fmtCount(d.difficulty));
+  if (d.lbd_mean !== undefined)
+    setTile("t-lbd", d.lbd_mean.toFixed(1) + " / " + fmtCount(d.restarts || 0));
+  if (d.xor_share !== undefined) setTile("t-xor", (d.xor_share * 100).toFixed(1) + "%");
   if (d.rank === undefined) return;
-  conv.dips.push(d.dips !== undefined ? d.dips : conv.dips.length + 1);
+  conv.dips.push(d.iteration !== undefined ? d.iteration : conv.dips.length + 1);
   conv.rank.push(d.rank);
   conv.target.push(d.rank_target !== undefined ? d.rank_target : d.rank);
   conv.seeds.push(d.seeds_log2 !== undefined ? d.seeds_log2 : 0);
   setTile("t-rank", d.rank + " / " + (d.rank_target !== undefined ? d.rank_target : "?"));
   if (d.seeds_log2 !== undefined) setTile("t-seeds", "2^" + d.seeds_log2);
   if (d.eta_ms !== undefined) setTile("t-eta", Math.round(d.eta_ms / 1000) + "s");
-}
-
-function applyDIP(d) {
-  solve.n++;
-  solve.x.push(solve.n);
-  solve.ms.push(d.solve_ms || 0);
-  if (d.iteration !== undefined) setTile("t-iters", fmtCount(d.iteration));
-}
-
-// applyStage renders the anatomy breakdown published at each DIP boundary
-// (see internal/anatomy): the iteration's difficulty score, the sampled
-// mean learnt-clause LBD with the trial's restart count, and the XOR-layer
-// propagation share.
-function applyStage(d) {
-  if (d.difficulty !== undefined) setTile("t-difficulty", fmtCount(d.difficulty));
-  if (d.lbd_mean !== undefined)
-    setTile("t-lbd", d.lbd_mean.toFixed(1) + " / " + fmtCount(d.restarts || 0));
-  if (d.xor_share !== undefined) setTile("t-xor", (d.xor_share * 100).toFixed(1) + "%");
 }
 
 var status = document.getElementById("status");
@@ -327,9 +322,7 @@ on("hello", function (d) {
 });
 on("snapshot", applySnapshot);
 on("delta", applyDelta);
-on("insight", applyInsight);
 on("dip", applyDIP);
-on("stage", applyStage);
 on("span", function () {});
 on("result", function (d) {
   if (d.scope === "experiment") {

@@ -80,16 +80,6 @@ const (
 	MetricInsightSeedsLog2  = "dynunlock_insight_seeds_remaining_log2"
 	MetricInsightETA        = "dynunlock_insight_eta_seconds"
 
-	// Anatomy series (internal/anatomy live attribution, published once
-	// per DIP iteration): cumulative DIP-loop solve wall time, mean
-	// sampled learnt-clause LBD, restart count, the last iteration's
-	// difficulty score, and the XOR-layer propagation share.
-	MetricAnatomySolveSeconds = "dynunlock_anatomy_solve_seconds_total"
-	MetricAnatomyLBDMean      = "dynunlock_anatomy_lbd_mean"
-	MetricAnatomyRestarts     = "dynunlock_anatomy_restarts"
-	MetricAnatomyDifficulty   = "dynunlock_anatomy_dip_difficulty"
-	MetricAnatomyXorShare     = "dynunlock_anatomy_xor_share"
-
 	// Process series (updated by the HTTP server on scrape).
 	MetricProcessRSS  = "dynunlock_process_resident_bytes"
 	MetricGoroutines  = "dynunlock_process_goroutines"
@@ -536,9 +526,9 @@ func (r *Registry) lookup(name string) *family {
 // quantiles are fixed-bucket interpolation estimates; the Prometheus
 // exposition stays raw buckets). Optional label pairs restrict it to
 // series carrying every pair exactly; none means every series. The
-// expvar endpoint and tests consume the full map; the daemon writes a
-// job's bundle metrics.json and its filtered SSE snapshots from
-// Snapshot("job", id). Nil-safe.
+// expvar endpoint and tests consume the full map; a run's bundle
+// metrics.json comes from its handle's scope (Handle.Snapshot) and the
+// filtered SSE snapshots from Snapshot("job", id). Nil-safe.
 func (r *Registry) Snapshot(labelPairs ...string) map[string]any {
 	if r == nil {
 		return nil

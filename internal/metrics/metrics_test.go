@@ -79,8 +79,8 @@ func TestNilSafety(t *testing.T) {
 	}
 	var hd *Handle
 	hd.Counter("nope").Inc()
-	if hd.Registry() != nil {
-		t.Fatal("nil handle registry must be nil")
+	if hd.Snapshot() != nil {
+		t.Fatal("nil handle snapshot must be nil")
 	}
 	if From(context.Background()) != nil {
 		t.Fatal("background context must carry no handle")

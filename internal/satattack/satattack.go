@@ -117,9 +117,11 @@ type Options struct {
 	// OnDIP, when non-nil, observes every completed DIP iteration: the
 	// iteration number (1-based), the distinguishing input, the oracle's
 	// response, a snapshot of the solver counters after the iteration, and
-	// the wall time of the SAT call that produced the DIP. The flight
-	// recorder (internal/flight) uses it to persist dips.jsonl. The dip and
-	// resp slices are only valid for the duration of the call. nil leaves
+	// the wall time of the SAT call that produced the DIP. The experiment
+	// layer (dynunlock.RunExperimentCtx) hangs one observer here that
+	// persists dips.jsonl, seals the anatomy segment, feeds the insight
+	// tracker and publishes the "dip" stream event. The dip and resp
+	// slices are only valid for the duration of the call. nil leaves
 	// the hot loop free of timestamps and allocations, preserving the
 	// bit-identical unobserved path.
 	OnDIP DIPObserver
@@ -172,30 +174,6 @@ type DIPObserver func(iteration int, dip, resp []bool, stats sat.Stats, solveTim
 type SearchObserver interface {
 	SearchLearnt(lbd int32, size int)
 	SearchRestart(conflicts uint64)
-}
-
-// ChainObservers composes DIP observers into one that invokes each in
-// order (the flight recorder first, then the insight tracker, …). Nil
-// entries are dropped; the result is nil when none remain, preserving
-// the OnDIP == nil fast path.
-func ChainObservers(obs ...DIPObserver) DIPObserver {
-	live := obs[:0:0]
-	for _, o := range obs {
-		if o != nil {
-			live = append(live, o)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return func(iteration int, dip, resp []bool, stats sat.Stats, solveTime time.Duration) {
-		for _, o := range live {
-			o(iteration, dip, resp, stats, solveTime)
-		}
-	}
 }
 
 // StopReason classifies why an attack stopped before completing.
@@ -381,7 +359,7 @@ dipLoop:
 		loopEncC += dc
 		am.observeEncode(dv, dc)
 		if opts.Insight != nil {
-			// The OnDIP chain above let the insight source observe this
+			// The OnDIP hook above let the insight source observe this
 			// response; its new rows are linear consequences of the
 			// constraints just asserted, so injecting them prunes no
 			// candidate key.

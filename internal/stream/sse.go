@@ -68,7 +68,7 @@ func ParseEvent(b []byte) (Event, error) {
 		return Event{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	switch ev.Type {
-	case TypeHello, TypeSnapshot, TypeDelta, TypeDIP, TypeInsight, TypeSpan, TypeResult, TypeStage, TypeJob:
+	case TypeHello, TypeSnapshot, TypeDelta, TypeDIP, TypeSpan, TypeResult, TypeJob:
 		return ev, nil
 	case "":
 		return Event{}, fmt.Errorf("%w: event without a type", ErrCorrupt)

@@ -1,8 +1,8 @@
 // Package stream is the live-streaming layer of the attack stack: a
 // dependency-free, race-safe event bus that merges the existing
 // telemetry extension points — metrics.Registry snapshots and deltas,
-// trace.Sink span fan-in, satattack OnDIP records, insight rank/ETA
-// updates — into one ordered, typed event feed.
+// trace span and result events, and one record per DIP iteration — into
+// one ordered, typed event feed.
 //
 // The bus never blocks the attack hot path. Every subscriber owns a
 // fixed-size ring buffer; when a slow client falls behind, the oldest
@@ -49,12 +49,13 @@ const (
 	// cadence): iterations, conflict/propagation rates, learnt DB,
 	// oracle cycles, insight rank/seeds/ETA, encode vars/clauses.
 	TypeDelta = "delta"
-	// TypeDIP is one DIP-loop iteration: trial, iteration, DIP and
-	// response bits, solve time, solver counters.
+	// TypeDIP is one DIP-loop iteration, published once per DIP: trial,
+	// iteration, DIP and response bits, solve_ms, solver counters; the
+	// search anatomy at that boundary (difficulty, lbd_mean, lbd_samples,
+	// restarts, xor_share; see internal/anatomy); and, when the insight
+	// tracker runs, the seed-space state (rank, rank_target, seeds_log2,
+	// eta_ms, inconsistent; see internal/insight).
 	TypeDIP = "dip"
-	// TypeInsight is a seed-space tracker update (rank, seeds_log2,
-	// eta_ms, …; see internal/insight).
-	TypeInsight = "insight"
 	// TypeSpan is a completed attack stage (trace span_end): name,
 	// duration, counters.
 	TypeSpan = "span"
@@ -62,11 +63,6 @@ const (
 	// per-trial result ("trial") from the experiment-terminal one
 	// ("experiment") that ends a `runs watch` session.
 	TypeResult = "result"
-	// TypeStage is the anatomy breakdown published at each DIP boundary:
-	// trial, iteration, cumulative solve_ms, per-iteration difficulty,
-	// sampled mean LBD, restarts, and XOR propagation share (see
-	// internal/anatomy).
-	TypeStage = "stage"
 	// TypeJob is a daemon job lifecycle transition (internal/daemon):
 	// data carries the job id, the new state
 	// (queued/admitted/running/draining/done/failed/evicted), and
@@ -75,8 +71,9 @@ const (
 )
 
 // Proto is the stream schema version carried in hello events. Bump it
-// when the event envelope or the meaning of a type changes.
-const Proto = 1
+// when the event envelope or the meaning of a type changes. Version 2
+// folded the per-DIP "stage" and "insight" events into "dip".
+const Proto = 2
 
 // Event is one feed entry. Seq is the bus-assigned ordering (0 on
 // per-subscriber synthesized events, which carry no SSE id line and so

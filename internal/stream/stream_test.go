@@ -239,7 +239,7 @@ func TestPublishedDataIsNotCopiedButSeqIsStable(t *testing.T) {
 	anchor := b.Subscribe(0)
 	defer anchor.Close()
 	m := map[string]any{"k": "v"}
-	b.Publish(TypeInsight, m)
+	b.Publish(TypeDIP, m)
 	s := b.Subscribe(0)
 	defer s.Close()
 	evs := collect(t, s, 1)

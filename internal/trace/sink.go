@@ -3,57 +3,9 @@ package trace
 import (
 	"encoding/json"
 	"io"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 )
-
-// TextSink renders events as human-readable lines on w, one per event,
-// prefixed with "trace:". Safe for concurrent use.
-type TextSink struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-// NewTextSink returns a text sink writing to w.
-func NewTextSink(w io.Writer) *TextSink { return &TextSink{w: w} }
-
-// Emit implements Sink.
-func (s *TextSink) Emit(ev Event) {
-	var sb strings.Builder
-	sb.WriteString("trace: ")
-	sb.WriteString(ev.Type)
-	if ev.Span != "" {
-		sb.WriteByte(' ')
-		sb.WriteString(ev.Span)
-	}
-	if ev.Type == "span_end" {
-		sb.WriteByte(' ')
-		sb.WriteString(ev.Duration.Round(time.Microsecond).String())
-	}
-	for _, k := range sortedKeys(ev.Counters) {
-		sb.WriteByte(' ')
-		sb.WriteString(k)
-		sb.WriteByte('=')
-		sb.WriteString(uitoa(ev.Counters[k]))
-	}
-	for _, k := range sortedFieldKeys(ev.Fields) {
-		sb.WriteByte(' ')
-		sb.WriteString(k)
-		sb.WriteByte('=')
-		b, _ := json.Marshal(ev.Fields[k])
-		sb.Write(b)
-	}
-	if ev.Msg != "" {
-		sb.WriteByte(' ')
-		sb.WriteString(ev.Msg)
-	}
-	sb.WriteByte('\n')
-	s.mu.Lock()
-	io.WriteString(s.w, sb.String())
-	s.mu.Unlock()
-}
 
 // JSONLSink writes one JSON object per event to w (JSON Lines). The
 // schema, stable for downstream tooling:
@@ -178,42 +130,4 @@ func (ms MultiSink) Emit(ev Event) {
 	for _, s := range ms {
 		s.Emit(ev)
 	}
-}
-
-func sortedKeys(m map[string]uint64) []string {
-	if len(m) == 0 {
-		return nil
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedFieldKeys(m map[string]any) []string {
-	if len(m) == 0 {
-		return nil
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func uitoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

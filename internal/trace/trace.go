@@ -44,7 +44,7 @@ type Event struct {
 }
 
 // Sink receives telemetry events. Implementations must be safe for
-// concurrent use: portfolio races and condition sweeps emit from several
+// concurrent use: condition sweeps and daemon workers emit from several
 // goroutines.
 type Sink interface {
 	Emit(ev Event)
@@ -52,11 +52,16 @@ type Sink interface {
 
 type ctxKey struct{}
 
-// With returns a context carrying the sink. Attack layers below retrieve
-// it with From; a nil sink returns ctx unchanged.
+// With returns a context carrying the sink. A sink already on ctx keeps
+// receiving every event: the two are layered with Multi, so a run can add
+// its own sinks below a CLI's without losing the CLI's. Attack layers below
+// retrieve the result with From; a nil sink returns ctx unchanged.
 func With(ctx context.Context, s Sink) context.Context {
 	if s == nil {
 		return ctx
+	}
+	if parent := From(ctx); parent != nil {
+		s = Multi(parent.sink, s)
 	}
 	return context.WithValue(ctx, ctxKey{}, &Tracer{sink: s})
 }
@@ -92,16 +97,6 @@ func New(s Sink) *Tracer {
 
 // Enabled reports whether events reach a real sink.
 func (t *Tracer) Enabled() bool { return t != nil && t.sink != nil }
-
-// Sink returns the tracer's sink (nil for the no-op tracer). Callers use
-// it to layer an extra sink over an inherited context with Multi without
-// losing the one already installed.
-func (t *Tracer) Sink() Sink {
-	if t == nil {
-		return nil
-	}
-	return t.sink
-}
 
 // Start begins a span. End must be called to emit the closing event;
 // counters added in between travel on the span_end event.

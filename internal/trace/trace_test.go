@@ -55,6 +55,22 @@ func TestWithFromRoundTrip(t *testing.T) {
 	}
 }
 
+// With layers a second sink under the one already on the context: both
+// see every event emitted below, and the outer context keeps only its own.
+func TestWithLayersOverInheritedSink(t *testing.T) {
+	outer, inner := NewCollector(), NewCollector()
+	octx := With(context.Background(), outer)
+	ictx := With(octx, inner)
+	From(ictx).Progressf("below")
+	From(octx).Progressf("above")
+	if got := len(outer.Events()); got != 2 {
+		t.Fatalf("outer sink saw %d events, want 2", got)
+	}
+	if evs := inner.Events(); len(evs) != 1 || evs[0].Msg != "below" {
+		t.Fatalf("inner sink saw %+v, want only the event emitted below it", evs)
+	}
+}
+
 func TestWithNilSinkReturnsSameContext(t *testing.T) {
 	ctx := context.Background()
 	if With(ctx, nil) != ctx {
@@ -106,22 +122,6 @@ func TestJSONLSinkSchema(t *testing.T) {
 	}
 }
 
-func TestTextSinkLines(t *testing.T) {
-	var buf bytes.Buffer
-	tr := New(NewTextSink(&buf))
-	sp := tr.Start("extract")
-	sp.Add("conflicts", 2)
-	sp.End()
-	tr.Progressf("note")
-	out := buf.String()
-	if !strings.Contains(out, "span_end extract") || !strings.Contains(out, "conflicts=2") {
-		t.Fatalf("text output = %q", out)
-	}
-	if !strings.Contains(out, "progress note") {
-		t.Fatalf("text output = %q", out)
-	}
-}
-
 func TestMultiSink(t *testing.T) {
 	if Multi(nil, nil) != nil {
 		t.Fatal("all-nil Multi must be nil")
@@ -141,8 +141,8 @@ func TestMultiSink(t *testing.T) {
 // one sink.
 func TestConcurrentEmit(t *testing.T) {
 	c := NewCollector()
-	var jbuf, tbuf bytes.Buffer
-	tr := New(Multi(c, NewJSONLSink(&jbuf), NewTextSink(&tbuf)))
+	var jbuf bytes.Buffer
+	tr := New(Multi(c, NewJSONLSink(&jbuf)))
 	sp := tr.Start("dip_loop")
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -1,11 +1,14 @@
 package dynunlock
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"dynunlock/internal/stream"
+	"dynunlock/internal/trace"
 )
 
 // TestStreamDoesNotPerturbAttack pins the tentpole's zero-cost guarantee:
@@ -57,9 +60,11 @@ func TestStreamDoesNotPerturbAttack(t *testing.T) {
 }
 
 // TestStreamPublishesDIPEvents covers the live side of the same hook: with
-// a subscriber attached, each DIP iteration publishes one "dip" event
-// whose iteration numbers count up per trial, plus one "stage" anatomy
-// event carrying the iteration's difficulty score.
+// a subscriber attached, each DIP iteration publishes exactly one bus
+// event, a "dip" event whose iteration numbers count up per trial and
+// which carries the search anatomy and the seed-space state of that
+// boundary. The only other events are the run's spans and results,
+// bridged from its trace.
 func TestStreamPublishesDIPEvents(t *testing.T) {
 	bus := stream.NewBusSized(4096, 4096)
 	sub := bus.Subscribe(0)
@@ -86,13 +91,14 @@ func TestStreamPublishesDIPEvents(t *testing.T) {
 		wantIters += tr.Iterations
 	}
 
-	got, stages := 0, 0
+	byType := map[string]int{}
 	perTrial := map[int]int{}
 	for {
 		ev, ok, _ := sub.Next(nil, 0)
 		if !ok {
 			break
 		}
+		byType[ev.Type]++
 		switch ev.Type {
 		case stream.TypeDIP:
 			trial := ev.Data["trial"].(int)
@@ -102,26 +108,110 @@ func TestStreamPublishesDIPEvents(t *testing.T) {
 				t.Fatalf("trial %d: dip iteration %d arrived out of order (want %d)",
 					trial, iter, perTrial[trial])
 			}
-			if s, ok := ev.Data["dip"].(string); !ok || s == "" {
-				t.Fatalf("dip event missing dip bits: %+v", ev.Data)
+			for _, key := range []string{"dip", "response"} {
+				if s, ok := ev.Data[key].(string); !ok || s == "" {
+					t.Fatalf("dip event missing %s bits: %+v", key, ev.Data)
+				}
 			}
-			got++
-		case stream.TypeStage:
-			if _, ok := ev.Data["difficulty"].(float64); !ok {
-				t.Fatalf("stage event missing difficulty score: %+v", ev.Data)
+			for _, key := range []string{"solve_ms", "difficulty", "lbd_mean", "xor_share"} {
+				if _, ok := ev.Data[key].(float64); !ok {
+					t.Fatalf("dip event missing %s: %+v", key, ev.Data)
+				}
 			}
-			stages++
+			for _, key := range []string{"conflicts", "lbd_samples", "restarts"} {
+				if _, ok := ev.Data[key].(uint64); !ok {
+					t.Fatalf("dip event missing %s: %+v", key, ev.Data)
+				}
+			}
+			for _, key := range []string{"rank", "rank_target", "seeds_log2"} {
+				if _, ok := ev.Data[key].(int); !ok {
+					t.Fatalf("dip event missing %s: %+v", key, ev.Data)
+				}
+			}
+			if _, ok := ev.Data["eta_ms"].(int64); !ok {
+				t.Fatalf("dip event missing eta_ms: %+v", ev.Data)
+			}
+			if inc, ok := ev.Data["inconsistent"].(bool); !ok || inc {
+				t.Fatalf("dip event inconsistent flag = %v, want false", ev.Data["inconsistent"])
+			}
+		case stream.TypeSpan, stream.TypeResult:
 		default:
 			t.Fatalf("unexpected event type %q", ev.Type)
 		}
 	}
-	if got != wantIters {
-		t.Errorf("published %d dip events, trials report %d iterations", got, wantIters)
+	if byType[stream.TypeDIP] != wantIters {
+		t.Errorf("published %d dip events, trials report %d iterations", byType[stream.TypeDIP], wantIters)
 	}
-	if stages != wantIters {
-		t.Errorf("published %d stage events, want one per DIP iteration (%d)", stages, wantIters)
+	// One result per trial plus the experiment's.
+	if want := len(res.Trials) + 1; byType[stream.TypeResult] != want {
+		t.Errorf("published %d result events, want %d", byType[stream.TypeResult], want)
 	}
 	if sub.Dropped() != 0 {
 		t.Errorf("ring dropped %d events; size the test ring above the workload", sub.Dropped())
+	}
+}
+
+func drain(t *testing.T, sub *stream.Subscriber, n int) []stream.Event {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	out := make([]stream.Event, 0, n)
+	for len(out) < n {
+		ev, ok, timedOut := sub.Next(ctx, 0)
+		if !ok || timedOut {
+			t.Fatalf("stream ended after %d of %d events", len(out), n)
+		}
+		out = append(out, ev)
+	}
+	return out
+}
+
+func TestStreamSinkMapsEventTypes(t *testing.T) {
+	bus := stream.NewBus()
+	sub := bus.Subscribe(0)
+	defer sub.Close()
+	sink := streamSink{bus}
+
+	sink.Emit(trace.Event{Type: "span_start", Span: "encode", Time: time.Now()})
+	sink.Emit(trace.Event{Type: "progress", Msg: "hi", Time: time.Now()})
+	sink.Emit(trace.Event{Type: "snapshot", Fields: map[string]any{"iterations": 1.0}, Time: time.Now()})
+	sink.Emit(trace.Event{
+		Type: "span_end", Span: "encode", Time: time.Now(),
+		Duration: 1500 * time.Microsecond,
+		Counters: map[string]uint64{"encode_vars": 42},
+	})
+	trialFields := map[string]any{"iterations": 7}
+	sink.Emit(trace.Event{Type: "result", Fields: trialFields, Time: time.Now()})
+	sink.Emit(trace.Event{Type: "experiment", Fields: map[string]any{"succeeded": true}, Time: time.Now()})
+
+	evs := drain(t, sub, 3)
+	if evs[0].Type != stream.TypeSpan {
+		t.Fatalf("event 0 = %q, want span (span_start/progress/snapshot dropped)", evs[0].Type)
+	}
+	if evs[0].Data["span"] != "encode" || evs[0].Data["dur_ms"] != 1.5 {
+		t.Fatalf("span data = %v", evs[0].Data)
+	}
+	counters, ok := evs[0].Data["counters"].(map[string]any)
+	if !ok || counters["encode_vars"] != uint64(42) {
+		t.Fatalf("span counters = %v", evs[0].Data["counters"])
+	}
+	if evs[1].Type != stream.TypeResult || evs[1].Data["scope"] != "trial" {
+		t.Fatalf("event 1 = %+v, want trial-scoped result", evs[1])
+	}
+	if evs[2].Type != stream.TypeResult || evs[2].Data["scope"] != "experiment" {
+		t.Fatalf("event 2 = %+v, want experiment-scoped result", evs[2])
+	}
+	// The shared fields map must not have been mutated by scope injection.
+	if _, leaked := trialFields["scope"]; leaked {
+		t.Fatal("withScope mutated the source fields map")
+	}
+}
+
+func TestStreamSinkNilBusAndNoSubscribers(t *testing.T) {
+	streamSink{}.Emit(trace.Event{Type: "experiment", Fields: map[string]any{"x": 1}})
+	bus := stream.NewBus()
+	streamSink{bus}.Emit(trace.Event{Type: "experiment", Fields: map[string]any{"x": 1}})
+	if bus.LastSeq() != 0 {
+		t.Fatal("sink published with no subscribers attached")
 	}
 }
