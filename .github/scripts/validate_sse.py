@@ -13,7 +13,10 @@ Checks on every capture:
     equals the envelope seq;
   * the first frame is the synthesized hello and a snapshot follows;
   * the id-carrying frames have strictly increasing sequence numbers
-    (the bus's single total order, observed over the wire).
+    (the bus's single total order, observed over the wire);
+  * every `result` with scope `experiment` comes after a `delta` of the
+    same job: a run publishes its closing metrics sample before its
+    experiment result.
 
 Options layer job-plane assertions on top:
   --job ID          the capture is a filtered /events?job=ID stream:
@@ -112,6 +115,15 @@ def main():
     assert len(events) > 1 and events[1]["type"] == "snapshot", \
         "no connect snapshot after hello"
     snaps = [e for e in events if e["type"] == "snapshot"]
+
+    sampled = set()
+    for ev in events:
+        if ev["type"] == "delta":
+            sampled.add(ev.get("job"))
+        elif ev["type"] == "result" and \
+                ev.get("data", {}).get("scope") == "experiment":
+            assert ev.get("job") in sampled, \
+                f"experiment result before any delta of its job: {ev}"
 
     if args.job:
         for ev, f in zip(events, frames):

@@ -18,10 +18,11 @@
 // event feed at /events (deltas, one event per DIP, stage spans, results —
 // see internal/stream), and an in-browser dashboard at /live while the
 // attack runs; `runs watch ADDR` follows the same feed from a terminal.
-// -progress[=interval] prints a one-line status snapshot to stderr
-// (-progress=json swaps the line for a stream-schema delta event, one JSON
-// object per line; with -trace the same snapshot is emitted as "snapshot"
-// events). Neither flag changes attack behavior: with both unset the run is
+// The run samples its own metrics every two seconds as "snapshot" trace
+// events (in the -trace file and a -record bundle's trace.jsonl, and as
+// "delta" events on /events); -progress prints each sample to stderr as
+// one status line, and -progress=json as one stream-schema delta event per
+// line. Neither flag changes attack behavior: with both unset the run is
 // bit-identical to an uninstrumented one.
 package main
 
@@ -68,7 +69,7 @@ func main() {
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address while running")
 		progress    metrics.ProgressFlag
 	)
-	flag.Var(&progress, "progress", "print periodic progress snapshots to stderr (-progress=500ms for cadence, -progress=json for stream-schema delta lines)")
+	flag.Var(&progress, "progress", "print the run's periodic metrics samples to stderr (-progress=json for stream-schema delta lines)")
 	flag.Parse()
 
 	if *list {
@@ -131,6 +132,7 @@ func main() {
 		defer f.Close()
 		ctx = trace.With(ctx, trace.NewJSONLSink(f))
 	}
+	ctx = trace.With(ctx, progress.Sink(os.Stderr))
 	var rec *flight.Recorder
 	if *recordDir != "" {
 		var err error
@@ -161,7 +163,7 @@ func main() {
 	// registry is installed and the attack runs the uninstrumented path.
 	// Recording forces a registry so the bundle's metrics.json is populated.
 	var reg *metrics.Registry
-	if *metricsAddr != "" || progress.Interval > 0 || rec != nil {
+	if *metricsAddr != "" || progress.On || rec != nil {
 		reg = metrics.NewRegistry()
 		reg.SetBuildInfo(buildInfoLabels()...)
 		ctx = metrics.With(ctx, reg)
@@ -178,25 +180,6 @@ func main() {
 		defer srv.Shutdown(2 * time.Second)
 		fmt.Fprintf(os.Stderr, "dynunlock: serving metrics on http://%s/metrics (live: /events, /live)\n", srv.Addr())
 	}
-	// With an event bus the periodic sampler always runs — it is the
-	// feed's only "delta" source — writing to stderr only when -progress
-	// asked for it.
-	if progress.Interval > 0 || bus != nil {
-		interval := progress.Interval
-		if interval <= 0 {
-			interval = metrics.DefaultProgressInterval
-		}
-		w := io.Writer(io.Discard)
-		if progress.Interval > 0 {
-			w = os.Stderr
-		}
-		p := metrics.NewProgress(reg, interval, w, trace.From(ctx))
-		p.SetJSON(progress.JSON)
-		p.AttachStream(bus)
-		p.Start()
-		defer p.Stop()
-	}
-
 	res, err := dynunlock.RunExperimentCtx(ctx, cfg)
 	if err != nil {
 		fatalf("%v", err)

@@ -44,7 +44,6 @@ import (
 	"time"
 
 	"dynunlock/internal/daemon"
-	"dynunlock/internal/metrics"
 )
 
 func main() {
@@ -53,7 +52,6 @@ func main() {
 		dataDir = flag.String("data", "dynunlockd-data", "directory for per-job flight bundles")
 		workers = flag.Int("workers", 2, "attack worker pool size")
 		queue   = flag.Int("queue", 8, "max queued jobs before submissions are rejected 503")
-		sample  = flag.Duration("sample", metrics.DefaultProgressInterval, "per-job progress sampling interval for the event feed")
 		grace   = flag.Duration("grace", 10*time.Second, "HTTP drain window after jobs finish on SIGTERM")
 		verbose = flag.Bool("v", true, "log job lifecycle to stderr")
 	)
@@ -65,12 +63,11 @@ func main() {
 		log = devnull
 	}
 	d, err := daemon.New(daemon.Config{
-		Addr:           *addr,
-		DataDir:        *dataDir,
-		Workers:        *workers,
-		QueueDepth:     *queue,
-		SampleInterval: *sample,
-		Log:            log,
+		Addr:       *addr,
+		DataDir:    *dataDir,
+		Workers:    *workers,
+		QueueDepth: *queue,
+		Log:        log,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dynunlockd: %v\n", err)

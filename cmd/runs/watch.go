@@ -16,13 +16,14 @@ import (
 
 // cmdWatch follows a live run's /events feed (see internal/stream and
 // internal/metrics.ServeBus), rendering each event as one terminal line.
-// It is the headless sibling of the /live dashboard: the delta lines are a
-// superset of the -progress line (they add encode vars/clauses), and the
-// stream's terminal "result" event with scope "experiment" ends the watch
-// with exit 0. With -job the terminal condition is the dynunlockd job's
-// own lifecycle instead: "done" exits 0, "failed"/"evicted" exit 1 — the
-// experiment result is rendered but does not end the watch, since the
-// job's bundle only closes (and its state only settles) afterwards.
+// It is the headless sibling of the /live dashboard: each delta (a run's
+// periodic metrics sample) prints as the same line -progress prints
+// (metrics.ProgressLine), and the stream's terminal "result" event with
+// scope "experiment" ends the watch with exit 0. With -job the terminal
+// condition is the dynunlockd job's own lifecycle instead: "done" exits
+// 0, "failed"/"evicted" exit 1 — the experiment result is rendered but
+// does not end the watch, since the job's bundle only closes (and its
+// state only settles) afterwards.
 //
 // Transient disconnects of an established stream — a dropped connection,
 // a proxy timeout, a server blip — auto-reconnect with bounded exponential
@@ -206,7 +207,7 @@ func renderEvent(w io.Writer, ev stream.Event) (done bool) {
 			sumFamily(ev.Data, metrics.MetricSatPropagations),
 			sumFamily(ev.Data, metrics.MetricOracleCycles))
 	case stream.TypeDelta:
-		fmt.Fprintln(w, deltaLine(ev.Data))
+		fmt.Fprintln(w, metrics.ProgressLine(ev.Data))
 	case stream.TypeDIP:
 		fmt.Fprintln(w, dipLine(ev.Data))
 	case stream.TypeSpan:
@@ -245,44 +246,6 @@ func dipLine(d map[string]any) string {
 	}
 	if _, ok := d["rank"]; ok {
 		fmt.Fprintf(&b, " rank=%v/%v seeds=2^%v", d["rank"], d["rank_target"], d["seeds_log2"])
-	}
-	return b.String()
-}
-
-// deltaLine is the watch rendering of one periodic delta: a superset of
-// the -progress stderr line that additionally shows encode growth.
-func deltaLine(d map[string]any) string {
-	var b strings.Builder
-	b.WriteString("progress:")
-	field := func(label, key, format string) {
-		if v, ok := d[key].(float64); ok {
-			fmt.Fprintf(&b, " "+label+"="+format, v)
-		}
-	}
-	field("iters", "iterations", "%.0f")
-	field("conflicts", "conflicts", "%.0f")
-	field("conf/s", "conflicts_per_s", "%.0f")
-	field("props", "propagations", "%.0f")
-	field("props/s", "props_per_s", "%.0f")
-	field("learnt", "learnt_db", "%.0f")
-	field("cycles", "oracle_cycles", "%.0f")
-	field("vars", "encode_vars", "%.0f")
-	field("clauses", "encode_clauses", "%.0f")
-	if p50, ok := d["solve_p50_s"].(float64); ok {
-		p95, _ := d["solve_p95_s"].(float64)
-		p99, _ := d["solve_p99_s"].(float64)
-		fmt.Fprintf(&b, " solve_p50=%s p95=%s p99=%s",
-			time.Duration(p50*float64(time.Second)).Round(time.Microsecond),
-			time.Duration(p95*float64(time.Second)).Round(time.Microsecond),
-			time.Duration(p99*float64(time.Second)).Round(time.Microsecond))
-	}
-	if rank, ok := d["rank"].(float64); ok {
-		target, _ := d["rank_target"].(float64)
-		fmt.Fprintf(&b, " rank=%.0f/%.0f", rank, target)
-	}
-	field("seeds", "seeds_log2", "2^%.0f")
-	if eta, ok := d["eta_s"].(float64); ok {
-		fmt.Fprintf(&b, " eta=%s", (time.Duration(eta * float64(time.Second))).Round(time.Second))
 	}
 	return b.String()
 }

@@ -20,15 +20,18 @@ func TestWatchFollowsLiveRunToCompletion(t *testing.T) {
 	}
 	defer srv.Close()
 
+	// A run's periodic sample, as its bus bridge publishes it.
+	delta := map[string]any{
+		"benchmark": "s5378", "key_bits": 8,
+		"iterations": 4.0, "conflicts": 120.0, "encode_vars": 900.0, "encode_clauses": 3100.0,
+	}
 	// Publish the run once the watcher has attached; Enabled flips when
 	// its subscription lands.
 	go func() {
 		for !bus.Enabled() {
 			time.Sleep(time.Millisecond)
 		}
-		bus.Publish(stream.TypeDelta, map[string]any{
-			"iterations": 4.0, "conflicts": 120.0, "encode_vars": 900.0, "encode_clauses": 3100.0,
-		})
+		bus.Publish(stream.TypeDelta, delta)
 		bus.Publish(stream.TypeDIP, map[string]any{
 			"trial": 0, "iteration": 5, "conflicts": 17, "solve_ms": 1.25,
 			"difficulty": 17.5, "lbd_mean": 4.25, "restarts": 2, "xor_share": 0.5,
@@ -49,7 +52,9 @@ func TestWatchFollowsLiveRunToCompletion(t *testing.T) {
 	for _, want := range []string{
 		"watch: connected proto=2",
 		"snapshot: iters=4",
-		"vars=900 clauses=3100", // the superset over the -progress line
+		// The delta prints as the -progress line, decoded from the wire.
+		metrics.ProgressLine(delta) + "\n",
+		"progress: s5378 k=8 iters=4 conflicts=120 vars=900 clauses=3.1k",
 		"dip: trial=0 iter=5 conflicts=17 solve_ms=1.25 difficulty=17.5 lbd=4.25 restarts=2 xor=0.5 rank=6/8 seeds=2^2",
 		"result: trial done iterations=5 candidates=1 converged=true verified=true",
 		"result: experiment done trials=1 succeeded=true",

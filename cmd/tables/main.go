@@ -32,10 +32,8 @@ import (
 
 	"dynunlock"
 	"dynunlock/internal/bench"
-	"dynunlock/internal/core"
 	"dynunlock/internal/flight"
 	"dynunlock/internal/metrics"
-	"dynunlock/internal/oracle"
 	"dynunlock/internal/report"
 	"dynunlock/internal/scansat"
 	"dynunlock/internal/stream"
@@ -61,7 +59,7 @@ func main() {
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address while running")
 		progress    metrics.ProgressFlag
 	)
-	flag.Var(&progress, "progress", "print periodic progress snapshots to stderr (-progress=500ms for cadence, -progress=json for stream-schema delta lines)")
+	flag.Var(&progress, "progress", "print each condition's periodic metrics samples to stderr (-progress=json for stream-schema delta lines)")
 	flag.Parse()
 	var logw io.Writer
 	if *v {
@@ -96,13 +94,14 @@ func main() {
 		defer f.Close()
 		ctx = trace.With(ctx, trace.NewJSONLSink(f))
 	}
+	ctx = trace.With(ctx, progress.Sink(os.Stderr))
 
 	// Metrics are opt-in; the sweep closures label every downstream series
 	// with its table condition, which also scopes each bundle's
 	// metrics.json to its own condition. Recording forces a registry so
 	// each bundle's metrics.json is populated.
 	var reg *metrics.Registry
-	if *metricsAddr != "" || progress.Interval > 0 || *recordDir != "" {
+	if *metricsAddr != "" || progress.On || *recordDir != "" {
 		reg = metrics.NewRegistry()
 		reg.SetBuildInfo(buildInfoLabels()...)
 		ctx = metrics.With(ctx, reg)
@@ -118,28 +117,9 @@ func main() {
 		defer srv.Shutdown(2 * time.Second)
 		fmt.Fprintf(os.Stderr, "tables: serving metrics on http://%s/metrics (live: /events, /live)\n", srv.Addr())
 	}
-	// With an event bus the periodic sampler always runs — it is the
-	// feed's only "delta" source — writing to stderr only when -progress
-	// asked for it.
-	if progress.Interval > 0 || bus != nil {
-		interval := progress.Interval
-		if interval <= 0 {
-			interval = metrics.DefaultProgressInterval
-		}
-		w := io.Writer(io.Discard)
-		if progress.Interval > 0 {
-			w = os.Stderr
-		}
-		p := metrics.NewProgress(reg, interval, w, trace.From(ctx))
-		p.SetJSON(progress.JSON)
-		p.AttachStream(bus)
-		p.Start()
-		defer p.Stop()
-	}
-
 	if *recordDir != "" && *table == 1 {
-		// Table 1 rows are one-shot attack demos, not experiments; there is
-		// no per-trial result to bundle.
+		// Table 1 rows are one-shot attack demos on one chip each; they are
+		// not recorded.
 		fmt.Fprintln(os.Stderr, "tables: -record applies to tables 2 and 3 only; ignoring for table 1")
 	}
 	if *profile {
@@ -157,7 +137,7 @@ func main() {
 	var err error
 	switch *table {
 	case 1:
-		rows, err = table1(ctx, *scale, workers, logw)
+		rows, err = table1(ctx, *scale, workers, bus, logw)
 	case 2:
 		rows, err = table2(ctx, *scale, *trials, *kbits, *maxIters, workers, *recordDir, *profile, *analytic, bus, logw)
 	case 3:
@@ -289,68 +269,74 @@ func rowFromExperiment(table string, res *dynunlock.ExperimentResult, elapsed ti
 
 // table1 reproduces the evolution table: each defense family attacked by
 // the technique that broke it, demonstrated live on one mid-size circuit.
-func table1(ctx context.Context, scale, workers int, logw io.Writer) ([]condRow, error) {
+// The DynUnlock rows are one-trial experiments (RunExperimentCtx, so their
+// spans, DIPs and samples reach the trace, -progress and /events); seed
+// base 0 fabricates the chip from RNG seed 1. ScanSAT has no experiment
+// layer, so its row locks, fabricates and attacks here, the same way.
+func table1(ctx context.Context, scale, workers int, bus *stream.Bus, logw io.Writer) ([]condRow, error) {
 	type cond struct {
 		defense, obfType, attackName string
 		policy                       dynunlock.Policy
-		attack                       func(ctx context.Context, chip *oracle.Chip) (broken bool, cands, iters int, err error)
+		scanSAT                      bool
 	}
-
-	scanSAT := func(ctx context.Context, chip *oracle.Chip) (bool, int, int, error) {
-		res, err := scansat.AttackCtx(ctx, chip, scansat.Options{EnumerateLimit: 256})
-		if err != nil {
-			return false, 0, 0, err
-		}
-		ok := false
-		for _, k := range res.KeyCandidates {
-			if k.Equal(chip.SecretSeed()) {
-				ok = true
-			}
-		}
-		return ok && res.Converged, len(res.KeyCandidates), res.Iterations, nil
-	}
-	dynUnlock := func(ctx context.Context, chip *oracle.Chip) (bool, int, int, error) {
-		res, err := core.AttackCtx(ctx, chip, core.Options{EnumerateLimit: 256, Log: logw})
-		if err != nil {
-			return false, 0, 0, err
-		}
-		return res.Converged && core.ContainsSeed(res.SeedCandidates, chip.SecretSeed()),
-			len(res.SeedCandidates), res.Iterations, nil
-	}
-
 	conds := []cond{
-		{"EFF [10]", "Static", "ScanSAT [14]", dynunlock.Static, scanSAT},
-		{"DOS [12] (p=1)", "Dynamic", "DynUnlock (this work)", dynunlock.PerPattern, dynUnlock},
-		{"EFF-Dyn [13]", "Dynamic", "DynUnlock (this work)", dynunlock.PerCycle, dynUnlock},
+		{"EFF [10]", "Static", "ScanSAT [14]", dynunlock.Static, true},
+		{"DOS [12] (p=1)", "Dynamic", "DynUnlock (this work)", dynunlock.PerPattern, false},
+		{"EFF-Dyn [13]", "Dynamic", "DynUnlock (this work)", dynunlock.PerCycle, false},
 	}
+	// Key width scales with the circuit so the mask rank can cover the key
+	// space (the paper's regime: k <= 2n).
+	circuitScale := max(scale, 8)
+	keyBits := scaleKey(64, circuitScale)
 
 	type row struct {
 		c            cond
 		done         bool
 		broken       bool
 		cands, iters int
-		keyBits      int
 		elapsed      time.Duration
 	}
 	rows, err := bench.SweepCtx(ctx, workers, conds, func(ctx context.Context, i int, c cond) (row, error) {
 		ctx = metrics.WithLabels(ctx, "benchmark", "s5378", "policy", policyName(c.policy))
 		condStart := time.Now()
-		// Key width scales with the circuit so the mask rank can cover the
-		// key space (the paper's regime: k <= 2n).
-		d, err := dynunlock.LockBenchmark("s5378", scaleKey(64, max(scale, 8)), c.policy, max(scale, 8))
+		if c.scanSAT {
+			d, err := dynunlock.LockBenchmark("s5378", keyBits, c.policy, circuitScale)
+			if err != nil {
+				return row{}, err
+			}
+			chip, err := dynunlock.Fabricate(d, 1)
+			if err != nil {
+				return row{}, err
+			}
+			res, err := scansat.AttackCtx(ctx, chip, scansat.Options{EnumerateLimit: 256})
+			if err != nil {
+				return row{}, err
+			}
+			found := false
+			for _, k := range res.KeyCandidates {
+				found = found || k.Equal(chip.SecretSeed())
+			}
+			return row{c: c, done: true, broken: found && res.Converged, cands: len(res.KeyCandidates),
+				iters: res.Iterations, elapsed: time.Since(condStart)}, nil
+		}
+		res, err := dynunlock.RunExperimentCtx(ctx, dynunlock.ExperimentConfig{
+			Benchmark:      "s5378",
+			KeyBits:        keyBits,
+			Policy:         c.policy,
+			Scale:          circuitScale,
+			EnumerateLimit: 256,
+			Stream:         bus,
+			Log:            logw,
+		})
 		if err != nil {
 			return row{}, err
 		}
-		chip, err := dynunlock.Fabricate(d, 1)
-		if err != nil {
-			return row{}, err
+		if len(res.Trials) == 0 { // the sweep's bound fired before the trial
+			return row{}, ctx.Err()
 		}
-		broken, cands, iters, err := c.attack(ctx, chip)
-		if err != nil {
-			return row{}, err
-		}
-		return row{c: c, done: true, broken: broken, cands: cands, iters: iters,
-			keyBits: d.Config.KeyBits, elapsed: time.Since(condStart)}, nil
+		t := res.Trials[0]
+		return row{c: c, done: true, broken: t.Converged && t.Success, cands: t.Candidates,
+			iters: t.Iterations, elapsed: time.Since(condStart)}, nil
 	})
 
 	tb := report.New("Table I: Evolution of scan locking (each defense attacked live)",
@@ -366,7 +352,7 @@ func table1(ctx context.Context, scale, workers int, logw io.Writer) ([]condRow,
 			Benchmark:     "s5378",
 			Defense:       r.c.defense,
 			Attack:        r.c.attackName,
-			KeyBits:       r.keyBits,
+			KeyBits:       keyBits,
 			Policy:        policyName(r.c.policy),
 			Trials:        1,
 			AvgCandidates: float64(r.cands),

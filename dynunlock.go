@@ -96,7 +96,9 @@ type ExperimentConfig struct {
 	// Stream, when non-nil, publishes live attack events to the bus: one
 	// "dip" event per DIP iteration carrying the DIP, the solver counters,
 	// the search anatomy and the seed-space state, plus the run's "span"
-	// and "result" events, which RunExperimentCtx bridges from its trace.
+	// and "result" events and, with a metrics handle on ctx, its periodic
+	// sample as "delta" events, all of which RunExperimentCtx bridges from
+	// its trace.
 	// With no subscribers attached the publish path is a single atomic
 	// load and allocates nothing, so an idle bus never perturbs the attack
 	// (pinned by TestStreamDoesNotPerturbAttack).
@@ -278,8 +280,11 @@ func ctxStop(ctx context.Context) core.StopReason {
 // attached; then each trial gets one OnDIP observer (see dipObserver),
 // the recorder and the bus bridge join whatever trace sink the caller
 // installed on ctx, and a recorder gets its metrics.json on every return
-// after the manifest. A run that is neither live nor Analytic installs
-// no hook at all.
+// after the manifest. A run with a metrics handle and a trace sink also
+// samples its own label scope every metrics.ProgressInterval, and once
+// more after the last trial, as "snapshot" events naming the run (see
+// metrics.StartSampling). A run that is neither live nor Analytic
+// installs no hook at all.
 func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (res *ExperimentResult, err error) {
 	entry, ok := bench.ByName(cfg.Benchmark)
 	if !ok {
@@ -341,6 +346,13 @@ func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (res *Experimen
 		ctx = trace.With(ctx, streamSink{cfg.Stream})
 	}
 	tr := trace.From(ctx)
+	// The run samples its own metrics scope while it has a handle and a
+	// trace sink; the closing sample lands before the experiment event.
+	stopSampling := metrics.StartSampling(mh, tr, map[string]any{
+		"benchmark": entry.Name,
+		"key_bits":  cfg.KeyBits,
+	})
+	defer stopSampling()
 	for trial := 0; trial < cfg.Trials; trial++ {
 		if ctx.Err() != nil {
 			res.Stopped, res.StopReason = true, ctxStop(ctx)
@@ -441,6 +453,7 @@ func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (res *Experimen
 		conflictsTotal += t.SolverStats.Conflicts
 		propsTotal += t.SolverStats.Propagations
 	}
+	stopSampling()
 	tr.Emit(trace.Event{Type: "experiment", Fields: map[string]any{
 		"benchmark":    entry.Name,
 		"key_bits":     cfg.KeyBits,
@@ -536,12 +549,12 @@ func dipObserver(rec *flight.Recorder, bus *stream.Bus, cap *anatomy.Capture, tk
 //	result     → "result" with data.scope = "trial"
 //	experiment → "result" with data.scope = "experiment"
 //	            (the terminal event a `runs watch` session exits 0 on)
+//	snapshot   → "delta"  the run's periodic metrics sample
 //
 // Other trace events are dropped: span_start (span_end carries the
-// duration), progress (free text) and snapshot (metrics.Progress
-// publishes its sample as a "delta" event). The sink checks
-// bus.Enabled() before building any payload, preserving the
-// no-subscriber zero-allocation path.
+// duration) and progress (free text). The sink checks bus.Enabled()
+// before building any payload, preserving the no-subscriber
+// zero-allocation path.
 type streamSink struct {
 	bus *stream.Bus
 }
@@ -569,6 +582,8 @@ func (s streamSink) Emit(ev trace.Event) {
 		s.bus.Publish(stream.TypeResult, withScope(ev.Fields, "trial"))
 	case "experiment":
 		s.bus.Publish(stream.TypeResult, withScope(ev.Fields, "experiment"))
+	case "snapshot":
+		s.bus.Publish(stream.TypeDelta, ev.Fields)
 	}
 }
 

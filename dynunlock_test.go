@@ -6,13 +6,17 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"dynunlock/internal/core"
 	"dynunlock/internal/flight"
 	"dynunlock/internal/metrics"
+	"dynunlock/internal/stream"
+	"dynunlock/internal/trace"
 )
 
 func TestRunExperimentSmall(t *testing.T) {
@@ -149,6 +153,150 @@ func TestMetricsJSONHoldsOnlyItsOwnSeries(t *testing.T) {
 		}
 		if recorded == 0 || uint64(conflicts) != recorded {
 			t.Errorf("k=%s metrics.json sums %v conflicts, result.json records %d", kb, conflicts, recorded)
+		}
+	}
+}
+
+// TestCommittedBundleMetricsAreScoped checks the committed table2 and
+// affine bundles, recorded since runs write metrics.json from their own
+// label scope: each metrics.json names only its own benchmark, holds no
+// retired dynunlock_anatomy_* series, and sums to the conflicts its
+// result.json records. The paper128 bundles predate the scoped write and
+// wait for their next re-recording.
+func TestCommittedBundleMetricsAreScoped(t *testing.T) {
+	dirs, err := filepath.Glob("bench/bundles/table2/*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs = append(dirs, "bench/bundles/affine")
+	if len(dirs) != 11 {
+		t.Fatalf("found %d bundles, want the 10 table2 bundles and affine", len(dirs))
+	}
+	for _, dir := range dirs {
+		b, err := flight.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, flight.MetricsFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap map[string]any
+		if err := json.Unmarshal(data, &snap); err != nil {
+			t.Fatal(err)
+		}
+		own := `benchmark="` + b.Manifest.Benchmark + `"`
+		var conflicts float64
+		for key, v := range snap {
+			if !strings.Contains(key, own) {
+				t.Errorf("%s: metrics.json holds a series of another scope %q", dir, key)
+			}
+			if strings.HasPrefix(key, "dynunlock_anatomy_") {
+				t.Errorf("%s: metrics.json holds the retired series %q", dir, key)
+			}
+			if strings.HasPrefix(key, metrics.MetricSatConflicts+"{") {
+				conflicts += v.(float64)
+			}
+		}
+		var recorded uint64
+		for _, tr := range b.Result.Trials {
+			recorded += tr.Solver.Conflicts
+		}
+		if recorded == 0 || uint64(conflicts) != recorded {
+			t.Errorf("%s: metrics.json sums %v conflicts, result.json records %d", dir, conflicts, recorded)
+		}
+	}
+}
+
+// TestRunPublishesItsOwnSample runs two experiments at once on one
+// registry, under different label scopes, with one bus subscriber, a
+// trace collector and the -progress sink attached. Each run samples its
+// own scope: it publishes at least one "delta" naming its benchmark, its
+// last delta arrives before its experiment result and holds the run's own
+// conflict total, the collector saw the same samples as "snapshot" trace
+// events, and the progress sink printed each as one line.
+func TestRunPublishesItsOwnSample(t *testing.T) {
+	reg := metrics.NewRegistry()
+	base := metrics.With(context.Background(), reg)
+	col := trace.NewCollector()
+	var progress bytes.Buffer
+	base = trace.With(trace.With(base, col), &metrics.ProgressSink{W: &progress})
+	bus := stream.NewBusSized(4096, 4096)
+	sub := bus.Subscribe(0)
+	defer sub.Close()
+
+	benches := []string{"s5378", "s13207"}
+	results := make([]*ExperimentResult, len(benches))
+	errs := make([]error, len(benches))
+	var wg sync.WaitGroup
+	for i, name := range benches {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx := metrics.WithLabels(base, "benchmark", name)
+			results[i], errs[i] = RunExperimentCtx(ctx, ExperimentConfig{
+				Benchmark: name, KeyBits: 8, Policy: PerCycle, Scale: 16,
+				Trials: 2, SeedBase: 11, Stream: bus,
+			})
+		}()
+	}
+	wg.Wait()
+	bus.Close()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	deltas := map[string][]map[string]any{}
+	lastDelta := map[string]int{}
+	resultAt := map[string]int{}
+	for i := 0; ; i++ {
+		ev, ok, _ := sub.Next(nil, 0)
+		if !ok {
+			break
+		}
+		name, _ := ev.Data["benchmark"].(string)
+		switch {
+		case ev.Type == stream.TypeDelta:
+			deltas[name] = append(deltas[name], ev.Data)
+			lastDelta[name] = i
+		case ev.Type == stream.TypeResult && ev.Data["scope"] == "experiment":
+			resultAt[name] = i
+		}
+	}
+	if sub.Dropped() != 0 {
+		t.Fatalf("ring dropped %d events; size the test ring above the workload", sub.Dropped())
+	}
+	snapshots := map[string][]map[string]any{}
+	var lines []string
+	for _, ev := range col.Events() {
+		if ev.Type == "snapshot" {
+			name, _ := ev.Fields["benchmark"].(string)
+			snapshots[name] = append(snapshots[name], ev.Fields)
+			lines = append(lines, metrics.ProgressLine(ev.Fields)+"\n")
+		}
+	}
+	if got, want := progress.String(), strings.Join(lines, ""); got != want {
+		t.Errorf("progress sink printed\n%s\nwant one line per sample\n%s", got, want)
+	}
+	for _, res := range results {
+		name := res.Entry.Name
+		if len(deltas[name]) == 0 {
+			t.Errorf("%s published no delta naming it", name)
+			continue
+		}
+		at, ok := resultAt[name]
+		if !ok || lastDelta[name] > at {
+			t.Errorf("%s: last delta at event %d, experiment result at %d (present %v); want the delta first",
+				name, lastDelta[name], at, ok)
+		}
+		last := deltas[name][len(deltas[name])-1]
+		if got := last["conflicts"].(float64); uint64(got) != res.TotalConflicts() {
+			t.Errorf("%s: last delta holds %v conflicts, the run %d", name, got, res.TotalConflicts())
+		}
+		if !reflect.DeepEqual(snapshots[name], deltas[name]) {
+			t.Errorf("%s: collector saw snapshots %v, bus carried deltas %v", name, snapshots[name], deltas[name])
 		}
 	}
 }

@@ -156,10 +156,17 @@ func (f *Formula) WriteDimacs(w io.Writer) error {
 	return bw.Flush()
 }
 
+// maxDimacsVars bounds the variables ParseDimacs accepts, both as the
+// declared count and as any literal's |value|: 2^30 variables keep every
+// literal inside the int32 Lit encoding.
+const maxDimacsVars = 1 << 30
+
 // ParseDimacs reads a DIMACS CNF file. Comment lines (c …) and the problem
 // line are handled; %-terminated files (some SATLIB archives) are accepted.
 // Lines starting with "x" carry cryptominisat-style XOR clauses ("x 1 2 0",
-// with "x1 2 0" also tolerated) and populate Formula.Xors.
+// with "x1 2 0" also tolerated) and populate Formula.Xors. A declared
+// variable count or a literal beyond 2^30 is an error naming its
+// line.
 func ParseDimacs(r io.Reader) (*Formula, error) {
 	f := &Formula{}
 	sc := bufio.NewScanner(r)
@@ -188,6 +195,9 @@ func ParseDimacs(r io.Reader) (*Formula, error) {
 			if err1 != nil || err2 != nil {
 				return nil, fmt.Errorf("dimacs:%d: bad problem line %q", lineNo, line)
 			}
+			if declaredVars > maxDimacsVars {
+				return nil, fmt.Errorf("dimacs:%d: %d variables declared, more than %d", lineNo, declaredVars, maxDimacsVars)
+			}
 			continue
 		}
 		if strings.HasPrefix(line, "x") {
@@ -204,6 +214,9 @@ func ParseDimacs(r io.Reader) (*Formula, error) {
 			v, err := strconv.Atoi(tok)
 			if err != nil {
 				return nil, fmt.Errorf("dimacs:%d: bad literal %q", lineNo, tok)
+			}
+			if v > maxDimacsVars || v < -maxDimacsVars {
+				return nil, fmt.Errorf("dimacs:%d: literal %d beyond variable %d", lineNo, v, maxDimacsVars)
 			}
 			if v == 0 {
 				if inXor {

@@ -139,3 +139,33 @@ func TestParseDimacsErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestParseDimacsRejectsOutOfRange pins the bounds on outside input: a
+// literal beyond variable 2^30, or a larger declared variable count, is an
+// error naming its line, not a literal wrapped into the int32 Lit or a
+// variable count the solver would allocate for.
+func TestParseDimacsRejectsOutOfRange(t *testing.T) {
+	for _, tc := range []struct{ name, src, line string }{
+		{"clause literal", "1 2000000000 0\n", "dimacs:1:"},
+		{"negative literal", "c wraps to -1\n-2147483649 0\n", "dimacs:2:"},
+		{"xor literal", "p cnf 3 1\nx 99999999999 0\n", "dimacs:2:"},
+		{"declared variables", "p cnf 3000000000 0\n", "dimacs:1:"},
+	} {
+		f, err := ParseDimacs(strings.NewReader(tc.src))
+		if err == nil {
+			t.Errorf("%s: parsed %q as %+v, want an error", tc.name, tc.src, f)
+			continue
+		}
+		if !strings.HasPrefix(err.Error(), tc.line) {
+			t.Errorf("%s: error %q does not name its line (%s)", tc.name, err, tc.line)
+		}
+	}
+	// The largest variable still parses, on both sides of the bound.
+	f, err := ParseDimacs(strings.NewReader("p cnf 1073741824 1\n1073741824 -1073741824 0\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.NumVars != maxDimacsVars || f.Clauses[0][0].Var() != maxDimacsVars-1 || !f.Clauses[0][1].Sign() {
+		t.Fatalf("boundary formula = %d vars, clause %v", f.NumVars, f.Clauses[0])
+	}
+}

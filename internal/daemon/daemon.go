@@ -73,9 +73,6 @@ type Config struct {
 	// QueueDepth bounds jobs waiting for a worker; submissions beyond it
 	// are rejected with 503 (default 8).
 	QueueDepth int
-	// SampleInterval is the per-job progress sampler cadence feeding
-	// "delta" stream events (default metrics.DefaultProgressInterval).
-	SampleInterval time.Duration
 	// Log, when non-nil, receives daemon progress lines.
 	Log io.Writer
 }
@@ -111,9 +108,6 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 8
-	}
-	if cfg.SampleInterval <= 0 {
-		cfg.SampleInterval = metrics.DefaultProgressInterval
 	}
 	if cfg.DataDir == "" {
 		cfg.DataDir = "dynunlockd-data"

@@ -34,9 +34,6 @@ func startDaemon(t *testing.T, cfg daemon.Config) *daemon.Daemon {
 	if cfg.DataDir == "" {
 		cfg.DataDir = t.TempDir()
 	}
-	if cfg.SampleInterval == 0 {
-		cfg.SampleInterval = 50 * time.Millisecond
-	}
 	d, err := daemon.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -406,7 +403,7 @@ func TestResumeRejectsPathOutsideDataDir(t *testing.T) {
 		if _, code := submitRaw(t, d.Addr(), daemon.JobSpec{Resume: name}); code != http.StatusBadRequest {
 			t.Errorf("resume %q: status %d, want 400", name, code)
 		}
-		if v, _ := d.Registry().Sum(daemon.MetricJobsRejected, "reason", "invalid"); v != float64(i+1) {
+		if v := d.Registry().Counter(daemon.MetricJobsRejected, "reason", "invalid").Value(); v != uint64(i+1) {
 			t.Errorf("resume %q: invalid rejections = %v, want %d", name, v, i+1)
 		}
 	}

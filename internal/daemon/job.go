@@ -306,8 +306,8 @@ func suffixIf(msg string) string {
 
 // runJob executes one job on the calling worker goroutine: admission,
 // per-job observability wiring (label-scoped metrics handle, job-tagged
-// bus view, durable flight recorder, scoped progress sampler), the
-// attack itself, and terminal-state accounting.
+// bus view, durable flight recorder), the attack itself, and
+// terminal-state accounting.
 func (d *Daemon) runJob(j *Job) {
 	j.mu.Lock()
 	if j.cancelled {
@@ -341,8 +341,7 @@ func (d *Daemon) runJob(j *Job) {
 	cfg := j.Spec.Config()
 	cfg.Recorder = rec
 	cfg.Log = io.Discard
-	jobBus := d.bus.WithJob(j.ID)
-	cfg.Stream = jobBus
+	cfg.Stream = d.bus.WithJob(j.ID)
 
 	// Resume: chain the source bundle's transcript prefix in front of
 	// each trial's live chip. The sequential engine re-asks the recorded
@@ -377,16 +376,11 @@ func (d *Daemon) runJob(j *Job) {
 	}
 
 	// One registry serves every job; the context labels stamp job="<id>"
-	// (plus the benchmark) onto each series this job publishes, which
-	// also scopes the bundle's metrics.json to this job, and the progress
-	// sampler sums only within that scope so concurrent jobs never bleed
-	// into each other's delta events. RunExperimentCtx wires the
-	// recorder and the job's bus view into the attack.
+	// (plus the benchmark) onto each series this job publishes. That
+	// handle is the job's scope: RunExperimentCtx writes the bundle's
+	// metrics.json from it and samples only it into the delta events of
+	// the job's bus view, so concurrent jobs never bleed into each other.
 	ctx = metrics.WithLabels(metrics.With(ctx, d.reg), "job", j.ID, "benchmark", cfg.Benchmark)
-	p := metrics.NewProgress(d.reg, d.cfg.SampleInterval, io.Discard, nil)
-	p.SetScope("job", j.ID)
-	p.AttachStream(jobBus)
-	p.Start()
 
 	j.mu.Lock()
 	interrupted := j.state != StateAdmitted // shutdown flipped it to draining
@@ -400,7 +394,6 @@ func (d *Daemon) runJob(j *Job) {
 	fmt.Fprintf(d.log, "dynunlockd: %s running (%s)\n", j.ID, dir)
 
 	res, runErr := dynunlock.RunExperimentCtx(ctx, cfg)
-	p.Stop()
 
 	var replayed uint64
 	resumeMu.Lock()

@@ -23,8 +23,8 @@
 // the base of the DIP-rate ETA. Progress is published three ways:
 // metrics gauges (dynunlock_insight_*), the snapshot Observe returns
 // (the experiment layer folds it into each DIP's "dip" stream event),
-// and the extended -progress line (internal/metrics.Progress picks the
-// gauges up). The tracker is safe for concurrent Observe calls and its
+// and the run's periodic metrics sample, which picks the gauges up
+// (internal/metrics.StartSampling). The tracker is safe for concurrent Observe calls and its
 // final rank is insertion-order independent.
 package insight
 

@@ -27,11 +27,14 @@ func TestRegistryLabeledViewsAndScopedReads(t *testing.T) {
 	j2.Counter(MetricAttackDIPs, "engine", "sequential").Add(5)
 	r.Counter(MetricAttackDIPs, "engine", "sequential").Add(7) // unscoped
 
-	if got, ok := r.Sum(MetricAttackDIPs, "job", "j1"); !ok || got != 3 {
-		t.Fatalf("Sum j1 = %v,%v want 3,true", got, ok)
+	if got, ok := r.sum(MetricAttackDIPs, j1.base); !ok || got != 3 {
+		t.Fatalf("sum over j1's scope = %v,%v want 3,true", got, ok)
 	}
-	if got, ok := r.Sum(MetricAttackDIPs, "job", "j2"); !ok || got != 5 {
-		t.Fatalf("Sum j2 = %v,%v want 5,true", got, ok)
+	if got, ok := r.sum(MetricAttackDIPs, j2.base); !ok || got != 5 {
+		t.Fatalf("sum over j2's scope = %v,%v want 5,true", got, ok)
+	}
+	if _, ok := r.sum(MetricAttackDIPs, []string{"job", "j3"}); ok {
+		t.Fatal("sum over a scope with no series reported ok")
 	}
 	if got, _ := r.Sum(MetricAttackDIPs); got != 15 {
 		t.Fatalf("unfiltered Sum = %v, want 15", got)
@@ -54,8 +57,8 @@ func TestRegistryLabeledViewsAndScopedReads(t *testing.T) {
 	bounds := []float64{0.1, 1, 10}
 	j1.Histogram(MetricAttackDIPSolveSec, bounds).Observe(0.05)
 	j2.Histogram(MetricAttackDIPSolveSec, bounds).Observe(5)
-	if q, ok := r.QuantileOf(MetricAttackDIPSolveSec, 0.5, "job", "j2"); !ok || q <= 1 {
-		t.Fatalf("QuantileOf j2 = %v,%v want >1", q, ok)
+	if q := r.quantile(MetricAttackDIPSolveSec, 0.5, j2.base); q <= 1 {
+		t.Fatalf("quantile over j2's scope = %v, want >1", q)
 	}
 	// Nil and empty-pair views degrade to unscoped behavior.
 	var nr *Registry

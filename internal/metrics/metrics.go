@@ -1,8 +1,8 @@
 // Package metrics is the live-telemetry layer of the attack stack: a
 // dependency-free, concurrency-safe registry of named counters, gauges,
 // and fixed-bucket histograms, exported over HTTP (server.go) in
-// Prometheus text exposition and expvar JSON formats, and rendered as a
-// periodic one-line progress snapshot (progress.go).
+// Prometheus text exposition and expvar JSON formats, and sampled by each
+// run, every two seconds, into "snapshot" trace events (progress.go).
 //
 // The design mirrors internal/trace: the registry rides on
 // context.Context (With / From / WithLabels), every handle and instrument
@@ -30,7 +30,7 @@ import (
 
 // Canonical metric names published by the instrumented attack stack.
 // Shared between the publishing layers (sat hooks, satattack, core, bench)
-// and the consumers (progress reporter, tests, CI scrape assertions).
+// and the consumers (a run's periodic sample, tests, CI scrape assertions).
 const (
 	// Solver series (label: instance; plus any context base labels).
 	MetricSatDecisions    = "dynunlock_sat_decisions_total"
@@ -456,24 +456,28 @@ func (r *Registry) SetHelp(name, help string) {
 	}
 }
 
-// Sum returns the sum of a family's values across its labeled children —
-// counters sum their counts, gauges their values, histograms their
-// observation counts — and whether the family exists. Optional label
-// pairs restrict the sum to children carrying every pair; none means every
-// child. A per-job progress sampler sums its own job's series so
-// concurrent jobs in one registry do not bleed into each other's deltas.
-// Nil-safe.
-func (r *Registry) Sum(name string, labelPairs ...string) (float64, bool) {
+// Sum returns the sum of a family's values across all its labeled
+// children — counters sum their counts, gauges their values, histograms
+// their observation counts — and whether the family exists. Nil-safe.
+func (r *Registry) Sum(name string) (float64, bool) {
+	return r.sum(name, nil)
+}
+
+// sum totals a family over the children carrying every (key, value) pair
+// of want — a run's scope, as Handle.Snapshot reads it; an empty want is
+// every child — and reports whether any child matched.
+func (r *Registry) sum(name string, want []string) (float64, bool) {
 	f := r.lookup(name)
 	if f == nil {
 		return 0, false
 	}
-	want := normalizePairs(labelPairs)
 	var sum float64
+	matched := false
 	for _, c := range f.sortedChildren() {
 		if !labelsContain(c.labels, want) {
 			continue
 		}
+		matched = true
 		switch f.kind {
 		case KindCounter:
 			sum += float64(c.ctr.Value())
@@ -483,21 +487,18 @@ func (r *Registry) Sum(name string, labelPairs ...string) (float64, bool) {
 			sum += float64(c.hist.Count())
 		}
 	}
-	return sum, true
+	return sum, matched
 }
 
-// QuantileOf estimates the q-quantile of a histogram family, merging the
-// per-bucket counts of its labeled children (identical bounds by
-// construction). Optional label pairs restrict the merge to children
-// carrying every pair; none means every child. ok is false when the
-// family is absent or not a histogram. Nil-safe. The progress reporter
-// uses it for the latency percentile fields.
-func (r *Registry) QuantileOf(name string, q float64, labelPairs ...string) (float64, bool) {
+// quantile estimates the q-quantile of a histogram family, merging the
+// per-bucket counts of the children carrying every pair of want (bounds
+// are identical by construction). It returns 0 for an absent family or
+// one that is not a histogram.
+func (r *Registry) quantile(name string, q float64, want []string) float64 {
 	f := r.lookup(name)
 	if f == nil || f.kind != KindHistogram {
-		return 0, false
+		return 0
 	}
-	want := normalizePairs(labelPairs)
 	counts := make([]uint64, len(f.bounds)+1)
 	for _, c := range f.sortedChildren() {
 		if !labelsContain(c.labels, want) {
@@ -507,7 +508,7 @@ func (r *Registry) QuantileOf(name string, q float64, labelPairs ...string) (flo
 			counts[i] += c.hist.buckets[i].Load()
 		}
 	}
-	return quantileFromBuckets(f.bounds, counts, q), true
+	return quantileFromBuckets(f.bounds, counts, q)
 }
 
 // lookup returns the named family, or nil when it is absent. Nil-safe.

@@ -14,241 +14,268 @@ import (
 	"dynunlock/internal/trace"
 )
 
-// DefaultProgressInterval is the snapshot cadence selected by a bare
-// -progress flag.
-const DefaultProgressInterval = 2 * time.Second
+// ProgressInterval is the cadence of a run's periodic metrics sample.
+const ProgressInterval = 2 * time.Second
 
-// Progress periodically renders a one-line snapshot of the registry —
-// DIP iterations, conflict and propagation rates, learnt-clause DB size,
-// oracle scan cycles, RSS — to a writer (normally stderr) and emits the
-// same snapshot as a "snapshot" trace event, so a JSONL trace artifact
-// captures both stage spans and a time series of the run.
-type Progress struct {
-	reg      *Registry
-	w        io.Writer
-	tr       *trace.Tracer
-	interval time.Duration
-	jsonMode bool
-	bus      *stream.Bus
-	scope    []string // label pairs restricting the sums (per-job sampler)
+// StartSampling starts a run's periodic metrics sample. Every
+// ProgressInterval it reads h's own label scope — the series carrying h's
+// base labels, the scope Snapshot reads — and emits the result to tr as
+// one "snapshot" trace event whose fields also carry run (the fields
+// naming the run). The returned stop emits one closing sample and returns
+// once the sampler has exited; later calls do nothing. Without a handle or
+// an enabled tracer nothing starts and stop does nothing.
+func StartSampling(h *Handle, tr *trace.Tracer, run map[string]any) (stop func()) {
+	return startSampling(h, tr, run, ProgressInterval)
+}
 
-	stop     chan struct{}
-	done     chan struct{}
-	mu       sync.Mutex
-	started  bool
+// startSampling is StartSampling at a given cadence.
+func startSampling(h *Handle, tr *trace.Tracer, run map[string]any, every time.Duration) (stop func()) {
+	if h == nil || !tr.Enabled() {
+		return func() {}
+	}
+	s := &sampler{h: h, run: run, lastT: time.Now()}
+	quit, done := make(chan struct{}), make(chan struct{})
+	emit := func(now time.Time) {
+		tr.Emit(trace.Event{Type: "snapshot", Time: now, Fields: s.sample(now)})
+	}
+	go func() {
+		defer close(done)
+		t := time.NewTicker(every)
+		defer t.Stop()
+		for {
+			select {
+			case now := <-t.C:
+				emit(now)
+			case <-quit:
+				return
+			}
+		}
+	}()
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			close(quit)
+			<-done
+			emit(time.Now())
+		})
+	}
+}
+
+// sampler is one run's sample state: its scope, the fields naming it, and
+// the previous totals the rate fields difference against.
+type sampler struct {
+	h        *Handle
+	run      map[string]any
 	lastT    time.Time
 	lastConf float64
 	lastProp float64
 }
 
-// NewProgress builds a reporter over reg, emitting every interval to w
-// (nil w discards the text line) and to tr (the nil tracer discards the
-// snapshot events). Call Start to begin and Stop to end; Stop emits one
-// final snapshot so short runs still record at least one sample.
-func NewProgress(reg *Registry, interval time.Duration, w io.Writer, tr *trace.Tracer) *Progress {
-	if interval <= 0 {
-		interval = DefaultProgressInterval
+// sample reads the scope once and returns the fields of one "snapshot"
+// event: DIPs, conflict and propagation totals with their rates since the
+// previous sample, learnt-clause DB size, oracle scan cycles, RSS, and —
+// once their series exist — encode growth, the DIP solve-latency
+// percentiles and the insight tracker's seed-space state.
+func (s *sampler) sample(now time.Time) map[string]any {
+	sum := func(name string) (float64, bool) { return s.h.reg.sum(name, s.h.base) }
+	total := func(name string) float64 { v, _ := sum(name); return v }
+	fields := make(map[string]any, len(s.run)+20)
+	for k, v := range s.run {
+		fields[k] = v
 	}
-	if w == nil {
-		w = io.Discard
-	}
-	return &Progress{
-		reg:      reg,
-		w:        w,
-		tr:       tr,
-		interval: interval,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-}
-
-// SetJSON switches the text output from the human "progress:" line to
-// one stream-schema "delta" event per line (the JSON envelope of
-// stream.Event, parseable by stream.ParseEvent), so headless logs and
-// the SSE feed share one parser. Call before Start. Nil-safe.
-func (p *Progress) SetJSON(on bool) {
-	if p == nil {
-		return
-	}
-	p.jsonMode = on
-}
-
-// SetScope restricts every sum and quantile behind the snapshot to
-// series carrying the given label pairs (Registry.Sum) — a
-// per-job sampler in the daemon scopes to ("job", id) so concurrent
-// jobs sharing one registry do not bleed into each other's delta
-// events. Call before Start. Nil-safe.
-func (p *Progress) SetScope(labelPairs ...string) {
-	if p == nil {
-		return
-	}
-	p.scope = labelPairs
-}
-
-// AttachStream publishes each snapshot to b as a "delta" stream event in
-// addition to the text line and trace event; the periodic Progress
-// sample is the feed's only delta source (the trace adapter deliberately
-// drops "snapshot" trace events to avoid double delivery). A nil bus is
-// a no-op. Call before Start. Nil-safe.
-func (p *Progress) AttachStream(b *stream.Bus) {
-	if p == nil {
-		return
-	}
-	p.bus = b
-}
-
-// Start launches the reporting goroutine. Nil-safe; starting twice is a
-// no-op.
-func (p *Progress) Start() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	if p.started {
-		p.mu.Unlock()
-		return
-	}
-	p.started = true
-	p.lastT = time.Now()
-	p.mu.Unlock()
-	go p.run()
-}
-
-// Stop halts the reporter, emitting one final snapshot. Nil-safe;
-// stopping an unstarted or already-stopped reporter is a no-op.
-func (p *Progress) Stop() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	started := p.started
-	p.started = false
-	p.mu.Unlock()
-	if !started {
-		return
-	}
-	close(p.stop)
-	<-p.done
-}
-
-func (p *Progress) run() {
-	defer close(p.done)
-	t := time.NewTicker(p.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			p.emit()
-		case <-p.stop:
-			p.emit()
-			return
-		}
-	}
-}
-
-// sum totals one family within the reporter's label scope.
-func (p *Progress) sum(name string) (float64, bool) {
-	return p.reg.Sum(name, p.scope...)
-}
-
-// quantile estimates one quantile within the reporter's label scope.
-func (p *Progress) quantile(name string, q float64) (float64, bool) {
-	return p.reg.QuantileOf(name, q, p.scope...)
-}
-
-// emit renders one snapshot line and trace event.
-func (p *Progress) emit() {
-	now := time.Now()
-	sum := func(name string) float64 { v, _ := p.sum(name); return v }
-	iters := sum(MetricAttackDIPs)
-	conflicts := sum(MetricSatConflicts)
-	props := sum(MetricSatPropagations)
-	learntDB := sum(MetricSatLearntDB)
-	cycles := sum(MetricOracleCycles)
-	rss, rssOK := ReadRSS()
-
-	p.mu.Lock()
-	dt := now.Sub(p.lastT).Seconds()
+	conflicts, props := total(MetricSatConflicts), total(MetricSatPropagations)
 	var confRate, propRate float64
-	if dt > 0 {
-		confRate = (conflicts - p.lastConf) / dt
-		propRate = (props - p.lastProp) / dt
+	if dt := now.Sub(s.lastT).Seconds(); dt > 0 {
+		confRate = (conflicts - s.lastConf) / dt
+		propRate = (props - s.lastProp) / dt
 	}
-	p.lastT, p.lastConf, p.lastProp = now, conflicts, props
-	p.mu.Unlock()
-
-	line := fmt.Sprintf("progress: iters=%.0f conflicts=%s (%s/s) props=%s (%s/s) learnt=%.0f cycles=%s",
-		iters, humanCount(conflicts), humanCount(confRate),
-		humanCount(props), humanCount(propRate),
-		learntDB, humanCount(cycles))
-	fields := map[string]any{
-		"iterations":      iters,
-		"conflicts":       conflicts,
-		"conflicts_per_s": confRate,
-		"propagations":    props,
-		"props_per_s":     propRate,
-		"learnt_db":       learntDB,
-		"oracle_cycles":   cycles,
-	}
-	if rssOK {
-		line += " rss=" + humanBytes(rss)
+	s.lastT, s.lastConf, s.lastProp = now, conflicts, props
+	fields["iterations"] = total(MetricAttackDIPs)
+	fields["conflicts"] = conflicts
+	fields["conflicts_per_s"] = confRate
+	fields["propagations"] = props
+	fields["props_per_s"] = propRate
+	fields["learnt_db"] = total(MetricSatLearntDB)
+	fields["oracle_cycles"] = total(MetricOracleCycles)
+	if rss, ok := ReadRSS(); ok {
 		fields["rss_bytes"] = rss
 	}
-	// Per-DIP SAT-call latency percentiles, estimated from the fixed
-	// histogram buckets (Registry.QuantileOf); present once a DIP-loop
-	// solve has been observed.
-	if n, ok := p.sum(MetricAttackDIPSolveSec); ok && n > 0 {
-		p50, _ := p.quantile(MetricAttackDIPSolveSec, 0.50)
-		p95, _ := p.quantile(MetricAttackDIPSolveSec, 0.95)
-		p99, _ := p.quantile(MetricAttackDIPSolveSec, 0.99)
-		line += fmt.Sprintf(" solve_p50=%s p95=%s p99=%s",
-			time.Duration(p50*float64(time.Second)).Round(time.Microsecond),
-			time.Duration(p95*float64(time.Second)).Round(time.Microsecond),
-			time.Duration(p99*float64(time.Second)).Round(time.Microsecond))
-		fields["solve_p50_s"] = p50
-		fields["solve_p95_s"] = p95
-		fields["solve_p99_s"] = p99
+	if v, ok := sum(MetricEncodeVars); ok {
+		fields["encode_vars"] = v
 	}
-	// Encode accounting (fields only: the text line predates these series
-	// and stays stable for log scrapers; `runs watch` renders them).
-	if ev, ok := p.sum(MetricEncodeVars); ok {
-		fields["encode_vars"] = ev
+	if v, ok := sum(MetricEncodeClauses); ok {
+		fields["encode_clauses"] = v
 	}
-	if ec, ok := p.sum(MetricEncodeClauses); ok {
-		fields["encode_clauses"] = ec
+	if n, ok := sum(MetricAttackDIPSolveSec); ok && n > 0 {
+		for key, q := range map[string]float64{"solve_p50_s": 0.50, "solve_p95_s": 0.95, "solve_p99_s": 0.99} {
+			fields[key] = s.h.reg.quantile(MetricAttackDIPSolveSec, q, s.h.base)
+		}
 	}
-	// Seed-space progress, when an insight tracker publishes it: the
-	// certified rank over its analytic ceiling, the surviving seed-space
-	// exponent, and the DIP-rate ETA (absent until the first rank gain).
-	if rank, ok := p.sum(MetricInsightRank); ok {
-		target, _ := p.sum(MetricInsightRankTarget)
-		line += fmt.Sprintf(" rank=%.0f/%.0f", rank, target)
+	if rank, ok := sum(MetricInsightRank); ok {
+		target := total(MetricInsightRankTarget)
 		fields["rank"] = rank
 		fields["rank_target"] = target
-		if seeds, ok := p.sum(MetricInsightSeedsLog2); ok {
-			line += fmt.Sprintf(" seeds=2^%.0f", seeds)
+		if seeds, ok := sum(MetricInsightSeedsLog2); ok {
 			fields["seeds_log2"] = seeds
 		}
-		if eta, ok := p.sum(MetricInsightETA); ok && rank < target {
-			line += " eta=" + time.Duration(eta*float64(time.Second)).Round(time.Second).String()
+		if eta, ok := sum(MetricInsightETA); ok && rank < target {
 			fields["eta_s"] = eta
 		}
 	}
-	if p.jsonMode {
-		ev := stream.Event{Type: stream.TypeDelta, Time: now, Data: fields}
-		if b, err := json.Marshal(ev); err == nil {
-			b = append(b, '\n')
-			p.w.Write(b)
-		}
-	} else {
-		fmt.Fprintln(p.w, line)
+	return fields
+}
+
+// ProgressLine renders one sample as a line: the fields of a "snapshot"
+// trace event, or the data of the "delta" stream event the run's bus
+// bridge makes of it (numbers decoded from JSON render the same). The
+// -progress sink and `runs watch` both print it. Absent fields are
+// skipped, so the line names the run, then its solver and oracle work,
+// encode growth, RSS, DIP solve percentiles and the seed-space state as
+// far as the sample carries them.
+func ProgressLine(d map[string]any) string {
+	var b strings.Builder
+	b.WriteString("progress:")
+	if name, ok := d["benchmark"].(string); ok {
+		b.WriteString(" " + name)
 	}
-	// The bus publish assigns a live sequence number when subscribers are
-	// attached; Publish is nil-safe and drops the event otherwise. The
-	// fields map is shared by the line, the bus, and the trace event —
-	// none of them mutate it.
-	p.bus.Publish(stream.TypeDelta, fields)
-	p.tr.Emit(trace.Event{Type: "snapshot", Fields: fields})
+	if k, ok := number(d["key_bits"]); ok {
+		fmt.Fprintf(&b, " k=%.0f", k)
+	}
+	count := func(label, key string) {
+		if v, ok := number(d[key]); ok {
+			fmt.Fprintf(&b, " %s=%s", label, humanCount(v))
+		}
+	}
+	rate := func(key string) {
+		if v, ok := number(d[key]); ok {
+			fmt.Fprintf(&b, " (%s/s)", humanCount(v))
+		}
+	}
+	count("iters", "iterations")
+	count("conflicts", "conflicts")
+	rate("conflicts_per_s")
+	count("props", "propagations")
+	rate("props_per_s")
+	count("learnt", "learnt_db")
+	count("cycles", "oracle_cycles")
+	count("vars", "encode_vars")
+	count("clauses", "encode_clauses")
+	if rss, ok := number(d["rss_bytes"]); ok {
+		b.WriteString(" rss=" + humanBytes(uint64(rss)))
+	}
+	if p50, ok := number(d["solve_p50_s"]); ok {
+		p95, _ := number(d["solve_p95_s"])
+		p99, _ := number(d["solve_p99_s"])
+		fmt.Fprintf(&b, " solve_p50=%s p95=%s p99=%s", seconds(p50, time.Microsecond),
+			seconds(p95, time.Microsecond), seconds(p99, time.Microsecond))
+	}
+	if rank, ok := number(d["rank"]); ok {
+		target, _ := number(d["rank_target"])
+		fmt.Fprintf(&b, " rank=%.0f/%.0f", rank, target)
+	}
+	if seeds, ok := number(d["seeds_log2"]); ok {
+		fmt.Fprintf(&b, " seeds=2^%.0f", seeds)
+	}
+	if eta, ok := number(d["eta_s"]); ok {
+		b.WriteString(" eta=" + seconds(eta, time.Second))
+	}
+	return b.String()
+}
+
+// number reads a sample field as a float64: the sampler's own values
+// (float64, uint64, int) or a JSON-decoded number.
+func number(v any) (float64, bool) {
+	switch x := v.(type) {
+	case float64:
+		return x, true
+	case uint64:
+		return float64(x), true
+	case int:
+		return float64(x), true
+	}
+	return 0, false
+}
+
+// seconds renders a duration given in seconds, rounded to unit.
+func seconds(s float64, unit time.Duration) string {
+	return time.Duration(s * float64(time.Second)).Round(unit).String()
+}
+
+// ProgressSink is the -progress trace sink. It prints every "snapshot"
+// event — a run's periodic sample — to W as one ProgressLine or, with
+// JSON, as one stream-schema "delta" envelope per line, which
+// stream.ParseEvent reads back. Other events are ignored. It is safe for
+// concurrent use: the conditions of a sweep sample concurrently.
+type ProgressSink struct {
+	W    io.Writer
+	JSON bool
+	mu   sync.Mutex
+}
+
+// Emit implements trace.Sink.
+func (s *ProgressSink) Emit(ev trace.Event) {
+	if ev.Type != "snapshot" {
+		return
+	}
+	line := []byte(ProgressLine(ev.Fields))
+	if s.JSON {
+		var err error
+		if line, err = json.Marshal(stream.Event{Type: stream.TypeDelta, Time: ev.Time, Data: ev.Fields}); err != nil {
+			return
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.W.Write(append(line, '\n'))
+}
+
+// ProgressFlag is the -progress[=json] flag. A bare -progress prints each
+// of the run's samples to a writer as a ProgressLine; -progress=json
+// prints it as a stream-schema "delta" envelope instead; -progress=false
+// turns it off. The run samples at its own cadence (ProgressInterval),
+// which the flag does not set.
+type ProgressFlag struct {
+	On   bool
+	JSON bool
+}
+
+// String implements flag.Value.
+func (f *ProgressFlag) String() string {
+	switch {
+	case f == nil || !f.On:
+		return ""
+	case f.JSON:
+		return "json"
+	}
+	return "true"
+}
+
+// Set implements flag.Value.
+func (f *ProgressFlag) Set(s string) error {
+	switch s {
+	case "", "true":
+		*f = ProgressFlag{On: true}
+	case "json":
+		*f = ProgressFlag{On: true, JSON: true}
+	case "false":
+		*f = ProgressFlag{}
+	default:
+		return fmt.Errorf("-progress takes no value or json, not %q", s)
+	}
+	return nil
+}
+
+// IsBoolFlag marks the flag as usable without a value (flag package
+// contract for -progress with no argument).
+func (f *ProgressFlag) IsBoolFlag() bool { return true }
+
+// Sink returns the trace sink the flag asks for: a ProgressSink writing
+// to w, or nil (no sink) when the flag is off.
+func (f *ProgressFlag) Sink(w io.Writer) trace.Sink {
+	if !f.On {
+		return nil
+	}
+	return &ProgressSink{W: w, JSON: f.JSON}
 }
 
 // humanCount renders a count compactly (1234 -> "1.2k").
@@ -305,67 +332,3 @@ func readRSSFrom(path string) (rss uint64, ok bool) {
 	}
 	return pages * uint64(os.Getpagesize()), true
 }
-
-// ProgressFlag is a flag.Value for -progress[=mode]: a bare -progress
-// selects DefaultProgressInterval; -progress=5s selects 5 seconds;
-// -progress=json emits one stream-schema delta event per line instead of
-// the human text (optionally -progress=json,500ms for a custom cadence);
-// -progress=false disables. The zero value means "not requested".
-type ProgressFlag struct {
-	Interval time.Duration
-	// JSON selects the machine-readable delta-per-line mode (Progress.SetJSON).
-	JSON bool
-}
-
-// String implements flag.Value.
-func (f *ProgressFlag) String() string {
-	if f == nil || f.Interval <= 0 {
-		return ""
-	}
-	if f.JSON {
-		return "json," + f.Interval.String()
-	}
-	return f.Interval.String()
-}
-
-// Set implements flag.Value.
-func (f *ProgressFlag) Set(s string) error {
-	switch s {
-	case "", "true":
-		f.Interval = DefaultProgressInterval
-		return nil
-	case "false":
-		f.Interval = 0
-		f.JSON = false
-		return nil
-	case "json":
-		f.Interval = DefaultProgressInterval
-		f.JSON = true
-		return nil
-	}
-	if rest, ok := strings.CutPrefix(s, "json,"); ok {
-		d, err := time.ParseDuration(rest)
-		if err != nil {
-			return fmt.Errorf("-progress=json,INTERVAL wants a duration (e.g. json,500ms): %w", err)
-		}
-		if d <= 0 {
-			return fmt.Errorf("-progress interval must be positive")
-		}
-		f.Interval = d
-		f.JSON = true
-		return nil
-	}
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return fmt.Errorf("-progress wants a duration (e.g. 5s) or json[,INTERVAL]: %w", err)
-	}
-	if d <= 0 {
-		return fmt.Errorf("-progress interval must be positive")
-	}
-	f.Interval = d
-	return nil
-}
-
-// IsBoolFlag marks the flag as usable without a value (flag package
-// contract for -progress with no argument).
-func (f *ProgressFlag) IsBoolFlag() bool { return true }

@@ -2,17 +2,17 @@ package metrics
 
 import (
 	"bytes"
-	"io"
 	"strings"
 	"testing"
 	"time"
 
 	"dynunlock/internal/stream"
+	"dynunlock/internal/trace"
 )
 
-// TestProgressJSONModeEmitsStreamDeltas pins the -progress=json satellite:
-// each output line is the JSON envelope of a stream "delta" event, so
-// headless logs and the SSE feed share one parser.
+// TestProgressJSONModeEmitsStreamDeltas pins -progress=json: each output
+// line is the JSON envelope of a stream "delta" event carrying the
+// sample, so headless logs and the SSE feed share one parser.
 func TestProgressJSONModeEmitsStreamDeltas(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(MetricAttackDIPs, "engine", "sequential").Add(12)
@@ -21,10 +21,8 @@ func TestProgressJSONModeEmitsStreamDeltas(t *testing.T) {
 	r.Counter(MetricEncodeClauses, "engine", "sequential").Add(4000)
 
 	var buf bytes.Buffer
-	p := NewProgress(r, time.Hour, &buf, nil)
-	p.SetJSON(true)
-	p.Start()
-	p.Stop() // one final emit
+	f := ProgressFlag{On: true, JSON: true}
+	f.Sink(&buf).Emit(trace.Event{Type: "snapshot", Time: time.Now(), Fields: sampleOnce(r, nil)})
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 1 {
@@ -53,31 +51,9 @@ func TestProgressJSONModeEmitsStreamDeltas(t *testing.T) {
 	if strings.Contains(lines[0], "progress:") {
 		t.Error("JSON mode still emits the human line")
 	}
-}
-
-// TestProgressAttachStreamPublishesDeltas verifies the bus path: with a
-// subscriber attached, each emit publishes one numbered delta event.
-func TestProgressAttachStreamPublishesDeltas(t *testing.T) {
-	r := NewRegistry()
-	r.Counter(MetricAttackDIPs, "engine", "sequential").Add(3)
-	bus := stream.NewBus()
-	sub := bus.Subscribe(0)
-	defer sub.Close()
-
-	p := NewProgress(r, time.Hour, io.Discard, nil)
-	p.AttachStream(bus)
-	p.Start()
-	p.Stop()
-
-	ev, ok, _ := sub.Next(nil, 0)
-	if !ok {
-		t.Fatal("no delta published to the bus")
-	}
-	if ev.Type != stream.TypeDelta || ev.Seq != 1 {
-		t.Fatalf("bus event = %+v, want delta seq 1", ev)
-	}
-	if v, _ := ev.Data["iterations"].(float64); v != 3 {
-		t.Errorf("delta iterations = %v, want 3", ev.Data["iterations"])
+	// The decoded delta renders as the same line the text mode prints.
+	if got, want := ProgressLine(ev.Data), "vars=1.0k clauses=4.0k"; !strings.Contains(got, want) {
+		t.Errorf("decoded delta renders %q, want it to contain %q", got, want)
 	}
 }
 
@@ -86,22 +62,15 @@ func TestProgressFlagJSONModes(t *testing.T) {
 	if err := f.Set("json"); err != nil {
 		t.Fatal(err)
 	}
-	if !f.JSON || f.Interval != DefaultProgressInterval {
+	if !f.On || !f.JSON {
 		t.Errorf("Set(json) = %+v", f)
 	}
-	if got := f.String(); got != "json,"+DefaultProgressInterval.String() {
+	if got := f.String(); got != "json" {
 		t.Errorf("String() = %q", got)
 	}
 
-	f = ProgressFlag{}
-	if err := f.Set("json,250ms"); err != nil {
-		t.Fatal(err)
-	}
-	if !f.JSON || f.Interval != 250*time.Millisecond {
-		t.Errorf("Set(json,250ms) = %+v", f)
-	}
-
-	for _, bad := range []string{"json,", "json,nope", "json,-1s", "jsonx"} {
+	// The interval forms are gone: the run samples at its own cadence.
+	for _, bad := range []string{"json,250ms", "json,", "json,nope", "json,-1s", "jsonx"} {
 		f = ProgressFlag{}
 		if err := f.Set(bad); err == nil {
 			t.Errorf("Set(%q) accepted", bad)
@@ -115,7 +84,7 @@ func TestProgressFlagJSONModes(t *testing.T) {
 	if err := f.Set("false"); err != nil {
 		t.Fatal(err)
 	}
-	if f.JSON || f.Interval != 0 {
+	if f.On || f.JSON {
 		t.Errorf("Set(false) did not clear JSON mode: %+v", f)
 	}
 }

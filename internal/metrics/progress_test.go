@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -12,6 +13,14 @@ import (
 	"dynunlock/internal/trace"
 )
 
+// sampleOnce reads a registry's whole scope once, a second after the
+// sampler started, and returns the fields of that one "snapshot" event.
+func sampleOnce(r *Registry, run map[string]any) map[string]any {
+	t0 := time.Now()
+	s := &sampler{h: From(With(context.Background(), r)), run: run, lastT: t0}
+	return s.sample(t0.Add(time.Second))
+}
+
 func TestProgressEmitsLineAndSnapshotEvent(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(MetricAttackDIPs).Add(3)
@@ -20,19 +29,12 @@ func TestProgressEmitsLineAndSnapshotEvent(t *testing.T) {
 	r.Gauge(MetricSatLearntDB).Set(77)
 	r.Counter(MetricOracleCycles).Add(4242)
 
-	var buf bytes.Buffer
 	col := trace.NewCollector()
-	p := NewProgress(r, time.Hour, &buf, trace.New(col))
-	p.Start()
-	p.Stop() // Stop emits a final snapshot even before the first tick.
-	p.Stop() // idempotent
+	stop := StartSampling(From(With(context.Background(), r)), trace.New(col),
+		map[string]any{"benchmark": "s5378", "key_bits": 128})
+	stop() // stop takes a closing sample even before the first tick
+	stop() // idempotent
 
-	line := buf.String()
-	for _, want := range []string{"progress:", "iters=3", "conflicts=1.0k", "learnt=77", "cycles=4.2k", "rss="} {
-		if !strings.Contains(line, want) {
-			t.Errorf("progress line missing %q: %q", want, line)
-		}
-	}
 	evs := col.Events()
 	if len(evs) != 1 || evs[0].Type != "snapshot" {
 		t.Fatalf("want one snapshot event, got %+v", evs)
@@ -41,31 +43,67 @@ func TestProgressEmitsLineAndSnapshotEvent(t *testing.T) {
 	if f["iterations"].(float64) != 3 || f["conflicts"].(float64) != 1000 {
 		t.Fatalf("snapshot fields wrong: %v", f)
 	}
+	if f["benchmark"] != "s5378" || f["key_bits"] != 128 {
+		t.Fatalf("snapshot does not name its run: %v", f)
+	}
 	if f["rss_bytes"].(uint64) == 0 {
 		t.Fatal("snapshot must sample RSS")
+	}
+	line := ProgressLine(f)
+	for _, want := range []string{"progress: s5378 k=128", "iters=3", "conflicts=1.0k", "learnt=77", "cycles=4.2k", "rss="} {
+		if !strings.Contains(line, want) {
+			t.Errorf("progress line missing %q: %q", want, line)
+		}
+	}
+}
+
+// TestProgressLineRates pins the rate fields: totals over the time since
+// the previous sample of the same run.
+func TestProgressLineRates(t *testing.T) {
+	r := NewRegistry()
+	r.Counter(MetricSatConflicts).Add(500)
+	r.Counter(MetricSatPropagations).Add(25000)
+	f := sampleOnce(r, nil)
+	if f["conflicts_per_s"].(float64) != 500 || f["props_per_s"].(float64) != 25000 {
+		t.Fatalf("rates over one second wrong: %v", f)
+	}
+	if line := ProgressLine(f); !strings.Contains(line, "conflicts=500 (500/s) props=25.0k (25.0k/s)") {
+		t.Fatalf("progress line rates wrong: %q", line)
 	}
 }
 
 func TestProgressTicks(t *testing.T) {
 	r := NewRegistry()
-	var buf bytes.Buffer
-	p := NewProgress(r, 10*time.Millisecond, &buf, nil)
-	p.Start()
-	time.Sleep(35 * time.Millisecond)
-	p.Stop()
-	if n := strings.Count(buf.String(), "progress:"); n < 2 {
-		t.Fatalf("want >= 2 ticks, got %d: %q", n, buf.String())
+	col := trace.NewCollector()
+	stop := startSampling(From(With(context.Background(), r)), trace.New(col), nil, time.Millisecond)
+	for deadline := time.Now().Add(5 * time.Second); len(col.Events()) < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no two ticks within 5s: %d events", len(col.Events()))
+		}
+	}
+	stop()
+	if n := len(col.Events()); n < 3 {
+		t.Fatalf("want >= 2 ticks plus the closing sample, got %d events", n)
 	}
 }
 
 func TestProgressNilSafety(t *testing.T) {
-	var p *Progress
-	p.Start()
-	p.Stop()
-	// A reporter over a nil registry and nil tracer still runs.
-	q := NewProgress(nil, time.Hour, nil, nil)
-	q.Start()
-	q.Stop()
+	r := NewRegistry()
+	col := trace.NewCollector()
+	// No handle, or no enabled tracer: nothing starts and stop is a no-op.
+	StartSampling(nil, trace.New(col), nil)()
+	StartSampling(From(With(context.Background(), r)), nil, nil)()
+	if n := len(col.Events()); n != 0 {
+		t.Fatalf("a sampler without a handle emitted %d events", n)
+	}
+	// The -progress sink ignores every event but snapshots.
+	var buf bytes.Buffer
+	sink := &ProgressSink{W: &buf}
+	sink.Emit(trace.Event{Type: "span_end", Span: "encode"})
+	sink.Emit(trace.Event{Type: "experiment", Fields: map[string]any{"conflicts": 1.0}})
+	if buf.Len() != 0 {
+		t.Fatalf("progress sink printed a non-snapshot event: %q", buf.String())
+	}
 }
 
 func TestProgressFlag(t *testing.T) {
@@ -75,20 +113,25 @@ func TestProgressFlag(t *testing.T) {
 	if err := fs.Parse([]string{"-progress"}); err != nil {
 		t.Fatal(err)
 	}
-	if f.Interval != DefaultProgressInterval {
-		t.Fatalf("bare -progress interval = %v", f.Interval)
+	if !f.On || f.JSON {
+		t.Fatalf("bare -progress = %+v", f)
 	}
-	f = ProgressFlag{}
-	fs = flag.NewFlagSet("t", flag.ContinueOnError)
-	fs.Var(&f, "progress", "")
-	if err := fs.Parse([]string{"-progress=250ms"}); err != nil {
+	var buf bytes.Buffer
+	f.Sink(&buf).Emit(trace.Event{Type: "snapshot", Fields: map[string]any{"iterations": 2.0}})
+	if got := buf.String(); got != "progress: iters=2\n" {
+		t.Fatalf("bare -progress sink printed %q", got)
+	}
+	// The cadence is the run's own: interval forms are usage errors.
+	for _, bad := range []string{"250ms", "5s", "nonsense"} {
+		if err := f.Set(bad); err == nil {
+			t.Errorf("Set(%q) accepted", bad)
+		}
+	}
+	if err := f.Set("false"); err != nil {
 		t.Fatal(err)
 	}
-	if f.Interval != 250*time.Millisecond {
-		t.Fatalf("-progress=250ms interval = %v", f.Interval)
-	}
-	if err := f.Set("nonsense"); err == nil {
-		t.Fatal("want error for bad duration")
+	if f.On || f.Sink(&buf) != nil {
+		t.Fatalf("-progress=false left a sink: %+v", f)
 	}
 	if !f.IsBoolFlag() {
 		t.Fatal("must be a bool flag")
@@ -131,20 +174,14 @@ func TestReadRSSFromDegradesGracefully(t *testing.T) {
 }
 
 // TestProgressOmitsRSSWhenUnavailable pins the degraded rendering: no
-// "rss=" token in the line and no rss_bytes snapshot field. The emit
-// path is exercised indirectly by rendering with a registry only — the
-// rss presence branch is driven by ReadRSS, so this asserts both
-// renderings stay consistent with its availability report.
+// "rss=" token in the line and no rss_bytes sample field. The rss
+// presence branch is driven by ReadRSS, so this asserts both renderings
+// stay consistent with its availability report.
 func TestProgressOmitsRSSWhenUnavailable(t *testing.T) {
-	r := NewRegistry()
-	var buf bytes.Buffer
-	col := trace.NewCollector()
-	p := NewProgress(r, time.Hour, &buf, trace.New(col))
-	p.Start()
-	p.Stop()
+	f := sampleOnce(NewRegistry(), nil)
 	_, avail := ReadRSS()
-	gotLine := strings.Contains(buf.String(), "rss=")
-	_, gotField := col.Events()[0].Fields["rss_bytes"]
+	gotLine := strings.Contains(ProgressLine(f), "rss=")
+	_, gotField := f["rss_bytes"]
 	if gotLine != avail || gotField != avail {
 		t.Fatalf("rss availability %v but line-has-rss=%v field-has-rss=%v",
 			avail, gotLine, gotField)
@@ -161,29 +198,41 @@ func TestProgressRendersInsightGauges(t *testing.T) {
 	r.Gauge(MetricInsightRankTarget).Set(12)
 	r.Gauge(MetricInsightSeedsLog2).Set(123)
 	r.Gauge(MetricInsightETA).Set(90)
-	var buf bytes.Buffer
-	col := trace.NewCollector()
-	p := NewProgress(r, time.Hour, &buf, trace.New(col))
-	p.Start()
-	p.Stop()
-	line := buf.String()
+	f := sampleOnce(r, nil)
+	line := ProgressLine(f)
 	for _, want := range []string{"rank=5/12", "seeds=2^123", "eta=1m30s"} {
 		if !strings.Contains(line, want) {
 			t.Errorf("progress line missing %q: %q", want, line)
 		}
 	}
-	f := col.Events()[0].Fields
 	if f["rank"].(float64) != 5 || f["seeds_log2"].(float64) != 123 || f["eta_s"].(float64) != 90 {
 		t.Fatalf("snapshot insight fields wrong: %v", f)
 	}
 	// At target rank the ETA token disappears (the run is rank-complete).
 	r.Gauge(MetricInsightRank).Set(12)
-	buf.Reset()
-	q := NewProgress(r, time.Hour, &buf, nil)
-	q.Start()
-	q.Stop()
-	if strings.Contains(buf.String(), "eta=") {
-		t.Fatalf("eta must vanish at target rank: %q", buf.String())
+	if line := ProgressLine(sampleOnce(r, nil)); strings.Contains(line, "eta=") {
+		t.Fatalf("eta must vanish at target rank: %q", line)
+	}
+}
+
+// TestProgressSampleReadsOnlyItsScope pins the scoped read: a run
+// labeled job="j1" samples its own series only, while another job's
+// series sit in the same registry.
+func TestProgressSampleReadsOnlyItsScope(t *testing.T) {
+	r := NewRegistry()
+	base := With(context.Background(), r)
+	j1 := From(WithLabels(base, "job", "j1"))
+	j2 := From(WithLabels(base, "job", "j2"))
+	j1.Counter(MetricSatConflicts, "instance", "0").Add(10)
+	j2.Counter(MetricSatConflicts, "instance", "0").Add(1000)
+	j2.Gauge(MetricInsightRank).Set(7)
+	s := &sampler{h: j1, lastT: time.Now()}
+	f := s.sample(time.Now())
+	if f["conflicts"].(float64) != 10 {
+		t.Fatalf("j1 sample conflicts = %v, want its own 10", f["conflicts"])
+	}
+	if _, ok := f["rank"]; ok {
+		t.Fatalf("j1 sample picked up j2's insight gauge: %v", f)
 	}
 }
 

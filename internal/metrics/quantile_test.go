@@ -1,12 +1,8 @@
 package metrics
 
 import (
-	"bytes"
 	"strings"
 	"testing"
-	"time"
-
-	"dynunlock/internal/trace"
 )
 
 // TestQuantileFromBuckets pins the interpolation on hand-checkable counts:
@@ -62,7 +58,8 @@ func TestHistogramQuantile(t *testing.T) {
 }
 
 // TestQuantileOfMergesLabeledChildren checks the family-level estimate
-// merges per-bucket counts across labeled children before interpolating.
+// behind a run's sample merges per-bucket counts across the labeled
+// children in scope (here: every child) before interpolating.
 func TestQuantileOfMergesLabeledChildren(t *testing.T) {
 	r := NewRegistry()
 	bounds := []float64{1, 2, 4}
@@ -74,16 +71,18 @@ func TestQuantileOfMergesLabeledChildren(t *testing.T) {
 	a.Observe(0.5)
 	b.Observe(1.5)
 	b.Observe(1.5)
-	got, ok := r.QuantileOf("fam_seconds", 0.5)
-	if !ok || got != 1.0 {
-		t.Errorf("merged p50 = %v ok=%v, want 1.0", got, ok)
+	if got := r.quantile("fam_seconds", 0.5, nil); got != 1.0 {
+		t.Errorf("merged p50 = %v, want 1.0", got)
 	}
-	if _, ok := r.QuantileOf("absent", 0.5); ok {
-		t.Error("QuantileOf on an absent family reported ok")
+	if got := r.quantile("fam_seconds", 0.5, []string{"engine", "other"}); got != 1.5 {
+		t.Errorf("scoped p50 = %v, want 1.5 (child b alone)", got)
+	}
+	if got := r.quantile("absent", 0.5, nil); got != 0 {
+		t.Errorf("quantile of an absent family = %v, want 0", got)
 	}
 	r.Counter("a_counter").Add(1)
-	if _, ok := r.QuantileOf("a_counter", 0.5); ok {
-		t.Error("QuantileOf on a counter family reported ok")
+	if got := r.quantile("a_counter", 0.5, nil); got != 0 {
+		t.Errorf("quantile of a counter family = %v, want 0", got)
 	}
 }
 
@@ -110,36 +109,26 @@ func TestSnapshotCarriesPercentiles(t *testing.T) {
 	}
 }
 
-// TestProgressLineSolvePercentiles checks the -progress line (and its
-// snapshot event) gains the DIP solve-latency percentiles once a solve has
-// been observed, and omits them before.
+// TestProgressLineSolvePercentiles checks the run's sample, and the
+// progress line rendered from it, gain the DIP solve-latency percentiles
+// once a solve has been observed, and omit them before.
 func TestProgressLineSolvePercentiles(t *testing.T) {
 	r := NewRegistry()
-	var buf bytes.Buffer
-	col := trace.NewCollector()
-	p := NewProgress(r, time.Hour, &buf, trace.New(col))
-	p.Start()
-	p.Stop()
-	if strings.Contains(buf.String(), "solve_p50=") {
-		t.Errorf("percentiles shown before any solve: %q", buf.String())
+	if line := ProgressLine(sampleOnce(r, nil)); strings.Contains(line, "solve_p50=") {
+		t.Errorf("percentiles shown before any solve: %q", line)
 	}
 
 	h := r.Histogram(MetricAttackDIPSolveSec, ExpBuckets(0.001, 2, 17), "engine", "sequential")
 	for i := 0; i < 10; i++ {
 		h.Observe(0.003)
 	}
-	buf.Reset()
-	p2 := NewProgress(r, time.Hour, &buf, trace.New(col))
-	p2.Start()
-	p2.Stop()
-	line := buf.String()
+	f := sampleOnce(r, nil)
+	line := ProgressLine(f)
 	for _, want := range []string{"solve_p50=", "p95=", "p99="} {
 		if !strings.Contains(line, want) {
 			t.Errorf("progress line missing %q: %q", want, line)
 		}
 	}
-	evs := col.Events()
-	f := evs[len(evs)-1].Fields
 	p50, ok := f["solve_p50_s"].(float64)
 	if !ok || p50 <= 0.002 || p50 > 0.004 {
 		t.Errorf("snapshot solve_p50_s = %v (ok=%v), want ~0.003 (inside its bucket)", f["solve_p50_s"], ok)

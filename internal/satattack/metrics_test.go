@@ -52,10 +52,10 @@ func TestSequentialMetricsSeries(t *testing.T) {
 	}
 	// The attack series carry engine="sequential" and the solver series
 	// instance="0", the labels dashboards and scrapes select on.
-	if got, _ := r.Sum(metrics.MetricAttackDIPs, "engine", "sequential"); got != float64(res.Iterations) {
+	if got := r.Counter(metrics.MetricAttackDIPs, "engine", "sequential").Value(); got != uint64(res.Iterations) {
 		t.Errorf("engine=sequential dips = %v, want %d", got, res.Iterations)
 	}
-	if got, _ := r.Sum(metrics.MetricSatConflicts, "instance", "0"); got != float64(res.SolverStats.Conflicts) {
+	if got := r.Counter(metrics.MetricSatConflicts, "instance", "0").Value(); got != res.SolverStats.Conflicts {
 		t.Errorf("instance=0 conflicts = %v, want %d", got, res.SolverStats.Conflicts)
 	}
 	if res.Iterations > 0 && sumOf(r, metrics.MetricAttackDIPSolveSec) != float64(res.Iterations+1) {

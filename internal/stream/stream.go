@@ -45,9 +45,10 @@ const (
 	// more as the final frame of a graceful drain, so the stream both
 	// starts and ends with absolute totals.
 	TypeSnapshot = "snapshot"
-	// TypeDelta is the periodic progress sample (metrics.Progress
-	// cadence): iterations, conflict/propagation rates, learnt DB,
-	// oracle cycles, insight rank/seeds/ETA, encode vars/clauses.
+	// TypeDelta is a run's periodic metrics sample (its "snapshot"
+	// trace event, see metrics.StartSampling): the run's benchmark and
+	// key bits, iterations, conflict/propagation rates, learnt DB,
+	// oracle cycles, encode vars/clauses, insight rank/seeds/ETA.
 	TypeDelta = "delta"
 	// TypeDIP is one DIP-loop iteration, published once per DIP: trial,
 	// iteration, DIP and response bits, solve_ms, solver counters; the

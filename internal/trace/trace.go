@@ -29,8 +29,8 @@ import (
 //	"span_start"  a stage began (Span set)
 //	"span_end"    a stage finished (Span, Duration, Counters set)
 //	"progress"    a free-form progress line (Msg set)
-//	"snapshot"    a periodic live-metrics sample (Fields set; see
-//	              internal/metrics.Progress)
+//	"snapshot"    a run's periodic metrics sample (Fields set; see
+//	              internal/metrics.StartSampling)
 //	"result"      a terminal attack summary (Fields set)
 //	"experiment"  a terminal multi-trial summary (Fields set)
 type Event struct {

@@ -184,22 +184,25 @@ func TestStreamSinkMapsEventTypes(t *testing.T) {
 	sink.Emit(trace.Event{Type: "result", Fields: trialFields, Time: time.Now()})
 	sink.Emit(trace.Event{Type: "experiment", Fields: map[string]any{"succeeded": true}, Time: time.Now()})
 
-	evs := drain(t, sub, 3)
-	if evs[0].Type != stream.TypeSpan {
-		t.Fatalf("event 0 = %q, want span (span_start/progress/snapshot dropped)", evs[0].Type)
+	evs := drain(t, sub, 4)
+	if evs[0].Type != stream.TypeDelta || evs[0].Data["iterations"] != 1.0 {
+		t.Fatalf("event 0 = %+v, want the snapshot as a delta (span_start/progress dropped)", evs[0])
 	}
-	if evs[0].Data["span"] != "encode" || evs[0].Data["dur_ms"] != 1.5 {
-		t.Fatalf("span data = %v", evs[0].Data)
+	if evs[1].Type != stream.TypeSpan {
+		t.Fatalf("event 1 = %q, want span", evs[1].Type)
 	}
-	counters, ok := evs[0].Data["counters"].(map[string]any)
+	if evs[1].Data["span"] != "encode" || evs[1].Data["dur_ms"] != 1.5 {
+		t.Fatalf("span data = %v", evs[1].Data)
+	}
+	counters, ok := evs[1].Data["counters"].(map[string]any)
 	if !ok || counters["encode_vars"] != uint64(42) {
-		t.Fatalf("span counters = %v", evs[0].Data["counters"])
+		t.Fatalf("span counters = %v", evs[1].Data["counters"])
 	}
-	if evs[1].Type != stream.TypeResult || evs[1].Data["scope"] != "trial" {
-		t.Fatalf("event 1 = %+v, want trial-scoped result", evs[1])
+	if evs[2].Type != stream.TypeResult || evs[2].Data["scope"] != "trial" {
+		t.Fatalf("event 2 = %+v, want trial-scoped result", evs[2])
 	}
-	if evs[2].Type != stream.TypeResult || evs[2].Data["scope"] != "experiment" {
-		t.Fatalf("event 2 = %+v, want experiment-scoped result", evs[2])
+	if evs[3].Type != stream.TypeResult || evs[3].Data["scope"] != "experiment" {
+		t.Fatalf("event 3 = %+v, want experiment-scoped result", evs[3])
 	}
 	// The shared fields map must not have been mutated by scope injection.
 	if _, leaked := trialFields["scope"]; leaked {
