@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"dynunlock"
+	"dynunlock/internal/anatomy"
 	"dynunlock/internal/bench"
 	"dynunlock/internal/flight"
 	"dynunlock/internal/metrics"
@@ -180,10 +181,12 @@ func main() {
 		defer srv.Shutdown(2 * time.Second)
 		fmt.Fprintf(os.Stderr, "dynunlock: serving metrics on http://%s/metrics (live: /events, /live)\n", srv.Addr())
 	}
+	start := time.Now()
 	res, err := dynunlock.RunExperimentCtx(ctx, cfg)
 	if err != nil {
 		fatalf("%v", err)
 	}
+	wall := time.Since(start).Seconds()
 	if rec != nil {
 		if err := rec.Close(); err != nil {
 			fatalf("%v", err)
@@ -199,7 +202,8 @@ func main() {
 	tb.Render(os.Stdout)
 	if spans := collector.Spans(); len(spans) > 0 {
 		fmt.Println()
-		report.StageTable("Per-stage timing (summed over trials)", spans).Render(os.Stdout)
+		report.StageTable("Per-stage timing (summed over trials; rows sum to the wall time)",
+			anatomy.StageSplit(spans, wall)).Render(os.Stdout)
 	}
 	if res.Stopped {
 		// A bounded run is a successful partial run, not a failure: report

@@ -5,39 +5,53 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"strings"
 
 	"dynunlock/internal/anatomy"
 	"dynunlock/internal/flight"
 	"dynunlock/internal/report"
-	"dynunlock/internal/svgchart"
 )
 
-// cmdExplain renders the attribution report of one bundle: the wall-time
-// split across the Fig. 3 stages (rows sum exactly to the recorded
+// derive loads a bundle and derives its anatomy report; a load failure
+// prints the fault and reports it as corrupt/unreadable (exit 3 at the
+// caller).
+func derive(dir string, stderr io.Writer) (*anatomy.Report, bool) {
+	r, err := anatomy.FromDir(dir)
+	if err != nil {
+		fmt.Fprintf(stderr, "runs: %v\n", err)
+		return nil, false
+	}
+	return r, true
+}
+
+// cmdExplain renders one bundle: the manifest summary (recording host and
+// toolchain, commit, experiment, profiles, transcript sizes), the trial
+// table and any stop reason, then the attribution — the wall-time split
+// across the Fig. 3 stages (rows sum exactly to the recorded
 // elapsedSeconds), the solver counter totals (exactly the sum of
 // result.json's per-trial snapshots), the hottest stage, the hardest DIP
 // iterations by difficulty score, and — when the bundle carries live
 // search telemetry (anatomy.json) — the sampled LBD distribution and
 // restart counts. A bundle recorded with the capture off explains from its
-// trace/DIP transcript alone. -json emits the report as machine-readable
-// JSON for CI assertions.
+// trace/DIP transcript alone. -json emits the anatomy report as
+// machine-readable JSON for CI assertions.
 func cmdExplain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("explain", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit the attribution report as JSON")
-	top := fs.Int("top", 5, "number of hardest DIP iterations to list")
+	top := fs.Int("top", 5, "number of hardest DIP iterations to list (>= 0)")
 	if fs.Parse(args) != nil {
+		return exitUsage
+	}
+	if *top < 0 {
+		fmt.Fprintf(stderr, "runs: explain -top %d: want >= 0\n", *top)
 		return exitUsage
 	}
 	if fs.NArg() != 1 {
 		return usage(stderr)
 	}
-	r, err := anatomy.FromDir(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintf(stderr, "runs: %v\n", err)
+	r, ok := derive(fs.Arg(0), stderr)
+	if !ok {
 		return exitCorrupt
 	}
 	if *jsonOut {
@@ -55,16 +69,36 @@ func cmdExplain(args []string, stdout, stderr io.Writer) int {
 
 // renderExplain writes the deterministic text report.
 func renderExplain(w io.Writer, r *anatomy.Report, top int) {
+	b := r.Bundle
+	m := &b.Manifest
 	fmt.Fprintf(w, "anatomy of %s\n", r.Dir)
-	fmt.Fprintf(w, "wall time  %.3fs across %d DIP iteration(s)\n\n", r.TotalSeconds, len(r.DIPs))
-
-	tb := report.New("Wall-time attribution (stages sum to the recorded wall time)",
-		"Stage", "Seconds", "Share", "Calls")
-	for _, s := range r.Stages {
-		tb.AddRow(s.Name, fmt.Sprintf("%.4f", s.Seconds), fmt.Sprintf("%.1f%%", s.Share*100), s.Calls)
+	fmt.Fprintf(w, "recorded    %s by %s (%s %s/%s, %d CPU, host %s)\n",
+		m.CreatedAt, orDash(m.Tool), m.Fingerprint.GoVersion,
+		m.Fingerprint.GOOS, m.Fingerprint.GOARCH, m.Fingerprint.NumCPU, orDash(m.Fingerprint.Host))
+	if m.Fingerprint.GitCommit != "" {
+		fmt.Fprintf(w, "commit      %s\n", m.Fingerprint.GitCommit)
 	}
-	tb.AddRow("total", fmt.Sprintf("%.4f", r.TotalSeconds), "100.0%", "")
-	tb.Render(w)
+	fmt.Fprintf(w, "experiment  %s scale=%d keybits=%d policy=%s mode=%s seed=%d analytic=%v\n",
+		m.Benchmark, m.Scale, m.Lock.KeyBits, m.Lock.Policy, m.Mode, m.SeedBase, m.Analytic)
+	if len(m.Profiles) > 0 {
+		fmt.Fprintf(w, "profiles    %v\n", m.Profiles)
+	}
+	fmt.Fprintf(w, "transcript  %d sessions, %d DIP iterations\n", len(b.Sessions), len(b.DIPs))
+	fmt.Fprintf(w, "wall time   %.3fs\n\n", r.TotalSeconds)
+
+	tt := report.New(fmt.Sprintf("Trials (%d recorded)", len(b.Result.Trials)),
+		"Trial", "Candidates", "Iterations", "Queries", "Seconds", "Conflicts", "Enc vars", "Enc clauses", "Success")
+	for _, t := range b.Result.Trials {
+		tt.AddRow(t.Trial, len(t.SeedCandidates), t.Iterations, t.Queries,
+			t.Seconds, t.Solver.Conflicts, t.EncodeVars, t.EncodeClauses, t.Success)
+	}
+	tt.Render(w)
+	if b.Result.Stopped {
+		fmt.Fprintf(w, "\nstopped early: %s\n", b.Result.StopReason)
+	}
+
+	fmt.Fprintln(w)
+	report.StageTable("Wall-time attribution (stages sum to the recorded wall time)", r.Stages).Render(w)
 
 	hot := r.HottestStage()
 	fmt.Fprintf(w, "\nhottest stage: %s (%.1f%% of wall time)\n", hot.Name, hot.Share*100)
@@ -127,29 +161,31 @@ func renderSearch(w io.Writer, doc *flight.AnatomyDoc) {
 	fmt.Fprintln(w, b.String())
 }
 
-// cmdCompare attributes a performance change between two bundles of the
-// same experiment: per-stage wall-time movement, per-series solver counter
-// movement, and the worst regression of each kind named explicitly. It is
-// the explanatory sibling of `runs diff` — diff decides whether outcomes
-// match, compare says where the time and search effort moved.
+// cmdCompare compares two bundles: the outcome table of both runs, then
+// per-stage wall-time movement and per-series solver counter movement with
+// the worst regression of each kind named. The deterministic outcome
+// columns (flight.BenchRow.OutcomeDiff) decide the exit code: identical
+// outcomes exit 0, differing ones exit 1; timing and solver-effort columns
+// are report-only.
 func cmdCompare(args []string, stdout, stderr io.Writer) int {
 	if len(args) != 2 {
 		return usage(stderr)
 	}
-	ra, err := anatomy.FromDir(args[0])
-	if err != nil {
-		fmt.Fprintf(stderr, "runs: %v\n", err)
+	ra, ok := derive(args[0], stderr)
+	if !ok {
 		return exitCorrupt
 	}
-	rb, err := anatomy.FromDir(args[1])
-	if err != nil {
-		fmt.Fprintf(stderr, "runs: %v\n", err)
+	rb, ok := derive(args[1], stderr)
+	if !ok {
 		return exitCorrupt
 	}
-	d := anatomy.Compare(ra, rb)
+	a, b := flight.BenchRowFrom(ra.Bundle), flight.BenchRowFrom(rb.Bundle)
 
-	st := report.New(fmt.Sprintf("Stage wall-time movement: %s -> %s", args[0], args[1]),
-		"Stage", "A seconds", "B seconds", "Delta")
+	outcomeTable(fmt.Sprintf("Outcomes: %s vs %s", args[0], args[1]), "A", "B", a, b).Render(stdout)
+
+	d := anatomy.Compare(ra, rb)
+	fmt.Fprintln(stdout)
+	st := report.New("Stage wall-time movement", "Stage", "A seconds", "B seconds", "Delta")
 	for _, s := range d.Stages {
 		st.AddRow(s.Name, fmt.Sprintf("%.4f", s.ASeconds), fmt.Sprintf("%.4f", s.BSeconds),
 			fmt.Sprintf("%+.4f", s.BSeconds-s.ASeconds))
@@ -178,199 +214,6 @@ func cmdCompare(args []string, stdout, stderr io.Writer) int {
 	} else {
 		fmt.Fprintln(stdout, "regressed solver series: none (no series grew)")
 	}
-	return exitOK
-}
 
-// cmdTrends renders a cross-run trend report over committed bundles (and
-// optionally the benchmark ledger) as a self-contained HTML page of
-// deterministic inline-SVG charts: per-stage wall time, solver work, and
-// DIP difficulty across runs, plus the ledger's avg-seconds history when
-// -bench is given. Re-rendering the same inputs is byte-identical (CI
-// treats the output as a build artifact).
-func cmdTrends(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("trends", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	out := fs.String("o", "", "write the HTML trend report to this file (default: stdout)")
-	ledgerPath := fs.String("bench", "", "benchmark ledger for the cross-run history chart (e.g. BENCH_attack.json)")
-	title := fs.String("title", "", "report title")
-	if fs.Parse(args) != nil {
-		return exitUsage
-	}
-	if fs.NArg() < 1 {
-		return usage(stderr)
-	}
-	dirs, err := expandBundleDirs(fs.Args())
-	if err != nil {
-		fmt.Fprintf(stderr, "runs: %v\n", err)
-		return exitCorrupt
-	}
-	var reports []*anatomy.Report
-	for _, dir := range dirs {
-		r, err := anatomy.FromDir(dir)
-		if err != nil {
-			fmt.Fprintf(stderr, "runs: %v\n", err)
-			return exitCorrupt
-		}
-		reports = append(reports, r)
-	}
-	var ledger *flight.BenchFile
-	if *ledgerPath != "" {
-		if ledger, err = flight.ReadBenchFile(*ledgerPath); err != nil {
-			fmt.Fprintf(stderr, "runs: %v\n", err)
-			return exitCorrupt
-		}
-	}
-	page := trendsHTML(reports, ledger, *ledgerPath, *title)
-	if *out == "" {
-		io.WriteString(stdout, page)
-		return exitOK
-	}
-	if err := os.WriteFile(*out, []byte(page), 0o644); err != nil {
-		fmt.Fprintf(stderr, "runs: %v\n", err)
-		return exitCorrupt
-	}
-	fmt.Fprintf(stderr, "runs: wrote %s (%d bundle(s), %d bytes)\n", *out, len(reports), len(page))
-	return exitOK
-}
-
-// trendsHTML builds the deterministic trend page. Runs index 0..n-1 on the
-// x axis in the order given (expandBundleDirs sorts directory children, so
-// committed sweeps render stably).
-func trendsHTML(reports []*anatomy.Report, ledger *flight.BenchFile, ledgerPath, title string) string {
-	if title == "" {
-		title = fmt.Sprintf("DynUnlock trend report (%d run(s))", len(reports))
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, `<!DOCTYPE html>
-<html lang="en">
-<head>
-<meta charset="utf-8">
-<title>%s</title>
-<style>
-body{font-family:system-ui,sans-serif;margin:2em auto;max-width:72em;padding:0 1em;color:#1a1a1a}
-h1{font-size:1.5em}h2{font-size:1.2em;border-bottom:1px solid #ccc;padding-bottom:.2em;margin-top:2em}
-table{border-collapse:collapse;margin:.6em 0;font-size:.85em}
-th,td{border:1px solid #ccc;padding:.25em .6em;text-align:right}
-th{background:#f2f2f2}td:first-child,th:first-child{text-align:left}
-figure.chart{margin:.8em 0;display:inline-block}
-figcaption{font-size:.85em;font-weight:600;margin-bottom:.2em}
-%s
-</style>
-</head>
-<body>
-<h1>%s</h1>
-`, htmlEscape(title), svgchart.CSS, htmlEscape(title))
-
-	// Index: which run is which.
-	b.WriteString("<h2>Runs</h2>\n<table><tr><th>Run</th><th>Bundle</th><th>Wall s</th><th>Conflicts</th><th>DIPs</th></tr>\n")
-	for i, r := range reports {
-		fmt.Fprintf(&b, "<tr><td>%d</td><td>%s</td><td>%.3f</td><td>%d</td><td>%d</td></tr>\n",
-			i, htmlEscape(filepath.Base(r.Dir)), r.TotalSeconds, r.Solver.Conflicts, len(r.DIPs))
-	}
-	b.WriteString("</table>\n")
-
-	b.WriteString("<h2>Trends</h2>\n")
-	b.WriteString(svgchart.LineChart("Per-stage wall time across runs", "run", "seconds", stageSeries(reports)))
-	b.WriteString("\n")
-	b.WriteString(svgchart.LineChart("Solver work across runs", "run", "count", workSeries(reports)))
-	b.WriteString("\n")
-	b.WriteString(svgchart.LineChart("DIP difficulty across runs", "run", "difficulty", difficultySeries(reports)))
-	b.WriteString("\n")
-	if ledger != nil && len(ledger.Rows) > 0 {
-		fmt.Fprintf(&b, "<h2>Ledger history (%s)</h2>\n", htmlEscape(ledgerPath))
-		b.WriteString(svgchart.LineChart("Avg attack seconds per ledger row", "row", "seconds", ledgerSeries(ledger)))
-		b.WriteString("\n")
-	}
-	b.WriteString("</body>\n</html>\n")
-	return b.String()
-}
-
-// stageSeries builds one series per stage that appears in any run, in the
-// order reports list them (Fig. 3 order with "other" last).
-func stageSeries(reports []*anatomy.Report) []svgchart.Series {
-	var order []string
-	seen := map[string]bool{}
-	for _, r := range reports {
-		for _, s := range r.Stages {
-			if !seen[s.Name] {
-				seen[s.Name] = true
-				order = append(order, s.Name)
-			}
-		}
-	}
-	var out []svgchart.Series
-	for _, name := range order {
-		s := svgchart.Series{Name: name}
-		for i, r := range reports {
-			s.X = append(s.X, float64(i))
-			s.Y = append(s.Y, r.StageSeconds(name))
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
-// workSeries tracks the machine-independent solver effort across runs.
-func workSeries(reports []*anatomy.Report) []svgchart.Series {
-	conflicts := svgchart.Series{Name: "conflicts"}
-	learnt := svgchart.Series{Name: "learnt"}
-	restarts := svgchart.Series{Name: "restarts"}
-	for i, r := range reports {
-		x := float64(i)
-		conflicts.X, conflicts.Y = append(conflicts.X, x), append(conflicts.Y, float64(r.Solver.Conflicts))
-		learnt.X, learnt.Y = append(learnt.X, x), append(learnt.Y, float64(r.Solver.Learnt))
-		restarts.X, restarts.Y = append(restarts.X, x), append(restarts.Y, float64(r.Solver.Restarts))
-	}
-	return []svgchart.Series{conflicts, learnt, restarts}
-}
-
-// difficultySeries tracks the mean and max per-DIP difficulty across runs.
-func difficultySeries(reports []*anatomy.Report) []svgchart.Series {
-	mean := svgchart.Series{Name: "mean"}
-	max := svgchart.Series{Name: "max", Dashed: true}
-	for i, r := range reports {
-		var sum, top float64
-		for _, d := range r.DIPs {
-			sum += d.Difficulty
-			if d.Difficulty > top {
-				top = d.Difficulty
-			}
-		}
-		m := 0.0
-		if len(r.DIPs) > 0 {
-			m = sum / float64(len(r.DIPs))
-		}
-		mean.X, mean.Y = append(mean.X, float64(i)), append(mean.Y, m)
-		max.X, max.Y = append(max.X, float64(i)), append(max.Y, top)
-	}
-	return []svgchart.Series{mean, max}
-}
-
-// ledgerSeries builds one avg-seconds series per benchmark over the
-// ledger's append order, in order of first appearance.
-func ledgerSeries(ledger *flight.BenchFile) []svgchart.Series {
-	var order []string
-	byName := map[string]*svgchart.Series{}
-	for i, row := range ledger.Rows {
-		s, ok := byName[row.Benchmark]
-		if !ok {
-			order = append(order, row.Benchmark)
-			s = &svgchart.Series{Name: row.Benchmark}
-			byName[row.Benchmark] = s
-		}
-		s.X = append(s.X, float64(i))
-		s.Y = append(s.Y, row.AvgSeconds)
-	}
-	out := make([]svgchart.Series, 0, len(order))
-	for _, name := range order {
-		out = append(out, *byName[name])
-	}
-	return out
-}
-
-// htmlEscape is the minimal escaping the trend page needs (paths and
-// titles).
-func htmlEscape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
+	return outcomeVerdict(stdout, "bundles", "A -> B", a, b)
 }

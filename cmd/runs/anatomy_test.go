@@ -89,7 +89,8 @@ func TestExplainInvariantsOnCommittedBundles(t *testing.T) {
 }
 
 // TestExplainDeterministicReport checks the text report renders identically
-// across invocations and carries the headline attribution lines.
+// across invocations and carries the run summary (experiment line, trial
+// table) above the headline attribution lines.
 func TestExplainDeterministicReport(t *testing.T) {
 	code, out1, errOut := runCLI(t, "explain", goodBundle)
 	if code != exitOK {
@@ -101,6 +102,9 @@ func TestExplainDeterministicReport(t *testing.T) {
 	}
 	for _, want := range []string{
 		"anatomy of " + goodBundle,
+		"experiment  s5378 scale=16 keybits=8 policy=per-cycle mode=linear seed=100 analytic=false",
+		"Trials (2 recorded)",
+		"Trial  Candidates  Iterations  Queries  Seconds  Conflicts  Enc vars  Enc clauses  Success",
 		"Wall-time attribution (stages sum to the recorded wall time)",
 		"hottest stage: dip_loop",
 		"solver: conflicts=",
@@ -151,14 +155,18 @@ func TestExplainFreshRecordingShowsSearchTelemetry(t *testing.T) {
 // TestCompareAttributesSeededRegression pins the acceptance criterion on
 // committed data: comparing the scale-16, 8-bit s5378 run against the
 // paper-scale 128-bit one must attribute the movement — the dip_loop stage
-// grew and decisions grew most. Committed bundles are frozen files, so the
-// attribution is fully deterministic.
+// grew and decisions grew most — and, since the two runs' outcomes differ,
+// exit 1. Committed bundles are frozen files, so the attribution is fully
+// deterministic.
 func TestCompareAttributesSeededRegression(t *testing.T) {
 	code, out, errOut := runCLI(t, "compare", goodBundle, paperBundle)
-	if code != exitOK {
-		t.Fatalf("compare exit %d\n%s", code, errOut)
+	if code != exitMismatch {
+		t.Fatalf("compare exit %d, want %d\n%s%s", code, exitMismatch, out, errOut)
 	}
 	for _, want := range []string{
+		"Outcomes: " + goodBundle + " vs " + paperBundle,
+		"avg iterations",
+		"bundles differ on",
 		"Stage wall-time movement",
 		"Solver series movement",
 		"regressed stage: dip_loop (+",
@@ -175,43 +183,46 @@ func TestCompareAttributesSeededRegression(t *testing.T) {
 		t.Fatalf("self-compare exit %d", code)
 	}
 	if !strings.Contains(out, "regressed stage: none (no stage grew)") ||
-		!strings.Contains(out, "regressed solver series: none (no series grew)") {
+		!strings.Contains(out, "regressed solver series: none (no series grew)") ||
+		!strings.Contains(out, "bundles match on deterministic columns") {
 		t.Errorf("self-compare should regress nothing:\n%s", out)
 	}
 }
 
-// TestTrendsByteIdentical renders the trend report twice over the same
-// committed sweep and requires byte-identical output — CI treats the page
-// as a reproducible build artifact.
+// TestTrendsByteIdentical renders the report's Trends section twice over the
+// same bundles and ledger: the charts must be present, the two renders
+// byte-identical, and -o must write the same bytes as stdout mode.
 func TestTrendsByteIdentical(t *testing.T) {
-	code, out1, errOut := runCLI(t, "trends", bundleDir)
+	const ledger = "../../BENCH_attack.json"
+	code, out1, errOut := runCLI(t, "report", "-bench", ledger, bundleDir)
 	if code != exitOK {
-		t.Fatalf("trends exit %d\n%s", code, errOut)
+		t.Fatalf("report exit %d\n%s", code, errOut)
 	}
-	_, out2, _ := runCLI(t, "trends", bundleDir)
+	_, out2, _ := runCLI(t, "report", "-bench", ledger, bundleDir)
 	if out1 != out2 {
 		t.Error("trends rendered differently across two runs on the same bundles")
 	}
 	for _, want := range []string{
-		"<h2>Runs</h2>", "Per-stage wall time across runs",
-		"Solver work across runs", "DIP difficulty across runs", "<svg",
+		`<h2 id="trends">Trends</h2>`, "Per-stage wall time across runs",
+		"Solver work across runs", "DIP difficulty across runs",
+		"Avg attack seconds per ledger row", "<svg",
 	} {
 		if !strings.Contains(out1, want) {
-			t.Errorf("trends page missing %q", want)
+			t.Errorf("report missing trend %q", want)
 		}
 	}
 
 	// -o writes the same bytes to a file.
-	outFile := filepath.Join(t.TempDir(), "trends.html")
-	if code, _, errOut := runCLI(t, "trends", "-o", outFile, bundleDir); code != exitOK {
-		t.Fatalf("trends -o exit %d\n%s", code, errOut)
+	outFile := filepath.Join(t.TempDir(), "report.html")
+	if code, _, errOut := runCLI(t, "report", "-bench", ledger, "-o", outFile, bundleDir); code != exitOK {
+		t.Fatalf("report -o exit %d\n%s", code, errOut)
 	}
 	written, err := os.ReadFile(outFile)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(written) != out1 {
-		t.Error("trends -o wrote different bytes than stdout mode")
+		t.Error("report -o wrote different bytes than stdout mode")
 	}
 }
 

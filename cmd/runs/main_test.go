@@ -34,9 +34,9 @@ func corruptBundle(t *testing.T) string {
 	return dir
 }
 
-// staleBundle copies goodBundle with its manifest rewritten to format 4,
-// the last format before the one attack pipeline.
-func staleBundle(t *testing.T) string {
+// rewrittenBundle copies goodBundle with each old→new replacement applied
+// once to its manifest.
+func rewrittenBundle(t *testing.T, oldNew ...string) string {
 	t.Helper()
 	dir := t.TempDir()
 	entries, err := os.ReadDir(goodBundle)
@@ -49,13 +49,24 @@ func staleBundle(t *testing.T) string {
 			t.Fatal(err)
 		}
 		if e.Name() == "manifest.json" {
-			data = bytes.Replace(data, []byte(`"formatVersion": 5`), []byte(`"formatVersion": 4`), 1)
+			for i := 0; i+1 < len(oldNew); i += 2 {
+				if !bytes.Contains(data, []byte(oldNew[i])) {
+					t.Fatalf("manifest has no %s to rewrite", oldNew[i])
+				}
+				data = bytes.Replace(data, []byte(oldNew[i]), []byte(oldNew[i+1]), 1)
+			}
 		}
 		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return dir
+}
+
+// staleBundle copies goodBundle with its manifest rewritten to format 4,
+// the last format before the one attack pipeline.
+func staleBundle(t *testing.T) string {
+	return rewrittenBundle(t, `"formatVersion": 5`, `"formatVersion": 4`)
 }
 
 // TestExitCodes pins the documented contract: 0 ok, 1 mismatch, 2 usage,
@@ -91,17 +102,43 @@ func TestExitCodes(t *testing.T) {
 		}
 	}
 
-	if code, out, _ := runCLI(t, "diff", goodBundle, goodBundle); code != exitOK {
-		t.Errorf("diff self: exit %d, want %d\n%s", code, exitOK, out)
+	// A manifest claiming a 2·10⁹-bit key passes the schema but not the
+	// design rebuild: lock.Lock refuses the width before allocating for it.
+	huge := rewrittenBundle(t, `"keyBits": 8`, `"keyBits": 2000000000`, `"polyN": 8`, `"polyN": 2000000000`)
+	if code, _, errOut := runCLI(t, "validate", huge); code != exitCorrupt {
+		t.Errorf("validate oversized key: exit %d, want %d\n%s", code, exitCorrupt, errOut)
+	} else if !strings.Contains(errOut, "MaxKeyBits") {
+		t.Errorf("validate oversized key: refusal does not name the bound: %q", errOut)
 	}
-	if code, out, _ := runCLI(t, "diff", goodBundle, otherBundle); code != exitMismatch {
-		t.Errorf("diff distinct: exit %d, want %d\n%s", code, exitMismatch, out)
+
+	if code, out, _ := runCLI(t, "compare", goodBundle, goodBundle); code != exitOK {
+		t.Errorf("compare self: exit %d, want %d\n%s", code, exitOK, out)
 	}
-	if code, _, _ := runCLI(t, "diff", goodBundle, bad); code != exitCorrupt {
-		t.Errorf("diff corrupt: want exit %d", exitCorrupt)
+	if code, out, _ := runCLI(t, "compare", goodBundle, otherBundle); code != exitMismatch {
+		t.Errorf("compare distinct: exit %d, want %d\n%s", code, exitMismatch, out)
+	}
+	if code, _, _ := runCLI(t, "compare", goodBundle, bad); code != exitCorrupt {
+		t.Errorf("compare corrupt: want exit %d", exitCorrupt)
+	}
+
+	// A negative -top is a usage error, not a panic in Hardest.
+	if code, out, errOut := runCLI(t, "explain", "-top", "-1", goodBundle); code != exitUsage {
+		t.Errorf("explain -top -1: exit %d, want %d\n%s%s", code, exitUsage, out, errOut)
+	}
+
+	// The commands folded into explain, compare and report are gone.
+	for _, args := range [][]string{
+		{"show", goodBundle}, {"diff", goodBundle, otherBundle}, {"trends", bundleDir},
+	} {
+		if code, _, _ := runCLI(t, args...); code != exitUsage {
+			t.Errorf("%s: exit %d, want %d", args[0], code, exitUsage)
+		}
 	}
 }
 
+// TestReportCommand renders the committed sweep: every bundle gets a
+// section and the page carries the cross-run charts. TestTrendsByteIdentical
+// pins the Trends section and the byte-identical renders.
 func TestReportCommand(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "report.html")
 	code, _, errOut := runCLI(t, "report", "-o", out, bundleDir)
@@ -112,7 +149,9 @@ func TestReportCommand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"<svg", "Rank / seed-space curve", "Cross-run comparison"} {
+	for _, want := range []string{
+		"<svg", "Rank / seed-space curve", "Cross-run comparison", `<h2 id="trends">Trends</h2>`,
+	} {
 		if !strings.Contains(string(html), want) {
 			t.Errorf("report missing %q", want)
 		}

@@ -9,20 +9,23 @@ import (
 	"path/filepath"
 	"sort"
 
+	"dynunlock/internal/anatomy"
 	"dynunlock/internal/flight"
 	"dynunlock/internal/report"
 )
 
 // cmdReport renders one or more bundles into a single self-contained HTML
-// report. Arguments are bundle directories or parents of bundles: a
-// directory without a manifest.json expands to its immediate children that
-// have one, in sorted order — so `runs report bench/bundles/table2`
-// reports every committed condition of that sweep.
+// report, each read through its anatomy report: cross-run tables, trends
+// across the runs, and one section per bundle. Arguments are bundle
+// directories or parents of bundles: a directory without a manifest.json
+// expands to its immediate children that have one, in sorted order — so
+// `runs report bench/bundles/table2` reports every committed condition of
+// that sweep, and the trend charts index the runs in that order.
 func cmdReport(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("report", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	out := fs.String("o", "", "write the HTML report to this file (default: stdout)")
-	ledgerPath := fs.String("bench", "", "benchmark ledger for the cross-run comparison table (e.g. BENCH_attack.json)")
+	ledgerPath := fs.String("bench", "", "benchmark ledger for the ledger table and history chart (e.g. BENCH_attack.json)")
 	title := fs.String("title", "", "report title")
 	if fs.Parse(args) != nil {
 		return exitUsage
@@ -40,13 +43,13 @@ func cmdReport(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "runs: no bundles found under the given paths")
 		return exitCorrupt
 	}
-	var bundles []*flight.Bundle
+	var runs []*anatomy.Report
 	for _, dir := range dirs {
-		b, ok := open(dir, stderr)
+		r, ok := derive(dir, stderr)
 		if !ok {
 			return exitCorrupt
 		}
-		bundles = append(bundles, b)
+		runs = append(runs, r)
 	}
 
 	opts := report.HTMLOptions{Title: *title}
@@ -64,7 +67,7 @@ func cmdReport(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var buf bytes.Buffer
-	if err := report.WriteHTML(&buf, bundles, opts); err != nil {
+	if err := report.WriteHTML(&buf, runs, opts); err != nil {
 		fmt.Fprintf(stderr, "runs: %v\n", err)
 		return exitCorrupt
 	}
@@ -76,7 +79,7 @@ func cmdReport(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "runs: %v\n", err)
 		return exitCorrupt
 	}
-	fmt.Fprintf(stderr, "runs: wrote %s (%d bundle(s), %d bytes)\n", *out, len(bundles), buf.Len())
+	fmt.Fprintf(stderr, "runs: wrote %s (%d bundle(s), %d bytes)\n", *out, len(runs), buf.Len())
 	return exitOK
 }
 

@@ -154,7 +154,7 @@ func main() {
 		fmt.Printf("\nstopped early (%v): %d condition(s) completed before the bound\n", err, len(rows))
 	}
 	if *recordDir != "" {
-		fmt.Fprintf(os.Stderr, "tables: recorded bundles under %s (attribution: runs explain <bundle>, trends: runs trends %s)\n",
+		fmt.Fprintf(os.Stderr, "tables: recorded bundles under %s (attribution: runs explain <bundle>, report with trends: runs report %s)\n",
 			*recordDir, *recordDir)
 	}
 	if *jsonPath != "" {

@@ -22,9 +22,13 @@ import (
 	"sort"
 
 	"dynunlock/internal/flight"
-	"dynunlock/internal/report"
 	"dynunlock/internal/trace"
 )
+
+// FigStages lists the span names of the paper's Fig. 3 attack stages, in
+// pipeline order. StageSplit keys on this set: these names get their own
+// rows, anything else folds into "other".
+var FigStages = []string{"unroll", "encode", "dip_loop", "extract", "enumerate", "refine", "verify"}
 
 // Report is the full attribution of one attack run. Per-stage seconds sum
 // exactly to TotalSeconds: the trailing "other" stage is computed as the
@@ -33,6 +37,10 @@ import (
 type Report struct {
 	// Dir is the source bundle directory ("" for in-memory reports).
 	Dir string `json:"dir,omitempty"`
+	// Bundle is the loaded bundle the report derives from, so one report
+	// carries everything the offline views print (manifest, trials,
+	// transcripts); nil for in-memory reports.
+	Bundle *flight.Bundle `json:"-"`
 	// TotalSeconds is the recorded wall time (result.json elapsedSeconds).
 	TotalSeconds float64 `json:"totalSeconds"`
 	// Stages is the wall-time split in Fig. 3 pipeline order (stages that
@@ -94,6 +102,7 @@ func Difficulty(d flight.SolverStats) float64 {
 func Derive(b *flight.Bundle, spans []trace.SpanRecord) *Report {
 	r := &Report{
 		Dir:          b.Dir,
+		Bundle:       b,
 		TotalSeconds: b.Result.ElapsedSeconds,
 	}
 	for _, t := range b.Result.Trials {
@@ -102,7 +111,7 @@ func Derive(b *flight.Bundle, spans []trace.SpanRecord) *Report {
 	if r.Solver.Propagations > 0 {
 		r.XorShare = float64(r.Solver.XorPropagations) / float64(r.Solver.Propagations)
 	}
-	r.Stages = stageSplit(spans, r.TotalSeconds)
+	r.Stages = StageSplit(spans, r.TotalSeconds)
 
 	// Per-DIP deltas: dips.jsonl snapshots are cumulative within a trial
 	// (fresh solver per trial), so consecutive differences attribute the
@@ -141,7 +150,8 @@ func FromDir(dir string) (*Report, error) {
 }
 
 // Hardest returns the n highest-difficulty DIPs, hardest first (ties
-// break on record order, so the result is deterministic).
+// break on record order, so the result is deterministic). n < 0 selects
+// none.
 func (r *Report) Hardest(n int) []DIP {
 	idx := make([]int, len(r.DIPs))
 	for i := range idx {
@@ -150,9 +160,7 @@ func (r *Report) Hardest(n int) []DIP {
 	sort.SliceStable(idx, func(a, b int) bool {
 		return r.DIPs[idx[a]].Difficulty > r.DIPs[idx[b]].Difficulty
 	})
-	if n > len(idx) {
-		n = len(idx)
-	}
+	n = max(0, min(n, len(idx)))
 	out := make([]DIP, n)
 	for i := 0; i < n; i++ {
 		out[i] = r.DIPs[idx[i]]
@@ -182,11 +190,14 @@ func (r *Report) StageSeconds(name string) float64 {
 	return 0
 }
 
-// stageSplit aggregates spans into the Fig. 3 stage rows plus the exact
-// "other" residual so the rows sum to total.
-func stageSplit(spans []trace.SpanRecord, total float64) []Stage {
+// StageSplit aggregates spans into the Fig. 3 stage rows, in FigStages
+// order, plus the exact "other" residual so the rows sum to total: each
+// row sums its spans' calls, seconds and counters, and spans outside
+// FigStages fold into "other". It is the one span-to-stage aggregation,
+// for recorded bundles (Derive) and for a live run's collector alike.
+func StageSplit(spans []trace.SpanRecord, total float64) []Stage {
 	known := map[string]bool{}
-	for _, name := range report.FigStages {
+	for _, name := range FigStages {
 		known[name] = true
 	}
 	agg := map[string]*Stage{}
@@ -208,7 +219,7 @@ func stageSplit(spans []trace.SpanRecord, total float64) []Stage {
 	}
 	var out []Stage
 	spanned := 0.0
-	for _, name := range report.FigStages {
+	for _, name := range FigStages {
 		if s, ok := agg[name]; ok {
 			spanned += s.Seconds
 			out = append(out, *s)

@@ -88,7 +88,7 @@ func TestStageSplitResidual(t *testing.T) {
 		{Name: "encode", Duration: secs(0.25)},
 		{Name: "fabricate", Duration: secs(0.1)}, // not a Fig. 3 stage
 	}
-	stages := stageSplit(spans, 3.0)
+	stages := StageSplit(spans, 3.0)
 	bySec := map[string]float64{}
 	byCalls := map[string]int{}
 	var sum float64
@@ -246,7 +246,8 @@ func TestCompareCounterFromZero(t *testing.T) {
 }
 
 // TestHardestDeterministic checks the top-N selection is stable: ordered by
-// difficulty descending with ties kept in record order.
+// difficulty descending with ties kept in record order, and clamped to
+// [0, len(DIPs)].
 func TestHardestDeterministic(t *testing.T) {
 	r := &Report{DIPs: []DIP{
 		{Trial: 1, Iteration: 1, Difficulty: 5},
@@ -267,6 +268,9 @@ func TestHardestDeterministic(t *testing.T) {
 	}
 	if over := r.Hardest(10); len(over) != 4 {
 		t.Errorf("Hardest(10) returned %d rows, want all 4", len(over))
+	}
+	if none := r.Hardest(-1); len(none) != 0 {
+		t.Errorf("Hardest(-1) returned %d rows, want none", len(none))
 	}
 }
 

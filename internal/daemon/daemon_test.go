@@ -17,6 +17,7 @@ import (
 	"dynunlock"
 	"dynunlock/internal/daemon"
 	"dynunlock/internal/flight"
+	"dynunlock/internal/lock"
 	"dynunlock/internal/stream"
 )
 
@@ -525,5 +526,21 @@ func keepPrefixLines(t *testing.T, src, dst string, n int) {
 	}
 	if err := os.WriteFile(dst, []byte(strings.Join(lines[:n], "\n")+"\n"), 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOversizedKeyJobFailsAndDaemonServes submits a job whose key width is
+// far beyond lock.MaxKeyBits: the job must end failed with the bound in
+// its error (not take the process down allocating for the width), and the
+// daemon must go on to finish the next job.
+func TestOversizedKeyJobFailsAndDaemonServes(t *testing.T) {
+	d := startDaemon(t, daemon.Config{})
+	huge := daemon.JobSpec{Benchmark: "s5378", KeyBits: 2_000_000_000, Scale: 16}
+	fin := waitTerminal(t, d.Addr(), submit(t, d.Addr(), huge).ID)
+	if fin.State != daemon.StateFailed || !strings.Contains(fin.Error, fmt.Sprint(lock.MaxKeyBits)) {
+		t.Fatalf("oversized job ended %s (%q), want failed naming the bound %d", fin.State, fin.Error, lock.MaxKeyBits)
+	}
+	if next := waitTerminal(t, d.Addr(), submit(t, d.Addr(), quickSpec()).ID); next.State != daemon.StateDone {
+		t.Fatalf("job after the oversized one ended %s (%s), want done", next.State, next.Error)
 	}
 }

@@ -47,6 +47,38 @@ func (r BenchRow) ConfigString() string {
 	return s
 }
 
+// SameConfig reports whether o was recorded under r's configuration:
+// benchmark, scale, key width, policy, mode and analytic. Analytic is part
+// of the key because the short-circuit changes the iteration count.
+func (r BenchRow) SameConfig(o BenchRow) bool {
+	return r.Benchmark == o.Benchmark && r.Scale == o.Scale && r.KeyBits == o.KeyBits &&
+		r.Policy == o.Policy && r.Mode == o.Mode && r.Analytic == o.Analytic
+}
+
+// OutcomeDiff lists the deterministic columns on which o differs from r —
+// benchmark, trials, average iterations, queries and candidates, broken —
+// one "name: r -> o" line each; it is empty when the outcomes match.
+// Timing and solver-effort columns vary across hosts and are not compared.
+func (r BenchRow) OutcomeDiff(o BenchRow) []string {
+	var out []string
+	num := func(name string, a, b float64) {
+		if a != b {
+			out = append(out, fmt.Sprintf("%s: %g -> %g (%+g)", name, a, b, b-a))
+		}
+	}
+	if r.Benchmark != o.Benchmark {
+		out = append(out, fmt.Sprintf("benchmark: %s -> %s", r.Benchmark, o.Benchmark))
+	}
+	num("trials", float64(r.Trials), float64(o.Trials))
+	num("avg iterations", r.AvgIterations, o.AvgIterations)
+	num("avg queries", r.AvgQueries, o.AvgQueries)
+	num("avg candidates", r.AvgCandidates, o.AvgCandidates)
+	if r.Broken != o.Broken {
+		out = append(out, fmt.Sprintf("broken: %v -> %v", r.Broken, o.Broken))
+	}
+	return out
+}
+
 // BenchFile is the BENCH_attack.json document: an append-only ledger of
 // normalized rows.
 type BenchFile struct {
@@ -120,17 +152,13 @@ func (f *BenchFile) Write(path string) error {
 	return writeJSONFile(path, f)
 }
 
-// FindRow returns the ledger row matching a bundle's configuration
-// (benchmark, scale, key width, policy, mode, analytic), for
-// baseline comparisons; ok is false when no row matches. Analytic is part
-// of the key because the short-circuit changes the iteration count.
+// FindRow returns the latest ledger row recorded under row's
+// configuration (SameConfig), for baseline comparisons; ok is false when
+// no row matches.
 func (f *BenchFile) FindRow(row BenchRow) (BenchRow, bool) {
 	for i := len(f.Rows) - 1; i >= 0; i-- {
-		r := f.Rows[i]
-		if r.Benchmark == row.Benchmark && r.Scale == row.Scale &&
-			r.KeyBits == row.KeyBits && r.Policy == row.Policy &&
-			r.Mode == row.Mode && r.Analytic == row.Analytic {
-			return r, true
+		if f.Rows[i].SameConfig(row) {
+			return f.Rows[i], true
 		}
 	}
 	return BenchRow{}, false

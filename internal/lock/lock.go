@@ -25,6 +25,15 @@ import (
 	"dynunlock/internal/scan"
 )
 
+// MaxKeyBits bounds the key register width and the key-gate count that
+// Lock accepts: far above the paper's widest register (368 bits in
+// Table III), and low enough that the per-bit structures built from a
+// design (gate lists, symbolic LFSR matrices) stay small. Lock is the one
+// constructor of a Design, so a width read from outside input — a job
+// request, a bundle manifest — is rejected here before anything is
+// allocated for it.
+const MaxKeyBits = 4096
+
 // Config selects locking parameters.
 type Config struct {
 	// KeyBits is the width k of the key register (the LFSR for dynamic
@@ -74,6 +83,10 @@ func Lock(n *netlist.Netlist, cfg Config) (*Design, error) {
 	}
 	if cfg.KeyBits <= 0 {
 		return nil, fmt.Errorf("lock: KeyBits %d must be positive", cfg.KeyBits)
+	}
+	if cfg.KeyBits > MaxKeyBits || cfg.NumGates > MaxKeyBits {
+		return nil, fmt.Errorf("lock: KeyBits %d / NumGates %d exceed the bound of %d (lock.MaxKeyBits)",
+			cfg.KeyBits, cfg.NumGates, MaxKeyBits)
 	}
 	if cfg.NumGates == 0 {
 		cfg.NumGates = cfg.KeyBits

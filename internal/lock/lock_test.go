@@ -1,6 +1,8 @@
 package lock
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"dynunlock/internal/bench"
@@ -159,5 +161,37 @@ func TestLockMoreGatesThanLinks(t *testing.T) {
 	}
 	if err := d.Chain.Validate(12); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLockBoundsKeyWidth pins the one bound on key width: Lock refuses
+// any KeyBits or NumGates above MaxKeyBits, naming the bound, before it
+// allocates a gate list or a polynomial for the requested width.
+func TestLockBoundsKeyWidth(t *testing.T) {
+	n, _ := bench.Generate(bench.GenConfig{Name: "t", PIs: 2, POs: 1, FFs: 8, Gates: 32, Seed: 6})
+	cases := []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"at the bound", Config{KeyBits: MaxKeyBits, Policy: scan.PerCycle}, true},
+		{"one bit over", Config{KeyBits: MaxKeyBits + 1, Policy: scan.PerCycle}, false},
+		{"two billion bits", Config{KeyBits: 2_000_000_000, Policy: scan.PerCycle}, false},
+		{"two billion static bits", Config{KeyBits: 2_000_000_000, Policy: scan.Static}, false},
+		{"too many gates", Config{KeyBits: 8, NumGates: MaxKeyBits + 1, Policy: scan.PerCycle}, false},
+		{"two billion gates", Config{KeyBits: 8, NumGates: 2_000_000_000, Policy: scan.Static}, false},
+	}
+	for _, c := range cases {
+		d, err := Lock(n, c.cfg)
+		switch {
+		case c.ok && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.ok && len(d.Chain.Gates) != c.cfg.KeyBits:
+			t.Errorf("%s: %d gates, want %d", c.name, len(d.Chain.Gates), c.cfg.KeyBits)
+		case !c.ok && err == nil:
+			t.Errorf("%s: want an error", c.name)
+		case !c.ok && !strings.Contains(err.Error(), fmt.Sprint(MaxKeyBits)):
+			t.Errorf("%s: error %q does not name the bound %d", c.name, err, MaxKeyBits)
+		}
 	}
 }

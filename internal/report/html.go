@@ -1,13 +1,15 @@
 package report
 
 import (
+	"cmp"
 	"fmt"
 	"html"
 	"io"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 
+	"dynunlock/internal/anatomy"
 	"dynunlock/internal/flight"
 	"dynunlock/internal/insight"
 	"dynunlock/internal/svgchart"
@@ -18,7 +20,8 @@ type HTMLOptions struct {
 	// Title heads the report; empty selects a default.
 	Title string
 	// Ledger, when non-nil, adds the cross-run comparison table of
-	// BENCH_attack.json rows (LedgerPath labels it).
+	// BENCH_attack.json rows and its avg-seconds history chart
+	// (LedgerPath labels them).
 	Ledger     *flight.BenchFile
 	LedgerPath string
 	// OutDir is the directory the HTML will live in; profile links are
@@ -26,21 +29,24 @@ type HTMLOptions struct {
 	OutDir string
 }
 
-// WriteHTML renders the bundles as one self-contained static HTML report:
-// no scripts, no external stylesheets or images — every chart is an inline
+// WriteHTML renders the runs — anatomy reports of loaded bundles
+// (anatomy.FromDir) — as one self-contained static HTML report: no
+// scripts, no external stylesheets or images — every chart is an inline
 // SVG. The output is deterministic for fixed inputs (no timestamps, stable
 // ordering, fixed number formatting), so re-rendering the same bundles is
 // byte-identical — a property CI uses to treat reports as build artifacts.
 //
-// Each bundle section carries a configuration summary, the per-trial
-// outcome table, the rank/seed-space curve (re-derived offline by replaying
-// the DIP transcript through the insight tracker), per-iteration solve-time
-// and oracle-cycle timelines, solver hotspots, and links to any pprof
-// captures recorded in the bundle (format version 2).
-func WriteHTML(w io.Writer, bundles []*flight.Bundle, opts HTMLOptions) error {
+// After the cross-run tables, a Trends section charts per-stage seconds,
+// solver work and DIP difficulty across the runs (plus the ledger's
+// avg-seconds history when a ledger is given). Each bundle section carries
+// a configuration summary, the per-trial outcome table, the rank/seed-space
+// curve (re-derived offline by replaying the DIP transcript through the
+// insight tracker), per-iteration solve-time and oracle-cycle timelines,
+// solver hotspots, and links to any pprof captures recorded in the bundle.
+func WriteHTML(w io.Writer, runs []*anatomy.Report, opts HTMLOptions) error {
 	title := opts.Title
 	if title == "" {
-		title = fmt.Sprintf("DynUnlock run report (%d bundle(s))", len(bundles))
+		title = fmt.Sprintf("DynUnlock run report (%d bundle(s))", len(runs))
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, `<!DOCTYPE html>
@@ -68,17 +74,18 @@ nav a{margin-right:1em}
 
 	// Navigation and cross-bundle overview.
 	b.WriteString("<nav>")
-	for i, bun := range bundles {
-		fmt.Fprintf(&b, `<a href="#bundle-%d">%s</a>`, i, html.EscapeString(filepath.Base(bun.Dir)))
+	for i, r := range runs {
+		fmt.Fprintf(&b, `<a href="#bundle-%d">%s</a>`, i, html.EscapeString(filepath.Base(r.Dir)))
 	}
 	b.WriteString("</nav>\n")
-	writeOverviewTable(&b, bundles)
+	writeOverviewTable(&b, runs)
 	if opts.Ledger != nil {
-		writeLedgerTable(&b, opts.Ledger, opts.LedgerPath, bundles)
+		writeLedgerTable(&b, opts.Ledger, opts.LedgerPath, runs)
 	}
+	writeTrends(&b, runs, opts)
 
-	for i, bun := range bundles {
-		writeBundleSection(&b, i, bun, opts)
+	for i, r := range runs {
+		writeBundleSection(&b, i, r, opts)
 	}
 	b.WriteString("</body>\n</html>\n")
 	_, err := io.WriteString(w, b.String())
@@ -87,16 +94,16 @@ nav a{margin-right:1em}
 
 // writeOverviewTable renders the cross-run comparison of the bundles being
 // reported: one normalized ledger-shaped row per bundle.
-func writeOverviewTable(b *strings.Builder, bundles []*flight.Bundle) {
+func writeOverviewTable(b *strings.Builder, runs []*anatomy.Report) {
 	b.WriteString("<h2 id=\"overview\">Cross-run comparison</h2>\n")
 	b.WriteString("<table><tr><th>Bundle</th><th>Benchmark</th><th>Config</th><th>Trials</th>" +
 		"<th>Avg iterations</th><th>Avg queries</th><th>Avg candidates</th><th>Avg seconds</th>" +
 		"<th>Conflicts</th><th>Propagations</th><th>Broken</th></tr>\n")
-	for i, bun := range bundles {
-		r := flight.BenchRowFrom(bun)
+	for i, run := range runs {
+		r := flight.BenchRowFrom(run.Bundle)
 		fmt.Fprintf(b, `<tr><td><a href="#bundle-%d">%s</a></td><td>%s</td><td>%s</td><td>%d</td>`+
 			"<td>%s</td><td>%s</td><td>%s</td><td>%s</td><td>%d</td><td>%d</td><td>%v</td></tr>\n",
-			i, html.EscapeString(filepath.Base(bun.Dir)), html.EscapeString(r.Benchmark),
+			i, html.EscapeString(filepath.Base(run.Dir)), html.EscapeString(r.Benchmark),
 			html.EscapeString(r.ConfigString()), r.Trials,
 			trimFloat(r.AvgIterations), trimFloat(r.AvgQueries), trimFloat(r.AvgCandidates),
 			trimFloat(r.AvgSeconds), r.TotalConflicts, r.TotalPropagations, r.Broken)
@@ -105,18 +112,16 @@ func writeOverviewTable(b *strings.Builder, bundles []*flight.Bundle) {
 }
 
 // writeLedgerTable renders the BENCH_attack.json rows, with a delta column
-// against any reported bundle sharing the row's configuration.
-func writeLedgerTable(b *strings.Builder, ledger *flight.BenchFile, path string, bundles []*flight.Bundle) {
+// against the first reported bundle sharing the row's configuration.
+func writeLedgerTable(b *strings.Builder, ledger *flight.BenchFile, path string, runs []*anatomy.Report) {
 	fmt.Fprintf(b, "<h2 id=\"ledger\">Benchmark ledger (%s)</h2>\n", html.EscapeString(path))
 	b.WriteString("<table><tr><th>Recorded</th><th>Bundle</th><th>Benchmark</th><th>Config</th>" +
 		"<th>Trials</th><th>Avg iterations</th><th>Avg seconds</th><th>Conflicts</th><th>Broken</th>" +
 		"<th>Δ iters vs this report</th></tr>\n")
 	for _, r := range ledger.Rows {
 		delta := ""
-		for _, bun := range bundles {
-			cur := flight.BenchRowFrom(bun)
-			if cur.Benchmark == r.Benchmark && cur.Scale == r.Scale && cur.KeyBits == r.KeyBits &&
-				cur.Policy == r.Policy && cur.Mode == r.Mode {
+		for _, run := range runs {
+			if cur := flight.BenchRowFrom(run.Bundle); cur.SameConfig(r) {
 				delta = trimFloat(cur.AvgIterations - r.AvgIterations)
 				break
 			}
@@ -129,9 +134,95 @@ func writeLedgerTable(b *strings.Builder, ledger *flight.BenchFile, path string,
 	b.WriteString("</table>\n")
 }
 
+// writeTrends charts the runs side by side, run i being the i-th row of
+// the cross-run comparison: per-stage seconds, solver work and DIP
+// difficulty, plus the ledger's avg-seconds history when one is given.
+func writeTrends(b *strings.Builder, runs []*anatomy.Report, opts HTMLOptions) {
+	b.WriteString("<h2 id=\"trends\">Trends</h2>\n")
+	b.WriteString("<p class=\"note\">run i is row i of the cross-run comparison (from 0)</p>\n")
+	b.WriteString(lineChart("Per-stage wall time across runs", "run", "seconds", stageSeries(runs)))
+	b.WriteString("\n")
+	b.WriteString(lineChart("Solver work across runs", "run", "count", workSeries(runs)))
+	b.WriteString("\n")
+	b.WriteString(lineChart("DIP difficulty across runs", "run", "difficulty", difficultySeries(runs)))
+	b.WriteString("\n")
+	if opts.Ledger != nil && len(opts.Ledger.Rows) > 0 {
+		b.WriteString(lineChart("Avg attack seconds per ledger row", "row", "seconds", ledgerSeries(opts.Ledger)))
+		b.WriteString("\n")
+	}
+}
+
+// stageSeries builds one series per stage that appears in any run, in the
+// order the reports list them (Fig. 3 order with "other" last).
+func stageSeries(runs []*anatomy.Report) []series {
+	var order []string
+	seen := map[string]bool{}
+	for _, r := range runs {
+		for _, s := range r.Stages {
+			if !seen[s.Name] {
+				seen[s.Name] = true
+				order = append(order, s.Name)
+			}
+		}
+	}
+	var out []series
+	for _, name := range order {
+		s := series{Name: name}
+		for i, r := range runs {
+			s.X = append(s.X, float64(i))
+			s.Y = append(s.Y, r.StageSeconds(name))
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
+// workSeries tracks the machine-independent solver effort across runs.
+func workSeries(runs []*anatomy.Report) []series {
+	conflicts := series{Name: "conflicts"}
+	learnt := series{Name: "learnt"}
+	restarts := series{Name: "restarts"}
+	for i, r := range runs {
+		x := float64(i)
+		conflicts.X, conflicts.Y = append(conflicts.X, x), append(conflicts.Y, float64(r.Solver.Conflicts))
+		learnt.X, learnt.Y = append(learnt.X, x), append(learnt.Y, float64(r.Solver.Learnt))
+		restarts.X, restarts.Y = append(restarts.X, x), append(restarts.Y, float64(r.Solver.Restarts))
+	}
+	return []series{conflicts, learnt, restarts}
+}
+
+// difficultySeries tracks the mean and max per-DIP difficulty across runs.
+func difficultySeries(runs []*anatomy.Report) []series {
+	mean := series{Name: "mean"}
+	top := series{Name: "max", Dashed: true}
+	for i, r := range runs {
+		var sum, hardest float64
+		for _, d := range r.DIPs {
+			sum += d.Difficulty
+			hardest = max(hardest, d.Difficulty)
+		}
+		m := 0.0
+		if len(r.DIPs) > 0 {
+			m = sum / float64(len(r.DIPs))
+		}
+		mean.X, mean.Y = append(mean.X, float64(i)), append(mean.Y, m)
+		top.X, top.Y = append(top.X, float64(i)), append(top.Y, hardest)
+	}
+	return []series{mean, top}
+}
+
+// ledgerSeries builds one avg-seconds series per benchmark over the
+// ledger's append order.
+func ledgerSeries(ledger *flight.BenchFile) []series {
+	return groupSeries(len(ledger.Rows), func(name string) string { return name }, func(i int) (string, float64, float64) {
+		return ledger.Rows[i].Benchmark, float64(i), ledger.Rows[i].AvgSeconds
+	})
+}
+
 // writeBundleSection renders one bundle: summary, trial table, charts,
 // hotspots, and profile links.
-func writeBundleSection(b *strings.Builder, idx int, bun *flight.Bundle, opts HTMLOptions) {
+func writeBundleSection(b *strings.Builder, idx int, run *anatomy.Report, opts HTMLOptions) {
+	bun := run.Bundle
 	m := &bun.Manifest
 	fmt.Fprintf(b, "<h2 id=\"bundle-%d\">%s</h2>\n", idx, html.EscapeString(filepath.Base(bun.Dir)))
 	fmt.Fprintf(b, "<p class=\"note\">%s · recorded %s by %s · %s %s/%s · format v%d</p>\n",
@@ -153,41 +244,59 @@ func writeBundleSection(b *strings.Builder, idx int, bun *flight.Bundle, opts HT
 	b.WriteString("</table>\n")
 
 	writeRankChart(b, bun)
-	writeSolveTimeChart(b, bun)
-	writeCycleChart(b, bun)
-	writeHotspots(b, bun)
+	b.WriteString(lineChart("Per-iteration solve time", "DIP iteration", "solve ms", dipSeries(run,
+		func(d anatomy.DIP) float64 { return d.SolveMS })))
+	b.WriteString("\n")
+	b.WriteString(lineChart("Oracle scan cycles per session", "session (issue order)", "cycles",
+		groupSeries(len(bun.Sessions), trialName, func(i int) (int, float64, float64) {
+			s := bun.Sessions[i]
+			return s.Trial, float64(s.Seq), float64(s.Cycles)
+		})))
+	b.WriteString("\n")
+	writeHotspots(b, run)
 	writeProfileLinks(b, bun, opts)
 }
 
 // writeRankChart replays the bundle's DIP transcript through the insight
-// tracker (offline, no chip) and plots the certified rank climbing toward
-// its analytic target while the surviving seed-space exponent falls.
+// tracker (offline, no chip), one tracker per trial, and plots the
+// certified rank climbing toward its analytic target while the surviving
+// seed-space exponent falls.
 func writeRankChart(b *strings.Builder, bun *flight.Bundle) {
+	unavailable := func(err error) {
+		fmt.Fprintf(b, "<p class=\"note\">rank curve unavailable: %s</p>\n", html.EscapeString(err.Error()))
+	}
 	d, err := bun.Design()
 	if err != nil {
-		fmt.Fprintf(b, "<p class=\"note\">rank curve unavailable: %s</p>\n", html.EscapeString(err.Error()))
+		unavailable(err)
 		return
 	}
-	trials := dipsByTrial(bun)
+	trackers := map[int]*insight.Tracker{}
+	var trials []int
+	for _, rec := range bun.DIPs {
+		tk := trackers[rec.Trial]
+		if tk == nil {
+			if tk, err = insight.New(d, insight.Options{}); err != nil {
+				unavailable(err)
+				return
+			}
+			trackers[rec.Trial] = tk
+			trials = append(trials, rec.Trial)
+		}
+		dip, errD := flight.ParseBits(rec.DIP)
+		resp, errR := flight.ParseBits(rec.Response)
+		if errD != nil || errR != nil {
+			continue
+		}
+		tk.Observe(dip, resp)
+	}
+	slices.Sort(trials)
 	var ss []series
 	target := 0
-	for _, tr := range trials {
-		tk, err := insight.New(d, insight.Options{})
-		if err != nil {
-			fmt.Fprintf(b, "<p class=\"note\">rank curve unavailable: %s</p>\n", html.EscapeString(err.Error()))
-			return
-		}
+	for _, trial := range trials {
+		tk := trackers[trial]
 		target = tk.TargetRank()
-		for _, rec := range tr.dips {
-			dip, errD := flight.ParseBits(rec.DIP)
-			resp, errR := flight.ParseBits(rec.Response)
-			if errD != nil || errR != nil {
-				continue
-			}
-			tk.Observe(dip, resp)
-		}
-		rank := series{Name: fmt.Sprintf("trial %d rank", tr.trial)}
-		seeds := series{Name: fmt.Sprintf("trial %d seeds", tr.trial), Dashed: true}
+		rank := series{Name: trialName(trial) + " rank"}
+		seeds := series{Name: trialName(trial) + " seeds", Dashed: true}
 		rank.X, rank.Y = append(rank.X, 0), append(rank.Y, 0)
 		seeds.X, seeds.Y = append(seeds.X, 0), append(seeds.Y, float64(d.Config.KeyBits))
 		for _, p := range tk.History() {
@@ -201,7 +310,7 @@ func writeRankChart(b *strings.Builder, bun *flight.Bundle) {
 		xmax := 1.0
 		for _, s := range ss {
 			if n := len(s.X); n > 0 {
-				xmax = max2(xmax, s.X[n-1])
+				xmax = max(xmax, s.X[n-1])
 			}
 		}
 		ss = append(ss, series{Name: "rank target", Dashed: true,
@@ -211,84 +320,22 @@ func writeRankChart(b *strings.Builder, bun *flight.Bundle) {
 	b.WriteString("\n")
 }
 
-// writeSolveTimeChart plots each iteration's SAT solve wall time.
-func writeSolveTimeChart(b *strings.Builder, bun *flight.Bundle) {
-	var ss []series
-	for _, tr := range dipsByTrial(bun) {
-		s := series{Name: fmt.Sprintf("trial %d", tr.trial)}
-		for _, rec := range tr.dips {
-			s.X = append(s.X, float64(rec.Iteration))
-			s.Y = append(s.Y, rec.SolveMS)
-		}
-		ss = append(ss, s)
-	}
-	b.WriteString(lineChart("Per-iteration solve time", "DIP iteration", "solve ms", ss))
+// writeHotspots renders per-iteration solver effort from the anatomy
+// report: the per-iteration conflict deltas and the hardest iterations by
+// difficulty, as `runs explain` ranks them.
+func writeHotspots(b *strings.Builder, run *anatomy.Report) {
+	b.WriteString(lineChart("Solver conflicts per iteration", "DIP iteration", "conflicts Δ", dipSeries(run,
+		func(d anatomy.DIP) float64 { return float64(d.Delta.Conflicts) })))
 	b.WriteString("\n")
-}
-
-// writeCycleChart plots the scan-cycle cost of every oracle session in
-// issue order, one series per trial.
-func writeCycleChart(b *strings.Builder, bun *flight.Bundle) {
-	byTrial := map[int]*series{}
-	var order []int
-	for _, s := range bun.Sessions {
-		ser := byTrial[s.Trial]
-		if ser == nil {
-			ser = &series{Name: fmt.Sprintf("trial %d", s.Trial)}
-			byTrial[s.Trial] = ser
-			order = append(order, s.Trial)
-		}
-		ser.X = append(ser.X, float64(s.Seq))
-		ser.Y = append(ser.Y, float64(s.Cycles))
-	}
-	sort.Ints(order)
-	var ss []series
-	for _, t := range order {
-		ss = append(ss, *byTrial[t])
-	}
-	b.WriteString(lineChart("Oracle scan cycles per session", "session (issue order)", "cycles", ss))
-	b.WriteString("\n")
-}
-
-// writeHotspots renders per-iteration solver effort: the conflict delta
-// chart and a table of the heaviest iterations (the DIP records snapshot
-// cumulative counters, so consecutive differences localize the work).
-func writeHotspots(b *strings.Builder, bun *flight.Bundle) {
-	type spot struct {
-		trial, iter int
-		conf, prop  uint64
-		solveMS     float64
-	}
-	var spots []spot
-	var ss []series
-	for _, tr := range dipsByTrial(bun) {
-		s := series{Name: fmt.Sprintf("trial %d", tr.trial)}
-		var prevC, prevP uint64
-		for _, rec := range tr.dips {
-			dc := rec.Solver.Conflicts - prevC
-			dp := rec.Solver.Propagations - prevP
-			prevC, prevP = rec.Solver.Conflicts, rec.Solver.Propagations
-			spots = append(spots, spot{tr.trial, rec.Iteration, dc, dp, rec.SolveMS})
-			s.X = append(s.X, float64(rec.Iteration))
-			s.Y = append(s.Y, float64(dc))
-		}
-		ss = append(ss, s)
-	}
-	b.WriteString(lineChart("Solver conflicts per iteration", "DIP iteration", "conflicts Δ", ss))
-	b.WriteString("\n")
-	if len(spots) == 0 {
+	hard := run.Hardest(5)
+	if len(hard) == 0 {
 		return
 	}
-	sort.SliceStable(spots, func(i, j int) bool { return spots[i].conf > spots[j].conf })
-	n := len(spots)
-	if n > 5 {
-		n = 5
-	}
-	fmt.Fprintf(b, "<h3>Solver hotspots (top %d of %d iterations by conflicts)</h3>\n", n, len(spots))
-	b.WriteString("<table><tr><th>Trial</th><th>Iteration</th><th>Conflicts Δ</th><th>Propagations Δ</th><th>Solve ms</th></tr>\n")
-	for _, s := range spots[:n] {
-		fmt.Fprintf(b, "<tr><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%s</td></tr>\n",
-			s.trial, s.iter, s.conf, s.prop, trimFloat(s.solveMS))
+	fmt.Fprintf(b, "<h3>Solver hotspots (top %d of %d iterations by difficulty)</h3>\n", len(hard), len(run.DIPs))
+	b.WriteString("<table><tr><th>Trial</th><th>Iteration</th><th>Conflicts Δ</th><th>Propagations Δ</th><th>Solve ms</th><th>Difficulty</th></tr>\n")
+	for _, d := range hard {
+		fmt.Fprintf(b, "<tr><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%s</td><td>%.1f</td></tr>\n",
+			d.Trial, d.Iteration, d.Delta.Conflicts, d.Delta.Propagations, trimFloat(d.SolveMS), d.Difficulty)
 	}
 	b.WriteString("</table>\n")
 }
@@ -315,29 +362,35 @@ func writeProfileLinks(b *strings.Builder, bun *flight.Bundle, opts HTMLOptions)
 	b.WriteString("</p>\n<p class=\"note\">inspect with: go tool pprof &lt;file&gt;</p>\n")
 }
 
-// trialDIPs groups one trial's DIP records in iteration order.
-type trialDIPs struct {
-	trial int
-	dips  []flight.DIPRecord
+// dipSeries plots y over the DIP iteration, one series per trial.
+func dipSeries(run *anatomy.Report, y func(anatomy.DIP) float64) []series {
+	return groupSeries(len(run.DIPs), trialName, func(i int) (int, float64, float64) {
+		d := run.DIPs[i]
+		return d.Trial, float64(d.Iteration), y(d)
+	})
 }
 
-// dipsByTrial splits the bundle's DIP transcript per trial, each sorted by
-// iteration, trials in ascending order.
-func dipsByTrial(bun *flight.Bundle) []trialDIPs {
-	byTrial := map[int][]flight.DIPRecord{}
-	for _, d := range bun.DIPs {
-		byTrial[d.Trial] = append(byTrial[d.Trial], d)
+func trialName(trial int) string { return fmt.Sprintf("trial %d", trial) }
+
+// groupSeries splits n points into one series per key, keys ascending and
+// points in the order given.
+func groupSeries[K cmp.Ordered](n int, name func(K) string, at func(i int) (key K, x, y float64)) []series {
+	byKey := map[K]*series{}
+	var keys []K
+	for i := 0; i < n; i++ {
+		k, x, y := at(i)
+		s := byKey[k]
+		if s == nil {
+			s = &series{Name: name(k)}
+			byKey[k] = s
+			keys = append(keys, k)
+		}
+		s.X, s.Y = append(s.X, x), append(s.Y, y)
 	}
-	trials := make([]int, 0, len(byTrial))
-	for t := range byTrial {
-		trials = append(trials, t)
-	}
-	sort.Ints(trials)
-	out := make([]trialDIPs, 0, len(trials))
-	for _, t := range trials {
-		dips := byTrial[t]
-		sort.SliceStable(dips, func(i, j int) bool { return dips[i].Iteration < dips[j].Iteration })
-		out = append(out, trialDIPs{trial: t, dips: dips})
+	slices.Sort(keys)
+	out := make([]series, len(keys))
+	for i, k := range keys {
+		out[i] = *byKey[k]
 	}
 	return out
 }

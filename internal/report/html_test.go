@@ -6,18 +6,19 @@ import (
 	"testing"
 	"unicode/utf8"
 
+	"dynunlock/internal/anatomy"
 	"dynunlock/internal/flight"
 )
 
 const committedBundle = "../../bench/bundles/table2/table2_s5378"
 
-func openCommitted(t *testing.T, dir string) *flight.Bundle {
+func openCommitted(t *testing.T, dir string) *anatomy.Report {
 	t.Helper()
-	b, err := flight.Open(dir)
+	r, err := anatomy.FromDir(dir)
 	if err != nil {
 		t.Fatalf("open %s: %v", dir, err)
 	}
-	return b
+	return r
 }
 
 func TestWriteHTMLSelfContainedAndDeterministic(t *testing.T) {
@@ -28,10 +29,10 @@ func TestWriteHTMLSelfContainedAndDeterministic(t *testing.T) {
 	}
 	opts := HTMLOptions{Ledger: ledger, LedgerPath: "BENCH_attack.json"}
 	var r1, r2 bytes.Buffer
-	if err := WriteHTML(&r1, []*flight.Bundle{b}, opts); err != nil {
+	if err := WriteHTML(&r1, []*anatomy.Report{b}, opts); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteHTML(&r2, []*flight.Bundle{b}, opts); err != nil {
+	if err := WriteHTML(&r2, []*anatomy.Report{b}, opts); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(r1.Bytes(), r2.Bytes()) {
@@ -48,8 +49,13 @@ func TestWriteHTMLSelfContainedAndDeterministic(t *testing.T) {
 		"Per-iteration solve time",
 		"Oracle scan cycles per session",
 		"Solver conflicts per iteration",
+		"Solver hotspots (top 3 of 3 iterations by difficulty)",
 		"Cross-run comparison",
 		"Benchmark ledger (BENCH_attack.json)",
+		"Per-stage wall time across runs",
+		"Solver work across runs",
+		"DIP difficulty across runs",
+		"Avg attack seconds per ledger row",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q", want)
@@ -74,7 +80,7 @@ func TestWriteHTMLSelfContainedAndDeterministic(t *testing.T) {
 }
 
 func TestWriteHTMLOneSectionPerBundle(t *testing.T) {
-	bundles := []*flight.Bundle{
+	bundles := []*anatomy.Report{
 		openCommitted(t, "../../bench/bundles/table2/table2_s5378"),
 		openCommitted(t, "../../bench/bundles/table2/table2_b20"),
 	}
@@ -97,15 +103,15 @@ func TestWriteHTMLOneSectionPerBundle(t *testing.T) {
 func TestWriteHTMLProfileLinks(t *testing.T) {
 	b := openCommitted(t, committedBundle)
 	var without bytes.Buffer
-	if err := WriteHTML(&without, []*flight.Bundle{b}, HTMLOptions{}); err != nil {
+	if err := WriteHTML(&without, []*anatomy.Report{b}, HTMLOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(without.String(), "<h3>Profiles</h3>") {
 		t.Fatal("v1 bundle must not render profile links")
 	}
-	b.Manifest.Profiles = []string{"cpu.pprof", "heap.pprof"}
+	b.Bundle.Manifest.Profiles = []string{"cpu.pprof", "heap.pprof"}
 	var with bytes.Buffer
-	if err := WriteHTML(&with, []*flight.Bundle{b}, HTMLOptions{}); err != nil {
+	if err := WriteHTML(&with, []*anatomy.Report{b}, HTMLOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	out := with.String()

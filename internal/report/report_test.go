@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"dynunlock/internal/anatomy"
 	"dynunlock/internal/trace"
 )
 
@@ -45,6 +46,19 @@ func TestTableNoTitle(t *testing.T) {
 	}
 }
 
+// stageRows renders spans through the one aggregation (anatomy.StageSplit)
+// and the one renderer, returning the table's data rows by stage name.
+func stageRows(t *testing.T, spans []trace.SpanRecord, total float64) (string, map[string]string) {
+	t.Helper()
+	out := StageTable("Stages", anatomy.StageSplit(spans, total)).String()
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	rows := map[string]string{}
+	for _, l := range lines[3:] { // after title + header + rule
+		rows[strings.Fields(l)[0]] = l
+	}
+	return out, rows
+}
+
 func TestStageTableAggregates(t *testing.T) {
 	spans := []trace.SpanRecord{
 		{Name: "encode", Duration: 2 * time.Millisecond, Counters: map[string]uint64{"clauses": 100}},
@@ -52,22 +66,31 @@ func TestStageTableAggregates(t *testing.T) {
 		{Name: "encode", Duration: 3 * time.Millisecond, Counters: map[string]uint64{"clauses": 50}},
 		{Name: "verify", Duration: time.Millisecond, Counters: nil},
 	}
-	out := StageTable("Stages", spans).String()
+	out, rows := stageRows(t, spans, 0.012)
 	lines := strings.Split(strings.TrimSpace(out), "\n")
-	// First-seen order: encode, dip_loop, verify — after title + header + rule.
-	if !strings.HasPrefix(lines[3], "encode") || !strings.HasPrefix(lines[4], "dip_loop") || !strings.HasPrefix(lines[5], "verify") {
-		t.Fatalf("row order wrong:\n%s", out)
+	// Fig. 3 order, then the residual and the total.
+	for i, name := range []string{"encode", "dip_loop", "verify", "other", "total"} {
+		if !strings.HasPrefix(lines[3+i], name) {
+			t.Fatalf("row %d is not %s:\n%s", i, name, out)
+		}
 	}
-	// The aggregated clause count lands in the Clauses column, not the
-	// generic counter string.
-	if !strings.Contains(lines[3], "150") || strings.Contains(lines[3], "clauses=") {
-		t.Fatalf("encode row not aggregated into the Clauses column:\n%s", out)
+	// Repeated spans sum their calls, seconds and counters; the clause
+	// count lands in the Clauses column, not the generic counter string.
+	if f := strings.Fields(rows["encode"]); f[1] != "0.0050" || f[3] != "2" || f[5] != "150" || strings.Contains(rows["encode"], "clauses=") {
+		t.Fatalf("encode row not aggregated into 0.005s over 2 calls with 150 clauses:\n%s", out)
 	}
-	if !strings.Contains(lines[4], "conflicts=40 dips=3") {
+	if !strings.HasSuffix(rows["dip_loop"], "conflicts=40 dips=3") {
 		t.Fatalf("counters not sorted by key:\n%s", out)
 	}
-	if !strings.Contains(lines[5], "-") {
+	if f := strings.Fields(rows["verify"]); f[len(f)-1] != "-" {
 		t.Fatalf("empty counters not dashed:\n%s", out)
+	}
+	// The un-spanned 1ms is the residual; the rows sum to the wall time.
+	if f := strings.Fields(rows["other"]); f[1] != "0.0010" || f[3] != "0" {
+		t.Fatalf("other row is not the 1ms residual:\n%s", out)
+	}
+	if f := strings.Fields(rows["total"]); f[1] != "0.0120" || f[2] != "100.0%" {
+		t.Fatalf("total row does not sum to the wall time:\n%s", out)
 	}
 }
 
@@ -78,25 +101,16 @@ func TestStageTableFoldsUnknownIntoOther(t *testing.T) {
 		{Name: "custom_pass", Duration: 3 * time.Millisecond, Counters: map[string]uint64{"items": 5}},
 		{Name: "verify", Duration: time.Millisecond},
 	}
-	out := StageTable("Stages", spans).String()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	// Known stages keep first-seen order; unknown names merge into one
-	// trailing "other" row instead of being listed (or lost) individually.
-	if !strings.HasPrefix(lines[3], "encode") || !strings.HasPrefix(lines[4], "verify") {
-		t.Fatalf("known stage order wrong:\n%s", out)
+	out, rows := stageRows(t, spans, 0.007)
+	if len(rows) != 4 || rows["encode"] == "" || rows["verify"] == "" {
+		t.Fatalf("want rows encode, verify, other, total:\n%s", out)
 	}
-	if !strings.HasPrefix(lines[5], "other") {
-		t.Fatalf("missing trailing other row:\n%s", out)
-	}
+	// Unknown names merge into the one "other" row instead of being listed
+	// (or lost) individually: 2 calls, 4ms, items=7.
 	if strings.Contains(out, "warmup") || strings.Contains(out, "custom_pass") {
 		t.Fatalf("unknown span names leaked as rows:\n%s", out)
 	}
-	// Both unknown spans aggregate: 2 calls, 4ms, items=7.
-	if !strings.Contains(lines[5], "2") || !strings.Contains(lines[5], "4") || !strings.Contains(lines[5], "items=7") {
+	if f := strings.Fields(rows["other"]); f[1] != "0.0040" || f[3] != "2" || f[len(f)-1] != "items=7" {
 		t.Fatalf("other row not aggregated:\n%s", out)
-	}
-	// A trace of only known stages has no other row.
-	if out := StageTable("S", spans[1:2]).String(); strings.Contains(out, "other") {
-		t.Fatalf("spurious other row:\n%s", out)
 	}
 }

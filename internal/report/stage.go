@@ -4,94 +4,55 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
-	"dynunlock/internal/trace"
+	"dynunlock/internal/anatomy"
 )
 
-// FigStages lists the span names of the paper's Fig. 3 attack stages, in
-// pipeline order. StageTable keys on this set: these names get their own
-// rows, anything else folds into "other".
-var FigStages = []string{"unroll", "encode", "dip_loop", "extract", "enumerate", "refine", "verify"}
-
-// StageTable aggregates trace span records into a per-stage timing table:
-// one row per distinct Fig. 3 stage name in first-seen order, summing
-// durations and counters across repeated spans (e.g. one span per trial).
-// Spans with names outside FigStages — custom instrumentation, future
-// stages — are not dropped: they aggregate into a trailing "other" row so
-// the table always accounts for every span it was given. This is how the
-// CLIs turn a trace collector into the Fig. 3 stage breakdown.
-func StageTable(title string, spans []trace.SpanRecord) *Table {
-	type agg struct {
-		calls    int
-		total    time.Duration
-		counters map[string]uint64
+// StageTable renders a wall-time split (anatomy.StageSplit) as the one
+// stage table of `runs explain` and cmd/dynunlock's post-run summary: one
+// row per stage with its seconds, share of wall time and calls, the encode
+// sizes in their own Vars/Clauses columns, the remaining counters as
+// "k=v" pairs, and a total row. The rows sum to the total by construction.
+func StageTable(title string, stages []anatomy.Stage) *Table {
+	tb := New(title, "Stage", "Seconds", "Share", "Calls", "Vars", "Clauses", "Counters")
+	total := 0.0
+	for _, s := range stages {
+		total += s.Seconds
+		vars, varsKey := encodeCell(s.Counters, "vars", "encode_vars")
+		clauses, clausesKey := encodeCell(s.Counters, "clauses", "encode_clauses")
+		tb.AddRow(s.Name, fmt.Sprintf("%.4f", s.Seconds), fmt.Sprintf("%.1f%%", s.Share*100), s.Calls,
+			vars, clauses, counterString(s.Counters, varsKey, clausesKey))
 	}
-	known := map[string]bool{}
-	for _, name := range FigStages {
-		known[name] = true
-	}
-	order := []string{}
-	byName := map[string]*agg{}
-	for _, sp := range spans {
-		name := sp.Name
-		if !known[name] {
-			name = "other"
-		}
-		a, ok := byName[name]
-		if !ok {
-			a = &agg{counters: map[string]uint64{}}
-			byName[name] = a
-			if name != "other" {
-				order = append(order, name)
-			}
-		}
-		a.calls++
-		a.total += sp.Duration
-		for k, v := range sp.Counters {
-			a.counters[k] += v
-		}
-	}
-	if _, ok := byName["other"]; ok {
-		order = append(order, "other")
-	}
-	tb := New(title, "Stage", "Calls", "Time (ms)", "Vars", "Clauses", "Counters")
-	for _, name := range order {
-		a := byName[name]
-		// Plain ASCII milliseconds: duration strings mix µ (multibyte) into
-		// the byte-width column alignment.
-		tb.AddRow(name, a.calls, float64(a.total)/float64(time.Millisecond),
-			encodeCell(a.counters, "vars", "encode_vars"),
-			encodeCell(a.counters, "clauses", "encode_clauses"),
-			counterString(a.counters))
-	}
+	tb.AddRow("total", fmt.Sprintf("%.4f", total), "100.0%")
 	return tb
 }
 
-// encodeCell extracts the encode-size column for a stage: the initial
-// encoder emits "vars"/"clauses", the DIP loop accumulates the per-DIP
-// growth as "encode_vars"/"encode_clauses". The matched key is consumed so
-// the generic counter string does not repeat it; stages without either key
-// render "-".
-func encodeCell(c map[string]uint64, keys ...string) string {
+// encodeCell picks the encode-size cell of a stage: the initial encoder
+// emits "vars"/"clauses", the DIP loop accumulates the per-DIP growth as
+// "encode_vars"/"encode_clauses". It returns the cell and the key it used,
+// so the generic counter string does not repeat it; stages without either
+// key render "-".
+func encodeCell(c map[string]uint64, keys ...string) (string, string) {
 	for _, k := range keys {
 		if v, ok := c[k]; ok {
-			delete(c, k)
-			return fmt.Sprintf("%d", v)
+			return fmt.Sprintf("%d", v), k
 		}
 	}
-	return "-"
+	return "-", ""
 }
 
 // counterString renders counters deterministically as "k=v k=v" in key
-// order; empty counters render as "-" so columns stay aligned.
-func counterString(c map[string]uint64) string {
-	if len(c) == 0 {
-		return "-"
-	}
+// order, leaving out the two keys the encode cells used; no counters
+// render as "-" so columns stay aligned.
+func counterString(c map[string]uint64, skipA, skipB string) string {
 	keys := make([]string, 0, len(c))
 	for k := range c {
-		keys = append(keys, k)
+		if k != skipA && k != skipB {
+			keys = append(keys, k)
+		}
+	}
+	if len(keys) == 0 {
+		return "-"
 	}
 	sort.Strings(keys)
 	parts := make([]string, len(keys))

@@ -15,17 +15,3 @@ type series = svgchart.Series
 func lineChart(caption, xLabel, yLabel string, ss []series) string {
 	return svgchart.LineChart(caption, xLabel, yLabel, ss)
 }
-
-func min2(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max2(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
