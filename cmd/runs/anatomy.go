@@ -26,9 +26,10 @@ func derive(dir string, stderr io.Writer) (*anatomy.Report, bool) {
 
 // cmdExplain renders one bundle: the manifest summary (recording host and
 // toolchain, commit, experiment, profiles, transcript sizes), the trial
-// table and any stop reason, then the attribution — the wall-time split
-// across the Fig. 3 stages (rows sum exactly to the recorded
-// elapsedSeconds), the solver counter totals (exactly the sum of
+// table (with how each DIP loop closed) and any stop reason, then the
+// attribution — the wall-time split across the Fig. 3 stages (rows sum
+// exactly to the recorded elapsedSeconds; the uniqueness checks are a
+// sub-row of dip_loop), the solver counter totals (exactly the sum of
 // result.json's per-trial snapshots), the hottest stage, the hardest DIP
 // iterations by difficulty score, and — when the bundle carries live
 // search telemetry (anatomy.json) — the sampled LBD distribution and
@@ -87,9 +88,9 @@ func renderExplain(w io.Writer, r *anatomy.Report, top int) {
 	fmt.Fprintf(w, "wall time   %.3fs\n\n", r.TotalSeconds)
 
 	tt := report.New(fmt.Sprintf("Trials (%d recorded)", len(b.Result.Trials)),
-		"Trial", "Candidates", "Iterations", "Queries", "Seconds", "Conflicts", "Enc vars", "Enc clauses", "Success")
+		"Trial", "Candidates", "Iterations", "Queries", "Closed", "Seconds", "Conflicts", "Enc vars", "Enc clauses", "Success")
 	for _, t := range b.Result.Trials {
-		tt.AddRow(t.Trial, len(t.SeedCandidates), t.Iterations, t.Queries,
+		tt.AddRow(t.Trial, len(t.SeedCandidates), t.Iterations, t.Queries, orDash(t.Closed),
 			t.Seconds, t.Solver.Conflicts, t.EncodeVars, t.EncodeClauses, t.Success)
 	}
 	tt.Render(w)

@@ -120,6 +120,9 @@ type TrialResult struct {
 	// Analytic reports the trial ended via the insight rank-k short-circuit
 	// rather than SAT convergence (see core.Result.Analytic).
 	Analytic bool
+	// Closed names the proof that closed a converged DIP loop (see
+	// core.Result.Closed); empty when the loop did not converge.
+	Closed core.Close
 	// Success is the paper's criterion: the programmed secret seed is in
 	// the recovered candidate set.
 	Success bool
@@ -413,6 +416,7 @@ func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (res *Experimen
 			Rank:        atk.Rank,
 			Exact:       atk.Exact,
 			Converged:   atk.Converged,
+			Closed:      atk.Closed,
 			Verified:    atk.Verified,
 			Analytic:    atk.Analytic,
 			Success:     core.ContainsSeed(atk.SeedCandidates, chip.SecretSeed()),

@@ -157,22 +157,31 @@ func TestMetricsJSONHoldsOnlyItsOwnSeries(t *testing.T) {
 	}
 }
 
-// TestCommittedBundleMetricsAreScoped checks the committed table2 and
-// affine bundles, recorded since runs write metrics.json from their own
-// label scope: each metrics.json names only its own benchmark, holds no
-// retired dynunlock_anatomy_* series, and sums to the conflicts its
-// result.json records. The paper128 bundles predate the scoped write and
-// wait for their next re-recording.
+// committedBundleDirs lists the 21 committed bundles: the ten table2
+// conditions, affine and the ten paper128 circuits.
+func committedBundleDirs(t *testing.T) []string {
+	t.Helper()
+	var dirs []string
+	for _, pattern := range []string{"bench/bundles/table2/*", "bench/bundles/affine", "bench/bundles/paper128/*"} {
+		m, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirs = append(dirs, m...)
+	}
+	if len(dirs) != 21 {
+		t.Fatalf("found %d bundles, want the 10 table2 bundles, affine and the 10 paper128 bundles", len(dirs))
+	}
+	return dirs
+}
+
+// TestCommittedBundleMetricsAreScoped checks every committed bundle,
+// recorded since runs write metrics.json from their own label scope: each
+// metrics.json names only its own benchmark, holds no retired
+// dynunlock_anatomy_* series, and sums to the conflicts its result.json
+// records.
 func TestCommittedBundleMetricsAreScoped(t *testing.T) {
-	dirs, err := filepath.Glob("bench/bundles/table2/*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirs = append(dirs, "bench/bundles/affine")
-	if len(dirs) != 11 {
-		t.Fatalf("found %d bundles, want the 10 table2 bundles and affine", len(dirs))
-	}
-	for _, dir := range dirs {
+	for _, dir := range committedBundleDirs(t) {
 		b, err := flight.Open(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -204,6 +213,27 @@ func TestCommittedBundleMetricsAreScoped(t *testing.T) {
 		}
 		if recorded == 0 || uint64(conflicts) != recorded {
 			t.Errorf("%s: metrics.json sums %v conflicts, result.json records %d", dir, conflicts, recorded)
+		}
+	}
+}
+
+// TestCommittedBundlesRecordClose checks how every committed trial's DIP
+// loop closed: the table2 and paper128 bundles on a unique consistent key,
+// the affine bundle (insight armed) analytically.
+func TestCommittedBundlesRecordClose(t *testing.T) {
+	for _, dir := range committedBundleDirs(t) {
+		b, err := flight.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := string(core.CloseUnique)
+		if b.Manifest.Analytic {
+			want = string(core.CloseAnalytic)
+		}
+		for _, tr := range b.Result.Trials {
+			if tr.Closed != want {
+				t.Errorf("%s trial %d: closed %q, want %q", dir, tr.Trial, tr.Closed, want)
+			}
 		}
 	}
 }

@@ -30,6 +30,13 @@ import (
 // rows, anything else folds into "other".
 var FigStages = []string{"unroll", "encode", "dip_loop", "extract", "enumerate", "refine", "verify"}
 
+// SubStages maps the spans that run inside a Fig. 3 stage to that stage:
+// the uniqueness check ("unique") runs inside the DIP loop. Their time is
+// already part of the parent's, so StageSplit reports them as the
+// parent's sub-rows and neither sums them into the rows nor folds them
+// into "other".
+var SubStages = map[string]string{"unique": "dip_loop"}
+
 // Report is the full attribution of one attack run. Per-stage seconds sum
 // exactly to TotalSeconds: the trailing "other" stage is computed as the
 // residual (non-Fig.3 spans plus un-spanned time such as lock
@@ -69,6 +76,9 @@ type Stage struct {
 	Share    float64           `json:"share"`
 	Calls    int               `json:"calls"`
 	Counters map[string]uint64 `json:"counters,omitempty"`
+	// Sub lists the stage's nested spans (SubStages) as rows of their
+	// own; their seconds are part of this stage's, not added to the total.
+	Sub []Stage `json:"sub,omitempty"`
 }
 
 // DIP is one SAT-attack iteration's attribution.
@@ -193,23 +203,29 @@ func (r *Report) StageSeconds(name string) float64 {
 // StageSplit aggregates spans into the Fig. 3 stage rows, in FigStages
 // order, plus the exact "other" residual so the rows sum to total: each
 // row sums its spans' calls, seconds and counters, and spans outside
-// FigStages fold into "other". It is the one span-to-stage aggregation,
-// for recorded bundles (Derive) and for a live run's collector alike.
+// FigStages fold into "other". A SubStages span becomes a sub-row of its
+// parent's row (and is dropped when the parent never ended). It is the
+// one span-to-stage aggregation, for recorded bundles (Derive) and for a
+// live run's collector alike.
 func StageSplit(spans []trace.SpanRecord, total float64) []Stage {
 	known := map[string]bool{}
 	for _, name := range FigStages {
 		known[name] = true
 	}
 	agg := map[string]*Stage{}
+	sub := map[string]*Stage{}
 	for _, sp := range spans {
-		name := sp.Name
-		if !known[name] {
+		name, into := sp.Name, agg
+		switch {
+		case SubStages[name] != "":
+			into = sub
+		case !known[name]:
 			name = "other"
 		}
-		s, ok := agg[name]
+		s, ok := into[name]
 		if !ok {
 			s = &Stage{Name: name, Counters: map[string]uint64{}}
-			agg[name] = s
+			into[name] = s
 		}
 		s.Calls++
 		s.Seconds += sp.Duration.Seconds()
@@ -217,11 +233,21 @@ func StageSplit(spans []trace.SpanRecord, total float64) []Stage {
 			s.Counters[k] += v
 		}
 	}
+	subNames := make([]string, 0, len(sub))
+	for name := range sub {
+		subNames = append(subNames, name)
+	}
+	sort.Strings(subNames)
 	var out []Stage
 	spanned := 0.0
 	for _, name := range FigStages {
 		if s, ok := agg[name]; ok {
 			spanned += s.Seconds
+			for _, sn := range subNames {
+				if SubStages[sn] == name {
+					s.Sub = append(s.Sub, *sub[sn])
+				}
+			}
 			out = append(out, *s)
 		}
 	}
@@ -238,6 +264,9 @@ func StageSplit(spans []trace.SpanRecord, total float64) []Stage {
 	if total > 0 {
 		for i := range out {
 			out[i].Share = out[i].Seconds / total
+			for j := range out[i].Sub {
+				out[i].Sub[j].Share = out[i].Sub[j].Seconds / total
+			}
 		}
 	}
 	return out

@@ -28,6 +28,22 @@ const (
 	StopIterations = satattack.StopIterations
 )
 
+// Close re-exports the satattack classification of how a converged DIP
+// loop ended.
+type Close = satattack.Close
+
+// Closing proofs (see satattack).
+const (
+	CloseMiter    = satattack.CloseMiter
+	CloseUnique   = satattack.CloseUnique
+	CloseAnalytic = satattack.CloseAnalytic
+)
+
+// MaxEnumerateLimit bounds Options.EnumerateLimit. The paper observes at
+// most 128 candidates and the default limit is 256; a larger limit only
+// lets the mask-coset expansion allocate for classes no attack reports.
+const MaxEnumerateLimit = 1 << 16
+
 // Chip is the oracle-side interface the attack layers consume: the chip
 // the attacker owns, reduced to exactly the operations the attack issues.
 // The fabricated simulator (*oracle.Chip) implements it, and so does the
@@ -60,7 +76,8 @@ type Options struct {
 	TestKey []bool
 	// EnumerateLimit bounds seed-candidate enumeration after convergence.
 	// 0 selects the paper's practical bound of 256 (Table II observes at
-	// most 128 candidates).
+	// most 128 candidates); AttackCtx rejects a limit outside
+	// [0, MaxEnumerateLimit].
 	EnumerateLimit int
 	// MaxIterations bounds the DIP loop (0 = unlimited).
 	MaxIterations int
@@ -110,8 +127,10 @@ type Result struct {
 	Iterations int
 	// Queries is the number of scan sessions issued to the chip.
 	Queries int
-	// Converged reports miter-UNSAT convergence.
+	// Converged reports that the DIP loop proved no DIP remains (see
+	// satattack.Result.Converged); Closed names the proof.
 	Converged bool
+	Closed    Close
 	// Analytic reports that the insight feedback loop reached full key rank
 	// and the key was recovered by GF(2) back-substitution, short-circuiting
 	// the remaining SAT iterations (see satattack.Result.Analytic).
@@ -125,8 +144,11 @@ type Result struct {
 	Verified bool
 	// Elapsed is total attack wall time.
 	Elapsed time.Duration
-	// SolverStats snapshots the CDCL solver counters.
+	// SolverStats snapshots the miter solver's CDCL counters.
 	SolverStats sat.Stats
+	// CheckStats snapshots the uniqueness check's solver counters (see
+	// satattack.Result.CheckStats).
+	CheckStats sat.Stats
 	// Stopped is true when a deadline, cancellation, or budget bounded the
 	// attack (see satattack.Result.Stopped); counters and any recovered
 	// candidates remain valid, but the set may be incomplete.
@@ -184,9 +206,15 @@ func Attack(chip Chip, opts Options) (*Result, error) {
 // returns a partial Result with Stopped set — never an error, a hang, or a
 // panic. A trace sink installed on ctx (trace.With) observes one span per
 // Fig. 3 stage: unroll, encode, dip_loop, extract, enumerate, refine,
-// verify. With a background context and no sink, behavior is bit-identical
-// to the unbounded sequential attack.
+// verify, with one "unique" span per uniqueness check inside dip_loop;
+// extract and enumerate run only when the miter closed the loop. With a
+// background context and no sink, behavior is bit-identical to the
+// unbounded sequential attack. A limit outside [0, MaxEnumerateLimit] is
+// an error, returned before any model is built.
 func AttackCtx(ctx context.Context, chip Chip, opts Options) (*Result, error) {
+	if opts.EnumerateLimit < 0 || opts.EnumerateLimit > MaxEnumerateLimit {
+		return nil, fmt.Errorf("core: enumerate limit %d outside [0, %d]", opts.EnumerateLimit, MaxEnumerateLimit)
+	}
 	tr := trace.From(ctx)
 	start := time.Now()
 	d := chip.Design()
@@ -337,6 +365,7 @@ func AttackCtx(ctx context.Context, chip Chip, opts Options) (*Result, error) {
 		"candidates":      len(res.SeedCandidates),
 		"exact":           res.Exact,
 		"converged":       res.Converged,
+		"closed":          string(res.Closed),
 		"analytic":        res.Analytic,
 		"verified":        res.Verified,
 		"rank":            res.Rank,
@@ -367,9 +396,11 @@ func runEngine(ctx context.Context, locked *satattack.Locked, o satattack.Oracle
 	}
 	res.Iterations = saRes.Iterations
 	res.Converged = saRes.Converged
+	res.Closed = saRes.Closed
 	res.Analytic = saRes.Analytic
 	res.Exact = saRes.CandidatesExact
 	res.SolverStats = saRes.SolverStats
+	res.CheckStats = saRes.CheckStats
 	res.Stopped = saRes.Stopped
 	res.StopReason = saRes.StopReason
 	res.EncodeVars = saRes.EncodeVars

@@ -2,6 +2,10 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -91,52 +95,71 @@ func TestAttackCtxDeadlinePartial(t *testing.T) {
 	}
 }
 
-// The full stage-span sequence must appear on the sink, and the final
-// "result" event must report the run, including oracle session accounting
-// from the chip hook.
+// The stage-span sequence must appear on the sink, and the final "result"
+// event must report the run, including how the DIP loop closed and the
+// oracle session accounting from the chip hook. A unique close skips the
+// extract and enumerate stages; a miter close (direct mode with more key
+// bits than rank[A;B], so several seeds remain) still runs both.
 func TestAttackCtxTraceResult(t *testing.T) {
-	_, chip := lockedChip(t, 24, 16, scan.PerCycle, 7, 8)
-	c := trace.NewCollector()
-	ctx := trace.With(context.Background(), c)
-	res, err := AttackCtx(ctx, chip, Options{EnumerateLimit: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]bool{
-		"unroll": false, "encode": false, "dip_loop": false,
-		"extract": false, "enumerate": false, "refine": false, "verify": false,
-	}
-	for _, sp := range c.Spans() {
-		if _, ok := want[sp.Name]; ok {
-			want[sp.Name] = true
-		}
-	}
-	for name, seen := range want {
-		if !seen {
-			t.Errorf("missing stage span %q", name)
-		}
-	}
-	var result *trace.Event
-	for _, ev := range c.Events() {
-		if ev.Type == "result" {
-			ev := ev
-			result = &ev
-		}
-	}
-	if result == nil {
-		t.Fatal("no result event emitted")
-	}
-	f := result.Fields
-	if f["stopped"] != false || f["iterations"] != res.Iterations {
-		t.Fatalf("result fields = %v", f)
-	}
-	sessions, ok := f["oracle_sessions"].(uint64)
-	if !ok || sessions == 0 {
-		t.Fatalf("oracle_sessions = %v", f["oracle_sessions"])
-	}
-	cycles, ok := f["oracle_cycles"].(uint64)
-	if !ok || cycles == 0 {
-		t.Fatalf("oracle_cycles = %v", f["oracle_cycles"])
+	for _, tc := range []struct {
+		name          string
+		ffs, keyBits  int
+		opts          Options
+		closed        Close
+		stages        []string
+		minCandidates int
+	}{
+		{"unique", 24, 16, Options{EnumerateLimit: 64}, CloseUnique,
+			[]string{"unroll", "encode", "unique", "dip_loop", "refine", "verify"}, 1},
+		{"miter", 6, 12, Options{Mode: ModeDirect, EnumerateLimit: 1 << 12}, CloseMiter,
+			[]string{"unroll", "encode", "unique", "dip_loop", "extract", "enumerate", "verify"}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, chip := lockedChip(t, tc.ffs, tc.keyBits, scan.PerCycle, 7, 8)
+			c := trace.NewCollector()
+			ctx := trace.With(context.Background(), c)
+			res, err := AttackCtx(ctx, chip, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Closed != tc.closed || !res.Converged || len(res.SeedCandidates) < tc.minCandidates {
+				t.Fatalf("closed=%q converged=%v candidates=%d, want %q with at least %d",
+					res.Closed, res.Converged, len(res.SeedCandidates), tc.closed, tc.minCandidates)
+			}
+			// Stage names in completion order, runs of one name collapsed
+			// (one "unique" span per DIP).
+			var stages []string
+			for _, sp := range c.Spans() {
+				if n := len(stages); n == 0 || stages[n-1] != sp.Name {
+					stages = append(stages, sp.Name)
+				}
+			}
+			if !slices.Equal(stages, tc.stages) {
+				t.Fatalf("stage spans %v, want %v", stages, tc.stages)
+			}
+			var result *trace.Event
+			for _, ev := range c.Events() {
+				if ev.Type == "result" {
+					ev := ev
+					result = &ev
+				}
+			}
+			if result == nil {
+				t.Fatal("no result event emitted")
+			}
+			f := result.Fields
+			if f["stopped"] != false || f["iterations"] != res.Iterations || f["closed"] != string(tc.closed) {
+				t.Fatalf("result fields = %v", f)
+			}
+			sessions, ok := f["oracle_sessions"].(uint64)
+			if !ok || sessions == 0 {
+				t.Fatalf("oracle_sessions = %v", f["oracle_sessions"])
+			}
+			cycles, ok := f["oracle_cycles"].(uint64)
+			if !ok || cycles == 0 {
+				t.Fatalf("oracle_cycles = %v", f["oracle_cycles"])
+			}
+		})
 	}
 }
 
@@ -161,5 +184,30 @@ func TestAttackCtxSessionHookChains(t *testing.T) {
 	chip.Session(make([]bool, 16), make([]bool, chip.Design().Chain.Length), make([]bool, chip.Design().View.NumPI))
 	if outer <= before {
 		t.Fatal("restored hook inactive")
+	}
+}
+
+// An enumerate limit outside [0, MaxEnumerateLimit] is refused with an
+// error naming the bound, before any model is built or session issued: a
+// negative limit once read as "no limit" over the whole mask coset, and
+// MaxInt wrapped the coset bound negative. The bound itself is accepted.
+func TestAttackCtxRejectsEnumerateLimit(t *testing.T) {
+	for _, limit := range []int{-1, MaxEnumerateLimit + 1, math.MaxInt} {
+		_, chip := lockedChip(t, 8, 8, scan.PerCycle, 7, 8)
+		sessions := 0
+		chip.SessionHook = func(uint64) { sessions++ }
+		c := trace.NewCollector()
+		res, err := AttackCtx(trace.With(context.Background(), c), chip, Options{EnumerateLimit: limit})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(MaxEnumerateLimit)) {
+			t.Fatalf("limit %d: err = %v, want one naming the bound %d", limit, err, MaxEnumerateLimit)
+		}
+		if res != nil || sessions != 0 || len(c.Spans()) != 0 {
+			t.Fatalf("limit %d: result %v after %d sessions and %d spans, want none", limit, res, sessions, len(c.Spans()))
+		}
+	}
+	_, chip := lockedChip(t, 8, 8, scan.PerCycle, 7, 8)
+	res, err := Attack(chip, Options{EnumerateLimit: MaxEnumerateLimit})
+	if err != nil || !res.Exact || !ContainsSeed(res.SeedCandidates, chip.SecretSeed()) {
+		t.Fatalf("limit at the bound: err=%v", err)
 	}
 }

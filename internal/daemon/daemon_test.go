@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"dynunlock"
+	"dynunlock/internal/core"
 	"dynunlock/internal/daemon"
 	"dynunlock/internal/flight"
 	"dynunlock/internal/lock"
@@ -542,5 +543,21 @@ func TestOversizedKeyJobFailsAndDaemonServes(t *testing.T) {
 	}
 	if next := waitTerminal(t, d.Addr(), submit(t, d.Addr(), quickSpec()).ID); next.State != daemon.StateDone {
 		t.Fatalf("job after the oversized one ended %s (%s), want done", next.State, next.Error)
+	}
+}
+
+// TestOversizedLimitJobFailsAndDaemonServes submits a job whose enumerate
+// limit is far beyond core.MaxEnumerateLimit: the job must end failed with
+// the bound in its error (not take the process down expanding a 2^47
+// mask coset), and the daemon must go on to finish the next job.
+func TestOversizedLimitJobFailsAndDaemonServes(t *testing.T) {
+	d := startDaemon(t, daemon.Config{})
+	huge := daemon.JobSpec{Benchmark: "s5378", KeyBits: 64, Scale: 16, Limit: 1_000_000_000_000}
+	fin := waitTerminal(t, d.Addr(), submit(t, d.Addr(), huge).ID)
+	if fin.State != daemon.StateFailed || !strings.Contains(fin.Error, fmt.Sprint(core.MaxEnumerateLimit)) {
+		t.Fatalf("oversized-limit job ended %s (%q), want failed naming the bound %d", fin.State, fin.Error, core.MaxEnumerateLimit)
+	}
+	if next := waitTerminal(t, d.Addr(), submit(t, d.Addr(), quickSpec()).ID); next.State != daemon.StateDone {
+		t.Fatalf("job after the oversized-limit one ended %s (%s), want done", next.State, next.Error)
 	}
 }

@@ -3,6 +3,7 @@ package daemon
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"os"
 )
@@ -34,16 +35,27 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-func (d *Daemon) handleSubmit(w http.ResponseWriter, req *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxSpecBytes))
+// decodeSpec parses one POST /jobs body: at most maxSpecBytes of JSON
+// naming only JobSpec fields, resolved against the data directory
+// (resolveSpec). It is the whole path from outside bytes to an accepted
+// spec, and FuzzSubmitSpec fuzzes it.
+func decodeSpec(dataDir string, body io.Reader) (spec JobSpec, resumedFrom string, err error) {
+	dec := json.NewDecoder(io.LimitReader(body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		return spec, "", err
+	}
+	return resolveSpec(dataDir, spec)
+}
+
+func (d *Daemon) handleSubmit(w http.ResponseWriter, req *http.Request) {
+	spec, resumedFrom, err := decodeSpec(d.cfg.DataDir, req.Body)
+	if err != nil {
 		d.reg.Counter(MetricJobsRejected, "reason", "invalid").Inc()
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	j, err := d.Submit(spec)
+	j, err := d.enqueue(spec, resumedFrom)
 	switch {
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining):
 		w.Header().Set("Retry-After", "1")

@@ -191,7 +191,7 @@ func parseMode(s string) (dynunlock.Mode, error) {
 // recorded configuration; explicit fields alongside "resume" are
 // rejected rather than silently ignored, and so is a resume name that is
 // not a single path element inside the data directory.
-func (d *Daemon) resolveSpec(spec JobSpec) (JobSpec, string, error) {
+func resolveSpec(dataDir string, spec JobSpec) (JobSpec, string, error) {
 	if spec.Resume != "" {
 		if spec.Benchmark != "" || spec.KeyBits != 0 {
 			return spec, "", fmt.Errorf("daemon: a resume spec must not also set benchmark/keyBits")
@@ -202,7 +202,7 @@ func (d *Daemon) resolveSpec(spec JobSpec) (JobSpec, string, error) {
 		if !filepath.IsLocal(src) || strings.ContainsAny(src, `/\`) {
 			return spec, "", fmt.Errorf("daemon: resume %q: want a job ID inside the data directory", src)
 		}
-		part, err := flight.OpenPartial(filepath.Join(d.cfg.DataDir, src))
+		part, err := flight.OpenPartial(filepath.Join(dataDir, src))
 		if err != nil {
 			return spec, "", fmt.Errorf("daemon: resume %s: %w", src, err)
 		}

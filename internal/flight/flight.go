@@ -238,6 +238,7 @@ type TrialRecord struct {
 	SeedCandidates []string    `json:"seedCandidates"`
 	Exact          bool        `json:"exact"`
 	Converged      bool        `json:"converged"`
+	Closed         string      `json:"closed,omitempty"` // core.Close; absent unless converged, and in older bundles
 	Analytic       bool        `json:"analytic,omitempty"`
 	Verified       bool        `json:"verified"`
 	Success        bool        `json:"success"`
@@ -248,6 +249,9 @@ type TrialRecord struct {
 	StopReason     string      `json:"stopReason,omitempty"`
 	Seconds        float64     `json:"seconds"`
 	Solver         SolverStats `json:"solver"`
+	// CheckSolver holds the uniqueness check's solver counters, kept apart
+	// from the miter's in Solver; absent when no check ran.
+	CheckSolver *SolverStats `json:"checkSolver,omitempty"`
 	// EncodeVars/EncodeClauses count solver variables and emitted clauses
 	// (including native XOR rows) attributable to circuit encoding across
 	// the whole DIP loop.

@@ -274,6 +274,7 @@ func TrialFromResult(trial int, secretSeed gf2.Vec, res *core.Result, seconds fl
 		SecretSeed: secretSeed.String(),
 		Exact:      res.Exact,
 		Converged:  res.Converged,
+		Closed:     string(res.Closed),
 		Analytic:   res.Analytic,
 		Verified:   res.Verified,
 		Success:    success,
@@ -287,6 +288,9 @@ func TrialFromResult(trial int, secretSeed gf2.Vec, res *core.Result, seconds fl
 
 		EncodeVars:    res.EncodeVars,
 		EncodeClauses: res.EncodeClauses,
+	}
+	if cs := FromSatStats(res.CheckStats); cs != (SolverStats{}) {
+		t.CheckSolver = &cs
 	}
 	for _, c := range res.SeedCandidates {
 		t.SeedCandidates = append(t.SeedCandidates, c.String())
@@ -353,6 +357,10 @@ func (r *Recorder) Close() error {
 	keep(r.dipsW.Flush())
 	keep(r.dipsF.Close())
 	keep(r.traceF.Close())
+	// A closed recorder can outlive its run (a finished daemon job keeps
+	// its result, whose config points here); every append checks closed
+	// first, so the write buffers can go now.
+	r.oracleW, r.dipsW = nil, nil
 	keep(writeJSONFile(filepath.Join(r.dir, ResultFile), &r.result))
 	return firstErr
 }

@@ -218,8 +218,8 @@ func (b *Bundle) Replay(ctx context.Context) (*ResultDoc, error) {
 
 // Compare diffs the deterministic fields of a recorded and a replayed
 // result: per-trial seed-candidate sets, iteration and query counts, the
-// exact/converged/success flags, and every solver counter stored per
-// trial. The search is deterministic, so a moved counter is named: it
+// exact/converged/success flags, how the loop closed, and every solver
+// counter stored per trial, the uniqueness check's included. The search is deterministic, so a moved counter is named: it
 // means the solver took a different search path. Wall times are never
 // compared. An empty slice means the replay is bit-identical on
 // everything the attack computes.
@@ -244,6 +244,9 @@ func Compare(recorded, replayed *ResultDoc) []string {
 		if a.Converged != b.Converged {
 			diffs = append(diffs, fmt.Sprintf("%sconverged %v != %v", pfx, a.Converged, b.Converged))
 		}
+		if a.Closed != b.Closed {
+			diffs = append(diffs, fmt.Sprintf("%sclosed %q != %q", pfx, a.Closed, b.Closed))
+		}
 		if a.Analytic != b.Analytic {
 			diffs = append(diffs, fmt.Sprintf("%sanalytic %v != %v", pfx, a.Analytic, b.Analytic))
 		}
@@ -252,6 +255,14 @@ func Compare(recorded, replayed *ResultDoc) []string {
 		}
 		for _, c := range a.Solver.diff(b.Solver) {
 			diffs = append(diffs, pfx+"solver "+c)
+		}
+		switch ac, bc := a.CheckSolver, b.CheckSolver; {
+		case (ac == nil) != (bc == nil):
+			diffs = append(diffs, fmt.Sprintf("%scheck solver recorded %v != %v", pfx, ac != nil, bc != nil))
+		case ac != nil:
+			for _, c := range ac.diff(*bc) {
+				diffs = append(diffs, pfx+"check solver "+c)
+			}
 		}
 		if len(a.SeedCandidates) != len(b.SeedCandidates) {
 			diffs = append(diffs, fmt.Sprintf("%scandidates %d != %d",

@@ -29,6 +29,7 @@ func TestCommittedBundlesReplaySearch(t *testing.T) {
 		"table2/table2_s5378", // scale 16, 8-bit keys, two trials
 		"affine",              // analytic short-circuit on the affine core
 		"paper128/s5378",      // paper scale, 128-bit keys
+		"paper128/s13207",
 	} {
 		t.Run(rel, func(t *testing.T) {
 			b, err := flight.Open(committedBundle(rel))

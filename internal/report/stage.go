@@ -12,16 +12,24 @@ import (
 // stage table of `runs explain` and cmd/dynunlock's post-run summary: one
 // row per stage with its seconds, share of wall time and calls, the encode
 // sizes in their own Vars/Clauses columns, the remaining counters as
-// "k=v" pairs, and a total row. The rows sum to the total by construction.
+// "k=v" pairs, and a total row. A stage's sub-rows follow it, indented
+// by two spaces; their time is inside the stage's, so the top-level rows
+// alone sum to the total.
 func StageTable(title string, stages []anatomy.Stage) *Table {
 	tb := New(title, "Stage", "Seconds", "Share", "Calls", "Vars", "Clauses", "Counters")
+	row := func(name string, s anatomy.Stage) {
+		vars, varsKey := encodeCell(s.Counters, "vars", "encode_vars")
+		clauses, clausesKey := encodeCell(s.Counters, "clauses", "encode_clauses")
+		tb.AddRow(name, fmt.Sprintf("%.4f", s.Seconds), fmt.Sprintf("%.1f%%", s.Share*100), s.Calls,
+			vars, clauses, counterString(s.Counters, varsKey, clausesKey))
+	}
 	total := 0.0
 	for _, s := range stages {
 		total += s.Seconds
-		vars, varsKey := encodeCell(s.Counters, "vars", "encode_vars")
-		clauses, clausesKey := encodeCell(s.Counters, "clauses", "encode_clauses")
-		tb.AddRow(s.Name, fmt.Sprintf("%.4f", s.Seconds), fmt.Sprintf("%.1f%%", s.Share*100), s.Calls,
-			vars, clauses, counterString(s.Counters, varsKey, clausesKey))
+		row(s.Name, s)
+		for _, sub := range s.Sub {
+			row("  "+sub.Name, sub)
+		}
 	}
 	tb.AddRow("total", fmt.Sprintf("%.4f", total), "100.0%")
 	return tb

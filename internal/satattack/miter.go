@@ -26,10 +26,10 @@ type miter struct {
 	aig *aig.Graph
 }
 
-// emitted snapshots the problem size (variables; clauses plus native XOR
-// rows) for encode-growth accounting.
-func (m *miter) emitted() (uint64, uint64) {
-	return uint64(m.s.NumVars()), uint64(m.s.NumClauses() + m.s.NumXors())
+// emitted snapshots a solver's problem size (variables; clauses plus
+// native XOR rows) for encode-growth accounting.
+func emitted(s *sat.Solver) (uint64, uint64) {
+	return uint64(s.NumVars()), uint64(s.NumClauses() + s.NumXors())
 }
 
 // newMiter compiles the locked view into an AIG once and encodes the miter
@@ -68,26 +68,31 @@ func newMiter(l *Locked, opts Options, mh *metrics.Handle) (*miter, error) {
 // replayDIP asserts the oracle's response for a distinguishing input on
 // both key copies and returns the problem-size growth.
 func (m *miter) replayDIP(dip, resp []bool) (dVars, dClauses uint64) {
-	ev0, ec0 := m.emitted()
+	ev0, ec0 := emitted(m.s)
 	cx := m.e.ConstVec(dip)
 	m.e.AssertEqualConst(m.e.EncodeAIG(m.aig, m.l.assemble(cx, m.k1)), resp)
 	m.e.AssertEqualConst(m.e.EncodeAIG(m.aig, m.l.assemble(cx, m.k2)), resp)
-	ev1, ec1 := m.emitted()
+	ev1, ec1 := emitted(m.s)
 	return ev1 - ev0, ec1 - ec0
 }
 
 // block adds a blocking clause for key k. It reports false when the
 // remaining space is proven empty at top level.
 func (m *miter) block(k []bool) bool {
-	clause := make([]cnf.Lit, len(m.k1))
-	for i, l := range m.k1 {
+	return m.s.AddClause(blockingClause(m.k1, k)...)
+}
+
+// blockingClause returns the literals in pre followed by the clause
+// "ks ≠ k": one literal per key bit, true when that bit differs from k.
+func blockingClause(ks []cnf.Lit, k []bool, pre ...cnf.Lit) []cnf.Lit {
+	clause := append(make([]cnf.Lit, 0, len(pre)+len(ks)), pre...)
+	for i, l := range ks {
 		if k[i] {
-			clause[i] = l.Not()
-		} else {
-			clause[i] = l
+			l = l.Not()
 		}
+		clause = append(clause, l)
 	}
-	return m.s.AddClause(clause...)
+	return clause
 }
 
 // enumerate lists the keys consistent with every asserted constraint via

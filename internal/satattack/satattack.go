@@ -9,6 +9,16 @@
 // key satisfying the accumulated I/O constraints is functionally correct
 // on all inputs.
 //
+// The loop closes on the first of three proofs (Result.Closed). After
+// each DIP a one-copy check (unique.go) — a second solver holding a
+// single key copy under the same I/O constraints — asks whether exactly
+// one key is still consistent; if so no DIP remains and the loop closes
+// on that key, skipping the miter's closing UNSAT call, extraction and
+// enumeration ("unique"). When the consistent set has more than one
+// member, the paper's miter-UNSAT proof closes the loop and extraction
+// and enumeration follow ("miter"). With Options.Insight armed, a
+// full-rank certified system closes it analytically ("analytic").
+//
 // Every attack runs one encode pipeline. The locked view is compiled once
 // into an and-inverter graph (internal/aig: structural hashing, constant
 // folding, cone-of-influence restriction), and every circuit copy — the two
@@ -217,10 +227,15 @@ type Result struct {
 	Iterations int
 	// Queries is the number of oracle queries issued.
 	Queries int
-	// Converged is true when the miter became UNSAT (proof of key
-	// correctness on all inputs), false when an iteration bound stopped
-	// the loop early.
+	// Converged is true when the loop proved that no DIP remains — the
+	// miter went UNSAT, the consistent key set shrank to one key, or the
+	// insight system reached full rank (see Closed) — so every candidate
+	// is correct on all inputs. It is false when a bound stopped the loop
+	// early.
 	Converged bool
+	// Closed names the proof that closed a converged loop; empty when the
+	// loop did not converge.
+	Closed Close
 	// Analytic is true when the insight short-circuit ended the attack:
 	// the certified GF(2) system reached full rank, the key was derived by
 	// back-substitution, and the remaining SAT iterations (including
@@ -234,8 +249,13 @@ type Result struct {
 	// evidence for the AIG pipeline's structural compaction.
 	EncodeVars    uint64
 	EncodeClauses uint64
-	// SolverStats snapshots the SAT solver counters.
+	// SolverStats snapshots the miter solver's counters.
 	SolverStats sat.Stats
+	// CheckStats snapshots the uniqueness check's solver counters, kept
+	// apart from SolverStats so the miter's stay comparable across runs
+	// with and without the check; zero when the loop ended before its
+	// first check.
+	CheckStats sat.Stats
 	// Stopped is true when a deadline, cancellation, or budget bounded the
 	// attack before it finished; the Result is then partial (Key and
 	// Candidates may be nil) but every counter is valid. StopIterations is
@@ -245,6 +265,22 @@ type Result struct {
 	// StopReason classifies the bound that fired when Stopped is true.
 	StopReason StopReason
 }
+
+// Close names how a converged DIP loop ended (Result.Closed).
+type Close string
+
+// Closing proofs.
+const (
+	// CloseMiter: the miter went UNSAT, the paper's Fig. 3 close; key
+	// extraction and enumeration follow on the miter solver.
+	CloseMiter Close = "miter"
+	// CloseUnique: the one-copy check proved a single consistent key,
+	// which is then the whole exact candidate set.
+	CloseUnique Close = "unique"
+	// CloseAnalytic: the insight short-circuit derived the key from a
+	// full-rank certified system (Result.Analytic).
+	CloseAnalytic Close = "analytic"
+)
 
 // ErrUnsat is returned when the accumulated constraints become
 // unsatisfiable, which indicates an oracle inconsistent with the model.
@@ -284,14 +320,18 @@ func RunCtx(ctx context.Context, l *Locked, o Oracle, opts Options) (*Result, er
 	enc.End()
 
 	res := &Result{}
-	res.EncodeVars, res.EncodeClauses = m.emitted()
+	res.EncodeVars, res.EncodeClauses = emitted(m.s)
 	am.observeEncode(res.EncodeVars, res.EncodeClauses)
+	var uc *uniqueCheck // built at the first check
 	finish := func(reason StopReason) *Result {
 		if reason != StopNone {
 			res.Stopped = true
 			res.StopReason = reason
 		}
 		res.SolverStats = m.s.Stats
+		if uc != nil {
+			res.CheckStats = uc.s.Stats
+		}
 		res.Elapsed = time.Since(start)
 		return res
 	}
@@ -335,6 +375,7 @@ dipLoop:
 		switch st {
 		case sat.Unsat:
 			res.Converged = true
+			res.Closed = CloseMiter
 			break dipLoop
 		case sat.Unknown:
 			stop = ctxStopReason(ctx)
@@ -358,18 +399,19 @@ dipLoop:
 		loopEncV += dv
 		loopEncC += dc
 		am.observeEncode(dv, dc)
+		var cs []KeyConstraint
 		if opts.Insight != nil {
 			// The OnDIP hook above let the insight source observe this
 			// response; its new rows are linear consequences of the
 			// constraints just asserted, so injecting them prunes no
 			// candidate key.
-			var cs []KeyConstraint
 			cs, insCursor = opts.Insight.ConstraintsSince(insCursor)
-			injectInsight(m.s, m.k1, m.k2, cs)
+			injectInsight(m.s, cs, m.k1, m.k2)
 			if key, ok := opts.Insight.SolveKey(); ok && len(key) == len(l.KeyIdx) {
 				res.Key = append([]bool(nil), key...)
 				res.Analytic = true
 				res.Converged = true
+				res.Closed = CloseAnalytic
 				break dipLoop
 			}
 		}
@@ -388,15 +430,26 @@ dipLoop:
 		if opts.DumpCNF != nil {
 			opts.DumpCNF(res.Iterations, m.s.WriteDimacs)
 		}
+		// The uniqueness check comes last, after this DIP's progress
+		// line, so the line still marks the end of the DIP's own work.
+		if uc == nil {
+			uc = newUniqueCheck(l, m.aig)
+		}
+		if key := uc.check(ctx, tr, dip, resp, cs, m.s.Stats.Conflicts); key != nil {
+			res.Key = key
+			res.Converged = true
+			res.Closed = CloseUnique
+			break dipLoop
+		}
 	}
 	endLoop()
 	if stop != StopNone && stop != StopIterations {
 		return finish(stop), nil
 	}
-	if res.Analytic {
-		// Rank-k short-circuit: the certified system determines the key
-		// uniquely, so the equivalence class is exactly {Key} and no
-		// extraction or enumeration SAT calls are needed.
+	if res.Closed == CloseAnalytic || res.Closed == CloseUnique {
+		// The consistent set is exactly {Key}: the certified system or the
+		// uniqueness check determined it, so no extraction or enumeration
+		// SAT calls are needed.
 		if opts.EnumerateLimit > 0 {
 			res.Candidates = [][]bool{append([]bool(nil), res.Key...)}
 			res.CandidatesExact = true
@@ -452,12 +505,13 @@ func addStatsDelta(sp *trace.Span, from, to sat.Stats) {
 }
 
 // injectInsight adds certified key constraints to the solver as XOR rows
-// over both key copies. Constraints with out-of-range indices are ignored
-// (defensive: a well-formed source addresses only key bits). AddXor's
-// echelon reduction absorbs rows the solver already knows for free.
-func injectInsight(s *sat.Solver, k1, k2 []cnf.Lit, cs []KeyConstraint) {
+// over each given key copy. Constraints with out-of-range indices are
+// ignored (defensive: a well-formed source addresses only key bits).
+// AddXor's echelon reduction absorbs rows the solver already knows for
+// free.
+func injectInsight(s *sat.Solver, cs []KeyConstraint, keys ...[]cnf.Lit) {
 	for _, c := range cs {
-		for _, ks := range [][]cnf.Lit{k1, k2} {
+		for _, ks := range keys {
 			lits := make([]cnf.Lit, 0, len(c.Idx))
 			ok := true
 			for _, i := range c.Idx {
