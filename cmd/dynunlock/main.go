@@ -62,7 +62,7 @@ func main() {
 		maxIters  = flag.Int("max-iters", 0, "bound each trial's DIP loop (0 = unlimited)")
 		analytic  = flag.Bool("analytic", false, "feed certified insight constraints back into the solver and short-circuit at full key rank")
 		tracePath = flag.String("trace", "", "write a JSONL event trace to this path")
-		recordDir = flag.String("record", "", "write a flight-recorder bundle (manifest, oracle/DIP transcripts, trace, metrics, result) to this directory")
+		recordDir = flag.String("record", "", "write a flight-recorder bundle (manifest, oracle/DIP transcripts, trace with metrics samples, result) to this directory")
 		profile   = flag.Bool("profile", false, "capture CPU and heap pprof profiles into the -record bundle (requires -record)")
 		verbose   = flag.Bool("v", false, "log attack progress")
 		list      = flag.Bool("list", false, "list available benchmarks and exit")
@@ -160,11 +160,12 @@ func main() {
 		cfg.Stream = bus
 	}
 
-	// Metrics are opt-in: without -metrics-addr, -progress, or -record no
-	// registry is installed and the attack runs the uninstrumented path.
-	// Recording forces a registry so the bundle's metrics.json is populated.
+	// Metrics are opt-in: without -metrics-addr or -progress no registry
+	// is installed here. A recorded or streamed run samples a private one
+	// of its own (see dynunlock.RunExperimentCtx); a run with none of the
+	// three takes the uninstrumented path.
 	var reg *metrics.Registry
-	if *metricsAddr != "" || progress.On || rec != nil {
+	if *metricsAddr != "" || progress.On {
 		reg = metrics.NewRegistry()
 		reg.SetBuildInfo(buildInfoLabels()...)
 		ctx = metrics.With(ctx, reg)

@@ -9,6 +9,7 @@ import (
 
 	"dynunlock/internal/anatomy"
 	"dynunlock/internal/flight"
+	"dynunlock/internal/metrics"
 	"dynunlock/internal/report"
 )
 
@@ -31,11 +32,10 @@ func derive(dir string, stderr io.Writer) (*anatomy.Report, bool) {
 // exactly to the recorded elapsedSeconds; the uniqueness checks are a
 // sub-row of dip_loop), the solver counter totals (exactly the sum of
 // result.json's per-trial snapshots), the hottest stage, the hardest DIP
-// iterations by difficulty score, and — when the bundle carries live
-// search telemetry (anatomy.json) — the sampled LBD distribution and
-// restart counts. A bundle recorded with the capture off explains from its
-// trace/DIP transcript alone. -json emits the anatomy report as
-// machine-readable JSON for CI assertions.
+// iterations by difficulty score, and — from the closing metrics sample in
+// trace.jsonl — the sampled LBD distribution, with the restarts
+// result.json records. -json emits the anatomy report as machine-readable
+// JSON for CI assertions.
 func cmdExplain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("explain", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -120,42 +120,28 @@ func renderExplain(w io.Writer, r *anatomy.Report, top int) {
 
 	if r.Search != nil {
 		fmt.Fprintln(w)
-		renderSearch(w, r.Search)
+		renderSearch(w, r.Search, r.Solver.Restarts)
 	}
 }
 
-// renderSearch writes the live-captured telemetry section: the sampled
-// learnt-clause LBD distribution (summed over trials) and restart totals.
-func renderSearch(w io.Writer, doc *flight.AnatomyDoc) {
-	var total flight.LBDHist
-	var restarts, restartConflicts uint64
-	counts := make([]uint64, len(doc.LBDBounds)+1)
-	for _, t := range doc.Trials {
-		for i, c := range t.LBD.Counts {
-			if i < len(counts) {
-				counts[i] += c
-			}
-		}
-		total.Samples += t.LBD.Samples
-		total.SumLBD += t.LBD.SumLBD
-		total.SumSize += t.LBD.SumSize
-		restarts += t.Restarts
-		restartConflicts += t.RestartConflicts
-	}
-	fmt.Fprintf(w, "search telemetry (live-captured, %d trial(s)): lbd_samples=%d mean_lbd=%.2f restarts=%d restart_conflicts=%d\n",
-		len(doc.Trials), total.Samples, total.MeanLBD(), restarts, restartConflicts)
-	if total.Samples == 0 {
+// renderSearch writes the search telemetry section: the sampled
+// learnt-clause LBD distribution over every trial, from the run's closing
+// metrics sample, and the restarts result.json records.
+func renderSearch(w io.Writer, s *flight.Sample, restarts uint64) {
+	fmt.Fprintf(w, "search telemetry (closing sample): lbd_samples=%d mean_lbd=%.2f restarts=%d\n",
+		s.LBDSamples, s.LBDMean, restarts)
+	if s.LBDSamples == 0 {
 		return
 	}
 	var b strings.Builder
 	b.WriteString("lbd distribution:")
-	for i, c := range counts {
+	for i, c := range s.LBDCounts {
 		if c == 0 {
 			continue
 		}
 		label := "inf"
-		if i < len(doc.LBDBounds) {
-			label = fmt.Sprintf("%g", doc.LBDBounds[i])
+		if i < len(metrics.LBDBuckets) {
+			label = fmt.Sprintf("%g", metrics.LBDBuckets[i])
 		}
 		fmt.Fprintf(&b, " <=%s:%d", label, c)
 	}

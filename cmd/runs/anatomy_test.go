@@ -16,6 +16,7 @@ import (
 
 	"dynunlock"
 	"dynunlock/internal/flight"
+	"dynunlock/internal/metrics"
 )
 
 const paperBundle = "../../bench/bundles/paper128/s5378"
@@ -116,15 +117,20 @@ func TestExplainDeterministicReport(t *testing.T) {
 			t.Errorf("explain output missing %q:\n%s", want, out1)
 		}
 	}
-	// Committed bundles were recorded with the live capture on.
-	if !strings.Contains(out1, "search telemetry (live-captured, 2 trial(s))") {
-		t.Errorf("committed bundle shows no live search telemetry:\n%s", out1)
+	// Committed bundles carry the sampled LBD distribution in their
+	// closing metrics sample.
+	for _, want := range []string{"search telemetry (closing sample): lbd_samples=", "lbd distribution:"} {
+		if !strings.Contains(out1, want) {
+			t.Errorf("committed bundle shows no search telemetry %q:\n%s", want, out1)
+		}
 	}
 }
 
 // TestExplainFreshRecordingShowsSearchTelemetry records a fresh bundle
-// through the facade and checks explain surfaces the live-captured section:
-// LBD samples and restart counts that no offline file records.
+// through the facade, under a registry the test can read, and checks
+// explain's search line: its LBD sample count and mean are the run's
+// learnt-LBD series, its restarts are result.json's, and the LBD
+// distribution follows.
 func TestExplainFreshRecordingShowsSearchTelemetry(t *testing.T) {
 	dir := t.TempDir()
 	rec, err := flight.Create(dir)
@@ -136,7 +142,8 @@ func TestExplainFreshRecordingShowsSearchTelemetry(t *testing.T) {
 		Benchmark: "s5378", KeyBits: 16, Policy: dynunlock.PerCycle,
 		Scale: 16, Trials: 1, SeedBase: 7, Recorder: rec,
 	}
-	if _, err := dynunlock.RunExperimentCtx(context.Background(), cfg); err != nil {
+	reg := metrics.NewRegistry()
+	if _, err := dynunlock.RunExperimentCtx(metrics.With(context.Background(), reg), cfg); err != nil {
 		t.Fatal(err)
 	}
 	if err := rec.Close(); err != nil {
@@ -146,8 +153,15 @@ func TestExplainFreshRecordingShowsSearchTelemetry(t *testing.T) {
 	if code != exitOK {
 		t.Fatalf("explain exit %d\n%s", code, errOut)
 	}
-	if !strings.Contains(out, "search telemetry (live-captured, 1 trial(s))") {
-		t.Errorf("fresh bundle missing the live telemetry section:\n%s", out)
+	b, err := flight.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lbd := reg.Histogram(metrics.MetricSatLearntLBD, metrics.LBDBuckets, "instance", "0")
+	want := fmt.Sprintf("search telemetry (closing sample): lbd_samples=%d mean_lbd=%.2f restarts=%d\n",
+		lbd.Count(), lbd.Sum()/float64(lbd.Count()), b.Result.Trials[0].Solver.Restarts)
+	if lbd.Count() == 0 || !strings.Contains(out, want) {
+		t.Errorf("fresh bundle's search line is not %q:\n%s", want, out)
 	}
 	if !strings.Contains(out, "lbd distribution:") {
 		t.Errorf("fresh bundle missing the LBD distribution line:\n%s", out)

@@ -22,8 +22,8 @@
 // anatomy.Report (see internal/anatomy): wall time split across the
 // Fig. 3 stages (rows sum exactly to the recorded wall time), solver
 // counter totals (exactly the sum of result.json's per-trial snapshots),
-// per-DIP counter deltas and difficulty scores, and — on bundles recorded
-// with the live capture — the LBD distribution and restart telemetry.
+// per-DIP counter deltas and difficulty scores, and the sampled LBD
+// distribution of the run's closing metrics sample.
 // explain prints the run's manifest summary and trial table above that
 // attribution. compare prints both runs' outcome columns, then names the
 // stage and solver series that regressed, instead of only reporting that

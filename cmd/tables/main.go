@@ -35,7 +35,6 @@ import (
 	"dynunlock/internal/flight"
 	"dynunlock/internal/metrics"
 	"dynunlock/internal/report"
-	"dynunlock/internal/scansat"
 	"dynunlock/internal/stream"
 	"dynunlock/internal/trace"
 )
@@ -97,11 +96,11 @@ func main() {
 	ctx = trace.With(ctx, progress.Sink(os.Stderr))
 
 	// Metrics are opt-in; the sweep closures label every downstream series
-	// with its table condition, which also scopes each bundle's
-	// metrics.json to its own condition. Recording forces a registry so
-	// each bundle's metrics.json is populated.
+	// with its table condition, which scopes each condition's samples to
+	// its own series. Without a registry, a recorded or streamed condition
+	// samples a private one of its own (see dynunlock.RunExperimentCtx).
 	var reg *metrics.Registry
-	if *metricsAddr != "" || progress.On || *recordDir != "" {
+	if *metricsAddr != "" || progress.On {
 		reg = metrics.NewRegistry()
 		reg.SetBuildInfo(buildInfoLabels()...)
 		ctx = metrics.With(ctx, reg)
@@ -269,20 +268,20 @@ func rowFromExperiment(table string, res *dynunlock.ExperimentResult, elapsed ti
 
 // table1 reproduces the evolution table: each defense family attacked by
 // the technique that broke it, demonstrated live on one mid-size circuit.
-// The DynUnlock rows are one-trial experiments (RunExperimentCtx, so their
-// spans, DIPs and samples reach the trace, -progress and /events); seed
-// base 0 fabricates the chip from RNG seed 1. ScanSAT has no experiment
-// layer, so its row locks, fabricates and attacks here, the same way.
+// Every row is a one-trial experiment (RunExperimentCtx, so its spans,
+// DIPs and samples reach the trace, -progress and /events); seed base 0
+// fabricates the chip from RNG seed 1. Under a static key the DynUnlock
+// model is ScanSAT's: every mask is a fixed XOR of key bits, the same in
+// every cycle.
 func table1(ctx context.Context, scale, workers int, bus *stream.Bus, logw io.Writer) ([]condRow, error) {
 	type cond struct {
 		defense, obfType, attackName string
 		policy                       dynunlock.Policy
-		scanSAT                      bool
 	}
 	conds := []cond{
-		{"EFF [10]", "Static", "ScanSAT [14]", dynunlock.Static, true},
-		{"DOS [12] (p=1)", "Dynamic", "DynUnlock (this work)", dynunlock.PerPattern, false},
-		{"EFF-Dyn [13]", "Dynamic", "DynUnlock (this work)", dynunlock.PerCycle, false},
+		{"EFF [10]", "Static", "ScanSAT [14]", dynunlock.Static},
+		{"DOS [12] (p=1)", "Dynamic", "DynUnlock (this work)", dynunlock.PerPattern},
+		{"EFF-Dyn [13]", "Dynamic", "DynUnlock (this work)", dynunlock.PerCycle},
 	}
 	// Key width scales with the circuit so the mask rank can cover the key
 	// space (the paper's regime: k <= 2n).
@@ -299,26 +298,6 @@ func table1(ctx context.Context, scale, workers int, bus *stream.Bus, logw io.Wr
 	rows, err := bench.SweepCtx(ctx, workers, conds, func(ctx context.Context, i int, c cond) (row, error) {
 		ctx = metrics.WithLabels(ctx, "benchmark", "s5378", "policy", policyName(c.policy))
 		condStart := time.Now()
-		if c.scanSAT {
-			d, err := dynunlock.LockBenchmark("s5378", keyBits, c.policy, circuitScale)
-			if err != nil {
-				return row{}, err
-			}
-			chip, err := dynunlock.Fabricate(d, 1)
-			if err != nil {
-				return row{}, err
-			}
-			res, err := scansat.AttackCtx(ctx, chip, scansat.Options{EnumerateLimit: 256})
-			if err != nil {
-				return row{}, err
-			}
-			found := false
-			for _, k := range res.KeyCandidates {
-				found = found || k.Equal(chip.SecretSeed())
-			}
-			return row{c: c, done: true, broken: found && res.Converged, cands: len(res.KeyCandidates),
-				iters: res.Iterations, elapsed: time.Since(condStart)}, nil
-		}
 		res, err := dynunlock.RunExperimentCtx(ctx, dynunlock.ExperimentConfig{
 			Benchmark:      "s5378",
 			KeyBits:        keyBits,

@@ -80,11 +80,10 @@ type ExperimentConfig struct {
 	// Recorder, when non-nil, captures the experiment as a flight-recorder
 	// bundle, and RunExperimentCtx wires all of it: the manifest is written
 	// from the resolved design, every scan session and DIP iteration
-	// streams into the bundle, the run's trace events land in trace.jsonl,
-	// each trial's outcome is appended to result.json, and on return
-	// metrics.json holds the run's own series (the label scope of the
-	// metrics handle on ctx; an empty document without one). The caller
-	// only creates the recorder and closes it afterwards. Nil costs
+	// streams into the bundle, the run's trace events land in trace.jsonl
+	// (its closing metrics sample is the bundle's one copy of the run's
+	// metrics), and each trial's outcome is appended to result.json. The
+	// caller only creates the recorder and closes it afterwards. Nil costs
 	// nothing — the attack path is untouched.
 	Recorder *flight.Recorder
 	// ChipWrapper, when non-nil, wraps each trial's fabricated chip before
@@ -96,9 +95,8 @@ type ExperimentConfig struct {
 	// Stream, when non-nil, publishes live attack events to the bus: one
 	// "dip" event per DIP iteration carrying the DIP, the solver counters,
 	// the search anatomy and the seed-space state, plus the run's "span"
-	// and "result" events and, with a metrics handle on ctx, its periodic
-	// sample as "delta" events, all of which RunExperimentCtx bridges from
-	// its trace.
+	// and "result" events and its periodic metrics sample as "delta"
+	// events, all of which RunExperimentCtx bridges from its trace.
 	// With no subscribers attached the publish path is a single atomic
 	// load and allocates nothing, so an idle bus never perturbs the attack
 	// (pinned by TestStreamDoesNotPerturbAttack).
@@ -280,15 +278,16 @@ func ctxStop(ctx context.Context) core.StopReason {
 //
 // RunExperimentCtx is the one place a run's telemetry is wired. The run
 // is live when a recorder, a stream bus or a metrics registry is
-// attached; then each trial gets one OnDIP observer (see dipObserver),
-// the recorder and the bus bridge join whatever trace sink the caller
-// installed on ctx, and a recorder gets its metrics.json on every return
-// after the manifest. A run with a metrics handle and a trace sink also
-// samples its own label scope every metrics.ProgressInterval, and once
-// more after the last trial, as "snapshot" events naming the run (see
-// metrics.StartSampling). A run that is neither live nor Analytic
-// installs no hook at all.
-func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (res *ExperimentResult, err error) {
+// attached. A live run without a metrics handle on ctx gets a private
+// registry, so the solver hook, the sampler, the recorder and the "dip"
+// events all read one scope: the handle's. Each trial of a live run gets
+// one OnDIP observer (see dipObserver), and the recorder and the bus
+// bridge join whatever trace sink the caller installed on ctx. A run with
+// a metrics handle and a trace sink samples its own label scope every
+// metrics.ProgressInterval, and once more after the last trial, as
+// "snapshot" events naming the run (see metrics.StartSampling). A run
+// that is neither live nor Analytic installs no hook at all.
+func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (*ExperimentResult, error) {
 	entry, ok := bench.ByName(cfg.Benchmark)
 	if !ok {
 		return nil, fmt.Errorf("dynunlock: unknown benchmark %q", cfg.Benchmark)
@@ -311,16 +310,13 @@ func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (res *Experimen
 	if err != nil {
 		return nil, err
 	}
-	res = &ExperimentResult{Entry: entry, Config: cfg}
+	res := &ExperimentResult{Entry: entry, Config: cfg}
 	mh := metrics.From(ctx)
-	live := cfg.Recorder != nil || cfg.Stream != nil || mh != nil
-	// The anatomy capture rides the live gate: a recorder persists it as
-	// anatomy.json and the bus publishes it in each "dip" event. Without
-	// telemetry it is never built and the solver stays hook-free.
-	var cap *anatomy.Capture
-	if live {
-		cap = anatomy.NewCapture()
+	if mh == nil && (cfg.Recorder != nil || cfg.Stream != nil) {
+		ctx = metrics.With(ctx, metrics.NewRegistry())
+		mh = metrics.From(ctx)
 	}
+	live := mh != nil
 	if rec := cfg.Recorder; rec != nil {
 		if err := rec.WriteManifest(flight.Manifest{
 			Tool:           rec.Tool,
@@ -332,17 +328,11 @@ func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (res *Experimen
 			MaxIterations:  cfg.MaxIterations,
 			SeedBase:       cfg.SeedBase,
 			Analytic:       cfg.Analytic,
-			Anatomy:        true,
 			Lock:           flight.LockInfoFor(design),
 			Fingerprint:    flight.NewFingerprint(),
 		}); err != nil {
 			return nil, err
 		}
-		defer func() {
-			if werr := rec.WriteMetrics(mh.Snapshot()); werr != nil && err == nil {
-				res, err = nil, werr
-			}
-		}()
 		ctx = trace.With(ctx, rec)
 	}
 	if cfg.Stream != nil {
@@ -378,10 +368,6 @@ func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (res *Experimen
 		if cfg.Recorder != nil {
 			atkChip = cfg.Recorder.WrapChip(trial, atkChip)
 		}
-		if cap != nil {
-			cap.StartTrial(trial)
-			opts.Search = cap
-		}
 		// Seed-space insight runs whenever the run is live, and in Analytic
 		// mode, which also feeds its certified rows back into the solver. A
 		// tracker setup failure (e.g. a nonlinear PRNG the linear model
@@ -398,13 +384,10 @@ func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (res *Experimen
 			}
 		}
 		if live || tk != nil {
-			opts.OnDIP = dipObserver(cfg.Recorder, cfg.Stream, cap, tk, trial)
+			opts.OnDIP = dipObserver(cfg.Recorder, cfg.Stream, satattack.LearntLBD(mh), tk, trial)
 		}
 		start := time.Now()
 		atk, err := core.AttackCtx(ctx, atkChip, opts)
-		if cap != nil {
-			cap.EndTrial()
-		}
 		if err != nil {
 			return nil, fmt.Errorf("dynunlock: %s trial %d: %w", entry.Name, trial, err)
 		}
@@ -444,11 +427,6 @@ func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (res *Experimen
 	if cfg.Recorder != nil && res.Stopped {
 		cfg.Recorder.SetStopped(true, string(res.StopReason))
 	}
-	if cfg.Recorder != nil {
-		if err := cfg.Recorder.WriteAnatomy(cap.Doc()); err != nil {
-			return nil, err
-		}
-	}
 	var itersTotal, queriesTotal int
 	var conflictsTotal, propsTotal uint64
 	for _, t := range res.Trials {
@@ -476,16 +454,19 @@ func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (res *Experimen
 }
 
 // dipObserver is a trial's one OnDIP hook. At each DIP it appends the
-// dips.jsonl record, seals the anatomy segment, feeds the insight tracker
-// and publishes one "dip" event carrying all of it: the DIP and response
-// bits, the solver counters and solve_ms; the iteration's difficulty, the
-// sampled mean LBD, restarts and the XOR propagation share; and the
-// tracker's rank, rank_target, seeds_log2, eta_ms and inconsistent flag.
-// Each nil part is skipped. The bit strings and the event map are only
-// built when a recorder or a subscriber needs them, so an idle bus costs
-// one atomic load.
-func dipObserver(rec *flight.Recorder, bus *stream.Bus, cap *anatomy.Capture, tk *insight.Tracker, trial int) satattack.DIPObserver {
+// dips.jsonl record, feeds the insight tracker and publishes one "dip"
+// event carrying all of it: the DIP and response bits, the solver
+// counters and solve_ms; the iteration's difficulty, the trial's
+// restarts, its sampled LBD count and mean, and the XOR propagation share;
+// and the tracker's rank, rank_target, seeds_log2, eta_ms and
+// inconsistent flag. lbd is the run's learnt-LBD series; the trial's
+// share of it is its reading now minus its reading when the observer is
+// made, at trial start. Each nil part is skipped. The bit strings and the
+// event map are only built when a recorder or a subscriber needs them, so
+// an idle bus costs one atomic load.
+func dipObserver(rec *flight.Recorder, bus *stream.Bus, lbd *metrics.Histogram, tk *insight.Tracker, trial int) satattack.DIPObserver {
 	var prev sat.Stats
+	lbdCount0, lbdSum0 := lbd.Count(), lbd.Sum()
 	return func(iter int, dip, resp []bool, stats sat.Stats, solveTime time.Duration) {
 		d := flight.DIPRecord{
 			Trial:     trial,
@@ -499,11 +480,6 @@ func dipObserver(rec *flight.Recorder, bus *stream.Bus, cap *anatomy.Capture, tk
 		}
 		if rec != nil {
 			rec.AppendDIP(d)
-		}
-		var lbdMean float64
-		var lbdSamples, restarts uint64
-		if cap != nil {
-			lbdMean, lbdSamples, restarts = cap.ObserveDIP(iter)
 		}
 		var ins insight.Snapshot
 		if tk != nil {
@@ -521,6 +497,10 @@ func dipObserver(rec *flight.Recorder, bus *stream.Bus, cap *anatomy.Capture, tk
 		if stats.Propagations > 0 {
 			xorShare = float64(stats.XorPropagations) / float64(stats.Propagations)
 		}
+		lbdSamples, lbdMean := lbd.Count()-lbdCount0, 0.0
+		if lbdSamples > 0 {
+			lbdMean = (lbd.Sum() - lbdSum0) / float64(lbdSamples)
+		}
 		data := map[string]any{
 			"trial":        trial,
 			"iteration":    iter,
@@ -533,7 +513,7 @@ func dipObserver(rec *flight.Recorder, bus *stream.Bus, cap *anatomy.Capture, tk
 			"difficulty":   anatomy.Difficulty(delta),
 			"lbd_mean":     lbdMean,
 			"lbd_samples":  lbdSamples,
-			"restarts":     restarts,
+			"restarts":     stats.Restarts,
 			"xor_share":    xorShare,
 		}
 		if tk != nil {

@@ -3,8 +3,6 @@ package dynunlock
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
@@ -95,24 +93,23 @@ func TestExperimentResultEmptyAggregates(t *testing.T) {
 	}
 }
 
-// TestMetricsJSONHoldsOnlyItsOwnSeries records two experiments into one
+// TestClosingSampleHoldsOnlyItsOwnSeries records two experiments into one
 // registry under different label scopes — two key widths of one circuit,
-// as a Table III sweep runs them — and checks that each bundle's
-// metrics.json holds only its own series, whose conflict total equals its
-// own result.json.
-func TestMetricsJSONHoldsOnlyItsOwnSeries(t *testing.T) {
+// as a Table III sweep runs them — and checks that each bundle's closing
+// metrics sample read only its own scope: its conflicts equal its own
+// result.json, and its LBD distribution is one count per bucket, summing
+// to its sample count.
+func TestClosingSampleHoldsOnlyItsOwnSeries(t *testing.T) {
 	reg := metrics.NewRegistry()
 	reg.SetBuildInfo("goversion", "test")
 	base := metrics.With(context.Background(), reg)
-	dirs := map[string]string{}
 	for _, keyBits := range []int{8, 12} {
-		kb := strconv.Itoa(keyBits)
 		dir := t.TempDir()
 		rec, err := flight.Create(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx := metrics.WithLabels(base, "benchmark", "s5378", "key_bits", kb)
+		ctx := metrics.WithLabels(base, "benchmark", "s5378", "key_bits", strconv.Itoa(keyBits))
 		_, err = RunExperimentCtx(ctx, ExperimentConfig{
 			Benchmark: "s5378", KeyBits: keyBits, Policy: PerCycle, Scale: 16,
 			Trials: 2, SeedBase: int64(keyBits), Recorder: rec,
@@ -123,37 +120,43 @@ func TestMetricsJSONHoldsOnlyItsOwnSeries(t *testing.T) {
 		if err := rec.Close(); err != nil {
 			t.Fatal(err)
 		}
-		dirs[kb] = dir
+		checkClosingSample(t, dir)
 	}
-	for kb, dir := range dirs {
-		data, err := os.ReadFile(filepath.Join(dir, flight.MetricsFile))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var snap map[string]any
-		if err := json.Unmarshal(data, &snap); err != nil {
-			t.Fatal(err)
-		}
-		var conflicts float64
-		for key, v := range snap {
-			if !strings.Contains(key, `key_bits="`+kb+`"`) {
-				t.Errorf("k=%s metrics.json holds a foreign series %q", kb, key)
-			}
-			if strings.HasPrefix(key, metrics.MetricSatConflicts+"{") {
-				conflicts += v.(float64)
-			}
-		}
-		b, err := flight.Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var recorded uint64
-		for _, tr := range b.Result.Trials {
-			recorded += tr.Solver.Conflicts
-		}
-		if recorded == 0 || uint64(conflicts) != recorded {
-			t.Errorf("k=%s metrics.json sums %v conflicts, result.json records %d", kb, conflicts, recorded)
-		}
+}
+
+// checkClosingSample checks a bundle's closing metrics sample against its
+// result.json: the conflicts agree, and the LBD distribution has one count
+// per bucket and sums to its sample count.
+func checkClosingSample(t *testing.T, dir string) {
+	t.Helper()
+	b, err := flight.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := flight.ReadTrace(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := tr.Closing
+	if c == nil {
+		t.Fatalf("%s: trace.jsonl holds no metrics sample", dir)
+	}
+	var recorded uint64
+	for _, tr := range b.Result.Trials {
+		recorded += tr.Solver.Conflicts
+	}
+	if recorded == 0 || uint64(c.Conflicts) != recorded {
+		t.Errorf("%s: closing sample holds %v conflicts, result.json records %d", dir, c.Conflicts, recorded)
+	}
+	if len(c.LBDCounts) != len(metrics.LBDBuckets)+1 {
+		t.Fatalf("%s: closing sample has %d LBD buckets, want %d", dir, len(c.LBDCounts), len(metrics.LBDBuckets)+1)
+	}
+	var n uint64
+	for _, v := range c.LBDCounts {
+		n += v
+	}
+	if n != c.LBDSamples || n == 0 {
+		t.Errorf("%s: LBD buckets sum to %d, lbd_samples %d; want equal and nonzero", dir, n, c.LBDSamples)
 	}
 }
 
@@ -175,45 +178,89 @@ func committedBundleDirs(t *testing.T) []string {
 	return dirs
 }
 
-// TestCommittedBundleMetricsAreScoped checks every committed bundle,
-// recorded since runs write metrics.json from their own label scope: each
-// metrics.json names only its own benchmark, holds no retired
-// dynunlock_anatomy_* series, and sums to the conflicts its result.json
-// records.
+// TestCommittedBundleMetricsAreScoped checks every committed bundle's
+// closing metrics sample, the one copy of its metrics: it read the run's
+// own scope (its conflicts equal the bundle's result.json) and carries the
+// sampled LBD distribution.
 func TestCommittedBundleMetricsAreScoped(t *testing.T) {
 	for _, dir := range committedBundleDirs(t) {
-		b, err := flight.Open(dir)
-		if err != nil {
-			t.Fatal(err)
+		checkClosingSample(t, dir)
+	}
+}
+
+// TestDIPEventsReadTheRunsScope records a two-trial run with a bus
+// subscriber attached and checks each "dip" event against the bundle: its
+// restarts equal the same DIP's cumulative restarts in dips.jsonl, and its
+// lbd_samples count only its own trial, so each trial's last DIP event
+// adds up to the closing sample (every trial closes on a unique key, so
+// the miter searches no more after its last DIP).
+func TestDIPEventsReadTheRunsScope(t *testing.T) {
+	dir := t.TempDir()
+	rec, err := flight.Create(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus := stream.NewBusSized(4096, 4096)
+	sub := bus.Subscribe(0)
+	defer sub.Close()
+	res, err := RunExperiment(ExperimentConfig{
+		Benchmark: "s5378", KeyBits: 8, Policy: PerCycle, Scale: 16,
+		Trials: 2, SeedBase: 11, Recorder: rec, Stream: bus,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bus.Close()
+	for _, tr := range res.Trials {
+		if tr.Closed != core.CloseUnique {
+			t.Fatalf("trial closed %q, want %q", tr.Closed, core.CloseUnique)
 		}
-		data, err := os.ReadFile(filepath.Join(dir, flight.MetricsFile))
-		if err != nil {
-			t.Fatal(err)
+	}
+	b, err := flight.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restarts := map[[2]int]uint64{}
+	for _, d := range b.DIPs {
+		restarts[[2]int{d.Trial, d.Iteration}] = d.Solver.Restarts
+	}
+	lastSamples := map[int]uint64{}
+	events := 0
+	for {
+		ev, ok, _ := sub.Next(nil, 0)
+		if !ok {
+			break
 		}
-		var snap map[string]any
-		if err := json.Unmarshal(data, &snap); err != nil {
-			t.Fatal(err)
+		if ev.Type != stream.TypeDIP {
+			continue
 		}
-		own := `benchmark="` + b.Manifest.Benchmark + `"`
-		var conflicts float64
-		for key, v := range snap {
-			if !strings.Contains(key, own) {
-				t.Errorf("%s: metrics.json holds a series of another scope %q", dir, key)
-			}
-			if strings.HasPrefix(key, "dynunlock_anatomy_") {
-				t.Errorf("%s: metrics.json holds the retired series %q", dir, key)
-			}
-			if strings.HasPrefix(key, metrics.MetricSatConflicts+"{") {
-				conflicts += v.(float64)
-			}
+		events++
+		key := [2]int{ev.Data["trial"].(int), ev.Data["iteration"].(int)}
+		want, ok := restarts[key]
+		if !ok {
+			t.Fatalf("dip event %v has no dips.jsonl record", key)
 		}
-		var recorded uint64
-		for _, tr := range b.Result.Trials {
-			recorded += tr.Solver.Conflicts
+		if got := ev.Data["restarts"].(uint64); got != want {
+			t.Errorf("dip %v: event restarts %d, dips.jsonl %d", key, got, want)
 		}
-		if recorded == 0 || uint64(conflicts) != recorded {
-			t.Errorf("%s: metrics.json sums %v conflicts, result.json records %d", dir, conflicts, recorded)
+		samples := ev.Data["lbd_samples"].(uint64)
+		if samples < lastSamples[key[0]] {
+			t.Errorf("dip %v: lbd_samples fell from %d to %d", key, lastSamples[key[0]], samples)
 		}
+		lastSamples[key[0]] = samples
+	}
+	if events != len(b.DIPs) || len(lastSamples) != 2 {
+		t.Fatalf("%d dip events over %d trials, dips.jsonl has %d records over 2", events, len(lastSamples), len(b.DIPs))
+	}
+	tr, err := flight.ReadTrace(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := lastSamples[0] + lastSamples[1]; tr.Closing == nil || got != tr.Closing.LBDSamples {
+		t.Errorf("trials' last dip events hold %d LBD samples, closing sample %+v", got, tr.Closing)
 	}
 }
 

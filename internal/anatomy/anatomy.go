@@ -1,21 +1,14 @@
 // Package anatomy is the attack's attribution layer: it turns a recorded
-// (or live) run into a structured breakdown of where the attack spent its
-// effort — wall time split across the Fig. 3 stages, per-DIP solver
-// counter deltas and difficulty scores, XOR-vs-CNF propagation share, and
-// (when the live capture ran) sampled LBD histograms and restart
-// telemetry per DIP.
+// run into a structured breakdown of where the attack spent its effort —
+// wall time split across the Fig. 3 stages, per-DIP solver counter deltas
+// and difficulty scores, XOR-vs-CNF propagation share, and the sampled
+// learnt-clause LBD distribution.
 //
-// Two sources feed it:
-//
-//   - Derivation (Derive/FromDir): everything computable offline from a
-//     bundle — trace spans give the stage split, consecutive dips.jsonl
-//     solver snapshots difference into per-DIP deltas, and result.json
-//     anchors the wall time and counter totals. This is why `runs explain`
-//     also works on bundles recorded with the live capture off.
-//   - Live capture (Capture, capture.go): sampled learnt-clause LBD and
-//     restart telemetry from the solver hook, which no offline file
-//     records. It persists as anatomy.json and merges into the derived
-//     report when present.
+// Everything is derived offline from the bundle (Derive/FromDir): trace
+// spans give the stage split, consecutive dips.jsonl solver snapshots
+// difference into per-DIP deltas, result.json anchors the wall time and
+// counter totals, and the closing metrics sample in trace.jsonl carries
+// the LBD distribution the solver hook filled.
 package anatomy
 
 import (
@@ -63,9 +56,10 @@ type Report struct {
 	// DIPs lists every SAT-attack iteration across all trials in record
 	// order, with per-iteration counter deltas and difficulty scores.
 	DIPs []DIP `json:"dips,omitempty"`
-	// Search is the live-captured telemetry (anatomy.json); nil on
-	// bundles recorded without the capture.
-	Search *flight.AnatomyDoc `json:"search,omitempty"`
+	// Search is the search telemetry of the run's closing metrics sample
+	// (the sampled learnt-clause LBD distribution over every trial); nil
+	// when the trace holds no sample with an LBD series.
+	Search *flight.Sample `json:"search,omitempty"`
 }
 
 // Stage is one row of the wall-time split.
@@ -105,15 +99,22 @@ func Difficulty(d flight.SolverStats) float64 {
 }
 
 // Derive computes the offline attribution of a loaded bundle from its
-// trace spans. It never fails: missing spans yield a single "other" stage
-// covering the whole wall time, and an empty DIP transcript yields no DIP
-// rows. Attach live telemetry (flight.ReadAnatomy) to Report.Search
-// separately, or use FromDir which does both.
-func Derive(b *flight.Bundle, spans []trace.SpanRecord) *Report {
+// trace (nil reads as an empty one). It never fails: missing spans yield a
+// single "other" stage covering the whole wall time, an empty DIP
+// transcript yields no DIP rows, and a trace without a sampled LBD series
+// leaves Search nil.
+func Derive(b *flight.Bundle, tr *flight.Trace) *Report {
 	r := &Report{
 		Dir:          b.Dir,
 		Bundle:       b,
 		TotalSeconds: b.Result.ElapsedSeconds,
+	}
+	var spans []trace.SpanRecord
+	if tr != nil {
+		spans = tr.Spans
+		if c := tr.Closing; c != nil && len(c.LBDCounts) > 0 {
+			r.Search = c
+		}
 	}
 	for _, t := range b.Result.Trials {
 		r.Solver = addStats(r.Solver, t.Solver)
@@ -141,22 +142,17 @@ func Derive(b *flight.Bundle, spans []trace.SpanRecord) *Report {
 	return r
 }
 
-// FromDir loads a bundle and derives its full report, merging the live
-// anatomy.json telemetry when the bundle has one.
+// FromDir loads a bundle and its trace and derives the full report.
 func FromDir(dir string) (*Report, error) {
 	b, err := flight.Open(dir)
 	if err != nil {
 		return nil, err
 	}
-	spans, err := flight.ReadTrace(dir)
+	tr, err := flight.ReadTrace(dir)
 	if err != nil {
 		return nil, err
 	}
-	r := Derive(b, spans)
-	if r.Search, err = flight.ReadAnatomy(dir); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return Derive(b, tr), nil
 }
 
 // Hardest returns the n highest-difficulty DIPs, hardest first (ties

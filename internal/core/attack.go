@@ -93,9 +93,6 @@ type Options struct {
 	// satattack.Options.OnDIP). The flight recorder installs it to persist
 	// the per-iteration transcript; nil keeps the hot loop untouched.
 	OnDIP satattack.DIPObserver
-	// Search, when non-nil, taps the solver's search telemetry (see
-	// satattack.Options.Search); the anatomy capture layer installs it.
-	Search satattack.SearchObserver
 	// NativeXor, AIG and Simplify are ignored: every attack encodes from a
 	// shared AIG with native XOR rows and runs inprocessing between DIPs
 	// (see package satattack).
@@ -326,35 +323,13 @@ func AttackCtx(ctx context.Context, chip Chip, opts Options) (*Result, error) {
 
 	res.Queries = adapter.Sessions
 
-	// Attacker-side verification: every candidate must reproduce the chip
-	// on fresh random sessions. A partial candidate set from a stopped run
-	// is still verified — the probes are closed-form, not SAT work.
-	verify := tr.Start("verify")
-	v, err := NewVerifier(d)
+	// A partial candidate set from a stopped run is still verified — the
+	// probes are closed-form, not SAT work.
+	verified, err := verifyCandidates(tr, chip, adapter.TestKey, res.SeedCandidates, opts.VerifyProbes, 1)
 	if err != nil {
-		verify.End()
 		return nil, err
 	}
-	res.Verified = len(res.SeedCandidates) > 0
-	rngProbe := newSplitMix(0x9e3779b97f4a7c15)
-	probes := 0
-	for p := 0; p < opts.VerifyProbes && res.Verified; p++ {
-		scanIn := randomBits(rngProbe, d.Chain.Length)
-		pi := randomBits(rngProbe, d.View.NumPI)
-		chip.Reset()
-		gotOut, gotPO := chip.Session(adapter.TestKey, scanIn, pi)
-		probes++
-		for _, seed := range res.SeedCandidates {
-			wantOut, wantPO := v.Session(seed, scanIn, pi)
-			if !eqBits(gotOut, wantOut) || !eqBits(gotPO, wantPO) {
-				res.Verified = false
-				break
-			}
-		}
-	}
-	verify.Add("probes", uint64(probes))
-	verify.Add("candidates", uint64(len(res.SeedCandidates)))
-	verify.End()
+	res.Verified = verified
 	res.Elapsed = time.Since(start)
 	tr.Emit(trace.Event{Type: "result", Fields: map[string]any{
 		"mode":            res.Mode.String(),
@@ -388,7 +363,6 @@ func runEngine(ctx context.Context, locked *satattack.Locked, o satattack.Oracle
 		ConflictBudget: opts.ConflictBudget,
 		Log:            opts.Log,
 		OnDIP:          opts.OnDIP,
-		Search:         opts.Search,
 		Insight:        insight,
 	})
 	if err != nil {
@@ -421,7 +395,13 @@ type Verifier struct {
 // mask matrices. The sequential core runs on the AIG stepper; a view the
 // AIG compiler rejects is an error.
 func NewVerifier(d *lock.Design) (*Verifier, error) {
-	A, B, err := maskMatrices(d, 0)
+	return newVerifier(d, 1)
+}
+
+// newVerifier builds a verifier for session-0 sessions with the given
+// number of capture cycles: A does not depend on it, B does.
+func newVerifier(d *lock.Design, captures int) (*Verifier, error) {
+	A, B, err := maskMatricesN(d, 0, captures)
 	if err != nil {
 		return nil, err
 	}
@@ -435,6 +415,13 @@ func NewVerifier(d *lock.Design) (*Verifier, error) {
 // Session predicts (scanOut, po) of a session-0 scan session under the
 // given seed, using the closed-form masks.
 func (v *Verifier) Session(seed gf2.Vec, scanIn, pi []bool) (scanOut, po []bool) {
+	scanOut, pos := v.sessionN(seed, scanIn, [][]bool{pi})
+	return scanOut, pos[0]
+}
+
+// sessionN predicts a session with one capture cycle per entry of pis; the
+// verifier must have been built for that many captures.
+func (v *Verifier) sessionN(seed gf2.Vec, scanIn []bool, pis [][]bool) (scanOut []bool, pos [][]bool) {
 	n := v.d.Chain.Length
 	aMask := v.a.MulVec(seed)
 	bMask := v.b.MulVec(seed)
@@ -443,13 +430,51 @@ func (v *Verifier) Session(seed gf2.Vec, scanIn, pi []bool) (scanOut, po []bool)
 		aPrime[j] = scanIn[j] != aMask.Get(j)
 	}
 	v.seq.SetState(aPrime)
-	po = v.seq.Step(pi)
+	for _, pi := range pis {
+		pos = append(pos, v.seq.Step(pi))
+	}
 	bPrime := v.seq.State()
 	scanOut = make([]bool, n)
 	for j := 0; j < n; j++ {
 		scanOut[j] = bPrime[j] != bMask.Get(j)
 	}
-	return scanOut, po
+	return scanOut, pos
+}
+
+// verifyCandidates is the attacker-side check, under a "verify" span:
+// every candidate must reproduce the chip on probes fresh random sessions
+// with the given number of capture cycles, predicted in closed form. An
+// empty candidate set is not verified.
+func verifyCandidates(tr *trace.Tracer, chip Chip, testKey []bool, seeds []gf2.Vec, probes, captures int) (bool, error) {
+	verify := tr.Start("verify")
+	defer verify.End()
+	d := chip.Design()
+	v, err := newVerifier(d, captures)
+	if err != nil {
+		return false, err
+	}
+	ok := len(seeds) > 0
+	rng := newSplitMix(0x9e3779b97f4a7c15)
+	n := 0
+	for ; n < probes && ok; n++ {
+		scanIn := randomBits(rng, d.Chain.Length)
+		pis := make([][]bool, captures)
+		for c := range pis {
+			pis[c] = randomBits(rng, d.View.NumPI)
+		}
+		chip.Reset()
+		gotOut, gotPOs := chip.SessionN(testKey, scanIn, pis)
+		for _, seed := range seeds {
+			wantOut, wantPOs := v.sessionN(seed, scanIn, pis)
+			if !eqBits(gotOut, wantOut) || !eqBitRows(gotPOs, wantPOs) {
+				ok = false
+				break
+			}
+		}
+	}
+	verify.Add("probes", uint64(n))
+	verify.Add("candidates", uint64(len(seeds)))
+	return ok, nil
 }
 
 // Unlock returns the de-obfuscation transform for a recovered seed: given
@@ -508,6 +533,18 @@ func randomBits(r *splitMix, n int) []bool {
 		out[i] = r.next()&1 == 1
 	}
 	return out
+}
+
+func eqBitRows(a, b [][]bool) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !eqBits(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func eqBits(a, b []bool) bool {

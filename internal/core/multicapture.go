@@ -218,12 +218,14 @@ func (o *multiChipOracle) Query(in []bool) []bool {
 	return append(out, scanOut...)
 }
 
-// AttackMulti runs the DynUnlock attack with a multi-capture session model
-// and combines its linear constraints with those of the single-capture
-// masks: the seed candidates must satisfy every recovered mask under both
-// B matrices, which prunes rank-deficient cases exactly as the paper's
-// "second capture" refinement describes. AttackMulti is AttackMultiCtx
-// under context.Background().
+// AttackMulti runs the DynUnlock attack with a multi-capture session model:
+// every DIP is one session with captures capture cycles, and the seed
+// candidates are the seeds whose masks under that session's [A;B]
+// reproduce a recovered mask. It does not combine them with the
+// single-capture masks; a caller that intersects its candidates with
+// Attack's gets the stacked rank of both, which prunes rank-deficient
+// cases as the paper's "second capture" refinement describes. AttackMulti
+// is AttackMultiCtx under context.Background().
 func AttackMulti(chip Chip, captures int, opts Options) (*Result, error) {
 	return AttackMultiCtx(context.Background(), chip, captures, opts)
 }
@@ -231,7 +233,9 @@ func AttackMulti(chip Chip, captures int, opts Options) (*Result, error) {
 // AttackMultiCtx is AttackMulti with cancellation and tracing, with the
 // same partial-result semantics as AttackCtx. It honours every engine
 // option AttackCtx does except Insight: the tracker's rows address the
-// single-capture mask space, so Options.Insight is ignored here.
+// single-capture mask space, so Options.Insight is ignored here. Like
+// AttackCtx it verifies the candidates on VerifyProbes probe sessions,
+// each with the attack's own capture count.
 func AttackMultiCtx(ctx context.Context, chip Chip, captures int, opts Options) (*Result, error) {
 	if captures < 2 {
 		return AttackCtx(ctx, chip, opts)
@@ -240,6 +244,9 @@ func AttackMultiCtx(ctx context.Context, chip Chip, captures int, opts Options) 
 	d := chip.Design()
 	if opts.EnumerateLimit == 0 {
 		opts.EnumerateLimit = 256
+	}
+	if opts.VerifyProbes == 0 {
+		opts.VerifyProbes = 8
 	}
 	unroll := tr.Start("unroll")
 	mm, err := BuildMaskModelN(d, 0, captures)
@@ -283,6 +290,8 @@ func AttackMultiCtx(ctx context.Context, chip Chip, captures int, opts Options) 
 	refine.Add("mask_candidates", uint64(len(masks)))
 	refine.Add("seed_candidates", uint64(len(seeds)))
 	refine.End()
-	res.Verified = len(seeds) > 0 // probe verification is the caller's via Verifier if needed
+	if res.Verified, err = verifyCandidates(tr, chip, opts.TestKey, seeds, opts.VerifyProbes, captures); err != nil {
+		return nil, err
+	}
 	return res, nil
 }

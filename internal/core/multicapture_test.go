@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"dynunlock/internal/gf2"
 	"dynunlock/internal/scan"
 	"dynunlock/internal/sim"
+	"dynunlock/internal/trace"
 )
 
 // The multi-capture model must match the chip's multi-capture sessions bit
@@ -160,5 +162,52 @@ func TestMaskMatricesNValidation(t *testing.T) {
 	}
 	if _, err := BuildMaskModelN(d, -1, 1); err == nil {
 		t.Fatal("want error for negative pattern index")
+	}
+}
+
+// TestAttackMultiVerifiesOnProbes requires the multi-capture attack to
+// verify its candidates as AttackCtx does: one "verify" span with 8
+// two-capture probe sessions, checked against the closed form, so a seed
+// whose scan-out masks differ from the secret's fails its first probe.
+func TestAttackMultiVerifiesOnProbes(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	d, chip := lockedChip(t, 9, 5, scan.PerCycle, rng.Int63n(1<<40)+1, rng.Int63n(1<<40)+1)
+	c := trace.NewCollector()
+	res, err := AttackMultiCtx(trace.With(context.Background(), c), chip, 2, Options{EnumerateLimit: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var verify []trace.SpanRecord
+	for _, sp := range c.Spans() {
+		if sp.Name == "verify" {
+			verify = append(verify, sp)
+		}
+	}
+	if len(verify) != 1 || verify[0].Counters["probes"] != 8 ||
+		verify[0].Counters["candidates"] != uint64(len(res.SeedCandidates)) {
+		t.Fatalf("verify spans %+v, want one with 8 probes over %d candidates", verify, len(res.SeedCandidates))
+	}
+	if !res.Verified {
+		t.Fatal("the recovered candidates failed their probes")
+	}
+
+	_, B, err := maskMatricesN(d, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrong := chip.SecretSeed().Clone()
+	for i := 0; i < wrong.Len(); i++ {
+		if !B.MulVec(gf2.Unit(wrong.Len(), i)).IsZero() {
+			wrong.Flip(i)
+			break
+		}
+	}
+	c = trace.NewCollector()
+	ok, err := verifyCandidates(trace.New(c), chip, make([]bool, d.Config.KeyBits), []gf2.Vec{wrong}, 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spans := c.Spans(); ok || len(spans) != 1 || spans[0].Counters["probes"] != 1 {
+		t.Fatalf("a seed with other scan-out masks verified %v after spans %+v, want false after 1 probe", ok, spans)
 	}
 }

@@ -10,8 +10,8 @@
 //
 //   - Every dynunlock_* series a job publishes carries a job="<id>"
 //     label via the job context's metrics labels (metrics.WithLabels) —
-//     no instrumentation call site knows about jobs, and the job
-//     bundle's metrics.json holds only that job's series.
+//     no instrumentation call site knows about jobs, and the metrics
+//     samples in the job bundle's trace.jsonl read only that job's series.
 //   - Every stream event a job publishes is stamped with its job ID via
 //     the bus's job view (stream.Bus.WithJob); /events aggregates all
 //     jobs under one strictly increasing sequence and /events?job=<id>

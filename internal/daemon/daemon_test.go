@@ -461,11 +461,20 @@ func TestShutdownDrainsGracefully(t *testing.T) {
 }
 
 // TestJobScopedMetricsOnExposition asserts the shared registry carries
-// job-labeled attack series plus the daemon-plane families.
+// job-labeled attack series plus the daemon-plane families, and that a
+// job's bundle samples only its own scope: two jobs run one after the
+// other on the one registry, and each closing metrics sample holds its own
+// job's conflicts.
 func TestJobScopedMetricsOnExposition(t *testing.T) {
 	d := startDaemon(t, daemon.Config{})
-	st := submit(t, d.Addr(), quickSpec())
-	waitTerminal(t, d.Addr(), st.ID)
+	var ids []string
+	for _, seed := range []int64{7, 8} {
+		spec := quickSpec()
+		spec.Seed = seed
+		st := submit(t, d.Addr(), spec)
+		waitTerminal(t, d.Addr(), st.ID)
+		ids = append(ids, st.ID)
+	}
 	resp, err := http.Get("http://" + d.Addr() + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -474,7 +483,8 @@ func TestJobScopedMetricsOnExposition(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	text := string(body)
 	for _, want := range []string{
-		`job="` + st.ID + `"`,
+		`job="` + ids[0] + `"`,
+		`job="` + ids[1] + `"`,
 		"dynunlockd_jobs_queue_depth",
 		"dynunlockd_jobs_inflight",
 		"dynunlockd_jobs_submitted_total",
@@ -484,22 +494,22 @@ func TestJobScopedMetricsOnExposition(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
-	// The bundle's metrics.json is scoped: every dynunlock_* series in it
-	// belongs to this job.
-	var snap map[string]any
-	data, err := os.ReadFile(filepath.Join(d.Job(st.ID).BundleDir(), flight.MetricsFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatal(err)
-	}
-	if len(snap) == 0 {
-		t.Fatal("job metrics.json is empty")
-	}
-	for key := range snap {
-		if strings.Contains(key, "{") && !strings.Contains(key, `job="`+st.ID+`"`) {
-			t.Fatalf("job metrics.json leaked foreign series %q", key)
+	for _, id := range ids {
+		dir := d.Job(id).BundleDir()
+		b, err := flight.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := flight.ReadTrace(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recorded uint64
+		for _, trial := range b.Result.Trials {
+			recorded += trial.Solver.Conflicts
+		}
+		if tr.Closing == nil || recorded == 0 || uint64(tr.Closing.Conflicts) != recorded {
+			t.Errorf("job %s: closing sample %+v, result.json records %d conflicts", id, tr.Closing, recorded)
 		}
 	}
 }

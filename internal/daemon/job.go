@@ -377,9 +377,9 @@ func (d *Daemon) runJob(j *Job) {
 
 	// One registry serves every job; the context labels stamp job="<id>"
 	// (plus the benchmark) onto each series this job publishes. That
-	// handle is the job's scope: RunExperimentCtx writes the bundle's
-	// metrics.json from it and samples only it into the delta events of
-	// the job's bus view, so concurrent jobs never bleed into each other.
+	// handle is the job's scope: RunExperimentCtx samples only it into the
+	// delta events of the job's bus view and the closing sample of its
+	// bundle's trace.jsonl, so concurrent jobs never bleed into each other.
 	ctx = metrics.WithLabels(metrics.With(ctx, d.reg), "job", j.ID, "benchmark", cfg.Benchmark)
 
 	j.mu.Lock()

@@ -11,6 +11,7 @@ import (
 
 	"dynunlock/internal/bench"
 	"dynunlock/internal/lock"
+	"dynunlock/internal/metrics"
 	"dynunlock/internal/trace"
 )
 
@@ -56,8 +57,7 @@ type Bundle struct {
 // Open loads a bundle from dir. Damaged files return a *BundleError
 // wrapping ErrCorrupt; a missing required file surfaces the fs error.
 // result.json and dips.jsonl are required (every recorder writes them);
-// metrics.json and trace.jsonl are not parsed here (ReadTrace reads the
-// trace on demand).
+// trace.jsonl is not parsed here (ReadTrace reads it on demand).
 func Open(dir string) (*Bundle, error) {
 	b := &Bundle{Dir: dir}
 	if err := readJSONFile(filepath.Join(dir, ManifestFile), &b.Manifest); err != nil {
@@ -204,46 +204,83 @@ func (b *Bundle) Design() (*lock.Design, error) {
 	return d, nil
 }
 
-// ReadAnatomy loads a bundle's anatomy.json. Bundles recorded with the
-// anatomy capture off have no such file: that returns (nil, nil), never an
-// error, so readers degrade to the derivable attribution alone.
-func ReadAnatomy(dir string) (*AnatomyDoc, error) {
-	path := filepath.Join(dir, AnatomyFile)
-	if _, err := os.Stat(path); err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("flight: %w", err)
-	}
-	var doc AnatomyDoc
-	if err := readJSONFile(path, &doc); err != nil {
-		return nil, err
-	}
-	return &doc, nil
+// Trace is what the offline views read from a bundle's trace.jsonl: the
+// completed spans (the shape trace.Collector retains) and the run's last
+// metrics sample, which is its closing one when the run ended; Closing is
+// nil when the run sampled nothing.
+type Trace struct {
+	Spans   []trace.SpanRecord
+	Closing *Sample
 }
 
-// ReadTrace parses a bundle's trace.jsonl into completed span records (the
-// same shape trace.Collector retains), for stage-table rendering and
-// cross-bundle span diffs.
-func ReadTrace(dir string) ([]trace.SpanRecord, error) {
-	type line struct {
-		Ev       string            `json:"ev"`
-		Span     string            `json:"span"`
-		DurMS    float64           `json:"dur_ms"`
-		Counters map[string]uint64 `json:"counters"`
-	}
-	var spans []trace.SpanRecord
-	err := readJSONL(filepath.Join(dir, TraceFile), func() any { return &line{} }, func(v any) {
-		l := v.(*line)
-		if l.Ev == "span_end" {
-			spans = append(spans, trace.SpanRecord{
+// Sample is the typed part of one metrics sample (a "snapshot" trace
+// event, see metrics.StartSampling): the conflicts the run's scope
+// counted, and its sampled learnt-clause LBD distribution with one count
+// per metrics.LBDBuckets bucket and the overflow last. LBDCounts is empty
+// when the sample carried no LBD series.
+type Sample struct {
+	Conflicts  float64  `json:"conflicts"`
+	LBDSamples uint64   `json:"lbd_samples"`
+	LBDMean    float64  `json:"lbd_mean"`
+	LBDCounts  []uint64 `json:"lbd_counts,omitempty"`
+}
+
+// ReadTrace parses a bundle's trace.jsonl into its spans and closing
+// sample, for stage-table rendering, cross-bundle span diffs and the
+// search telemetry `runs explain` prints. A malformed line, an ill-typed
+// sample field, or an lbd_counts that is not one count per bucket returns
+// a *BundleError wrapping ErrCorrupt.
+func ReadTrace(dir string) (*Trace, error) {
+	tr := &Trace{}
+	err := readJSONL(filepath.Join(dir, TraceFile), func() any { return &traceLine{} }, func(v any) {
+		l := v.(*traceLine)
+		switch l.Ev {
+		case "span_end":
+			tr.Spans = append(tr.Spans, trace.SpanRecord{
 				Name:     l.Span,
 				Duration: time.Duration(l.DurMS * float64(time.Millisecond)),
 				Counters: l.Counters,
 			})
+		case "snapshot":
+			tr.Closing = l.sample
 		}
 	})
-	return spans, err
+	if err != nil {
+		return nil, err
+	}
+	return tr, nil
+}
+
+// traceLine is one trace.jsonl line as ReadTrace reads it. A snapshot
+// line's fields decode into a checked Sample.
+type traceLine struct {
+	Ev       string            `json:"ev"`
+	Span     string            `json:"span"`
+	DurMS    float64           `json:"dur_ms"`
+	Counters map[string]uint64 `json:"counters"`
+	Fields   json.RawMessage   `json:"fields"`
+	sample   *Sample
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (l *traceLine) UnmarshalJSON(data []byte) error {
+	type plain traceLine
+	if err := json.Unmarshal(data, (*plain)(l)); err != nil {
+		return err
+	}
+	if l.Ev != "snapshot" {
+		return nil
+	}
+	l.sample = &Sample{}
+	if len(l.Fields) > 0 {
+		if err := json.Unmarshal(l.Fields, l.sample); err != nil {
+			return err
+		}
+	}
+	if n, want := len(l.sample.LBDCounts), len(metrics.LBDBuckets)+1; n != 0 && n != want {
+		return fmt.Errorf("snapshot lbd_counts has %d buckets, want %d", n, want)
+	}
+	return nil
 }
 
 // readJSONL parses one JSON document per line, allocating each record via

@@ -13,11 +13,14 @@
 //	dips.jsonl      one line per SAT-attack iteration: the DIP, the
 //	                oracle response, a solver-counter snapshot, wall time
 //	trace.jsonl     the run's structured trace stream (internal/trace
-//	                JSONL schema): stage spans, progress lines, results
-//	metrics.json    terminal snapshot of the run's own metric series (its
-//	                label scope in the live-metrics registry)
+//	                JSONL schema): stage spans, progress lines, results,
+//	                and the run's periodic metrics samples, whose closing
+//	                "snapshot" line is the bundle's one copy of its metrics
+//	                (ReadTrace decodes its search telemetry into a Sample)
 //	result.json     per-trial outcomes: seed candidates, counters, stop
 //	                reason, solver stats
+//
+// plus the pprof captures the manifest lists, and nothing else.
 //
 // Recording is strictly additive: a Recorder taps the existing extension
 // points (the core.Chip oracle interface, satattack.Options.OnDIP, and it
@@ -54,7 +57,10 @@ import (
 //	4  adds anatomy.json (live-captured solver search telemetry: LBD
 //	   histograms and restart counts per DIP) and Manifest.Anatomy
 //	5  one attack pipeline (AIG encoding, native XOR rows, inprocessing):
-//	   the manifest drops the nativeXor/aig/simplify encode-variant keys
+//	   the manifest drops the nativeXor/aig/simplify encode-variant keys.
+//	   Later v5 recorders write neither metrics.json nor anatomy.json nor
+//	   the manifest's anatomy key: the closing metrics sample in
+//	   trace.jsonl holds the same telemetry. Readers ignore all three.
 //
 // Readers accept only FormatVersion. Bundles of versions 1–4 may have been
 // recorded on an encode path that no longer exists, so they are refused
@@ -90,11 +96,6 @@ type Manifest struct {
 	// Analytic records that the insight feedback loop was armed; replay
 	// arms it too.
 	Analytic bool `json:"analytic,omitempty"`
-	// Anatomy records that live solver search telemetry was captured into
-	// anatomy.json. Absent means the capture was off; the attribution
-	// derivable from the other files (stage wall-time split, per-DIP
-	// counter deltas) is unaffected either way.
-	Anatomy bool `json:"anatomy,omitempty"`
 
 	Lock        LockInfo    `json:"lock"`
 	Fingerprint Fingerprint `json:"fingerprint"`
@@ -257,62 +258,6 @@ type TrialRecord struct {
 	// the whole DIP loop.
 	EncodeVars    uint64 `json:"encodeVars,omitempty"`
 	EncodeClauses uint64 `json:"encodeClauses,omitempty"`
-}
-
-// AnatomyDoc is anatomy.json: live-captured solver search telemetry that
-// cannot be derived from the other bundle files — sampled learnt-clause
-// LBD histograms and restart telemetry, attack-wide and per DIP. The stage wall-time attribution and per-DIP
-// counter deltas are NOT stored here: internal/anatomy derives them from
-// trace.jsonl, dips.jsonl, and result.json.
-type AnatomyDoc struct {
-	FormatVersion int `json:"formatVersion"` // the doc's own version, 1
-	// LBDBounds are the upper bucket bounds of every LBDHist in the doc;
-	// each histogram has len(LBDBounds)+1 counts (last = overflow).
-	LBDBounds []float64      `json:"lbdBounds"`
-	Trials    []TrialAnatomy `json:"trials"`
-}
-
-// AnatomyDocVersion is the anatomy.json document version written by the
-// capture layer.
-const AnatomyDocVersion = 1
-
-// TrialAnatomy is one trial's live search telemetry.
-type TrialAnatomy struct {
-	Trial int `json:"trial"`
-	// LBD is the trial-wide sampled learnt-clause histogram.
-	LBD LBDHist `json:"lbd"`
-	// Restarts counts solver restarts; RestartConflicts sums the conflict
-	// counts of the restarted search segments.
-	Restarts         uint64 `json:"restarts"`
-	RestartConflicts uint64 `json:"restartConflicts"`
-	// DIPs holds the per-iteration telemetry segments, in iteration order.
-	DIPs []DIPSearchRecord `json:"dips,omitempty"`
-}
-
-// LBDHist is a fixed-bucket histogram of sampled learnt-clause LBDs with
-// summed LBD and clause-size accumulators (the mean sources).
-type LBDHist struct {
-	Counts  []uint64 `json:"counts,omitempty"` // len(bounds)+1; empty when no samples
-	Samples uint64   `json:"samples"`
-	SumLBD  uint64   `json:"sumLBD"`
-	SumSize uint64   `json:"sumSize"`
-}
-
-// MeanLBD returns the mean sampled LBD (0 with no samples).
-func (h LBDHist) MeanLBD() float64 {
-	if h.Samples == 0 {
-		return 0
-	}
-	return float64(h.SumLBD) / float64(h.Samples)
-}
-
-// DIPSearchRecord is one DIP iteration's slice of the search telemetry:
-// what the solver's sampled hooks observed between the previous iteration
-// boundary and this one.
-type DIPSearchRecord struct {
-	Iteration int     `json:"iteration"` // 1-based within the trial
-	LBD       LBDHist `json:"lbd"`
-	Restarts  uint64  `json:"restarts"`
 }
 
 // LockInfoFor extracts the serialized locking description from a design.

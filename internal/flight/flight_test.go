@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"dynunlock/internal/metrics"
 	"dynunlock/internal/sat"
 	"dynunlock/internal/scan"
 )
@@ -212,6 +213,47 @@ func TestOpenCorruptManifestIsTypedError(t *testing.T) {
 	}
 	if _, err := Open(dir); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("schema-violating manifest error = %v, want errors.Is(_, ErrCorrupt)", err)
+	}
+}
+
+// TestReadTraceDecodesClosingSample pins the trace reader's typed sample:
+// spans and the last snapshot line decode, and an ill-typed or oversized
+// lbd_counts is a typed corrupt-bundle error naming its line.
+func TestReadTraceDecodesClosingSample(t *testing.T) {
+	counts := func(n int) string {
+		return "[" + strings.TrimSuffix(strings.Repeat("1,", n), ",") + "]"
+	}
+	write := func(t *testing.T, closing string) string {
+		t.Helper()
+		dir := t.TempDir()
+		lines := `{"ev":"span_end","span":"dip_loop","dur_ms":2,"counters":{"dips":3}}` + "\n" +
+			`{"ev":"snapshot","fields":{"conflicts":9}}` + "\n" +
+			`{"ev":"snapshot","fields":{"conflicts":12,"lbd_samples":13,"lbd_mean":4.5,"lbd_counts":` + closing + `}}` + "\n"
+		if err := os.WriteFile(filepath.Join(dir, TraceFile), []byte(lines), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	tr, err := ReadTrace(write(t, counts(len(metrics.LBDBuckets)+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Spans) != 1 || tr.Spans[0].Name != "dip_loop" || tr.Spans[0].Counters["dips"] != 3 {
+		t.Errorf("spans = %+v", tr.Spans)
+	}
+	if c := tr.Closing; c == nil || c.Conflicts != 12 || c.LBDSamples != 13 || c.LBDMean != 4.5 ||
+		len(c.LBDCounts) != len(metrics.LBDBuckets)+1 {
+		t.Errorf("closing sample = %+v, want the last snapshot line", c)
+	}
+	for name, closing := range map[string]string{
+		"ill-typed": `["many"]`,
+		"oversized": counts(len(metrics.LBDBuckets) + 2),
+	} {
+		_, err := ReadTrace(write(t, closing))
+		var be *BundleError
+		if !errors.Is(err, ErrCorrupt) || !errors.As(err, &be) || be.Line != 3 {
+			t.Errorf("%s lbd_counts: ReadTrace error %v, want ErrCorrupt at line 3", name, err)
+		}
 	}
 }
 

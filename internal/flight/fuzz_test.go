@@ -4,25 +4,29 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"dynunlock/internal/anatomy"
 	"dynunlock/internal/flight"
+	"dynunlock/internal/metrics"
 )
 
 // fuzzFiles are the bundle files FuzzOpenBundle replaces, one per input.
 var fuzzFiles = []string{
 	flight.ManifestFile, flight.ResultFile, flight.OracleFile,
-	flight.DIPsFile, flight.TraceFile, flight.AnatomyFile,
+	flight.DIPsFile, flight.TraceFile,
 }
 
-// FuzzOpenBundle replaces one of a committed bundle's six files with
-// fuzzed bytes and checks the reader contract: Open and OpenPartial return
-// a bundle or an error wrapping ErrCorrupt (so do ReadTrace and
-// ReadAnatomy), never a panic, and a bundle that opens derives its anatomy
-// report, hardest DIPs and ledger row without panicking. Design() is left
-// out: it rebuilds a circuit per input, and lock.MaxKeyBits bounds the
-// width it can be asked for.
+// FuzzOpenBundle replaces one of a committed bundle's five files with
+// fuzzed bytes and checks the reader contract: Open, OpenPartial and
+// ReadTrace return their result or an error wrapping ErrCorrupt, never a
+// panic, and a bundle that opens derives its anatomy report, hardest DIPs
+// and ledger row without panicking. Design() is left out: it rebuilds a
+// circuit per input, and lock.MaxKeyBits bounds the width it can be asked
+// for. Two seeds replace the trace's closing sample's lbd_counts with an
+// ill-typed value and with one count too many.
 //
 // Run it with a bounded minimisation budget — almost every mutation of a
 // JSON file is "interesting", and the default 60 s per input stalls the run:
@@ -39,6 +43,16 @@ func FuzzOpenBundle(f *testing.F) {
 		orig[name] = data
 		f.Add(uint8(i), data)
 		f.Add(uint8(i), data[:len(data)/2])
+	}
+	trace := string(orig[flight.TraceFile])
+	at := strings.LastIndex(trace, `"lbd_counts":[`)
+	if at < 0 {
+		f.Fatal("committed trace has no closing sample with lbd_counts")
+	}
+	at += len(`"lbd_counts":[`)
+	for _, counts := range []string{`"many"`, strings.Repeat("1,", len(metrics.LBDBuckets)+1) + "1"} {
+		end := at + strings.IndexByte(trace[at:], ']')
+		f.Add(uint8(slices.Index(fuzzFiles, flight.TraceFile)), []byte(trace[:at-1]+"["+counts+"]"+trace[end+1:]))
 	}
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		dir := t.TempDir()
@@ -57,10 +71,8 @@ func FuzzOpenBundle(f *testing.F) {
 				t.Fatalf("%s with fuzzed %s: error does not wrap ErrCorrupt: %v", what, target, err)
 			}
 		}
-		spans, err := flight.ReadTrace(dir)
+		tr, err := flight.ReadTrace(dir)
 		corrupt("ReadTrace", err)
-		_, err = flight.ReadAnatomy(dir)
-		corrupt("ReadAnatomy", err)
 		for _, open := range []struct {
 			name string
 			fn   func(string) (*flight.Bundle, error)
@@ -70,7 +82,7 @@ func FuzzOpenBundle(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			r := anatomy.Derive(b, spans)
+			r := anatomy.Derive(b, tr)
 			r.Hardest(5)
 			r.Hardest(len(r.DIPs) + 1)
 			flight.BenchRowFrom(b)

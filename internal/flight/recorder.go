@@ -23,12 +23,7 @@ const (
 	OracleFile   = "oracle.jsonl"
 	DIPsFile     = "dips.jsonl"
 	TraceFile    = "trace.jsonl"
-	MetricsFile  = "metrics.json"
 	ResultFile   = "result.json"
-
-	// AnatomyFile holds live-captured solver search telemetry (format
-	// version 4, anatomy-enabled runs only).
-	AnatomyFile = "anatomy.json"
 
 	// Profile capture files (format version 2, -profile runs only).
 	CPUProfileFile  = "cpu.pprof"
@@ -39,8 +34,8 @@ const (
 // sweeps record trials from worker goroutines, and all appends are
 // serialized under one mutex. Create it, hand it to the experiment layer
 // (which installs its taps: WrapChip, AppendDIP, and the recorder itself
-// as the trace sink, then feeds it trial results and metrics.json), and
-// Close it to finalize result.json.
+// as the trace sink, then feeds it trial results), and Close it to
+// finalize result.json.
 type Recorder struct {
 	// Tool names the recording command ("dynunlock", "tables"); it is
 	// stamped into the manifest when the experiment layer writes it.
@@ -312,27 +307,6 @@ func (r *Recorder) SetStopped(stopped bool, reason string) {
 	defer r.mu.Unlock()
 	r.result.Stopped = stopped
 	r.result.StopReason = reason
-}
-
-// WriteAnatomy writes anatomy.json: the live-captured search telemetry
-// document (see AnatomyDoc). A zero FormatVersion is stamped here. Call it
-// before Close, once the capture layer has sealed every trial.
-func (r *Recorder) WriteAnatomy(doc *AnatomyDoc) error {
-	if doc.FormatVersion == 0 {
-		doc.FormatVersion = AnatomyDocVersion
-	}
-	return writeJSONFile(filepath.Join(r.dir, AnatomyFile), doc)
-}
-
-// WriteMetrics writes metrics.json from a metrics snapshot — the run's
-// own label scope (metrics.Handle.Snapshot), so a bundle carries only its
-// own totals even when runs share a registry. A nil snapshot writes an
-// empty document so the bundle layout stays uniform.
-func (r *Recorder) WriteMetrics(snap map[string]any) error {
-	if snap == nil {
-		snap = map[string]any{}
-	}
-	return writeJSONFile(filepath.Join(r.dir, MetricsFile), snap)
 }
 
 // Close flushes the streaming files and writes result.json. Idempotent;

@@ -218,11 +218,12 @@ func (b *Bundle) Replay(ctx context.Context) (*ResultDoc, error) {
 
 // Compare diffs the deterministic fields of a recorded and a replayed
 // result: per-trial seed-candidate sets, iteration and query counts, the
-// exact/converged/success flags, how the loop closed, and every solver
-// counter stored per trial, the uniqueness check's included. The search is deterministic, so a moved counter is named: it
-// means the solver took a different search path. Wall times are never
-// compared. An empty slice means the replay is bit-identical on
-// everything the attack computes.
+// exact/converged/analytic/success/verified flags, how the loop closed,
+// the rank, the encode counters, and every solver counter stored per
+// trial, the uniqueness check's included. The search is deterministic,
+// so a moved counter is named: it means the solver took a different
+// search path. Wall times are never compared. An empty slice means the
+// replay is bit-identical on everything the attack computes.
 func Compare(recorded, replayed *ResultDoc) []string {
 	var diffs []string
 	if len(recorded.Trials) != len(replayed.Trials) {
@@ -252,6 +253,18 @@ func Compare(recorded, replayed *ResultDoc) []string {
 		}
 		if a.Success != b.Success {
 			diffs = append(diffs, fmt.Sprintf("%ssuccess %v != %v", pfx, a.Success, b.Success))
+		}
+		if a.Verified != b.Verified {
+			diffs = append(diffs, fmt.Sprintf("%sverified %v != %v", pfx, a.Verified, b.Verified))
+		}
+		if a.Rank != b.Rank {
+			diffs = append(diffs, fmt.Sprintf("%srank %d != %d", pfx, a.Rank, b.Rank))
+		}
+		if a.EncodeVars != b.EncodeVars {
+			diffs = append(diffs, fmt.Sprintf("%sencodeVars %d != %d", pfx, a.EncodeVars, b.EncodeVars))
+		}
+		if a.EncodeClauses != b.EncodeClauses {
+			diffs = append(diffs, fmt.Sprintf("%sencodeClauses %d != %d", pfx, a.EncodeClauses, b.EncodeClauses))
 		}
 		for _, c := range a.Solver.diff(b.Solver) {
 			diffs = append(diffs, pfx+"solver "+c)

@@ -47,8 +47,9 @@ func TestCommittedBundlesReplaySearch(t *testing.T) {
 	}
 }
 
-// replayTampered copies a committed bundle, raises trial 0's
-// recorded conflict count by one, and replays the copy.
+// replayTampered copies a committed bundle, raises trial 0's recorded
+// conflict count, rank and encode counters by one and flips its verified
+// flag, and replays the copy.
 func replayTampered(t *testing.T) (*flight.Bundle, *flight.ResultDoc) {
 	t.Helper()
 	src := committedBundle("table2/table2_s5378")
@@ -67,7 +68,12 @@ func replayTampered(t *testing.T) (*flight.Bundle, *flight.ResultDoc) {
 			if err := json.Unmarshal(data, &doc); err != nil {
 				t.Fatal(err)
 			}
-			doc.Trials[0].Solver.Conflicts++
+			tr := &doc.Trials[0]
+			tr.Solver.Conflicts++
+			tr.Rank++
+			tr.EncodeVars++
+			tr.EncodeClauses++
+			tr.Verified = !tr.Verified
 			if data, err = json.Marshal(&doc); err != nil {
 				t.Fatal(err)
 			}
@@ -87,12 +93,20 @@ func replayTampered(t *testing.T) (*flight.Bundle, *flight.ResultDoc) {
 	return b, replayed
 }
 
+// TestCompareNamesMovedSolverCounter requires Compare to name every
+// tampered field: the solver counter, and the verified flag, rank and
+// encode counters a replay must reproduce too.
 func TestCompareNamesMovedSolverCounter(t *testing.T) {
 	b, replayed := replayTampered(t)
-	rec := b.Result.Trials[0].Solver.Conflicts
-	want := fmt.Sprintf("trial 0: solver conflicts %d != %d", rec, rec-1)
-	diffs := flight.Compare(&b.Result, replayed)
-	if len(diffs) != 1 || diffs[0] != want {
-		t.Fatalf("Compare = %q, want [%q]", diffs, want)
+	rec := b.Result.Trials[0]
+	want := []string{
+		fmt.Sprintf("trial 0: verified %v != %v", rec.Verified, !rec.Verified),
+		fmt.Sprintf("trial 0: rank %d != %d", rec.Rank, rec.Rank-1),
+		fmt.Sprintf("trial 0: encodeVars %d != %d", rec.EncodeVars, rec.EncodeVars-1),
+		fmt.Sprintf("trial 0: encodeClauses %d != %d", rec.EncodeClauses, rec.EncodeClauses-1),
+		fmt.Sprintf("trial 0: solver conflicts %d != %d", rec.Solver.Conflicts, rec.Solver.Conflicts-1),
+	}
+	if diffs := flight.Compare(&b.Result, replayed); strings.Join(diffs, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("Compare = %q, want %q", diffs, want)
 	}
 }

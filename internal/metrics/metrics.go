@@ -98,6 +98,12 @@ const (
 	MetricBuildInfo = "dynunlock_build_info"
 )
 
+// LBDBuckets are the bucket upper bounds of the learnt-clause LBD
+// histogram (MetricSatLearntLBD): glue clauses (<=2) up to the long tail
+// XOR-heavy instances produce. A run's sample carries the per-bucket
+// counts against them, len(LBDBuckets)+1 with the overflow last.
+var LBDBuckets = []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64}
+
 // Kind classifies a metric family.
 type Kind uint8
 
@@ -490,25 +496,35 @@ func (r *Registry) sum(name string, want []string) (float64, bool) {
 	return sum, matched
 }
 
-// quantile estimates the q-quantile of a histogram family, merging the
-// per-bucket counts of the children carrying every pair of want (bounds
-// are identical by construction). It returns 0 for an absent family or
-// one that is not a histogram.
+// quantile estimates the q-quantile of a histogram family over the
+// children carrying every pair of want (see buckets). It returns 0 for an
+// absent family or one that is not a histogram.
 func (r *Registry) quantile(name string, q float64, want []string) float64 {
+	bounds, counts, _, _ := r.buckets(name, want)
+	return quantileFromBuckets(bounds, counts, q)
+}
+
+// buckets merges the per-bucket (non-cumulative) counts and the sums of a
+// histogram family's children carrying every pair of want (bounds are
+// identical by construction), and reports whether any child matched. An
+// absent family, or one that is not a histogram, matches nothing.
+func (r *Registry) buckets(name string, want []string) (bounds []float64, counts []uint64, sum float64, matched bool) {
 	f := r.lookup(name)
 	if f == nil || f.kind != KindHistogram {
-		return 0
+		return nil, nil, 0, false
 	}
-	counts := make([]uint64, len(f.bounds)+1)
+	counts = make([]uint64, len(f.bounds)+1)
 	for _, c := range f.sortedChildren() {
 		if !labelsContain(c.labels, want) {
 			continue
 		}
+		matched = true
 		for i := range c.hist.buckets {
 			counts[i] += c.hist.buckets[i].Load()
 		}
+		sum += c.hist.Sum()
 	}
-	return quantileFromBuckets(f.bounds, counts, q)
+	return f.bounds, counts, sum, matched
 }
 
 // lookup returns the named family, or nil when it is absent. Nil-safe.
@@ -527,9 +543,8 @@ func (r *Registry) lookup(name string) *family {
 // quantiles are fixed-bucket interpolation estimates; the Prometheus
 // exposition stays raw buckets). Optional label pairs restrict it to
 // series carrying every pair exactly; none means every series. The
-// expvar endpoint and tests consume the full map; a run's bundle
-// metrics.json comes from its handle's scope (Handle.Snapshot) and the
-// filtered SSE snapshots from Snapshot("job", id). Nil-safe.
+// expvar endpoint and tests consume the full map, and the filtered SSE
+// snapshots come from Snapshot("job", id). Nil-safe.
 func (r *Registry) Snapshot(labelPairs ...string) map[string]any {
 	if r == nil {
 		return nil

@@ -75,7 +75,10 @@ type sampler struct {
 // event: DIPs, conflict and propagation totals with their rates since the
 // previous sample, learnt-clause DB size, oracle scan cycles, RSS, and —
 // once their series exist — encode growth, the DIP solve-latency
-// percentiles and the insight tracker's seed-space state.
+// percentiles, the sampled learnt-clause LBD distribution (lbd_samples,
+// lbd_mean, and lbd_counts per LBDBuckets bucket) and the insight
+// tracker's seed-space state. A run's closing sample is the one copy of
+// its metrics in a recorded bundle.
 func (s *sampler) sample(now time.Time) map[string]any {
 	sum := func(name string) (float64, bool) { return s.h.reg.sum(name, s.h.base) }
 	total := func(name string) float64 { v, _ := sum(name); return v }
@@ -110,6 +113,19 @@ func (s *sampler) sample(now time.Time) map[string]any {
 		for key, q := range map[string]float64{"solve_p50_s": 0.50, "solve_p95_s": 0.95, "solve_p99_s": 0.99} {
 			fields[key] = s.h.reg.quantile(MetricAttackDIPSolveSec, q, s.h.base)
 		}
+	}
+	if _, counts, lbdSum, ok := s.h.reg.buckets(MetricSatLearntLBD, s.h.base); ok {
+		var n uint64
+		for _, c := range counts {
+			n += c
+		}
+		mean := 0.0
+		if n > 0 {
+			mean = lbdSum / float64(n)
+		}
+		fields["lbd_samples"] = n
+		fields["lbd_mean"] = mean
+		fields["lbd_counts"] = counts
 	}
 	if rank, ok := sum(MetricInsightRank); ok {
 		target := total(MetricInsightRankTarget)

@@ -236,6 +236,35 @@ func TestProgressSampleReadsOnlyItsScope(t *testing.T) {
 	}
 }
 
+// TestProgressSampleCarriesLBDDistribution pins the sample's search
+// telemetry: the run's own learnt-LBD series as a count, a mean and one
+// count per LBDBuckets bucket, absent until the series exists.
+func TestProgressSampleCarriesLBDDistribution(t *testing.T) {
+	r := NewRegistry()
+	base := With(context.Background(), r)
+	j1 := From(WithLabels(base, "job", "j1"))
+	j2 := From(WithLabels(base, "job", "j2"))
+	s := &sampler{h: j1, lastT: time.Now()}
+	if f := s.sample(time.Now()); f["lbd_counts"] != nil {
+		t.Fatalf("sample carries LBD fields before the series exists: %v", f)
+	}
+	for _, lbd := range []float64{2, 7, 100} {
+		j1.Histogram(MetricSatLearntLBD, LBDBuckets, "instance", "0").Observe(lbd)
+	}
+	j2.Histogram(MetricSatLearntLBD, LBDBuckets, "instance", "0").Observe(3)
+	f := s.sample(time.Now())
+	counts := f["lbd_counts"].([]uint64)
+	if f["lbd_samples"].(uint64) != 3 || f["lbd_mean"].(float64) != 109.0/3 || len(counts) != len(LBDBuckets)+1 {
+		t.Fatalf("j1 sample LBD fields = %v %v %v, want its own 3 samples of mean 109/3",
+			f["lbd_samples"], f["lbd_mean"], counts)
+	}
+	// Bounds are {1,2,3,4,6,8,...}: 2 lands in bucket 1, 7 in bucket 5
+	// (<=8), 100 in the overflow.
+	if counts[1] != 1 || counts[5] != 1 || counts[len(LBDBuckets)] != 1 {
+		t.Fatalf("bucket counts %v", counts)
+	}
+}
+
 func TestHumanFormats(t *testing.T) {
 	if got := humanCount(1234567); got != "1.2M" {
 		t.Fatalf("humanCount = %q", got)

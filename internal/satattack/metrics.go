@@ -12,10 +12,6 @@ import (
 // circuits.
 var dipSolveBuckets = metrics.ExpBuckets(0.001, 2, 17)
 
-// lbdBuckets covers learnt-clause LBD: glue clauses (<=2) up to the long
-// tail XOR-heavy instances produce.
-var lbdBuckets = []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64}
-
 // attackMetrics bundles the live instruments of one attack run. The nil
 // pointer is the disabled state: every method is a no-op and the hot loop
 // performs no timing work, keeping the unmonitored path allocation-free.
@@ -81,30 +77,35 @@ func (m *attackMetrics) observeDIP(iterations int) {
 	m.iterations.Set(float64(iterations))
 }
 
+// LearntLBD returns the learnt-clause LBD series that the solver hook
+// fills in h's scope (nil with a nil handle). The experiment layer reads
+// it to report each DIP's sampled LBD.
+func LearntLBD(h *metrics.Handle) *metrics.Histogram {
+	return h.Histogram(metrics.MetricSatLearntLBD, metrics.LBDBuckets, "instance", instance)
+}
+
 // installSolverMetrics attaches a sampled sat.Hook publishing the
-// solver's counters, learnt-DB gauge, and LBD histogram, and feeding the
-// search observer (anatomy capture) when one is installed. With a nil
-// handle and nil observer no hook is installed, so the solver keeps its
-// zero-overhead search loop.
-func installSolverMetrics(h *metrics.Handle, obs SearchObserver, s *sat.Solver) {
-	if h == nil && obs == nil {
+// solver's counters, learnt-DB gauge, and LBD histogram. With a nil
+// handle no hook is installed, so the solver keeps its zero-overhead
+// search loop.
+func installSolverMetrics(h *metrics.Handle, s *sat.Solver) {
+	if h == nil {
 		return
 	}
-	hook := &sat.Hook{}
-	if h != nil {
-		dec := h.Counter(metrics.MetricSatDecisions, "instance", instance)
-		confl := h.Counter(metrics.MetricSatConflicts, "instance", instance)
-		prop := h.Counter(metrics.MetricSatPropagations, "instance", instance)
-		rest := h.Counter(metrics.MetricSatRestarts, "instance", instance)
-		learnt := h.Counter(metrics.MetricSatLearnt, "instance", instance)
-		removed := h.Counter(metrics.MetricSatRemoved, "instance", instance)
-		xorProp := h.Counter(metrics.MetricSatXorPropagations, "instance", instance)
-		xorConfl := h.Counter(metrics.MetricSatXorConflicts, "instance", instance)
-		simpRemoved := h.Counter(metrics.MetricSatSimplifyRemoved, "instance", instance)
-		simpStrength := h.Counter(metrics.MetricSatSimplifyStrengthened, "instance", instance)
-		db := h.Gauge(metrics.MetricSatLearntDB, "instance", instance)
-		lbd := h.Histogram(metrics.MetricSatLearntLBD, lbdBuckets, "instance", instance)
-		hook.OnSample = func(d sat.Stats, learntDB int) {
+	dec := h.Counter(metrics.MetricSatDecisions, "instance", instance)
+	confl := h.Counter(metrics.MetricSatConflicts, "instance", instance)
+	prop := h.Counter(metrics.MetricSatPropagations, "instance", instance)
+	rest := h.Counter(metrics.MetricSatRestarts, "instance", instance)
+	learnt := h.Counter(metrics.MetricSatLearnt, "instance", instance)
+	removed := h.Counter(metrics.MetricSatRemoved, "instance", instance)
+	xorProp := h.Counter(metrics.MetricSatXorPropagations, "instance", instance)
+	xorConfl := h.Counter(metrics.MetricSatXorConflicts, "instance", instance)
+	simpRemoved := h.Counter(metrics.MetricSatSimplifyRemoved, "instance", instance)
+	simpStrength := h.Counter(metrics.MetricSatSimplifyStrengthened, "instance", instance)
+	db := h.Gauge(metrics.MetricSatLearntDB, "instance", instance)
+	lbd := LearntLBD(h)
+	s.SetHook(&sat.Hook{
+		OnSample: func(d sat.Stats, learntDB int) {
 			dec.Add(d.Decisions)
 			confl.Add(d.Conflicts)
 			prop.Add(d.Propagations)
@@ -116,22 +117,9 @@ func installSolverMetrics(h *metrics.Handle, obs SearchObserver, s *sat.Solver) 
 			simpRemoved.Add(d.SimplifyRemoved)
 			simpStrength.Add(d.SimplifyStrengthened)
 			db.Set(float64(learntDB))
-		}
-		hook.OnLearnt = func(l int32, size int) {
+		},
+		OnLearnt: func(l int32, size int) {
 			lbd.Observe(float64(l))
-		}
-	}
-	if obs != nil {
-		// One hook per solver: compose the metrics publication (when live)
-		// with the observer's capture in a single callback set.
-		prevLearnt := hook.OnLearnt
-		hook.OnLearnt = func(l int32, size int) {
-			if prevLearnt != nil {
-				prevLearnt(l, size)
-			}
-			obs.SearchLearnt(l, size)
-		}
-		hook.OnRestart = obs.SearchRestart
-	}
-	s.SetHook(hook)
+		},
+	})
 }

@@ -41,7 +41,7 @@ func newMiter(l *Locked, opts Options, mh *metrics.Handle) (*miter, error) {
 	}
 	s := sat.New()
 	s.ConflictBudget = opts.ConflictBudget
-	installSolverMetrics(mh, opts.Search, s)
+	installSolverMetrics(mh, s)
 	e := encode.New(s)
 	m := &miter{
 		l:   l,

@@ -129,19 +129,11 @@ type Options struct {
 	// response, a snapshot of the solver counters after the iteration, and
 	// the wall time of the SAT call that produced the DIP. The experiment
 	// layer (dynunlock.RunExperimentCtx) hangs one observer here that
-	// persists dips.jsonl, seals the anatomy segment, feeds the insight
-	// tracker and publishes the "dip" stream event. The dip and resp
-	// slices are only valid for the duration of the call. nil leaves
-	// the hot loop free of timestamps and allocations, preserving the
-	// bit-identical unobserved path.
+	// persists dips.jsonl, feeds the insight tracker and publishes the
+	// "dip" stream event. The dip and resp slices are only valid for the
+	// duration of the call. nil leaves the hot loop free of timestamps and
+	// allocations, preserving the bit-identical unobserved path.
 	OnDIP DIPObserver
-	// Search, when non-nil, taps the sampled solver search telemetry that
-	// the metrics hook sees — learnt-clause LBD observations and restarts.
-	// The anatomy capture layer (internal/anatomy) implements it to build
-	// per-DIP LBD histograms and restart telemetry. It is strictly
-	// observational and composes with the metrics hook; nil keeps the
-	// no-telemetry solver path hook-free.
-	Search SearchObserver
 	// Insight, when non-nil, closes the insight→solver feedback loop:
 	// after each DIP the freshly certified key constraints are injected
 	// into the solver as XOR rows, and once the source determines the
@@ -177,14 +169,6 @@ type InsightSource interface {
 
 // DIPObserver receives one callback per DIP iteration (see Options.OnDIP).
 type DIPObserver func(iteration int, dip, resp []bool, stats sat.Stats, solveTime time.Duration)
-
-// SearchObserver receives solver search telemetry (see Options.Search):
-// sampled learnt-clause LBD/size observations and every restart with its
-// segment conflict count.
-type SearchObserver interface {
-	SearchLearnt(lbd int32, size int)
-	SearchRestart(conflicts uint64)
-}
 
 // StopReason classifies why an attack stopped before completing.
 type StopReason string

@@ -63,7 +63,8 @@ func TestStreamDoesNotPerturbAttack(t *testing.T) {
 // a subscriber attached, each DIP iteration publishes exactly one bus
 // event, a "dip" event whose iteration numbers count up per trial and
 // which carries the search anatomy and the seed-space state of that
-// boundary. The only other events are the run's spans and results,
+// boundary. The only other events are the run's spans, results and
+// metrics samples ("delta": a bus-only run samples a private registry),
 // bridged from its trace.
 func TestStreamPublishesDIPEvents(t *testing.T) {
 	bus := stream.NewBusSized(4096, 4096)
@@ -134,7 +135,7 @@ func TestStreamPublishesDIPEvents(t *testing.T) {
 			if inc, ok := ev.Data["inconsistent"].(bool); !ok || inc {
 				t.Fatalf("dip event inconsistent flag = %v, want false", ev.Data["inconsistent"])
 			}
-		case stream.TypeSpan, stream.TypeResult:
+		case stream.TypeSpan, stream.TypeResult, stream.TypeDelta:
 		default:
 			t.Fatalf("unexpected event type %q", ev.Type)
 		}
