@@ -26,11 +26,13 @@ Options layer job-plane assertions on top:
   --expect-type T   type T appears at least once (repeatable).
   --result PATH     the final snapshot's summed conflict total equals
                     the summed per-trial conflicts of result.json at
-                    PATH (the flush-at-solve-boundary guarantee).
+                    PATH (the flush-at-solve-boundary guarantee; for a
+                    single run serving its own registry).
   --job-result ID=PATH
-                    same equality, restricted to snapshot series
-                    labeled job="ID" — the per-job drain snapshot must
-                    equal that job's own result.json.
+                    the `conflicts` of the last `delta` tagged with job
+                    ID equal the summed per-trial conflicts of that
+                    job's result.json at PATH: a job samples a registry
+                    of its own, and its closing sample is that delta.
 """
 
 import argparse
@@ -65,14 +67,11 @@ def parse_frames(path):
     return frames
 
 
-def snapshot_conflicts(snap, job=None):
+def snapshot_conflicts(snap):
     total = 0
     for k, v in snap["data"].items():
-        if not (k == CONFLICTS or k.startswith(CONFLICTS + "{")):
-            continue
-        if job is not None and f'job="{job}"' not in k:
-            continue
-        total += v
+        if k == CONFLICTS or k.startswith(CONFLICTS + "{"):
+            total += v
     return int(total)
 
 
@@ -145,7 +144,10 @@ def main():
 
     for spec in args.job_result:
         job, _, path = spec.partition("=")
-        streamed = snapshot_conflicts(snaps[-1], job=job)
+        deltas = [e for e in events
+                  if e["type"] == "delta" and e.get("job") == job]
+        assert deltas, f"no delta of job {job}"
+        streamed = int(deltas[-1]["data"]["conflicts"])
         recorded = result_conflicts(path)
         print(f"{job}: streamed={streamed} recorded={recorded}")
         assert streamed == recorded, (job, streamed, recorded)

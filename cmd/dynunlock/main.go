@@ -169,7 +169,6 @@ func main() {
 		reg = metrics.NewRegistry()
 		reg.SetBuildInfo(buildInfoLabels()...)
 		ctx = metrics.With(ctx, reg)
-		ctx = metrics.WithLabels(ctx, "benchmark", cfg.Benchmark)
 	}
 	if *metricsAddr != "" {
 		srv, err := metrics.ServeBus(*metricsAddr, reg, bus)

@@ -16,9 +16,10 @@
 // Endpoints on one listener:
 //
 //	POST/GET/DELETE /jobs[/{id}]   job API (submit, list, status, cancel)
-//	/metrics                       Prometheus exposition; per-job series
-//	                               carry a job="<id>" label and the pool
-//	                               publishes dynunlockd_jobs_* families
+//	/metrics                       Prometheus exposition: the pool's
+//	                               dynunlockd_jobs_* families and the
+//	                               process gauges (a job's own series
+//	                               travel in its feed's delta events)
 //	/events[?job=ID]               SSE feed: aggregate or single-job
 //	/live[?job=ID]                 in-browser dashboard over /events
 //	/healthz /readyz               liveness / drain-aware readiness

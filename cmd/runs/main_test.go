@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"dynunlock/internal/flight"
 )
 
 const (
@@ -34,9 +37,9 @@ func corruptBundle(t *testing.T) string {
 	return dir
 }
 
-// rewrittenBundle copies goodBundle with each old→new replacement applied
-// once to its manifest.
-func rewrittenBundle(t *testing.T, oldNew ...string) string {
+// copiedBundle copies goodBundle, passing each file's content through
+// rewrite.
+func copiedBundle(t *testing.T, rewrite func(name string, data []byte) []byte) string {
 	t.Helper()
 	dir := t.TempDir()
 	entries, err := os.ReadDir(goodBundle)
@@ -48,19 +51,52 @@ func rewrittenBundle(t *testing.T, oldNew ...string) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e.Name() == "manifest.json" {
-			for i := 0; i+1 < len(oldNew); i += 2 {
-				if !bytes.Contains(data, []byte(oldNew[i])) {
-					t.Fatalf("manifest has no %s to rewrite", oldNew[i])
-				}
-				data = bytes.Replace(data, []byte(oldNew[i]), []byte(oldNew[i+1]), 1)
-			}
-		}
-		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), rewrite(e.Name(), data), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return dir
+}
+
+// rewrittenBundle copies goodBundle with each old→new replacement applied
+// once to its manifest.
+func rewrittenBundle(t *testing.T, oldNew ...string) string {
+	t.Helper()
+	return copiedBundle(t, func(name string, data []byte) []byte {
+		if name != "manifest.json" {
+			return data
+		}
+		for i := 0; i+1 < len(oldNew); i += 2 {
+			if !bytes.Contains(data, []byte(oldNew[i])) {
+				t.Fatalf("manifest has no %s to rewrite", oldNew[i])
+			}
+			data = bytes.Replace(data, []byte(oldNew[i]), []byte(oldNew[i+1]), 1)
+		}
+		return data
+	})
+}
+
+// tamperedTranscript copies goodBundle with the fourth record of its
+// oracle.jsonl rewritten by edit.
+func tamperedTranscript(t *testing.T, edit func(*flight.SessionRecord)) string {
+	t.Helper()
+	return copiedBundle(t, func(name string, data []byte) []byte {
+		if name != flight.OracleFile {
+			return data
+		}
+		lines := bytes.Split(bytes.TrimRight(data, "\n"), []byte("\n"))
+		var rec flight.SessionRecord
+		if err := json.Unmarshal(lines[3], &rec); err != nil {
+			t.Fatal(err)
+		}
+		edit(&rec)
+		line, err := json.Marshal(&rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines[3] = line
+		return append(bytes.Join(lines, []byte("\n")), '\n')
+	})
 }
 
 // staleBundle copies goodBundle with its manifest rewritten to format 4,
@@ -102,8 +138,9 @@ func TestExitCodes(t *testing.T) {
 		}
 	}
 
-	// A manifest claiming a 2·10⁹-bit key passes the schema but not the
-	// design rebuild: lock.Lock refuses the width before allocating for it.
+	// A manifest claiming a 2·10⁹-bit key fails the manifest check, which
+	// bounds the width by lock.MaxKeyBits before the transcript is read or
+	// anything is allocated for it.
 	huge := rewrittenBundle(t, `"keyBits": 8`, `"keyBits": 2000000000`, `"polyN": 8`, `"polyN": 2000000000`)
 	if code, _, errOut := runCLI(t, "validate", huge); code != exitCorrupt {
 		t.Errorf("validate oversized key: exit %d, want %d\n%s", code, exitCorrupt, errOut)
@@ -132,6 +169,27 @@ func TestExitCodes(t *testing.T) {
 	} {
 		if code, _, _ := runCLI(t, args...); code != exitUsage {
 			t.Errorf("%s: exit %d, want %d", args[0], code, exitUsage)
+		}
+	}
+}
+
+// TestTamperedTranscriptExitsCorrupt damages one oracle.jsonl record of
+// the committed bundle three ways — a scan-out 5 bits short, a scan-out
+// with an 'x', a PO one bit wide too many — and requires validate and
+// replay to report a corrupt bundle (exit 3), not a replay mismatch.
+func TestTamperedTranscriptExitsCorrupt(t *testing.T) {
+	for name, edit := range map[string]func(*flight.SessionRecord){
+		"short scanOut": func(r *flight.SessionRecord) { r.ScanOut = r.ScanOut[:len(r.ScanOut)-5] },
+		"x in scanOut":  func(r *flight.SessionRecord) { r.ScanOut = "x" + r.ScanOut[1:] },
+		"wide PO":       func(r *flight.SessionRecord) { r.POs[0] += "0" },
+	} {
+		dir := tamperedTranscript(t, edit)
+		for _, cmd := range []string{"validate", "replay"} {
+			if code, out, errOut := runCLI(t, cmd, dir); code != exitCorrupt {
+				t.Errorf("%s with %s: exit %d, want %d\n%s%s", cmd, name, code, exitCorrupt, out, errOut)
+			} else if !strings.Contains(errOut, "oracle.jsonl:4") {
+				t.Errorf("%s with %s: error does not name the record: %q", cmd, name, errOut)
+			}
 		}
 	}
 }

@@ -95,10 +95,11 @@ func main() {
 	}
 	ctx = trace.With(ctx, progress.Sink(os.Stderr))
 
-	// Metrics are opt-in; the sweep closures label every downstream series
-	// with its table condition, which scopes each condition's samples to
-	// its own series. Without a registry, a recorded or streamed condition
-	// samples a private one of its own (see dynunlock.RunExperimentCtx).
+	// Metrics are opt-in. The registry serves the sweep's own series;
+	// bench.SweepCtx runs each table condition under a fresh registry of
+	// its own, which that condition samples. Without a registry, a
+	// recorded or streamed condition samples a private one of its own
+	// (see dynunlock.RunExperimentCtx).
 	var reg *metrics.Registry
 	if *metricsAddr != "" || progress.On {
 		reg = metrics.NewRegistry()
@@ -296,7 +297,6 @@ func table1(ctx context.Context, scale, workers int, bus *stream.Bus, logw io.Wr
 		elapsed      time.Duration
 	}
 	rows, err := bench.SweepCtx(ctx, workers, conds, func(ctx context.Context, i int, c cond) (row, error) {
-		ctx = metrics.WithLabels(ctx, "benchmark", "s5378", "policy", policyName(c.policy))
 		condStart := time.Now()
 		res, err := dynunlock.RunExperimentCtx(ctx, dynunlock.ExperimentConfig{
 			Benchmark:      "s5378",
@@ -383,7 +383,6 @@ func table2(ctx context.Context, scale, trials, keyBits, maxIters, workers int, 
 		elapsed time.Duration
 	}
 	outs, err := bench.SweepCtx(ctx, workers, bench.Table2, func(ctx context.Context, i int, e bench.Entry) (outcome, error) {
-		ctx = metrics.WithLabels(ctx, "benchmark", e.Name)
 		condStart := time.Now()
 		cfg := dynunlock.ExperimentConfig{
 			Benchmark:     e.Name,
@@ -443,9 +442,6 @@ func table3(ctx context.Context, scale, trials, maxIters, workers int, recordDir
 		elapsed time.Duration
 	}
 	outs, err := bench.SweepCtx(ctx, workers, conds, func(ctx context.Context, i int, c cond) (outcome, error) {
-		// Each circuit runs at 15 key widths; the key_bits label keeps the
-		// conditions' series apart.
-		ctx = metrics.WithLabels(ctx, "benchmark", c.name, "key_bits", strconv.Itoa(c.kb))
 		condStart := time.Now()
 		cfg := dynunlock.ExperimentConfig{
 			Benchmark:     c.name,

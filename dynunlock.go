@@ -278,15 +278,17 @@ func ctxStop(ctx context.Context) core.StopReason {
 //
 // RunExperimentCtx is the one place a run's telemetry is wired. The run
 // is live when a recorder, a stream bus or a metrics registry is
-// attached. A live run without a metrics handle on ctx gets a private
-// registry, so the solver hook, the sampler, the recorder and the "dip"
-// events all read one scope: the handle's. Each trial of a live run gets
-// one OnDIP observer (see dipObserver), and the recorder and the bus
-// bridge join whatever trace sink the caller installed on ctx. A run with
-// a metrics handle and a trace sink samples its own label scope every
-// metrics.ProgressInterval, and once more after the last trial, as
-// "snapshot" events naming the run (see metrics.StartSampling). A run
-// that is neither live nor Analytic installs no hook at all.
+// attached. The registry on ctx is the run's metrics scope, and a live
+// run without one gets a private registry, so the solver hook, the
+// sampler, the recorder and the "dip" events all read one scope: that
+// registry. Each trial of a live run gets one OnDIP observer (see
+// dipObserver), and the recorder and the bus bridge join whatever trace
+// sink the caller installed on ctx. A run with a registry and a trace
+// sink samples it every metrics.ProgressInterval, and once more after the
+// last trial, as "snapshot" events naming the run (see
+// metrics.StartSampling). A run that is neither live nor Analytic
+// installs no hook at all. Runs that execute concurrently need registries
+// of their own; bench.SweepCtx hands one to each item.
 func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (*ExperimentResult, error) {
 	entry, ok := bench.ByName(cfg.Benchmark)
 	if !ok {
@@ -311,12 +313,12 @@ func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (*ExperimentRes
 		return nil, err
 	}
 	res := &ExperimentResult{Entry: entry, Config: cfg}
-	mh := metrics.From(ctx)
-	if mh == nil && (cfg.Recorder != nil || cfg.Stream != nil) {
-		ctx = metrics.With(ctx, metrics.NewRegistry())
-		mh = metrics.From(ctx)
+	mr := metrics.From(ctx)
+	if mr == nil && (cfg.Recorder != nil || cfg.Stream != nil) {
+		mr = metrics.NewRegistry()
+		ctx = metrics.With(ctx, mr)
 	}
-	live := mh != nil
+	live := mr != nil
 	if rec := cfg.Recorder; rec != nil {
 		if err := rec.WriteManifest(flight.Manifest{
 			Tool:           rec.Tool,
@@ -339,9 +341,9 @@ func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (*ExperimentRes
 		ctx = trace.With(ctx, streamSink{cfg.Stream})
 	}
 	tr := trace.From(ctx)
-	// The run samples its own metrics scope while it has a handle and a
-	// trace sink; the closing sample lands before the experiment event.
-	stopSampling := metrics.StartSampling(mh, tr, map[string]any{
+	// The run samples its own registry while it has one and a trace sink;
+	// the closing sample lands before the experiment event.
+	stopSampling := metrics.StartSampling(mr, tr, map[string]any{
 		"benchmark": entry.Name,
 		"key_bits":  cfg.KeyBits,
 	})
@@ -376,7 +378,7 @@ func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (*ExperimentRes
 		var tk *insight.Tracker
 		if live || cfg.Analytic {
 			var terr error
-			if tk, terr = insight.New(design, insight.Options{Metrics: mh}); terr != nil && cfg.Log != nil {
+			if tk, terr = insight.New(design, insight.Options{Metrics: mr}); terr != nil && cfg.Log != nil {
 				fmt.Fprintf(cfg.Log, "insight tracker disabled: %v\n", terr)
 			}
 			if tk != nil && cfg.Analytic {
@@ -384,7 +386,7 @@ func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (*ExperimentRes
 			}
 		}
 		if live || tk != nil {
-			opts.OnDIP = dipObserver(cfg.Recorder, cfg.Stream, satattack.LearntLBD(mh), tk, trial)
+			opts.OnDIP = dipObserver(cfg.Recorder, cfg.Stream, satattack.LearntLBD(mr), tk, trial)
 		}
 		start := time.Now()
 		atk, err := core.AttackCtx(ctx, atkChip, opts)

@@ -5,11 +5,10 @@ import (
 	"context"
 	"path/filepath"
 	"reflect"
-	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
+	"dynunlock/internal/bench"
 	"dynunlock/internal/core"
 	"dynunlock/internal/flight"
 	"dynunlock/internal/metrics"
@@ -93,33 +92,34 @@ func TestExperimentResultEmptyAggregates(t *testing.T) {
 	}
 }
 
-// TestClosingSampleHoldsOnlyItsOwnSeries records two experiments into one
-// registry under different label scopes — two key widths of one circuit,
-// as a Table III sweep runs them — and checks that each bundle's closing
-// metrics sample read only its own scope: its conflicts equal its own
-// result.json, and its LBD distribution is one count per bucket, summing
-// to its sample count.
+// TestClosingSampleHoldsOnlyItsOwnSeries records two experiments through
+// one two-worker sweep with a registry on its context — two key widths of
+// one circuit, as a Table III sweep runs them — and checks that each
+// bundle's closing metrics sample read only its own scope: its conflicts
+// equal its own result.json, and its LBD distribution is one count per
+// bucket, summing to its sample count.
 func TestClosingSampleHoldsOnlyItsOwnSeries(t *testing.T) {
 	reg := metrics.NewRegistry()
 	reg.SetBuildInfo("goversion", "test")
 	base := metrics.With(context.Background(), reg)
-	for _, keyBits := range []int{8, 12} {
+	dirs, err := bench.SweepCtx(base, 2, []int{8, 12}, func(ctx context.Context, _ int, keyBits int) (string, error) {
 		dir := t.TempDir()
 		rec, err := flight.Create(dir)
 		if err != nil {
-			t.Fatal(err)
+			return "", err
 		}
-		ctx := metrics.WithLabels(base, "benchmark", "s5378", "key_bits", strconv.Itoa(keyBits))
-		_, err = RunExperimentCtx(ctx, ExperimentConfig{
+		if _, err := RunExperimentCtx(ctx, ExperimentConfig{
 			Benchmark: "s5378", KeyBits: keyBits, Policy: PerCycle, Scale: 16,
 			Trials: 2, SeedBase: int64(keyBits), Recorder: rec,
-		})
-		if err != nil {
-			t.Fatal(err)
+		}); err != nil {
+			return "", err
 		}
-		if err := rec.Close(); err != nil {
-			t.Fatal(err)
-		}
+		return dir, rec.Close()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range dirs {
 		checkClosingSample(t, dir)
 	}
 }
@@ -285,13 +285,15 @@ func TestCommittedBundlesRecordClose(t *testing.T) {
 	}
 }
 
-// TestRunPublishesItsOwnSample runs two experiments at once on one
-// registry, under different label scopes, with one bus subscriber, a
+// TestRunPublishesItsOwnSample runs two experiments at once through a
+// two-worker sweep with one registry on its context, one bus subscriber, a
 // trace collector and the -progress sink attached. Each run samples its
 // own scope: it publishes at least one "delta" naming its benchmark, its
 // last delta arrives before its experiment result and holds the run's own
 // conflict total, the collector saw the same samples as "snapshot" trace
-// events, and the progress sink printed each as one line.
+// events, and the progress sink printed each as one line. The caller's
+// registry holds the sweep's series and no solver series: the sweep gave
+// each run a registry of its own.
 func TestRunPublishesItsOwnSample(t *testing.T) {
 	reg := metrics.NewRegistry()
 	base := metrics.With(context.Background(), reg)
@@ -302,27 +304,23 @@ func TestRunPublishesItsOwnSample(t *testing.T) {
 	sub := bus.Subscribe(0)
 	defer sub.Close()
 
-	benches := []string{"s5378", "s13207"}
-	results := make([]*ExperimentResult, len(benches))
-	errs := make([]error, len(benches))
-	var wg sync.WaitGroup
-	for i, name := range benches {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ctx := metrics.WithLabels(base, "benchmark", name)
-			results[i], errs[i] = RunExperimentCtx(ctx, ExperimentConfig{
-				Benchmark: name, KeyBits: 8, Policy: PerCycle, Scale: 16,
-				Trials: 2, SeedBase: 11, Stream: bus,
-			})
-		}()
-	}
-	wg.Wait()
+	results, err := bench.SweepCtx(base, 2, []string{"s5378", "s13207"}, func(ctx context.Context, _ int, name string) (*ExperimentResult, error) {
+		return RunExperimentCtx(ctx, ExperimentConfig{
+			Benchmark: name, KeyBits: 8, Policy: PerCycle, Scale: 16,
+			Trials: 2, SeedBase: 11, Stream: bus,
+		})
+	})
 	bus.Close()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key := range reg.Snapshot() {
+		if strings.HasPrefix(key, "dynunlock_sat_") {
+			t.Errorf("caller's registry holds solver series %s; the sweep must give each run its own", key)
 		}
+	}
+	if n, _ := reg.Sum(metrics.MetricSweepItems); n != 2 {
+		t.Errorf("caller's registry counts %v sweep items, want 2", n)
 	}
 
 	deltas := map[string][]map[string]any{}

@@ -35,6 +35,11 @@ func Sweep[T, R any](workers int, items []T, fn func(i int, item T) (R, error)) 
 // error, and it participates in the lowest-index-error rule like any fn
 // error. In-flight items are waited for, never abandoned; fn receives ctx
 // so long-running items (attacks) can observe the same cancellation.
+//
+// With a metrics registry on ctx, the sweep's own dynunlock_sweep_* series
+// go to it and each item runs under a fresh registry of its own: a
+// registry is one run's metrics scope, and concurrent runs never share
+// one.
 func SweepCtx[T, R any](ctx context.Context, workers int, items []T, fn func(ctx context.Context, i int, item T) (R, error)) ([]R, error) {
 	out := make([]R, len(items))
 	if workers <= 0 {
@@ -42,11 +47,14 @@ func SweepCtx[T, R any](ctx context.Context, workers int, items []T, fn func(ctx
 	}
 	// Live sweep accounting; all instruments are nil (no-op) without a
 	// registry on ctx.
-	mh := metrics.From(ctx)
-	inflight := mh.Gauge(metrics.MetricSweepInflight)
-	okItems := mh.Counter(metrics.MetricSweepItems, "status", "ok")
-	errItems := mh.Counter(metrics.MetricSweepItems, "status", "error")
+	mr := metrics.From(ctx)
+	inflight := mr.Gauge(metrics.MetricSweepInflight)
+	okItems := mr.Counter(metrics.MetricSweepItems, "status", "ok")
+	errItems := mr.Counter(metrics.MetricSweepItems, "status", "error")
 	run := func(ctx context.Context, i int, it T) (R, error) {
+		if mr != nil {
+			ctx = metrics.With(ctx, metrics.NewRegistry())
+		}
 		inflight.Add(1)
 		r, err := fn(ctx, i, it)
 		inflight.Add(-1)

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+
+	"dynunlock/internal/metrics"
 )
 
 func TestSweepOrderAndResults(t *testing.T) {
@@ -160,5 +162,36 @@ func TestSweepActuallyConcurrent(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSweepCtxGivesEachItemItsOwnRegistry pins the one scope rule: with a
+// registry on the sweep's context, every item runs under a fresh registry
+// of its own, at any worker count, while the sweep's own series stay on
+// the caller's registry. Without one, items get none.
+func TestSweepCtxGivesEachItemItsOwnRegistry(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		reg := metrics.NewRegistry()
+		items := []int{0, 1, 2, 3}
+		regs, err := SweepCtx(metrics.With(context.Background(), reg), workers, items,
+			func(ctx context.Context, _ int, _ int) (*metrics.Registry, error) { return metrics.From(ctx), nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[*metrics.Registry]bool{reg: true}
+		for i, r := range regs {
+			if r == nil || seen[r] {
+				t.Fatalf("workers=%d: item %d ran under registry %p, want a fresh one", workers, i, r)
+			}
+			seen[r] = true
+		}
+		if n, _ := reg.Sum(metrics.MetricSweepItems); n != float64(len(items)) {
+			t.Fatalf("workers=%d: caller's registry counts %v items, want %d", workers, n, len(items))
+		}
+	}
+	regs, _ := SweepCtx(context.Background(), 2, []int{0, 1},
+		func(ctx context.Context, _ int, _ int) (*metrics.Registry, error) { return metrics.From(ctx), nil })
+	if regs[0] != nil || regs[1] != nil {
+		t.Fatal("items of a sweep without a registry got one")
 	}
 }

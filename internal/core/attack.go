@@ -225,9 +225,9 @@ func AttackCtx(ctx context.Context, chip Chip, opts Options) (*Result, error) {
 	// Tester-time accounting: every scan session reports its cycle cost.
 	// The previous hook is chained and restored so nested attacks compose.
 	// The metrics instruments are nil (no-op) without a registry on ctx.
-	mh := metrics.From(ctx)
-	sessCtr := mh.Counter(metrics.MetricOracleSessions)
-	cycleCtr := mh.Counter(metrics.MetricOracleCycles)
+	mr := metrics.From(ctx)
+	sessCtr := mr.Counter(metrics.MetricOracleSessions)
+	cycleCtr := mr.Counter(metrics.MetricOracleCycles)
 	var oracleSessions, oracleCycles uint64
 	prevHook := chip.SetSessionHook(nil)
 	chip.SetSessionHook(func(cycles uint64) {

@@ -1,21 +1,23 @@
 // Package daemon is the attack-as-a-service core behind cmd/dynunlockd:
 // a long-running process that accepts DynUnlock attack jobs over a JSON
 // HTTP API, runs them on a bounded worker pool with admission control,
-// and exposes one shared observability plane — Prometheus metrics with
-// per-job label scoping, a multiplexed SSE event feed with per-job
+// and exposes one shared observability plane — Prometheus metrics for
+// the daemon itself, a multiplexed SSE event feed with per-job
 // filtering, and a flight-recorder bundle per job that a crashed or
 // evicted job can later be resumed from.
 //
 // One registry, one bus, one listener serve every job:
 //
-//   - Every dynunlock_* series a job publishes carries a job="<id>"
-//     label via the job context's metrics labels (metrics.WithLabels) —
-//     no instrumentation call site knows about jobs, and the metrics
-//     samples in the job bundle's trace.jsonl read only that job's series.
+//   - Each job's dynunlock_* series live in a registry of its own, which
+//     the job samples into the "delta" events of its feed and the closing
+//     sample of its bundle's trace.jsonl, and which is dropped when the
+//     job ends. The daemon's registry holds only the dynunlockd_jobs_*
+//     series and the process gauges, so /metrics does not grow with the
+//     job history.
 //   - Every stream event a job publishes is stamped with its job ID via
-//     the bus's job view (stream.Bus.WithJob); /events aggregates all
-//     jobs under one strictly increasing sequence and /events?job=<id>
-//     filters down to one.
+//     the bus's job view (stream.Bus.WithJob), the one per-job tag;
+//     /events aggregates all jobs under one strictly increasing sequence
+//     and /events?job=<id> filters down to one.
 //   - Job lifecycle transitions (queued → admitted → running →
 //     done/failed/evicted, plus draining during shutdown) are published
 //     as typed "job" stream events and mirrored in dynunlockd_jobs_*
@@ -35,7 +37,7 @@ import (
 	"dynunlock/internal/stream"
 )
 
-// Daemon-plane metric families, alongside the dynunlock_* attack series.
+// Daemon-plane metric families, the series of the daemon's registry.
 const (
 	// MetricJobsQueueDepth is the number of jobs admitted to the queue
 	// and not yet picked up by a worker.

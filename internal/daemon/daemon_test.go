@@ -460,39 +460,55 @@ func TestShutdownDrainsGracefully(t *testing.T) {
 	}
 }
 
-// TestJobScopedMetricsOnExposition asserts the shared registry carries
-// job-labeled attack series plus the daemon-plane families, and that a
-// job's bundle samples only its own scope: two jobs run one after the
-// other on the one registry, and each closing metrics sample holds its own
-// job's conflicts.
+// TestJobScopedMetricsOnExposition bounds the daemon's exposition: each
+// job samples a registry of its own, so /metrics carries the same number
+// of series after one job as after three, no job label, and the four
+// dynunlockd_jobs_* families; and each job's closing metrics sample in its
+// bundle holds its own job's conflicts.
 func TestJobScopedMetricsOnExposition(t *testing.T) {
 	d := startDaemon(t, daemon.Config{})
+	scrape := func() (text string, series int) {
+		resp, err := http.Get("http://" + d.Addr() + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		for _, line := range strings.Split(string(body), "\n") {
+			if line != "" && !strings.HasPrefix(line, "#") {
+				series++
+			}
+		}
+		return string(body), series
+	}
 	var ids []string
-	for _, seed := range []int64{7, 8} {
+	var counts []int
+	for _, seed := range []int64{7, 8, 9} {
 		spec := quickSpec()
 		spec.Seed = seed
 		st := submit(t, d.Addr(), spec)
 		waitTerminal(t, d.Addr(), st.ID)
 		ids = append(ids, st.ID)
-	}
-	resp, err := http.Get("http://" + d.Addr() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	text := string(body)
-	for _, want := range []string{
-		`job="` + ids[0] + `"`,
-		`job="` + ids[1] + `"`,
-		"dynunlockd_jobs_queue_depth",
-		"dynunlockd_jobs_inflight",
-		"dynunlockd_jobs_submitted_total",
-		"dynunlockd_jobs_completed_total",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("exposition missing %q", want)
+		if len(ids) != 2 {
+			text, n := scrape()
+			counts = append(counts, n)
+			if strings.Contains(text, `job="`) {
+				t.Errorf("exposition after %d job(s) carries a job label:\n%s", len(ids), text)
+			}
+			for _, want := range []string{
+				"dynunlockd_jobs_queue_depth",
+				"dynunlockd_jobs_inflight",
+				"dynunlockd_jobs_submitted_total",
+				"dynunlockd_jobs_completed_total",
+			} {
+				if !strings.Contains(text, want) {
+					t.Errorf("exposition after %d job(s) missing %q", len(ids), want)
+				}
+			}
 		}
+	}
+	if counts[0] != counts[1] {
+		t.Errorf("exposition has %d series after one job and %d after three; want the same", counts[0], counts[1])
 	}
 	for _, id := range ids {
 		dir := d.Job(id).BundleDir()

@@ -12,7 +12,6 @@ import (
 	"dynunlock"
 	"dynunlock/internal/core"
 	"dynunlock/internal/flight"
-	"dynunlock/internal/metrics"
 	"dynunlock/internal/stream"
 )
 
@@ -375,13 +374,6 @@ func (d *Daemon) runJob(j *Job) {
 		}
 	}
 
-	// One registry serves every job; the context labels stamp job="<id>"
-	// (plus the benchmark) onto each series this job publishes. That
-	// handle is the job's scope: RunExperimentCtx samples only it into the
-	// delta events of the job's bus view and the closing sample of its
-	// bundle's trace.jsonl, so concurrent jobs never bleed into each other.
-	ctx = metrics.WithLabels(metrics.With(ctx, d.reg), "job", j.ID, "benchmark", cfg.Benchmark)
-
 	j.mu.Lock()
 	interrupted := j.state != StateAdmitted // shutdown flipped it to draining
 	if !interrupted {
@@ -393,6 +385,10 @@ func (d *Daemon) runJob(j *Job) {
 	}
 	fmt.Fprintf(d.log, "dynunlockd: %s running (%s)\n", j.ID, dir)
 
+	// The job's context carries no metrics registry: with a recorder and a
+	// bus view attached, RunExperimentCtx samples a private one into the
+	// job's delta events and its bundle's closing sample. It goes when the
+	// job ends, so the daemon's /metrics does not grow with the job history.
 	res, runErr := dynunlock.RunExperimentCtx(ctx, cfg)
 
 	var replayed uint64

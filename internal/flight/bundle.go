@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"dynunlock/internal/bench"
@@ -16,7 +17,8 @@ import (
 )
 
 // ErrCorrupt marks a bundle file that failed to parse — a malformed or
-// truncated JSONL line, an unreadable manifest. Every parse failure is
+// truncated JSONL line, an unreadable manifest, an oracle.jsonl record
+// whose bit strings do not fit the manifest. Every parse failure is
 // reported as a *BundleError wrapping ErrCorrupt, never a panic, so
 // tooling can distinguish "damaged bundle" from I/O errors.
 var ErrCorrupt = errors.New("flight: corrupt or truncated bundle file")
@@ -56,8 +58,10 @@ type Bundle struct {
 
 // Open loads a bundle from dir. Damaged files return a *BundleError
 // wrapping ErrCorrupt; a missing required file surfaces the fs error.
-// result.json and dips.jsonl are required (every recorder writes them);
-// trace.jsonl is not parsed here (ReadTrace reads it on demand).
+// Each oracle.jsonl record is checked against the manifest (see
+// sessionShape). result.json and dips.jsonl are required (every recorder
+// writes them); trace.jsonl is not parsed here (ReadTrace reads it on
+// demand).
 func Open(dir string) (*Bundle, error) {
 	b := &Bundle{Dir: dir}
 	if err := readJSONFile(filepath.Join(dir, ManifestFile), &b.Manifest); err != nil {
@@ -69,17 +73,83 @@ func Open(dir string) (*Bundle, error) {
 	if err := readJSONFile(filepath.Join(dir, ResultFile), &b.Result); err != nil {
 		return nil, err
 	}
-	if err := readJSONL(filepath.Join(dir, OracleFile), func() any { return &SessionRecord{} }, func(v any) {
-		b.Sessions = append(b.Sessions, *v.(*SessionRecord))
-	}); err != nil {
+	if err := readJSONL(filepath.Join(dir, OracleFile), func() any { return &SessionRecord{} }, b.addSession()); err != nil {
 		return nil, err
 	}
-	if err := readJSONL(filepath.Join(dir, DIPsFile), func() any { return &DIPRecord{} }, func(v any) {
-		b.DIPs = append(b.DIPs, *v.(*DIPRecord))
-	}); err != nil {
+	if err := readJSONL(filepath.Join(dir, DIPsFile), func() any { return &DIPRecord{} }, b.addDIP); err != nil {
 		return nil, err
 	}
 	return b, nil
+}
+
+// addSession returns the oracle.jsonl record sink of Open and
+// OpenPartial: it checks each record's shape, then appends it.
+func (b *Bundle) addSession() func(v any) error {
+	shape := sessionShape{keyBits: b.Manifest.Lock.KeyBits, chainLength: b.Manifest.Lock.ChainLength, piBits: -1}
+	return func(v any) error {
+		s := v.(*SessionRecord)
+		if err := shape.check(s); err != nil {
+			return err
+		}
+		b.Sessions = append(b.Sessions, *s)
+		return nil
+	}
+}
+
+// addDIP is the dips.jsonl record sink of Open and OpenPartial.
+func (b *Bundle) addDIP(v any) error {
+	b.DIPs = append(b.DIPs, *v.(*DIPRecord))
+	return nil
+}
+
+// sessionShape is what every oracle.jsonl record of a bundle must fit:
+// the manifest's key and chain widths, and the PI and PO widths of the
+// bundle's first record (piBits < 0 until that record is read).
+type sessionShape struct {
+	keyBits, chainLength int
+	piBits, poBits       int
+}
+
+// check rejects a record whose bit strings are not binary, whose test
+// key is not keyBits wide or whose scan-in or scan-out is not chainLength
+// wide, whose pis and pos are empty or differ in count, or whose PI or PO
+// width differs from the first record's.
+func (c *sessionShape) check(s *SessionRecord) error {
+	if len(s.PIs) == 0 || len(s.PIs) != len(s.POs) {
+		return fmt.Errorf("%d pis and %d pos, want the same nonzero count", len(s.PIs), len(s.POs))
+	}
+	if c.piBits < 0 {
+		c.piBits, c.poBits = len(s.PIs[0]), len(s.POs[0])
+	}
+	if err := checkBits(s.TestKey, c.keyBits); err != nil {
+		return fmt.Errorf("testKey: %v", err)
+	}
+	if err := checkBits(s.ScanIn, c.chainLength); err != nil {
+		return fmt.Errorf("scanIn: %v", err)
+	}
+	if err := checkBits(s.ScanOut, c.chainLength); err != nil {
+		return fmt.Errorf("scanOut: %v", err)
+	}
+	for i := range s.PIs {
+		if err := checkBits(s.PIs[i], c.piBits); err != nil {
+			return fmt.Errorf("pis[%d]: %v", i, err)
+		}
+		if err := checkBits(s.POs[i], c.poBits); err != nil {
+			return fmt.Errorf("pos[%d]: %v", i, err)
+		}
+	}
+	return nil
+}
+
+// checkBits reports a bit string that is not width bits of '0' and '1'.
+func checkBits(s string, width int) error {
+	if len(s) != width {
+		return fmt.Errorf("%d bits wide, want %d", len(s), width)
+	}
+	if i := strings.IndexFunc(s, func(r rune) bool { return r != '0' && r != '1' }); i >= 0 {
+		return fmt.Errorf("byte %d is %q, want '0' or '1'", i, s[i])
+	}
+	return nil
 }
 
 // ValidateManifest checks a manifest against the schema contract
@@ -113,8 +183,8 @@ func ValidateManifest(m *Manifest) error {
 		return fmt.Errorf("mode %q, want linear|direct", m.Mode)
 	}
 	li := &m.Lock
-	if li.KeyBits < 1 {
-		return fmt.Errorf("lock.keyBits %d, want >= 1", li.KeyBits)
+	if li.KeyBits < 1 || li.KeyBits > lock.MaxKeyBits {
+		return fmt.Errorf("lock.keyBits %d, want 1..%d (lock.MaxKeyBits)", li.KeyBits, lock.MaxKeyBits)
 	}
 	if li.ChainLength < 2 {
 		return fmt.Errorf("lock.chainLength %d, want >= 2", li.ChainLength)
@@ -232,7 +302,7 @@ type Sample struct {
 // a *BundleError wrapping ErrCorrupt.
 func ReadTrace(dir string) (*Trace, error) {
 	tr := &Trace{}
-	err := readJSONL(filepath.Join(dir, TraceFile), func() any { return &traceLine{} }, func(v any) {
+	err := readJSONL(filepath.Join(dir, TraceFile), func() any { return &traceLine{} }, func(v any) error {
 		l := v.(*traceLine)
 		switch l.Ev {
 		case "span_end":
@@ -244,6 +314,7 @@ func ReadTrace(dir string) (*Trace, error) {
 		case "snapshot":
 			tr.Closing = l.sample
 		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -285,8 +356,9 @@ func (l *traceLine) UnmarshalJSON(data []byte) error {
 
 // readJSONL parses one JSON document per line, allocating each record via
 // mk and delivering it via add. Any unparseable line — including a
-// truncated final line — returns a *BundleError wrapping ErrCorrupt.
-func readJSONL(path string, mk func() any, add func(v any)) error {
+// truncated final line — or a record add rejects returns a *BundleError
+// wrapping ErrCorrupt.
+func readJSONL(path string, mk func() any, add func(v any) error) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("flight: %w", err)
@@ -302,10 +374,13 @@ func readJSONL(path string, mk func() any, add func(v any)) error {
 			continue
 		}
 		v := mk()
-		if err := json.Unmarshal(text, v); err != nil {
+		err := json.Unmarshal(text, v)
+		if err == nil {
+			err = add(v)
+		}
+		if err != nil {
 			return &BundleError{Path: path, Line: lineNo, Err: fmt.Errorf("%w: %v", ErrCorrupt, err)}
 		}
-		add(v)
 	}
 	if err := sc.Err(); err != nil {
 		return &BundleError{Path: path, Line: lineNo, Err: fmt.Errorf("%w: %v", ErrCorrupt, err)}

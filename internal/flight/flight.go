@@ -308,8 +308,8 @@ func ParsePolicy(s string) (scan.Policy, error) {
 }
 
 // NewFingerprint samples the current process environment. The git commit
-// comes from the binary's embedded VCS build info when present (builds from
-// a clean checkout); it is empty otherwise.
+// comes from the binary's embedded VCS build info (see gitCommit); it is
+// empty when the binary carries none, as go test binaries do.
 func NewFingerprint() Fingerprint {
 	fp := Fingerprint{
 		GoVersion: runtime.Version(),
@@ -321,13 +321,29 @@ func NewFingerprint() Fingerprint {
 		fp.Host = h
 	}
 	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "vcs.revision" {
-				fp.GitCommit = s.Value
-			}
-		}
+		fp.GitCommit = gitCommit(bi.Settings)
 	}
 	return fp
+}
+
+// gitCommit is the commit a build's VCS settings name, with "-dirty"
+// appended when the build's tree had uncommitted edits (vcs.modified),
+// as git describe --dirty marks it: such a build is not that commit.
+func gitCommit(settings []debug.BuildSetting) string {
+	var rev string
+	var modified bool
+	for _, s := range settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			modified = s.Value == "true"
+		}
+	}
+	if rev != "" && modified {
+		rev += "-dirty"
+	}
+	return rev
 }
 
 // BitString renders a bit vector "01…", index 0 first.

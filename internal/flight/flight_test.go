@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -31,6 +32,28 @@ func TestBitStringRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseBits("01x"); err == nil {
 		t.Error("ParseBits accepted a non-bit byte")
+	}
+}
+
+// TestGitCommitMarksModifiedTree pins the fingerprint's commit: a build
+// from an edited tree names its base commit with "-dirty" appended, a
+// clean build names the commit alone, and a build without a VCS stamp
+// names none.
+func TestGitCommitMarksModifiedTree(t *testing.T) {
+	const rev = "0123456789abcdef0123456789abcdef01234567"
+	for _, c := range []struct {
+		settings []debug.BuildSetting
+		want     string
+	}{
+		{[]debug.BuildSetting{{Key: "vcs.revision", Value: rev}, {Key: "vcs.modified", Value: "false"}}, rev},
+		{[]debug.BuildSetting{{Key: "vcs.modified", Value: "true"}, {Key: "vcs.revision", Value: rev}}, rev + "-dirty"},
+		{[]debug.BuildSetting{{Key: "vcs.revision", Value: rev}}, rev},
+		{[]debug.BuildSetting{{Key: "vcs.modified", Value: "true"}}, ""},
+		{nil, ""},
+	} {
+		if got := gitCommit(c.settings); got != c.want {
+			t.Errorf("gitCommit(%v) = %q, want %q", c.settings, got, c.want)
+		}
 	}
 }
 

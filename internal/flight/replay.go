@@ -3,6 +3,7 @@ package flight
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"sync"
 	"time"
@@ -23,7 +24,10 @@ import (
 // attack asks the same questions, even if scheduling reorders them. A query
 // the transcript cannot answer never panics: the first miss is latched and
 // returned by Err, and the session gets correctly-sized zero outputs so the
-// attack can wind down.
+// attack can wind down. A record that is not a bit string of the design's
+// widths never reaches a replay: Open and OpenPartial reject it as corrupt,
+// and ReplayChip checks the transcript's PI and PO widths against the
+// rebuilt design.
 //
 // Replay is bit-identical: the attack engine is deterministic, so the
 // replayed attack issues exactly the recorded queries and reproduces the
@@ -66,6 +70,11 @@ func (b *Bundle) ReplayChip(trial int) (*Replay, error) {
 	}
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("%w: bundle has no sessions for trial %d", ErrOracleMiss, trial)
+	}
+	if pi, po := len(recs[0].PIs[0]), len(recs[0].POs[0]); pi != d.View.NumPI || po != d.View.NumPO {
+		return nil, &BundleError{Path: filepath.Join(b.Dir, OracleFile), Err: fmt.Errorf(
+			"%w: sessions carry %d-bit PIs and %d-bit POs, the rebuilt design has %d and %d",
+			ErrCorrupt, pi, po, d.View.NumPI, d.View.NumPO)}
 	}
 	return NewReplay(d, recs), nil
 }
@@ -115,6 +124,30 @@ func (r *Replay) Session(testKey, scanIn, pi []bool) (scanOut, po []bool) {
 
 // SessionN replays a multi-capture session from the transcript.
 func (r *Replay) SessionN(testKey, scanIn []bool, pis [][]bool) (scanOut []bool, pos [][]bool) {
+	if scanOut, pos, ok := r.TryServe(testKey, scanIn, pis); ok {
+		return scanOut, pos
+	}
+	r.mu.Lock()
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: no recorded response for session testKey=%s scanIn=%s pis=%d",
+			ErrOracleMiss, BitString(testKey), BitString(scanIn), len(pis))
+	}
+	r.mu.Unlock()
+	// Fabricate correctly-sized zero outputs so the caller can finish its
+	// iteration and observe Err instead of crashing mid-attack.
+	scanOut = make([]bool, r.design.Chain.Length)
+	pos = make([][]bool, len(pis))
+	for i := range pos {
+		pos[i] = make([]bool, r.design.View.NumPO)
+	}
+	return scanOut, pos
+}
+
+// TryServe answers one session from the transcript if a matching record
+// is queued, without latching an error on miss. SessionN serves through
+// it, and ResumeChip probes it before its live chip. The session hook
+// fires with the recorded cycle count on a hit.
+func (r *Replay) TryServe(testKey, scanIn []bool, pis [][]bool) (scanOut []bool, pos [][]bool, ok bool) {
 	piStrs := make([]string, len(pis))
 	for i, pi := range pis {
 		piStrs[i] = BitString(pi)
@@ -124,19 +157,8 @@ func (r *Replay) SessionN(testKey, scanIn []bool, pis [][]bool) (scanOut []bool,
 	r.mu.Lock()
 	q := r.queues[k]
 	if len(q) == 0 {
-		if r.err == nil {
-			r.err = fmt.Errorf("%w: no recorded response for session testKey=%s scanIn=%s pis=%d",
-				ErrOracleMiss, BitString(testKey), BitString(scanIn), len(pis))
-		}
 		r.mu.Unlock()
-		// Fabricate correctly-sized zero outputs so the caller can finish
-		// its iteration and observe Err instead of crashing mid-attack.
-		scanOut = make([]bool, r.design.Chain.Length)
-		pos = make([][]bool, len(pis))
-		for i := range pos {
-			pos[i] = make([]bool, r.design.View.NumPO)
-		}
-		return scanOut, pos
+		return nil, nil, false
 	}
 	rec := q[0]
 	r.queues[k] = q[1:]
@@ -146,20 +168,20 @@ func (r *Replay) SessionN(testKey, scanIn []bool, pis [][]bool) (scanOut []bool,
 
 	scanOut, err := ParseBits(rec.ScanOut)
 	if err != nil {
-		scanOut = make([]bool, r.design.Chain.Length)
+		return nil, nil, false
 	}
 	pos = make([][]bool, len(rec.POs))
 	for i, s := range rec.POs {
-		po, err := ParseBits(s)
-		if err != nil {
-			po = make([]bool, r.design.View.NumPO)
+		po, perr := ParseBits(s)
+		if perr != nil {
+			return nil, nil, false
 		}
 		pos[i] = po
 	}
 	if hook != nil {
 		hook(rec.Cycles)
 	}
-	return scanOut, pos
+	return scanOut, pos, true
 }
 
 // Replay re-runs the recorded experiment offline: every trial in

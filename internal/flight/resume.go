@@ -26,7 +26,8 @@ import (
 // run, partial on an evicted one), and a torn final line in either
 // transcript — the half-written record of the instant the process died —
 // is dropped instead of failing the load. Corruption anywhere except the
-// final line still returns a *BundleError wrapping ErrCorrupt.
+// final line, and an oracle.jsonl record that does not fit the manifest
+// (see Open), still return a *BundleError wrapping ErrCorrupt.
 func OpenPartial(dir string) (*Bundle, error) {
 	b := &Bundle{Dir: dir}
 	if err := readJSONFile(filepath.Join(dir, ManifestFile), &b.Manifest); err != nil {
@@ -40,24 +41,20 @@ func OpenPartial(dir string) (*Bundle, error) {
 			return nil, err
 		}
 	}
-	if err := readJSONLTornTail(filepath.Join(dir, OracleFile), func() any { return &SessionRecord{} }, func(v any) {
-		b.Sessions = append(b.Sessions, *v.(*SessionRecord))
-	}); err != nil {
+	if err := readJSONLTornTail(filepath.Join(dir, OracleFile), func() any { return &SessionRecord{} }, b.addSession()); err != nil {
 		return nil, err
 	}
-	if err := readJSONLTornTail(filepath.Join(dir, DIPsFile), func() any { return &DIPRecord{} }, func(v any) {
-		b.DIPs = append(b.DIPs, *v.(*DIPRecord))
-	}); err != nil {
+	if err := readJSONLTornTail(filepath.Join(dir, DIPsFile), func() any { return &DIPRecord{} }, b.addDIP); err != nil {
 		return nil, err
 	}
 	return b, nil
 }
 
 // readJSONLTornTail is readJSONL tolerating exactly one unparseable
-// final line (a write torn by process death). A missing file yields an
-// empty prefix, not an error — the run may have died before its first
-// flush.
-func readJSONLTornTail(path string, mk func() any, add func(v any)) error {
+// final line (a write torn by process death); a record that parses but
+// add rejects is corrupt wherever it is. A missing file yields an empty
+// prefix, not an error — the run may have died before its first flush.
+func readJSONLTornTail(path string, mk func() any, add func(v any) error) error {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -85,53 +82,14 @@ func readJSONLTornTail(path string, mk func() any, add func(v any)) error {
 			torn = &BundleError{Path: path, Line: lineNo, Err: fmt.Errorf("%w: %v", ErrCorrupt, err)}
 			continue
 		}
-		add(v)
+		if err := add(v); err != nil {
+			return &BundleError{Path: path, Line: lineNo, Err: fmt.Errorf("%w: %v", ErrCorrupt, err)}
+		}
 	}
 	if err := sc.Err(); err != nil {
 		return &BundleError{Path: path, Line: lineNo, Err: fmt.Errorf("%w: %v", ErrCorrupt, err)}
 	}
 	return nil
-}
-
-// TryServe answers one session from the transcript if a matching record
-// is queued, without latching an error on miss — the fallback probe
-// behind ResumeChip. The session hook fires with the recorded cycle
-// count on a hit, exactly like SessionN.
-func (r *Replay) TryServe(testKey, scanIn []bool, pis [][]bool) (scanOut []bool, pos [][]bool, ok bool) {
-	piStrs := make([]string, len(pis))
-	for i, pi := range pis {
-		piStrs[i] = BitString(pi)
-	}
-	k := sessionKey(BitString(testKey), BitString(scanIn), piStrs)
-
-	r.mu.Lock()
-	q := r.queues[k]
-	if len(q) == 0 {
-		r.mu.Unlock()
-		return nil, nil, false
-	}
-	rec := q[0]
-	r.queues[k] = q[1:]
-	r.pend--
-	hook := r.hook
-	r.mu.Unlock()
-
-	scanOut, err := ParseBits(rec.ScanOut)
-	if err != nil {
-		return nil, nil, false
-	}
-	pos = make([][]bool, len(rec.POs))
-	for i, s := range rec.POs {
-		po, perr := ParseBits(s)
-		if perr != nil {
-			return nil, nil, false
-		}
-		pos[i] = po
-	}
-	if hook != nil {
-		hook(rec.Cycles)
-	}
-	return scanOut, pos, true
 }
 
 // ResumeChip serves scan sessions from a recorded transcript prefix

@@ -47,7 +47,7 @@ import (
 // generator uses to replay recorded DIP transcripts.
 type Options struct {
 	// Metrics, when non-nil, receives the insight gauges.
-	Metrics *metrics.Handle
+	Metrics *metrics.Registry
 	// Now overrides the clock used for the ETA estimate (tests).
 	Now func() time.Time
 }
@@ -95,7 +95,7 @@ type Tracker struct {
 	k      int
 	target int
 
-	h *metrics.Handle
+	r *metrics.Registry
 
 	mu      sync.Mutex
 	basis   *gf2.Basis
@@ -127,15 +127,15 @@ func New(d *lock.Design, opts Options) (*Tracker, error) {
 		b:      B,
 		k:      k,
 		target: gf2.Rank(gf2.VStack(A, B)),
-		h:      opts.Metrics,
+		r:      opts.Metrics,
 		basis:  gf2.NewBasis(k),
 		now:    now,
 		forms:  make([]form, d.Netlist.NumSignals()),
 	}
-	if t.h != nil {
-		t.h.Gauge(metrics.MetricInsightRankTarget).Set(float64(t.target))
-		t.h.Gauge(metrics.MetricInsightRank).Set(0)
-		t.h.Gauge(metrics.MetricInsightSeedsLog2).Set(float64(k))
+	if t.r != nil {
+		t.r.Gauge(metrics.MetricInsightRankTarget).Set(float64(t.target))
+		t.r.Gauge(metrics.MetricInsightRank).Set(0)
+		t.r.Gauge(metrics.MetricInsightSeedsLog2).Set(float64(k))
 	}
 	return t, nil
 }
@@ -246,15 +246,15 @@ func (t *Tracker) History() []Point {
 
 // publish pushes a snapshot to the metrics gauges.
 func (t *Tracker) publish(s Snapshot, learned int) {
-	if t.h == nil {
+	if t.r == nil {
 		return
 	}
-	t.h.Gauge(metrics.MetricInsightRank).Set(float64(s.Rank))
-	t.h.Gauge(metrics.MetricInsightRankTarget).Set(float64(s.TargetRank))
-	t.h.Gauge(metrics.MetricInsightSeedsLog2).Set(float64(s.SeedsLog2))
-	t.h.Counter(metrics.MetricInsightBits).Add(uint64(learned))
+	t.r.Gauge(metrics.MetricInsightRank).Set(float64(s.Rank))
+	t.r.Gauge(metrics.MetricInsightRankTarget).Set(float64(s.TargetRank))
+	t.r.Gauge(metrics.MetricInsightSeedsLog2).Set(float64(s.SeedsLog2))
+	t.r.Counter(metrics.MetricInsightBits).Add(uint64(learned))
 	if s.ETA >= 0 {
-		t.h.Gauge(metrics.MetricInsightETA).Set(s.ETA.Seconds())
+		t.r.Gauge(metrics.MetricInsightETA).Set(s.ETA.Seconds())
 	}
 }
 

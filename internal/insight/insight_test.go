@@ -7,8 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"context"
-
 	"dynunlock/internal/core"
 	"dynunlock/internal/gf2"
 	"dynunlock/internal/lock"
@@ -312,10 +310,9 @@ func TestTrackerPublishes(t *testing.T) {
 	adapter := core.NewChipOracle(chip, nil)
 
 	reg := metrics.NewRegistry()
-	h := metrics.From(metrics.With(context.Background(), reg))
 	fake := time.Unix(1000, 0)
 	tracker, err := New(d, Options{
-		Metrics: h,
+		Metrics: reg,
 		Now: func() time.Time {
 			fake = fake.Add(time.Second)
 			return fake

@@ -5,115 +5,12 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"dynunlock/internal/stream"
 )
-
-// scoped returns the handle a run labeled with labelPairs gets below
-// WithLabels(With(ctx, r), labelPairs...).
-func scoped(r *Registry, labelPairs ...string) *Handle {
-	return From(WithLabels(With(context.Background(), r), labelPairs...))
-}
-
-func TestRegistryLabeledViewsAndScopedReads(t *testing.T) {
-	r := NewRegistry()
-	j1 := scoped(r, "job", "j1")
-	j2 := scoped(r, "job", "j2")
-	j1.Counter(MetricAttackDIPs, "engine", "sequential").Add(3)
-	j2.Counter(MetricAttackDIPs, "engine", "sequential").Add(5)
-	r.Counter(MetricAttackDIPs, "engine", "sequential").Add(7) // unscoped
-
-	if got, ok := r.sum(MetricAttackDIPs, j1.base); !ok || got != 3 {
-		t.Fatalf("sum over j1's scope = %v,%v want 3,true", got, ok)
-	}
-	if got, ok := r.sum(MetricAttackDIPs, j2.base); !ok || got != 5 {
-		t.Fatalf("sum over j2's scope = %v,%v want 5,true", got, ok)
-	}
-	if _, ok := r.sum(MetricAttackDIPs, []string{"job", "j3"}); ok {
-		t.Fatal("sum over a scope with no series reported ok")
-	}
-	if got, _ := r.Sum(MetricAttackDIPs); got != 15 {
-		t.Fatalf("unfiltered Sum = %v, want 15", got)
-	}
-
-	snap := r.Snapshot("job", "j1")
-	if len(snap) != 1 {
-		t.Fatalf("Snapshot j1 has %d series, want 1: %v", len(snap), snap)
-	}
-	for k, v := range snap {
-		if !strings.Contains(k, `job="j1"`) || v.(float64) != 3 {
-			t.Fatalf("scoped snapshot wrong series %q=%v", k, v)
-		}
-	}
-	// A handle reads back its own scope.
-	if !reflect.DeepEqual(j1.Snapshot(), snap) {
-		t.Fatalf("j1 handle snapshot = %v, want %v", j1.Snapshot(), snap)
-	}
-	// Scoped histograms merge only matching children.
-	bounds := []float64{0.1, 1, 10}
-	j1.Histogram(MetricAttackDIPSolveSec, bounds).Observe(0.05)
-	j2.Histogram(MetricAttackDIPSolveSec, bounds).Observe(5)
-	if q := r.quantile(MetricAttackDIPSolveSec, 0.5, j2.base); q <= 1 {
-		t.Fatalf("quantile over j2's scope = %v, want >1", q)
-	}
-	// Nil and empty-pair views degrade to unscoped behavior.
-	var nr *Registry
-	if scoped(nr, "job", "x") != nil {
-		t.Fatal("labels without a registry should leave the nil handle")
-	}
-	if got := len(scoped(r).Snapshot()); got != len(r.Snapshot()) {
-		t.Fatalf("unlabeled handle snapshot has %d series, want all %d", got, len(r.Snapshot()))
-	}
-	if got, ok := r.Sum(MetricAttackDIPs); !ok || got != 15 {
-		t.Fatalf("Sum with no pairs = %v,%v want unfiltered 15,true", got, ok)
-	}
-}
-
-// instrumenter is what a Registry and a Handle share: the three
-// instrument constructors.
-type instrumenter interface {
-	Counter(name string, labelPairs ...string) *Counter
-	Gauge(name string, labelPairs ...string) *Gauge
-	Histogram(name string, bounds []float64, labelPairs ...string) *Histogram
-}
-
-func TestUnlabeledExpositionUnchangedByJobViews(t *testing.T) {
-	// The zero-cost pin: instrumenting through a context handle with no
-	// labels must be byte-identical to instrumenting the registry directly,
-	// and the existence of labeled views elsewhere must not alter the
-	// unlabeled series' rendering.
-	build := func(via func(r *Registry) instrumenter) string {
-		r := NewRegistry()
-		h := via(r)
-		h.Counter(MetricAttackDIPs, "engine", "sequential").Add(42)
-		h.Gauge(MetricSatLearntDB, "instance", "i0").Set(9)
-		h.Histogram(MetricAttackDIPSolveSec, []float64{0.1, 1}).Observe(0.5)
-		var sb strings.Builder
-		if err := r.WritePrometheus(&sb); err != nil {
-			t.Fatal(err)
-		}
-		return sb.String()
-	}
-	direct := build(func(r *Registry) instrumenter { return r })
-	viaCtx := build(func(r *Registry) instrumenter { return scoped(r) })
-	if direct != viaCtx {
-		t.Fatalf("empty view exposition diverged:\n--- direct ---\n%s--- ctx ---\n%s", direct, viaCtx)
-	}
-	// Golden pin of the unlabeled rendering so any future scoping change
-	// that touches the default path fails loudly.
-	want := "# TYPE dynunlock_attack_dips_total counter\n" +
-		"dynunlock_attack_dips_total{engine=\"sequential\"} 42\n"
-	if !strings.Contains(direct, want) {
-		t.Fatalf("unlabeled exposition drifted; want to contain:\n%s\ngot:\n%s", want, direct)
-	}
-	if strings.Contains(direct, "job=") {
-		t.Fatalf("unlabeled exposition grew a job label:\n%s", direct)
-	}
-}
 
 func TestUptimeAndGoroutinesGauges(t *testing.T) {
 	r := NewRegistry()
@@ -198,8 +95,7 @@ func TestServerHandleAndHealthEndpoints(t *testing.T) {
 
 func TestEventsJobFilterStreamsOnlyThatJob(t *testing.T) {
 	r := NewRegistry()
-	scoped(r, "job", "j1").Counter(MetricAttackDIPs, "engine", "sequential").Add(2)
-	scoped(r, "job", "j2").Counter(MetricAttackDIPs, "engine", "sequential").Add(9)
+	r.Counter(MetricSweepItems, "status", "ok").Add(2)
 	bus := stream.NewBus()
 	srv, err := ServeBus("127.0.0.1:0", r, bus)
 	if err != nil {
@@ -217,17 +113,14 @@ func TestEventsJobFilterStreamsOnlyThatJob(t *testing.T) {
 	if hello.Type != stream.TypeHello || hello.Job != "j1" || hello.Data["job"] != "j1" {
 		t.Fatalf("filtered hello = %+v", hello)
 	}
+	// The snapshot is the server registry's on every stream: a job's
+	// totals travel in its own closing delta.
 	snap := next(t, dec)
-	if snap.Type != stream.TypeSnapshot || snap.Job != "j1" {
+	if snap.Type != stream.TypeSnapshot {
 		t.Fatalf("filtered snapshot = %+v", snap)
 	}
-	for k := range snap.Data {
-		if strings.Contains(k, "dynunlock_attack") && !strings.Contains(k, `job="j1"`) {
-			t.Fatalf("filtered snapshot leaked foreign series %q", k)
-		}
-	}
-	if _, ok := snap.Data[`dynunlock_attack_dips_total{engine="sequential",job="j1"}`]; !ok {
-		t.Fatalf("filtered snapshot missing j1 series: %v", snap.Data)
+	if v := snap.Data[MetricSweepItems+`{status="ok"}`]; v != 2.0 {
+		t.Fatalf("filtered snapshot = %v, want the server registry's series", snap.Data)
 	}
 
 	// Interleave publishes from two job views plus an untagged one; only
@@ -256,48 +149,6 @@ func TestEventsJobFilterStreamsOnlyThatJob(t *testing.T) {
 	if seen[0].Type != stream.TypeDIP || seen[1].Type != stream.TypeResult {
 		t.Fatalf("filtered events = %v, %v", seen[0].Type, seen[1].Type)
 	}
-}
-
-func TestEventsJobFilterDrainSnapshotIsScoped(t *testing.T) {
-	r := NewRegistry()
-	scoped(r, "job", "j1").Counter(MetricAttackDIPs, "engine", "sequential").Add(4)
-	scoped(r, "job", "j2").Counter(MetricAttackDIPs, "engine", "sequential").Add(6)
-	bus := stream.NewBus()
-	srv, err := ServeBus("127.0.0.1:0", r, bus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := "http://" + srv.Addr()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	resp, dec := openEvents(t, ctx, base+"/events?job=j1")
-	defer resp.Body.Close()
-	next(t, dec) // hello
-	next(t, dec) // connect snapshot
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.Shutdown(2 * time.Second)
-	}()
-	final := next(t, dec)
-	if final.Type != stream.TypeSnapshot || final.Job != "j1" {
-		t.Fatalf("drain frame = %+v, want scoped snapshot", final)
-	}
-	v, ok := final.Data[`dynunlock_attack_dips_total{engine="sequential",job="j1"}`]
-	if !ok || v.(float64) != 4 {
-		t.Fatalf("drain snapshot totals = %v,%v want exactly j1's 4", v, ok)
-	}
-	for k := range final.Data {
-		if strings.Contains(k, `job="j2"`) {
-			t.Fatalf("drain snapshot leaked j2 series %q", k)
-		}
-	}
-	if _, err := dec.Next(); err != io.EOF {
-		t.Fatalf("after drain snapshot: %v, want EOF", err)
-	}
-	<-done
 }
 
 func TestSSEGapResendsFreshSnapshot(t *testing.T) {

@@ -5,10 +5,11 @@
 // run, every two seconds, into "snapshot" trace events (progress.go).
 //
 // The design mirrors internal/trace: the registry rides on
-// context.Context (With / From / WithLabels), every handle and instrument
-// is nil-safe, and the disabled path — no registry on the context — costs
-// one pointer check per call site and allocates nothing, so an
-// uninstrumented run reproduces the unmonitored code paths bit for bit.
+// context.Context (With / From) as the metrics scope of one run, every
+// instrument is nil-safe, and the disabled path — no registry on the
+// context — costs one pointer check per call site and allocates nothing,
+// so an uninstrumented run reproduces the unmonitored code paths bit for
+// bit.
 // Unlike trace spans, which report a stage after it ends, instruments are
 // updated from inside the hot loops (atomic operations only) so an HTTP
 // scrape observes a run while it is in flight.
@@ -32,7 +33,7 @@ import (
 // Shared between the publishing layers (sat hooks, satattack, core, bench)
 // and the consumers (a run's periodic sample, tests, CI scrape assertions).
 const (
-	// Solver series (label: instance; plus any context base labels).
+	// Solver series (label: instance).
 	MetricSatDecisions    = "dynunlock_sat_decisions_total"
 	MetricSatConflicts    = "dynunlock_sat_conflicts_total"
 	MetricSatPropagations = "dynunlock_sat_propagations_total"
@@ -127,8 +128,8 @@ func (k Kind) String() string {
 }
 
 // Counter is a monotonically increasing uint64. All methods are nil-safe
-// and lock-free; the nil counter (from a disabled registry or handle) is
-// the no-op instrument.
+// and lock-free; the nil counter (from a disabled registry) is the no-op
+// instrument.
 type Counter struct{ v atomic.Uint64 }
 
 // Add increments the counter by delta.
@@ -319,11 +320,10 @@ func LinearBuckets(start, width float64, n int) []float64 {
 
 // child is one labeled instrument of a family.
 type child struct {
-	labels []string // sorted "k=v" rendering source: alternating key, value
-	key    string   // canonical serialized label set
-	ctr    *Counter
-	gauge  *Gauge
-	hist   *Histogram
+	key   string // canonical serialized label set
+	ctr   *Counter
+	gauge *Gauge
+	hist  *Histogram
 }
 
 // family is all children sharing one metric name.
@@ -344,7 +344,7 @@ func (f *family) child(labels []string) *child {
 	if c, ok := f.children[key]; ok {
 		return c
 	}
-	c := &child{labels: labels, key: key}
+	c := &child{key: key}
 	switch f.kind {
 	case KindCounter:
 		c.ctr = &Counter{}
@@ -464,26 +464,16 @@ func (r *Registry) SetHelp(name, help string) {
 
 // Sum returns the sum of a family's values across all its labeled
 // children — counters sum their counts, gauges their values, histograms
-// their observation counts — and whether the family exists. Nil-safe.
+// their observation counts — and whether the family has any child.
+// Nil-safe.
 func (r *Registry) Sum(name string) (float64, bool) {
-	return r.sum(name, nil)
-}
-
-// sum totals a family over the children carrying every (key, value) pair
-// of want — a run's scope, as Handle.Snapshot reads it; an empty want is
-// every child — and reports whether any child matched.
-func (r *Registry) sum(name string, want []string) (float64, bool) {
 	f := r.lookup(name)
 	if f == nil {
 		return 0, false
 	}
+	children := f.sortedChildren()
 	var sum float64
-	matched := false
-	for _, c := range f.sortedChildren() {
-		if !labelsContain(c.labels, want) {
-			continue
-		}
-		matched = true
+	for _, c := range children {
 		switch f.kind {
 		case KindCounter:
 			sum += float64(c.ctr.Value())
@@ -493,38 +483,35 @@ func (r *Registry) sum(name string, want []string) (float64, bool) {
 			sum += float64(c.hist.Count())
 		}
 	}
-	return sum, matched
+	return sum, len(children) > 0
 }
 
-// quantile estimates the q-quantile of a histogram family over the
-// children carrying every pair of want (see buckets). It returns 0 for an
-// absent family or one that is not a histogram.
-func (r *Registry) quantile(name string, q float64, want []string) float64 {
-	bounds, counts, _, _ := r.buckets(name, want)
+// quantile estimates the q-quantile of a histogram family over all its
+// children (see buckets). It returns 0 for an absent family or one that
+// is not a histogram.
+func (r *Registry) quantile(name string, q float64) float64 {
+	bounds, counts, _, _ := r.buckets(name)
 	return quantileFromBuckets(bounds, counts, q)
 }
 
-// buckets merges the per-bucket (non-cumulative) counts and the sums of a
-// histogram family's children carrying every pair of want (bounds are
-// identical by construction), and reports whether any child matched. An
-// absent family, or one that is not a histogram, matches nothing.
-func (r *Registry) buckets(name string, want []string) (bounds []float64, counts []uint64, sum float64, matched bool) {
+// buckets merges the per-bucket (non-cumulative) counts and the sums of
+// all a histogram family's children (bounds are identical by
+// construction), and reports whether the family has any child. An absent
+// family, or one that is not a histogram, has none.
+func (r *Registry) buckets(name string) (bounds []float64, counts []uint64, sum float64, ok bool) {
 	f := r.lookup(name)
 	if f == nil || f.kind != KindHistogram {
 		return nil, nil, 0, false
 	}
+	children := f.sortedChildren()
 	counts = make([]uint64, len(f.bounds)+1)
-	for _, c := range f.sortedChildren() {
-		if !labelsContain(c.labels, want) {
-			continue
-		}
-		matched = true
+	for _, c := range children {
 		for i := range c.hist.buckets {
 			counts[i] += c.hist.buckets[i].Load()
 		}
 		sum += c.hist.Sum()
 	}
-	return f.bounds, counts, sum, matched
+	return f.bounds, counts, sum, len(children) > 0
 }
 
 // lookup returns the named family, or nil when it is absent. Nil-safe.
@@ -537,19 +524,16 @@ func (r *Registry) lookup(name string) *family {
 	return r.families[name]
 }
 
-// Snapshot returns series as a flat map from "name{labels}" to a
+// Snapshot returns every series as a flat map from "name{labels}" to a
 // JSON-friendly value: float64 for counters and gauges, a
 // {count, sum, buckets, p50, p95, p99} object for histograms (the
 // quantiles are fixed-bucket interpolation estimates; the Prometheus
-// exposition stays raw buckets). Optional label pairs restrict it to
-// series carrying every pair exactly; none means every series. The
-// expvar endpoint and tests consume the full map, and the filtered SSE
-// snapshots come from Snapshot("job", id). Nil-safe.
-func (r *Registry) Snapshot(labelPairs ...string) map[string]any {
+// exposition stays raw buckets). The expvar endpoint and the SSE
+// snapshots serve it. Nil-safe.
+func (r *Registry) Snapshot() map[string]any {
 	if r == nil {
 		return nil
 	}
-	want := normalizePairs(labelPairs)
 	out := make(map[string]any)
 	r.mu.RLock()
 	fams := make([]*family, 0, len(r.families))
@@ -559,9 +543,6 @@ func (r *Registry) Snapshot(labelPairs ...string) map[string]any {
 	r.mu.RUnlock()
 	for _, f := range fams {
 		for _, c := range f.sortedChildren() {
-			if !labelsContain(c.labels, want) {
-				continue
-			}
 			key := f.name
 			if c.key != "" {
 				key += "{" + c.key + "}"
@@ -654,50 +635,6 @@ func escapeLabel(v string) string {
 		}
 	}
 	return sb.String()
-}
-
-// mergePairs concatenates base labels with call-site labels (both
-// alternating key/value); call-site values win on duplicate keys.
-func mergePairs(base, extra []string) []string {
-	if len(base) == 0 {
-		return extra
-	}
-	if len(extra) == 0 {
-		return base
-	}
-	out := make([]string, 0, len(base)+len(extra))
-	for i := 0; i+1 < len(base); i += 2 {
-		k := base[i]
-		dup := false
-		for j := 0; j+1 < len(extra); j += 2 {
-			if extra[j] == k {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, k, base[i+1])
-		}
-	}
-	return append(out, extra...)
-}
-
-// labelsContain reports whether the sorted alternating label list
-// carries every (key, value) pair of want exactly.
-func labelsContain(labels, want []string) bool {
-	for i := 0; i+1 < len(want); i += 2 {
-		found := false
-		for j := 0; j+1 < len(labels); j += 2 {
-			if labels[j] == want[i] {
-				found = labels[j+1] == want[i+1]
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
 }
 
 func equalBounds(a, b []float64) bool {

@@ -77,33 +77,32 @@ func TestNilSafety(t *testing.T) {
 	if v, ok := r.Sum("nope"); ok || v != 0 {
 		t.Fatal("nil registry Sum must report absence")
 	}
-	var hd *Handle
-	hd.Counter("nope").Inc()
-	if hd.Snapshot() != nil {
-		t.Fatal("nil handle snapshot must be nil")
+	if r.Snapshot() != nil {
+		t.Fatal("nil registry snapshot must be nil")
 	}
 	if From(context.Background()) != nil {
-		t.Fatal("background context must carry no handle")
+		t.Fatal("background context must carry no registry")
 	}
 }
 
 func TestContextHandleAndLabels(t *testing.T) {
 	r := NewRegistry()
 	ctx := With(context.Background(), r)
-	ctx = WithLabels(ctx, "benchmark", "s5378")
-	h := From(ctx)
-	if h == nil {
-		t.Fatal("handle missing from context")
+	if From(ctx) != r {
+		t.Fatal("registry missing from context")
 	}
-	h.Counter("tagged_total", "instance", "0").Add(7)
+	From(ctx).Counter("tagged_total", "instance", "0").Add(7)
 	snap := r.Snapshot()
-	if v, ok := snap[`tagged_total{benchmark="s5378",instance="0"}`]; !ok || v.(float64) != 7 {
-		t.Fatalf("snapshot missing merged-label series: %v", snap)
+	if v, ok := snap[`tagged_total{instance="0"}`]; !ok || v.(float64) != 7 {
+		t.Fatalf("snapshot missing call-site-labelled series: %v", snap)
 	}
-	// WithLabels without a registry is a no-op.
-	plain := WithLabels(context.Background(), "a", "b")
-	if From(plain) != nil {
-		t.Fatal("WithLabels must not install a handle on its own")
+	// A nested With replaces the scope; a nil registry leaves ctx as is.
+	inner := NewRegistry()
+	if From(With(ctx, inner)) != inner || From(With(ctx, nil)) != r {
+		t.Fatal("With must install the innermost non-nil registry")
+	}
+	if From(With(context.Background(), nil)) != nil {
+		t.Fatal("With(nil) must not install a registry")
 	}
 }
 

@@ -18,22 +18,22 @@ import (
 const ProgressInterval = 2 * time.Second
 
 // StartSampling starts a run's periodic metrics sample. Every
-// ProgressInterval it reads h's own label scope — the series carrying h's
-// base labels, the scope Snapshot reads — and emits the result to tr as
-// one "snapshot" trace event whose fields also carry run (the fields
-// naming the run). The returned stop emits one closing sample and returns
-// once the sampler has exited; later calls do nothing. Without a handle or
-// an enabled tracer nothing starts and stop does nothing.
-func StartSampling(h *Handle, tr *trace.Tracer, run map[string]any) (stop func()) {
-	return startSampling(h, tr, run, ProgressInterval)
+// ProgressInterval it reads r, the run's own registry, and emits the
+// result to tr as one "snapshot" trace event whose fields also carry run
+// (the fields naming the run). The returned stop emits one closing sample
+// and returns once the sampler has exited; later calls do nothing.
+// Without a registry or an enabled tracer nothing starts and stop does
+// nothing.
+func StartSampling(r *Registry, tr *trace.Tracer, run map[string]any) (stop func()) {
+	return startSampling(r, tr, run, ProgressInterval)
 }
 
 // startSampling is StartSampling at a given cadence.
-func startSampling(h *Handle, tr *trace.Tracer, run map[string]any, every time.Duration) (stop func()) {
-	if h == nil || !tr.Enabled() {
+func startSampling(r *Registry, tr *trace.Tracer, run map[string]any, every time.Duration) (stop func()) {
+	if r == nil || !tr.Enabled() {
 		return func() {}
 	}
-	s := &sampler{h: h, run: run, lastT: time.Now()}
+	s := &sampler{r: r, run: run, lastT: time.Now()}
 	quit, done := make(chan struct{}), make(chan struct{})
 	emit := func(now time.Time) {
 		tr.Emit(trace.Event{Type: "snapshot", Time: now, Fields: s.sample(now)})
@@ -61,17 +61,17 @@ func startSampling(h *Handle, tr *trace.Tracer, run map[string]any, every time.D
 	}
 }
 
-// sampler is one run's sample state: its scope, the fields naming it, and
-// the previous totals the rate fields difference against.
+// sampler is one run's sample state: its registry, the fields naming it,
+// and the previous totals the rate fields difference against.
 type sampler struct {
-	h        *Handle
+	r        *Registry
 	run      map[string]any
 	lastT    time.Time
 	lastConf float64
 	lastProp float64
 }
 
-// sample reads the scope once and returns the fields of one "snapshot"
+// sample reads the registry once and returns the fields of one "snapshot"
 // event: DIPs, conflict and propagation totals with their rates since the
 // previous sample, learnt-clause DB size, oracle scan cycles, RSS, and —
 // once their series exist — encode growth, the DIP solve-latency
@@ -80,7 +80,7 @@ type sampler struct {
 // tracker's seed-space state. A run's closing sample is the one copy of
 // its metrics in a recorded bundle.
 func (s *sampler) sample(now time.Time) map[string]any {
-	sum := func(name string) (float64, bool) { return s.h.reg.sum(name, s.h.base) }
+	sum := s.r.Sum
 	total := func(name string) float64 { v, _ := sum(name); return v }
 	fields := make(map[string]any, len(s.run)+20)
 	for k, v := range s.run {
@@ -111,10 +111,10 @@ func (s *sampler) sample(now time.Time) map[string]any {
 	}
 	if n, ok := sum(MetricAttackDIPSolveSec); ok && n > 0 {
 		for key, q := range map[string]float64{"solve_p50_s": 0.50, "solve_p95_s": 0.95, "solve_p99_s": 0.99} {
-			fields[key] = s.h.reg.quantile(MetricAttackDIPSolveSec, q, s.h.base)
+			fields[key] = s.r.quantile(MetricAttackDIPSolveSec, q)
 		}
 	}
-	if _, counts, lbdSum, ok := s.h.reg.buckets(MetricSatLearntLBD, s.h.base); ok {
+	if _, counts, lbdSum, ok := s.r.buckets(MetricSatLearntLBD); ok {
 		var n uint64
 		for _, c := range counts {
 			n += c

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"bytes"
-	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -13,11 +12,11 @@ import (
 	"dynunlock/internal/trace"
 )
 
-// sampleOnce reads a registry's whole scope once, a second after the
-// sampler started, and returns the fields of that one "snapshot" event.
+// sampleOnce reads a registry once, a second after the sampler started,
+// and returns the fields of that one "snapshot" event.
 func sampleOnce(r *Registry, run map[string]any) map[string]any {
 	t0 := time.Now()
-	s := &sampler{h: From(With(context.Background(), r)), run: run, lastT: t0}
+	s := &sampler{r: r, run: run, lastT: t0}
 	return s.sample(t0.Add(time.Second))
 }
 
@@ -30,7 +29,7 @@ func TestProgressEmitsLineAndSnapshotEvent(t *testing.T) {
 	r.Counter(MetricOracleCycles).Add(4242)
 
 	col := trace.NewCollector()
-	stop := StartSampling(From(With(context.Background(), r)), trace.New(col),
+	stop := StartSampling(r, trace.New(col),
 		map[string]any{"benchmark": "s5378", "key_bits": 128})
 	stop() // stop takes a closing sample even before the first tick
 	stop() // idempotent
@@ -75,7 +74,7 @@ func TestProgressLineRates(t *testing.T) {
 func TestProgressTicks(t *testing.T) {
 	r := NewRegistry()
 	col := trace.NewCollector()
-	stop := startSampling(From(With(context.Background(), r)), trace.New(col), nil, time.Millisecond)
+	stop := startSampling(r, trace.New(col), nil, time.Millisecond)
 	for deadline := time.Now().Add(5 * time.Second); len(col.Events()) < 2; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("no two ticks within 5s: %d events", len(col.Events()))
@@ -90,11 +89,11 @@ func TestProgressTicks(t *testing.T) {
 func TestProgressNilSafety(t *testing.T) {
 	r := NewRegistry()
 	col := trace.NewCollector()
-	// No handle, or no enabled tracer: nothing starts and stop is a no-op.
+	// No registry, or no enabled tracer: nothing starts and stop is a no-op.
 	StartSampling(nil, trace.New(col), nil)()
-	StartSampling(From(With(context.Background(), r)), nil, nil)()
+	StartSampling(r, nil, nil)()
 	if n := len(col.Events()); n != 0 {
-		t.Fatalf("a sampler without a handle emitted %d events", n)
+		t.Fatalf("a sampler without a registry emitted %d events", n)
 	}
 	// The -progress sink ignores every event but snapshots.
 	var buf bytes.Buffer
@@ -215,36 +214,13 @@ func TestProgressRendersInsightGauges(t *testing.T) {
 	}
 }
 
-// TestProgressSampleReadsOnlyItsScope pins the scoped read: a run
-// labeled job="j1" samples its own series only, while another job's
-// series sit in the same registry.
-func TestProgressSampleReadsOnlyItsScope(t *testing.T) {
-	r := NewRegistry()
-	base := With(context.Background(), r)
-	j1 := From(WithLabels(base, "job", "j1"))
-	j2 := From(WithLabels(base, "job", "j2"))
-	j1.Counter(MetricSatConflicts, "instance", "0").Add(10)
-	j2.Counter(MetricSatConflicts, "instance", "0").Add(1000)
-	j2.Gauge(MetricInsightRank).Set(7)
-	s := &sampler{h: j1, lastT: time.Now()}
-	f := s.sample(time.Now())
-	if f["conflicts"].(float64) != 10 {
-		t.Fatalf("j1 sample conflicts = %v, want its own 10", f["conflicts"])
-	}
-	if _, ok := f["rank"]; ok {
-		t.Fatalf("j1 sample picked up j2's insight gauge: %v", f)
-	}
-}
-
 // TestProgressSampleCarriesLBDDistribution pins the sample's search
 // telemetry: the run's own learnt-LBD series as a count, a mean and one
-// count per LBDBuckets bucket, absent until the series exists.
+// count per LBDBuckets bucket, absent until the series exists. Another
+// run's registry does not reach it.
 func TestProgressSampleCarriesLBDDistribution(t *testing.T) {
-	r := NewRegistry()
-	base := With(context.Background(), r)
-	j1 := From(WithLabels(base, "job", "j1"))
-	j2 := From(WithLabels(base, "job", "j2"))
-	s := &sampler{h: j1, lastT: time.Now()}
+	j1, j2 := NewRegistry(), NewRegistry()
+	s := &sampler{r: j1, lastT: time.Now()}
 	if f := s.sample(time.Now()); f["lbd_counts"] != nil {
 		t.Fatalf("sample carries LBD fields before the series exists: %v", f)
 	}

@@ -18,24 +18,24 @@ const defaultKeepAlive = 15 * time.Second
 //
 //  1. "hello"    — synthesized (no id line): proto version, the bus's
 //     last sequence number, and resume/gap status.
-//  2. "snapshot" — synthesized: the full registry state at attach, so a
-//     client starts from absolute totals before applying deltas.
+//  2. "snapshot" — synthesized: the server registry's state at attach,
+//     so a client starts from absolute totals before applying deltas.
 //  3. bus events — each framed with its sequence number as the SSE id,
 //     so a reconnecting client resumes via Last-Event-ID.
 //  4. on graceful drain (Server.Shutdown): buffered events flush, then
-//     one final synthesized "snapshot" carries the terminal totals
-//     (equal to sat.Stats — the PR3 flush guarantee), then the stream
-//     ends with a closing comment reporting the exact dropped count.
+//     one final synthesized "snapshot" carries the server registry's
+//     terminal totals, then the stream ends with a closing comment
+//     reporting the exact dropped count.
 //
 // Idle periods are bridged with ": keep-alive" comments. Slow clients
 // never block the attack: the subscriber's ring drops oldest.
 //
 // ?job=<id> narrows the stream to one daemon job: only envelopes tagged
 // with that job id are forwarded (sequence numbers keep their global
-// values, still strictly increasing within the filtered view), and both
-// the connect and drain snapshots are restricted to series carrying the
-// job label — so a filtered stream's final snapshot totals are exactly
-// that job's metrics, matching its bundle's result.json.
+// values, still strictly increasing within the filtered view). The
+// snapshots stay the server registry's: a job samples a registry of its
+// own, so its totals travel in its closing "delta", the same sample that
+// ends its bundle's trace.jsonl.
 func (s *Server) serveEvents(w http.ResponseWriter, req *http.Request) {
 	if s.bus == nil {
 		http.Error(w, "metrics: no event stream attached (started without ServeBus)", http.StatusNotFound)
@@ -83,7 +83,7 @@ func (s *Server) serveEvents(w http.ResponseWriter, req *http.Request) {
 	if stream.WriteEvent(w, hello) != nil {
 		return
 	}
-	if stream.WriteEvent(w, s.snapshotEvent(job)) != nil {
+	if stream.WriteEvent(w, s.snapshotEvent()) != nil {
 		return
 	}
 	fl.Flush()
@@ -105,7 +105,7 @@ func (s *Server) serveEvents(w http.ResponseWriter, req *http.Request) {
 			if req.Context().Err() == nil {
 				// Graceful drain: the buffered events have all been
 				// delivered; end on the terminal totals.
-				stream.WriteEvent(w, s.snapshotEvent(job))
+				stream.WriteEvent(w, s.snapshotEvent())
 				stream.WriteComment(w, fmt.Sprintf("stream closed dropped=%d", sub.Dropped()))
 				fl.Flush()
 			}
@@ -122,18 +122,8 @@ func (s *Server) serveEvents(w http.ResponseWriter, req *http.Request) {
 }
 
 // snapshotEvent builds a synthesized registry snapshot (Seq 0: it is
-// per-connection state, not part of the bus ordering). A non-empty job
-// restricts it to series labeled job="<id>".
-func (s *Server) snapshotEvent(job string) stream.Event {
+// per-connection state, not part of the bus ordering).
+func (s *Server) snapshotEvent() stream.Event {
 	s.refreshProcessGauges()
-	var scope []string
-	if job != "" {
-		scope = []string{"job", job}
-	}
-	snap := s.reg.Snapshot(scope...)
-	data := make(map[string]any, len(snap))
-	for k, v := range snap {
-		data[k] = v
-	}
-	return stream.Event{Type: stream.TypeSnapshot, Job: job, Time: time.Now(), Data: data}
+	return stream.Event{Type: stream.TypeSnapshot, Time: time.Now(), Data: s.reg.Snapshot()}
 }

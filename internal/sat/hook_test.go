@@ -111,30 +111,6 @@ func TestHookLearntSamplingAccounting(t *testing.T) {
 	}
 }
 
-func TestHookRestartTotalsMatchStats(t *testing.T) {
-	s := New()
-	addPigeonhole(s, 7)
-	var restarts uint64
-	var segConflicts uint64
-	s.SetHook(&Hook{OnRestart: func(conflicts uint64) {
-		restarts++
-		segConflicts += conflicts
-	}})
-	if st := s.Solve(); st != Unsat {
-		t.Fatalf("PHP = %v, want UNSAT", st)
-	}
-	if restarts != s.Stats.Restarts {
-		t.Fatalf("OnRestart fired %d times, Stats.Restarts = %d", restarts, s.Stats.Restarts)
-	}
-	if s.Stats.Restarts == 0 {
-		t.Fatal("want at least one restart on PHP-7")
-	}
-	// Per-segment conflict counts never exceed the total.
-	if segConflicts > s.Stats.Conflicts {
-		t.Fatalf("restart segments report %d conflicts, total is %d", segConflicts, s.Stats.Conflicts)
-	}
-}
-
 // TestHookDoesNotPerturbSearch is the bit-identical guarantee behind the
 // metrics layer: the hook observes, never steers.
 func TestHookDoesNotPerturbSearch(t *testing.T) {
@@ -147,7 +123,6 @@ func TestHookDoesNotPerturbSearch(t *testing.T) {
 				LearntEvery: 8,
 				OnSample:    func(Stats, int) {},
 				OnLearnt:    func(int32, int) {},
-				OnRestart:   func(uint64) {},
 			})
 		}
 		if st := s.Solve(); st != Unsat {

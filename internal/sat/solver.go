@@ -188,10 +188,6 @@ type Hook struct {
 	// OnLearnt receives the LBD and literal count of sampled learnt
 	// clauses (an LBD histogram source).
 	OnLearnt func(lbd int32, size int)
-	// OnRestart fires on every search restart with the conflict count spent
-	// in the restarted search segment. Restarts are orders of magnitude
-	// rarer than conflicts, so this callback is unsampled.
-	OnRestart func(conflicts uint64)
 }
 
 // SetHook installs (or, with nil, removes) the telemetry hook. The hook
@@ -775,9 +771,6 @@ func (s *Solver) search(nofConflicts int64, assumptions []cnf.Lit) Status {
 		if restart {
 			s.cancelUntil(0)
 			s.Stats.Restarts++
-			if s.hook != nil && s.hook.OnRestart != nil {
-				s.hook.OnRestart(uint64(conflictC))
-			}
 			return Unknown
 		}
 		if s.budgetExhausted() {

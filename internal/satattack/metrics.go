@@ -32,19 +32,19 @@ const (
 	instance = "0"
 )
 
-// newAttackMetrics creates the attack-level series. A nil handle returns
-// nil.
-func newAttackMetrics(h *metrics.Handle) *attackMetrics {
-	if h == nil {
+// newAttackMetrics creates the attack-level series. A nil registry
+// returns nil.
+func newAttackMetrics(r *metrics.Registry) *attackMetrics {
+	if r == nil {
 		return nil
 	}
 	return &attackMetrics{
-		dips:       h.Counter(metrics.MetricAttackDIPs, "engine", engine),
-		queries:    h.Counter(metrics.MetricAttackQueries, "engine", engine),
-		iterations: h.Gauge(metrics.MetricAttackIterations, "engine", engine),
-		dipSolve:   h.Histogram(metrics.MetricAttackDIPSolveSec, dipSolveBuckets, "engine", engine),
-		encVars:    h.Counter(metrics.MetricEncodeVars, "engine", engine),
-		encClauses: h.Counter(metrics.MetricEncodeClauses, "engine", engine),
+		dips:       r.Counter(metrics.MetricAttackDIPs, "engine", engine),
+		queries:    r.Counter(metrics.MetricAttackQueries, "engine", engine),
+		iterations: r.Gauge(metrics.MetricAttackIterations, "engine", engine),
+		dipSolve:   r.Histogram(metrics.MetricAttackDIPSolveSec, dipSolveBuckets, "engine", engine),
+		encVars:    r.Counter(metrics.MetricEncodeVars, "engine", engine),
+		encClauses: r.Counter(metrics.MetricEncodeClauses, "engine", engine),
 	}
 }
 
@@ -78,32 +78,32 @@ func (m *attackMetrics) observeDIP(iterations int) {
 }
 
 // LearntLBD returns the learnt-clause LBD series that the solver hook
-// fills in h's scope (nil with a nil handle). The experiment layer reads
-// it to report each DIP's sampled LBD.
-func LearntLBD(h *metrics.Handle) *metrics.Histogram {
-	return h.Histogram(metrics.MetricSatLearntLBD, metrics.LBDBuckets, "instance", instance)
+// fills in r (nil with a nil registry). The experiment layer reads it to
+// report each DIP's sampled LBD.
+func LearntLBD(r *metrics.Registry) *metrics.Histogram {
+	return r.Histogram(metrics.MetricSatLearntLBD, metrics.LBDBuckets, "instance", instance)
 }
 
 // installSolverMetrics attaches a sampled sat.Hook publishing the
 // solver's counters, learnt-DB gauge, and LBD histogram. With a nil
-// handle no hook is installed, so the solver keeps its zero-overhead
+// registry no hook is installed, so the solver keeps its zero-overhead
 // search loop.
-func installSolverMetrics(h *metrics.Handle, s *sat.Solver) {
-	if h == nil {
+func installSolverMetrics(r *metrics.Registry, s *sat.Solver) {
+	if r == nil {
 		return
 	}
-	dec := h.Counter(metrics.MetricSatDecisions, "instance", instance)
-	confl := h.Counter(metrics.MetricSatConflicts, "instance", instance)
-	prop := h.Counter(metrics.MetricSatPropagations, "instance", instance)
-	rest := h.Counter(metrics.MetricSatRestarts, "instance", instance)
-	learnt := h.Counter(metrics.MetricSatLearnt, "instance", instance)
-	removed := h.Counter(metrics.MetricSatRemoved, "instance", instance)
-	xorProp := h.Counter(metrics.MetricSatXorPropagations, "instance", instance)
-	xorConfl := h.Counter(metrics.MetricSatXorConflicts, "instance", instance)
-	simpRemoved := h.Counter(metrics.MetricSatSimplifyRemoved, "instance", instance)
-	simpStrength := h.Counter(metrics.MetricSatSimplifyStrengthened, "instance", instance)
-	db := h.Gauge(metrics.MetricSatLearntDB, "instance", instance)
-	lbd := LearntLBD(h)
+	dec := r.Counter(metrics.MetricSatDecisions, "instance", instance)
+	confl := r.Counter(metrics.MetricSatConflicts, "instance", instance)
+	prop := r.Counter(metrics.MetricSatPropagations, "instance", instance)
+	rest := r.Counter(metrics.MetricSatRestarts, "instance", instance)
+	learnt := r.Counter(metrics.MetricSatLearnt, "instance", instance)
+	removed := r.Counter(metrics.MetricSatRemoved, "instance", instance)
+	xorProp := r.Counter(metrics.MetricSatXorPropagations, "instance", instance)
+	xorConfl := r.Counter(metrics.MetricSatXorConflicts, "instance", instance)
+	simpRemoved := r.Counter(metrics.MetricSatSimplifyRemoved, "instance", instance)
+	simpStrength := r.Counter(metrics.MetricSatSimplifyStrengthened, "instance", instance)
+	db := r.Gauge(metrics.MetricSatLearntDB, "instance", instance)
+	lbd := LearntLBD(r)
 	s.SetHook(&sat.Hook{
 		OnSample: func(d sat.Stats, learntDB int) {
 			dec.Add(d.Decisions)

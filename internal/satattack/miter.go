@@ -34,14 +34,14 @@ func emitted(s *sat.Solver) (uint64, uint64) {
 
 // newMiter compiles the locked view into an AIG once and encodes the miter
 // from it, XOR gates as native GF(2) rows.
-func newMiter(l *Locked, opts Options, mh *metrics.Handle) (*miter, error) {
+func newMiter(l *Locked, opts Options, mr *metrics.Registry) (*miter, error) {
 	g, err := aig.FromCombView(l.View)
 	if err != nil {
 		return nil, err
 	}
 	s := sat.New()
 	s.ConflictBudget = opts.ConflictBudget
-	installSolverMetrics(mh, s)
+	installSolverMetrics(mr, s)
 	e := encode.New(s)
 	m := &miter{
 		l:   l,

@@ -288,12 +288,12 @@ func RunCtx(ctx context.Context, l *Locked, o Oracle, opts Options) (*Result, er
 		return nil, err
 	}
 	tr := trace.From(ctx)
-	mh := metrics.From(ctx)
-	am := newAttackMetrics(mh)
+	mr := metrics.From(ctx)
+	am := newAttackMetrics(mr)
 	start := time.Now()
 
 	enc := tr.Start("encode")
-	m, err := newMiter(l, opts, mh)
+	m, err := newMiter(l, opts, mr)
 	if err != nil {
 		enc.End()
 		return nil, err
