@@ -43,14 +43,14 @@ func main() {
 
 	fmt.Println("--- LFSR key schedule (seed bits s0, s1, s2) ---")
 	fmt.Printf("polynomial: width %d, taps %v\n", design.Config.Poly.N, design.Config.Poly.Taps)
-	states, err := lfsr.UnrollStates(design.Config.Poly, 6)
+	sched, err := lfsr.Unroll(design.Config.Poly, 5)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for t, m := range states {
+	for t := 0; t <= 5; t++ {
 		terms := make([]string, 3)
 		for b := 0; b < 3; b++ {
-			terms[b] = seedExpr(m.Row(b))
+			terms[b] = seedExpr(sched.Row(t, b))
 		}
 		fmt.Printf("cycle %d: k0=%-10s k1=%-10s k2=%s\n", t, terms[0], terms[1], terms[2])
 	}

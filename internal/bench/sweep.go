@@ -51,6 +51,23 @@ func SweepCtx[T, R any](ctx context.Context, workers int, items []T, fn func(ctx
 	inflight := mr.Gauge(metrics.MetricSweepInflight)
 	okItems := mr.Counter(metrics.MetricSweepItems, "status", "ok")
 	errItems := mr.Counter(metrics.MetricSweepItems, "status", "error")
+	var (
+		failed   atomic.Bool
+		mu       sync.Mutex
+		errIdx   = len(items)
+		firstErr error
+	)
+	// record keeps the lowest-index error and stops the hand-out. run
+	// calls it before it counts the error item, so whoever sees that count
+	// also sees the sweep stopped.
+	record := func(i int, err error) {
+		failed.Store(true)
+		mu.Lock()
+		if i < errIdx {
+			errIdx, firstErr = i, err
+		}
+		mu.Unlock()
+	}
 	run := func(ctx context.Context, i int, it T) (R, error) {
 		if mr != nil {
 			ctx = metrics.With(ctx, metrics.NewRegistry())
@@ -59,6 +76,7 @@ func SweepCtx[T, R any](ctx context.Context, workers int, items []T, fn func(ctx
 		r, err := fn(ctx, i, it)
 		inflight.Add(-1)
 		if err != nil {
+			record(i, err)
 			errItems.Inc()
 		} else {
 			okItems.Inc()
@@ -83,21 +101,9 @@ func SweepCtx[T, R any](ctx context.Context, workers int, items []T, fn func(ctx
 	}
 
 	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		mu     sync.Mutex
-		wg     sync.WaitGroup
+		next atomic.Int64
+		wg   sync.WaitGroup
 	)
-	errIdx := len(items)
-	var firstErr error
-	record := func(i int, err error) {
-		failed.Store(true)
-		mu.Lock()
-		if i < errIdx {
-			errIdx, firstErr = i, err
-		}
-		mu.Unlock()
-	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
@@ -113,7 +119,6 @@ func SweepCtx[T, R any](ctx context.Context, workers int, items []T, fn func(ctx
 				}
 				r, err := run(ctx, i, items[i])
 				if err != nil {
-					record(i, err)
 					return
 				}
 				out[i] = r

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -58,21 +59,32 @@ func TestSweepFirstErrorByIndex(t *testing.T) {
 	}
 }
 
+// TestSweepStopsAfterError waits on the stop instead of racing it: every
+// item after 0 blocks until the caller's registry counts item 0's error,
+// which the sweep records before it counts it. By then the hand-out has
+// stopped, so no worker takes a further item: at most one item per worker
+// runs.
 func TestSweepStopsAfterError(t *testing.T) {
+	const workers = 2
+	reg := metrics.NewRegistry()
+	errItems := reg.Counter(metrics.MetricSweepItems, "status", "error")
 	var ran atomic.Int64
 	items := make([]int, 1000)
-	_, err := Sweep(2, items, func(i, item int) (int, error) {
+	_, err := SweepCtx(metrics.With(context.Background(), reg), workers, items, func(_ context.Context, i, item int) (int, error) {
 		ran.Add(1)
 		if i == 0 {
 			return 0, errors.New("early")
 		}
+		for errItems.Value() == 0 {
+			runtime.Gosched()
+		}
 		return 0, nil
 	})
-	if err == nil {
-		t.Fatal("want error")
+	if err == nil || err.Error() != "early" {
+		t.Fatalf("err = %v, want item 0's error", err)
 	}
-	if n := ran.Load(); n >= int64(len(items)) {
-		t.Fatalf("sweep did not stop early: ran %d items", n)
+	if n := ran.Load(); n > workers {
+		t.Fatalf("sweep did not stop after the error: ran %d items, want at most %d", n, workers)
 	}
 }
 

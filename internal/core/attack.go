@@ -244,6 +244,7 @@ func AttackCtx(ctx context.Context, chip Chip, opts Options) (*Result, error) {
 	adapter := NewChipOracle(chip, opts.TestKey)
 
 	res := &Result{Mode: opts.Mode}
+	var A, B *gf2.Mat // the model's masks, which verification reuses
 	switch opts.Mode {
 	case ModeDirect:
 		unroll := tr.Start("unroll")
@@ -252,6 +253,7 @@ func AttackCtx(ctx context.Context, chip Chip, opts Options) (*Result, error) {
 			unroll.End()
 			return nil, err
 		}
+		A, B = model.A, model.B
 		res.Rank = model.Rank()
 		res.PredictedLog2 = model.PredictedCandidatesLog2()
 		unroll.Add("key_bits", uint64(d.Config.KeyBits))
@@ -281,8 +283,8 @@ func AttackCtx(ctx context.Context, chip Chip, opts Options) (*Result, error) {
 			unroll.End()
 			return nil, err
 		}
-		stacked := gf2.VStack(mm.A, mm.B)
-		res.Rank = gf2.Rank(stacked)
+		A, B = mm.A, mm.B
+		res.Rank = gf2.Rank(gf2.VStack(A, B))
 		res.PredictedLog2 = d.Config.KeyBits - res.Rank
 		unroll.Add("key_bits", uint64(d.Config.KeyBits))
 		unroll.Add("rank", uint64(res.Rank))
@@ -325,7 +327,7 @@ func AttackCtx(ctx context.Context, chip Chip, opts Options) (*Result, error) {
 
 	// A partial candidate set from a stopped run is still verified — the
 	// probes are closed-form, not SAT work.
-	verified, err := verifyCandidates(tr, chip, adapter.TestKey, res.SeedCandidates, opts.VerifyProbes, 1)
+	verified, err := verifyCandidates(tr, chip, adapter.TestKey, res.SeedCandidates, opts.VerifyProbes, 1, A, B)
 	if err != nil {
 		return nil, err
 	}
@@ -395,16 +397,17 @@ type Verifier struct {
 // mask matrices. The sequential core runs on the AIG stepper; a view the
 // AIG compiler rejects is an error.
 func NewVerifier(d *lock.Design) (*Verifier, error) {
-	return newVerifier(d, 1)
-}
-
-// newVerifier builds a verifier for session-0 sessions with the given
-// number of capture cycles: A does not depend on it, B does.
-func newVerifier(d *lock.Design, captures int) (*Verifier, error) {
-	A, B, err := maskMatricesN(d, 0, captures)
+	A, B, err := maskMatrices(d, 0)
 	if err != nil {
 		return nil, err
 	}
+	return newVerifier(d, A, B)
+}
+
+// newVerifier builds a verifier for session-0 sessions from their mask
+// matrices; the attacks pass their model's, so each attack unrolls the
+// key register once.
+func newVerifier(d *lock.Design, A, B *gf2.Mat) (*Verifier, error) {
 	seq, err := sim.NewSeqAIG(d.View)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -420,7 +423,7 @@ func (v *Verifier) Session(seed gf2.Vec, scanIn, pi []bool) (scanOut, po []bool)
 }
 
 // sessionN predicts a session with one capture cycle per entry of pis; the
-// verifier must have been built for that many captures.
+// verifier's B must be that capture count's.
 func (v *Verifier) sessionN(seed gf2.Vec, scanIn []bool, pis [][]bool) (scanOut []bool, pos [][]bool) {
 	n := v.d.Chain.Length
 	aMask := v.a.MulVec(seed)
@@ -443,13 +446,14 @@ func (v *Verifier) sessionN(seed gf2.Vec, scanIn []bool, pis [][]bool) (scanOut 
 
 // verifyCandidates is the attacker-side check, under a "verify" span:
 // every candidate must reproduce the chip on probes fresh random sessions
-// with the given number of capture cycles, predicted in closed form. An
-// empty candidate set is not verified.
-func verifyCandidates(tr *trace.Tracer, chip Chip, testKey []bool, seeds []gf2.Vec, probes, captures int) (bool, error) {
+// with the given number of capture cycles, predicted in closed form from
+// that session's mask matrices A and B. An empty candidate set is not
+// verified.
+func verifyCandidates(tr *trace.Tracer, chip Chip, testKey []bool, seeds []gf2.Vec, probes, captures int, A, B *gf2.Mat) (bool, error) {
 	verify := tr.Start("verify")
 	defer verify.End()
 	d := chip.Design()
-	v, err := newVerifier(d, captures)
+	v, err := newVerifier(d, A, B)
 	if err != nil {
 		return false, err
 	}

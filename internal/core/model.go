@@ -26,11 +26,9 @@ import (
 	"fmt"
 
 	"dynunlock/internal/gf2"
-	"dynunlock/internal/lfsr"
 	"dynunlock/internal/lock"
 	"dynunlock/internal/netlist"
 	"dynunlock/internal/satattack"
-	"dynunlock/internal/scan"
 )
 
 // Model is the combinational locked model of a scan-locked design.
@@ -64,20 +62,6 @@ func maskMatrices(d *lock.Design, patIdx int) (A, B *gf2.Mat, err error) {
 // oracle responses over the seed without rebuilding the SAT model.
 func MaskMatrices(d *lock.Design, patIdx int) (A, B *gf2.Mat, err error) {
 	return maskMatrices(d, patIdx)
-}
-
-// registerStates returns the symbolic key-register states for step counts
-// 0..maxSteps: states[t]·seed is the register value after t steps.
-func registerStates(d *lock.Design, maxSteps int) ([]*gf2.Mat, error) {
-	if d.Config.Policy == scan.Static {
-		states := make([]*gf2.Mat, maxSteps+1)
-		id := gf2.Identity(d.Config.KeyBits)
-		for i := range states {
-			states[i] = id
-		}
-		return states, nil
-	}
-	return lfsr.UnrollStates(d.Config.Poly, maxSteps+1)
 }
 
 // BuildModel constructs the combinational locked model for one capture

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"dynunlock/internal/gf2"
+	"dynunlock/internal/lfsr"
 	"dynunlock/internal/lock"
 	"dynunlock/internal/netlist"
 	"dynunlock/internal/satattack"
@@ -17,7 +18,9 @@ import (
 // capture-count independent; B's term cycles shift with extra captures, so
 // stacking single- and multi-capture constraints can raise the total rank —
 // the paper's "carry over the seed information recovered from previous
-// capture cycles" refinement.
+// capture cycles" refinement. Every mask row is the XOR of key-schedule
+// rows, read from one unroll of the register (lfsr.Schedule); a Static
+// register is the seed itself, so its key bit b is the unit row b.
 func maskMatricesN(d *lock.Design, patIdx, captures int) (A, B *gf2.Mat, err error) {
 	if captures < 1 {
 		return nil, nil, fmt.Errorf("core: captures %d must be >= 1", captures)
@@ -27,28 +30,30 @@ func maskMatricesN(d *lock.Design, patIdx, captures int) (A, B *gf2.Mat, err err
 	}
 	k := d.Config.KeyBits
 	n := d.Chain.Length
-	maxSteps := 0
-	for cycle := 0; cycle <= d.Chain.SessionCyclesN(captures); cycle++ {
-		if s := d.Config.Policy.Steps(patIdx, cycle, d.Config.Period); s > maxSteps {
-			maxSteps = s
+	steps := func(cycle int) int { return d.Config.Policy.Steps(patIdx, cycle, d.Config.Period) }
+	var sched *lfsr.Schedule
+	if d.Config.Policy != scan.Static {
+		maxSteps := 0
+		for cycle := 0; cycle <= d.Chain.SessionCyclesN(captures); cycle++ {
+			maxSteps = max(maxSteps, steps(cycle))
+		}
+		if sched, err = lfsr.Unroll(d.Config.Poly, maxSteps); err != nil {
+			return nil, nil, err
 		}
 	}
-	states, err := registerStates(d, maxSteps)
-	if err != nil {
-		return nil, nil, err
-	}
-	row := func(terms []scan.Term) gf2.Vec {
-		v := gf2.NewVec(k)
+	fill := func(row gf2.Vec, terms []scan.Term) {
 		for _, t := range terms {
-			steps := d.Config.Policy.Steps(patIdx, t.Cycle, d.Config.Period)
-			v.Xor(states[steps].Row(t.KeyBit))
+			if sched == nil {
+				row.Flip(t.KeyBit)
+			} else {
+				row.Xor(sched.Row(steps(t.Cycle), t.KeyBit))
+			}
 		}
-		return v
 	}
 	A, B = gf2.NewMat(n, k), gf2.NewMat(n, k)
 	for j := 0; j < n; j++ {
-		A.SetRow(j, row(d.Chain.InMaskTerms(j)))
-		B.SetRow(j, row(d.Chain.OutMaskTermsN(j, captures)))
+		fill(A.Row(j), d.Chain.InMaskTerms(j))
+		fill(B.Row(j), d.Chain.OutMaskTermsN(j, captures))
 	}
 	return A, B, nil
 }
@@ -290,7 +295,7 @@ func AttackMultiCtx(ctx context.Context, chip Chip, captures int, opts Options) 
 	refine.Add("mask_candidates", uint64(len(masks)))
 	refine.Add("seed_candidates", uint64(len(seeds)))
 	refine.End()
-	if res.Verified, err = verifyCandidates(tr, chip, opts.TestKey, seeds, opts.VerifyProbes, captures); err != nil {
+	if res.Verified, err = verifyCandidates(tr, chip, opts.TestKey, seeds, opts.VerifyProbes, captures, mm.A, mm.B); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -191,7 +191,7 @@ func TestAttackMultiVerifiesOnProbes(t *testing.T) {
 		t.Fatal("the recovered candidates failed their probes")
 	}
 
-	_, B, err := maskMatricesN(d, 0, 2)
+	A, B, err := maskMatricesN(d, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestAttackMultiVerifiesOnProbes(t *testing.T) {
 		}
 	}
 	c = trace.NewCollector()
-	ok, err := verifyCandidates(trace.New(c), chip, make([]bool, d.Config.KeyBits), []gf2.Vec{wrong}, 8, 2)
+	ok, err := verifyCandidates(trace.New(c), chip, make([]bool, d.Config.KeyBits), []gf2.Vec{wrong}, 8, 2, A, B)
 	if err != nil {
 		t.Fatal(err)
 	}

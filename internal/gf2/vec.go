@@ -53,29 +53,43 @@ func Unit(n, i int) Vec {
 // Len returns the number of bits in v.
 func (v Vec) Len() int { return v.n }
 
+// rangeError is the panic value of a bit index outside a vector. Get, Set
+// and Flip build it instead of formatting the message, which keeps them
+// small enough to inline.
+type rangeError struct{ i, n int }
+
+func (e rangeError) Error() string {
+	return fmt.Sprintf("gf2: index %d out of range [0,%d)", e.i, e.n)
+}
+
 // Get returns bit i.
 func (v Vec) Get(i int) bool {
-	if i < 0 || i >= v.n {
-		panic(fmt.Sprintf("gf2: index %d out of range [0,%d)", i, v.n))
+	if uint(i) >= uint(v.n) {
+		panic(rangeError{i, v.n})
 	}
-	return v.words[i/wordBits]>>(uint(i)%wordBits)&1 == 1
+	return v.words[uint(i)/wordBits]>>(uint(i)%wordBits)&1 == 1
 }
 
 // Set sets bit i to b.
 func (v Vec) Set(i int, b bool) {
-	if i < 0 || i >= v.n {
-		panic(fmt.Sprintf("gf2: index %d out of range [0,%d)", i, v.n))
+	if uint(i) >= uint(v.n) {
+		panic(rangeError{i, v.n})
 	}
 	mask := uint64(1) << (uint(i) % wordBits)
 	if b {
-		v.words[i/wordBits] |= mask
+		v.words[uint(i)/wordBits] |= mask
 	} else {
-		v.words[i/wordBits] &^= mask
+		v.words[uint(i)/wordBits] &^= mask
 	}
 }
 
 // Flip toggles bit i.
-func (v Vec) Flip(i int) { v.Set(i, !v.Get(i)) }
+func (v Vec) Flip(i int) {
+	if uint(i) >= uint(v.n) {
+		panic(rangeError{i, v.n})
+	}
+	v.words[uint(i)/wordBits] ^= 1 << (uint(i) % wordBits)
+}
 
 // Clone returns an independent copy of v.
 func (v Vec) Clone() Vec {
@@ -91,6 +105,26 @@ func (v Vec) Xor(w Vec) {
 	}
 	for i := range v.words {
 		v.words[i] ^= w.words[i]
+	}
+}
+
+// Shift moves every bit of v up one position, bit i to bit i+1, word by
+// word: the top bit drops out and bit 0 becomes in. It is one clock edge of
+// a shift register.
+func (v Vec) Shift(in bool) {
+	if v.n == 0 {
+		return
+	}
+	var carry uint64
+	if in {
+		carry = 1
+	}
+	for i, w := range v.words {
+		v.words[i] = w<<1 | carry
+		carry = w >> (wordBits - 1)
+	}
+	if r := uint(v.n) % wordBits; r != 0 {
+		v.words[len(v.words)-1] &= 1<<r - 1
 	}
 }
 

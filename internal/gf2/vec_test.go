@@ -2,6 +2,7 @@ package gf2
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -43,12 +44,46 @@ func TestVecSetGet(t *testing.T) {
 }
 
 func TestVecOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on out-of-range Get")
+	v := NewVec(10)
+	for name, fn := range map[string]func(){
+		"Get(10)":  func() { v.Get(10) },
+		"Get(-1)":  func() { v.Get(-1) },
+		"Set(10)":  func() { v.Set(10, true) },
+		"Flip(-3)": func() { v.Flip(-3) },
+	} {
+		func() {
+			defer func() {
+				err, ok := recover().(error)
+				if !ok || !strings.Contains(err.Error(), "out of range [0,10)") {
+					t.Fatalf("%s: panic %v, want an out-of-range error", name, err)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
+// Shift must equal the per-bit shift it stands for, across word
+// boundaries, and keep the bits above the length clear so Equal and
+// PopCount stay exact.
+func TestVecShift(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 5, 63, 64, 65, 127, 128, 129, 200} {
+		v := randVec(rng, n)
+		v.Set(n-1, true)
+		for step := 0; step < 2*n; step++ {
+			in := rng.Intn(2) == 1
+			want := NewVec(n)
+			for i := 1; i < n; i++ {
+				want.Set(i, v.Get(i-1))
+			}
+			want.Set(0, in)
+			v.Shift(in)
+			if !v.Equal(want) || v.PopCount() != want.PopCount() {
+				t.Fatalf("n=%d step %d: Shift gave %s, want %s", n, step, v, want)
+			}
 		}
-	}()
-	NewVec(10).Get(10)
+	}
 }
 
 func TestVecXorSelfInverse(t *testing.T) {

@@ -4,9 +4,13 @@
 // Two views of the same register are provided and kept consistent by
 // construction:
 //
-//   - a concrete LFSR that steps a bit state (what the chip does), and
-//   - a symbolic LFSR that steps GF(2) linear expressions over the seed
-//     bits (what the attacker models, paper Fig. 4 / Algorithm 1).
+//   - a concrete LFSR that steps a bit state as words (what the chip
+//     does), and
+//   - a symbolic Schedule holding every state bit of every step as a
+//     GF(2) linear expression over the seed bits (what the attacker
+//     models, paper Fig. 4 / Algorithm 1). Because the register only
+//     shifts, the schedule of N-bit states over T steps is one sequence
+//     of N+T rows.
 //
 // The attacker is assumed to know the feedback polynomial — it is read off
 // the reverse-engineered netlist — but not the seed stored in tamper-proof
@@ -149,7 +153,8 @@ func (l *LFSR) State() gf2.Vec { return l.state.Clone() }
 // Bit returns state bit i without stepping.
 func (l *LFSR) Bit(i int) bool { return l.state.Get(i) }
 
-// Step advances the register by one clock cycle.
+// Step advances the register by one clock cycle: the feedback bit shifts
+// into bit 0 as every state word moves up one position.
 func (l *LFSR) Step() {
 	fb := false
 	for _, t := range l.poly.Taps {
@@ -157,10 +162,7 @@ func (l *LFSR) Step() {
 			fb = !fb
 		}
 	}
-	for i := l.poly.N - 1; i > 0; i-- {
-		l.state.Set(i, l.state.Get(i-1))
-	}
-	l.state.Set(0, fb)
+	l.state.Shift(fb)
 }
 
 // StepN advances the register by n cycles.
@@ -182,57 +184,50 @@ func (p Poly) TransitionMatrix() *gf2.Mat {
 	return m
 }
 
-// Symbolic steps the register symbolically: each state bit is a GF(2)
-// linear combination of the seed bits. At construction, bit i equals seed
-// bit i (the identity).
-type Symbolic struct {
-	poly Poly
-	rows []gf2.Vec // rows[i] = expression of state bit i over the seed
+// Schedule is the symbolic key schedule of a register over its first
+// steps+1 states: each state bit as a GF(2) row over the seed bits. A
+// Fibonacci register moves bit i-1 into bit i on every step, so bit i
+// after t steps is bit 0 after t-i steps, or seed bit i-t while t < i. The
+// whole schedule is therefore one sequence of N+steps rows: the N seed
+// unit rows, then one feedback row per step, each the XOR of the rows the
+// taps read.
+type Schedule struct {
+	n, steps int
+	rows     []gf2.Vec // rows[t-i+n-1] = bit i after t steps
 }
 
-// NewSymbolic returns a symbolic register initialized to the seed identity.
-func NewSymbolic(p Poly) (*Symbolic, error) {
+// Unroll returns the symbolic schedule of p's register for steps
+// 0..steps. Step 0 is the seed identity.
+func Unroll(p Poly, steps int) (*Schedule, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Symbolic{poly: p, rows: make([]gf2.Vec, p.N)}
-	for i := range s.rows {
-		s.rows[i] = gf2.Unit(p.N, i)
+	if steps < 0 {
+		return nil, fmt.Errorf("lfsr: negative step count %d", steps)
+	}
+	n := p.N
+	s := &Schedule{n: n, steps: steps, rows: make([]gf2.Vec, n+steps)}
+	for m := 0; m < n; m++ {
+		s.rows[m] = gf2.Unit(n, n-1-m)
+	}
+	// Bit 0 after u steps is the feedback of the state after u-1 steps:
+	// tap t reads bit t-1 there, which is rows[m-t] for m = u+n-1.
+	for m := n; m < n+steps; m++ {
+		fb := gf2.NewVec(n)
+		for _, t := range p.Taps {
+			fb.Xor(s.rows[m-t])
+		}
+		s.rows[m] = fb
 	}
 	return s, nil
 }
 
-// Step advances the symbolic state by one cycle.
-func (s *Symbolic) Step() {
-	fb := gf2.NewVec(s.poly.N)
-	for _, t := range s.poly.Taps {
-		fb.Xor(s.rows[t-1])
+// Row returns the seed expression of state bit i after t steps, for
+// 0 ≤ t ≤ steps. The row is shared by every (t, i) with the same t-i, so
+// callers must not modify it.
+func (s *Schedule) Row(t, i int) gf2.Vec {
+	if t < 0 || t > s.steps || i < 0 || i >= s.n {
+		panic(fmt.Sprintf("lfsr: schedule row (%d, %d) outside [0,%d]×[0,%d)", t, i, s.steps, s.n))
 	}
-	copy(s.rows[1:], s.rows[:len(s.rows)-1])
-	s.rows[0] = fb
-}
-
-// Row returns the seed-expression of state bit i at the current cycle.
-// The returned vector is a copy.
-func (s *Symbolic) Row(i int) gf2.Vec { return s.rows[i].Clone() }
-
-// StateMatrix returns the current state as a matrix M with
-// state(t) = M·seed. Row i is the expression of bit i.
-func (s *Symbolic) StateMatrix() *gf2.Mat {
-	return gf2.FromRows(s.rows)
-}
-
-// UnrollStates returns the symbolic state matrices for cycles 0..cycles-1:
-// out[t]·seed = register state during cycle t (out[0] = identity).
-func UnrollStates(p Poly, cycles int) ([]*gf2.Mat, error) {
-	s, err := NewSymbolic(p)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*gf2.Mat, cycles)
-	for t := 0; t < cycles; t++ {
-		out[t] = s.StateMatrix()
-		s.Step()
-	}
-	return out, nil
+	return s.rows[t-i+s.n-1]
 }

@@ -87,27 +87,137 @@ func TestZeroStateFixedPoint(t *testing.T) {
 	}
 }
 
-// The symbolic register must agree with the concrete register for every
-// cycle and every seed: state(t) = M(t)·seed.
+// stepwiseStates is the unroll the Schedule replaced, kept as its
+// reference: a symbolic copy of the whole register, stepped like the
+// concrete one, snapshotted as a matrix at every step (out[t]·seed is the
+// state after t steps).
+func stepwiseStates(p Poly, steps int) []*gf2.Mat {
+	rows := make([]gf2.Vec, p.N)
+	for i := range rows {
+		rows[i] = gf2.Unit(p.N, i)
+	}
+	out := make([]*gf2.Mat, steps+1)
+	for t := range out {
+		out[t] = gf2.FromRows(rows)
+		fb := gf2.NewVec(p.N)
+		for _, tap := range p.Taps {
+			fb.Xor(rows[tap-1])
+		}
+		copy(rows[1:], rows[:p.N-1])
+		rows[0] = fb
+	}
+	return out
+}
+
+// The schedule must agree bit for bit with the concrete register on every
+// step and every seed, and row for row with the stepwise reference unroll,
+// for tabulated and fallback polynomials (37, 144 and 368 fall back).
+// Step 0 is the seed identity.
 func TestSymbolicMatchesConcrete(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{3, 8, 16, 37, 128} {
+	for _, n := range []int{3, 8, 16, 37, 128, 144, 368} {
 		p := DefaultPoly(n)
-		mats, err := UnrollStates(p, 3*n+5)
+		steps := 3*n + 5
+		s, err := Unroll(p, steps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for trial := 0; trial < 5; trial++ {
+		for i := 0; i < n; i++ {
+			if !s.Row(0, i).Equal(gf2.Unit(n, i)) {
+				t.Fatalf("n=%d: step 0 bit %d is not seed bit %d", n, i, i)
+			}
+		}
+		for tcyc, m := range stepwiseStates(p, steps) {
+			for i := 0; i < n; i++ {
+				if !s.Row(tcyc, i).Equal(m.Row(i)) {
+					t.Fatalf("n=%d step=%d bit=%d: schedule row differs from the stepwise unroll", n, tcyc, i)
+				}
+			}
+		}
+		for trial := 0; trial < 3; trial++ {
 			seed := randSeed(rng, n)
 			l := MustNew(p)
 			l.Seed(seed)
-			for tcyc, m := range mats {
-				want := l.State()
-				got := m.MulVec(seed)
-				if !got.Equal(want) {
-					t.Fatalf("n=%d cycle=%d: symbolic %s != concrete %s", n, tcyc, got, want)
+			for tcyc := 0; tcyc <= steps; tcyc++ {
+				for i := 0; i < n; i++ {
+					if s.Row(tcyc, i).Dot(seed) != l.Bit(i) {
+						t.Fatalf("n=%d step=%d bit=%d: symbolic bit differs from the concrete register", n, tcyc, i)
+					}
 				}
 				l.Step()
+			}
+		}
+	}
+}
+
+func TestUnrollRejectsInvalid(t *testing.T) {
+	if _, err := Unroll(Poly{N: 3, Taps: []int{2}}, 4); err == nil {
+		t.Fatal("want error for an invalid polynomial")
+	}
+	if _, err := Unroll(DefaultPoly(3), -1); err == nil {
+		t.Fatal("want error for a negative step count")
+	}
+	s, err := Unroll(DefaultPoly(3), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range [][2]int{{-1, 0}, {5, 0}, {0, -1}, {0, 3}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Row(%d, %d) outside the schedule must panic", tc[0], tc[1])
+				}
+			}()
+			s.Row(tc[0], tc[1])
+		}()
+	}
+}
+
+// stepBits is the per-bit Step the word-level one replaced, kept as its
+// reference: feedback from the taps (and AND pairs), then every bit moves
+// up one position by a checked Get/Set.
+func stepBits(state gf2.Vec, p Poly, andPairs [][2]int) {
+	fb := false
+	for _, t := range p.Taps {
+		fb = fb != state.Get(t-1)
+	}
+	for _, pr := range andPairs {
+		fb = fb != (state.Get(pr[0]) && state.Get(pr[1]))
+	}
+	for i := p.N - 1; i > 0; i-- {
+		state.Set(i, state.Get(i-1))
+	}
+	state.Set(0, fb)
+}
+
+// The word-level Step of both registers must follow the per-bit
+// reference, across word boundaries (widths 63 to 65, 128, 144, 368).
+func TestStepMatchesPerBitShift(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{3, 8, 37, 63, 64, 65, 128, 144, 368} {
+		p := DefaultPoly(n)
+		nl, err := DefaultNLFSR(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, reg := range []struct {
+			r        Register
+			andPairs [][2]int
+		}{{MustNew(p), nil}, {nl, nl.AndPairs()}} {
+			seed := randSeed(rng, n)
+			reg.r.Seed(seed)
+			ref := seed.Clone()
+			for step := 0; step < 3*n; step++ {
+				reg.r.Step()
+				stepBits(ref, p, reg.andPairs)
+				if !reg.r.State().Equal(ref) {
+					t.Fatalf("%T n=%d step %d: %s, want %s", reg.r, n, step, reg.r.State(), ref)
+				}
+				for i := 0; i < n; i++ {
+					if reg.r.Bit(i) != ref.Get(i) {
+						t.Fatalf("%T n=%d step %d: Bit(%d) differs from the state", reg.r, n, step, i)
+					}
+				}
 			}
 		}
 	}
@@ -133,19 +243,20 @@ func TestTransitionMatrix(t *testing.T) {
 	}
 }
 
-// M(t) must equal L^t for all t, tying the two symbolic views together.
+// Row t of the schedule must equal L^t for all t, tying the two symbolic
+// views together.
 func TestUnrollMatchesMatrixPower(t *testing.T) {
 	p := DefaultPoly(16)
 	L := p.TransitionMatrix()
-	mats, err := UnrollStates(p, 40)
+	s, err := Unroll(p, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
 	power := gf2.Identity(16)
-	for tcyc, m := range mats {
+	for tcyc := 0; tcyc <= 40; tcyc++ {
 		for i := 0; i < 16; i++ {
-			if !m.Row(i).Equal(power.Row(i)) {
-				t.Fatalf("cycle %d row %d: M(t) != L^t", tcyc, i)
+			if !s.Row(tcyc, i).Equal(power.Row(i)) {
+				t.Fatalf("step %d row %d: schedule != L^t", tcyc, i)
 			}
 		}
 		power = L.Mul(power)
@@ -167,17 +278,21 @@ func TestNewRejectsInvalid(t *testing.T) {
 	}
 }
 
-// For the paper's key widths, the first 2n unrolled states must together
-// have full rank n: every seed bit influences the key stream, which is the
+// For the paper's key widths, the first two states must together have
+// full rank n: every seed bit influences the key stream, which is the
 // property that lets larger circuits pin down the unique seed.
 func TestUnrolledStatesFullRank(t *testing.T) {
 	for _, n := range []int{128, 144, 256, 368} {
-		p := DefaultPoly(n)
-		mats, err := UnrollStates(p, 2)
+		s, err := Unroll(DefaultPoly(n), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stacked := gf2.VStack(mats[0], mats[1])
+		stacked := gf2.NewMat(2*n, n)
+		for tcyc := 0; tcyc <= 1; tcyc++ {
+			for i := 0; i < n; i++ {
+				stacked.SetRow(tcyc*n+i, s.Row(tcyc, i))
+			}
+		}
 		if gf2.Rank(stacked) != n {
 			t.Errorf("width %d: unrolled states rank-deficient", n)
 		}
@@ -196,7 +311,7 @@ func BenchmarkStep128(b *testing.B) {
 func BenchmarkUnroll128x3500(b *testing.B) {
 	p := DefaultPoly(128)
 	for i := 0; i < b.N; i++ {
-		if _, err := UnrollStates(p, 3500); err != nil {
+		if _, err := Unroll(p, 3500); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,6 +16,8 @@ type Register interface {
 	Step()
 	// State returns a copy of the current state.
 	State() gf2.Vec
+	// Bit returns state bit i in place, without copying the state.
+	Bit(i int) bool
 	// N returns the register width.
 	N() int
 }
@@ -89,6 +91,9 @@ func (r *NLFSR) Seed(seed gf2.Vec) {
 // State returns a copy of the current state.
 func (r *NLFSR) State() gf2.Vec { return r.state.Clone() }
 
+// Bit returns state bit i without stepping.
+func (r *NLFSR) Bit(i int) bool { return r.state.Get(i) }
+
 // Step advances one cycle.
 func (r *NLFSR) Step() {
 	fb := false
@@ -102,8 +107,5 @@ func (r *NLFSR) Step() {
 			fb = !fb
 		}
 	}
-	for i := r.poly.N - 1; i > 0; i-- {
-		r.state.Set(i, r.state.Get(i-1))
-	}
-	r.state.Set(0, fb)
+	r.state.Shift(fb)
 }

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"dynunlock/internal/gf2"
 	"dynunlock/internal/lfsr"
 	"dynunlock/internal/netlist"
 	"dynunlock/internal/scan"
@@ -28,7 +27,7 @@ import (
 // MaxKeyBits bounds the key register width and the key-gate count that
 // Lock accepts: far above the paper's widest register (368 bits in
 // Table III), and low enough that the per-bit structures built from a
-// design (gate lists, symbolic LFSR matrices) stay small. Lock is the one
+// design (gate lists, the symbolic key schedule) stay small. Lock is the one
 // constructor of a Design, so a width read from outside input — a job
 // request, a bundle manifest — is rejected here before anything is
 // allocated for it.
@@ -166,21 +165,6 @@ func (d *Design) NewRegister() (lfsr.Register, error) {
 
 // Nonlinear reports whether the key register has nonlinear feedback.
 func (d *Design) Nonlinear() bool { return len(d.Config.NonlinearPairs) > 0 }
-
-// KeyRegisterAt returns, for dynamic policies, the symbolic key register
-// value at the given pattern/cycle as a matrix M with register = M·seed.
-// For Static it returns the identity (register = secret key).
-func (d *Design) KeyRegisterAt(patIdx, cycle int) (*gf2.Mat, error) {
-	steps := d.Config.Policy.Steps(patIdx, cycle, d.Config.Period)
-	if d.Config.Policy == scan.Static {
-		return gf2.Identity(d.Config.KeyBits), nil
-	}
-	mats, err := lfsr.UnrollStates(d.Config.Poly, steps+1)
-	if err != nil {
-		return nil, err
-	}
-	return mats[steps], nil
-}
 
 // Describe renders a human-readable summary of the locked design, in the
 // spirit of the paper's Fig. 1 schematic.

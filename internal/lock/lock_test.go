@@ -69,17 +69,8 @@ func TestLockStaticNoPoly(t *testing.T) {
 	if _, err := d.NewLFSR(); err == nil {
 		t.Fatal("static design must have no LFSR")
 	}
-	m, err := d.KeyRegisterAt(3, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gf2.Rank(m) != 4 {
-		t.Fatal("static key register must be identity")
-	}
-	for i := 0; i < 4; i++ {
-		if !m.Get(i, i) {
-			t.Fatal("static key register must be identity")
-		}
+	if _, err := d.NewRegister(); err == nil {
+		t.Fatal("static design must have no PRNG")
 	}
 }
 
@@ -94,6 +85,9 @@ func TestLockPerPatternPeriodDefault(t *testing.T) {
 	}
 }
 
+// The design's symbolic key register — its policy's step count read off
+// the schedule of its polynomial — must equal its concrete LFSR on every
+// cycle.
 func TestKeyRegisterAtMatchesLFSR(t *testing.T) {
 	d := testCircuit(t, 12)
 	reg, err := d.NewLFSR()
@@ -103,13 +97,17 @@ func TestKeyRegisterAtMatchesLFSR(t *testing.T) {
 	seed := gf2.Unit(8, 3)
 	seed.Set(5, true)
 	reg.Seed(seed)
-	for cycle := 0; cycle < 30; cycle++ {
-		m, err := d.KeyRegisterAt(0, cycle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !m.MulVec(seed).Equal(reg.State()) {
-			t.Fatalf("cycle %d: symbolic register mismatch", cycle)
+	const cycles = 30
+	sched, err := lfsr.Unroll(d.Config.Poly, d.Config.Policy.Steps(0, cycles-1, d.Config.Period))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cycle := 0; cycle < cycles; cycle++ {
+		steps := d.Config.Policy.Steps(0, cycle, d.Config.Period)
+		for i := 0; i < d.Config.KeyBits; i++ {
+			if sched.Row(steps, i).Dot(seed) != reg.Bit(i) {
+				t.Fatalf("cycle %d bit %d: symbolic register mismatch", cycle, i)
+			}
 		}
 		reg.Step()
 	}

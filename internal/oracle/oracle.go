@@ -8,7 +8,11 @@
 // key gates XOR, LFSR steps), deliberately *not* reusing the closed-form
 // mask algebra of internal/scan. Property tests in internal/core assert
 // the attacker's combinational model reproduces this simulation bit for
-// bit, which validates Algorithm 1.
+// bit, which validates Algorithm 1. Each cycle works on words: the chain
+// is a bit vector that shifts one position, then takes the XOR of that
+// cycle's key bits at the links their gates sit on; the key register
+// steps by a one-bit word shift and is read in place. A shift cycle
+// allocates nothing.
 package oracle
 
 import (
@@ -39,12 +43,9 @@ type Chip struct {
 
 	reg         lfsr.Register
 	lfsrSteps   int
-	flops       []bool
+	flops       gf2.Vec // chain flop j is bit j
 	globalCycle int
 	patterns    int
-
-	// linkBits[j] lists the key-register bits XORed on link j.
-	linkBits [][]int
 
 	Stats Stats
 
@@ -80,11 +81,6 @@ func New(d *lock.Design, secretSeed gf2.Vec, authKey []bool) (*Chip, error) {
 		seq:        seq,
 		secretSeed: secretSeed.Clone(),
 		authKey:    append([]bool(nil), authKey...),
-		flops:      make([]bool, d.Chain.Length),
-		linkBits:   make([][]int, d.Chain.Length),
-	}
-	for _, g := range d.Chain.Gates {
-		c.linkBits[g.Link] = append(c.linkBits[g.Link], g.KeyBit)
 	}
 	if d.Config.Policy != scan.Static {
 		reg, err := d.NewRegister()
@@ -115,9 +111,7 @@ func (c *Chip) SetSessionHook(h func(cycles uint64)) (prev func(cycles uint64)) 
 // Reset asserts the chip reset: flip-flops clear, the PRNG reloads the
 // secret seed, and the pattern/cycle counters restart.
 func (c *Chip) Reset() {
-	for i := range c.flops {
-		c.flops[i] = false
-	}
+	c.flops = gf2.NewVec(c.design.Chain.Length)
 	if c.reg != nil {
 		c.reg.Seed(c.secretSeed)
 	}
@@ -127,19 +121,14 @@ func (c *Chip) Reset() {
 	c.Stats.Resets++
 }
 
-// keyRegister returns the key-register value effective at the current
-// global cycle, honoring the update policy. The register is the LFSR state
-// for dynamic policies and the static secret for Static.
-func (c *Chip) keyRegister() []bool {
-	if c.design.Config.Policy == scan.Static {
-		return c.secretSeed.Bools()
-	}
+// advanceRegister steps the dynamic key register to the value the update
+// policy gives it at the current global cycle. The register only runs
+// forward; Reset is the only rewind.
+func (c *Chip) advanceRegister() {
 	target := c.design.Config.Policy.Steps(c.patterns, c.globalCycle, c.design.Config.Period)
-	// The LFSR only runs forward; Reset is the only rewind.
 	for ; c.lfsrSteps < target; c.lfsrSteps++ {
 		c.reg.Step()
 	}
-	return c.reg.State().Bools()
 }
 
 // Session runs one scan test session: shift in scanIn (bit j destined for
@@ -176,31 +165,24 @@ func (c *Chip) SessionN(testKey, scanIn []bool, pis [][]bool) (scanOut []bool, p
 	match := len(testKey) == len(c.authKey) && constantTimeEqual(testKey, c.authKey)
 	cyclesBefore := c.Stats.Cycles
 
-	key := func() []bool {
-		if match {
-			return c.authKey
-		}
-		return c.keyRegister()
-	}
-
 	// Shift-in: n edges.
 	for t := 0; t < n; t++ {
-		c.shiftEdge(scanIn[n-1-t], key())
+		c.shiftEdge(scanIn[n-1-t], match)
 		c.tick()
 	}
 	// Capture edges: key gates idle for scan data; the PRNG still clocks.
-	c.seq.SetState(c.flops)
+	c.seq.SetState(c.flops.Bools())
 	for _, pi := range pis {
 		pos = append(pos, c.seq.Step(pi))
 		c.tick()
 	}
-	copy(c.flops, c.seq.State())
+	c.flops = gf2.FromBools(c.seq.State())
 	// Shift-out: observe before each edge.
 	scanOut = make([]bool, n)
 	first := n + len(pis)
 	for t := first; t < first+n; t++ {
-		scanOut[first+n-1-t] = c.flops[n-1]
-		c.shiftEdge(false, key())
+		scanOut[first+n-1-t] = c.flops.Get(n - 1)
+		c.shiftEdge(false, match)
 		c.tick()
 	}
 	c.patterns++
@@ -211,20 +193,34 @@ func (c *Chip) SessionN(testKey, scanIn []bool, pis [][]bool) (scanOut []bool, p
 	return scanOut, pos
 }
 
-// shiftEdge moves the scan chain one position, applying key-gate XORs on
-// every link, and feeds si into flop 0.
-func (c *Chip) shiftEdge(si bool, key []bool) {
-	n := c.design.Chain.Length
-	for j := n - 1; j >= 1; j-- {
-		v := c.flops[j-1]
-		for _, bit := range c.linkBits[j] {
-			if key[bit] {
-				v = !v
+// shiftEdge moves the scan chain one position, feeding si into flop 0,
+// and XORs every key gate's key bit of this cycle onto the bit that
+// crossed its link. The key is SK when the session's test key matched it;
+// otherwise the static secret, or the dynamic register read in place.
+func (c *Chip) shiftEdge(si, match bool) {
+	c.flops.Shift(si)
+	gates := c.design.Chain.Gates
+	switch {
+	case match:
+		for _, g := range gates {
+			if c.authKey[g.KeyBit] {
+				c.flops.Flip(g.Link)
 			}
 		}
-		c.flops[j] = v
+	case c.reg == nil:
+		for _, g := range gates {
+			if c.secretSeed.Get(g.KeyBit) {
+				c.flops.Flip(g.Link)
+			}
+		}
+	default:
+		c.advanceRegister()
+		for _, g := range gates {
+			if c.reg.Bit(g.KeyBit) {
+				c.flops.Flip(g.Link)
+			}
+		}
 	}
-	c.flops[0] = si
 }
 
 func (c *Chip) tick() {
@@ -256,9 +252,9 @@ func boolByte(b bool) byte {
 // advances. Included for completeness of the chip model; the attack itself
 // only needs Session.
 func (c *Chip) FunctionalStep(pi []bool) (po []bool) {
-	c.seq.SetState(c.flops)
+	c.seq.SetState(c.flops.Bools())
 	po = c.seq.Step(pi)
-	copy(c.flops, c.seq.State())
+	c.flops = gf2.FromBools(c.seq.State())
 	c.tick()
 	return po
 }

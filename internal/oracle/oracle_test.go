@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -377,6 +378,166 @@ func TestSessionHookCycleAccounting(t *testing.T) {
 	// than a single-capture one, and the hook must reflect that.
 	if hookCycles <= 5*uint64(ffs) {
 		t.Fatalf("implausibly few cycles %d for %d scan flops", hookCycles, ffs)
+	}
+}
+
+// refChip is the per-bit chip the word-level one replaced, kept as its
+// reference: the chain is a []bool walked link by link, the key register
+// a []bool stepped one bit at a time (AND pairs included) and copied out
+// on every cycle, and the capture runs on the gate-level stepper.
+type refChip struct {
+	d         *lock.Design
+	seq       *sim.Seq
+	seed, key []bool // the secret seed and SK
+	reg       []bool // the key register (dynamic policies)
+	steps     int
+	cycle     int
+	patterns  int
+	flops     []bool
+	linkBits  [][]int
+}
+
+func newRefChip(d *lock.Design, seed gf2.Vec, authKey []bool) *refChip {
+	r := &refChip{d: d, seq: sim.NewSeq(d.View), seed: seed.Bools(), key: authKey,
+		flops: make([]bool, d.Chain.Length), linkBits: make([][]int, d.Chain.Length)}
+	for _, g := range d.Chain.Gates {
+		r.linkBits[g.Link] = append(r.linkBits[g.Link], g.KeyBit)
+	}
+	r.reset()
+	return r
+}
+
+func (r *refChip) reset() {
+	clear(r.flops)
+	r.reg = append([]bool(nil), r.seed...)
+	r.steps, r.cycle, r.patterns = 0, 0, 0
+}
+
+func (r *refChip) keyRegister() []bool {
+	cfg := r.d.Config
+	if cfg.Policy == scan.Static {
+		return append([]bool(nil), r.seed...)
+	}
+	for target := cfg.Policy.Steps(r.patterns, r.cycle, cfg.Period); r.steps < target; r.steps++ {
+		fb := false
+		for _, t := range cfg.Poly.Taps {
+			fb = fb != r.reg[t-1]
+		}
+		for _, pr := range cfg.NonlinearPairs {
+			fb = fb != (r.reg[pr[0]] && r.reg[pr[1]])
+		}
+		for i := len(r.reg) - 1; i > 0; i-- {
+			r.reg[i] = r.reg[i-1]
+		}
+		r.reg[0] = fb
+	}
+	return append([]bool(nil), r.reg...)
+}
+
+func (r *refChip) shiftEdge(si bool, key []bool) {
+	n := r.d.Chain.Length
+	for j := n - 1; j >= 1; j-- {
+		v := r.flops[j-1]
+		for _, bit := range r.linkBits[j] {
+			if key[bit] {
+				v = !v
+			}
+		}
+		r.flops[j] = v
+	}
+	r.flops[0] = si
+}
+
+func (r *refChip) sessionN(testKey, scanIn []bool, pis [][]bool) (scanOut []bool, pos [][]bool) {
+	n := r.d.Chain.Length
+	key := func() []bool {
+		if constantTimeEqual(testKey, r.key) {
+			return r.key
+		}
+		return r.keyRegister()
+	}
+	for t := 0; t < n; t++ {
+		r.shiftEdge(scanIn[n-1-t], key())
+		r.cycle++
+	}
+	r.seq.SetState(r.flops)
+	for _, pi := range pis {
+		pos = append(pos, r.seq.Step(pi))
+		r.cycle++
+	}
+	copy(r.flops, r.seq.State())
+	scanOut = make([]bool, n)
+	for t := 0; t < n; t++ {
+		scanOut[n-1-t] = r.flops[n-1]
+		r.shiftEdge(false, key())
+		r.cycle++
+	}
+	r.patterns++
+	return scanOut, pos
+}
+
+// The word-level chip must answer every session exactly as the per-bit
+// reference does: all three policies (PerPattern at period 2), an NLFSR
+// register, matching and mismatching test keys, one to three captures,
+// and sessions with and without a reset in between, so the register runs
+// on across sessions and PerPattern epochs advance.
+func TestSessionMatchesPerBitReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	type variant struct {
+		policy    scan.Policy
+		nonlinear bool
+	}
+	for _, v := range []variant{{scan.Static, false}, {scan.PerPattern, false}, {scan.PerCycle, false},
+		{scan.PerPattern, true}, {scan.PerCycle, true}} {
+		for trial := 0; trial < 4; trial++ {
+			ffs := 5 + rng.Intn(140)
+			keyBits := 3 + rng.Intn(130)
+			n, err := bench.Generate(bench.GenConfig{Name: "t", PIs: 4, POs: 3, FFs: ffs, Gates: 6 * ffs, Seed: rng.Int63()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := lock.Config{KeyBits: keyBits, NumGates: 1 + rng.Intn(2*keyBits), Policy: v.policy,
+				Period: 2, PlacementSeed: rng.Int63() + 1}
+			if v.nonlinear {
+				cfg.NonlinearPairs = [][2]int{{0, keyBits / 2}, {keyBits / 3, keyBits - 1}}
+			}
+			d, err := lock.Lock(n, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seed := randSeed(rng, keyBits)
+			authKey := randBools(rng, keyBits)
+			chip, err := New(d, seed, authKey)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := newRefChip(d, seed, authKey)
+			for sess := 0; sess < 12; sess++ {
+				if rng.Intn(2) == 0 {
+					chip.Reset()
+					ref.reset()
+				}
+				match := rng.Intn(3) == 0
+				testKey := authKey
+				if !match {
+					testKey = randBools(rng, keyBits)
+					testKey[0] = !authKey[0]
+				}
+				scanIn := randBools(rng, ffs)
+				pis := make([][]bool, 1+rng.Intn(3))
+				for c := range pis {
+					pis[c] = randBools(rng, 4)
+				}
+				what := fmt.Sprintf("%v nonlinear=%v ffs=%d k=%d session %d (captures %d, match %v)",
+					v.policy, v.nonlinear, ffs, keyBits, sess, len(pis), match)
+				gotOut, gotPOs := chip.SessionN(testKey, scanIn, pis)
+				wantOut, wantPOs := ref.sessionN(testKey, scanIn, pis)
+				assertEq(t, gotOut, wantOut, what+": scanOut")
+				for c := range wantPOs {
+					assertEq(t, gotPOs[c], wantPOs[c], what+": po")
+				}
+			}
+		}
 	}
 }
 

@@ -264,10 +264,13 @@ func New() *Solver {
 // NewVar allocates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
 	v := len(s.level)
+	if v == cap(s.level) {
+		s.growVars(max(2*v, 16))
+	}
 	s.vals = append(s.vals, lUndef, lUndef)
 	s.polarity = append(s.polarity, true) // branch false first (MiniSat convention)
 	s.activity = append(s.activity, 0)
-	s.order.act = s.activity // append may have moved the array
+	s.order.act = s.activity // the heap reads the new length
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, crefUndef)
 	s.reasonX = append(s.reasonX, 0)
@@ -276,6 +279,33 @@ func (s *Solver) NewVar() int {
 	s.xwatches = append(s.xwatches, nil)
 	s.order.insert(v)
 	return v
+}
+
+// growVars moves every per-variable array, the decision heap's two
+// included, to storage with room for n variables. NewVar calls it with
+// double the current count whenever the arrays are full, so they grow
+// together and each append in between stays in place: an attack's
+// variables cost about twice their final arrays in allocation, where
+// append's own 1.25× growth costs five times.
+func (s *Solver) growVars(n int) {
+	s.vals = withCap(s.vals, 2*n)
+	s.polarity = withCap(s.polarity, n)
+	s.activity = withCap(s.activity, n)
+	s.level = withCap(s.level, n)
+	s.reason = withCap(s.reason, n)
+	s.reasonX = withCap(s.reasonX, n)
+	s.seen = withCap(s.seen, n)
+	s.watches = withCap(s.watches, 2*n)
+	s.xwatches = withCap(s.xwatches, n)
+	s.order.heap = withCap(s.order.heap, n)
+	s.order.indices = withCap(s.order.indices, n)
+}
+
+// withCap returns a copy of a with capacity n.
+func withCap[T any](a []T, n int) []T {
+	b := make([]T, len(a), n)
+	copy(b, a)
+	return b
 }
 
 // NumVars returns the number of variables allocated.
@@ -963,9 +993,13 @@ func (s *Solver) BumpActivity(v int, amount float64) {
 // problem clauses (learnt clauses excluded), and XOR rows as cryptominisat
 // "x ..." lines — in DIMACS CNF format. The paper's methodology dumps the
 // CNF after each attack iteration to inspect recovered seed bits; satattack
-// exposes this through its DumpCNF option. XOR rows are emitted after
-// echelon reduction, which together with the unit lines is equivalent to
-// the constraints as added.
+// exposes this through its DumpCNF option. XOR rows are emitted as stored:
+// the sparse originals AddXor kept (signs folded into the right-hand side,
+// duplicate pairs cancelled, variables assigned at level 0 when the row
+// was added folded out), not their echelon-reduced forms, which AddXor
+// keeps only to detect dependence. A row that was dependent when added
+// stored nothing and a unit remainder became a unit line, so together
+// with the unit lines the dump is equivalent to the constraints as added.
 func (s *Solver) WriteDimacs(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	units := 0

@@ -373,3 +373,50 @@ func BenchmarkSolveRandom3SAT(b *testing.B) {
 		s.Solve()
 	}
 }
+
+// TestNewVarGrowsArraysTogether pins the growth of the per-variable
+// arrays: NewVar moves all of them, the decision heap's included, to
+// storage for twice the variables whenever they are full, so between two
+// moves every append stays in place. One-at-a-time growth, the reference
+// this replaced, leaves each array at its own append-chosen capacity.
+func TestNewVarGrowsArraysTogether(t *testing.T) {
+	s := New()
+	moves := 0
+	var level *int32
+	for v := 0; v < 5000; v++ {
+		if got := s.NewVar(); got != v {
+			t.Fatalf("NewVar = %d, want %d", got, v)
+		}
+		if v%7 == 0 && v > 0 {
+			s.AddClause(cnf.MkLit(v, false), cnf.MkLit(v-1, true))
+		}
+		n := cap(s.level)
+		if n < 16 || n&(n-1) != 0 || n < v+1 {
+			t.Fatalf("after %d vars: capacity %d is not the power of two at or above it", v+1, n)
+		}
+		caps := map[string][2]int{
+			"vals": {cap(s.vals), 2 * n}, "polarity": {cap(s.polarity), n}, "activity": {cap(s.activity), n},
+			"reason": {cap(s.reason), n}, "reasonX": {cap(s.reasonX), n}, "seen": {cap(s.seen), n},
+			"watches": {cap(s.watches), 2 * n}, "xwatches": {cap(s.xwatches), n},
+			"heap": {cap(s.order.heap), n}, "indices": {cap(s.order.indices), n}, "act": {cap(s.order.act), n},
+		}
+		for name, c := range caps {
+			if c[0] != c[1] {
+				t.Fatalf("after %d vars: cap(%s) = %d, want %d", v+1, name, c[0], c[1])
+			}
+		}
+		if len(s.order.act) != v+1 || len(s.vals) != 2*(v+1) || len(s.watches) != 2*(v+1) {
+			t.Fatalf("after %d vars: lengths act %d vals %d watches %d", v+1, len(s.order.act), len(s.vals), len(s.watches))
+		}
+		if p := &s.level[0]; p != level {
+			level = p
+			moves++
+		}
+	}
+	if moves != 10 { // 16, 32, …, 8192
+		t.Fatalf("the arrays moved %d times for 5000 variables, want 10", moves)
+	}
+	if s.Solve() != Sat {
+		t.Fatal("want SAT")
+	}
+}
