@@ -23,7 +23,6 @@ import (
 
 	"dynunlock/internal/bench"
 	"dynunlock/internal/core"
-	"dynunlock/internal/scansat"
 )
 
 func scaleFactor() int {
@@ -106,14 +105,12 @@ func BenchmarkTableI_EFF_vs_ScanSAT(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := scansat.Attack(chip, scansat.Options{EnumerateLimit: 256})
+		res, err := core.Attack(chip, core.Options{EnumerateLimit: 256})
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, k := range res.KeyCandidates {
-			if k.Equal(chip.SecretSeed()) {
-				successes++
-			}
+		if core.ContainsSeed(res.SeedCandidates, chip.SecretSeed()) {
+			successes++
 		}
 	}
 	b.ReportMetric(successes/float64(b.N), "success")

@@ -491,13 +491,6 @@ func scaleKey(kb, scale int) int {
 	return out
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // buildInfoLabels describes this binary for the dynunlock_build_info
 // gauge: toolchain and bundle-format versions.
 func buildInfoLabels() []string {

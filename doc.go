@@ -18,8 +18,9 @@
 //   - internal/aig      — and-inverter graphs compiled from netlists
 //   - internal/encode   — AIG encoding with native XOR rows, and miters
 //   - internal/satattack— the classic oracle-guided SAT attack
-//   - internal/core     — DynUnlock itself (Algorithm 1 + attack loop)
-//   - internal/scansat  — the ScanSAT static baseline
+//   - internal/core     — DynUnlock itself (Algorithm 1 + attack loop);
+//     a static lock is the same model with the identity key schedule, so
+//     it also plays the ScanSAT baseline
 //
 // This root package is the high-level facade used by the command-line
 // tools, the examples, and the benchmark harness: it locks a benchmark

@@ -12,9 +12,7 @@ import (
 
 	"dynunlock"
 	"dynunlock/internal/core"
-	"dynunlock/internal/oracle"
 	"dynunlock/internal/report"
-	"dynunlock/internal/scansat"
 )
 
 func main() {
@@ -60,27 +58,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		var broken bool
-		var cands, iters int
-		if policy == dynunlock.Static {
-			res, err := scansat.Attack(c, scansat.Options{EnumerateLimit: 64})
-			if err != nil {
-				log.Fatal(err)
-			}
-			for _, k := range res.KeyCandidates {
-				if k.Equal(c.SecretSeed()) {
-					broken = true
-				}
-			}
-			cands, iters = len(res.KeyCandidates), res.Iterations
-		} else {
-			res, err := core.Attack(c, core.Options{EnumerateLimit: 64})
-			if err != nil {
-				log.Fatal(err)
-			}
-			broken = core.ContainsSeed(res.SeedCandidates, c.SecretSeed())
-			cands, iters = len(res.SeedCandidates), res.Iterations
+		res, err := core.Attack(c, core.Options{EnumerateLimit: 64})
+		if err != nil {
+			log.Fatal(err)
 		}
+		broken := core.ContainsSeed(res.SeedCandidates, c.SecretSeed())
+		cands, iters := len(res.SeedCandidates), res.Iterations
 		tb.AddRow(label, typ, attackName, broken, cands, iters)
 	}
 	attackRow("EFF (Jan 2018)", "Static", "ScanSAT", dynunlock.Static)
@@ -90,7 +73,6 @@ func main() {
 
 	fmt.Println("\nThe per-cycle dynamic key (EFF-Dyn) defeats the classic SAT attack, but")
 	fmt.Println("DynUnlock's scan-session unrolling reduces it to a combinational problem.")
-	_ = oracle.Stats{}
 }
 
 func bits(bs []bool) string {

@@ -47,9 +47,6 @@ func (l Lit) Sign() bool { return l&1 == 1 }
 // Not returns the complemented edge.
 func (l Lit) Not() Lit { return l ^ 1 }
 
-// IsConst reports whether the literal is one of the two constants.
-func (l Lit) IsConst() bool { return l.Node() == 0 }
-
 // String renders the literal for debugging.
 func (l Lit) String() string {
 	switch l {

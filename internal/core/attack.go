@@ -76,7 +76,7 @@ type Options struct {
 	TestKey []bool
 	// EnumerateLimit bounds seed-candidate enumeration after convergence.
 	// 0 selects the paper's practical bound of 256 (Table II observes at
-	// most 128 candidates); AttackCtx rejects a limit outside
+	// most 128 candidates); the attack rejects a limit outside
 	// [0, MaxEnumerateLimit].
 	EnumerateLimit int
 	// MaxIterations bounds the DIP loop (0 = unlimited).
@@ -107,7 +107,8 @@ type Options struct {
 	// address seed bits: ModeDirect passes it through unchanged, ModeLinear
 	// translates its rows into the mask key space. OnDIP must also feed it
 	// each response (the tracker's DIPObserver, or an observer that calls
-	// its Observe) so it actually observes the responses.
+	// its Observe) so it actually observes the responses. The tracker
+	// models one-capture sessions, so AttackMultiCtx refuses it at more.
 	Insight satattack.InsightSource
 }
 
@@ -161,33 +162,42 @@ type Result struct {
 }
 
 // ChipOracle adapts a scan session on the real chip to the combinational
-// model's I/O interface: model inputs (pi, a) map to one reset + session;
-// model outputs are (po, observed scan-out).
+// model's I/O interface: model inputs (one PI block per capture, then a)
+// map to one reset + session; model outputs are (the POs of each capture,
+// observed scan-out).
 type ChipOracle struct {
 	Chip    Chip
 	TestKey []bool
 	// Sessions counts queries issued through this adapter.
 	Sessions int
+	captures int
 }
 
-// NewChipOracle builds the adapter; nil testKey selects all zeros.
+// NewChipOracle builds the adapter for one-capture sessions; nil testKey
+// selects all zeros.
 func NewChipOracle(chip Chip, testKey []bool) *ChipOracle {
 	if testKey == nil {
 		testKey = make([]bool, chip.Design().Config.KeyBits)
 	}
-	return &ChipOracle{Chip: chip, TestKey: testKey}
+	return &ChipOracle{Chip: chip, TestKey: testKey, captures: 1}
 }
 
 // Query implements satattack.Oracle.
 func (o *ChipOracle) Query(in []bool) []bool {
 	d := o.Chip.Design()
 	numPI := d.View.NumPI
-	pi := in[:numPI]
-	a := in[numPI:]
+	pis := make([][]bool, o.captures)
+	for c := range pis {
+		pis[c] = in[c*numPI : (c+1)*numPI]
+	}
 	o.Chip.Reset()
-	scanOut, po := o.Chip.Session(o.TestKey, a, pi)
+	scanOut, pos := o.Chip.SessionN(o.TestKey, in[o.captures*numPI:], pis)
 	o.Sessions++
-	return append(append([]bool(nil), po...), scanOut...)
+	out := make([]bool, 0, o.captures*d.View.NumPO+len(scanOut))
+	for _, po := range pos {
+		out = append(out, po...)
+	}
+	return append(out, scanOut...)
 }
 
 // Attack runs DynUnlock end to end against a chip the attacker owns:
@@ -209,8 +219,41 @@ func Attack(chip Chip, opts Options) (*Result, error) {
 // unbounded sequential attack. A limit outside [0, MaxEnumerateLimit] is
 // an error, returned before any model is built.
 func AttackCtx(ctx context.Context, chip Chip, opts Options) (*Result, error) {
-	if opts.EnumerateLimit < 0 || opts.EnumerateLimit > MaxEnumerateLimit {
+	return attack(ctx, chip, 1, opts)
+}
+
+// AttackMulti runs the DynUnlock attack with a multi-capture session model:
+// every DIP is one session with captures capture cycles, and the seed
+// candidates are the seeds whose masks under that session's [A;B]
+// reproduce a recovered mask. It does not combine them with the
+// single-capture masks; a caller that intersects its candidates with
+// Attack's gets the stacked rank of both, which prunes rank-deficient
+// cases as the paper's "second capture" refinement describes. AttackMulti
+// is AttackMultiCtx under context.Background().
+func AttackMulti(chip Chip, captures int, opts Options) (*Result, error) {
+	return AttackMultiCtx(context.Background(), chip, captures, opts)
+}
+
+// AttackMultiCtx is AttackMulti with cancellation and tracing; one capture
+// is AttackCtx. The direct model and the insight tracker address
+// one-capture sessions only, so captures < 1, and ModeDirect or a non-nil
+// Insight with more than one capture, are errors, returned like a bad
+// enumerate limit before any model is built.
+func AttackMultiCtx(ctx context.Context, chip Chip, captures int, opts Options) (*Result, error) {
+	return attack(ctx, chip, captures, opts)
+}
+
+// attack is the one body behind AttackCtx and AttackMultiCtx.
+func attack(ctx context.Context, chip Chip, captures int, opts Options) (*Result, error) {
+	switch {
+	case opts.EnumerateLimit < 0 || opts.EnumerateLimit > MaxEnumerateLimit:
 		return nil, fmt.Errorf("core: enumerate limit %d outside [0, %d]", opts.EnumerateLimit, MaxEnumerateLimit)
+	case captures < 1:
+		return nil, fmt.Errorf("core: captures %d must be >= 1", captures)
+	case captures > 1 && opts.Mode == ModeDirect:
+		return nil, fmt.Errorf("core: the direct model has one capture, not %d", captures)
+	case captures > 1 && opts.Insight != nil:
+		return nil, fmt.Errorf("core: insight tracks one-capture sessions, not %d captures", captures)
 	}
 	tr := trace.From(ctx)
 	start := time.Now()
@@ -242,6 +285,7 @@ func AttackCtx(ctx context.Context, chip Chip, opts Options) (*Result, error) {
 	defer chip.SetSessionHook(prevHook)
 
 	adapter := NewChipOracle(chip, opts.TestKey)
+	adapter.captures = captures
 
 	res := &Result{Mode: opts.Mode}
 	var A, B *gf2.Mat // the model's masks, which verification reuses
@@ -278,7 +322,7 @@ func AttackCtx(ctx context.Context, chip Chip, opts Options) (*Result, error) {
 
 	default: // ModeLinear
 		unroll := tr.Start("unroll")
-		mm, err := BuildMaskModel(d, 0)
+		mm, err := BuildMaskModel(d, 0, captures)
 		if err != nil {
 			unroll.End()
 			return nil, err
@@ -288,6 +332,9 @@ func AttackCtx(ctx context.Context, chip Chip, opts Options) (*Result, error) {
 		res.PredictedLog2 = d.Config.KeyBits - res.Rank
 		unroll.Add("key_bits", uint64(d.Config.KeyBits))
 		unroll.Add("rank", uint64(res.Rank))
+		if captures > 1 {
+			unroll.Add("captures", uint64(captures))
+		}
 		unroll.End()
 		if opts.Log != nil {
 			fmt.Fprintf(opts.Log, "mask model: %s; rank[A;B]=%d predicted candidates=2^%d\n",
@@ -327,7 +374,7 @@ func AttackCtx(ctx context.Context, chip Chip, opts Options) (*Result, error) {
 
 	// A partial candidate set from a stopped run is still verified — the
 	// probes are closed-form, not SAT work.
-	verified, err := verifyCandidates(tr, chip, adapter.TestKey, res.SeedCandidates, opts.VerifyProbes, 1, A, B)
+	verified, err := verifyCandidates(tr, chip, adapter.TestKey, res.SeedCandidates, opts.VerifyProbes, captures, A, B)
 	if err != nil {
 		return nil, err
 	}
@@ -397,7 +444,7 @@ type Verifier struct {
 // mask matrices. The sequential core runs on the AIG stepper; a view the
 // AIG compiler rejects is an error.
 func NewVerifier(d *lock.Design) (*Verifier, error) {
-	A, B, err := maskMatrices(d, 0)
+	A, B, err := maskMatricesN(d, 0, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -188,21 +188,34 @@ func TestAttackCtxSessionHookChains(t *testing.T) {
 }
 
 // An enumerate limit outside [0, MaxEnumerateLimit] is refused with an
-// error naming the bound, before any model is built or session issued: a
-// negative limit once read as "no limit" over the whole mask coset, and
-// MaxInt wrapped the coset bound negative. The bound itself is accepted.
+// error naming the bound, before any model is built or session issued, at
+// one capture and at two: a negative limit once read as "no limit" over
+// the whole mask coset (and cut the multi-capture candidate list at -1),
+// and MaxInt wrapped the coset bound negative. The bound itself is
+// accepted.
 func TestAttackCtxRejectsEnumerateLimit(t *testing.T) {
-	for _, limit := range []int{-1, MaxEnumerateLimit + 1, math.MaxInt} {
-		_, chip := lockedChip(t, 8, 8, scan.PerCycle, 7, 8)
-		sessions := 0
-		chip.SessionHook = func(uint64) { sessions++ }
-		c := trace.NewCollector()
-		res, err := AttackCtx(trace.With(context.Background(), c), chip, Options{EnumerateLimit: limit})
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(MaxEnumerateLimit)) {
-			t.Fatalf("limit %d: err = %v, want one naming the bound %d", limit, err, MaxEnumerateLimit)
-		}
-		if res != nil || sessions != 0 || len(c.Spans()) != 0 {
-			t.Fatalf("limit %d: result %v after %d sessions and %d spans, want none", limit, res, sessions, len(c.Spans()))
+	for _, captures := range []int{1, 2} {
+		for _, limit := range []int{-1, MaxEnumerateLimit + 1, math.MaxInt} {
+			_, chip := lockedChip(t, 8, 8, scan.PerCycle, 7, 8)
+			sessions := 0
+			chip.SessionHook = func(uint64) { sessions++ }
+			c := trace.NewCollector()
+			ctx := trace.With(context.Background(), c)
+			opts := Options{EnumerateLimit: limit}
+			var res *Result
+			var err error
+			if captures == 1 {
+				res, err = AttackCtx(ctx, chip, opts)
+			} else {
+				res, err = AttackMultiCtx(ctx, chip, captures, opts)
+			}
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprint(MaxEnumerateLimit)) {
+				t.Fatalf("captures %d, limit %d: err = %v, want one naming the bound %d", captures, limit, err, MaxEnumerateLimit)
+			}
+			if res != nil || sessions != 0 || len(c.Spans()) != 0 {
+				t.Fatalf("captures %d, limit %d: result %v after %d sessions and %d spans, want none",
+					captures, limit, res, sessions, len(c.Spans()))
+			}
 		}
 	}
 	_, chip := lockedChip(t, 8, 8, scan.PerCycle, 7, 8)

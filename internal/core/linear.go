@@ -43,43 +43,51 @@ func (m Mode) String() string {
 	}
 }
 
-// MaskModel is the mask-space combinational model: the key inputs are the
-// structurally used mask bits of (u, v) = (A·s, B·s) rather than the k seed
-// bits. Mask bits whose rows are zero (flops before the first key gate on
-// the way in, after the last on the way out) are hard-wired to zero and
-// excluded from the key space.
+// MaskModel is the mask-space combinational model of a session with one
+// or more consecutive capture cycles: the key inputs are the structurally
+// used mask bits of (u, v) = (A·s, B·s) rather than the k seed bits, and
+// the combinational core is unrolled once per capture. Mask bits whose
+// rows are zero (flops before the first key gate on the way in, after the
+// last on the way out) are hard-wired to zero and excluded from the key
+// space.
 type MaskModel struct {
-	Design *lock.Design
-	PatIdx int
-	A, B   *gf2.Mat
+	Design   *lock.Design
+	PatIdx   int
+	Captures int
+	A, B     *gf2.Mat
 	// UPos and VPos list the flop indices whose u (resp. v) mask bit is a
 	// key input, in key-vector order: the key vector is
 	// u[UPos[0]], …, u[UPos[last]], v[VPos[0]], …, v[VPos[last]].
 	UPos, VPos []int
-	// Netlist inputs: PIs, a0…a(n-1), then the used mask bits.
+	// Netlist inputs: one PI block per capture, a0…a(n-1), then the used
+	// mask bits. Outputs: the POs of each capture, then b0…b(n-1).
 	Netlist *netlist.Netlist
 	Locked  *satattack.Locked
 }
 
-// BuildMaskModel constructs the mask-space model for one capture session.
-func BuildMaskModel(d *lock.Design, patIdx int) (*MaskModel, error) {
+// BuildMaskModel constructs the mask-space model for a session with the
+// given number of capture cycles.
+func BuildMaskModel(d *lock.Design, patIdx, captures int) (*MaskModel, error) {
 	if patIdx < 0 {
 		return nil, fmt.Errorf("core: negative pattern index")
 	}
-	A, B, err := maskMatrices(d, patIdx)
+	A, B, err := maskMatricesN(d, patIdx, captures)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, err
 	}
 	n := d.Chain.Length
 	src := d.View
-	mm := &MaskModel{Design: d, PatIdx: patIdx, A: A, B: B}
+	mm := &MaskModel{Design: d, PatIdx: patIdx, Captures: captures, A: A, B: B}
 
-	m := netlist.New(fmt.Sprintf("%s-mask-model", d.Netlist.Name))
-	piIDs := make([]netlist.SignalID, src.NumPI)
-	for i := range piIDs {
-		piIDs[i], err = m.AddInput(fmt.Sprintf("pi%d", i))
-		if err != nil {
-			return nil, err
+	m := netlist.New(fmt.Sprintf("%s-mask-model-x%d", d.Netlist.Name, captures))
+	piIDs := make([][]netlist.SignalID, captures)
+	for c := range piIDs {
+		piIDs[c] = make([]netlist.SignalID, src.NumPI)
+		for i := range piIDs[c] {
+			piIDs[c][i], err = m.AddInput(fmt.Sprintf("pi%d_%d", c, i))
+			if err != nil {
+				return nil, err
+			}
 		}
 	}
 	aIDs := make([]netlist.SignalID, n)
@@ -112,38 +120,42 @@ func BuildMaskModel(d *lock.Design, patIdx int) (*MaskModel, error) {
 		}
 	}
 
-	aPrime := make([]netlist.SignalID, n)
+	// state is the chain's content: a' after scan-in, then the captured
+	// next state after each capture.
+	state := make([]netlist.SignalID, n)
 	for j := 0; j < n; j++ {
 		if id, ok := uIDs[j]; ok {
 			ap, err := m.AddGate(fmt.Sprintf("ap%d", j), netlist.Xor, aIDs[j], id)
 			if err != nil {
 				return nil, err
 			}
-			aPrime[j] = ap
+			state[j] = ap
 		} else {
-			aPrime[j] = aIDs[j]
+			state[j] = aIDs[j]
 		}
 	}
-	coreIn := make([]netlist.SignalID, len(src.Inputs))
-	copy(coreIn, piIDs)
-	copy(coreIn[src.NumPI:], aPrime)
-	coreOut, err := appendComb(m, src, coreIn)
-	if err != nil {
-		return nil, err
+	for c := 0; c < captures; c++ {
+		coreIn := make([]netlist.SignalID, len(src.Inputs))
+		copy(coreIn, piIDs[c])
+		copy(coreIn[src.NumPI:], state)
+		coreOut, err := appendComb(m, src, coreIn)
+		if err != nil {
+			return nil, err
+		}
+		for _, po := range coreOut[:src.NumPO] {
+			m.MarkOutput(po)
+		}
+		copy(state, coreOut[src.NumPO:])
 	}
-	for _, po := range coreOut[:src.NumPO] {
-		m.MarkOutput(po)
-	}
-	bPrime := coreOut[src.NumPO:]
 	for j := 0; j < n; j++ {
 		if id, ok := vIDs[j]; ok {
-			b, err := m.AddGate(fmt.Sprintf("b%d", j), netlist.Xor, bPrime[j], id)
+			b, err := m.AddGate(fmt.Sprintf("b%d", j), netlist.Xor, state[j], id)
 			if err != nil {
 				return nil, err
 			}
 			m.MarkOutput(b)
 		} else {
-			m.MarkOutput(bPrime[j])
+			m.MarkOutput(state[j])
 		}
 	}
 	if err := m.Validate(); err != nil {
@@ -153,7 +165,7 @@ func BuildMaskModel(d *lock.Design, patIdx int) (*MaskModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	nonKey := src.NumPI + n
+	nonKey := captures*src.NumPI + n
 	locked := satattack.NewLocked(view, func(i int, _ netlist.SignalID) bool { return i >= nonKey })
 	if err := locked.Validate(); err != nil {
 		return nil, err
@@ -178,15 +190,6 @@ func (mm *MaskModel) MaskVector(key []bool) gf2.Vec {
 		uv.Set(n+j, key[len(mm.UPos)+i])
 	}
 	return uv
-}
-
-// SeedsForMask solves [A;B]·s = (u‖v) for the seeds consistent with one
-// recovered mask assignment, up to limit seeds. ok=false means the system
-// is inconsistent: the SAT equivalence class contained a mask outside the
-// LFSR-reachable space, and that candidate is pruned.
-func (mm *MaskModel) SeedsForMask(uv gf2.Vec, limit int) (seeds []gf2.Vec, ok bool) {
-	stacked := gf2.VStack(mm.A, mm.B)
-	return gf2.EnumerateSolutions(stacked, uv, limit)
 }
 
 // SeedsForMaskCoset recovers every seed whose mask lies in the coset

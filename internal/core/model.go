@@ -26,9 +26,11 @@ import (
 	"fmt"
 
 	"dynunlock/internal/gf2"
+	"dynunlock/internal/lfsr"
 	"dynunlock/internal/lock"
 	"dynunlock/internal/netlist"
 	"dynunlock/internal/satattack"
+	"dynunlock/internal/scan"
 )
 
 // Model is the combinational locked model of a scan-locked design.
@@ -49,10 +51,49 @@ type Model struct {
 	Locked *satattack.Locked
 }
 
-// maskMatrices computes A and B for the design at the given pattern index
-// (single capture).
-func maskMatrices(d *lock.Design, patIdx int) (A, B *gf2.Mat, err error) {
-	return maskMatricesN(d, patIdx, 1)
+// maskMatricesN computes the scan-in matrix A and the scan-out matrix B
+// for a session with the given number of consecutive captures. A is
+// capture-count independent; B's term cycles shift with extra captures, so
+// stacking single- and multi-capture constraints can raise the total rank —
+// the paper's "carry over the seed information recovered from previous
+// capture cycles" refinement. Every mask row is the XOR of key-schedule
+// rows, read from one unroll of the register (lfsr.Schedule); a Static
+// register is the seed itself, so its key bit b is the unit row b.
+func maskMatricesN(d *lock.Design, patIdx, captures int) (A, B *gf2.Mat, err error) {
+	if captures < 1 {
+		return nil, nil, fmt.Errorf("core: captures %d must be >= 1", captures)
+	}
+	if d.Nonlinear() {
+		return nil, nil, fmt.Errorf("core: key register has nonlinear feedback; DynUnlock cannot model it (paper Sec. V)")
+	}
+	k := d.Config.KeyBits
+	n := d.Chain.Length
+	steps := func(cycle int) int { return d.Config.Policy.Steps(patIdx, cycle, d.Config.Period) }
+	var sched *lfsr.Schedule
+	if d.Config.Policy != scan.Static {
+		maxSteps := 0
+		for cycle := 0; cycle <= d.Chain.SessionCyclesN(captures); cycle++ {
+			maxSteps = max(maxSteps, steps(cycle))
+		}
+		if sched, err = lfsr.Unroll(d.Config.Poly, maxSteps); err != nil {
+			return nil, nil, err
+		}
+	}
+	fill := func(row gf2.Vec, terms []scan.Term) {
+		for _, t := range terms {
+			if sched == nil {
+				row.Flip(t.KeyBit)
+			} else {
+				row.Xor(sched.Row(steps(t.Cycle), t.KeyBit))
+			}
+		}
+	}
+	A, B = gf2.NewMat(n, k), gf2.NewMat(n, k)
+	for j := 0; j < n; j++ {
+		fill(A.Row(j), d.Chain.InMaskTerms(j))
+		fill(B.Row(j), d.Chain.OutMaskTermsN(j, captures))
+	}
+	return A, B, nil
 }
 
 // MaskMatrices returns the session mask matrices (A, B) for one capture
@@ -61,7 +102,7 @@ func maskMatrices(d *lock.Design, patIdx int) (A, B *gf2.Mat, err error) {
 // way out. Observability layers (internal/insight) use them to linearize
 // oracle responses over the seed without rebuilding the SAT model.
 func MaskMatrices(d *lock.Design, patIdx int) (A, B *gf2.Mat, err error) {
-	return maskMatrices(d, patIdx)
+	return maskMatricesN(d, patIdx, 1)
 }
 
 // BuildModel constructs the combinational locked model for one capture
@@ -70,7 +111,7 @@ func BuildModel(d *lock.Design, patIdx int) (*Model, error) {
 	if patIdx < 0 {
 		return nil, fmt.Errorf("core: negative pattern index")
 	}
-	A, B, err := maskMatrices(d, patIdx)
+	A, B, err := maskMatricesN(d, patIdx, 1)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

@@ -6,21 +6,22 @@ import (
 	"testing"
 
 	"dynunlock/internal/gf2"
+	"dynunlock/internal/satattack"
 	"dynunlock/internal/scan"
 	"dynunlock/internal/sim"
 	"dynunlock/internal/trace"
 )
 
-// The multi-capture model must match the chip's multi-capture sessions bit
-// for bit, as the single-capture model does.
+// The mask model must match the chip's sessions bit for bit at every
+// capture count, one included.
 func TestMultiCaptureModelMatchesChip(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
-	for _, captures := range []int{2, 3} {
+	for _, captures := range []int{1, 2, 3} {
 		for trial := 0; trial < 3; trial++ {
 			ffs := 5 + rng.Intn(10)
 			keyBits := 3 + rng.Intn(6)
 			d, chip := lockedChip(t, ffs, keyBits, scan.PerCycle, rng.Int63n(1<<40)+1, rng.Int63n(1<<40)+1)
-			mm, err := BuildMaskModelN(d, 0, captures)
+			mm, err := BuildMaskModel(d, 0, captures)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,11 +46,11 @@ func TestMultiCaptureModelMatchesChip(t *testing.T) {
 				}
 				copy(in[off:], scanIn)
 				off += ffs
-				for _, j := range mm.uPos {
+				for _, j := range mm.UPos {
 					in[off] = uv.Get(j)
 					off++
 				}
-				for _, j := range mm.vPos {
+				for _, j := range mm.VPos {
 					in[off] = uv.Get(ffs + j)
 					off++
 				}
@@ -92,7 +93,7 @@ func TestAttackMultiRecoversSeed(t *testing.T) {
 	if res.Iterations > 0 && res.SolverStats.SimplifyCalls == 0 {
 		t.Fatalf("%d DIPs but no inprocessing: %+v", res.Iterations, res.SolverStats)
 	}
-	// captures < 2 falls back to the standard attack.
+	// One capture is the standard attack.
 	res1, err := AttackMulti(chip, 1, Options{EnumerateLimit: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -160,8 +161,37 @@ func TestMaskMatricesNValidation(t *testing.T) {
 	if _, _, err := maskMatricesN(d, 0, 0); err == nil {
 		t.Fatal("want error for captures=0")
 	}
-	if _, err := BuildMaskModelN(d, -1, 1); err == nil {
+	if _, err := BuildMaskModel(d, -1, 1); err == nil {
 		t.Fatal("want error for negative pattern index")
+	}
+}
+
+// noInsight is a seed-space constraint source that never certifies a row.
+type noInsight struct{}
+
+func (noInsight) ConstraintsSince(from int) ([]satattack.KeyConstraint, int) { return nil, from }
+func (noInsight) SolveKey() ([]bool, bool)                                   { return nil, false }
+
+// A session the attack cannot model is refused before any session is
+// issued: no capture at all, and the one-capture direct model or insight
+// tracker asked to serve two captures.
+func TestAttackMultiRejectsUnmodeledSessions(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		captures int
+		opts     Options
+	}{
+		{"no capture", 0, Options{}},
+		{"direct at two captures", 2, Options{Mode: ModeDirect}},
+		{"insight at two captures", 2, Options{Insight: noInsight{}}},
+	} {
+		_, chip := lockedChip(t, 8, 8, scan.PerCycle, 7, 8)
+		sessions := 0
+		chip.SessionHook = func(uint64) { sessions++ }
+		res, err := AttackMulti(chip, tc.captures, tc.opts)
+		if err == nil || res != nil || sessions != 0 {
+			t.Fatalf("%s: result %v, err %v after %d sessions, want an error and no session", tc.name, res, err, sessions)
+		}
 	}
 }
 

@@ -52,7 +52,7 @@ func TestNonlinearDefenseRejected(t *testing.T) {
 	if _, err := BuildModel(d, 0); err == nil || !strings.Contains(err.Error(), "nonlinear") {
 		t.Fatalf("BuildModel error = %v, want nonlinear rejection", err)
 	}
-	if _, err := BuildMaskModel(d, 0); err == nil {
+	if _, err := BuildMaskModel(d, 0, 1); err == nil {
 		t.Fatal("BuildMaskModel must also refuse")
 	}
 	if _, err := Attack(chip, Options{}); err == nil {

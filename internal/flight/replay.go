@@ -16,8 +16,8 @@ import (
 
 // Replay is an oracle that answers scan sessions from a recorded transcript
 // instead of simulating silicon. It implements core.Chip, so it drops into
-// core.AttackCtx / scansat.AttackCtx wherever a fabricated *oracle.Chip
-// would go — the attack re-runs offline with no chip model at all.
+// core.AttackCtx wherever a fabricated *oracle.Chip would go — the attack
+// re-runs offline with no chip model at all.
 //
 // Sessions match by content, not order: each (testKey, scanIn, PIs) triple
 // keys a FIFO of recorded responses, so a replay stays exact as long as the
@@ -38,7 +38,6 @@ type Replay struct {
 
 	mu     sync.Mutex
 	queues map[string][]*SessionRecord
-	pend   int // records not yet served
 	hook   func(cycles uint64)
 	err    error
 }
@@ -50,7 +49,6 @@ func NewReplay(design *lock.Design, sessions []*SessionRecord) *Replay {
 	for _, s := range sessions {
 		k := sessionKey(s.TestKey, s.ScanIn, s.PIs)
 		r.queues[k] = append(r.queues[k], s)
-		r.pend++
 	}
 	return r
 }
@@ -109,13 +107,6 @@ func (r *Replay) Err() error {
 	return r.err
 }
 
-// Remaining returns the number of recorded sessions not yet served.
-func (r *Replay) Remaining() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.pend
-}
-
 // Session replays a single-capture session.
 func (r *Replay) Session(testKey, scanIn, pi []bool) (scanOut, po []bool) {
 	out, pos := r.SessionN(testKey, scanIn, [][]bool{pi})
@@ -162,7 +153,6 @@ func (r *Replay) TryServe(testKey, scanIn []bool, pis [][]bool) (scanOut []bool,
 	}
 	rec := q[0]
 	r.queues[k] = q[1:]
-	r.pend--
 	hook := r.hook
 	r.mu.Unlock()
 

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -232,15 +231,4 @@ func (v *CombView) InputIndex() map[SignalID]int {
 		m[s] = i
 	}
 	return m
-}
-
-// SortedSignalIDs returns all signal ids sorted by name, for deterministic
-// iteration.
-func (n *Netlist) SortedSignalIDs() []SignalID {
-	ids := make([]SignalID, len(n.gates))
-	for i := range ids {
-		ids[i] = SignalID(i)
-	}
-	sort.Slice(ids, func(a, b int) bool { return n.names[ids[a]] < n.names[ids[b]] })
-	return ids
 }
