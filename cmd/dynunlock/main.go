@@ -16,8 +16,8 @@
 // -metrics-addr serves live Prometheus metrics at /metrics, an expvar-style
 // JSON snapshot at /debug/vars, pprof profiles at /debug/pprof/, a live SSE
 // event feed at /events (deltas, one event per DIP, stage spans, results —
-// see internal/stream), and an in-browser dashboard at /live while the
-// attack runs; `runs watch ADDR` follows the same feed from a terminal.
+// see internal/stream) while the attack runs; `runs watch ADDR` follows
+// the feed from a terminal.
 // The run samples its own metrics every two seconds as "snapshot" trace
 // events (in the -trace file and a -record bundle's trace.jsonl, and as
 // "delta" events on /events); -progress prints each sample to stderr as
@@ -151,7 +151,7 @@ func main() {
 	} else if *profile {
 		fatalf("-profile requires -record: profiles are stored inside the bundle")
 	}
-	// The event bus backs /events and /live; it only exists alongside a
+	// The event bus backs /events; it only exists alongside a
 	// metrics server, and an idle bus (no subscribers) costs one atomic
 	// load per publish point.
 	var bus *stream.Bus
@@ -179,7 +179,7 @@ func main() {
 		// end of the run still gets its sample; SSE streams flush their
 		// buffered events plus one terminal snapshot before closing.
 		defer srv.Shutdown(2 * time.Second)
-		fmt.Fprintf(os.Stderr, "dynunlock: serving metrics on http://%s/metrics (live: /events, /live)\n", srv.Addr())
+		fmt.Fprintf(os.Stderr, "dynunlock: serving metrics on http://%s/metrics (live: /events)\n", srv.Addr())
 	}
 	start := time.Now()
 	res, err := dynunlock.RunExperimentCtx(ctx, cfg)

@@ -21,7 +21,6 @@
 //	                               process gauges (a job's own series
 //	                               travel in its feed's delta events)
 //	/events[?job=ID]               SSE feed: aggregate or single-job
-//	/live[?job=ID]                 in-browser dashboard over /events
 //	/healthz /readyz               liveness / drain-aware readiness
 //	/debug/vars /debug/pprof/      expvar snapshot and pprof profiles
 //
@@ -74,7 +73,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dynunlockd: %v\n", err)
 		os.Exit(2)
 	}
-	fmt.Fprintf(os.Stderr, "dynunlockd: serving jobs on http://%s/jobs (metrics: /metrics, live: /events, /live)\n", d.Addr())
+	fmt.Fprintf(os.Stderr, "dynunlockd: serving jobs on http://%s/jobs (metrics: /metrics, live: /events)\n", d.Addr())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)

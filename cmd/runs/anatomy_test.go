@@ -7,8 +7,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -105,10 +103,10 @@ func TestExplainDeterministicReport(t *testing.T) {
 		"anatomy of " + goodBundle,
 		"experiment  s5378 scale=16 keybits=8 policy=per-cycle mode=linear seed=100 analytic=false",
 		"Trials (2 recorded)",
-		"Trial  Candidates  Iterations  Queries  Closed  Seconds  Conflicts  Enc vars  Enc clauses  Success",
-		"        unique  ",
+		"| Trial | Candidates | Iterations | Queries | Closed | Seconds | Conflicts | Enc vars | Enc clauses | Success |",
+		"| unique |",
 		"Wall-time attribution (stages sum to the recorded wall time)",
-		"\n  unique  ",
+		"\n|   unique | ",
 		"hottest stage: dip_loop",
 		"solver: conflicts=",
 		"Hardest DIP iterations",
@@ -202,43 +200,6 @@ func TestCompareAttributesSeededRegression(t *testing.T) {
 		!strings.Contains(out, "regressed solver series: none (no series grew)") ||
 		!strings.Contains(out, "bundles match on deterministic columns") {
 		t.Errorf("self-compare should regress nothing:\n%s", out)
-	}
-}
-
-// TestTrendsByteIdentical renders the report's Trends section twice over the
-// same bundles and ledger: the charts must be present, the two renders
-// byte-identical, and -o must write the same bytes as stdout mode.
-func TestTrendsByteIdentical(t *testing.T) {
-	const ledger = "../../BENCH_attack.json"
-	code, out1, errOut := runCLI(t, "report", "-bench", ledger, bundleDir)
-	if code != exitOK {
-		t.Fatalf("report exit %d\n%s", code, errOut)
-	}
-	_, out2, _ := runCLI(t, "report", "-bench", ledger, bundleDir)
-	if out1 != out2 {
-		t.Error("trends rendered differently across two runs on the same bundles")
-	}
-	for _, want := range []string{
-		`<h2 id="trends">Trends</h2>`, "Per-stage wall time across runs",
-		"Solver work across runs", "DIP difficulty across runs",
-		"Avg attack seconds per ledger row", "<svg",
-	} {
-		if !strings.Contains(out1, want) {
-			t.Errorf("report missing trend %q", want)
-		}
-	}
-
-	// -o writes the same bytes to a file.
-	outFile := filepath.Join(t.TempDir(), "report.html")
-	if code, _, errOut := runCLI(t, "report", "-bench", ledger, "-o", outFile, bundleDir); code != exitOK {
-		t.Fatalf("report -o exit %d\n%s", code, errOut)
-	}
-	written, err := os.ReadFile(outFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(written) != out1 {
-		t.Error("report -o wrote different bytes than stdout mode")
 	}
 }
 

@@ -14,8 +14,9 @@
 //	                                    solver series moved
 //	runs bench [-out FILE] <bundle>...  append normalized rows to BENCH_attack.json
 //	runs baseline [-bench FILE] <bundle>  compare a bundle to its ledger baseline row
-//	runs report [-o FILE] [-bench FILE] [-title T] <bundle-or-dir>...
-//	                                    many runs: one self-contained HTML report
+//	runs report [-bench FILE] <bundle-or-dir>...
+//	                                    many runs: one Markdown report, and a check of
+//	                                    the paper's claims on every trial
 //	runs watch [-job ID] <addr>         follow a live run's /events feed in the terminal
 //
 // explain, compare and report all read bundles through one derivation,
@@ -23,7 +24,8 @@
 // Fig. 3 stages (rows sum exactly to the recorded wall time), solver
 // counter totals (exactly the sum of result.json's per-trial snapshots),
 // per-DIP counter deltas and difficulty scores, and the sampled LBD
-// distribution of the run's closing metrics sample.
+// distribution of the run's closing metrics sample. Every table prints as
+// an aligned Markdown pipe table (report.Table).
 // explain prints the run's manifest summary and trial table above that
 // attribution. compare prints both runs' outcome columns, then names the
 // stage and solver series that regressed, instead of only reporting that
@@ -35,7 +37,8 @@
 //	0  success (validate: bundle ok; replay/compare/baseline: results match)
 //	1  mismatch — replay diverged, compare found differing deterministic
 //	   columns (benchmark, trials, average iterations, queries, candidates,
-//	   broken), or the baseline comparison failed
+//	   broken), the baseline comparison failed, or a trial in a report
+//	   breaks one of the paper's claims
 //	2  usage error
 //	3  corrupt or unreadable bundle/ledger (malformed JSON, failed schema
 //	   validation, missing files, a bundle format older than 5)
@@ -47,12 +50,17 @@
 // the attack code changed behavior since the recording.
 //
 // report renders one or more bundles (a directory of bundles expands to its
-// sorted children) into one static HTML file with inline-SVG charts: a
-// cross-run comparison table, trends across the runs (per-stage seconds,
-// solver work, DIP difficulty, and the ledger history with -bench), and per
-// bundle the insight rank/seed-space curve, solve-time and oracle-cycle
-// timelines and solver hotspots. The output is deterministic: the same
-// bundles render byte-identically.
+// sorted children) as one Markdown document on stdout: the cross-run table,
+// the ledger table with -bench, Trends tables with one row per run
+// (per-stage seconds, solver work, DIP difficulty), and one "## bundle"
+// section per bundle as explain prints it. The output is deterministic:
+// the same bundles render byte-identically, and EXPERIMENTS.md embeds the
+// cross-run tables of two reports. After printing, report holds every trial
+// to the paper's claims and exits 1, naming the bundle, trial and claim,
+// when one fails: the trial did not succeed, its secret seed is not among
+// its candidates, they are not verified, an exact set does not hold
+// 2^(keyBits − rank) seeds, or it took more than 17 iterations (27 above
+// 128 key bits).
 package main
 
 import (
@@ -117,14 +125,15 @@ func usage(stderr io.Writer) int {
   compare <bundleA> <bundleB>     two runs: outcomes, and the stage and solver series that moved
   bench [-out FILE] <bundle>...   append normalized rows to a benchmark ledger
   baseline [-bench FILE] <bundle> compare a bundle to its ledger baseline
-  report [-o FILE] [-bench FILE] [-title T] <bundle-or-dir>...
-                                  many runs: one self-contained HTML report with trends
+  report [-bench FILE] <bundle-or-dir>...
+                                  many runs: one Markdown report with trends; checks
+                                  the paper's claims on every trial
   watch [-job ID] <addr>          follow a live run's /events feed in the terminal
                                   (-job filters to one dynunlockd job and exits at its terminal state)
 
 exit codes: 0 ok/match · 1 mismatch (replay divergence, compare or baseline
-mismatch on deterministic columns) · 2 usage · 3 corrupt or unreadable
-bundle/ledger/event stream`)
+mismatch on deterministic columns, a report trial breaking a paper claim)
+· 2 usage · 3 corrupt or unreadable bundle/ledger/event stream`)
 	return exitUsage
 }
 

@@ -193,39 +193,3 @@ func TestTamperedTranscriptExitsCorrupt(t *testing.T) {
 		}
 	}
 }
-
-// TestReportCommand renders the committed sweep: every bundle gets a
-// section and the page carries the cross-run charts. TestTrendsByteIdentical
-// pins the Trends section and the byte-identical renders.
-func TestReportCommand(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "report.html")
-	code, _, errOut := runCLI(t, "report", "-o", out, bundleDir)
-	if code != exitOK {
-		t.Fatalf("report: exit %d\n%s", code, errOut)
-	}
-	html, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"<svg", "Rank / seed-space curve", "Cross-run comparison", `<h2 id="trends">Trends</h2>`,
-	} {
-		if !strings.Contains(string(html), want) {
-			t.Errorf("report missing %q", want)
-		}
-	}
-	// A parent directory expands to all child bundles.
-	entries, err := os.ReadDir(bundleDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(string(html), `<td><a href="#bundle-`); got != len(entries) {
-		t.Errorf("overview rows = %d, want one per bundle (%d)", got, len(entries))
-	}
-	if code, _, _ := runCLI(t, "report", "-o", filepath.Join(t.TempDir(), "r.html"), corruptBundle(t)); code != exitCorrupt {
-		t.Errorf("report corrupt: want exit %d", exitCorrupt)
-	}
-	if code, _, _ := runCLI(t, "report"); code != exitUsage {
-		t.Errorf("report no args: want exit %d", exitUsage)
-	}
-}

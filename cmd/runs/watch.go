@@ -16,14 +16,13 @@ import (
 
 // cmdWatch follows a live run's /events feed (see internal/stream and
 // internal/metrics.ServeBus), rendering each event as one terminal line.
-// It is the headless sibling of the /live dashboard: each delta (a run's
-// periodic metrics sample) prints as the same line -progress prints
-// (metrics.ProgressLine), and the stream's terminal "result" event with
-// scope "experiment" ends the watch with exit 0. With -job the terminal
-// condition is the dynunlockd job's own lifecycle instead: "done" exits
-// 0, "failed"/"evicted" exit 1 — the experiment result is rendered but
-// does not end the watch, since the job's bundle only closes (and its
-// state only settles) afterwards.
+// Each delta (a run's periodic metrics sample) prints as the same line
+// -progress prints (metrics.ProgressLine), and the stream's terminal
+// "result" event with scope "experiment" ends the watch with exit 0. With
+// -job the terminal condition is the dynunlockd job's own lifecycle
+// instead: "done" exits 0, "failed"/"evicted" exit 1 — the experiment
+// result is rendered but does not end the watch, since the job's bundle
+// only closes (and its state only settles) afterwards.
 //
 // Transient disconnects of an established stream — a dropped connection,
 // a proxy timeout, a server blip — auto-reconnect with bounded exponential

@@ -79,7 +79,7 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	// The event bus backs /events and /live; it only exists alongside a
+	// The event bus backs /events; it only exists alongside a
 	// metrics server, and an idle bus is one atomic load per publish point.
 	var bus *stream.Bus
 	if *metricsAddr != "" {
@@ -115,7 +115,7 @@ func main() {
 		// end of the run still gets its sample; SSE streams flush their
 		// buffered events plus one terminal snapshot before closing.
 		defer srv.Shutdown(2 * time.Second)
-		fmt.Fprintf(os.Stderr, "tables: serving metrics on http://%s/metrics (live: /events, /live)\n", srv.Addr())
+		fmt.Fprintf(os.Stderr, "tables: serving metrics on http://%s/metrics (live: /events)\n", srv.Addr())
 	}
 	if *recordDir != "" && *table == 1 {
 		// Table 1 rows are one-shot attack demos on one chip each; they are

@@ -102,7 +102,7 @@ type Daemon struct {
 
 // New builds and starts a daemon: the data directory is created, the
 // registry and event bus come up, the HTTP plane binds cfg.Addr (with
-// the /jobs API registered on the same mux as /metrics, /events, /live,
+// the /jobs API registered on the same mux as /metrics, /events,
 // /healthz, /readyz), and the worker pool starts pulling jobs.
 func New(cfg Config) (*Daemon, error) {
 	if cfg.Workers <= 0 {

@@ -43,8 +43,7 @@ import (
 )
 
 // Options configures a Tracker's publication sink. The zero value is a
-// silent tracker (state queries only), which the offline report
-// generator uses to replay recorded DIP transcripts.
+// silent tracker (state queries only).
 type Options struct {
 	// Metrics, when non-nil, receives the insight gauges.
 	Metrics *metrics.Registry
@@ -52,22 +51,12 @@ type Options struct {
 	Now func() time.Time
 }
 
-// Point is one sample of the seed-space trajectory: the certified rank
-// and surviving-seed exponent after a DIP was absorbed.
-type Point struct {
-	// DIP is the 1-based count of observations absorbed so far.
-	DIP int
-	// Rank is the certified constraint rank after this DIP.
-	Rank int
-	// SeedsLog2 is k − Rank: log2 of the seed candidates the certified
-	// constraints still admit.
-	SeedsLog2 int
-}
-
 // Snapshot is the tracker's current state.
 type Snapshot struct {
-	DIPs       int
-	Rank       int
+	DIPs int
+	Rank int
+	// TargetRank is rank([A;B]): the ceiling on the certifiable rank and
+	// the analytic constraint count the attack converges to.
 	TargetRank int
 	KeyBits    int
 	// SeedsLog2 = KeyBits − Rank.
@@ -102,7 +91,6 @@ type Tracker struct {
 	dips    int
 	rows    int
 	skipped int
-	points  []Point
 	start   time.Time
 	now     func() time.Time
 	started bool
@@ -140,10 +128,6 @@ func New(d *lock.Design, opts Options) (*Tracker, error) {
 	return t, nil
 }
 
-// TargetRank returns rank([A;B]): the ceiling on the certifiable rank
-// and the analytic constraint count the attack converges to.
-func (t *Tracker) TargetRank() int { return t.target }
-
 // Observe absorbs one DIP and returns the tracker's state after it: dip
 // is the model input vector (primary inputs followed by the scan-in
 // vector, as delivered by the OnDIP hook) and resp the oracle response
@@ -169,10 +153,7 @@ func (t *Tracker) Observe(dip, resp []bool) Snapshot {
 		t.insert(t.forms[t.view.Outputs[numPO+j]], t.b.Row(j), resp[numPO+j])
 	}
 	t.dips++
-	rank := t.basis.Rank()
-	learned := rank - prevRank
-	pt := Point{DIP: t.dips, Rank: rank, SeedsLog2: t.k - rank}
-	t.points = append(t.points, pt)
+	learned := t.basis.Rank() - prevRank
 	snap := t.snapshotLocked()
 	t.mu.Unlock()
 	t.publish(snap, learned)
@@ -235,13 +216,6 @@ func (t *Tracker) Snapshot() Snapshot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.snapshotLocked()
-}
-
-// History returns a copy of the per-DIP trajectory in observation order.
-func (t *Tracker) History() []Point {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Point(nil), t.points...)
 }
 
 // publish pushes a snapshot to the metrics gauges.

@@ -193,3 +193,21 @@ func TestLockBoundsKeyWidth(t *testing.T) {
 		}
 	}
 }
+
+// TestLockRejectsCancellingGates: with more gates than links, random
+// placement can put the same key bit on one link twice. On 3 flops, 2 key
+// bits and 4 gates, seed 1 places {1 0} {2 1} {1 0} {2 1}: the pairs
+// cancel, the chain is not locked at all, and Lock must refuse it.
+func TestLockRejectsCancellingGates(t *testing.T) {
+	n, err := bench.Generate(bench.GenConfig{Name: "t", PIs: 2, POs: 1, FFs: 3, Gates: 12, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{KeyBits: 2, NumGates: 4, Policy: scan.PerCycle, PlacementSeed: 1}
+	if gates := randomGates(3, cfg.NumGates, cfg.KeyBits, cfg.PlacementSeed); fmt.Sprint(gates) != "[{1 0} {2 1} {1 0} {2 1}]" {
+		t.Fatalf("placement %v is not the cancelling one this test pins", gates)
+	}
+	if _, err := Lock(n, cfg); err == nil || !strings.Contains(err.Error(), "cancel") {
+		t.Fatalf("Lock accepted gates that cancel in pairs (err = %v)", err)
+	}
+}

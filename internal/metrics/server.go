@@ -22,7 +22,6 @@ import (
 //	/debug/vars    expvar-style JSON: {"cmdline", "memstats", "dynunlock"}
 //	/debug/pprof/  the standard net/http/pprof profile endpoints
 //	/events        live SSE event feed (ServeBus only; see sse.go)
-//	/live          in-browser live dashboard (ServeBus only; see live.go)
 //
 // Each scrape of /metrics or /debug/vars first refreshes the process
 // gauges (RSS, heap, goroutines) so they are sampled lazily instead of by
@@ -51,14 +50,14 @@ type Server struct {
 // Serve starts an HTTP server on addr (e.g. ":9090", "127.0.0.1:0") and
 // returns once the listener is bound; requests are served on a background
 // goroutine until Close. Serve is ServeBus without an event stream:
-// /events and /live respond 404.
+// /events responds 404.
 func Serve(addr string, r *Registry) (*Server, error) {
 	return ServeBus(addr, r, nil)
 }
 
 // ServeBus is Serve with a live event bus attached: /events streams the
-// bus over SSE (with Last-Event-ID resume) and /live serves the
-// self-contained dashboard. A nil bus degrades to plain Serve.
+// bus over SSE (with Last-Event-ID resume). A nil bus degrades to plain
+// Serve.
 func ServeBus(addr string, r *Registry, bus *stream.Bus) (*Server, error) {
 	if r == nil {
 		return nil, fmt.Errorf("metrics: nil registry")
@@ -84,7 +83,6 @@ func ServeBus(addr string, r *Registry, bus *stream.Bus) (*Server, error) {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/events", s.serveEvents)
-	mux.HandleFunc("/live", s.serveLive)
 	mux.HandleFunc("/healthz", s.serveHealthz)
 	mux.HandleFunc("/readyz", s.serveReadyz)
 

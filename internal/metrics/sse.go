@@ -51,8 +51,8 @@ func (s *Server) serveEvents(w http.ResponseWriter, req *http.Request) {
 	if v := req.Header.Get("Last-Event-ID"); v != "" {
 		last, _ = strconv.ParseUint(v, 10, 64)
 	} else if v := req.URL.Query().Get("last-event-id"); v != "" {
-		// EventSource cannot set the header on a fresh URL; curl-style
-		// clients may prefer a query parameter.
+		// A browser's SSE client cannot set the header on a fresh URL;
+		// curl-style clients may prefer a query parameter.
 		last, _ = strconv.ParseUint(v, 10, 64)
 	}
 	sub := s.bus.Subscribe(last)

@@ -1,14 +1,16 @@
-// Package report renders experiment results as aligned text tables in the
-// style of the paper's Tables I–III.
+// Package report renders experiment results as GitHub-flavoured Markdown
+// pipe tables in the style of the paper's Tables I–III: aligned, so they
+// read as plain text in a terminal and render as tables in Markdown.
 package report
 
 import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 )
 
-// Table accumulates rows and renders them with aligned columns.
+// Table accumulates rows and renders them as one aligned pipe table.
 type Table struct {
 	Title   string
 	headers []string
@@ -40,44 +42,54 @@ func trimFloat(v float64) string {
 	return strings.TrimRight(s, ".")
 }
 
-// Render writes the table to w.
+// Render writes the table to w: the title line and a blank line (when the
+// title is set), the header row, a |---| rule as wide as each column, then
+// the rows. Every cell is padded to its column's width; a row shorter than
+// the header gets empty cells, and a | inside a cell is escaped as \|.
 func (t *Table) Render(w io.Writer) error {
-	width := make([]int, len(t.headers))
-	for i, h := range t.headers {
-		width[i] = len(h)
-	}
-	for _, r := range t.rows {
+	cells := make([][]string, 0, len(t.rows)+1)
+	ncol := len(t.headers)
+	for _, r := range append([][]string{t.headers}, t.rows...) {
+		row := make([]string, len(r))
 		for i, c := range r {
-			if i < len(width) && len(c) > width[i] {
-				width[i] = len(c)
-			}
+			row[i] = strings.ReplaceAll(c, "|", `\|`)
+		}
+		cells = append(cells, row)
+		ncol = max(ncol, len(row))
+	}
+	width := make([]int, ncol)
+	for _, r := range cells {
+		for i, c := range r {
+			width[i] = max(width[i], utf8.RuneCountInString(c))
 		}
 	}
 	var sb strings.Builder
 	if t.Title != "" {
 		sb.WriteString(t.Title)
-		sb.WriteByte('\n')
+		sb.WriteString("\n\n")
 	}
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				sb.WriteString("  ")
+	writeRow := func(r []string) {
+		sb.WriteByte('|')
+		for i, wd := range width {
+			c := ""
+			if i < len(r) {
+				c = r[i]
 			}
+			sb.WriteByte(' ')
 			sb.WriteString(c)
-			if i < len(cells)-1 {
-				sb.WriteString(strings.Repeat(" ", width[i]-len(c)))
-			}
+			sb.WriteString(strings.Repeat(" ", wd-utf8.RuneCountInString(c)))
+			sb.WriteString(" |")
 		}
 		sb.WriteByte('\n')
 	}
-	writeRow(t.headers)
-	total := 0
+	writeRow(cells[0])
+	sb.WriteByte('|')
 	for _, wd := range width {
-		total += wd + 2
+		sb.WriteString(strings.Repeat("-", wd+2))
+		sb.WriteByte('|')
 	}
-	sb.WriteString(strings.Repeat("-", total-2))
 	sb.WriteByte('\n')
-	for _, r := range t.rows {
+	for _, r := range cells[1:] {
 		writeRow(r)
 	}
 	_, err := io.WriteString(w, sb.String())

@@ -93,11 +93,14 @@ type Chain struct {
 }
 
 // Validate checks gate positions and key-bit indices against the chain
-// length and key width.
+// length and key width, and rejects two gates with the same link and key
+// bit: they XOR the same bit onto the same wire, so they cancel and leave
+// that link unlocked.
 func (c *Chain) Validate(keyBits int) error {
 	if c.Length < 2 {
 		return fmt.Errorf("scan: chain length %d too short", c.Length)
 	}
+	seen := make(map[KeyGate]bool, len(c.Gates))
 	for _, g := range c.Gates {
 		if g.Link < 1 || g.Link >= c.Length {
 			return fmt.Errorf("scan: key gate link %d out of range [1,%d)", g.Link, c.Length)
@@ -105,6 +108,10 @@ func (c *Chain) Validate(keyBits int) error {
 		if g.KeyBit < 0 || g.KeyBit >= keyBits {
 			return fmt.Errorf("scan: key bit %d out of range [0,%d)", g.KeyBit, keyBits)
 		}
+		if seen[g] {
+			return fmt.Errorf("scan: two key gates on link %d use key bit %d and cancel", g.Link, g.KeyBit)
+		}
+		seen[g] = true
 	}
 	return nil
 }

@@ -49,6 +49,8 @@ func TestChainValidate(t *testing.T) {
 		{"link == n", Chain{Length: 8, Gates: []KeyGate{{8, 0}}}, 3, false},
 		{"key bit oob", Chain{Length: 8, Gates: []KeyGate{{1, 3}}}, 3, false},
 		{"neg key bit", Chain{Length: 8, Gates: []KeyGate{{1, -1}}}, 3, false},
+		{"same link, other key bit", Chain{Length: 8, Gates: []KeyGate{{1, 0}, {1, 1}}}, 3, true},
+		{"gates that cancel", Chain{Length: 8, Gates: []KeyGate{{1, 0}, {5, 2}, {1, 0}}}, 3, false},
 	}
 	for _, tc := range cases {
 		if err := tc.c.Validate(tc.keyBits); (err == nil) != tc.ok {

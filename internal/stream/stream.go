@@ -21,9 +21,9 @@
 // listening for are never assigned a number, so resume is exact within
 // the stream's own numbering.
 //
-// SSE framing for the feed lives in sse.go; the /events endpoint and
-// /live dashboard are in internal/metrics (the -metrics-addr mux), and
-// `runs watch` is the terminal client.
+// SSE framing for the feed lives in sse.go; the /events endpoint is in
+// internal/metrics (the -metrics-addr mux), and `runs watch` is the
+// terminal client.
 package stream
 
 import (
