@@ -129,9 +129,9 @@ const cnfAffineConflicts = 1214
 
 var cnfAffineCandidates = [2]string{"10101111", "10001100"}
 
-// TestAffineCrossover pins the headline perf claim at the ledger's recorded
-// configuration (affine reference core, scale 16, 8-bit key, seed base
-// 100): on XOR-dominated hardware the GF(2)-native pipeline with the
+// TestAffineCrossover pins the headline perf claim at the configuration of
+// the committed bench/bundles/affine bundle (affine reference core, scale
+// 16, 8-bit key, seed base 100): on XOR-dominated hardware the GF(2)-native pipeline with the
 // insight feedback loop must recover the candidate set pure CNF found with
 // strictly fewer than half its conflicts, terminating analytically.
 func TestAffineCrossover(t *testing.T) {

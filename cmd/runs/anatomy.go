@@ -68,24 +68,27 @@ func cmdExplain(args []string, stdout, stderr io.Writer) int {
 	return exitOK
 }
 
-// renderExplain writes the deterministic text report.
+// renderExplain writes the deterministic Markdown report: the run summary
+// as a list, the trial and stage tables, the headline attribution as a
+// list, the hardest DIPs and the search telemetry as a list. Lists and
+// tables read the same in a terminal as rendered.
 func renderExplain(w io.Writer, r *anatomy.Report, top int) {
 	b := r.Bundle
 	m := &b.Manifest
-	fmt.Fprintf(w, "anatomy of %s\n", r.Dir)
-	fmt.Fprintf(w, "recorded    %s by %s (%s %s/%s, %d CPU, host %s)\n",
+	fmt.Fprintf(w, "- anatomy of %s\n", r.Dir)
+	fmt.Fprintf(w, "- recorded %s by %s (%s %s/%s, %d CPU, host %s)\n",
 		m.CreatedAt, orDash(m.Tool), m.Fingerprint.GoVersion,
 		m.Fingerprint.GOOS, m.Fingerprint.GOARCH, m.Fingerprint.NumCPU, orDash(m.Fingerprint.Host))
 	if m.Fingerprint.GitCommit != "" {
-		fmt.Fprintf(w, "commit      %s\n", m.Fingerprint.GitCommit)
+		fmt.Fprintf(w, "- commit %s\n", m.Fingerprint.GitCommit)
 	}
-	fmt.Fprintf(w, "experiment  %s scale=%d keybits=%d policy=%s mode=%s seed=%d analytic=%v\n",
+	fmt.Fprintf(w, "- experiment %s scale=%d keybits=%d policy=%s mode=%s seed=%d analytic=%v\n",
 		m.Benchmark, m.Scale, m.Lock.KeyBits, m.Lock.Policy, m.Mode, m.SeedBase, m.Analytic)
 	if len(m.Profiles) > 0 {
-		fmt.Fprintf(w, "profiles    %v\n", m.Profiles)
+		fmt.Fprintf(w, "- profiles %v\n", m.Profiles)
 	}
-	fmt.Fprintf(w, "transcript  %d sessions, %d DIP iterations\n", len(b.Sessions), len(b.DIPs))
-	fmt.Fprintf(w, "wall time   %.3fs\n\n", r.TotalSeconds)
+	fmt.Fprintf(w, "- transcript %d sessions, %d DIP iterations\n", len(b.Sessions), len(b.DIPs))
+	fmt.Fprintf(w, "- wall time %.3fs\n\n", r.TotalSeconds)
 
 	tt := report.New(fmt.Sprintf("Trials (%d recorded)", len(b.Result.Trials)),
 		"Trial", "Candidates", "Iterations", "Queries", "Closed", "Seconds", "Conflicts", "Enc vars", "Enc clauses", "Success")
@@ -102,8 +105,8 @@ func renderExplain(w io.Writer, r *anatomy.Report, top int) {
 	report.StageTable("Wall-time attribution (stages sum to the recorded wall time)", r.Stages).Render(w)
 
 	hot := r.HottestStage()
-	fmt.Fprintf(w, "\nhottest stage: %s (%.1f%% of wall time)\n", hot.Name, hot.Share*100)
-	fmt.Fprintf(w, "solver: conflicts=%d propagations=%d decisions=%d restarts=%d learnt=%d xor_propagations=%d xor_conflicts=%d xor_share=%.1f%%\n",
+	fmt.Fprintf(w, "\n- hottest stage: %s (%.1f%% of wall time)\n", hot.Name, hot.Share*100)
+	fmt.Fprintf(w, "- solver: conflicts=%d propagations=%d decisions=%d restarts=%d learnt=%d xor_propagations=%d xor_conflicts=%d xor_share=%.1f%%\n",
 		r.Solver.Conflicts, r.Solver.Propagations, r.Solver.Decisions, r.Solver.Restarts,
 		r.Solver.Learnt, r.Solver.XorPropagations, r.Solver.XorConflicts, r.XorShare*100)
 
@@ -128,13 +131,13 @@ func renderExplain(w io.Writer, r *anatomy.Report, top int) {
 // learnt-clause LBD distribution over every trial, from the run's closing
 // metrics sample, and the restarts result.json records.
 func renderSearch(w io.Writer, s *flight.Sample, restarts uint64) {
-	fmt.Fprintf(w, "search telemetry (closing sample): lbd_samples=%d mean_lbd=%.2f restarts=%d\n",
+	fmt.Fprintf(w, "- search telemetry (closing sample): lbd_samples=%d mean_lbd=%.2f restarts=%d\n",
 		s.LBDSamples, s.LBDMean, restarts)
 	if s.LBDSamples == 0 {
 		return
 	}
 	var b strings.Builder
-	b.WriteString("lbd distribution:")
+	b.WriteString("- lbd distribution:")
 	for i, c := range s.LBDCounts {
 		if c == 0 {
 			continue
@@ -150,10 +153,10 @@ func renderSearch(w io.Writer, s *flight.Sample, restarts uint64) {
 
 // cmdCompare compares two bundles: the outcome table of both runs, then
 // per-stage wall-time movement and per-series solver counter movement with
-// the worst regression of each kind named. The deterministic outcome
-// columns (flight.BenchRow.OutcomeDiff) decide the exit code: identical
-// outcomes exit 0, differing ones exit 1; timing and solver-effort columns
-// are report-only.
+// the worst regression of each kind named. The configuration and the
+// deterministic outcome columns (flight.BenchRow.OutcomeDiff) decide the
+// exit code: identical ones exit 0, and any that differ exit 1, each named
+// with its movement; timing and solver-effort columns are report-only.
 func cmdCompare(args []string, stdout, stderr io.Writer) int {
 	if len(args) != 2 {
 		return usage(stderr)
@@ -168,7 +171,21 @@ func cmdCompare(args []string, stdout, stderr io.Writer) int {
 	}
 	a, b := flight.BenchRowFrom(ra.Bundle), flight.BenchRowFrom(rb.Bundle)
 
-	outcomeTable(fmt.Sprintf("Outcomes: %s vs %s", args[0], args[1]), "A", "B", a, b).Render(stdout)
+	ot := report.New(fmt.Sprintf("Outcomes: %s vs %s", args[0], args[1]), "Metric", "A", "B", "Delta")
+	num := func(name string, va, vb float64) { ot.AddRow(name, va, vb, vb-va) }
+	ot.AddRow("benchmark", a.Benchmark, b.Benchmark, "")
+	ot.AddRow("config", a.ConfigString(), b.ConfigString(), "")
+	ot.AddRow("recorded", a.RecordedAt, b.RecordedAt, "")
+	ot.AddRow("commit", orDash(a.GitCommit), orDash(b.GitCommit), "")
+	num("trials", float64(a.Trials), float64(b.Trials))
+	num("avg iterations", a.AvgIterations, b.AvgIterations)
+	num("avg queries", a.AvgQueries, b.AvgQueries)
+	num("avg candidates", a.AvgCandidates, b.AvgCandidates)
+	num("avg seconds", a.AvgSeconds, b.AvgSeconds)
+	num("total conflicts", float64(a.TotalConflicts), float64(b.TotalConflicts))
+	num("total propagations", float64(a.TotalPropagations), float64(b.TotalPropagations))
+	ot.AddRow("broken", a.Broken, b.Broken, "")
+	ot.Render(stdout)
 
 	d := anatomy.Compare(ra, rb)
 	fmt.Fprintln(stdout)
@@ -202,5 +219,14 @@ func cmdCompare(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, "regressed solver series: none (no series grew)")
 	}
 
-	return outcomeVerdict(stdout, "bundles", "A -> B", a, b)
+	moved := a.OutcomeDiff(b)
+	if len(moved) == 0 {
+		fmt.Fprintln(stdout, "\nbundles match on deterministic columns")
+		return exitOK
+	}
+	fmt.Fprintf(stdout, "\nbundles differ on %d deterministic column(s) (A -> B):\n", len(moved))
+	for _, s := range moved {
+		fmt.Fprintf(stdout, "  %s\n", s)
+	}
+	return exitMismatch
 }

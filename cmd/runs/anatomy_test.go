@@ -100,15 +100,15 @@ func TestExplainDeterministicReport(t *testing.T) {
 		t.Error("explain rendered differently across two runs on the same bundle")
 	}
 	for _, want := range []string{
-		"anatomy of " + goodBundle,
-		"experiment  s5378 scale=16 keybits=8 policy=per-cycle mode=linear seed=100 analytic=false",
+		"- anatomy of " + goodBundle + "\n- recorded ",
+		"\n- experiment s5378 scale=16 keybits=8 policy=per-cycle mode=linear seed=100 analytic=false",
 		"Trials (2 recorded)",
 		"| Trial | Candidates | Iterations | Queries | Closed | Seconds | Conflicts | Enc vars | Enc clauses | Success |",
 		"| unique |",
 		"Wall-time attribution (stages sum to the recorded wall time)",
 		"\n|   unique | ",
-		"hottest stage: dip_loop",
-		"solver: conflicts=",
+		"\n- hottest stage: dip_loop",
+		"\n- solver: conflicts=",
 		"Hardest DIP iterations",
 	} {
 		if !strings.Contains(out1, want) {
@@ -117,7 +117,7 @@ func TestExplainDeterministicReport(t *testing.T) {
 	}
 	// Committed bundles carry the sampled LBD distribution in their
 	// closing metrics sample.
-	for _, want := range []string{"search telemetry (closing sample): lbd_samples=", "lbd distribution:"} {
+	for _, want := range []string{"\n- search telemetry (closing sample): lbd_samples=", "\n- lbd distribution:"} {
 		if !strings.Contains(out1, want) {
 			t.Errorf("committed bundle shows no search telemetry %q:\n%s", want, out1)
 		}

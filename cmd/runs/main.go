@@ -12,10 +12,7 @@
 //	                                    per-DIP attribution
 //	runs compare <bundleA> <bundleB>    two runs: outcome table, and which stage and
 //	                                    solver series moved
-//	runs bench [-out FILE] <bundle>...  append normalized rows to BENCH_attack.json
-//	runs baseline [-bench FILE] <bundle>  compare a bundle to its ledger baseline row
-//	runs report [-bench FILE] <bundle-or-dir>...
-//	                                    many runs: one Markdown report, and a check of
+//	runs report <bundle-or-dir>...      many runs: one Markdown report, and a check of
 //	                                    the paper's claims on every trial
 //	runs watch [-job ID] <addr>         follow a live run's /events feed in the terminal
 //
@@ -29,19 +26,21 @@
 // explain prints the run's manifest summary and trial table above that
 // attribution. compare prints both runs' outcome columns, then names the
 // stage and solver series that regressed, instead of only reporting that
-// something differs.
+// something differs. The committed bundles are the repository's record of
+// its results: a fresh recording is checked by comparing it with its
+// committed counterpart.
 //
 // Exit codes are uniform across subcommands so scripts and CI can tell the
 // failure classes apart:
 //
-//	0  success (validate: bundle ok; replay/compare/baseline: results match)
+//	0  success (validate: bundle ok; replay/compare: results match)
 //	1  mismatch — replay diverged, compare found differing deterministic
-//	   columns (benchmark, trials, average iterations, queries, candidates,
-//	   broken), the baseline comparison failed, or a trial in a report
-//	   breaks one of the paper's claims
+//	   columns (benchmark, configuration, trials, average iterations,
+//	   queries, candidates, broken), or a trial in a report breaks one of
+//	   the paper's claims
 //	2  usage error
-//	3  corrupt or unreadable bundle/ledger (malformed JSON, failed schema
-//	   validation, missing files, a bundle format older than 5)
+//	3  corrupt or unreadable bundle or event stream (malformed JSON, failed
+//	   schema validation, missing files, a bundle format older than 5)
 //
 // replay is the post-mortem tool: it rebuilds the locked design from the
 // manifest, serves every oracle query from oracle.jsonl (no chip
@@ -51,7 +50,7 @@
 //
 // report renders one or more bundles (a directory of bundles expands to its
 // sorted children) as one Markdown document on stdout: the cross-run table,
-// the ledger table with -bench, Trends tables with one row per run
+// Trends tables with one row per run
 // (per-stage seconds, solver work, DIP difficulty), and one "## bundle"
 // section per bundle as explain prints it. The output is deterministic:
 // the same bundles render byte-identically, and EXPERIMENTS.md embeds the
@@ -65,7 +64,6 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -103,10 +101,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cmdExplain(rest, stdout, stderr)
 	case "compare":
 		return cmdCompare(rest, stdout, stderr)
-	case "bench":
-		return cmdBench(rest, stdout, stderr)
-	case "baseline":
-		return cmdBaseline(rest, stdout, stderr)
 	case "report":
 		return cmdReport(rest, stdout, stderr)
 	case "watch":
@@ -123,17 +117,14 @@ func usage(stderr io.Writer) int {
   explain [-json] [-top N] <bundle>
                                   one run: summary, trials, per-stage and per-DIP attribution
   compare <bundleA> <bundleB>     two runs: outcomes, and the stage and solver series that moved
-  bench [-out FILE] <bundle>...   append normalized rows to a benchmark ledger
-  baseline [-bench FILE] <bundle> compare a bundle to its ledger baseline
-  report [-bench FILE] <bundle-or-dir>...
-                                  many runs: one Markdown report with trends; checks
+  report <bundle-or-dir>...       many runs: one Markdown report with trends; checks
                                   the paper's claims on every trial
   watch [-job ID] <addr>          follow a live run's /events feed in the terminal
                                   (-job filters to one dynunlockd job and exits at its terminal state)
 
-exit codes: 0 ok/match · 1 mismatch (replay divergence, compare or baseline
-mismatch on deterministic columns, a report trial breaking a paper claim)
-· 2 usage · 3 corrupt or unreadable bundle/ledger/event stream`)
+exit codes: 0 ok/match · 1 mismatch (replay divergence, compare mismatch on
+deterministic columns or configuration, a report trial breaking a paper
+claim) · 2 usage · 3 corrupt or unreadable bundle/event stream`)
 	return exitUsage
 }
 
@@ -204,110 +195,6 @@ func cmdReplay(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stdout, "\nreplay is bit-identical to the recording")
 	return exitOK
-}
-
-func cmdBench(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	out := fs.String("out", "BENCH_attack.json", "benchmark ledger to append to")
-	if fs.Parse(args) != nil {
-		return exitUsage
-	}
-	if fs.NArg() < 1 {
-		return usage(stderr)
-	}
-	ledger, err := flight.ReadBenchFile(*out)
-	if err != nil {
-		fmt.Fprintf(stderr, "runs: %v\n", err)
-		return exitCorrupt
-	}
-	for _, dir := range fs.Args() {
-		b, ok := open(dir, stderr)
-		if !ok {
-			return exitCorrupt
-		}
-		row := flight.BenchRowFrom(b)
-		ledger.Rows = append(ledger.Rows, row)
-		fmt.Fprintf(stdout, "runs: %s: %s %s avg_iters=%.1f avg_secs=%.3f conflicts=%d broken=%v\n",
-			*out, row.Benchmark, row.ConfigString(), row.AvgIterations, row.AvgSeconds,
-			row.TotalConflicts, row.Broken)
-	}
-	if err := ledger.Write(*out); err != nil {
-		fmt.Fprintf(stderr, "runs: %v\n", err)
-		return exitCorrupt
-	}
-	return exitOK
-}
-
-func cmdBaseline(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("baseline", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	ledgerPath := fs.String("bench", "BENCH_attack.json", "benchmark ledger holding the baseline rows")
-	if fs.Parse(args) != nil {
-		return exitUsage
-	}
-	if fs.NArg() != 1 {
-		return usage(stderr)
-	}
-	ledger, err := flight.ReadBenchFile(*ledgerPath)
-	if err != nil {
-		fmt.Fprintf(stderr, "runs: %v\n", err)
-		return exitCorrupt
-	}
-	b, ok := open(fs.Arg(0), stderr)
-	if !ok {
-		return exitCorrupt
-	}
-	row := flight.BenchRowFrom(b)
-	base, found := ledger.FindRow(row)
-	if !found {
-		fmt.Fprintf(stderr, "runs: no baseline row in %s for %s %s\n", *ledgerPath, row.Benchmark, row.ConfigString())
-		return exitMismatch
-	}
-	outcomeTable(fmt.Sprintf("Baseline comparison: %s %s", row.Benchmark, row.ConfigString()),
-		"Baseline", "Current", base, row).Render(stdout)
-	// The deterministic columns must match the baseline exactly; timing and
-	// solver-effort columns are report-only (they vary across hosts). On a
-	// mismatch, every moved series is named with its movement so the
-	// failure is directly attributable (`runs compare` digs further into
-	// which attack stage moved).
-	return outcomeVerdict(stdout, "baseline and bundle", "baseline -> current", base, row)
-}
-
-// outcomeTable lines up two ledger-shaped rows' outcome columns, for
-// compare (two bundles) and baseline (a ledger row and a bundle).
-func outcomeTable(title, aName, bName string, a, b flight.BenchRow) *report.Table {
-	tb := report.New(title, "Metric", aName, bName, "Delta")
-	num := func(name string, va, vb float64) { tb.AddRow(name, va, vb, vb-va) }
-	tb.AddRow("benchmark", a.Benchmark, b.Benchmark, "")
-	tb.AddRow("config", a.ConfigString(), b.ConfigString(), "")
-	tb.AddRow("recorded", a.RecordedAt, b.RecordedAt, "")
-	tb.AddRow("commit", orDash(a.GitCommit), orDash(b.GitCommit), "")
-	num("trials", float64(a.Trials), float64(b.Trials))
-	num("avg iterations", a.AvgIterations, b.AvgIterations)
-	num("avg queries", a.AvgQueries, b.AvgQueries)
-	num("avg candidates", a.AvgCandidates, b.AvgCandidates)
-	num("avg seconds", a.AvgSeconds, b.AvgSeconds)
-	num("total conflicts", float64(a.TotalConflicts), float64(b.TotalConflicts))
-	num("total propagations", float64(a.TotalPropagations), float64(b.TotalPropagations))
-	tb.AddRow("broken", a.Broken, b.Broken, "")
-	return tb
-}
-
-// outcomeVerdict prints the deterministic columns that moved from a to b
-// (flight.BenchRow.OutcomeDiff) and returns exitMismatch, or states that
-// they match and returns exitOK.
-func outcomeVerdict(w io.Writer, subject, direction string, a, b flight.BenchRow) int {
-	moved := a.OutcomeDiff(b)
-	if len(moved) == 0 {
-		fmt.Fprintf(w, "\n%s match on deterministic columns\n", subject)
-		return exitOK
-	}
-	fmt.Fprintf(w, "\n%s differ on %d deterministic column(s) (%s):\n", subject, len(moved), direction)
-	for _, s := range moved {
-		fmt.Fprintf(w, "  %s\n", s)
-	}
-	return exitMismatch
 }
 
 func orDash(s string) string {

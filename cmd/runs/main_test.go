@@ -163,12 +163,36 @@ func TestExitCodes(t *testing.T) {
 		t.Errorf("explain -top -1: exit %d, want %d\n%s%s", code, exitUsage, out, errOut)
 	}
 
-	// The commands folded into explain, compare and report are gone.
+	// The commands folded into explain, compare and report are gone, and
+	// so are the ledger's bench and baseline: the committed bundles are
+	// the record, and compare checks a fresh bundle against its
+	// counterpart.
 	for _, args := range [][]string{
 		{"show", goodBundle}, {"diff", goodBundle, otherBundle}, {"trends", bundleDir},
+		{"bench", goodBundle}, {"baseline", goodBundle},
 	} {
 		if code, _, _ := runCLI(t, args...); code != exitUsage {
 			t.Errorf("%s: exit %d, want %d", args[0], code, exitUsage)
+		}
+	}
+}
+
+// TestCompareFailsOnConfig compares the committed table2 bundle with
+// copies whose manifest differs only in configuration: every outcome
+// column matches, yet compare exits 1 and names the config that moved.
+func TestCompareFailsOnConfig(t *testing.T) {
+	for name, oldNew := range map[string][2]string{
+		"analytic": {`"scale": 16,`, `"scale": 16, "analytic": true,`},
+		"scale":    {`"scale": 16,`, `"scale": 8,`},
+	} {
+		dir := rewrittenBundle(t, oldNew[0], oldNew[1])
+		code, out, errOut := runCLI(t, "compare", goodBundle, dir)
+		if code != exitMismatch {
+			t.Errorf("%s: compare exit %d, want %d\n%s%s", name, code, exitMismatch, out, errOut)
+			continue
+		}
+		if !strings.Contains(out, "bundles differ on 1 deterministic column(s) (A -> B):\n  config: scale=16 k=8 per-cycle linear -> ") {
+			t.Errorf("%s: compare does not name the config alone:\n%s", name, out)
 		}
 	}
 }

@@ -20,11 +20,10 @@ import (
 // directories or parents of bundles: a directory without a manifest.json
 // expands to its immediate children that have one, in sorted order — so
 // `runs report bench/bundles/table2` reports every committed condition of
-// that sweep.
+// that sweep. report takes no flag.
 func cmdReport(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("report", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	ledgerPath := fs.String("bench", "", "benchmark ledger for the ledger table (e.g. BENCH_attack.json)")
 	if fs.Parse(args) != nil {
 		return exitUsage
 	}
@@ -45,20 +44,9 @@ func cmdReport(args []string, stdout, stderr io.Writer) int {
 		}
 		runs = append(runs, r)
 	}
-	var ledger *flight.BenchFile
-	if *ledgerPath != "" {
-		if ledger, err = flight.ReadBenchFile(*ledgerPath); err != nil {
-			fmt.Fprintf(stderr, "runs: %v\n", err)
-			return exitCorrupt
-		}
-	}
 
 	fmt.Fprintf(stdout, "# Run report: %d bundle(s)\n\n", len(runs))
 	crossRunTable(runs).Render(stdout)
-	if ledger != nil {
-		fmt.Fprintln(stdout)
-		ledgerTable(ledger, *ledgerPath, runs).Render(stdout)
-	}
 	for _, tb := range trendTables(runs) {
 		fmt.Fprintln(stdout)
 		tb.Render(stdout)
@@ -78,9 +66,9 @@ func cmdReport(args []string, stdout, stderr io.Writer) int {
 	return exitOK
 }
 
-// crossRunTable is the first table of a report: one ledger-shaped row per
-// bundle, with the scan-flop count of the paper's Table II. EXPERIMENTS.md
-// embeds it verbatim.
+// crossRunTable is the first table of a report: one outcome row per bundle
+// (flight.BenchRowFrom), with the scan-flop count of the paper's Table II.
+// EXPERIMENTS.md embeds it verbatim.
 func crossRunTable(runs []*anatomy.Report) *report.Table {
 	tb := report.New("Cross-run comparison", "Bundle", "Benchmark", "Config", "Flops", "Trials",
 		"Avg iterations", "Avg queries", "Avg candidates", "Avg seconds", "Conflicts", "Propagations", "Broken")
@@ -88,25 +76,6 @@ func crossRunTable(runs []*anatomy.Report) *report.Table {
 		r := flight.BenchRowFrom(run.Bundle)
 		tb.AddRow(r.Bundle, r.Benchmark, r.ConfigString(), run.Bundle.Manifest.Lock.ChainLength, r.Trials,
 			r.AvgIterations, r.AvgQueries, r.AvgCandidates, r.AvgSeconds, r.TotalConflicts, r.TotalPropagations, r.Broken)
-	}
-	return tb
-}
-
-// ledgerTable lists the BENCH_attack.json rows, with the change in average
-// iterations against the first reported bundle of the row's configuration.
-func ledgerTable(ledger *flight.BenchFile, path string, runs []*anatomy.Report) *report.Table {
-	tb := report.New(fmt.Sprintf("Benchmark ledger (%s)", path), "Recorded", "Bundle", "Benchmark", "Config",
-		"Trials", "Avg iterations", "Avg seconds", "Conflicts", "Broken", "Δ iters vs this report")
-	for _, r := range ledger.Rows {
-		delta := ""
-		for _, run := range runs {
-			if cur := flight.BenchRowFrom(run.Bundle); cur.SameConfig(r) {
-				delta = fmt.Sprintf("%+g", cur.AvgIterations-r.AvgIterations)
-				break
-			}
-		}
-		tb.AddRow(r.RecordedAt, r.Bundle, r.Benchmark, r.ConfigString(), r.Trials,
-			r.AvgIterations, r.AvgSeconds, r.TotalConflicts, r.Broken, delta)
 	}
 	return tb
 }

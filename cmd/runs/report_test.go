@@ -39,8 +39,8 @@ func tableAfter(t *testing.T, out, title string) []string {
 }
 
 // TestReportCommand checks the report's frame: it opens on its title and
-// the cross-run table, a corrupt bundle exits 3, and it takes one flag,
-// -bench, so no arguments or a retired flag exit 2.
+// the cross-run table, a corrupt bundle exits 3, and it takes no flag, so
+// no arguments or a retired flag exit 2.
 // TestReportOneSectionPerBundle pins the per-bundle parts,
 // TestReportSelfContainedAndDeterministic the document's order and
 // TestTrendsByteIdentical the Trends tables.
@@ -55,7 +55,8 @@ func TestReportCommand(t *testing.T) {
 	if code, _, _ := runCLI(t, "report", corruptBundle(t)); code != exitCorrupt {
 		t.Errorf("report corrupt: want exit %d", exitCorrupt)
 	}
-	for _, args := range [][]string{{"report"}, {"report", "-o", "r.md", bundleDir}, {"report", "-title", "T", bundleDir}} {
+	for _, args := range [][]string{{"report"}, {"report", "-o", "r.md", bundleDir}, {"report", "-title", "T", bundleDir},
+		{"report", "-bench", "ledger.json", bundleDir}} {
 		if code, _, _ := runCLI(t, args...); code != exitUsage {
 			t.Errorf("%v: want exit %d", args, exitUsage)
 		}
@@ -83,7 +84,7 @@ func TestReportOneSectionPerBundle(t *testing.T) {
 		t.Errorf("%d sections, want one per bundle (%d)", got, len(entries))
 	}
 	for i, e := range entries {
-		if got := strings.Count(out, "\n## "+e.Name()+"\n\nanatomy of "+filepath.Join(bundleDir, e.Name())+"\n"); got != 1 {
+		if got := strings.Count(out, "\n## "+e.Name()+"\n\n- anatomy of "+filepath.Join(bundleDir, e.Name())+"\n"); got != 1 {
 			t.Errorf("%d explain sections for %s, want 1", got, e.Name())
 		}
 		if i+2 < len(rows) && !strings.HasPrefix(rows[i+2], "| "+e.Name()+" ") {
@@ -92,17 +93,16 @@ func TestReportOneSectionPerBundle(t *testing.T) {
 	}
 }
 
-// TestReportSelfContainedAndDeterministic renders one bundle with the
-// ledger twice: the renders are byte-identical valid UTF-8, the parts come
-// in the documented order, the ledger table lists every ledger row, and
-// the document is plain Markdown that links nothing outside itself.
+// TestReportSelfContainedAndDeterministic renders one bundle twice: the
+// renders are byte-identical valid UTF-8, the parts come in the documented
+// order, and the document is plain Markdown that links nothing outside
+// itself.
 func TestReportSelfContainedAndDeterministic(t *testing.T) {
-	const ledgerPath = "../../BENCH_attack.json"
-	code, out, errOut := runCLI(t, "report", "-bench", ledgerPath, goodBundle)
+	code, out, errOut := runCLI(t, "report", goodBundle)
 	if code != exitOK {
 		t.Fatalf("report exit %d\n%s", code, errOut)
 	}
-	if _, again, _ := runCLI(t, "report", "-bench", ledgerPath, goodBundle); again != out {
+	if _, again, _ := runCLI(t, "report", goodBundle); again != out {
 		t.Error("report rendered differently across two runs on the same inputs")
 	}
 	if !utf8.ValidString(out) {
@@ -112,7 +112,6 @@ func TestReportSelfContainedAndDeterministic(t *testing.T) {
 	for _, part := range []string{
 		"# Run report: 1 bundle(s)\n",
 		"\nCross-run comparison\n",
-		"\nBenchmark ledger (" + ledgerPath + ")\n",
 		"\nTrends: seconds per stage\n",
 		"\nTrends: solver work\n",
 		"\nTrends: DIP difficulty\n",
@@ -124,13 +123,6 @@ func TestReportSelfContainedAndDeterministic(t *testing.T) {
 		}
 		rest = after
 	}
-	ledger, err := flight.ReadBenchFile(ledgerPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows := tableAfter(t, out, "Benchmark ledger ("+ledgerPath+")"); len(rows) != 2+len(ledger.Rows) {
-		t.Errorf("ledger table has %d lines, want %d rows", len(rows), len(ledger.Rows))
-	}
 	for _, forbid := range []string{"<!DOCTYPE", "<html", "<svg", "<script", "<link", "<img", "http://", "https://"} {
 		if strings.Contains(out, forbid) {
 			t.Errorf("report is not self-contained Markdown; found %q", forbid)
@@ -138,16 +130,15 @@ func TestReportSelfContainedAndDeterministic(t *testing.T) {
 	}
 }
 
-// TestTrendsByteIdentical renders the report twice over the same bundles
-// and ledger: the two renders must be byte-identical, and each Trends table
-// must hold one row per run.
+// TestTrendsByteIdentical renders the report twice over the same bundles:
+// the two renders must be byte-identical, and each Trends table must hold
+// one row per run.
 func TestTrendsByteIdentical(t *testing.T) {
-	const ledgerPath = "../../BENCH_attack.json"
-	code, out1, errOut := runCLI(t, "report", "-bench", ledgerPath, bundleDir)
+	code, out1, errOut := runCLI(t, "report", bundleDir)
 	if code != exitOK {
 		t.Fatalf("report exit %d\n%s", code, errOut)
 	}
-	_, out2, _ := runCLI(t, "report", "-bench", ledgerPath, bundleDir)
+	_, out2, _ := runCLI(t, "report", bundleDir)
 	if out1 != out2 {
 		t.Error("report rendered differently across two runs on the same bundles")
 	}
@@ -179,12 +170,12 @@ func TestReportNamesProfiles(t *testing.T) {
 	}
 	var without, with strings.Builder
 	renderExplain(&without, r, 5)
-	if strings.Contains(without.String(), "\nprofiles ") {
+	if strings.Contains(without.String(), "\n- profiles ") {
 		t.Fatalf("a bundle without profiles lists some:\n%s", without.String())
 	}
 	r.Bundle.Manifest.Profiles = []string{"cpu.pprof", "heap.pprof"}
 	renderExplain(&with, r, 5)
-	if !strings.Contains(with.String(), "\nprofiles    [cpu.pprof heap.pprof]\n") {
+	if !strings.Contains(with.String(), "\n- profiles [cpu.pprof heap.pprof]\n") {
 		t.Fatalf("profiles not named:\n%s", with.String())
 	}
 }

@@ -13,13 +13,15 @@
 // Usage:
 //
 //	tables -table 2 -scale 8 -trials 3
-//	tables -table 3 -scale 8 -parallel 4 -json table3.json
+//	tables -table 3 -scale 8 -parallel 4 -record bundles
 //	tables -table 1
+//
+// The record of a run is its bundles: -record writes one per table 2 or 3
+// condition, and `runs report` and `runs compare` read them.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -52,7 +54,6 @@ func main() {
 		tracePath = flag.String("trace", "", "write a JSONL event trace to this path")
 		recordDir = flag.String("record", "", "write one flight-recorder bundle per table condition under this directory (tables 2 and 3)")
 		profile   = flag.Bool("profile", false, "capture CPU and heap pprof profiles into each condition's bundle (requires -record and -parallel 1)")
-		jsonPath  = flag.String("json", "", "also write machine-readable results to this path")
 		v         = flag.Bool("v", false, "log per-trial progress to stderr")
 
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address while running")
@@ -132,16 +133,15 @@ func main() {
 			fatalf("-profile requires -parallel 1 (one CPU profile per process)")
 		}
 	}
-	start := time.Now()
-	var rows []condRow
+	var done int
 	var err error
 	switch *table {
 	case 1:
-		rows, err = table1(ctx, *scale, workers, bus, logw)
+		done, err = table1(ctx, *scale, workers, bus, logw)
 	case 2:
-		rows, err = table2(ctx, *scale, *trials, *kbits, *maxIters, workers, *recordDir, *profile, *analytic, bus, logw)
+		done, err = table2(ctx, *scale, *trials, *kbits, *maxIters, workers, *recordDir, *profile, *analytic, bus, logw)
 	case 3:
-		rows, err = table3(ctx, *scale, *trials, *maxIters, workers, *recordDir, *profile, *analytic, bus, logw)
+		done, err = table3(ctx, *scale, *trials, *maxIters, workers, *recordDir, *profile, *analytic, bus, logw)
 	default:
 		fmt.Fprintf(os.Stderr, "tables: no table %d in the paper\n", *table)
 		os.Exit(2)
@@ -151,119 +151,11 @@ func main() {
 		fatalf("%v", err)
 	}
 	if stopped {
-		fmt.Printf("\nstopped early (%v): %d condition(s) completed before the bound\n", err, len(rows))
+		fmt.Printf("\nstopped early (%v): %d condition(s) completed before the bound\n", err, done)
 	}
 	if *recordDir != "" {
 		fmt.Fprintf(os.Stderr, "tables: recorded bundles under %s (attribution: runs explain <bundle>, report with trends: runs report %s)\n",
 			*recordDir, *recordDir)
-	}
-	if *jsonPath != "" {
-		rep := jsonReport{
-			Table:          *table,
-			Scale:          *scale,
-			Trials:         *trials,
-			Parallel:       workers,
-			GOMAXPROCS:     runtime.GOMAXPROCS(0),
-			NumCPU:         runtime.NumCPU(),
-			ElapsedSeconds: time.Since(start).Seconds(),
-			Conditions:     rows,
-		}
-		if err := writeJSON(*jsonPath, &rep); err != nil {
-			fatalf("%v", err)
-		}
-	}
-}
-
-// condRow is one table condition in machine-readable form (the -json
-// output; BENCH_*.json perf trajectories are populated from these).
-type condRow struct {
-	Table         string  `json:"table"`
-	Benchmark     string  `json:"benchmark"`
-	Suite         string  `json:"suite,omitempty"`
-	Defense       string  `json:"defense,omitempty"`
-	Attack        string  `json:"attack,omitempty"`
-	KeyBits       int     `json:"keyBits"`
-	Policy        string  `json:"policy"`
-	ScanFlops     int     `json:"scanFlops,omitempty"`
-	Trials        int     `json:"trials"`
-	AvgCandidates float64 `json:"avgCandidates"`
-	AvgIterations float64 `json:"avgIterations"`
-	AvgQueries    float64 `json:"avgQueries,omitempty"`
-	AvgSeconds    float64 `json:"avgSeconds"`
-	Broken        bool    `json:"broken"`
-	Stopped       bool    `json:"stopped,omitempty"`
-	StopReason    string  `json:"stopReason,omitempty"`
-	Conflicts     uint64  `json:"conflicts"`
-	Decisions     uint64  `json:"decisions"`
-	Propagations  uint64  `json:"propagations"`
-	ElapsedSecs   float64 `json:"elapsedSeconds"`
-}
-
-type jsonReport struct {
-	Table          int       `json:"table"`
-	Scale          int       `json:"scale"`
-	Trials         int       `json:"trials"`
-	Parallel       int       `json:"parallel"`
-	GOMAXPROCS     int       `json:"gomaxprocs"`
-	NumCPU         int       `json:"numCPU"`
-	ElapsedSeconds float64   `json:"elapsedSeconds"`
-	Conditions     []condRow `json:"conditions"`
-}
-
-func writeJSON(path string, rep *jsonReport) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func policyName(p dynunlock.Policy) string {
-	switch p {
-	case dynunlock.Static:
-		return "static"
-	case dynunlock.PerPattern:
-		return "per-pattern"
-	default:
-		return "per-cycle"
-	}
-}
-
-// rowFromExperiment converts an experiment into the machine-readable row.
-func rowFromExperiment(table string, res *dynunlock.ExperimentResult, elapsed time.Duration) condRow {
-	var queries float64
-	var dec, prop uint64
-	for _, t := range res.Trials {
-		queries += float64(t.Queries)
-		dec += t.SolverStats.Decisions
-		prop += t.SolverStats.Propagations
-	}
-	n := float64(len(res.Trials))
-	return condRow{
-		Table:         table,
-		Benchmark:     res.Entry.Name,
-		Suite:         res.Entry.Suite,
-		KeyBits:       res.Config.KeyBits,
-		Policy:        policyName(res.Config.Policy),
-		ScanFlops:     res.Entry.FFs,
-		Trials:        len(res.Trials),
-		AvgCandidates: res.AvgCandidates(),
-		AvgIterations: res.AvgIterations(),
-		AvgQueries:    queries / n,
-		AvgSeconds:    res.AvgSeconds(),
-		Broken:        res.AllSucceeded(),
-		Stopped:       res.Stopped,
-		StopReason:    string(res.StopReason),
-		Conflicts:     res.TotalConflicts(),
-		Decisions:     dec,
-		Propagations:  prop,
-		ElapsedSecs:   elapsed.Seconds(),
 	}
 }
 
@@ -274,7 +166,7 @@ func rowFromExperiment(table string, res *dynunlock.ExperimentResult, elapsed ti
 // fabricates the chip from RNG seed 1. Under a static key the DynUnlock
 // model is ScanSAT's: every mask is a fixed XOR of key bits, the same in
 // every cycle.
-func table1(ctx context.Context, scale, workers int, bus *stream.Bus, logw io.Writer) ([]condRow, error) {
+func table1(ctx context.Context, scale, workers int, bus *stream.Bus, logw io.Writer) (int, error) {
 	type cond struct {
 		defense, obfType, attackName string
 		policy                       dynunlock.Policy
@@ -294,10 +186,8 @@ func table1(ctx context.Context, scale, workers int, bus *stream.Bus, logw io.Wr
 		done         bool
 		broken       bool
 		cands, iters int
-		elapsed      time.Duration
 	}
 	rows, err := bench.SweepCtx(ctx, workers, conds, func(ctx context.Context, i int, c cond) (row, error) {
-		condStart := time.Now()
 		res, err := dynunlock.RunExperimentCtx(ctx, dynunlock.ExperimentConfig{
 			Benchmark:      "s5378",
 			KeyBits:        keyBits,
@@ -314,35 +204,22 @@ func table1(ctx context.Context, scale, workers int, bus *stream.Bus, logw io.Wr
 			return row{}, ctx.Err()
 		}
 		t := res.Trials[0]
-		return row{c: c, done: true, broken: t.Converged && t.Success, cands: t.Candidates,
-			iters: t.Iterations, elapsed: time.Since(condStart)}, nil
+		return row{c: c, done: true, broken: t.Converged && t.Success, cands: len(t.SeedCandidates),
+			iters: t.Iterations}, nil
 	})
 
 	tb := report.New("Table I: Evolution of scan locking (each defense attacked live)",
 		"Defense", "Obfuscation type", "Attack", "Broken", "Candidates", "Iterations")
-	var out []condRow
+	done := 0
 	for _, r := range rows {
 		if !r.done { // never ran: the sweep's deadline fired first
 			continue
 		}
 		tb.AddRow(r.c.defense, r.c.obfType, r.c.attackName, r.broken, r.cands, r.iters)
-		out = append(out, condRow{
-			Table:         "I",
-			Benchmark:     "s5378",
-			Defense:       r.c.defense,
-			Attack:        r.c.attackName,
-			KeyBits:       keyBits,
-			Policy:        policyName(r.c.policy),
-			Trials:        1,
-			AvgCandidates: float64(r.cands),
-			AvgIterations: float64(r.iters),
-			AvgSeconds:    r.elapsed.Seconds(),
-			Broken:        r.broken,
-			ElapsedSecs:   r.elapsed.Seconds(),
-		})
+		done++
 	}
 	tb.Render(os.Stdout)
-	return out, err
+	return done, err
 }
 
 // runCondition runs one table condition. With recordDir set it records
@@ -372,18 +249,13 @@ func runCondition(ctx context.Context, cfg dynunlock.ExperimentConfig, recordDir
 }
 
 // table2 reproduces Table II: ten benchmarks, 128-bit dynamic keys.
-func table2(ctx context.Context, scale, trials, keyBits, maxIters, workers int, recordDir string, profile, analytic bool, bus *stream.Bus, logw io.Writer) ([]condRow, error) {
+func table2(ctx context.Context, scale, trials, keyBits, maxIters, workers int, recordDir string, profile, analytic bool, bus *stream.Bus, logw io.Writer) (int, error) {
 	title := fmt.Sprintf("Table II: scan locked circuits with %d-bit dynamic keys (EFF-Dyn, %d trial(s)", keyBits, trials)
 	if scale > 1 {
 		title += fmt.Sprintf(", circuits and keys scaled 1/%d", scale)
 	}
 	title += ")"
-	type outcome struct {
-		res     *dynunlock.ExperimentResult
-		elapsed time.Duration
-	}
-	outs, err := bench.SweepCtx(ctx, workers, bench.Table2, func(ctx context.Context, i int, e bench.Entry) (outcome, error) {
-		condStart := time.Now()
+	outs, err := bench.SweepCtx(ctx, workers, bench.Table2, func(ctx context.Context, i int, e bench.Entry) (*dynunlock.ExperimentResult, error) {
 		cfg := dynunlock.ExperimentConfig{
 			Benchmark:     e.Name,
 			KeyBits:       scaleKey(keyBits, scale),
@@ -396,32 +268,27 @@ func table2(ctx context.Context, scale, trials, keyBits, maxIters, workers int, 
 			Stream:        bus,
 			Log:           logw,
 		}
-		res, err := runCondition(ctx, cfg, recordDir, "table2_"+e.Name, profile)
-		if err != nil {
-			return outcome{}, err
-		}
-		return outcome{res: res, elapsed: time.Since(condStart)}, nil
+		return runCondition(ctx, cfg, recordDir, "table2_"+e.Name, profile)
 	})
 
 	tb := report.New(title,
 		"Benchmark", "# Scan flops", "# Key bits", "# Seed candidates", "# Iterations", "Execution time (secs)", "Broken")
-	var rows []condRow
-	for _, o := range outs {
-		res := o.res
+	done := 0
+	for _, res := range outs {
 		if res == nil { // never ran: the sweep's deadline fired first
 			continue
 		}
 		tb.AddRow(res.Entry.Name, res.Entry.FFs, res.Config.KeyBits,
 			res.AvgCandidates(), res.AvgIterations(), res.AvgSeconds(), res.AllSucceeded())
-		rows = append(rows, rowFromExperiment("II", res, o.elapsed))
+		done++
 	}
 	tb.Render(os.Stdout)
-	return rows, err
+	return done, err
 }
 
 // table3 reproduces Table III: key-size sweep on the three largest
 // benchmarks.
-func table3(ctx context.Context, scale, trials, maxIters, workers int, recordDir string, profile, analytic bool, bus *stream.Bus, logw io.Writer) ([]condRow, error) {
+func table3(ctx context.Context, scale, trials, maxIters, workers int, recordDir string, profile, analytic bool, bus *stream.Bus, logw io.Writer) (int, error) {
 	benches := []string{"s38584", "s38417", "s35932"}
 	title := "Table III: larger keys on the three largest benchmarks"
 	if scale > 1 {
@@ -437,12 +304,7 @@ func table3(ctx context.Context, scale, trials, maxIters, workers int, recordDir
 			conds = append(conds, cond{kb, name})
 		}
 	}
-	type outcome struct {
-		res     *dynunlock.ExperimentResult
-		elapsed time.Duration
-	}
-	outs, err := bench.SweepCtx(ctx, workers, conds, func(ctx context.Context, i int, c cond) (outcome, error) {
-		condStart := time.Now()
+	outs, err := bench.SweepCtx(ctx, workers, conds, func(ctx context.Context, i int, c cond) (*dynunlock.ExperimentResult, error) {
 		cfg := dynunlock.ExperimentConfig{
 			Benchmark:     c.name,
 			KeyBits:       scaleKey(c.kb, scale),
@@ -455,27 +317,22 @@ func table3(ctx context.Context, scale, trials, maxIters, workers int, recordDir
 			Stream:        bus,
 			Log:           logw,
 		}
-		res, err := runCondition(ctx, cfg, recordDir, fmt.Sprintf("table3_%s_k%d", c.name, c.kb), profile)
-		if err != nil {
-			return outcome{}, err
-		}
-		return outcome{res: res, elapsed: time.Since(condStart)}, nil
+		return runCondition(ctx, cfg, recordDir, fmt.Sprintf("table3_%s_k%d", c.name, c.kb), profile)
 	})
 
 	tb := report.New(title,
 		"Key bits", "Benchmark", "# Seed candidates", "# Iterations", "Execution time (secs)", "Broken")
-	var rows []condRow
-	for _, o := range outs {
-		res := o.res
+	done := 0
+	for _, res := range outs {
 		if res == nil { // never ran: the sweep's deadline fired first
 			continue
 		}
 		tb.AddRow(res.Config.KeyBits, res.Entry.Name, res.AvgCandidates(), res.AvgIterations(),
 			res.AvgSeconds(), res.AllSucceeded())
-		rows = append(rows, rowFromExperiment("III", res, o.elapsed))
+		done++
 	}
 	tb.Render(os.Stdout)
-	return rows, err
+	return done, err
 }
 
 // scaleKey shrinks the key width along with the circuit, keeping the

@@ -105,40 +105,13 @@ type ExperimentConfig struct {
 	Log io.Writer
 }
 
-// TrialResult is the outcome of one attack run.
-type TrialResult struct {
-	Candidates int
-	Iterations int
-	Queries    int
-	Seconds    float64
-	Rank       int
-	Exact      bool
-	Converged  bool
-	Verified   bool
-	// Analytic reports the trial ended via the insight rank-k short-circuit
-	// rather than SAT convergence (see core.Result.Analytic).
-	Analytic bool
-	// Closed names the proof that closed a converged DIP loop (see
-	// core.Result.Closed); empty when the loop did not converge.
-	Closed core.Close
-	// Success is the paper's criterion: the programmed secret seed is in
-	// the recovered candidate set.
-	Success bool
-	// Stopped and StopReason report a deadline/cancellation/budget bound on
-	// this trial (see core.Result); the trial's counters stay valid.
-	Stopped    bool
-	StopReason core.StopReason
-	// SolverStats snapshots the CDCL solver counters for the trial, making
-	// perf trajectories comparable across machines: conflicts don't depend
-	// on clock speed.
-	SolverStats sat.Stats
-}
-
-// ExperimentResult aggregates an experiment's trials.
+// ExperimentResult aggregates an experiment's trials. Each trial is the
+// record a Recorder appends to result.json (see flight.TrialFromResult),
+// so a recorded run returns exactly the trials its bundle holds.
 type ExperimentResult struct {
 	Entry  bench.Entry
 	Config ExperimentConfig
-	Trials []TrialResult
+	Trials []flight.TrialRecord
 	// Stopped is true when a deadline, cancellation, or budget cut the
 	// experiment short: the trial that hit the bound is the last entry and
 	// later trials never ran. StopReason classifies the bound.
@@ -148,27 +121,17 @@ type ExperimentResult struct {
 
 // AvgCandidates returns the mean candidate count across trials.
 func (r *ExperimentResult) AvgCandidates() float64 {
-	return r.avg(func(t TrialResult) float64 { return float64(t.Candidates) })
+	return r.avg(func(t flight.TrialRecord) float64 { return float64(len(t.SeedCandidates)) })
 }
 
 // AvgIterations returns the mean SAT-attack iteration count.
 func (r *ExperimentResult) AvgIterations() float64 {
-	return r.avg(func(t TrialResult) float64 { return float64(t.Iterations) })
+	return r.avg(func(t flight.TrialRecord) float64 { return float64(t.Iterations) })
 }
 
 // AvgSeconds returns the mean attack wall time in seconds.
 func (r *ExperimentResult) AvgSeconds() float64 {
-	return r.avg(func(t TrialResult) float64 { return t.Seconds })
-}
-
-// TotalConflicts sums solver conflicts across trials: a machine-independent
-// work measure for perf trajectories.
-func (r *ExperimentResult) TotalConflicts() uint64 {
-	var sum uint64
-	for _, t := range r.Trials {
-		sum += t.SolverStats.Conflicts
-	}
-	return sum
+	return r.avg(func(t flight.TrialRecord) float64 { return t.Seconds })
 }
 
 // AllSucceeded reports whether every trial recovered the secret seed.
@@ -181,7 +144,7 @@ func (r *ExperimentResult) AllSucceeded() bool {
 	return len(r.Trials) > 0
 }
 
-func (r *ExperimentResult) avg(f func(TrialResult) float64) float64 {
+func (r *ExperimentResult) avg(f func(flight.TrialRecord) float64) float64 {
 	if len(r.Trials) == 0 {
 		return 0
 	}
@@ -393,31 +356,16 @@ func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (*ExperimentRes
 		if err != nil {
 			return nil, fmt.Errorf("dynunlock: %s trial %d: %w", entry.Name, trial, err)
 		}
-		res.Trials = append(res.Trials, TrialResult{
-			Candidates:  len(atk.SeedCandidates),
-			Iterations:  atk.Iterations,
-			Queries:     atk.Queries,
-			Seconds:     time.Since(start).Seconds(),
-			Rank:        atk.Rank,
-			Exact:       atk.Exact,
-			Converged:   atk.Converged,
-			Closed:      atk.Closed,
-			Verified:    atk.Verified,
-			Analytic:    atk.Analytic,
-			Success:     core.ContainsSeed(atk.SeedCandidates, chip.SecretSeed()),
-			SolverStats: atk.SolverStats,
-			Stopped:     atk.Stopped,
-			StopReason:  atk.StopReason,
-		})
+		secret := chip.SecretSeed()
+		t := flight.TrialFromResult(trial, secret, atk, time.Since(start).Seconds(),
+			core.ContainsSeed(atk.SeedCandidates, secret))
+		res.Trials = append(res.Trials, t)
 		if cfg.Recorder != nil {
-			t := res.Trials[len(res.Trials)-1]
-			cfg.Recorder.RecordTrial(flight.TrialFromResult(
-				trial, chip.SecretSeed(), atk, t.Seconds, t.Success))
+			cfg.Recorder.RecordTrial(t)
 		}
 		if cfg.Log != nil {
-			t := res.Trials[len(res.Trials)-1]
 			fmt.Fprintf(cfg.Log, "%s k=%d trial %d: candidates=%d iters=%d %.2fs success=%v\n",
-				entry.Name, cfg.KeyBits, trial, t.Candidates, t.Iterations, t.Seconds, t.Success)
+				entry.Name, cfg.KeyBits, trial, len(t.SeedCandidates), t.Iterations, t.Seconds, t.Success)
 		}
 		// An iteration bound is per trial; every other bound ends the
 		// experiment where it stands.
@@ -434,8 +382,8 @@ func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (*ExperimentRes
 	for _, t := range res.Trials {
 		itersTotal += t.Iterations
 		queriesTotal += t.Queries
-		conflictsTotal += t.SolverStats.Conflicts
-		propsTotal += t.SolverStats.Propagations
+		conflictsTotal += t.Solver.Conflicts
+		propsTotal += t.Solver.Propagations
 	}
 	stopSampling()
 	tr.Emit(trace.Event{Type: "experiment", Fields: map[string]any{

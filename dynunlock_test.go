@@ -215,7 +215,7 @@ func TestDIPEventsReadTheRunsScope(t *testing.T) {
 	}
 	bus.Close()
 	for _, tr := range res.Trials {
-		if tr.Closed != core.CloseUnique {
+		if tr.Closed != string(core.CloseUnique) {
 			t.Fatalf("trial closed %q, want %q", tr.Closed, core.CloseUnique)
 		}
 	}
@@ -367,8 +367,12 @@ func TestRunPublishesItsOwnSample(t *testing.T) {
 				name, lastDelta[name], at, ok)
 		}
 		last := deltas[name][len(deltas[name])-1]
-		if got := last["conflicts"].(float64); uint64(got) != res.TotalConflicts() {
-			t.Errorf("%s: last delta holds %v conflicts, the run %d", name, got, res.TotalConflicts())
+		var conflicts uint64
+		for _, tr := range res.Trials {
+			conflicts += tr.Solver.Conflicts
+		}
+		if got := last["conflicts"].(float64); uint64(got) != conflicts {
+			t.Errorf("%s: last delta holds %v conflicts, the run %d", name, got, conflicts)
 		}
 		if !reflect.DeepEqual(snapshots[name], deltas[name]) {
 			t.Errorf("%s: collector saw snapshots %v, bus carried deltas %v", name, snapshots[name], deltas[name])

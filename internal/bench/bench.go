@@ -240,7 +240,7 @@ var Table2 = []Entry{
 // AffineRef is the linear reference core: an XOR/XNOR-only netlist sized
 // like the smaller Table II circuits. It is not a paper benchmark — it is
 // the XOR-dominated limit case of the threat model, used to demonstrate
-// the CNF-vs-native-GF(2) crossover in the benchmark ledger.
+// the CNF-vs-native-GF(2) crossover (bench/bundles/affine records it).
 var AffineRef = Entry{
 	Name: "affine", Suite: "affine", FFs: 160, PIs: 35, POs: 49, Gates: 1200, Affine: true,
 }

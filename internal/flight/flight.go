@@ -71,11 +71,6 @@ const (
 	MinFormatVersion = 5
 )
 
-// BenchFormatVersion identifies the BENCH_attack.json ledger layout. The
-// ledger is a separate committed artifact with its own (unchanged) schema;
-// it does not track the bundle FormatVersion.
-const BenchFormatVersion = 1
-
 // Manifest is the bundle's self-description: everything needed to rebuild
 // the locked design and re-run the attack, plus a provenance fingerprint.
 type Manifest struct {

@@ -279,31 +279,3 @@ func TestReadTraceDecodesClosingSample(t *testing.T) {
 		}
 	}
 }
-
-func TestBenchFileRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_attack.json")
-	f, err := ReadBenchFile(path)
-	if err != nil {
-		t.Fatalf("missing ledger should read as empty: %v", err)
-	}
-	row := BenchRow{Benchmark: "s5378", Scale: 16, KeyBits: 8, Policy: "per-cycle",
-		Mode: "linear", Trials: 2, AvgIterations: 3, Broken: true}
-	f.Rows = append(f.Rows, row)
-	if err := f.Write(path); err != nil {
-		t.Fatal(err)
-	}
-	g, err := ReadBenchFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(g.Rows) != 1 || g.Rows[0] != row {
-		t.Fatalf("ledger round trip: %+v", g.Rows)
-	}
-	if got, ok := g.FindRow(BenchRow{Benchmark: "s5378", Scale: 16, KeyBits: 8,
-		Policy: "per-cycle", Mode: "linear"}); !ok || got.AvgIterations != 3 {
-		t.Errorf("FindRow: %+v %v", got, ok)
-	}
-	if _, ok := g.FindRow(BenchRow{Benchmark: "b17"}); ok {
-		t.Error("FindRow matched a different configuration")
-	}
-}

@@ -25,7 +25,7 @@ var fuzzFiles = []string{
 // panic; every oracle.jsonl record of a bundle that opens has the
 // manifest's key and chain widths and the first record's PI and PO
 // widths; and the bundle derives its anatomy report, hardest DIPs and
-// ledger row without panicking. Design() is left out: it rebuilds a
+// outcome row without panicking. Design() is left out: it rebuilds a
 // circuit per input, and lock.MaxKeyBits bounds the width it can be asked
 // for. Two seeds replace the trace's closing sample's lbd_counts with an
 // ill-typed value and with one count too many, and two cut 5 bits off a

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -195,11 +196,11 @@ func TestResumeChipReconstructsInterruptedRun(t *testing.T) {
 		t.Fatal("resume served nothing from the transcript prefix")
 	}
 	want, got := uninterrupted.Trials[0], res.Trials[0]
-	if got.Candidates != want.Candidates || got.Iterations != want.Iterations ||
+	if !slices.Equal(got.SeedCandidates, want.SeedCandidates) || got.Iterations != want.Iterations ||
 		got.Queries != want.Queries || got.Success != want.Success {
-		t.Fatalf("resumed run diverged: candidates/iters/queries/success %d/%d/%d/%v != %d/%d/%d/%v",
-			got.Candidates, got.Iterations, got.Queries, got.Success,
-			want.Candidates, want.Iterations, want.Queries, want.Success)
+		t.Fatalf("resumed run diverged: candidates/iters/queries/success %v/%d/%d/%v != %v/%d/%d/%v",
+			got.SeedCandidates, got.Iterations, got.Queries, got.Success,
+			want.SeedCandidates, want.Iterations, want.Queries, want.Success)
 	}
 }
 

@@ -6,6 +6,8 @@ package report
 import (
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 	"strings"
 	"unicode/utf8"
 )
@@ -36,8 +38,15 @@ func (t *Table) AddRow(cells ...interface{}) {
 	t.rows = append(t.rows, row)
 }
 
+// trimFloat prints v with two decimals from 1 up and with three
+// significant digits below 1, so a 3.3 ms time reads 0.0033, not 0, and
+// drops trailing zeros.
 func trimFloat(v float64) string {
-	s := fmt.Sprintf("%.2f", v)
+	decimals := 2
+	if a := math.Abs(v); a > 0 && a < 1 {
+		decimals = 2 - int(math.Floor(math.Log10(a)))
+	}
+	s := strconv.FormatFloat(v, 'f', decimals, 64)
 	s = strings.TrimRight(s, "0")
 	return strings.TrimRight(s, ".")
 }

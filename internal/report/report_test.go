@@ -53,6 +53,21 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
+// TestTableFloatCells: values from 1 up keep two decimals, values below 1
+// keep three significant digits, so millisecond times do not read 0.
+func TestTableFloatCells(t *testing.T) {
+	for v, want := range map[float64]string{
+		93.7042: "93.7", 1: "1", 0: "0", 0.5: "0.5", 0.123456: "0.123",
+		0.0033049: "0.0033", 0.000123456: "0.000123", -0.00125: "-0.00125", -2.345: "-2.35",
+	} {
+		tb := New("", "V")
+		tb.AddRow(v)
+		if got := cells(strings.Split(tb.String(), "\n")[2])[0]; got != want {
+			t.Errorf("%v renders %q, want %q", v, got, want)
+		}
+	}
+}
+
 func TestTableNoTitle(t *testing.T) {
 	tb := New("", "A", "B")
 	tb.AddRow(1, 2)

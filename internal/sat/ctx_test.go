@@ -112,19 +112,3 @@ func TestSolveCtxPreCancelled(t *testing.T) {
 		t.Fatal("solver unusable after pre-cancelled call")
 	}
 }
-
-func TestPropagationBudget(t *testing.T) {
-	s := New()
-	pigeonhole(s, 8)
-	s.PropagationBudget = 10
-	if st := s.Solve(); st != Unknown {
-		t.Fatalf("want Unknown under propagation budget, got %v", st)
-	}
-	if !s.BudgetExhausted() {
-		t.Fatal("BudgetExhausted must report the spent budget")
-	}
-	s.PropagationBudget = 0
-	if s.BudgetExhausted() {
-		t.Fatal("cleared budget still reported exhausted")
-	}
-}

@@ -153,13 +153,6 @@ type Solver struct {
 	// Solve call may spend before returning Unknown.
 	ConflictBudget int64
 
-	// PropagationBudget, when positive, bounds the total number of unit
-	// propagations a Solve call may spend before returning Unknown. It is a
-	// finer-grained work bound than ConflictBudget: propagation count grows
-	// even on conflict-free descents, so it also caps easy-but-huge
-	// instances.
-	PropagationBudget int64
-
 	// interrupt stops the search at its next check point; SolveCtx's
 	// watcher goroutine sets it when the context is done.
 	interrupt atomic.Bool
@@ -883,22 +876,11 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 	return status
 }
 
-// budgetExhausted reports whether a configured conflict or propagation
-// budget has been spent.
+// budgetExhausted reports whether a configured conflict budget has been
+// spent.
 func (s *Solver) budgetExhausted() bool {
-	if s.ConflictBudget > 0 && int64(s.Stats.Conflicts) >= s.ConflictBudget {
-		return true
-	}
-	if s.PropagationBudget > 0 && int64(s.Stats.Propagations) >= s.PropagationBudget {
-		return true
-	}
-	return false
+	return s.ConflictBudget > 0 && int64(s.Stats.Conflicts) >= s.ConflictBudget
 }
-
-// BudgetExhausted reports whether the last Unknown result was caused by a
-// conflict or propagation budget rather than an interrupt. Callers that
-// mix budgets with cancellation use it to attribute the stop.
-func (s *Solver) BudgetExhausted() bool { return s.budgetExhausted() }
 
 // SolveCtx is Solve with context-scoped cancellation: a watcher goroutine
 // observes ctx.Done and sets the solver's interrupt flag, and the

@@ -199,14 +199,25 @@ func SpreadGates(length, count, keyBits int) []KeyGate {
 	}
 	links := length - 1
 	gates := make([]KeyGate, count)
-	for i := 0; i < count; i++ {
-		round := i / links
-		// Spread within 1..links, then offset successive rounds.
-		link := 1 + (i*links/count+round)%links
-		if count <= links {
-			link = 1 + i*links/count
+	if count <= links {
+		for i := range gates {
+			gates[i] = KeyGate{Link: 1 + i*links/count, KeyBit: i % keyBits}
 		}
-		gates[i] = KeyGate{Link: link, KeyBit: i % keyBits}
+		return gates
+	}
+	// Successive rounds offset the spread. A gate whose (link, key bit)
+	// pair is already placed moves on to the next link without it, so no
+	// pair repeats (the two gates would cancel) while count ≤ links ×
+	// keyBits.
+	placed := make(map[KeyGate]bool, count)
+	for i := range gates {
+		link := 1 + (i*links/count+i/links)%links
+		g := KeyGate{Link: link, KeyBit: i % keyBits}
+		for step := 1; placed[g] && step < links; step++ {
+			g.Link = 1 + (link-1+step)%links
+		}
+		placed[g] = true
+		gates[i] = g
 	}
 	return gates
 }

@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -173,6 +174,36 @@ func TestSpreadGatesMoreThanLinks(t *testing.T) {
 	}
 	if len(bits) != 10 {
 		t.Fatalf("key bits used: %d, want 10", len(bits))
+	}
+}
+
+// TestSpreadGatesNeverRepeatsAPair sweeps 2–12 flops, 1–8 key bits and
+// every gate count up to links × key bits: no (link, key bit) pair
+// repeats, so every placement validates. It pins the 3-flop placement that
+// used to repeat both pairs ([{1 0} {1 1} {1 0} {1 1}]), and the
+// placement of s5378 at 1/32 (8 gates on 7 links), which repeated none and
+// keeps its place.
+func TestSpreadGatesNeverRepeatsAPair(t *testing.T) {
+	for length := 2; length <= 12; length++ {
+		for keyBits := 1; keyBits <= 8; keyBits++ {
+			for count := 1; count <= (length-1)*keyBits; count++ {
+				c := Chain{Length: length, Gates: SpreadGates(length, count, keyBits)}
+				if err := c.Validate(keyBits); err != nil {
+					t.Fatalf("SpreadGates(%d, %d, %d) = %v: %v", length, count, keyBits, c.Gates, err)
+				}
+			}
+		}
+	}
+	for _, tc := range []struct {
+		length, count, keyBits int
+		want                   []KeyGate
+	}{
+		{3, 4, 2, []KeyGate{{1, 0}, {1, 1}, {2, 0}, {2, 1}}},
+		{8, 8, 8, []KeyGate{{1, 0}, {1, 1}, {2, 2}, {3, 3}, {4, 4}, {5, 5}, {6, 6}, {1, 7}}},
+	} {
+		if got := SpreadGates(tc.length, tc.count, tc.keyBits); !slices.Equal(got, tc.want) {
+			t.Errorf("SpreadGates(%d, %d, %d) = %v, want %v", tc.length, tc.count, tc.keyBits, got, tc.want)
+		}
 	}
 }
 

@@ -7,17 +7,18 @@ import (
 	"testing"
 	"time"
 
+	"dynunlock/internal/flight"
 	"dynunlock/internal/stream"
 	"dynunlock/internal/trace"
 )
 
-// TestStreamDoesNotPerturbAttack pins the tentpole's zero-cost guarantee:
+// TestStreamDoesNotPerturbAttack pins the bus's zero-cost guarantee:
 // attaching an event bus with no subscribers must leave the attack
-// bit-identical — same trials, same solver counters, same candidate
-// counts — and must never assign a sequence number (events nobody
+// bit-identical — the same trial records, solver counters and candidate
+// sets included — and must never assign a sequence number (events nobody
 // listened for are never numbered).
 func TestStreamDoesNotPerturbAttack(t *testing.T) {
-	run := func(bus *stream.Bus) []TrialResult {
+	run := func(bus *stream.Bus) []flight.TrialRecord {
 		t.Helper()
 		var log strings.Builder
 		cfg := ExperimentConfig{
@@ -42,8 +43,8 @@ func TestStreamDoesNotPerturbAttack(t *testing.T) {
 	streamed := run(bus)
 
 	// Drop wall-clock fields; everything else must match exactly.
-	scrub := func(ts []TrialResult) []TrialResult {
-		out := make([]TrialResult, len(ts))
+	scrub := func(ts []flight.TrialRecord) []flight.TrialRecord {
+		out := make([]flight.TrialRecord, len(ts))
 		copy(out, ts)
 		for i := range out {
 			out[i].Seconds = 0
