@@ -23,6 +23,7 @@ import (
 
 	"dynunlock/internal/bench"
 	"dynunlock/internal/core"
+	"dynunlock/internal/flight"
 )
 
 func scaleFactor() int {
@@ -165,7 +166,7 @@ func benchSweep(b *testing.B, workers int) {
 			b.Fatal(err)
 		}
 		for _, r := range results {
-			if !r.AllSucceeded() {
+			if !flight.Summarize(r.Trials).Broken {
 				b.Fatalf("%s: attack failed", r.Entry.Name)
 			}
 		}

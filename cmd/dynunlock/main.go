@@ -60,7 +60,6 @@ func main() {
 		seedBase  = flag.Int64("seed", 1, "base RNG seed for the chip secrets")
 		timeout   = flag.Duration("timeout", 0, "wall-clock budget for the whole experiment (0 = unlimited)")
 		maxIters  = flag.Int("max-iters", 0, "bound each trial's DIP loop (0 = unlimited)")
-		analytic  = flag.Bool("analytic", false, "feed certified insight constraints back into the solver and short-circuit at full key rank")
 		tracePath = flag.String("trace", "", "write a JSONL event trace to this path")
 		recordDir = flag.String("record", "", "write a flight-recorder bundle (manifest, oracle/DIP transcripts, trace with metrics samples, result) to this directory")
 		profile   = flag.Bool("profile", false, "capture CPU and heap pprof profiles into the -record bundle (requires -record)")
@@ -91,7 +90,6 @@ func main() {
 		EnumerateLimit: *limit,
 		MaxIterations:  *maxIters,
 		SeedBase:       *seedBase,
-		Analytic:       *analytic,
 	}
 	switch strings.ToLower(*policyStr) {
 	case "static":
@@ -193,12 +191,13 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "dynunlock: recorded bundle to %s (attribution: runs explain %s)\n", rec.Dir(), rec.Dir())
 	}
+	sum := flight.Summarize(res.Trials)
 	tb := report.New(
 		fmt.Sprintf("DynUnlock on %s (%d scan flops, %d-bit key, %v, %d trial(s), %s mode)",
-			res.Entry.Name, res.Entry.FFs, cfg.KeyBits, cfg.Policy, len(res.Trials), cfg.Mode),
+			res.Entry.Name, res.Entry.FFs, cfg.KeyBits, cfg.Policy, sum.Trials, cfg.Mode),
 		"Benchmark", "# Scan flops", "# Key bits", "# Seed candidates", "# Iterations", "Execution time (secs)", "Broken")
 	tb.AddRow(res.Entry.Name, res.Entry.FFs, cfg.KeyBits,
-		res.AvgCandidates(), res.AvgIterations(), res.AvgSeconds(), res.AllSucceeded())
+		sum.AvgCandidates, sum.AvgIterations, sum.AvgSeconds, sum.Broken)
 	tb.Render(os.Stdout)
 	if spans := collector.Spans(); len(spans) > 0 {
 		fmt.Println()
@@ -210,10 +209,10 @@ func main() {
 		// the reason and exit 0 so scripted short runs (CI) can assert on
 		// the partial output.
 		fmt.Printf("\nstopped early: %s (%d/%d trial(s) ran)\n",
-			res.StopReason, len(res.Trials), cfg.Trials)
+			res.StopReason, sum.Trials, cfg.Trials)
 		return
 	}
-	if !res.AllSucceeded() {
+	if !sum.Broken {
 		os.Exit(1)
 	}
 }

@@ -82,8 +82,8 @@ func renderExplain(w io.Writer, r *anatomy.Report, top int) {
 	if m.Fingerprint.GitCommit != "" {
 		fmt.Fprintf(w, "- commit %s\n", m.Fingerprint.GitCommit)
 	}
-	fmt.Fprintf(w, "- experiment %s scale=%d keybits=%d policy=%s mode=%s seed=%d analytic=%v\n",
-		m.Benchmark, m.Scale, m.Lock.KeyBits, m.Lock.Policy, m.Mode, m.SeedBase, m.Analytic)
+	fmt.Fprintf(w, "- experiment %s scale=%d keybits=%d policy=%s mode=%s seed=%d\n",
+		m.Benchmark, m.Scale, m.Lock.KeyBits, m.Lock.Policy, m.Mode, m.SeedBase)
 	if len(m.Profiles) > 0 {
 		fmt.Fprintf(w, "- profiles %v\n", m.Profiles)
 	}

@@ -101,7 +101,7 @@ func TestExplainDeterministicReport(t *testing.T) {
 	}
 	for _, want := range []string{
 		"- anatomy of " + goodBundle + "\n- recorded ",
-		"\n- experiment s5378 scale=16 keybits=8 policy=per-cycle mode=linear seed=100 analytic=false",
+		"\n- experiment s5378 scale=16 keybits=8 policy=per-cycle mode=linear seed=100\n",
 		"Trials (2 recorded)",
 		"| Trial | Candidates | Iterations | Queries | Closed | Seconds | Conflicts | Enc vars | Enc clauses | Success |",
 		"| unique |",

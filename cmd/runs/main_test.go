@@ -182,8 +182,8 @@ func TestExitCodes(t *testing.T) {
 // column matches, yet compare exits 1 and names the config that moved.
 func TestCompareFailsOnConfig(t *testing.T) {
 	for name, oldNew := range map[string][2]string{
-		"analytic": {`"scale": 16,`, `"scale": 16, "analytic": true,`},
-		"scale":    {`"scale": 16,`, `"scale": 8,`},
+		"mode":  {`"mode": "linear",`, `"mode": "direct",`},
+		"scale": {`"scale": 16,`, `"scale": 8,`},
 	} {
 		dir := rewrittenBundle(t, oldNew[0], oldNew[1])
 		code, out, errOut := runCLI(t, "compare", goodBundle, dir)

@@ -50,7 +50,6 @@ func main() {
 		parallel  = flag.Int("parallel", 0, "worker pool size for table conditions (0 = GOMAXPROCS)")
 		timeout   = flag.Duration("timeout", 0, "wall-clock budget shared by the whole table sweep (0 = unlimited); completed conditions are still rendered")
 		maxIters  = flag.Int("max-iters", 0, "bound each trial's DIP loop (0 = unlimited)")
-		analytic  = flag.Bool("analytic", false, "feed certified insight constraints back into the solver and short-circuit at full key rank")
 		tracePath = flag.String("trace", "", "write a JSONL event trace to this path")
 		recordDir = flag.String("record", "", "write one flight-recorder bundle per table condition under this directory (tables 2 and 3)")
 		profile   = flag.Bool("profile", false, "capture CPU and heap pprof profiles into each condition's bundle (requires -record and -parallel 1)")
@@ -139,9 +138,9 @@ func main() {
 	case 1:
 		done, err = table1(ctx, *scale, workers, bus, logw)
 	case 2:
-		done, err = table2(ctx, *scale, *trials, *kbits, *maxIters, workers, *recordDir, *profile, *analytic, bus, logw)
+		done, err = table2(ctx, *scale, *trials, *kbits, *maxIters, workers, *recordDir, *profile, bus, logw)
 	case 3:
-		done, err = table3(ctx, *scale, *trials, *maxIters, workers, *recordDir, *profile, *analytic, bus, logw)
+		done, err = table3(ctx, *scale, *trials, *maxIters, workers, *recordDir, *profile, bus, logw)
 	default:
 		fmt.Fprintf(os.Stderr, "tables: no table %d in the paper\n", *table)
 		os.Exit(2)
@@ -249,7 +248,7 @@ func runCondition(ctx context.Context, cfg dynunlock.ExperimentConfig, recordDir
 }
 
 // table2 reproduces Table II: ten benchmarks, 128-bit dynamic keys.
-func table2(ctx context.Context, scale, trials, keyBits, maxIters, workers int, recordDir string, profile, analytic bool, bus *stream.Bus, logw io.Writer) (int, error) {
+func table2(ctx context.Context, scale, trials, keyBits, maxIters, workers int, recordDir string, profile bool, bus *stream.Bus, logw io.Writer) (int, error) {
 	title := fmt.Sprintf("Table II: scan locked circuits with %d-bit dynamic keys (EFF-Dyn, %d trial(s)", keyBits, trials)
 	if scale > 1 {
 		title += fmt.Sprintf(", circuits and keys scaled 1/%d", scale)
@@ -264,7 +263,6 @@ func table2(ctx context.Context, scale, trials, keyBits, maxIters, workers int, 
 			Trials:        trials,
 			MaxIterations: maxIters,
 			SeedBase:      100,
-			Analytic:      analytic,
 			Stream:        bus,
 			Log:           logw,
 		}
@@ -278,8 +276,9 @@ func table2(ctx context.Context, scale, trials, keyBits, maxIters, workers int, 
 		if res == nil { // never ran: the sweep's deadline fired first
 			continue
 		}
+		sum := flight.Summarize(res.Trials)
 		tb.AddRow(res.Entry.Name, res.Entry.FFs, res.Config.KeyBits,
-			res.AvgCandidates(), res.AvgIterations(), res.AvgSeconds(), res.AllSucceeded())
+			sum.AvgCandidates, sum.AvgIterations, sum.AvgSeconds, sum.Broken)
 		done++
 	}
 	tb.Render(os.Stdout)
@@ -288,7 +287,7 @@ func table2(ctx context.Context, scale, trials, keyBits, maxIters, workers int, 
 
 // table3 reproduces Table III: key-size sweep on the three largest
 // benchmarks.
-func table3(ctx context.Context, scale, trials, maxIters, workers int, recordDir string, profile, analytic bool, bus *stream.Bus, logw io.Writer) (int, error) {
+func table3(ctx context.Context, scale, trials, maxIters, workers int, recordDir string, profile bool, bus *stream.Bus, logw io.Writer) (int, error) {
 	benches := []string{"s38584", "s38417", "s35932"}
 	title := "Table III: larger keys on the three largest benchmarks"
 	if scale > 1 {
@@ -313,7 +312,6 @@ func table3(ctx context.Context, scale, trials, maxIters, workers int, recordDir
 			Trials:        trials,
 			MaxIterations: maxIters,
 			SeedBase:      int64(c.kb),
-			Analytic:      analytic,
 			Stream:        bus,
 			Log:           logw,
 		}
@@ -327,8 +325,9 @@ func table3(ctx context.Context, scale, trials, maxIters, workers int, recordDir
 		if res == nil { // never ran: the sweep's deadline fired first
 			continue
 		}
-		tb.AddRow(res.Config.KeyBits, res.Entry.Name, res.AvgCandidates(), res.AvgIterations(),
-			res.AvgSeconds(), res.AllSucceeded())
+		sum := flight.Summarize(res.Trials)
+		tb.AddRow(res.Config.KeyBits, res.Entry.Name, sum.AvgCandidates, sum.AvgIterations,
+			sum.AvgSeconds, sum.Broken)
 		done++
 	}
 	tb.Render(os.Stdout)

@@ -71,12 +71,6 @@ type ExperimentConfig struct {
 	// SeedBase derives the per-trial secrets; experiments with the same
 	// base are reproducible.
 	SeedBase int64
-	// Analytic closes the insight feedback loop: the tracker's certified
-	// seed constraints are injected into the SAT solver after each DIP and
-	// the attack short-circuits analytically once they reach full key rank
-	// (see core.Options.Insight). Implies running the insight tracker even
-	// when the run is not otherwise live (no recorder, bus or registry).
-	Analytic bool
 	// Recorder, when non-nil, captures the experiment as a flight-recorder
 	// bundle, and RunExperimentCtx wires all of it: the manifest is written
 	// from the resolved design, every scan session and DIP iteration
@@ -107,52 +101,17 @@ type ExperimentConfig struct {
 
 // ExperimentResult aggregates an experiment's trials. Each trial is the
 // record a Recorder appends to result.json (see flight.TrialFromResult),
-// so a recorded run returns exactly the trials its bundle holds.
+// so a recorded run returns exactly the trials its bundle holds;
+// flight.Summarize reduces them to the paper's Table II columns.
 type ExperimentResult struct {
 	Entry  bench.Entry
 	Config ExperimentConfig
 	Trials []flight.TrialRecord
-	// Stopped is true when a deadline, cancellation, or budget cut the
-	// experiment short: the trial that hit the bound is the last entry and
-	// later trials never ran. StopReason classifies the bound.
+	// Stopped is true when a deadline or cancellation cut the experiment
+	// short: the trial that hit the bound is the last entry and later
+	// trials never ran. StopReason classifies the bound.
 	Stopped    bool
 	StopReason core.StopReason
-}
-
-// AvgCandidates returns the mean candidate count across trials.
-func (r *ExperimentResult) AvgCandidates() float64 {
-	return r.avg(func(t flight.TrialRecord) float64 { return float64(len(t.SeedCandidates)) })
-}
-
-// AvgIterations returns the mean SAT-attack iteration count.
-func (r *ExperimentResult) AvgIterations() float64 {
-	return r.avg(func(t flight.TrialRecord) float64 { return float64(t.Iterations) })
-}
-
-// AvgSeconds returns the mean attack wall time in seconds.
-func (r *ExperimentResult) AvgSeconds() float64 {
-	return r.avg(func(t flight.TrialRecord) float64 { return t.Seconds })
-}
-
-// AllSucceeded reports whether every trial recovered the secret seed.
-func (r *ExperimentResult) AllSucceeded() bool {
-	for _, t := range r.Trials {
-		if !t.Success {
-			return false
-		}
-	}
-	return len(r.Trials) > 0
-}
-
-func (r *ExperimentResult) avg(f func(flight.TrialRecord) float64) float64 {
-	if len(r.Trials) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, t := range r.Trials {
-		sum += f(t)
-	}
-	return sum / float64(len(r.Trials))
 }
 
 // LockBenchmark builds the synthetic stand-in for a named benchmark,
@@ -232,7 +191,7 @@ func ctxStop(ctx context.Context) core.StopReason {
 }
 
 // RunExperimentCtx is RunExperiment with cancellation and tracing. A
-// deadline, cancellation, or budget stops the experiment at the bound: the
+// deadline or cancellation stops the experiment at the bound: the
 // trial in flight returns its partial result (recorded with Stopped set)
 // and later trials never start. The partial ExperimentResult is returned
 // with Stopped set — never an error. A trace sink on ctx observes every
@@ -245,13 +204,13 @@ func ctxStop(ctx context.Context) core.StopReason {
 // run without one gets a private registry, so the solver hook, the
 // sampler, the recorder and the "dip" events all read one scope: that
 // registry. Each trial of a live run gets one OnDIP observer (see
-// dipObserver), and the recorder and the bus bridge join whatever trace
-// sink the caller installed on ctx. A run with a registry and a trace
-// sink samples it every metrics.ProgressInterval, and once more after the
-// last trial, as "snapshot" events naming the run (see
-// metrics.StartSampling). A run that is neither live nor Analytic
-// installs no hook at all. Runs that execute concurrently need registries
-// of their own; bench.SweepCtx hands one to each item.
+// dipObserver) and one insight tracker, and the recorder and the bus
+// bridge join whatever trace sink the caller installed on ctx. A run with
+// a registry and a trace sink samples it every metrics.ProgressInterval,
+// and once more after the last trial, as "snapshot" events naming the run
+// (see metrics.StartSampling). A run that is not live installs no hook at
+// all. Runs that execute concurrently need registries of their own;
+// bench.SweepCtx hands one to each item.
 func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (*ExperimentResult, error) {
 	entry, ok := bench.ByName(cfg.Benchmark)
 	if !ok {
@@ -292,7 +251,6 @@ func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (*ExperimentRes
 			EnumerateLimit: cfg.EnumerateLimit,
 			MaxIterations:  cfg.MaxIterations,
 			SeedBase:       cfg.SeedBase,
-			Analytic:       cfg.Analytic,
 			Lock:           flight.LockInfoFor(design),
 			Fingerprint:    flight.NewFingerprint(),
 		}); err != nil {
@@ -333,22 +291,14 @@ func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (*ExperimentRes
 		if cfg.Recorder != nil {
 			atkChip = cfg.Recorder.WrapChip(trial, atkChip)
 		}
-		// Seed-space insight runs whenever the run is live, and in Analytic
-		// mode, which also feeds its certified rows back into the solver. A
-		// tracker setup failure (e.g. a nonlinear PRNG the linear model
-		// refuses) degrades to an untracked (and non-analytic) run rather
-		// than failing the attack.
-		var tk *insight.Tracker
-		if live || cfg.Analytic {
-			var terr error
-			if tk, terr = insight.New(design, insight.Options{Metrics: mr}); terr != nil && cfg.Log != nil {
+		// Seed-space insight runs whenever the run is live. A tracker setup
+		// failure (e.g. a nonlinear PRNG the linear model refuses) degrades
+		// to an untracked run rather than failing the attack.
+		if live {
+			tk, terr := insight.New(design, insight.Options{Metrics: mr})
+			if terr != nil && cfg.Log != nil {
 				fmt.Fprintf(cfg.Log, "insight tracker disabled: %v\n", terr)
 			}
-			if tk != nil && cfg.Analytic {
-				opts.Insight = tk
-			}
-		}
-		if live || tk != nil {
 			opts.OnDIP = dipObserver(cfg.Recorder, cfg.Stream, satattack.LearntLBD(mr), tk, trial)
 		}
 		start := time.Now()
@@ -377,28 +327,21 @@ func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (*ExperimentRes
 	if cfg.Recorder != nil && res.Stopped {
 		cfg.Recorder.SetStopped(true, string(res.StopReason))
 	}
-	var itersTotal, queriesTotal int
-	var conflictsTotal, propsTotal uint64
-	for _, t := range res.Trials {
-		itersTotal += t.Iterations
-		queriesTotal += t.Queries
-		conflictsTotal += t.Solver.Conflicts
-		propsTotal += t.Solver.Propagations
-	}
+	sum := flight.Summarize(res.Trials)
 	stopSampling()
 	tr.Emit(trace.Event{Type: "experiment", Fields: map[string]any{
 		"benchmark":    entry.Name,
 		"key_bits":     cfg.KeyBits,
 		"policy":       cfg.Policy.String(),
-		"trials_run":   len(res.Trials),
+		"trials_run":   sum.Trials,
 		"trials_want":  cfg.Trials,
 		"stopped":      res.Stopped,
 		"stop_reason":  string(res.StopReason),
-		"succeeded":    res.AllSucceeded(),
-		"iterations":   itersTotal,
-		"queries":      queriesTotal,
-		"conflicts":    conflictsTotal,
-		"propagations": propsTotal,
+		"succeeded":    sum.Broken,
+		"iterations":   sum.TotalIterations,
+		"queries":      sum.TotalQueries,
+		"conflicts":    sum.TotalConflicts,
+		"propagations": sum.TotalPropagations,
 	}})
 	return res, nil
 }

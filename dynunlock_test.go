@@ -33,13 +33,14 @@ func TestRunExperimentSmall(t *testing.T) {
 	if len(res.Trials) != 3 {
 		t.Fatalf("trials = %d", len(res.Trials))
 	}
-	if !res.AllSucceeded() {
+	sum := flight.Summarize(res.Trials)
+	if !sum.Broken {
 		t.Fatalf("not all trials succeeded: %+v", res.Trials)
 	}
-	if res.AvgCandidates() < 1 {
+	if sum.AvgCandidates < 1 {
 		t.Fatal("no candidates")
 	}
-	if res.AvgIterations() <= 0 || res.AvgSeconds() <= 0 {
+	if sum.AvgIterations <= 0 || sum.AvgSeconds <= 0 {
 		t.Fatal("averages not recorded")
 	}
 	for _, tr := range res.Trials {
@@ -85,10 +86,12 @@ func TestFacadeLockAndUnlock(t *testing.T) {
 	}
 }
 
+// TestExperimentResultEmptyAggregates: an experiment with no trials is
+// not broken and every average is 0.
 func TestExperimentResultEmptyAggregates(t *testing.T) {
 	r := &ExperimentResult{}
-	if r.AvgCandidates() != 0 || r.AllSucceeded() {
-		t.Fatal("empty aggregates wrong")
+	if s := flight.Summarize(r.Trials); s != (flight.Summary{}) {
+		t.Fatalf("empty aggregates wrong: %+v", s)
 	}
 }
 
@@ -265,21 +268,16 @@ func TestDIPEventsReadTheRunsScope(t *testing.T) {
 }
 
 // TestCommittedBundlesRecordClose checks how every committed trial's DIP
-// loop closed: the table2 and paper128 bundles on a unique consistent key,
-// the affine bundle (insight armed) analytically.
+// loop closed: on a unique consistent key, in all 21 bundles.
 func TestCommittedBundlesRecordClose(t *testing.T) {
 	for _, dir := range committedBundleDirs(t) {
 		b, err := flight.Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := string(core.CloseUnique)
-		if b.Manifest.Analytic {
-			want = string(core.CloseAnalytic)
-		}
 		for _, tr := range b.Result.Trials {
-			if tr.Closed != want {
-				t.Errorf("%s trial %d: closed %q, want %q", dir, tr.Trial, tr.Closed, want)
+			if tr.Closed != string(core.CloseUnique) {
+				t.Errorf("%s trial %d: closed %q, want %q", dir, tr.Trial, tr.Closed, core.CloseUnique)
 			}
 		}
 	}

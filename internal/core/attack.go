@@ -24,7 +24,6 @@ const (
 	StopNone       = satattack.StopNone
 	StopDeadline   = satattack.StopDeadline
 	StopCancelled  = satattack.StopCancelled
-	StopBudget     = satattack.StopBudget
 	StopIterations = satattack.StopIterations
 )
 
@@ -34,15 +33,18 @@ type Close = satattack.Close
 
 // Closing proofs (see satattack).
 const (
-	CloseMiter    = satattack.CloseMiter
-	CloseUnique   = satattack.CloseUnique
-	CloseAnalytic = satattack.CloseAnalytic
+	CloseMiter  = satattack.CloseMiter
+	CloseUnique = satattack.CloseUnique
 )
 
 // MaxEnumerateLimit bounds Options.EnumerateLimit. The paper observes at
 // most 128 candidates and the default limit is 256; a larger limit only
 // lets the mask-coset expansion allocate for classes no attack reports.
 const MaxEnumerateLimit = 1 << 16
+
+// verifyProbes is the number of random probe sessions that check each
+// recovered seed against the chip (attacker-side validation).
+const verifyProbes = 8
 
 // Chip is the oracle-side interface the attack layers consume: the chip
 // the attacker owns, reduced to exactly the operations the attack issues.
@@ -70,10 +72,6 @@ type Options struct {
 	// Mode selects the seed search-space formulation (see Mode). The zero
 	// value is ModeLinear.
 	Mode Mode
-	// TestKey is the (arbitrary, almost surely mismatching) external test
-	// key the attacker applies so the PRNG drives the key gates. Nil means
-	// all zeros.
-	TestKey []bool
 	// EnumerateLimit bounds seed-candidate enumeration after convergence.
 	// 0 selects the paper's practical bound of 256 (Table II observes at
 	// most 128 candidates); the attack rejects a limit outside
@@ -81,12 +79,6 @@ type Options struct {
 	EnumerateLimit int
 	// MaxIterations bounds the DIP loop (0 = unlimited).
 	MaxIterations int
-	// ConflictBudget bounds total SAT conflicts (0 = unlimited).
-	ConflictBudget int64
-	// VerifyProbes is the number of random probe sessions used to check
-	// each recovered seed against the chip (attacker-side validation).
-	// 0 selects 8.
-	VerifyProbes int
 	// Log receives progress lines when non-nil.
 	Log io.Writer
 	// OnDIP, when non-nil, observes every DIP iteration (see
@@ -100,16 +92,6 @@ type Options struct {
 	// Deprecated: ignored. They remain only because cmd/dynbench still
 	// sets them; the next change to that benchmark deletes them.
 	NativeXor, AIG, Simplify bool
-	// Insight, when non-nil, is a seed-space constraint source (the
-	// internal/insight tracker) whose certified rows are fed back into the
-	// solver after each DIP and which arms the analytic rank-k
-	// short-circuit (see satattack.Options.Insight). The source must
-	// address seed bits: ModeDirect passes it through unchanged, ModeLinear
-	// translates its rows into the mask key space. OnDIP must also feed it
-	// each response (the tracker's DIPObserver, or an observer that calls
-	// its Observe) so it actually observes the responses. The tracker
-	// models one-capture sessions, so AttackMultiCtx refuses it at more.
-	Insight satattack.InsightSource
 }
 
 // Result reports a DynUnlock run.
@@ -129,10 +111,6 @@ type Result struct {
 	// satattack.Result.Converged); Closed names the proof.
 	Converged bool
 	Closed    Close
-	// Analytic reports that the insight feedback loop reached full key rank
-	// and the key was recovered by GF(2) back-substitution, short-circuiting
-	// the remaining SAT iterations (see satattack.Result.Analytic).
-	Analytic bool
 	// Rank is rank([A;B]); PredictedLog2 = keyBits − Rank is the analytic
 	// candidate-count exponent.
 	Rank          int
@@ -147,8 +125,8 @@ type Result struct {
 	// CheckStats snapshots the uniqueness check's solver counters (see
 	// satattack.Result.CheckStats).
 	CheckStats sat.Stats
-	// Stopped is true when a deadline, cancellation, or budget bounded the
-	// attack (see satattack.Result.Stopped); counters and any recovered
+	// Stopped is true when a deadline or cancellation bounded the attack
+	// (see satattack.Result.Stopped); counters and any recovered
 	// candidates remain valid, but the set may be incomplete.
 	Stopped bool
 	// StopReason classifies the bound that fired when Stopped is true.
@@ -235,10 +213,9 @@ func AttackMulti(chip Chip, captures int, opts Options) (*Result, error) {
 }
 
 // AttackMultiCtx is AttackMulti with cancellation and tracing; one capture
-// is AttackCtx. The direct model and the insight tracker address
-// one-capture sessions only, so captures < 1, and ModeDirect or a non-nil
-// Insight with more than one capture, are errors, returned like a bad
-// enumerate limit before any model is built.
+// is AttackCtx. The direct model addresses one-capture sessions only, so
+// captures < 1, and ModeDirect with more than one capture, are errors,
+// returned like a bad enumerate limit before any model is built.
 func AttackMultiCtx(ctx context.Context, chip Chip, captures int, opts Options) (*Result, error) {
 	return attack(ctx, chip, captures, opts)
 }
@@ -252,17 +229,12 @@ func attack(ctx context.Context, chip Chip, captures int, opts Options) (*Result
 		return nil, fmt.Errorf("core: captures %d must be >= 1", captures)
 	case captures > 1 && opts.Mode == ModeDirect:
 		return nil, fmt.Errorf("core: the direct model has one capture, not %d", captures)
-	case captures > 1 && opts.Insight != nil:
-		return nil, fmt.Errorf("core: insight tracks one-capture sessions, not %d captures", captures)
 	}
 	tr := trace.From(ctx)
 	start := time.Now()
 	d := chip.Design()
 	if opts.EnumerateLimit == 0 {
 		opts.EnumerateLimit = 256
-	}
-	if opts.VerifyProbes == 0 {
-		opts.VerifyProbes = 8
 	}
 
 	// Tester-time accounting: every scan session reports its cycle cost.
@@ -284,7 +256,9 @@ func attack(ctx context.Context, chip Chip, captures int, opts Options) (*Result
 	})
 	defer chip.SetSessionHook(prevHook)
 
-	adapter := NewChipOracle(chip, opts.TestKey)
+	// The attacker applies the all-zero test key: any (almost surely
+	// mismatching) external key lets the PRNG drive the key gates.
+	adapter := NewChipOracle(chip, nil)
 	adapter.captures = captures
 
 	res := &Result{Mode: opts.Mode}
@@ -307,9 +281,7 @@ func attack(ctx context.Context, chip Chip, captures int, opts Options) (*Result
 			fmt.Fprintf(opts.Log, "direct model: %s; rank[A;B]=%d predicted candidates=2^%d\n",
 				model.Netlist.Stats(), res.Rank, res.PredictedLog2)
 		}
-		// Direct mode searches the seed space itself: the tracker's
-		// seed-bit constraints are key-bit constraints verbatim.
-		saRes, err := runEngine(ctx, model.Locked, adapter, opts, opts.Insight, res)
+		saRes, err := runEngine(ctx, model.Locked, adapter, opts, res)
 		if err != nil {
 			return nil, err
 		}
@@ -340,13 +312,7 @@ func attack(ctx context.Context, chip Chip, captures int, opts Options) (*Result
 			fmt.Fprintf(opts.Log, "mask model: %s; rank[A;B]=%d predicted candidates=2^%d\n",
 				mm.Netlist.Stats(), res.Rank, res.PredictedLog2)
 		}
-		// Linear mode searches the mask space, so the tracker's seed-bit
-		// rows must be re-expressed over the mask key bits first.
-		var insight satattack.InsightSource
-		if opts.Insight != nil {
-			insight = newMaskInsight(mm, opts.Insight)
-		}
-		saRes, err := runEngine(ctx, mm.Locked, adapter, opts, insight, res)
+		saRes, err := runEngine(ctx, mm.Locked, adapter, opts, res)
 		if err != nil {
 			return nil, err
 		}
@@ -374,7 +340,7 @@ func attack(ctx context.Context, chip Chip, captures int, opts Options) (*Result
 
 	// A partial candidate set from a stopped run is still verified — the
 	// probes are closed-form, not SAT work.
-	verified, err := verifyCandidates(tr, chip, adapter.TestKey, res.SeedCandidates, opts.VerifyProbes, captures, A, B)
+	verified, err := verifyCandidates(tr, chip, adapter.TestKey, res.SeedCandidates, verifyProbes, captures, A, B)
 	if err != nil {
 		return nil, err
 	}
@@ -390,7 +356,6 @@ func attack(ctx context.Context, chip Chip, captures int, opts Options) (*Result
 		"exact":           res.Exact,
 		"converged":       res.Converged,
 		"closed":          string(res.Closed),
-		"analytic":        res.Analytic,
 		"verified":        res.Verified,
 		"rank":            res.Rank,
 		"oracle_sessions": oracleSessions,
@@ -402,17 +367,14 @@ func attack(ctx context.Context, chip Chip, captures int, opts Options) (*Result
 }
 
 // runEngine runs the SAT attack on locked with the engine options opts
-// selects and the given insight source (nil for none), then copies the
-// engine's outcome and counters into res. Every attack mode goes through
-// it, so each honours the same options.
-func runEngine(ctx context.Context, locked *satattack.Locked, o satattack.Oracle, opts Options, insight satattack.InsightSource, res *Result) (*satattack.Result, error) {
+// selects, then copies the engine's outcome and counters into res. Every
+// attack mode goes through it, so each honours the same options.
+func runEngine(ctx context.Context, locked *satattack.Locked, o satattack.Oracle, opts Options, res *Result) (*satattack.Result, error) {
 	saRes, err := satattack.RunCtx(ctx, locked, o, satattack.Options{
 		MaxIterations:  opts.MaxIterations,
 		EnumerateLimit: opts.EnumerateLimit,
-		ConflictBudget: opts.ConflictBudget,
 		Log:            opts.Log,
 		OnDIP:          opts.OnDIP,
-		Insight:        insight,
 	})
 	if err != nil {
 		return nil, err
@@ -420,7 +382,6 @@ func runEngine(ctx context.Context, locked *satattack.Locked, o satattack.Oracle
 	res.Iterations = saRes.Iterations
 	res.Converged = saRes.Converged
 	res.Closed = saRes.Closed
-	res.Analytic = saRes.Analytic
 	res.Exact = saRes.CandidatesExact
 	res.SolverStats = saRes.SolverStats
 	res.CheckStats = saRes.CheckStats

@@ -259,90 +259,3 @@ func (mm *MaskModel) SeedsForMaskCoset(members []gf2.Vec, limit int) []gf2.Vec {
 	}
 	return seeds
 }
-
-// maskInsight adapts a seed-space InsightSource (the insight tracker) to
-// the mask key space of a MaskModel. Each mask key bit j is the linear form
-// mrows[j]·s of the seed, so a certified seed constraint r·s = c translates
-// to the key constraint Σ_{j∈J} key[j] = c for any J with Σ_{j∈J} mrows[j]
-// = r — found by solving Mᵀ·y = r for the selection vector y. Rows outside
-// the mask row space carry seed information the mask model cannot express
-// and are skipped (sound: fewer injected constraints never shrinks the
-// candidate set below the true class). SolveKey fires as soon as every mask
-// key bit is determined by the certified basis, which can happen before
-// full seed rank when the masks span less than the whole seed space.
-//
-// The adapter is only touched from the attack's injection point (one
-// goroutine), so it carries no lock of its own; the wrapped source does its
-// own locking.
-type maskInsight struct {
-	src   satattack.InsightSource
-	k     int       // seed bits
-	mrows []gf2.Vec // per key bit: the seed-space row computing that bit
-	mt    *gf2.Mat  // k × numKey: column j is mrows[j]
-	basis *gf2.Basis
-}
-
-// newMaskInsight wraps a seed-space source for one mask model.
-func newMaskInsight(mm *MaskModel, src satattack.InsightSource) *maskInsight {
-	k := mm.Design.Config.KeyBits
-	var mrows []gf2.Vec
-	for _, j := range mm.UPos {
-		mrows = append(mrows, mm.A.Row(j))
-	}
-	for _, j := range mm.VPos {
-		mrows = append(mrows, mm.B.Row(j))
-	}
-	mt := gf2.NewMat(k, len(mrows))
-	for j, r := range mrows {
-		for _, c := range r.Ones() {
-			mt.Set(c, j, true)
-		}
-	}
-	return &maskInsight{src: src, k: k, mrows: mrows, mt: mt, basis: gf2.NewBasis(k)}
-}
-
-// ConstraintsSince implements satattack.InsightSource: it drains the wrapped
-// seed-space source, folds every row into its own basis (for SolveKey), and
-// returns the translatable ones re-indexed over the mask key bits. The
-// cursor is the wrapped source's cursor, passed through.
-func (mi *maskInsight) ConstraintsSince(from int) ([]satattack.KeyConstraint, int) {
-	inner, next := mi.src.ConstraintsSince(from)
-	var out []satattack.KeyConstraint
-	for _, c := range inner {
-		row := gf2.NewVec(mi.k)
-		for _, i := range c.Idx {
-			if i >= mi.k {
-				row = gf2.Vec{}
-				break
-			}
-			row.Set(i, true)
-		}
-		if row.Len() == 0 {
-			continue // malformed row from a foreign source; drop it
-		}
-		mi.basis.Insert(row, c.RHS)
-		y, ok := gf2.Solve(mi.mt, row)
-		if !ok {
-			continue // outside the mask row space: inexpressible here
-		}
-		out = append(out, satattack.KeyConstraint{Idx: y.Ones(), RHS: c.RHS})
-	}
-	return out, next
-}
-
-// SolveKey implements satattack.InsightSource: the mask key is determined
-// once every key bit's seed row projects onto the certified basis.
-func (mi *maskInsight) SolveKey() ([]bool, bool) {
-	if mi.basis.Inconsistent() {
-		return nil, false
-	}
-	key := make([]bool, len(mi.mrows))
-	for j, r := range mi.mrows {
-		rhs, determined := mi.basis.Project(r)
-		if !determined {
-			return nil, false
-		}
-		key[j] = rhs
-	}
-	return key, true
-}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"dynunlock/internal/gf2"
-	"dynunlock/internal/satattack"
 	"dynunlock/internal/scan"
 	"dynunlock/internal/sim"
 	"dynunlock/internal/trace"
@@ -166,15 +165,9 @@ func TestMaskMatricesNValidation(t *testing.T) {
 	}
 }
 
-// noInsight is a seed-space constraint source that never certifies a row.
-type noInsight struct{}
-
-func (noInsight) ConstraintsSince(from int) ([]satattack.KeyConstraint, int) { return nil, from }
-func (noInsight) SolveKey() ([]bool, bool)                                   { return nil, false }
-
 // A session the attack cannot model is refused before any session is
-// issued: no capture at all, and the one-capture direct model or insight
-// tracker asked to serve two captures.
+// issued: no capture at all, and the one-capture direct model asked to
+// serve two captures.
 func TestAttackMultiRejectsUnmodeledSessions(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -183,7 +176,6 @@ func TestAttackMultiRejectsUnmodeledSessions(t *testing.T) {
 	}{
 		{"no capture", 0, Options{}},
 		{"direct at two captures", 2, Options{Mode: ModeDirect}},
-		{"insight at two captures", 2, Options{Insight: noInsight{}}},
 	} {
 		_, chip := lockedChip(t, 8, 8, scan.PerCycle, 7, 8)
 		sessions := 0

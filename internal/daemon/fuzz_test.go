@@ -46,7 +46,7 @@ func FuzzSubmitSpec(f *testing.F) {
 		// parser accepts.
 		`{"benchmark":"s5378","keyBits":64,"scale":16,"limit":-1}`,
 		`{"benchmark":"s5378","keyBits":64,"scale":16,"limit":1000000000000}`,
-		`{"benchmark":"s5378","keyBits":16,"policy":"static","mode":"direct","analytic":true}`,
+		`{"benchmark":"s5378","keyBits":16,"policy":"static","mode":"direct"}`,
 		`{"benchmark":"s5378","keyBits":16,"extra":1}`,
 		`[]`,
 		``,

@@ -52,7 +52,6 @@ type JobSpec struct {
 	Limit     int    `json:"limit,omitempty"`
 	MaxIters  int    `json:"maxIters,omitempty"`
 	Seed      int64  `json:"seed,omitempty"`
-	Analytic  bool   `json:"analytic,omitempty"`
 	Resume    string `json:"resume,omitempty"`
 }
 
@@ -146,12 +145,13 @@ func (j *Job) Status() JobStatus {
 		st.FinishedAt = j.finished.Format(time.RFC3339Nano)
 	}
 	if j.result != nil {
+		sum := flight.Summarize(j.result.Trials)
 		st.Result = &JobResultView{
-			Trials:     len(j.result.Trials),
-			Candidates: j.result.AvgCandidates(),
-			Iterations: j.result.AvgIterations(),
-			Seconds:    j.result.AvgSeconds(),
-			Succeeded:  j.result.AllSucceeded(),
+			Trials:     sum.Trials,
+			Candidates: sum.AvgCandidates,
+			Iterations: sum.AvgIterations,
+			Seconds:    sum.AvgSeconds,
+			Succeeded:  sum.Broken,
 			Stopped:    j.result.Stopped,
 			StopReason: string(j.result.StopReason),
 		}
@@ -217,7 +217,6 @@ func resolveSpec(dataDir string, spec JobSpec) (JobSpec, string, error) {
 			Limit:     m.EnumerateLimit,
 			MaxIters:  m.MaxIterations,
 			Seed:      m.SeedBase,
-			Analytic:  m.Analytic,
 			Resume:    src,
 		}
 		return out, src, nil
@@ -256,7 +255,6 @@ func (s JobSpec) Config() dynunlock.ExperimentConfig {
 		EnumerateLimit: limit,
 		MaxIterations:  s.MaxIters,
 		SeedBase:       s.Seed,
-		Analytic:       s.Analytic,
 	}
 }
 
@@ -416,7 +414,7 @@ func (d *Daemon) runJob(j *Job) {
 		d.finishJob(j, StateEvicted, "cancelled mid-run; bundle is resumable")
 	default:
 		extra := ""
-		if res != nil && !res.AllSucceeded() {
+		if res != nil && !flight.Summarize(res.Trials).Broken {
 			extra = "finished without recovering the seed"
 		}
 		d.finishJob(j, StateDone, extra)

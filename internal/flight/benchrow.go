@@ -5,40 +5,67 @@ import (
 	"path/filepath"
 )
 
-// BenchRow is one bundle's outcome row: the configuration and the
-// per-trial outcomes of result.json reduced to the paper's Table II
-// columns. Averages follow the paper's convention (mean over trials);
-// conflict and propagation totals are the machine-independent work
-// measures. `runs compare` and the report's cross-run table read it.
-type BenchRow struct {
-	RecordedAt        string
-	Bundle            string
-	Benchmark         string
-	Scale             int
-	KeyBits           int
-	Policy            string
-	Mode              string
-	Analytic          bool
+// Summary is a trial list reduced to the paper's Table II columns.
+// Averages follow the paper's convention (mean over trials); iteration,
+// query, conflict and propagation totals are the machine-independent work
+// measures.
+type Summary struct {
 	Trials            int
 	AvgCandidates     float64
 	AvgIterations     float64
 	AvgQueries        float64
 	AvgSeconds        float64
+	TotalIterations   int
+	TotalQueries      int
 	TotalConflicts    uint64
 	TotalPropagations uint64
-	Broken            bool
-	GitCommit         string
+	// Broken is true when there is a trial and every trial recovered the
+	// secret seed.
+	Broken bool
+}
+
+// Summarize reduces a trial list to its Summary. With no trials the run
+// is not broken and every average is 0.
+func Summarize(trials []TrialRecord) Summary {
+	s := Summary{Trials: len(trials), Broken: len(trials) > 0}
+	candidates := 0
+	for _, t := range trials {
+		candidates += len(t.SeedCandidates)
+		s.TotalIterations += t.Iterations
+		s.TotalQueries += t.Queries
+		s.AvgSeconds += t.Seconds
+		s.TotalConflicts += t.Solver.Conflicts
+		s.TotalPropagations += t.Solver.Propagations
+		s.Broken = s.Broken && t.Success
+	}
+	if n := float64(len(trials)); n > 0 {
+		s.AvgCandidates = float64(candidates) / n
+		s.AvgIterations = float64(s.TotalIterations) / n
+		s.AvgQueries = float64(s.TotalQueries) / n
+		s.AvgSeconds /= n
+	}
+	return s
+}
+
+// BenchRow is one bundle's outcome row: the configuration and the
+// Summary of result.json's trials. `runs compare` and the report's
+// cross-run table read it.
+type BenchRow struct {
+	RecordedAt string
+	Bundle     string
+	Benchmark  string
+	Scale      int
+	KeyBits    int
+	Policy     string
+	Mode       string
+	Summary
+	GitCommit string
 }
 
 // ConfigString renders the row's configuration for reports:
-// "scale=16 k=8 per-cycle linear", plus " analytic" when armed. Analytic
-// is part of it because the short-circuit changes the iteration count.
+// "scale=16 k=8 per-cycle linear".
 func (r BenchRow) ConfigString() string {
-	s := fmt.Sprintf("scale=%d k=%d %s %s", r.Scale, r.KeyBits, r.Policy, r.Mode)
-	if r.Analytic {
-		s += " analytic"
-	}
-	return s
+	return fmt.Sprintf("scale=%d k=%d %s %s", r.Scale, r.KeyBits, r.Policy, r.Mode)
 }
 
 // OutcomeDiff lists the deterministic columns on which o differs from r —
@@ -72,7 +99,7 @@ func (r BenchRow) OutcomeDiff(o BenchRow) []string {
 // BenchRowFrom reduces a bundle to its outcome row.
 func BenchRowFrom(b *Bundle) BenchRow {
 	m := &b.Manifest
-	row := BenchRow{
+	return BenchRow{
 		RecordedAt: m.CreatedAt,
 		Bundle:     filepath.Base(b.Dir),
 		Benchmark:  m.Benchmark,
@@ -80,29 +107,7 @@ func BenchRowFrom(b *Bundle) BenchRow {
 		KeyBits:    m.Lock.KeyBits,
 		Policy:     m.Lock.Policy,
 		Mode:       m.Mode,
-		Analytic:   m.Analytic,
-		Trials:     len(b.Result.Trials),
+		Summary:    Summarize(b.Result.Trials),
 		GitCommit:  m.Fingerprint.GitCommit,
 	}
-	if len(b.Result.Trials) == 0 {
-		return row
-	}
-	row.Broken = true
-	for _, t := range b.Result.Trials {
-		row.AvgCandidates += float64(len(t.SeedCandidates))
-		row.AvgIterations += float64(t.Iterations)
-		row.AvgQueries += float64(t.Queries)
-		row.AvgSeconds += t.Seconds
-		row.TotalConflicts += t.Solver.Conflicts
-		row.TotalPropagations += t.Solver.Propagations
-		if !t.Success {
-			row.Broken = false
-		}
-	}
-	n := float64(len(b.Result.Trials))
-	row.AvgCandidates /= n
-	row.AvgIterations /= n
-	row.AvgQueries /= n
-	row.AvgSeconds /= n
-	return row
 }

@@ -88,9 +88,6 @@ type Manifest struct {
 	// SeedBase is the seed of record: every per-trial chip secret derives
 	// from it, so the whole experiment is reproducible from this one value.
 	SeedBase int64 `json:"seedBase"`
-	// Analytic records that the insight feedback loop was armed; replay
-	// arms it too.
-	Analytic bool `json:"analytic,omitempty"`
 
 	Lock        LockInfo    `json:"lock"`
 	Fingerprint Fingerprint `json:"fingerprint"`
@@ -235,7 +232,6 @@ type TrialRecord struct {
 	Exact          bool        `json:"exact"`
 	Converged      bool        `json:"converged"`
 	Closed         string      `json:"closed,omitempty"` // core.Close; absent unless converged, and in older bundles
-	Analytic       bool        `json:"analytic,omitempty"`
 	Verified       bool        `json:"verified"`
 	Success        bool        `json:"success"`
 	Iterations     int         `json:"iterations"`

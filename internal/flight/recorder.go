@@ -270,7 +270,6 @@ func TrialFromResult(trial int, secretSeed gf2.Vec, res *core.Result, seconds fl
 		Exact:      res.Exact,
 		Converged:  res.Converged,
 		Closed:     string(res.Closed),
-		Analytic:   res.Analytic,
 		Verified:   res.Verified,
 		Success:    success,
 		Iterations: res.Iterations,

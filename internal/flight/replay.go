@@ -10,7 +10,6 @@ import (
 
 	"dynunlock/internal/core"
 	"dynunlock/internal/gf2"
-	"dynunlock/internal/insight"
 	"dynunlock/internal/lock"
 )
 
@@ -195,16 +194,6 @@ func (b *Bundle) Replay(ctx context.Context) (*ResultDoc, error) {
 			EnumerateLimit: b.Manifest.EnumerateLimit,
 			MaxIterations:  b.Manifest.MaxIterations,
 		}
-		// An analytic recording ran with the insight feedback loop armed;
-		// rebuild the same tracker so the replay short-circuits at the same
-		// iteration. A tracker setup failure degrades exactly like the
-		// recording side (dynunlock.RunExperimentCtx): untracked attack.
-		if b.Manifest.Analytic {
-			if tk, terr := insight.New(chip.Design(), insight.Options{}); terr == nil {
-				opts.OnDIP = tk.DIPObserver()
-				opts.Insight = tk
-			}
-		}
 		t0 := time.Now()
 		res, err := core.AttackCtx(ctx, chip, opts)
 		if err != nil {
@@ -230,7 +219,7 @@ func (b *Bundle) Replay(ctx context.Context) (*ResultDoc, error) {
 
 // Compare diffs the deterministic fields of a recorded and a replayed
 // result: per-trial seed-candidate sets, iteration and query counts, the
-// exact/converged/analytic/success/verified flags, how the loop closed,
+// exact/converged/success/verified flags, how the loop closed,
 // the rank, the encode counters, and every solver counter stored per
 // trial, the uniqueness check's included. The search is deterministic,
 // so a moved counter is named: it means the solver took a different
@@ -259,9 +248,6 @@ func Compare(recorded, replayed *ResultDoc) []string {
 		}
 		if a.Closed != b.Closed {
 			diffs = append(diffs, fmt.Sprintf("%sclosed %q != %q", pfx, a.Closed, b.Closed))
-		}
-		if a.Analytic != b.Analytic {
-			diffs = append(diffs, fmt.Sprintf("%sanalytic %v != %v", pfx, a.Analytic, b.Analytic))
 		}
 		if a.Success != b.Success {
 			diffs = append(diffs, fmt.Sprintf("%ssuccess %v != %v", pfx, a.Success, b.Success))

@@ -27,7 +27,7 @@ func committedBundle(rel string) string {
 func TestCommittedBundlesReplaySearch(t *testing.T) {
 	for _, rel := range []string{
 		"table2/table2_s5378", // scale 16, 8-bit keys, two trials
-		"affine",              // analytic short-circuit on the affine core
+		"affine",              // one DIP, closed unique, on the affine core
 		"paper128/s5378",      // paper scale, 128-bit keys
 		"paper128/s13207",
 	} {

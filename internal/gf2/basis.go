@@ -28,9 +28,6 @@ func NewBasis(cols int) *Basis {
 	return &Basis{cols: cols}
 }
 
-// Cols returns the vector length the basis was created with.
-func (b *Basis) Cols() int { return b.cols }
-
 // Rank returns the number of linearly independent rows inserted so far.
 func (b *Basis) Rank() int { return len(b.rows) }
 
@@ -70,78 +67,3 @@ func (b *Basis) Insert(row Vec, rhs bool) (grew, consistent bool) {
 	b.pivot = append(b.pivot, p)
 	return true, true
 }
-
-// Solve returns one solution of the accumulated system (free variables
-// zero), or ok=false when the basis is inconsistent. When Rank() equals
-// Cols() the solution is unique — the analytic short-circuit of the attack
-// relies on exactly that case. Each stored row was reduced only against
-// rows inserted before it, so it can still contain pivots of later rows;
-// back-substituting from the last row to the first visits every pivot
-// after the pivots it depends on, with no matrix copy.
-func (b *Basis) Solve() (x Vec, ok bool) {
-	if b.incons {
-		return Vec{}, false
-	}
-	x = NewVec(b.cols)
-	for i := len(b.rows) - 1; i >= 0; i-- {
-		v := b.rhs[i]
-		if b.rows[i].Dot(x) {
-			v = !v
-		}
-		// rows[i].Dot(x) included pivot[i]·x[pivot[i]], but x[pivot[i]] is
-		// still zero here, so v is rhs ⊕ Σ over the other columns.
-		x.Set(b.pivot[i], v)
-	}
-	return x, true
-}
-
-// FreeCols returns the columns not covered by any pivot, in ascending
-// order: the witness of under-determination. It is empty exactly when
-// Rank() == Cols(), i.e. when Solve's solution is unique.
-func (b *Basis) FreeCols() []int {
-	isPivot := make([]bool, b.cols)
-	for _, p := range b.pivot {
-		isPivot[p] = true
-	}
-	var free []int
-	for c := 0; c < b.cols; c++ {
-		if !isPivot[c] {
-			free = append(free, c)
-		}
-	}
-	return free
-}
-
-// Project reduces row against the basis without storing anything:
-// determined is true when row lies in the basis row space, and rhs is
-// then the value row·x takes for every solution x of the system. The
-// linear-mode attack uses it to decide which mask (key) bits the
-// certified seed constraints already pin down.
-func (b *Basis) Project(row Vec) (rhs, determined bool) {
-	if row.Len() != b.cols {
-		panic(fmt.Sprintf("gf2: row length %d, want %d", row.Len(), b.cols))
-	}
-	r := row.Clone()
-	for i, br := range b.rows {
-		if r.Get(b.pivot[i]) {
-			r.Xor(br)
-			if b.rhs[i] {
-				rhs = !rhs
-			}
-		}
-	}
-	if r.FirstSet() >= 0 {
-		return false, false
-	}
-	return rhs, true
-}
-
-// Row returns stored row i (0 ≤ i < Rank()) in insertion order. The
-// returned vector aliases basis storage and must not be modified. Rows are
-// append-only, so an index observed once stays valid — consumers that
-// stream new constraints out of the basis (the insight→solver feedback
-// loop) rely on this.
-func (b *Basis) Row(i int) Vec { return b.rows[i] }
-
-// RHS returns the right-hand side of stored row i.
-func (b *Basis) RHS(i int) bool { return b.rhs[i] }

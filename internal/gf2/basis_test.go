@@ -6,7 +6,7 @@ import (
 )
 
 // The incremental basis must agree with batch Gaussian elimination on
-// rank, consistency, and solutions, for random systems, at every prefix.
+// rank and consistency, for random systems, at every prefix.
 func TestBasisMatchesBatchReduce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -54,15 +54,6 @@ func TestBasisMatchesBatchReduce(t *testing.T) {
 				t.Fatalf("trial %d row %d: incremental inconsistent=%v, batch consistent=%v", trial, r, b.Inconsistent(), wantOK)
 			}
 		}
-
-		if x, ok := b.Solve(); ok {
-			got := m.MulVec(x)
-			if !got.Equal(rhsPrefix(rhs, nrows)) {
-				t.Fatalf("trial %d: Basis.Solve returned a non-solution", trial)
-			}
-		} else if !b.Inconsistent() {
-			t.Fatalf("trial %d: Solve failed on a consistent basis", trial)
-		}
 	}
 }
 
@@ -104,86 +95,6 @@ func TestBasisInconsistent(t *testing.T) {
 	}
 	if !b.Inconsistent() {
 		t.Fatal("basis should be inconsistent")
-	}
-	if _, ok := b.Solve(); ok {
-		t.Fatal("Solve on inconsistent basis should fail")
-	}
-}
-
-// At full rank the system has exactly one solution, so back-substitution
-// must recover the planted vector and report no free columns.
-func TestBasisSolveFullRankUnique(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 100; trial++ {
-		cols := 1 + rng.Intn(40)
-		planted := NewVec(cols)
-		for i := 0; i < cols; i++ {
-			planted.Set(i, rng.Intn(2) == 1)
-		}
-		b := NewBasis(cols)
-		for b.Rank() < cols {
-			row := NewVec(cols)
-			for i := 0; i < cols; i++ {
-				row.Set(i, rng.Intn(2) == 1)
-			}
-			b.Insert(row, row.Dot(planted))
-		}
-		if free := b.FreeCols(); len(free) != 0 {
-			t.Fatalf("trial %d: full-rank basis has free cols %v", trial, free)
-		}
-		x, ok := b.Solve()
-		if !ok {
-			t.Fatalf("trial %d: Solve failed at full rank", trial)
-		}
-		if !x.Equal(planted) {
-			t.Fatalf("trial %d: Solve = %v, want %v", trial, x, planted)
-		}
-	}
-}
-
-// Below full rank, FreeCols witnesses the under-determination: it lists
-// exactly the non-pivot columns, and Solve leaves those columns zero.
-func TestBasisFreeCols(t *testing.T) {
-	b := NewBasis(4)
-	b.Insert(FromBools([]bool{true, true, false, false}), true)  // x0⊕x1 = 1
-	b.Insert(FromBools([]bool{false, false, true, false}), true) // x2 = 1
-	free := b.FreeCols()
-	if len(free) != 2 || free[0] != 1 || free[1] != 3 {
-		t.Fatalf("FreeCols = %v, want [1 3]", free)
-	}
-	x, ok := b.Solve()
-	if !ok {
-		t.Fatal("Solve failed")
-	}
-	for _, c := range free {
-		if x.Get(c) {
-			t.Fatalf("free column %d nonzero in Solve result", c)
-		}
-	}
-	if !x.Get(0) || !x.Get(2) {
-		t.Fatalf("Solve = %v, want x0=1 x2=1", x)
-	}
-}
-
-// Row/RHS expose stored rows by insertion index; indices must stay stable
-// as the basis grows (the insight→solver streaming contract).
-func TestBasisRowAccessors(t *testing.T) {
-	b := NewBasis(3)
-	r0 := FromBools([]bool{true, false, true})
-	b.Insert(r0, true)
-	if !b.Row(0).Equal(r0) || !b.RHS(0) {
-		t.Fatal("Row(0)/RHS(0) mismatch after first insert")
-	}
-	b.Insert(FromBools([]bool{true, true, true}), false)
-	if !b.Row(0).Equal(r0) || !b.RHS(0) {
-		t.Fatal("Row(0) changed after later insert")
-	}
-	if b.Rank() != 2 {
-		t.Fatalf("rank %d, want 2", b.Rank())
-	}
-	// Row 1 is stored reduced against row 0: x0 cancelled.
-	if b.Row(1).Get(0) {
-		t.Fatal("Row(1) not reduced against the earlier pivot")
 	}
 }
 

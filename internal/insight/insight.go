@@ -38,8 +38,6 @@ import (
 	"dynunlock/internal/lock"
 	"dynunlock/internal/metrics"
 	"dynunlock/internal/netlist"
-	"dynunlock/internal/sat"
-	"dynunlock/internal/satattack"
 )
 
 // Options configures a Tracker's publication sink. The zero value is a
@@ -230,46 +228,4 @@ func (t *Tracker) publish(s Snapshot, learned int) {
 	if s.ETA >= 0 {
 		t.r.Gauge(metrics.MetricInsightETA).Set(s.ETA.Seconds())
 	}
-}
-
-// DIPObserver adapts the tracker to the satattack OnDIP hook, for
-// attacks where the tracker is the only observer (replay, tests).
-func (t *Tracker) DIPObserver() satattack.DIPObserver {
-	return func(_ int, dip, resp []bool, _ sat.Stats, _ time.Duration) {
-		t.Observe(dip, resp)
-	}
-}
-
-// ConstraintsSince implements satattack.InsightSource over the seed bits:
-// it streams the certified basis rows by insertion index. Rows are
-// append-only, so a cursor observed once stays valid. In seed-keyed
-// (direct-mode) attacks the seed bits are the key bits and the tracker is
-// the insight source itself; linear-mode attacks wrap it (core.Options).
-func (t *Tracker) ConstraintsSince(from int) ([]satattack.KeyConstraint, int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	rank := t.basis.Rank()
-	var cs []satattack.KeyConstraint
-	for i := from; i < rank; i++ {
-		cs = append(cs, satattack.KeyConstraint{
-			Idx: t.basis.Row(i).Ones(),
-			RHS: t.basis.RHS(i),
-		})
-	}
-	return cs, rank
-}
-
-// SolveKey implements satattack.InsightSource: once the certified system
-// reaches full seed rank the unique seed follows by back-substitution.
-func (t *Tracker) SolveKey() ([]bool, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.basis.Inconsistent() || t.basis.Rank() < t.k {
-		return nil, false
-	}
-	x, ok := t.basis.Solve()
-	if !ok {
-		return nil, false
-	}
-	return x.Bools(), true
 }

@@ -131,7 +131,9 @@ func Lock(n *netlist.Netlist, cfg Config) (*Design, error) {
 }
 
 // randomGates places count gates on random distinct links (until links are
-// exhausted, then reuses links), deterministically from seed.
+// exhausted, then reuses links), deterministically from seed. A gate whose
+// (link, key bit) pair is already placed moves on, as in SpreadGates (see
+// scan.SeparatePairs).
 func randomGates(length, count, keyBits int, seed int64) []scan.KeyGate {
 	rng := rand.New(rand.NewSource(seed))
 	links := length - 1
@@ -140,6 +142,7 @@ func randomGates(length, count, keyBits int, seed int64) []scan.KeyGate {
 	for i := range gates {
 		gates[i] = scan.KeyGate{Link: 1 + perm[i%links], KeyBit: i % keyBits}
 	}
+	scan.SeparatePairs(gates, length)
 	return gates
 }
 

@@ -194,20 +194,58 @@ func TestLockBoundsKeyWidth(t *testing.T) {
 	}
 }
 
-// TestLockRejectsCancellingGates: with more gates than links, random
-// placement can put the same key bit on one link twice. On 3 flops, 2 key
-// bits and 4 gates, seed 1 places {1 0} {2 1} {1 0} {2 1}: the pairs
-// cancel, the chain is not locked at all, and Lock must refuse it.
+// TestLockRejectsCancellingGates: two gates on one (link, key bit) pair
+// cancel, so a chain that repeats a pair is refused, and so is a gate
+// count no placement can spread without a repeat. On 3 flops, 2 key bits
+// and 4 gates, seed 1's link order would repeat {1 0} and {2 1}; the
+// second gate of each pair moves to the other link.
 func TestLockRejectsCancellingGates(t *testing.T) {
+	repeating := scan.Chain{Length: 3, Gates: []scan.KeyGate{
+		{Link: 1, KeyBit: 0}, {Link: 2, KeyBit: 1}, {Link: 1, KeyBit: 0}, {Link: 2, KeyBit: 1}}}
+	if err := repeating.Validate(2); err == nil || !strings.Contains(err.Error(), "cancel") {
+		t.Fatalf("Validate accepted gates that cancel in pairs (err = %v)", err)
+	}
 	n, err := bench.Generate(bench.GenConfig{Name: "t", PIs: 2, POs: 1, FFs: 3, Gates: 12, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{KeyBits: 2, NumGates: 4, Policy: scan.PerCycle, PlacementSeed: 1}
-	if gates := randomGates(3, cfg.NumGates, cfg.KeyBits, cfg.PlacementSeed); fmt.Sprint(gates) != "[{1 0} {2 1} {1 0} {2 1}]" {
-		t.Fatalf("placement %v is not the cancelling one this test pins", gates)
+	d, err := Lock(n, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if got := fmt.Sprint(d.Chain.Gates); got != "[{1 0} {2 1} {2 0} {1 1}]" {
+		t.Fatalf("placement %s, want the pinned repeat-free one", got)
+	}
+	// 2 links × 2 key bits hold four gates; a fifth must repeat a pair.
+	cfg.NumGates = 5
 	if _, err := Lock(n, cfg); err == nil || !strings.Contains(err.Error(), "cancel") {
-		t.Fatalf("Lock accepted gates that cancel in pairs (err = %v)", err)
+		t.Fatalf("Lock accepted five gates on four pairs (err = %v)", err)
+	}
+}
+
+// TestPlacementNeverRepeatsAPair sweeps 2–12 flops, 1–8 key bits and every
+// gate count up to links × key bits through the spread placement (seed 0,
+// as in Lock) and the random one for seeds 1–5: no (link, key bit) pair
+// repeats.
+func TestPlacementNeverRepeatsAPair(t *testing.T) {
+	for ffs := 2; ffs <= 12; ffs++ {
+		for keyBits := 1; keyBits <= 8; keyBits++ {
+			for count := 1; count <= (ffs-1)*keyBits; count++ {
+				for seed := int64(0); seed <= 5; seed++ {
+					var gates []scan.KeyGate
+					if seed == 0 {
+						gates = scan.SpreadGates(ffs, count, keyBits)
+					} else {
+						gates = randomGates(ffs, count, keyBits, seed)
+					}
+					c := scan.Chain{Length: ffs, Gates: gates}
+					if err := c.Validate(keyBits); err != nil || len(gates) != count {
+						t.Fatalf("%d flops, %d key bits, %d gates, seed %d: %d gates placed, %v",
+							ffs, keyBits, count, seed, len(gates), err)
+					}
+				}
+			}
+		}
 	}
 }

@@ -9,15 +9,14 @@
 // key satisfying the accumulated I/O constraints is functionally correct
 // on all inputs.
 //
-// The loop closes on the first of three proofs (Result.Closed). After
+// The loop closes on the first of two proofs (Result.Closed). After
 // each DIP a one-copy check (unique.go) — a second solver holding a
 // single key copy under the same I/O constraints — asks whether exactly
 // one key is still consistent; if so no DIP remains and the loop closes
 // on that key, skipping the miter's closing UNSAT call, extraction and
 // enumeration ("unique"). When the consistent set has more than one
 // member, the paper's miter-UNSAT proof closes the loop and extraction
-// and enumeration follow ("miter"). With Options.Insight armed, a
-// full-rank certified system closes it analytically ("analytic").
+// and enumeration follow ("miter").
 //
 // Every attack runs one encode pipeline. The locked view is compiled once
 // into an and-inverter graph (internal/aig: structural hashing, constant
@@ -134,37 +133,6 @@ type Options struct {
 	// duration of the call. nil leaves the hot loop free of timestamps and
 	// allocations, preserving the bit-identical unobserved path.
 	OnDIP DIPObserver
-	// Insight, when non-nil, closes the insight→solver feedback loop:
-	// after each DIP the freshly certified key constraints are injected
-	// into the solver as XOR rows, and once the source determines the
-	// key completely the attack short-circuits analytically — the DIP loop
-	// stops, the derived key becomes the single exact candidate, and no
-	// further SAT calls are issued (Result.Analytic). The source must only
-	// certify linear consequences of the oracle responses already asserted,
-	// which keeps the candidate set identical to the plain attack's.
-	Insight InsightSource
-}
-
-// KeyConstraint is one certified GF(2) constraint over the attack's key
-// bits: the XOR of the key bits at Idx equals RHS.
-type KeyConstraint struct {
-	Idx []int
-	RHS bool
-}
-
-// InsightSource streams certified linear key constraints into the attack
-// (see Options.Insight). The internal/insight tracker implements it for
-// seed-keyed attacks; internal/core wraps it for mask-keyed (linear-mode)
-// attacks.
-type InsightSource interface {
-	// ConstraintsSince returns the constraints certified since the given
-	// cursor (0 initially) and the new cursor to resume from. Constraint
-	// indices address the attack's key vector.
-	ConstraintsSince(from int) ([]KeyConstraint, int)
-	// SolveKey returns the full key and true once the certified system
-	// determines every key bit; (nil, false) while the key space is still
-	// under-determined.
-	SolveKey() ([]bool, bool)
 }
 
 // DIPObserver receives one callback per DIP iteration (see Options.OnDIP).
@@ -212,19 +180,13 @@ type Result struct {
 	// Queries is the number of oracle queries issued.
 	Queries int
 	// Converged is true when the loop proved that no DIP remains — the
-	// miter went UNSAT, the consistent key set shrank to one key, or the
-	// insight system reached full rank (see Closed) — so every candidate
-	// is correct on all inputs. It is false when a bound stopped the loop
-	// early.
+	// miter went UNSAT or the consistent key set shrank to one key (see
+	// Closed) — so every candidate is correct on all inputs. It is false
+	// when a bound stopped the loop early.
 	Converged bool
 	// Closed names the proof that closed a converged loop; empty when the
 	// loop did not converge.
 	Closed Close
-	// Analytic is true when the insight short-circuit ended the attack:
-	// the certified GF(2) system reached full rank, the key was derived by
-	// back-substitution, and the remaining SAT iterations (including
-	// extraction and enumeration) were skipped.
-	Analytic bool
 	// Elapsed is the wall-clock attack time.
 	Elapsed time.Duration
 	// EncodeVars and EncodeClauses total the CNF growth emitted by circuit
@@ -261,9 +223,6 @@ const (
 	// CloseUnique: the one-copy check proved a single consistent key,
 	// which is then the whole exact candidate set.
 	CloseUnique Close = "unique"
-	// CloseAnalytic: the insight short-circuit derived the key from a
-	// full-rank certified system (Result.Analytic).
-	CloseAnalytic Close = "analytic"
 )
 
 // ErrUnsat is returned when the accumulated constraints become
@@ -332,7 +291,6 @@ func RunCtx(ctx context.Context, l *Locked, o Oracle, opts Options) (*Result, er
 		loop.End()
 	}
 	stop := StopNone
-	insCursor := 0
 dipLoop:
 	for {
 		if err := ctx.Err(); err != nil {
@@ -383,22 +341,6 @@ dipLoop:
 		loopEncV += dv
 		loopEncC += dc
 		am.observeEncode(dv, dc)
-		var cs []KeyConstraint
-		if opts.Insight != nil {
-			// The OnDIP hook above let the insight source observe this
-			// response; its new rows are linear consequences of the
-			// constraints just asserted, so injecting them prunes no
-			// candidate key.
-			cs, insCursor = opts.Insight.ConstraintsSince(insCursor)
-			injectInsight(m.s, cs, m.k1, m.k2)
-			if key, ok := opts.Insight.SolveKey(); ok && len(key) == len(l.KeyIdx) {
-				res.Key = append([]bool(nil), key...)
-				res.Analytic = true
-				res.Converged = true
-				res.Closed = CloseAnalytic
-				break dipLoop
-			}
-		}
 		// Level-0 inprocessing between DIPs: the response units just
 		// asserted satisfy or shorten clauses of earlier copies, and an
 		// UNSAT result here surfaces on the next solve.
@@ -419,7 +361,7 @@ dipLoop:
 		if uc == nil {
 			uc = newUniqueCheck(l, m.aig)
 		}
-		if key := uc.check(ctx, tr, dip, resp, cs, m.s.Stats.Conflicts); key != nil {
+		if key := uc.check(ctx, tr, dip, resp, m.s.Stats.Conflicts); key != nil {
 			res.Key = key
 			res.Converged = true
 			res.Closed = CloseUnique
@@ -430,10 +372,10 @@ dipLoop:
 	if stop != StopNone && stop != StopIterations {
 		return finish(stop), nil
 	}
-	if res.Closed == CloseAnalytic || res.Closed == CloseUnique {
-		// The consistent set is exactly {Key}: the certified system or the
-		// uniqueness check determined it, so no extraction or enumeration
-		// SAT calls are needed.
+	if res.Closed == CloseUnique {
+		// The consistent set is exactly {Key}: the uniqueness check
+		// determined it, so no extraction or enumeration SAT calls are
+		// needed.
 		if opts.EnumerateLimit > 0 {
 			res.Candidates = [][]bool{append([]bool(nil), res.Key...)}
 			res.CandidatesExact = true
@@ -486,30 +428,6 @@ func addStatsDelta(sp *trace.Span, from, to sat.Stats) {
 	sp.Add("xor_conflicts", to.XorConflicts-from.XorConflicts)
 	sp.Add("simplify_removed", to.SimplifyRemoved-from.SimplifyRemoved)
 	sp.Add("simplify_strengthened", to.SimplifyStrengthened-from.SimplifyStrengthened)
-}
-
-// injectInsight adds certified key constraints to the solver as XOR rows
-// over each given key copy. Constraints with out-of-range indices are
-// ignored (defensive: a well-formed source addresses only key bits).
-// AddXor's echelon reduction absorbs rows the solver already knows for
-// free.
-func injectInsight(s *sat.Solver, cs []KeyConstraint, keys ...[]cnf.Lit) {
-	for _, c := range cs {
-		for _, ks := range keys {
-			lits := make([]cnf.Lit, 0, len(c.Idx))
-			ok := true
-			for _, i := range c.Idx {
-				if i < 0 || i >= len(ks) {
-					ok = false
-					break
-				}
-				lits = append(lits, ks[i])
-			}
-			if ok {
-				s.AddXor(lits, c.RHS)
-			}
-		}
-	}
 }
 
 // assemble builds the full view-input literal vector from attacker inputs

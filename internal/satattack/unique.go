@@ -16,8 +16,7 @@ import (
 const minCheckBudget = 2000
 
 // uniqueCheck is the one-copy closing check: a second solver holding a
-// single key copy k under the same DIP constraints (and insight rows) as
-// the miter. After a DIP it asks whether exactly one key is still
+// single key copy k under the same DIP constraints as the miter. After a DIP it asks whether exactly one key is still
 // consistent. A singleton consistent set admits no further DIP, so the
 // miter is UNSAT too and the loop can close on the key without that
 // proof. The check runs on its own solver so that none of its learnt
@@ -44,18 +43,15 @@ func newUniqueCheck(l *Locked, g *aig.Graph) *uniqueCheck {
 	return u
 }
 
-// check asserts one DIP's oracle response on the key copy, plus the
-// insight rows the miter received with it (so the check's consistent set
-// stays the one extraction and enumeration would read from the miter's
-// k1), then asks whether one key remains. It runs under one "unique"
-// span carrying the check's solver-counter and encode growth, and
-// returns the single consistent key, or nil when the loop must go on.
-func (u *uniqueCheck) check(ctx context.Context, tr *trace.Tracer, dip, resp []bool, cs []KeyConstraint, miterConflicts uint64) []bool {
+// check asserts one DIP's oracle response on the key copy, then asks
+// whether one key remains. It runs under one "unique" span carrying the
+// check's solver-counter and encode growth, and returns the single
+// consistent key, or nil when the loop must go on.
+func (u *uniqueCheck) check(ctx context.Context, tr *trace.Tracer, dip, resp []bool, miterConflicts uint64) []bool {
 	sp := tr.Start("unique")
 	mark := u.s.Stats
 	v0, c0 := emitted(u.s)
 	u.e.AssertEqualConst(u.e.EncodeAIG(u.aig, u.l.assemble(u.e.ConstVec(dip), u.k)), resp)
-	injectInsight(u.s, cs, u.k)
 	v1, c1 := emitted(u.s)
 	key := u.unique(ctx, max(minCheckBudget, int64(miterConflicts/4)))
 	addStatsDelta(sp, mark, u.s.Stats)

@@ -199,25 +199,29 @@ func SpreadGates(length, count, keyBits int) []KeyGate {
 	}
 	links := length - 1
 	gates := make([]KeyGate, count)
-	if count <= links {
-		for i := range gates {
-			gates[i] = KeyGate{Link: 1 + i*links/count, KeyBit: i % keyBits}
-		}
-		return gates
-	}
-	// Successive rounds offset the spread. A gate whose (link, key bit)
-	// pair is already placed moves on to the next link without it, so no
-	// pair repeats (the two gates would cancel) while count ≤ links ×
-	// keyBits.
-	placed := make(map[KeyGate]bool, count)
+	// Successive rounds offset the spread; i/links stays 0 while count ≤
+	// links, so each gate then gets a link of its own.
 	for i := range gates {
-		link := 1 + (i*links/count+i/links)%links
-		g := KeyGate{Link: link, KeyBit: i % keyBits}
+		gates[i] = KeyGate{Link: 1 + (i*links/count+i/links)%links, KeyBit: i % keyBits}
+	}
+	SeparatePairs(gates, length)
+	return gates
+}
+
+// SeparatePairs moves each gate whose (link, key bit) pair an earlier gate
+// already holds on to the next link, in chain order and wrapping, that
+// does not hold it: two gates on one pair would cancel. No pair repeats
+// while len(gates) ≤ (length−1) × keyBits, since before each gate fewer
+// than length−1 gates hold its key bit.
+func SeparatePairs(gates []KeyGate, length int) {
+	links := length - 1
+	placed := make(map[KeyGate]bool, len(gates))
+	for i, g := range gates {
+		link := g.Link
 		for step := 1; placed[g] && step < links; step++ {
 			g.Link = 1 + (link-1+step)%links
 		}
 		placed[g] = true
 		gates[i] = g
 	}
-	return gates
 }
