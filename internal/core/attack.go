@@ -144,20 +144,17 @@ type Result struct {
 // map to one reset + session; model outputs are (the POs of each capture,
 // observed scan-out).
 type ChipOracle struct {
-	Chip    Chip
-	TestKey []bool
+	Chip Chip
 	// Sessions counts queries issued through this adapter.
 	Sessions int
+	testKey  []bool // all zeros: the attacker does not know SK
 	captures int
 }
 
-// NewChipOracle builds the adapter for one-capture sessions; nil testKey
-// selects all zeros.
-func NewChipOracle(chip Chip, testKey []bool) *ChipOracle {
-	if testKey == nil {
-		testKey = make([]bool, chip.Design().Config.KeyBits)
-	}
-	return &ChipOracle{Chip: chip, TestKey: testKey, captures: 1}
+// NewChipOracle builds the adapter for one-capture sessions under the
+// all-zero test key.
+func NewChipOracle(chip Chip) *ChipOracle {
+	return &ChipOracle{Chip: chip, testKey: make([]bool, chip.Design().Config.KeyBits), captures: 1}
 }
 
 // Query implements satattack.Oracle.
@@ -169,7 +166,7 @@ func (o *ChipOracle) Query(in []bool) []bool {
 		pis[c] = in[c*numPI : (c+1)*numPI]
 	}
 	o.Chip.Reset()
-	scanOut, pos := o.Chip.SessionN(o.TestKey, in[o.captures*numPI:], pis)
+	scanOut, pos := o.Chip.SessionN(o.testKey, in[o.captures*numPI:], pis)
 	o.Sessions++
 	out := make([]bool, 0, o.captures*d.View.NumPO+len(scanOut))
 	for _, po := range pos {
@@ -258,7 +255,7 @@ func attack(ctx context.Context, chip Chip, captures int, opts Options) (*Result
 
 	// The attacker applies the all-zero test key: any (almost surely
 	// mismatching) external key lets the PRNG drive the key gates.
-	adapter := NewChipOracle(chip, nil)
+	adapter := NewChipOracle(chip)
 	adapter.captures = captures
 
 	res := &Result{Mode: opts.Mode}
@@ -340,7 +337,7 @@ func attack(ctx context.Context, chip Chip, captures int, opts Options) (*Result
 
 	// A partial candidate set from a stopped run is still verified — the
 	// probes are closed-form, not SAT work.
-	verified, err := verifyCandidates(tr, chip, adapter.TestKey, res.SeedCandidates, verifyProbes, captures, A, B)
+	verified, err := verifyCandidates(tr, chip, adapter.testKey, res.SeedCandidates, verifyProbes, captures, A, B)
 	if err != nil {
 		return nil, err
 	}

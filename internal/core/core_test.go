@@ -245,9 +245,9 @@ func TestBuildModelErrors(t *testing.T) {
 
 func TestChipOracleDefaults(t *testing.T) {
 	_, chip := lockedChip(t, 6, 4, scan.PerCycle, 13, 14)
-	o := NewChipOracle(chip, nil)
-	if len(o.TestKey) != 4 {
-		t.Fatalf("default test key width %d", len(o.TestKey))
+	o := NewChipOracle(chip)
+	if len(o.testKey) != 4 {
+		t.Fatalf("default test key width %d", len(o.testKey))
 	}
 	in := make([]bool, 6+6)
 	out := o.Query(in)

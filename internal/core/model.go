@@ -89,9 +89,12 @@ func maskMatricesN(d *lock.Design, patIdx, captures int) (A, B *gf2.Mat, err err
 		}
 	}
 	A, B = gf2.NewMat(n, k), gf2.NewMat(n, k)
+	var terms []scan.Term
 	for j := 0; j < n; j++ {
-		fill(A.Row(j), d.Chain.InMaskTerms(j))
-		fill(B.Row(j), d.Chain.OutMaskTermsN(j, captures))
+		terms = d.Chain.AppendInMaskTerms(terms[:0], j)
+		fill(A.Row(j), terms)
+		terms = d.Chain.AppendOutMaskTerms(terms[:0], j, captures)
+		fill(B.Row(j), terms)
 	}
 	return A, B, nil
 }

@@ -210,7 +210,7 @@ func TestObserveConcurrentOrderIndependent(t *testing.T) {
 	const k = 10
 	d := lockedDesign(t, xorBench, k)
 	chip := fabricate(t, d, 7)
-	adapter := core.NewChipOracle(chip, nil)
+	adapter := core.NewChipOracle(chip)
 	numPI := d.View.NumPI
 	n := d.Chain.Length
 	rng := rand.New(rand.NewSource(11))
@@ -267,7 +267,7 @@ func TestSoundOnNonlinearCore(t *testing.T) {
 	const k = 8
 	d := lockedDesign(t, nonlinBench, k)
 	chip := fabricate(t, d, 13)
-	adapter := core.NewChipOracle(chip, nil)
+	adapter := core.NewChipOracle(chip)
 	tracker, err := New(d, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +307,7 @@ func TestTrackerPublishes(t *testing.T) {
 	const k = 8
 	d := lockedDesign(t, xorBench, k)
 	chip := fabricate(t, d, 5)
-	adapter := core.NewChipOracle(chip, nil)
+	adapter := core.NewChipOracle(chip)
 
 	reg := metrics.NewRegistry()
 	fake := time.Unix(1000, 0)

@@ -150,8 +150,8 @@ func (l *LFSR) Seed(seed gf2.Vec) {
 // State returns a copy of the current register state.
 func (l *LFSR) State() gf2.Vec { return l.state.Clone() }
 
-// Bit returns state bit i without stepping.
-func (l *LFSR) Bit(i int) bool { return l.state.Get(i) }
+// View returns the current state in place (read-only).
+func (l *LFSR) View() gf2.Vec { return l.state }
 
 // Step advances the register by one clock cycle: the feedback bit shifts
 // into bit 0 as every state word moves up one position.

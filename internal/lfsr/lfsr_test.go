@@ -140,7 +140,7 @@ func TestSymbolicMatchesConcrete(t *testing.T) {
 			l.Seed(seed)
 			for tcyc := 0; tcyc <= steps; tcyc++ {
 				for i := 0; i < n; i++ {
-					if s.Row(tcyc, i).Dot(seed) != l.Bit(i) {
+					if s.Row(tcyc, i).Dot(seed) != l.View().Get(i) {
 						t.Fatalf("n=%d step=%d bit=%d: symbolic bit differs from the concrete register", n, tcyc, i)
 					}
 				}
@@ -213,10 +213,8 @@ func TestStepMatchesPerBitShift(t *testing.T) {
 				if !reg.r.State().Equal(ref) {
 					t.Fatalf("%T n=%d step %d: %s, want %s", reg.r, n, step, reg.r.State(), ref)
 				}
-				for i := 0; i < n; i++ {
-					if reg.r.Bit(i) != ref.Get(i) {
-						t.Fatalf("%T n=%d step %d: Bit(%d) differs from the state", reg.r, n, step, i)
-					}
+				if !reg.r.View().Equal(ref) {
+					t.Fatalf("%T n=%d step %d: View %s differs from the state %s", reg.r, n, step, reg.r.View(), ref)
 				}
 			}
 		}

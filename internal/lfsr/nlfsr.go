@@ -16,8 +16,9 @@ type Register interface {
 	Step()
 	// State returns a copy of the current state.
 	State() gf2.Vec
-	// Bit returns state bit i in place, without copying the state.
-	Bit(i int) bool
+	// View returns the current state in place, without copying it. The
+	// caller must not write to it; Step updates it and Seed replaces it.
+	View() gf2.Vec
 	// N returns the register width.
 	N() int
 }
@@ -91,8 +92,8 @@ func (r *NLFSR) Seed(seed gf2.Vec) {
 // State returns a copy of the current state.
 func (r *NLFSR) State() gf2.Vec { return r.state.Clone() }
 
-// Bit returns state bit i without stepping.
-func (r *NLFSR) Bit(i int) bool { return r.state.Get(i) }
+// View returns the current state in place (read-only).
+func (r *NLFSR) View() gf2.Vec { return r.state }
 
 // Step advances one cycle.
 func (r *NLFSR) Step() {

@@ -105,7 +105,7 @@ func TestKeyRegisterAtMatchesLFSR(t *testing.T) {
 	for cycle := 0; cycle < cycles; cycle++ {
 		steps := d.Config.Policy.Steps(0, cycle, d.Config.Period)
 		for i := 0; i < d.Config.KeyBits; i++ {
-			if sched.Row(steps, i).Dot(seed) != reg.Bit(i) {
+			if sched.Row(steps, i).Dot(seed) != reg.View().Get(i) {
 				t.Fatalf("cycle %d bit %d: symbolic register mismatch", cycle, i)
 			}
 		}

@@ -196,7 +196,8 @@ func (c *Chip) SessionN(testKey, scanIn []bool, pis [][]bool) (scanOut []bool, p
 // shiftEdge moves the scan chain one position, feeding si into flop 0,
 // and XORs every key gate's key bit of this cycle onto the bit that
 // crossed its link. The key is SK when the session's test key matched it;
-// otherwise the static secret, or the dynamic register read in place.
+// otherwise the static secret, or the dynamic register's state, viewed in
+// place once per cycle.
 func (c *Chip) shiftEdge(si, match bool) {
 	c.flops.Shift(si)
 	gates := c.design.Chain.Gates
@@ -215,8 +216,9 @@ func (c *Chip) shiftEdge(si, match bool) {
 		}
 	default:
 		c.advanceRegister()
+		key := c.reg.View()
 		for _, g := range gates {
-			if c.reg.Bit(g.KeyBit) {
+			if key.Get(g.KeyBit) {
 				c.flops.Flip(g.Link)
 			}
 		}

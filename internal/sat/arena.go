@@ -18,11 +18,12 @@ import (
 //
 // A removed clause is detached at once and marked deleted, and Simplify's
 // strengthening shrinks a clause in place; both leave dead words behind,
-// counted in Solver.wasted. Once a fifth of the arena is dead, compact copies the
-// live clauses into a fresh slab and rewrites every cref the solver holds:
-// watchers (in place, so watch order is untouched), reasons, clauses and
-// learnts. Crefs are never compared for order, so compaction cannot change
-// the search.
+// counted in Solver.wasted. Once a fifth of the arena is dead, compact
+// copies the live clauses into a fresh slab and rewrites every cref the
+// solver holds: watchers (in place, so watch order is untouched), reasons,
+// clauses and learnts. Crefs are never compared for order, so compaction
+// cannot change the search. Between compactions the arena grows by
+// doubling (reserve).
 type cref uint32
 
 const (
@@ -55,7 +56,7 @@ func (s *Solver) allocClause(lits []cnf.Lit, learnt bool) cref {
 	if learnt {
 		h |= flagLearnt
 	}
-	s.arena = append(s.arena, h, 0, 0, 0)
+	s.arena = append(reserve(s.arena, hdrWords+len(lits)), h, 0, 0, 0)
 	s.arena = append(s.arena, lits...)
 	return cr
 }
@@ -110,11 +111,12 @@ func (s *Solver) maybeCompact() {
 }
 
 // compact copies the live clauses, problem clauses first, into a fresh
-// arena and rewrites every reference to them. Each moved clause leaves its
-// new cref in its old LBD word, which the watcher and reason passes read.
+// arena with as much room again, and rewrites every reference to them.
+// Each moved clause leaves its new cref in its old LBD word, which the
+// watcher and reason passes read.
 func (s *Solver) compact() {
 	old := s.arena
-	next := make([]cnf.Lit, 0, len(old)-s.wasted)
+	next := make([]cnf.Lit, 0, 2*(len(old)-s.wasted))
 	move := func(crs []cref) {
 		for i, cr := range crs {
 			nc := cref(len(next))
@@ -125,7 +127,11 @@ func (s *Solver) compact() {
 	}
 	move(s.clauses)
 	move(s.learnts)
-	for _, ws := range s.watches {
+	// Only the entries inside each list's length: a hole of the watch
+	// slab, or the room past a list's length, may hold a stale cref from
+	// before an earlier compaction.
+	for l := range s.watches.spans {
+		ws := s.watches.list(l)
 		for i := range ws {
 			ws[i].cr = cref(old[ws[i].cr+1])
 		}

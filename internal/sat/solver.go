@@ -91,9 +91,9 @@ type Solver struct {
 	wasted      int
 	compactions int
 
-	watches  [][]watcher // indexed by cnf.Lit
-	vals     []lbool     // indexed by cnf.Lit: vals[l] is l's value
-	polarity []bool      // saved phase, true = last assigned false
+	watches  slab[watcher] // indexed by cnf.Lit (slab.go)
+	vals     []lbool       // indexed by cnf.Lit: vals[l] is l's value
+	polarity []bool        // saved phase, true = last assigned false
 	activity []float64
 	level    []int32
 	reason   []cref
@@ -110,7 +110,7 @@ type Solver struct {
 	xorEch     []xorEchRow
 	xorEchPool []int32
 	xorPivot   map[int32]int32 // pivot variable → xorEch index
-	xwatches   [][]int32       // indexed by variable
+	xwatches   slab[int32]     // indexed by variable
 	reasonX    []int32         // indexed by variable
 
 	// Scratch buffers owned by the solver so that conflicts allocate
@@ -268,18 +268,19 @@ func (s *Solver) NewVar() int {
 	s.reason = append(s.reason, crefUndef)
 	s.reasonX = append(s.reasonX, 0)
 	s.seen = append(s.seen, 0)
-	s.watches = append(s.watches, nil, nil)
-	s.xwatches = append(s.xwatches, nil)
+	s.watches.spans = append(s.watches.spans, span{}, span{})
+	s.xwatches.spans = append(s.xwatches.spans, span{})
 	s.order.insert(v)
 	return v
 }
 
-// growVars moves every per-variable array, the decision heap's two
-// included, to storage with room for n variables. NewVar calls it with
-// double the current count whenever the arrays are full, so they grow
-// together and each append in between stays in place: an attack's
-// variables cost about twice their final arrays in allocation, where
-// append's own 1.25× growth costs five times.
+// growVars moves every per-variable array, the decision heap's two, the
+// watch lists' spans and the trail (which never holds more literals than
+// there are variables) included, to storage with room for n variables.
+// NewVar calls it with double the current count whenever the arrays are
+// full, so they grow together and each append in between stays in place:
+// an attack's variables cost about twice their final arrays in
+// allocation, where append's own 1.25× growth costs five times.
 func (s *Solver) growVars(n int) {
 	s.vals = withCap(s.vals, 2*n)
 	s.polarity = withCap(s.polarity, n)
@@ -288,8 +289,9 @@ func (s *Solver) growVars(n int) {
 	s.reason = withCap(s.reason, n)
 	s.reasonX = withCap(s.reasonX, n)
 	s.seen = withCap(s.seen, n)
-	s.watches = withCap(s.watches, 2*n)
-	s.xwatches = withCap(s.xwatches, n)
+	s.watches.spans = withCap(s.watches.spans, 2*n)
+	s.xwatches.spans = withCap(s.xwatches.spans, n)
+	s.trail = withCap(s.trail, n)
 	s.order.heap = withCap(s.order.heap, n)
 	s.order.indices = withCap(s.order.indices, n)
 }
@@ -299,6 +301,17 @@ func withCap[T any](a []T, n int) []T {
 	b := make([]T, len(a), n)
 	copy(b, a)
 	return b
+}
+
+// reserve returns a, or a copy of it with double the capacity, with room
+// for n more elements. The solver's pools grow through it, so each costs
+// about twice its final size in allocation rather than append's five
+// times.
+func reserve[T any](a []T, n int) []T {
+	if len(a)+n <= cap(a) {
+		return a
+	}
+	return withCap(a, max(2*cap(a), len(a)+n, 16))
 }
 
 // NumVars returns the number of variables allocated.
@@ -359,7 +372,7 @@ func (s *Solver) AddClause(lits ...cnf.Lit) bool {
 		return true
 	}
 	cr := s.allocClause(out, false)
-	s.clauses = append(s.clauses, cr)
+	s.clauses = append(reserve(s.clauses, 1), cr)
 	s.attach(cr)
 	return true
 }
@@ -384,18 +397,18 @@ func (s *Solver) AddFormula(f *cnf.Formula) bool {
 func (s *Solver) attach(cr cref) {
 	lits := s.lits(cr)
 	w0, w1 := lits[0], lits[1]
-	s.watches[w0.Not()] = append(s.watches[w0.Not()], watcher{cr, w1})
-	s.watches[w1.Not()] = append(s.watches[w1.Not()], watcher{cr, w0})
+	s.watches.push(int(w0.Not()), watcher{cr, w1})
+	s.watches.push(int(w1.Not()), watcher{cr, w0})
 }
 
 func (s *Solver) detach(cr cref) {
 	lits := s.lits(cr)
 	for _, w := range [2]cnf.Lit{lits[0].Not(), lits[1].Not()} {
-		ws := s.watches[w]
+		ws := s.watches.list(int(w))
 		for i := range ws {
 			if ws[i].cr == cr {
 				ws[i] = ws[len(ws)-1]
-				s.watches[w] = ws[:len(ws)-1]
+				s.watches.setLen(int(w), len(ws)-1)
 				break
 			}
 		}
@@ -428,7 +441,7 @@ func (s *Solver) propagate() cref {
 				return confl
 			}
 		}
-		ws := s.watches[p]
+		ws := s.watches.list(int(p))
 		falseLit := p.Not()
 		vals, arena := s.vals, s.arena
 		n := 0
@@ -454,8 +467,10 @@ func (s *Solver) propagate() cref {
 			for k := 2; k < len(lits); k++ {
 				if vals[lits[k]] != lFalse {
 					lits[1], lits[k] = lits[k], lits[1]
-					nw := lits[1].Not()
-					s.watches[nw] = append(s.watches[nw], watcher{cr, first})
+					if s.watches.push(int(lits[1].Not()), watcher{cr, first}) {
+						// The push repacked the slab: view p's list again.
+						ws = s.watches.list(int(p))
+					}
 					continue nextWatcher
 				}
 			}
@@ -468,14 +483,14 @@ func (s *Solver) propagate() cref {
 					ws[n] = ws[i]
 					n++
 				}
-				s.watches[p] = ws[:n]
+				s.watches.setLen(int(p), n)
 				s.qhead = len(s.trail)
 				return cr
 			}
 			s.uncheckedEnqueue(first, cr)
 		}
 		if n < len(ws) {
-			s.watches[p] = ws[:n]
+			s.watches.setLen(int(p), n)
 		}
 	}
 	return crefUndef
@@ -766,7 +781,7 @@ func (s *Solver) search(nofConflicts int64, assumptions []cnf.Lit) Status {
 				cr := s.allocClause(learnt, true)
 				lbd = s.lbd(learnt)
 				s.setLBD(cr, lbd)
-				s.learnts = append(s.learnts, cr)
+				s.learnts = append(reserve(s.learnts, 1), cr)
 				s.attach(cr)
 				s.claBump(cr)
 				s.uncheckedEnqueue(learnt[0], cr)

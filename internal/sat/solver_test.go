@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"dynunlock/internal/cnf"
@@ -397,7 +398,7 @@ func TestNewVarGrowsArraysTogether(t *testing.T) {
 		caps := map[string][2]int{
 			"vals": {cap(s.vals), 2 * n}, "polarity": {cap(s.polarity), n}, "activity": {cap(s.activity), n},
 			"reason": {cap(s.reason), n}, "reasonX": {cap(s.reasonX), n}, "seen": {cap(s.seen), n},
-			"watches": {cap(s.watches), 2 * n}, "xwatches": {cap(s.xwatches), n},
+			"watches": {cap(s.watches.spans), 2 * n}, "xwatches": {cap(s.xwatches.spans), n}, "trail": {cap(s.trail), n},
 			"heap": {cap(s.order.heap), n}, "indices": {cap(s.order.indices), n}, "act": {cap(s.order.act), n},
 		}
 		for name, c := range caps {
@@ -405,8 +406,8 @@ func TestNewVarGrowsArraysTogether(t *testing.T) {
 				t.Fatalf("after %d vars: cap(%s) = %d, want %d", v+1, name, c[0], c[1])
 			}
 		}
-		if len(s.order.act) != v+1 || len(s.vals) != 2*(v+1) || len(s.watches) != 2*(v+1) {
-			t.Fatalf("after %d vars: lengths act %d vals %d watches %d", v+1, len(s.order.act), len(s.vals), len(s.watches))
+		if len(s.order.act) != v+1 || len(s.vals) != 2*(v+1) || len(s.watches.spans) != 2*(v+1) {
+			t.Fatalf("after %d vars: lengths act %d vals %d watches %d", v+1, len(s.order.act), len(s.vals), len(s.watches.spans))
 		}
 		if p := &s.level[0]; p != level {
 			level = p
@@ -418,5 +419,28 @@ func TestNewVarGrowsArraysTogether(t *testing.T) {
 	}
 	if s.Solve() != Sat {
 		t.Fatal("want SAT")
+	}
+}
+
+// TestSolverBytesPerVariable pins what a variable costs in allocation:
+// every per-variable array, the watch lists' spans and the trail grow by
+// doubling, and a watch list costs a pointer-free span instead of a slice
+// header, so 2^17 variables allocate at most 160 bytes each. Slice
+// headers for the watch lists cost 208 bytes a variable.
+func TestSolverBytesPerVariable(t *testing.T) {
+	const n = 1 << 17
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := New()
+	for i := 0; i < n; i++ {
+		s.NewVar()
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / n; per > 160 {
+		t.Fatalf("%d variables allocated %.1f bytes each, want at most 160", n, per)
+	} else {
+		t.Logf("%.1f bytes per variable", per)
 	}
 }

@@ -131,8 +131,8 @@ func (s *Solver) AddXor(lits []cnf.Lit, rhs bool) bool {
 		s.xorPivot = make(map[int32]int32)
 	}
 	s.xorPivot[rv[len(rv)-1]] = int32(len(s.xorEch))
-	s.xorEch = append(s.xorEch, xorEchRow{off: int32(len(s.xorEchPool)), n: int32(len(rv)), rhs: rrhs})
-	s.xorEchPool = append(s.xorEchPool, rv...)
+	s.xorEch = append(reserve(s.xorEch, 1), xorEchRow{off: int32(len(s.xorEchPool)), n: int32(len(rv)), rhs: rrhs})
+	s.xorEchPool = append(reserve(s.xorEchPool, len(rv)), rv...)
 
 	s.xorStore(vars, rhs)
 	return true
@@ -142,13 +142,13 @@ func (s *Solver) AddXor(lits []cnf.Lit, rhs bool) bool {
 // variables) into the pool and attaches it to the watch lists.
 func (s *Solver) xorStore(vars []int32, rhs bool) {
 	ri := int32(len(s.xorRows))
-	s.xorRows = append(s.xorRows, xorRow{
+	s.xorRows = append(reserve(s.xorRows, 1), xorRow{
 		off: int32(len(s.xorPool)), n: int32(len(vars)),
 		watch: [2]int32{vars[0], vars[1]}, rhs: rhs,
 	})
-	s.xorPool = append(s.xorPool, vars...)
-	s.xwatches[vars[0]] = append(s.xwatches[vars[0]], ri)
-	s.xwatches[vars[1]] = append(s.xwatches[vars[1]], ri)
+	s.xorPool = append(reserve(s.xorPool, len(vars)), vars...)
+	s.xwatches.push(int(vars[0]), ri)
+	s.xwatches.push(int(vars[1]), ri)
 }
 
 // xorFoldAssigned drops level-0 assigned variables from a row, folding
@@ -219,7 +219,7 @@ func (s *Solver) NumXors() int { return len(s.xorRows) }
 // trigger variable itself).
 func (s *Solver) propagateXor(p cnf.Lit) cref {
 	v := int32(p.Var())
-	ws := s.xwatches[v]
+	ws := s.xwatches.list(int(v))
 	if len(ws) == 0 {
 		return crefUndef
 	}
@@ -256,7 +256,7 @@ func (s *Solver) propagateXor(p cnf.Lit) cref {
 					ws[n] = ws[i]
 					n++
 				}
-				s.xwatches[v] = ws[:n]
+				s.xwatches.setLen(int(v), n)
 				return s.xorConflict(vars)
 			}
 			ws[n] = ri
@@ -281,7 +281,10 @@ func (s *Solver) propagateXor(p cnf.Lit) cref {
 				u = u2
 			}
 			row.watch[slot] = u
-			s.xwatches[u] = append(s.xwatches[u], ri)
+			if s.xwatches.push(int(u), ri) {
+				// The push repacked the slab: view v's list again.
+				ws = s.xwatches.list(int(v))
+			}
 		default:
 			// A stale entry: v is no longer watched by this row.
 			ws[n] = ri
@@ -289,7 +292,7 @@ func (s *Solver) propagateXor(p cnf.Lit) cref {
 		}
 	}
 	if n < len(ws) {
-		s.xwatches[v] = ws[:n]
+		s.xwatches.setLen(int(v), n)
 	}
 	return crefUndef
 }

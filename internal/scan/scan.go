@@ -25,10 +25,7 @@
 // bit for bit, which is the correctness core of Algorithm 1.
 package scan
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Policy selects how the key register evolves, covering the three defense
 // families the paper discusses.
@@ -132,22 +129,25 @@ type Term struct {
 
 // InMaskTerms returns the key terms XORed onto the bit destined for chain
 // flop j during shift-in: every key gate at link ℓ ≤ j contributes its key
-// bit at cycle n-1-j+ℓ.
-func (c *Chain) InMaskTerms(j int) []Term {
+// bit at cycle n-1-j+ℓ. Terms come in gate order; the order of an XOR does
+// not matter.
+func (c *Chain) InMaskTerms(j int) []Term { return c.AppendInMaskTerms(nil, j) }
+
+// AppendInMaskTerms appends InMaskTerms(j) to dst, so that a caller
+// building every flop's mask can reuse one buffer.
+func (c *Chain) AppendInMaskTerms(dst []Term, j int) []Term {
 	c.checkFlop(j)
-	var out []Term
 	for _, g := range c.Gates {
 		if g.Link <= j {
-			out = append(out, Term{Cycle: c.Length - 1 - j + g.Link, KeyBit: g.KeyBit})
+			dst = append(dst, Term{Cycle: c.Length - 1 - j + g.Link, KeyBit: g.KeyBit})
 		}
 	}
-	sortTerms(out)
-	return out
+	return dst
 }
 
 // OutMaskTerms returns the key terms XORed onto the captured bit of chain
 // flop j during shift-out: every key gate at link ℓ > j contributes its key
-// bit at cycle n+ℓ-j.
+// bit at cycle n+ℓ-j. Terms come in gate order.
 func (c *Chain) OutMaskTerms(j int) []Term { return c.OutMaskTermsN(j, 1) }
 
 // OutMaskTermsN is OutMaskTerms for a session with `captures` consecutive
@@ -155,18 +155,21 @@ func (c *Chain) OutMaskTerms(j int) []Term { return c.OutMaskTermsN(j, 1) }
 // extra capture delays shift-out by one cycle, so every term cycle shifts
 // by captures-1.
 func (c *Chain) OutMaskTermsN(j, captures int) []Term {
+	return c.AppendOutMaskTerms(nil, j, captures)
+}
+
+// AppendOutMaskTerms appends OutMaskTermsN(j, captures) to dst.
+func (c *Chain) AppendOutMaskTerms(dst []Term, j, captures int) []Term {
 	c.checkFlop(j)
 	if captures < 1 {
 		panic(fmt.Sprintf("scan: captures %d must be >= 1", captures))
 	}
-	var out []Term
 	for _, g := range c.Gates {
 		if g.Link > j {
-			out = append(out, Term{Cycle: c.Length + captures - 1 + g.Link - j, KeyBit: g.KeyBit})
+			dst = append(dst, Term{Cycle: c.Length + captures - 1 + g.Link - j, KeyBit: g.KeyBit})
 		}
 	}
-	sortTerms(out)
-	return out
+	return dst
 }
 
 // SessionCyclesN returns the cycle count of a session with the given
@@ -177,15 +180,6 @@ func (c *Chain) checkFlop(j int) {
 	if j < 0 || j >= c.Length {
 		panic(fmt.Sprintf("scan: flop %d out of range [0,%d)", j, c.Length))
 	}
-}
-
-func sortTerms(ts []Term) {
-	sort.Slice(ts, func(i, j int) bool {
-		if ts[i].Cycle != ts[j].Cycle {
-			return ts[i].Cycle < ts[j].Cycle
-		}
-		return ts[i].KeyBit < ts[j].KeyBit
-	})
 }
 
 // SpreadGates places count key gates on distinct links spread evenly across
