@@ -105,8 +105,9 @@ func (e *Encoder) And(a, b cnf.Lit) cnf.Lit {
 }
 
 // Xor returns a literal equivalent to a XOR b, emitted as one native GF(2)
-// solver row so the XOR layer propagates parity by Gaussian elimination
-// instead of CDCL search.
+// solver row so the XOR layer propagates parity by row scans instead of
+// CDCL search over a clause expansion. Its output z is always a fresh
+// variable, so the row is never a combination of earlier ones.
 func (e *Encoder) Xor(a, b cnf.Lit) cnf.Lit {
 	// Constant folding keeps the seed-mask XOR ladders compact.
 	switch {

@@ -7,14 +7,15 @@ import (
 )
 
 // Clause arena: every clause, problem or learnt, lives in one []cnf.Lit
-// slab (Solver.arena) and is addressed by a cref, the index of its first
-// header word, in the style of MiniSat's ClauseAllocator. A clause is
-// hdrWords header words followed by its literals:
+// slab (Solver.arena) and is addressed by a cref, the index of its header
+// word, in the style of MiniSat's ClauseAllocator. The literals follow the
+// header. A problem clause is its header and literals; a learnt clause
+// keeps its LBD and activity in the learntWords words before its header:
 //
+//	arena[cr-3]      LBD (learnt only)
+//	arena[cr-2..-1]  float64 activity, low word first (learnt only)
 //	arena[cr+0]      size<<2 | flagDeleted | flagLearnt
-//	arena[cr+1]      LBD (a forwarding cref while compact runs)
-//	arena[cr+2..3]   float64 activity, low word first
-//	arena[cr+4..]    the literals, watched pair first
+//	arena[cr+1..]    the literals, watched pair first
 //
 // A removed clause is detached at once and marked deleted, and Simplify's
 // strengthening shrinks a clause in place; both leave dead words behind,
@@ -27,7 +28,8 @@ import (
 type cref uint32
 
 const (
-	hdrWords = 4
+	// learntWords is the number of words before a learnt clause's header.
+	learntWords = 3
 
 	flagLearnt  = 1
 	flagDeleted = 2
@@ -51,12 +53,15 @@ type watcher struct {
 
 // allocClause appends a clause to the arena and returns its reference.
 func (s *Solver) allocClause(lits []cnf.Lit, learnt bool) cref {
-	cr := cref(len(s.arena))
 	h := cnf.Lit(len(lits) << 2)
 	if learnt {
+		s.arena = append(reserve(s.arena, learntWords+1+len(lits)), 0, 0, 0)
 		h |= flagLearnt
+	} else {
+		s.arena = reserve(s.arena, 1+len(lits))
 	}
-	s.arena = append(reserve(s.arena, hdrWords+len(lits)), h, 0, 0, 0)
+	cr := cref(len(s.arena))
+	s.arena = append(s.arena, h)
 	s.arena = append(s.arena, lits...)
 	return cr
 }
@@ -68,26 +73,28 @@ func (s *Solver) lits(cr cref) []cnf.Lit {
 		return s.xorBuf
 	}
 	n := cref(uint32(s.arena[cr]) >> 2)
-	return s.arena[cr+hdrWords : cr+hdrWords+n]
+	return s.arena[cr+1 : cr+1+n]
 }
 
 func (s *Solver) clauseSize(cr cref) int { return int(uint32(s.arena[cr]) >> 2) }
 
 func (s *Solver) isLearnt(cr cref) bool { return s.arena[cr]&flagLearnt != 0 }
 
-func (s *Solver) clauseLBD(cr cref) int32 { return int32(s.arena[cr+1]) }
+// The LBD and activity accessors are for learnt clauses only.
 
-func (s *Solver) setLBD(cr cref, lbd int32) { s.arena[cr+1] = cnf.Lit(lbd) }
+func (s *Solver) clauseLBD(cr cref) int32 { return int32(s.arena[cr-3]) }
+
+func (s *Solver) setLBD(cr cref, lbd int32) { s.arena[cr-3] = cnf.Lit(lbd) }
 
 func (s *Solver) claAct(cr cref) float64 {
-	lo, hi := uint32(s.arena[cr+2]), uint32(s.arena[cr+3])
+	lo, hi := uint32(s.arena[cr-2]), uint32(s.arena[cr-1])
 	return math.Float64frombits(uint64(hi)<<32 | uint64(lo))
 }
 
 func (s *Solver) setClaAct(cr cref, act float64) {
 	b := math.Float64bits(act)
-	s.arena[cr+2] = cnf.Lit(uint32(b))
-	s.arena[cr+3] = cnf.Lit(uint32(b >> 32))
+	s.arena[cr-2] = cnf.Lit(uint32(b))
+	s.arena[cr-1] = cnf.Lit(uint32(b >> 32))
 }
 
 // shrinkClause cuts a clause to its first n literals.
@@ -98,7 +105,10 @@ func (s *Solver) shrinkClause(cr cref, n int) {
 
 // freeClause marks a detached clause deleted; its words become garbage.
 func (s *Solver) freeClause(cr cref) {
-	s.wasted += hdrWords + s.clauseSize(cr)
+	s.wasted += 1 + s.clauseSize(cr)
+	if s.isLearnt(cr) {
+		s.wasted += learntWords
+	}
 	s.arena[cr] |= flagDeleted
 }
 
@@ -112,21 +122,21 @@ func (s *Solver) maybeCompact() {
 
 // compact copies the live clauses, problem clauses first, into a fresh
 // arena with as much room again, and rewrites every reference to them.
-// Each moved clause leaves its new cref in its old LBD word, which the
-// watcher and reason passes read.
+// Each moved clause leaves its new cref in its old first literal word,
+// which the watcher and reason passes read.
 func (s *Solver) compact() {
 	old := s.arena
 	next := make([]cnf.Lit, 0, 2*(len(old)-s.wasted))
-	move := func(crs []cref) {
+	move := func(crs []cref, pre cref) {
 		for i, cr := range crs {
-			nc := cref(len(next))
-			next = append(next, old[cr:cr+hdrWords+cref(uint32(old[cr])>>2)]...)
+			nc := cref(len(next)) + pre
+			next = append(next, old[cr-pre:cr+1+cref(uint32(old[cr])>>2)]...)
 			old[cr+1] = cnf.Lit(nc)
 			crs[i] = nc
 		}
 	}
-	move(s.clauses)
-	move(s.learnts)
+	move(s.clauses, 0)
+	move(s.learnts, learntWords)
 	// Only the entries inside each list's length: a hole of the watch
 	// slab, or the room past a list's length, may hold a stale cref from
 	// before an earlier compaction.
@@ -143,7 +153,7 @@ func (s *Solver) compact() {
 		case old[r]&flagDeleted != 0:
 			// Reasons are locked and never deleted; Simplify clears the
 			// level-0 ones it removes. Drop a stray one rather than forward
-			// a stale LBD word.
+			// a literal word.
 			s.reason[v] = crefUndef
 		default:
 			s.reason[v] = cref(old[r+1])

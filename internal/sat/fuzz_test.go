@@ -159,7 +159,9 @@ func checkFuzzProblem(t *testing.T, p fuzzProblem, simplify bool) {
 }
 
 // FuzzSolve checks the CDCL solver with its XOR layer and inprocessing
-// against brute force on small incremental formulas.
+// against brute force on small incremental formulas, and that a Reset
+// solver, after the formula, solves the formula of the input's second half
+// exactly as a new solver does.
 func FuzzSolve(f *testing.F) {
 	// x0, then the tautology x1 ∨ ¬x1.
 	f.Add([]byte{2, 0, 0, 0, 2, 1, 0x81})
@@ -178,5 +180,6 @@ func FuzzSolve(f *testing.F) {
 		p := decodeFuzzProblem(data)
 		checkFuzzProblem(t, p, false)
 		checkFuzzProblem(t, p, true)
+		checkResetSearch(t, p, decodeFuzzProblem(data[len(data)/2:]))
 	})
 }

@@ -9,10 +9,6 @@ type varHeap struct {
 	indices []int32   // variable -> position in heap, -1 if absent
 }
 
-func newVarHeap(act []float64) *varHeap {
-	return &varHeap{act: act}
-}
-
 func (h *varHeap) less(a, b int32) bool { return h.act[a] > h.act[b] }
 
 func (h *varHeap) grow(v int) {

@@ -7,7 +7,7 @@ import (
 
 func TestVarHeapOrdering(t *testing.T) {
 	act := make([]float64, 50)
-	h := newVarHeap(act)
+	h := &varHeap{act: act}
 	rng := rand.New(rand.NewSource(1))
 	for v := 0; v < 50; v++ {
 		act[v] = rng.Float64()
@@ -33,7 +33,7 @@ func TestVarHeapOrdering(t *testing.T) {
 
 func TestVarHeapBump(t *testing.T) {
 	act := make([]float64, 10)
-	h := newVarHeap(act)
+	h := &varHeap{act: act}
 	for v := 0; v < 10; v++ {
 		act[v] = float64(v)
 		h.insert(v)
@@ -47,7 +47,7 @@ func TestVarHeapBump(t *testing.T) {
 
 func TestVarHeapReinsert(t *testing.T) {
 	act := make([]float64, 4)
-	h := newVarHeap(act)
+	h := &varHeap{act: act}
 	for v := 0; v < 4; v++ {
 		h.insert(v)
 	}

@@ -50,6 +50,16 @@ func classFor(n uint32) uint32 {
 	return max(1, uint32(bits.Len32(n-1)))
 }
 
+// emptied returns a slab with no lists that takes over s's arrays, their
+// capacity included.
+func (s *slab[T]) emptied() slab[T] {
+	e := slab[T]{data: s.data[:0], spans: s.spans[:0]}
+	for c, h := range s.holes {
+		e.holes[c] = h[:0]
+	}
+	return e
+}
+
 // list returns list i as a view into the slab, valid until a push onto
 // any list repacks it.
 func (s *slab[T]) list(i int) []T {

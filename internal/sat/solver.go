@@ -78,7 +78,7 @@ type Stats struct {
 }
 
 // Solver is an incremental CDCL SAT solver. The zero value is not usable;
-// call New.
+// call New, or Reset.
 type Solver struct {
 	ok bool
 
@@ -99,24 +99,18 @@ type Solver struct {
 	reason   []cref
 	seen     []byte
 
-	// XOR layer (xor.go): stored parity rows in their original sparse form
-	// (what search propagates over) with their variables in xorPool, the
-	// echelon-reduced shadow system used only inside AddXor for
-	// dependence/inconsistency detection with its pivot-variable index,
-	// per-variable row watch lists, and per-variable lazy reasons (xorRows
-	// index + 1; 0 = not XOR-implied).
-	xorRows    []xorRow
-	xorPool    []int32
-	xorEch     []xorEchRow
-	xorEchPool []int32
-	xorPivot   map[int32]int32 // pivot variable → xorEch index
-	xwatches   slab[int32]     // indexed by variable
-	reasonX    []int32         // indexed by variable
+	// XOR layer (xor.go): stored parity rows in their sparse form with
+	// their variables in xorPool, per-variable row watch lists, and
+	// per-variable lazy reasons (xorRows index + 1; 0 = not XOR-implied).
+	xorRows  []xorRow
+	xorPool  []int32
+	xwatches slab[int32] // indexed by variable
+	reasonX  []int32     // indexed by variable
 
 	// Scratch buffers owned by the solver so that conflicts allocate
 	// nothing: the clause synthesized from an XOR row (crefXor), analyze's
 	// learnt clause and seen-variable list, lbd's per-level stamps,
-	// AddClause normalization, and AddXor normalization and reduction.
+	// AddClause normalization, and AddXor normalization.
 	xorBuf     []cnf.Lit
 	learntBuf  []cnf.Lit
 	toClear    []int
@@ -124,10 +118,8 @@ type Solver struct {
 	stamp      uint32
 	addBuf     []cnf.Lit
 	xorBufA    []int32
-	xorBufB    []int32
-	xorBufC    []int32
 
-	order    *varHeap
+	order    varHeap
 	varInc   float64
 	varDecay float64
 
@@ -146,7 +138,10 @@ type Solver struct {
 	lbdFast, lbdSlow float64
 	trailAvg         float64
 
+	// model holds the last SAT answer, valid while hasModel is set; the
+	// buffer is reused by every later answer.
 	model    []bool
+	hasModel bool
 	conflict []cnf.Lit // final conflict clause over assumptions
 
 	// ConflictBudget, when positive, bounds the total number of conflicts a
@@ -242,16 +237,54 @@ func (s *Solver) flushHook() {
 
 // New returns an empty solver.
 func New() *Solver {
-	s := &Solver{
+	s := new(Solver)
+	s.Reset()
+	return s
+}
+
+// Reset empties the solver: no variables, clauses, XOR rows, model,
+// counters, budget, hook or pending interrupt are left, and it searches
+// exactly as a new solver would. Every array keeps its capacity, so a
+// solver reused for a second problem of similar size allocates little.
+// Reset must not run concurrently with a solve.
+func (s *Solver) Reset() {
+	*s = Solver{
 		ok:           true,
 		varInc:       1.0,
 		varDecay:     0.95,
 		claInc:       1.0,
 		claDecay:     0.999,
 		learntGrowth: 1.1,
+
+		arena:    s.arena[:0],
+		clauses:  s.clauses[:0],
+		learnts:  s.learnts[:0],
+		watches:  s.watches.emptied(),
+		vals:     s.vals[:0],
+		polarity: s.polarity[:0],
+		activity: s.activity[:0],
+		level:    s.level[:0],
+		reason:   s.reason[:0],
+		seen:     s.seen[:0],
+
+		xorRows:  s.xorRows[:0],
+		xorPool:  s.xorPool[:0],
+		xwatches: s.xwatches.emptied(),
+		reasonX:  s.reasonX[:0],
+
+		xorBuf:     s.xorBuf[:0],
+		learntBuf:  s.learntBuf[:0],
+		toClear:    s.toClear[:0],
+		levelStamp: s.levelStamp[:0],
+		addBuf:     s.addBuf[:0],
+		xorBufA:    s.xorBufA[:0],
+
+		order:    varHeap{heap: s.order.heap[:0], indices: s.order.indices[:0]},
+		trail:    s.trail[:0],
+		trailLim: s.trailLim[:0],
+		model:    s.model[:0],
+		conflict: s.conflict[:0],
 	}
-	s.order = newVarHeap(nil)
-	return s
 }
 
 // NewVar allocates a fresh variable and returns its index.
@@ -454,7 +487,7 @@ func (s *Solver) propagate() cref {
 				continue
 			}
 			cr := w.cr
-			lits := arena[cr+hdrWords : cr+hdrWords+cref(uint32(arena[cr])>>2)]
+			lits := arena[cr+1 : cr+1+cref(uint32(arena[cr])>>2)]
 			if lits[0] == falseLit {
 				lits[0], lits[1] = lits[1], lits[0]
 			}
@@ -840,10 +873,12 @@ func (s *Solver) search(nofConflicts int64, assumptions []cnf.Lit) Status {
 			v := s.pickBranchVar()
 			if v == -1 {
 				// All variables assigned: model found.
-				s.model = make([]bool, s.NumVars())
+				n := s.NumVars()
+				s.model = reserve(s.model[:0], n)[:n]
 				for i := range s.model {
 					s.model[i] = s.vals[2*i] == lTrue
 				}
+				s.hasModel = true
 				return Sat
 			}
 			s.Stats.Decisions++
@@ -866,7 +901,7 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 		s.ensureVars(a.Var())
 	}
 	s.conflict = s.conflict[:0]
-	s.model = nil
+	s.hasModel = false
 	s.maxLearnts = float64(len(s.clauses)) / 3
 	if s.maxLearnts < 1000 {
 		s.maxLearnts = 1000
@@ -936,9 +971,10 @@ func (s *Solver) SolveCtx(ctx context.Context, assumptions ...cnf.Lit) Status {
 }
 
 // Model returns the satisfying assignment from the last Sat result,
-// indexed by variable. The slice is owned by the solver.
+// indexed by variable. The slice is owned by the solver and overwritten
+// by its next Sat result.
 func (s *Solver) Model() []bool {
-	if s.model == nil {
+	if !s.hasModel {
 		panic("sat: Model called without a SAT result")
 	}
 	return s.model
@@ -946,7 +982,7 @@ func (s *Solver) Model() []bool {
 
 // Value returns variable v's value in the last model.
 func (s *Solver) Value(v int) bool {
-	if s.model == nil {
+	if !s.hasModel {
 		panic("sat: Value called without a SAT result")
 	}
 	if v >= len(s.model) {
@@ -990,12 +1026,10 @@ func (s *Solver) BumpActivity(v int, amount float64) {
 // problem clauses (learnt clauses excluded), and XOR rows as cryptominisat
 // "x ..." lines — in DIMACS CNF format. The paper's methodology dumps the
 // CNF after each attack iteration to inspect recovered seed bits; satattack
-// exposes this through its DumpCNF option. XOR rows are emitted as stored:
-// the sparse originals AddXor kept (signs folded into the right-hand side,
-// duplicate pairs cancelled, variables assigned at level 0 when the row
-// was added folded out), not their echelon-reduced forms, which AddXor
-// keeps only to detect dependence. A row that was dependent when added
-// stored nothing and a unit remainder became a unit line, so together
+// exposes this through its DumpCNF option. XOR rows are emitted as
+// stored: signs folded into the right-hand side, duplicate pairs
+// cancelled, variables assigned at level 0 when the row was added folded
+// out. A row that folded to one variable became a unit line, so together
 // with the unit lines the dump is equivalent to the constraints as added.
 func (s *Solver) WriteDimacs(w io.Writer) error {
 	bw := bufio.NewWriter(w)

@@ -1,25 +1,23 @@
 // XOR layer: native GF(2) parity constraints beside the CNF watch-list
 // engine, in the cryptominisat style. Each constraint is a row
-// "XOR(vars) = rhs". AddXor reduces a scratch copy of every new row against
-// a top-level echelon (pivot = largest variable) with level-0 assignments
-// folded out, so injecting linearly dependent rows — the common case when
-// the insight tracker streams certified constraints after every DIP —
-// costs no storage and immediately detects inconsistency or a forced
-// assignment. Independent rows are stored in their ORIGINAL sparse form:
+// "XOR(vars) = rhs". AddXor normalizes a row — signs folded into rhs,
+// duplicate pairs cancelled, level-0 assignments folded out — and stores
+// it in that sparse form, with no elimination against earlier rows:
 // circuit parity rows chain through shared low-index variables, and
-// eliminating those pivots would densify the stored system, turning every
+// eliminating those would densify the stored system, turning every
 // implication reason into a near-full-width clause and poisoning conflict
-// analysis. The echelon is Gaussian bookkeeping only; the sparse originals
-// are what search propagates over. During search each row watches two of
-// its variables; when a watched variable is assigned the row is scanned
-// from its first variable until a second unassigned one turns up: with one
-// unassigned variable left the forced value is enqueued (reason
-// materialized lazily, see reasonFor), with none left and wrong parity a
-// conflict clause is synthesized for the standard first-UIP analysis.
-// Scanning the row's values — rather than trusting the watched pair —
-// keeps propagation complete when both watches of a row are assigned
-// within one propagation batch. Synthesized clauses are written into the
-// solver's xorBuf and passed around as crefXor, so they allocate nothing.
+// analysis. A row that depends on earlier ones is stored like any other;
+// one that contradicts them is found by search. During search each row
+// watches two of its variables; when a watched variable is assigned the
+// row is scanned from its first variable until a second unassigned one
+// turns up: with one unassigned variable left the forced value is
+// enqueued (reason materialized lazily, see reasonFor), with none left
+// and wrong parity a conflict clause is synthesized for the standard
+// first-UIP analysis. Scanning the row's values — rather than trusting
+// the watched pair — keeps propagation complete when both watches of a
+// row are assigned within one propagation batch. Synthesized clauses are
+// written into the solver's xorBuf and passed around as crefXor, so they
+// allocate nothing.
 package sat
 
 import (
@@ -38,27 +36,13 @@ type xorRow struct {
 	rhs    bool
 }
 
-// xorEchRow is one row of the AddXor-time echelon, its variables being
-// xorEchPool[off : off+n]: the same constraint shape as xorRow but never
-// watched or used as a reason — it exists only so new rows can be tested
-// for linear dependence and inconsistency without densifying the rows
-// search propagates over.
-type xorEchRow struct {
-	off, n int32
-	rhs    bool
-}
-
 // AddXor adds the parity constraint "XOR of the literal values = rhs".
 // Negated literals fold their sign into rhs, duplicate variables cancel,
-// and level-0 assignments fold into rhs (they never backtrack). A scratch
-// copy is then Gauss-reduced against the echelon: a dependent row stores
-// nothing, an inconsistent one fails the solver, a unit remainder enqueues
-// its forced literal. Independent rows extend the echelon with their
-// reduced form but are stored and watched in their original sparse form —
-// reduction would chain circuit rows together into dense rows whose
-// implications carry near-full-width reasons, wrecking conflict analysis.
-// Like AddClause it returns false when the solver becomes (or already is)
-// inconsistent at the top level.
+// and level-0 assignments fold into rhs (they never backtrack). An empty
+// remainder is a tautology or fails the solver, a unit remainder enqueues
+// its forced literal, and any longer one is stored and watched as it
+// stands. Like AddClause it returns false when the solver becomes (or
+// already is) inconsistent at the top level.
 func (s *Solver) AddXor(lits []cnf.Lit, rhs bool) bool {
 	if !s.ok {
 		return false
@@ -89,51 +73,6 @@ func (s *Solver) AddXor(lits []cnf.Lit, rhs bool) bool {
 	if len(vars) <= 1 {
 		return s.xorFinishSmall(vars, rhs)
 	}
-
-	// Gauss-reduce a scratch copy against the echelon to fixpoint: fold
-	// any level-0 assignments the merge reintroduced, then cancel the
-	// LARGEST variable against the echelon row with the same pivot. Each
-	// pivot step strictly lowers the largest variable, so this terminates.
-	// Pivoting on the largest variable makes the reduction run in
-	// definition order — encoders allocate a gate's output after its
-	// inputs — so reducing a row substitutes already-defined XOR outputs
-	// by their transitive supports instead of chaining unrelated rows
-	// together through shared inputs. For the unrolled keystream generator
-	// the fixpoint expresses every cycle's parity bit directly over the
-	// seed variables.
-	rv := append(s.xorBufB[:0], vars...)
-	rrhs := rhs
-	spare := s.xorBufC
-	for {
-		rv, rrhs = s.xorFoldAssigned(rv, rrhs)
-		if len(rv) == 0 {
-			break
-		}
-		ei, ok := s.xorPivot[rv[len(rv)-1]]
-		if !ok {
-			break
-		}
-		ech := s.xorEch[ei]
-		if ech.rhs {
-			rrhs = !rrhs
-		}
-		merged := xorMerge(spare[:0], rv, s.xorEchPool[ech.off:ech.off+ech.n])
-		spare, rv = rv, merged
-	}
-	s.xorBufB, s.xorBufC = rv, spare
-	if len(rv) <= 1 {
-		// Linearly dependent modulo a possible forced literal: the stored
-		// system plus that assignment already implies the new row, so it
-		// stores nothing.
-		return s.xorFinishSmall(rv, rrhs)
-	}
-	if s.xorPivot == nil {
-		s.xorPivot = make(map[int32]int32)
-	}
-	s.xorPivot[rv[len(rv)-1]] = int32(len(s.xorEch))
-	s.xorEch = append(reserve(s.xorEch, 1), xorEchRow{off: int32(len(s.xorEchPool)), n: int32(len(rv)), rhs: rrhs})
-	s.xorEchPool = append(reserve(s.xorEchPool, len(rv)), rv...)
-
 	s.xorStore(vars, rhs)
 	return true
 }
@@ -187,29 +126,8 @@ func (s *Solver) xorFinishSmall(vars []int32, rhs bool) bool {
 	return true
 }
 
-// xorMerge appends to dst the symmetric difference of two sorted variable
-// lists (the GF(2) sum of the two rows). dst must not alias a or b.
-func xorMerge(dst, a, b []int32) []int32 {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			dst = append(dst, a[i])
-			i++
-		case a[i] > b[j]:
-			dst = append(dst, b[j])
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	return append(dst, b[j:]...)
-}
-
 // NumXors returns the number of parity rows currently stored and watched
-// (linearly dependent additions store nothing).
+// (rows that fold to one variable or none store nothing).
 func (s *Solver) NumXors() int { return len(s.xorRows) }
 
 // propagateXor scans every XOR row watching the just-assigned variable of

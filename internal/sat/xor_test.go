@@ -107,7 +107,7 @@ func (sys *xorSystem) check(t *testing.T, model []bool) {
 }
 
 // TestAddXorMatchesTseitin is the differential fuzz pin: on random mixed
-// CNF-XOR systems the native Gaussian layer and the clause-expanded
+// CNF-XOR systems the native XOR layer and the clause-expanded
 // equivalent must agree on SAT/UNSAT, and every SAT model must satisfy the
 // original constraints.
 func TestAddXorMatchesTseitin(t *testing.T) {
@@ -206,31 +206,49 @@ func TestAddXorUnderAssumptions(t *testing.T) {
 	}
 }
 
-// TestAddXorEchelon pins the top-level Gaussian reduction: dependent rows
-// store nothing, and a dependent row with conflicting parity makes the
-// solver UNSAT without any search.
-func TestAddXorEchelon(t *testing.T) {
-	s := New()
-	a, b, c := s.NewVar(), s.NewVar(), s.NewVar()
-	la, lb, lc := lit(a, false), lit(b, false), lit(c, false)
-	s.AddXor([]cnf.Lit{la, lb}, true)
-	s.AddXor([]cnf.Lit{lb, lc}, true)
-	if got := s.NumXors(); got != 2 {
-		t.Fatalf("NumXors = %d, want 2", got)
+// TestAddXorDependentRows checks rows that earlier rows already decide.
+// AddXor stores them as given, with no elimination: a dependent row with
+// the system's parity changes no answer under any assumptions, and one
+// with the other parity makes Solve return UNSAT.
+func TestAddXorDependentRows(t *testing.T) {
+	build := func(extra ...bool) *Solver {
+		s := New()
+		a, b, c := s.NewVar(), s.NewVar(), s.NewVar()
+		s.AddXor([]cnf.Lit{lit(a, false), lit(b, false)}, true)
+		s.AddXor([]cnf.Lit{lit(b, false), lit(c, false)}, true)
+		for _, rhs := range extra {
+			if !s.AddXor([]cnf.Lit{lit(a, false), lit(c, false)}, rhs) {
+				t.Fatalf("a⊕c = %v rejected at insertion", rhs)
+			}
+		}
+		return s
 	}
 	// a⊕c = 0 is the sum of the first two rows: dependent, consistent.
-	if !s.AddXor([]cnf.Lit{la, lc}, false) {
-		t.Fatal("dependent consistent row rejected")
-	}
-	if got := s.NumXors(); got != 2 {
-		t.Fatalf("NumXors = %d after dependent row, want 2", got)
+	plain, dep := build(), build(false)
+	for mask := 0; mask < 1<<6; mask++ {
+		var assume []cnf.Lit
+		for v := 0; v < 3; v++ {
+			if mask>>(2*v)&1 == 1 {
+				assume = append(assume, lit(v, mask>>(2*v+1)&1 == 1))
+			}
+		}
+		want, got := plain.Solve(assume...), dep.Solve(assume...)
+		if got != want {
+			t.Fatalf("assumptions %v: %v with the dependent row, %v without", assume, got, want)
+		}
+		if got == Sat {
+			m := dep.Model()
+			if m[0] == m[1] || m[1] == m[2] || m[0] != m[2] {
+				t.Fatalf("assumptions %v: model %v violates the rows", assume, m)
+			}
+		}
 	}
 	// a⊕c = 1 contradicts the system.
-	if s.AddXor([]cnf.Lit{la, lc}, true) {
-		t.Fatal("inconsistent row accepted")
-	}
-	if st := s.Solve(); st != Unsat {
-		t.Fatalf("status %v, want UNSAT", st)
+	s := build(true)
+	for i := 0; i < 2; i++ {
+		if st := s.Solve(); st != Unsat {
+			t.Fatalf("solve %d: status %v, want UNSAT", i, st)
+		}
 	}
 }
 

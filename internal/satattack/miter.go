@@ -33,13 +33,13 @@ func emitted(s *sat.Solver) (uint64, uint64) {
 }
 
 // newMiter compiles the locked view into an AIG once and encodes the miter
-// from it, XOR gates as native GF(2) rows.
+// from it, XOR gates as native GF(2) rows, on a solver from miterSolvers.
 func newMiter(l *Locked, opts Options, mr *metrics.Registry) (*miter, error) {
 	g, err := aig.FromCombView(l.View)
 	if err != nil {
 		return nil, err
 	}
-	s := sat.New()
+	s := miterSolvers.Get().(*sat.Solver)
 	s.ConflictBudget = opts.ConflictBudget
 	installSolverMetrics(mr, s)
 	e := encode.New(s)

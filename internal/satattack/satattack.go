@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"dynunlock/internal/cnf"
@@ -121,7 +122,8 @@ type Options struct {
 	// iteration number and a writer-producing function; the paper's
 	// methodology dumps the accumulated CNF after each iteration to
 	// inspect which seed bits have been pinned. Pass a func that opens a
-	// per-iteration file and writes the solver's DIMACS dump into it.
+	// per-iteration file and writes the solver's DIMACS dump into it. The
+	// dump func is valid only for the duration of the call.
 	DumpCNF func(iteration int, dump func(w io.Writer) error)
 	// OnDIP, when non-nil, observes every completed DIP iteration: the
 	// iteration number (1-based), the distinguishing input, the oracle's
@@ -235,6 +237,22 @@ func Run(l *Locked, o Oracle, opts Options) (*Result, error) {
 	return RunCtx(context.Background(), l, o, opts)
 }
 
+// miterSolvers and checkSolvers hand a finished attack's solvers to the
+// next attack in the process, one pool per role, so that the miter's
+// large store never goes to a check, which would leave the next miter to
+// grow its own. A pooled solver is Reset: it carries capacity, not
+// content, and searches exactly as a new one.
+var (
+	miterSolvers = sync.Pool{New: func() any { return sat.New() }}
+	checkSolvers = sync.Pool{New: func() any { return sat.New() }}
+)
+
+// release empties a finished attack's solver into its role's pool.
+func release(pool *sync.Pool, s *sat.Solver) {
+	s.Reset()
+	pool.Put(s)
+}
+
 // RunCtx executes the SAT attack on one solver (see miter.go).
 //
 // Cancelling ctx — or exhausting its deadline, or the conflict budget —
@@ -262,10 +280,17 @@ func RunCtx(ctx context.Context, l *Locked, o Oracle, opts Options) (*Result, er
 	enc.Add("clauses", uint64(m.s.NumClauses()))
 	enc.End()
 
+	var uc *uniqueCheck // built at the first check
+	defer func() {
+		release(&miterSolvers, m.s)
+		if uc != nil {
+			release(&checkSolvers, uc.s)
+		}
+	}()
+
 	res := &Result{}
 	res.EncodeVars, res.EncodeClauses = emitted(m.s)
 	am.observeEncode(res.EncodeVars, res.EncodeClauses)
-	var uc *uniqueCheck // built at the first check
 	finish := func(reason StopReason) *Result {
 		if reason != StopNone {
 			res.Stopped = true

@@ -30,9 +30,10 @@ type uniqueCheck struct {
 	aig *aig.Graph
 }
 
-// newUniqueCheck creates the check's solver with one free key copy.
+// newUniqueCheck takes the check's solver from checkSolvers and gives it
+// one free key copy.
 func newUniqueCheck(l *Locked, g *aig.Graph) *uniqueCheck {
-	s := sat.New()
+	s := checkSolvers.Get().(*sat.Solver)
 	e := encode.New(s)
 	u := &uniqueCheck{l: l, s: s, e: e, k: e.FreshVec(len(l.KeyIdx)), aig: g}
 	// As on the miter: every other variable is a function of the key once
