@@ -1,17 +1,20 @@
 // Package aig provides an arena-backed And-Inverter Graph: a compact
 // structural representation of combinational logic built once per attack
-// from a netlist.CombView and shared across every CNF copy the attack
-// emits.
+// and shared across every CNF copy the attack emits.
 //
 // Nodes live in one flat slice (the arena); edges are literals packed as
 // node<<1|complement, so inversion is free and never allocates a node.
 // Construction applies structural hashing (identical (op,a,b) nodes are
-// created once) and constant folding, and FromCombView walks only the cone
-// of influence of the view's outputs — dead logic in the source netlist
-// never reaches the graph. The result is a canonical, deduplicated
-// structure that the encoder can replay per circuit copy with nothing more
-// than a substitution map over the inputs (see encode.EncodeAIG), and that
-// Eval64 can simulate 64 patterns at a time without touching the netlist.
+// created once) and constant folding. Graph.Compile adds a netlist.CombView
+// to a graph from given input edges, walking only the cone of influence
+// (Cone) of the outputs it is asked for, so dead logic in the source
+// netlist never reaches the graph. FromCombView compiles one view into a
+// new graph; internal/core compiles the design's core once per capture
+// into the graph of its mask model, between the mask XORs it adds itself.
+// The result is a canonical, deduplicated structure that the encoder can
+// replay per circuit copy with nothing more than a substitution map over
+// the inputs (see encode.EncodeAIG), and that Sim can evaluate 64 patterns
+// at a time without touching the netlist.
 //
 // Gate decomposition: n-ary AND/OR/NAND/NOR chains become balanced trees of
 // AND nodes (OR via De Morgan on complemented edges); XOR/XNOR chains
@@ -260,28 +263,20 @@ func reduce(lits []Lit, op func(a, b Lit) Lit) Lit {
 	return lits[0]
 }
 
-// FromCombView compiles the combinational view into a fresh graph. Inputs
-// map positionally: graph input i corresponds to v.Inputs[i], and graph
-// output j to v.Outputs[j]. Only gates in the cone of influence of
-// v.Outputs are visited, so logic that feeds no output (common in the
-// synthetic benchmarks, where only a random subset of the gate pool is
-// tapped) is skipped entirely.
-func FromCombView(v *netlist.CombView) (*Graph, error) {
-	g := New(len(v.Inputs))
+// Cone marks the cone of influence of the outputs of v that want selects
+// (nil selects them all): one mark per signal of v, set on every gate the
+// selected outputs depend on and on every input or constant they read. The
+// sweep stops at v's inputs, whose fanin belongs to the sequential frame.
+func Cone(v *netlist.CombView, want []bool) []bool {
 	n := v.N
-
-	lits := make([]Lit, n.NumSignals())
-	have := make([]bool, n.NumSignals())
-	for i, s := range v.Inputs {
-		lits[s] = g.Input(i)
-		have[s] = true
-	}
-
-	// Mark the cone of influence of the outputs with a reverse sweep.
 	inCone := make([]bool, n.NumSignals())
+	isInput := make([]bool, n.NumSignals())
+	for _, s := range v.Inputs {
+		isInput[s] = true
+	}
 	stack := make([]netlist.SignalID, 0, len(v.Outputs))
-	for _, o := range v.Outputs {
-		if !inCone[o] {
+	for i, o := range v.Outputs {
+		if (want == nil || want[i]) && !inCone[o] {
 			inCone[o] = true
 			stack = append(stack, o)
 		}
@@ -289,8 +284,8 @@ func FromCombView(v *netlist.CombView) (*Graph, error) {
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if have[id] {
-			continue // comb-view source: fanin belongs to the sequential frame
+		if isInput[id] {
+			continue
 		}
 		for _, f := range n.Fanin(id) {
 			if !inCone[f] {
@@ -299,15 +294,35 @@ func FromCombView(v *netlist.CombView) (*Graph, error) {
 			}
 		}
 	}
+	return inCone
+}
 
+// Compile adds the logic of v that cone marks (see Cone) to g, with input
+// i of v bound to the edge in[i], and returns one edge per output of v. An
+// output outside cone gets ConstFalse, and the edge of an input outside
+// cone is never read. Gates are compiled in v.Order, so compiling the same
+// cone from the same edges into graphs built alike adds the same nodes.
+func (g *Graph) Compile(v *netlist.CombView, cone []bool, in []Lit) ([]Lit, error) {
+	if len(in) != len(v.Inputs) {
+		return nil, fmt.Errorf("aig: got %d input edges, view has %d inputs", len(in), len(v.Inputs))
+	}
+	n := v.N
+	lits := make([]Lit, n.NumSignals())
+	have := make([]bool, n.NumSignals())
+	for i, s := range v.Inputs {
+		lits[s] = in[i]
+		have[s] = true
+	}
+
+	var ops []Lit // one gate's operand edges, reused across gates
 	eval := func(id netlist.SignalID) (Lit, error) {
 		gate := n.Gate(id)
-		ops := make([]Lit, len(gate.Fanin))
-		for i, f := range gate.Fanin {
+		ops = ops[:0]
+		for _, f := range gate.Fanin {
 			if !have[f] {
 				return 0, fmt.Errorf("aig: signal %q used before definition", n.SignalName(f))
 			}
-			ops[i] = lits[f]
+			ops = append(ops, lits[f])
 		}
 		switch gate.Type {
 		case netlist.Const0:
@@ -340,7 +355,7 @@ func FromCombView(v *netlist.CombView) (*Graph, error) {
 	// Constants can sit outside Order; define any in the cone up front.
 	for id := 0; id < n.NumSignals(); id++ {
 		sid := netlist.SignalID(id)
-		if !inCone[sid] || have[sid] {
+		if !cone[sid] || have[sid] {
 			continue
 		}
 		switch n.Type(sid) {
@@ -351,7 +366,7 @@ func FromCombView(v *netlist.CombView) (*Graph, error) {
 		}
 	}
 	for _, id := range v.Order {
-		if !inCone[id] || have[id] {
+		if !cone[id] || have[id] {
 			continue
 		}
 		l, err := eval(id)
@@ -361,12 +376,32 @@ func FromCombView(v *netlist.CombView) (*Graph, error) {
 		lits[id] = l
 		have[id] = true
 	}
-	for _, o := range v.Outputs {
+	out := make([]Lit, len(v.Outputs))
+	for i, o := range v.Outputs {
+		if !cone[o] {
+			continue
+		}
 		if !have[o] {
 			return nil, fmt.Errorf("aig: output %q never defined", n.SignalName(o))
 		}
-		g.AddOutput(lits[o])
+		out[i] = lits[o]
 	}
+	return out, nil
+}
+
+// FromCombView compiles the combinational view into a fresh graph. Inputs
+// map positionally: graph input i corresponds to v.Inputs[i], and graph
+// output j to v.Outputs[j]. Only gates in the cone of influence of
+// v.Outputs are visited, so logic that feeds no output (common in the
+// synthetic benchmarks, where only a random subset of the gate pool is
+// tapped) is skipped entirely.
+func FromCombView(v *netlist.CombView) (*Graph, error) {
+	g := New(len(v.Inputs))
+	outs, err := g.Compile(v, Cone(v, nil), g.inputs)
+	if err != nil {
+		return nil, err
+	}
+	g.outs = outs
 	return g, nil
 }
 

@@ -306,8 +306,9 @@ func attack(ctx context.Context, chip Chip, captures int, opts Options) (*Result
 		}
 		unroll.End()
 		if opts.Log != nil {
-			fmt.Fprintf(opts.Log, "mask model: %s; rank[A;B]=%d predicted candidates=2^%d\n",
-				mm.Netlist.Stats(), res.Rank, res.PredictedLog2)
+			g := mm.Locked.Graph
+			fmt.Fprintf(opts.Log, "mask model: %d inputs (%d key), %d outputs, %d AND and %d XOR nodes; rank[A;B]=%d predicted candidates=2^%d\n",
+				g.NumInputs(), len(mm.Locked.KeyIdx), len(g.Outputs()), g.NumAnds(), g.NumXors(), res.Rank, res.PredictedLog2)
 		}
 		saRes, err := runEngine(ctx, mm.Locked, adapter, opts, res)
 		if err != nil {

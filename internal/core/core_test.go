@@ -7,6 +7,7 @@ import (
 	"dynunlock/internal/bench"
 	"dynunlock/internal/gf2"
 	"dynunlock/internal/lock"
+	"dynunlock/internal/netlist"
 	"dynunlock/internal/oracle"
 	"dynunlock/internal/scan"
 	"dynunlock/internal/sim"
@@ -58,7 +59,7 @@ func TestModelMatchesChip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			view, err := model.Locked.View, error(nil)
+			view, err := netlist.NewCombView(model.Netlist)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dynunlock/internal/equiv"
+	"dynunlock/internal/netlist"
 	"dynunlock/internal/scan"
 )
 
@@ -16,6 +17,10 @@ func TestCandidatesFormallyEquivalent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	view, err := netlist.NewCombView(model.Netlist)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := Attack(chip, Options{EnumerateLimit: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +30,7 @@ func TestCandidatesFormallyEquivalent(t *testing.T) {
 	}
 	secret := chip.SecretSeed().Bools()
 	for _, c := range res.SeedCandidates {
-		r, err := equiv.CheckKeyed(model.Locked.View, model.Locked.KeyIdx, secret, c.Bools(), 0)
+		r, err := equiv.CheckKeyed(view, model.Locked.KeyIdx, secret, c.Bools(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +46,7 @@ func TestCandidatesFormallyEquivalent(t *testing.T) {
 		if ContainsSeed(res.SeedCandidates, flipped) {
 			continue
 		}
-		r, err := equiv.CheckKeyed(model.Locked.View, model.Locked.KeyIdx, secret, flipped.Bools(), 0)
+		r, err := equiv.CheckKeyed(view, model.Locked.KeyIdx, secret, flipped.Bools(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,9 +3,9 @@ package core
 import (
 	"fmt"
 
+	"dynunlock/internal/aig"
 	"dynunlock/internal/gf2"
 	"dynunlock/internal/lock"
-	"dynunlock/internal/netlist"
 	"dynunlock/internal/satattack"
 )
 
@@ -59,14 +59,19 @@ type MaskModel struct {
 	// key input, in key-vector order: the key vector is
 	// u[UPos[0]], …, u[UPos[last]], v[VPos[0]], …, v[VPos[last]].
 	UPos, VPos []int
-	// Netlist inputs: one PI block per capture, a0…a(n-1), then the used
-	// mask bits. Outputs: the POs of each capture, then b0…b(n-1).
-	Netlist *netlist.Netlist
-	Locked  *satattack.Locked
+	// Locked is the model's graph with its key inputs marked. Graph
+	// inputs: one PI block per capture, a0…a(n-1), then the used mask
+	// bits. Outputs: the POs of each capture, then b0…b(n-1).
+	Locked *satattack.Locked
 }
 
 // BuildMaskModel constructs the mask-space model for a session with the
-// given number of capture cycles.
+// given number of capture cycles, straight into an and-inverter graph:
+// a' = a ⊕ u, then the design's core once per capture, then b = state ⊕ v.
+// Like a compile of the model as one netlist, it adds only the logic an
+// output depends on: a ⊕ u for the flops the first capture's core reads,
+// and in each capture before the last, the next states the following
+// capture reads.
 func BuildMaskModel(d *lock.Design, patIdx, captures int) (*MaskModel, error) {
 	if patIdx < 0 {
 		return nil, fmt.Errorf("core: negative pattern index")
@@ -78,100 +83,88 @@ func BuildMaskModel(d *lock.Design, patIdx, captures int) (*MaskModel, error) {
 	n := d.Chain.Length
 	src := d.View
 	mm := &MaskModel{Design: d, PatIdx: patIdx, Captures: captures, A: A, B: B}
-
-	m := netlist.New(fmt.Sprintf("%s-mask-model-x%d", d.Netlist.Name, captures))
-	piIDs := make([][]netlist.SignalID, captures)
-	for c := range piIDs {
-		piIDs[c] = make([]netlist.SignalID, src.NumPI)
-		for i := range piIDs[c] {
-			piIDs[c][i], err = m.AddInput(fmt.Sprintf("pi%d_%d", c, i))
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	aIDs := make([]netlist.SignalID, n)
-	for j := range aIDs {
-		aIDs[j], err = m.AddInput(fmt.Sprintf("a%d", j))
-		if err != nil {
-			return nil, err
-		}
-	}
-	uIDs := make(map[int]netlist.SignalID)
 	for j := 0; j < n; j++ {
 		if !A.Row(j).IsZero() {
-			id, err := m.AddInput(fmt.Sprintf("u%d", j))
-			if err != nil {
-				return nil, err
-			}
-			uIDs[j] = id
 			mm.UPos = append(mm.UPos, j)
 		}
-	}
-	vIDs := make(map[int]netlist.SignalID)
-	for j := 0; j < n; j++ {
 		if !B.Row(j).IsZero() {
-			id, err := m.AddInput(fmt.Sprintf("v%d", j))
-			if err != nil {
-				return nil, err
-			}
-			vIDs[j] = id
 			mm.VPos = append(mm.VPos, j)
 		}
 	}
 
-	// state is the chain's content: a' after scan-in, then the captured
-	// next state after each capture.
-	state := make([]netlist.SignalID, n)
-	for j := 0; j < n; j++ {
-		if id, ok := uIDs[j]; ok {
-			ap, err := m.AddGate(fmt.Sprintf("ap%d", j), netlist.Xor, aIDs[j], id)
-			if err != nil {
-				return nil, err
+	// cones[c] is what capture c computes: every output in the last
+	// capture, and before it the POs and the next states that capture c+1
+	// reads.
+	cones := make([][]bool, captures)
+	var want []bool
+	for c := captures - 1; c >= 0; c-- {
+		cones[c] = aig.Cone(src, want)
+		if c == 0 {
+			break
+		}
+		if want == nil {
+			want = make([]bool, len(src.Outputs))
+			for i := 0; i < src.NumPO; i++ {
+				want[i] = true
 			}
-			state[j] = ap
-		} else {
-			state[j] = aIDs[j]
+		}
+		for j := 0; j < n; j++ {
+			want[src.NumPO+j] = cones[c][src.Inputs[src.NumPI+j]]
+		}
+	}
+
+	nonKey := captures*src.NumPI + n
+	g := aig.New(nonKey + len(mm.UPos) + len(mm.VPos))
+	// in is the core's input edges for one capture; state, its tail, is
+	// the chain's content: a' after scan-in, then each capture's next state.
+	in := make([]aig.Lit, len(src.Inputs))
+	state := in[src.NumPI:]
+	key := nonKey
+	for j := 0; j < n; j++ {
+		masked := !A.Row(j).IsZero()
+		if cones[0][src.Inputs[src.NumPI+j]] {
+			state[j] = g.Input(captures*src.NumPI + j)
+			if masked {
+				state[j] = g.Xor(state[j], g.Input(key))
+			}
+		}
+		if masked {
+			key++
 		}
 	}
 	for c := 0; c < captures; c++ {
-		coreIn := make([]netlist.SignalID, len(src.Inputs))
-		copy(coreIn, piIDs[c])
-		copy(coreIn[src.NumPI:], state)
-		coreOut, err := appendComb(m, src, coreIn)
+		for i := 0; i < src.NumPI; i++ {
+			in[i] = g.Input(c*src.NumPI + i)
+		}
+		out, err := g.Compile(src, cones[c], in)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: %w", err)
 		}
-		for _, po := range coreOut[:src.NumPO] {
-			m.MarkOutput(po)
+		for _, po := range out[:src.NumPO] {
+			g.AddOutput(po)
 		}
-		copy(state, coreOut[src.NumPO:])
+		copy(state, out[src.NumPO:])
 	}
 	for j := 0; j < n; j++ {
-		if id, ok := vIDs[j]; ok {
-			b, err := m.AddGate(fmt.Sprintf("b%d", j), netlist.Xor, state[j], id)
-			if err != nil {
-				return nil, err
-			}
-			m.MarkOutput(b)
+		b := state[j]
+		if !B.Row(j).IsZero() {
+			b = g.Xor(b, g.Input(key))
+			key++
+		}
+		g.AddOutput(b)
+	}
+
+	mm.Locked = &satattack.Locked{Graph: g}
+	for i := 0; i < g.NumInputs(); i++ {
+		if i < nonKey {
+			mm.Locked.InIdx = append(mm.Locked.InIdx, i)
 		} else {
-			m.MarkOutput(state[j])
+			mm.Locked.KeyIdx = append(mm.Locked.KeyIdx, i)
 		}
 	}
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("core: mask model invalid: %w", err)
-	}
-	view, err := netlist.NewCombView(m)
-	if err != nil {
+	if err := mm.Locked.Validate(); err != nil {
 		return nil, err
 	}
-	nonKey := captures*src.NumPI + n
-	locked := satattack.NewLocked(view, func(i int, _ netlist.SignalID) bool { return i >= nonKey })
-	if err := locked.Validate(); err != nil {
-		return nil, err
-	}
-	mm.Netlist = m
-	mm.Locked = locked
 	return mm, nil
 }
 

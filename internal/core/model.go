@@ -206,8 +206,8 @@ func BuildModel(d *lock.Design, patIdx int) (*Model, error) {
 		return nil, err
 	}
 	nonKey := src.NumPI + n
-	locked := satattack.NewLocked(view, func(i int, _ netlist.SignalID) bool { return i >= nonKey })
-	if err := locked.Validate(); err != nil {
+	locked, err := satattack.NewLocked(view, func(i int, _ netlist.SignalID) bool { return i >= nonKey })
+	if err != nil {
 		return nil, err
 	}
 	return &Model{Design: d, PatIdx: patIdx, A: A, B: B, Netlist: m, Locked: locked}, nil

@@ -5,9 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"dynunlock/internal/aig"
 	"dynunlock/internal/gf2"
 	"dynunlock/internal/scan"
-	"dynunlock/internal/sim"
 	"dynunlock/internal/trace"
 )
 
@@ -24,7 +24,7 @@ func TestMultiCaptureModelMatchesChip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			simulator := sim.NewComb(mm.Locked.View)
+			simulator := aig.NewSim(mm.Locked.Graph)
 			seed := chip.SecretSeed()
 			uv := gf2.VStack(mm.A, mm.B).MulVec(seed)
 
@@ -37,23 +37,34 @@ func TestMultiCaptureModelMatchesChip(t *testing.T) {
 				chip.Reset()
 				scanOut, pos := chip.SessionN(make([]bool, keyBits), scanIn, pis)
 
-				in := make([]bool, len(mm.Locked.View.Inputs))
-				off := 0
-				for _, pi := range pis {
-					copy(in[off:], pi)
-					off += len(pi)
+				// One pattern in bit 0 of each input word.
+				in := make([]uint64, 0, mm.Locked.Graph.NumInputs())
+				bit := func(b bool) {
+					w := uint64(0)
+					if b {
+						w = 1
+					}
+					in = append(in, w)
 				}
-				copy(in[off:], scanIn)
-				off += ffs
+				for _, pi := range pis {
+					for _, b := range pi {
+						bit(b)
+					}
+				}
+				for _, b := range scanIn {
+					bit(b)
+				}
 				for _, j := range mm.UPos {
-					in[off] = uv.Get(j)
-					off++
+					bit(uv.Get(j))
 				}
 				for _, j := range mm.VPos {
-					in[off] = uv.Get(ffs + j)
-					off++
+					bit(uv.Get(ffs + j))
 				}
-				out := simulator.EvalBits(in)
+				words := simulator.Eval(in)
+				out := make([]bool, len(words))
+				for i, w := range words {
+					out[i] = w&1 == 1
+				}
 				idx := 0
 				for _, po := range pos {
 					for _, b := range po {

@@ -2,6 +2,7 @@ package encode
 
 import (
 	"fmt"
+	"slices"
 
 	"dynunlock/internal/aig"
 	"dynunlock/internal/cnf"
@@ -9,11 +10,10 @@ import (
 
 // EncodeAIG instantiates one copy of the compacted graph g with the given
 // input literals (one per graph input, possibly constants) and returns one
-// literal per graph output. This is the second stage of the two-stage
-// pipeline: the netlist is compiled to an AIG once per attack
-// (aig.FromCombView), and each circuit copy — the two fresh-key copies, and
-// one constant-input copy per DIP — replays the arena through a per-copy
-// substitution map.
+// literal per graph output. The graph is built once per attack, and each
+// circuit copy — the two fresh-key copies, and one constant-input copy per
+// DIP — replays the arena through a per-copy substitution map, which the
+// encoder keeps, with the liveness marks, from one copy to the next.
 //
 // Constants propagate through the copy before any clause is emitted: a
 // node whose operand maps to the constant literal folds inside And/Xor, and
@@ -26,7 +26,9 @@ func (e *Encoder) EncodeAIG(g *aig.Graph, inputs []cnf.Lit) []cnf.Lit {
 		panic(fmt.Sprintf("encode: got %d input literals, graph has %d inputs", len(inputs), g.NumInputs()))
 	}
 	n := g.NumNodes()
-	need := make([]bool, n)
+	need := slices.Grow(e.need[:0], n)[:n]
+	clear(need)
+	e.need = need
 	for _, o := range g.Outputs() {
 		need[o.Node()] = true
 	}
@@ -42,7 +44,8 @@ func (e *Encoder) EncodeAIG(g *aig.Graph, inputs []cnf.Lit) []cnf.Lit {
 	}
 
 	// The substitution map: arena node -> CNF literal for this copy.
-	lits := make([]cnf.Lit, n)
+	lits := slices.Grow(e.lits[:0], n)[:n]
+	e.lits = lits
 	lits[0] = e.False()
 	for i := 0; i < g.NumInputs(); i++ {
 		lits[g.Input(i).Node()] = inputs[i]

@@ -2,6 +2,8 @@ package encode
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"dynunlock/internal/aig"
@@ -140,4 +142,44 @@ func TestEncodeAIGConstantCollapse(t *testing.T) {
 		t.Errorf("DIP-style copy emitted %d constraints, free copy %d", mixedDelta, freeDelta)
 	}
 	t.Logf("DIP-style copy: %d constraints vs free copy %d (%.1fx)", mixedDelta, freeDelta, float64(freeDelta)/float64(mixedDelta+1))
+}
+
+// TestResetEncoderEncodesLikeNew encodes graph A, Resets the solver and
+// the encoder, and encodes graph B, which shares gates with A. The
+// returned literals and the solver's DIMACS dump, XOR rows included, must
+// equal those of a new encoder on a new solver that encodes only B. A gate
+// table kept across Reset would answer B's shared gates with A's literals
+// and emit none of their constraints.
+func TestResetEncoderEncodesLikeNew(t *testing.T) {
+	encodeFresh := func(e *Encoder, g *aig.Graph) ([]cnf.Lit, string) {
+		out := e.EncodeAIG(g, e.FreshVec(g.NumInputs()))
+		var dump strings.Builder
+		if err := e.S.WriteDimacs(&dump); err != nil {
+			t.Fatal(err)
+		}
+		return out, dump.String()
+	}
+	xorRows := false
+	for seed := int64(0); seed < 20; seed++ {
+		// The same generator seed makes A's gates the first gates of B.
+		a := graphFor(t, randomCircuit(rand.New(rand.NewSource(seed)), 5, 30))
+		b := graphFor(t, randomCircuit(rand.New(rand.NewSource(seed)), 5, 40))
+
+		reused := New(sat.New())
+		encodeFresh(reused, a)
+		reused.S.Reset()
+		reused.Reset()
+		gotOut, gotDump := encodeFresh(reused, b)
+		wantOut, wantDump := encodeFresh(New(sat.New()), b)
+		if !slices.Equal(gotOut, wantOut) {
+			t.Fatalf("seed %d: outputs %v after Reset, %v from a new encoder", seed, gotOut, wantOut)
+		}
+		if gotDump != wantDump {
+			t.Fatalf("seed %d: dump after Reset:\n%s\nfrom a new encoder:\n%s", seed, gotDump, wantDump)
+		}
+		xorRows = xorRows || strings.Contains(wantDump, "\nx ")
+	}
+	if !xorRows {
+		t.Fatal("no graph had an XOR row, so the dumps did not compare them")
+	}
 }

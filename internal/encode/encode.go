@@ -3,13 +3,16 @@
 // clauses, XOR nodes as native GF(2) solver rows — and builds the miter
 // structures used by oracle-guided attacks and equivalence checks.
 //
-// A netlist reaches the solver in two stages: aig.FromCombView compiles it
-// once, and EncodeAIG replays the graph per circuit copy. The caller
-// supplies one literal per graph input (possibly constants) and receives
-// one literal per graph output. Multiple copies of the same circuit — the
-// two key copies of the SAT attack, plus one copy per distinguishing input
-// — are created by repeated EncodeAIG calls sharing whatever input literals
-// the construction requires.
+// Logic reaches the solver as an and-inverter graph, built once (by
+// aig.FromCombView from a netlist, or by internal/core straight from the
+// design's core), and EncodeAIG replays the graph per circuit copy. The
+// caller supplies one literal per graph input (possibly constants) and
+// receives one literal per graph output. Multiple copies of the same
+// circuit — the two key copies of the SAT attack, plus one copy per
+// distinguishing input — are created by repeated EncodeAIG calls sharing
+// whatever input literals the construction requires. An Encoder and its
+// solver can be reused for another problem: sat.Solver.Reset and then
+// Encoder.Reset empty both and keep their storage.
 package encode
 
 import (
@@ -28,6 +31,11 @@ type Encoder struct {
 	S       *sat.Solver
 	trueLit cnf.Lit
 	cache   map[gateKey]cnf.Lit
+
+	// need and lits are EncodeAIG's per-copy liveness marks and
+	// substitution map, kept across copies and across Reset.
+	need []bool
+	lits []cnf.Lit
 }
 
 type gateKey struct {
@@ -42,10 +50,24 @@ const (
 
 // New returns an encoder bound to s, allocating the constant-true variable.
 func New(s *sat.Solver) *Encoder {
-	v := s.NewVar()
-	t := cnf.MkLit(v, false)
-	s.AddClause(t)
-	return &Encoder{S: s, trueLit: t, cache: make(map[gateKey]cnf.Lit)}
+	e := &Encoder{S: s}
+	e.Reset()
+	return e
+}
+
+// Reset empties the gate table and allocates the constant-true variable on
+// e.S, which must be empty: new, or emptied by sat.Solver.Reset. The table
+// and EncodeAIG's scratch keep their capacity, so an encoder reused for a
+// second problem of similar size allocates little, and it encodes exactly
+// as a new one would. A caller that sets the solver's budget or hook does
+// so before Reset, so that the hook sees the constant's unit.
+func (e *Encoder) Reset() {
+	clear(e.cache)
+	if e.cache == nil {
+		e.cache = make(map[gateKey]cnf.Lit)
+	}
+	e.trueLit = cnf.MkLit(e.S.NewVar(), false)
+	e.S.AddClause(e.trueLit)
 }
 
 func key(op uint8, a, b cnf.Lit) gateKey {

@@ -18,7 +18,7 @@ func testLocked(t *testing.T) (*Locked, *simOracle) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(3))
 	orig, locked, _ := lockedPair(rng, 6, 40, 5)
-	l := NewLocked(locked, func(i int, s netlist.SignalID) bool {
+	l := mustLock(t, locked, func(i int, s netlist.SignalID) bool {
 		return locked.N.SignalName(s)[0] == 'k'
 	})
 	return l, &simOracle{c: sim.NewComb(orig)}

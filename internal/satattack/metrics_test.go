@@ -14,7 +14,7 @@ func metricsFixture(t *testing.T) (*Locked, Oracle) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	orig, locked, _ := lockedPair(rng, 5, 40, 5)
-	l := NewLocked(locked, func(i int, s netlist.SignalID) bool {
+	l := mustLock(t, locked, func(i int, s netlist.SignalID) bool {
 		return len(locked.N.SignalName(s)) > 0 && locked.N.SignalName(s)[0] == 'k'
 	})
 	return l, &simOracle{c: sim.NewComb(orig)}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sort"
 
-	"dynunlock/internal/aig"
 	"dynunlock/internal/cnf"
 	"dynunlock/internal/encode"
 	"dynunlock/internal/metrics"
@@ -22,8 +21,6 @@ type miter struct {
 	k1  []cnf.Lit
 	k2  []cnf.Lit
 	act cnf.Lit
-	// aig is the compacted arena every circuit copy is encoded from.
-	aig *aig.Graph
 }
 
 // emitted snapshots a solver's problem size (variables; clauses plus
@@ -32,28 +29,21 @@ func emitted(s *sat.Solver) (uint64, uint64) {
 	return uint64(s.NumVars()), uint64(s.NumClauses() + s.NumXors())
 }
 
-// newMiter compiles the locked view into an AIG once and encodes the miter
-// from it, XOR gates as native GF(2) rows, on a solver from miterSolvers.
-func newMiter(l *Locked, opts Options, mr *metrics.Registry) (*miter, error) {
-	g, err := aig.FromCombView(l.View)
-	if err != nil {
-		return nil, err
-	}
-	s := miterSolvers.Get().(*sat.Solver)
-	s.ConflictBudget = opts.ConflictBudget
-	installSolverMetrics(mr, s)
-	e := encode.New(s)
+// newMiter encodes the miter from the locked graph, XOR gates as native
+// GF(2) rows, on an encoder from miterEncoders.
+func newMiter(l *Locked, opts Options, mr *metrics.Registry) *miter {
+	e := acquire(&miterEncoders, opts.ConflictBudget, mr)
+	s := e.S
 	m := &miter{
-		l:   l,
-		s:   s,
-		e:   e,
-		x:   e.FreshVec(len(l.InIdx)),
-		k1:  e.FreshVec(len(l.KeyIdx)),
-		k2:  e.FreshVec(len(l.KeyIdx)),
-		aig: g,
+		l:  l,
+		s:  s,
+		e:  e,
+		x:  e.FreshVec(len(l.InIdx)),
+		k1: e.FreshVec(len(l.KeyIdx)),
+		k2: e.FreshVec(len(l.KeyIdx)),
 	}
-	y1 := e.EncodeAIG(g, l.assemble(m.x, m.k1))
-	y2 := e.EncodeAIG(g, l.assemble(m.x, m.k2))
+	y1 := e.EncodeAIG(l.Graph, l.assemble(m.x, m.k1))
+	y2 := e.EncodeAIG(l.Graph, l.assemble(m.x, m.k2))
 	m.act = e.Miter(y1, y2)
 	// Branch on key variables first: the miter search closes fastest when
 	// the candidate keys are fixed before the shared inputs.
@@ -62,7 +52,7 @@ func newMiter(l *Locked, opts Options, mr *metrics.Registry) (*miter, error) {
 			s.BumpActivity(kl.Var(), 1)
 		}
 	}
-	return m, nil
+	return m
 }
 
 // replayDIP asserts the oracle's response for a distinguishing input on
@@ -70,8 +60,8 @@ func newMiter(l *Locked, opts Options, mr *metrics.Registry) (*miter, error) {
 func (m *miter) replayDIP(dip, resp []bool) (dVars, dClauses uint64) {
 	ev0, ec0 := emitted(m.s)
 	cx := m.e.ConstVec(dip)
-	m.e.AssertEqualConst(m.e.EncodeAIG(m.aig, m.l.assemble(cx, m.k1)), resp)
-	m.e.AssertEqualConst(m.e.EncodeAIG(m.aig, m.l.assemble(cx, m.k2)), resp)
+	m.e.AssertEqualConst(m.e.EncodeAIG(m.l.Graph, m.l.assemble(cx, m.k1)), resp)
+	m.e.AssertEqualConst(m.e.EncodeAIG(m.l.Graph, m.l.assemble(cx, m.k2)), resp)
 	ev1, ec1 := emitted(m.s)
 	return ev1 - ev0, ec1 - ec0
 }

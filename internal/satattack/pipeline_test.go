@@ -16,7 +16,7 @@ func TestSimplifyCountersAccount(t *testing.T) {
 	var sawCalls bool
 	for trial := 0; trial < 6 && !sawCalls; trial++ {
 		orig, locked, _ := lockedPair(rng, 6, 60, 6)
-		l := NewLocked(locked, func(i int, s netlist.SignalID) bool {
+		l := mustLock(t, locked, func(i int, s netlist.SignalID) bool {
 			return len(locked.N.SignalName(s)) > 0 && locked.N.SignalName(s)[0] == 'k'
 		})
 		res, err := Run(l, &simOracle{c: sim.NewComb(orig)}, Options{EnumerateLimit: 64})

@@ -35,7 +35,7 @@ func TestPooledAttacksDoNotDependOnHistory(t *testing.T) {
 	}
 	mk := func(nIn, nGates, nKeys int) circuit {
 		orig, locked, _ := lockedPair(rng, nIn, nGates, nKeys)
-		l := NewLocked(locked, func(i int, s netlist.SignalID) bool {
+		l := mustLock(t, locked, func(i int, s netlist.SignalID) bool {
 			return locked.N.SignalName(s)[0] == 'k'
 		})
 		return circuit{l, orig}

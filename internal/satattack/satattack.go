@@ -18,13 +18,18 @@
 // member, the paper's miter-UNSAT proof closes the loop and extraction
 // and enumeration follow ("miter").
 //
-// Every attack runs one encode pipeline. The locked view is compiled once
-// into an and-inverter graph (internal/aig: structural hashing, constant
-// folding, cone-of-influence restriction), and every circuit copy — the two
-// fresh-key copies and each DIP-constrained pair — replays it through
-// encode.EncodeAIG with XOR gates as native GF(2) solver rows. After each
-// DIP's constraints are asserted, level-0 inprocessing (sat.Solver.Simplify)
-// removes satisfied clauses and strengthens the rest.
+// Every attack runs one encode pipeline. The locked circuit arrives as an
+// and-inverter graph (Locked.Graph; internal/aig: structural hashing,
+// constant folding, cone-of-influence restriction), which NewLocked
+// compiles from a netlist view and internal/core builds straight from its
+// mask model; the attack itself never compiles. Every circuit copy — the
+// two fresh-key copies and each DIP-constrained pair — replays the graph
+// through encode.EncodeAIG with XOR gates as native GF(2) solver rows.
+// After each DIP's constraints are asserted, level-0 inprocessing
+// (sat.Solver.Simplify) removes satisfied clauses and strengthens the
+// rest. Each role's encoder, with its solver and gate table, goes back to
+// a pool when the attack ends, and the next attack in the process starts
+// from its storage.
 //
 // DynUnlock (internal/core) feeds this engine a combinational model of a
 // dynamically scan-locked circuit whose key inputs are the LFSR seed bits.
@@ -38,26 +43,33 @@ import (
 	"sync"
 	"time"
 
+	"dynunlock/internal/aig"
 	"dynunlock/internal/cnf"
+	"dynunlock/internal/encode"
 	"dynunlock/internal/metrics"
 	"dynunlock/internal/netlist"
 	"dynunlock/internal/sat"
 	"dynunlock/internal/trace"
 )
 
-// Locked is a combinational locked circuit: a view whose inputs are split
-// into attacker-controlled inputs and key inputs.
+// Locked is a combinational locked circuit: a graph whose inputs are
+// split into attacker-controlled inputs and key inputs.
 type Locked struct {
-	View *netlist.CombView
-	// KeyIdx indexes View.Inputs entries that are key inputs.
+	Graph *aig.Graph
+	// KeyIdx indexes the graph inputs that are key inputs.
 	KeyIdx []int
 	// InIdx indexes the remaining, attacker-controlled inputs.
 	InIdx []int
 }
 
-// NewLocked splits view inputs by a key predicate.
-func NewLocked(view *netlist.CombView, isKey func(i int, sig netlist.SignalID) bool) *Locked {
-	l := &Locked{View: view}
+// NewLocked compiles view into a graph once and splits its inputs by a key
+// predicate. It returns the compiler's error, or Validate's.
+func NewLocked(view *netlist.CombView, isKey func(i int, sig netlist.SignalID) bool) (*Locked, error) {
+	g, err := aig.FromCombView(view)
+	if err != nil {
+		return nil, err
+	}
+	l := &Locked{Graph: g}
 	for i, s := range view.Inputs {
 		if isKey(i, s) {
 			l.KeyIdx = append(l.KeyIdx, i)
@@ -65,18 +77,22 @@ func NewLocked(view *netlist.CombView, isKey func(i int, sig netlist.SignalID) b
 			l.InIdx = append(l.InIdx, i)
 		}
 	}
-	return l
+	if err := l.Validate(); err != nil {
+		return nil, err
+	}
+	return l, nil
 }
 
 // Validate checks index consistency.
 func (l *Locked) Validate() error {
-	if l.View == nil {
-		return errors.New("satattack: nil view")
+	if l.Graph == nil {
+		return errors.New("satattack: nil graph")
 	}
-	seen := make(map[int]bool)
+	n := l.Graph.NumInputs()
+	seen := make([]bool, n)
 	for _, idx := range [][]int{l.KeyIdx, l.InIdx} {
 		for _, i := range idx {
-			if i < 0 || i >= len(l.View.Inputs) {
+			if i < 0 || i >= n {
 				return fmt.Errorf("satattack: input index %d out of range", i)
 			}
 			if seen[i] {
@@ -85,8 +101,8 @@ func (l *Locked) Validate() error {
 			seen[i] = true
 		}
 	}
-	if len(seen) != len(l.View.Inputs) {
-		return fmt.Errorf("satattack: %d of %d inputs classified", len(seen), len(l.View.Inputs))
+	if c := len(l.KeyIdx) + len(l.InIdx); c != n {
+		return fmt.Errorf("satattack: %d of %d inputs classified", c, n)
 	}
 	if len(l.KeyIdx) == 0 {
 		return errors.New("satattack: no key inputs")
@@ -96,7 +112,7 @@ func (l *Locked) Validate() error {
 
 // Oracle answers I/O queries on the activated (correctly keyed) circuit.
 // The input vector is ordered like Locked.InIdx; the response is ordered
-// like View.Outputs.
+// like the graph's outputs.
 type Oracle interface {
 	Query(in []bool) []bool
 }
@@ -237,20 +253,36 @@ func Run(l *Locked, o Oracle, opts Options) (*Result, error) {
 	return RunCtx(context.Background(), l, o, opts)
 }
 
-// miterSolvers and checkSolvers hand a finished attack's solvers to the
-// next attack in the process, one pool per role, so that the miter's
-// large store never goes to a check, which would leave the next miter to
-// grow its own. A pooled solver is Reset: it carries capacity, not
-// content, and searches exactly as a new one.
+// miterEncoders and checkEncoders hand a finished attack's encoders, each
+// with its solver and gate table, to the next attack in the process, one
+// pool per role, so that the miter's large store never goes to a check,
+// which would leave the next miter to grow its own. A pooled encoder's
+// solver is Reset and its table is cleared when it is taken: it carries
+// capacity, not content, and encodes and searches exactly as a new one.
 var (
-	miterSolvers = sync.Pool{New: func() any { return sat.New() }}
-	checkSolvers = sync.Pool{New: func() any { return sat.New() }}
+	miterEncoders = sync.Pool{New: newPooled}
+	checkEncoders = sync.Pool{New: newPooled}
 )
 
-// release empties a finished attack's solver into its role's pool.
-func release(pool *sync.Pool, s *sat.Solver) {
-	s.Reset()
-	pool.Put(s)
+// newPooled returns an encoder on a new, empty solver; acquire Resets it.
+func newPooled() any { return &encode.Encoder{S: sat.New()} }
+
+// acquire takes an encoder from pool, sets its solver's conflict budget and
+// metrics hook, and then Resets it, so the hook sees every clause from the
+// first.
+func acquire(pool *sync.Pool, budget int64, mr *metrics.Registry) *encode.Encoder {
+	e := pool.Get().(*encode.Encoder)
+	e.S.ConflictBudget = budget
+	installSolverMetrics(mr, e.S)
+	e.Reset()
+	return e
+}
+
+// release empties a finished attack's solver and returns its encoder to
+// the role's pool.
+func release(pool *sync.Pool, e *encode.Encoder) {
+	e.S.Reset()
+	pool.Put(e)
 }
 
 // RunCtx executes the SAT attack on one solver (see miter.go).
@@ -270,21 +302,17 @@ func RunCtx(ctx context.Context, l *Locked, o Oracle, opts Options) (*Result, er
 	start := time.Now()
 
 	enc := tr.Start("encode")
-	m, err := newMiter(l, opts, mr)
-	if err != nil {
-		enc.End()
-		return nil, err
-	}
-	enc.Add("aig_nodes", uint64(m.aig.NumNodes()))
+	m := newMiter(l, opts, mr)
+	enc.Add("aig_nodes", uint64(l.Graph.NumNodes()))
 	enc.Add("vars", uint64(m.s.NumVars()))
 	enc.Add("clauses", uint64(m.s.NumClauses()))
 	enc.End()
 
 	var uc *uniqueCheck // built at the first check
 	defer func() {
-		release(&miterSolvers, m.s)
+		release(&miterEncoders, m.e)
 		if uc != nil {
-			release(&checkSolvers, uc.s)
+			release(&checkEncoders, uc.e)
 		}
 	}()
 
@@ -352,9 +380,9 @@ dipLoop:
 		resp := o.Query(dip)
 		res.Queries++
 		res.Iterations++
-		if len(resp) != len(l.View.Outputs) {
+		if want := len(l.Graph.Outputs()); len(resp) != want {
 			endLoop()
-			return nil, fmt.Errorf("satattack: oracle returned %d outputs, want %d", len(resp), len(l.View.Outputs))
+			return nil, fmt.Errorf("satattack: oracle returned %d outputs, want %d", len(resp), want)
 		}
 		am.observeDIP(res.Iterations)
 		if opts.OnDIP != nil {
@@ -384,7 +412,7 @@ dipLoop:
 		// The uniqueness check comes last, after this DIP's progress
 		// line, so the line still marks the end of the DIP's own work.
 		if uc == nil {
-			uc = newUniqueCheck(l, m.aig)
+			uc = newUniqueCheck(l)
 		}
 		if key := uc.check(ctx, tr, dip, resp, m.s.Stats.Conflicts); key != nil {
 			res.Key = key
@@ -455,10 +483,10 @@ func addStatsDelta(sp *trace.Span, from, to sat.Stats) {
 	sp.Add("simplify_strengthened", to.SimplifyStrengthened-from.SimplifyStrengthened)
 }
 
-// assemble builds the full view-input literal vector from attacker inputs
+// assemble builds the full graph-input literal vector from attacker inputs
 // and key literals.
 func (l *Locked) assemble(in, key []cnf.Lit) []cnf.Lit {
-	full := make([]cnf.Lit, len(l.View.Inputs))
+	full := make([]cnf.Lit, l.Graph.NumInputs())
 	for i, idx := range l.InIdx {
 		full[idx] = in[i]
 	}

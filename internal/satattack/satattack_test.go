@@ -15,6 +15,16 @@ import (
 	"dynunlock/internal/sim"
 )
 
+// mustLock is NewLocked for a view the test knows to be valid.
+func mustLock(t testing.TB, v *netlist.CombView, isKey func(i int, s netlist.SignalID) bool) *Locked {
+	t.Helper()
+	l, err := NewLocked(v, isKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
 // lockedPair builds a random combinational circuit and an XOR-locked
 // version of it (EPIC-style logic locking): key gate i re-encodes an
 // internal wire with key bit i; the correct key correctKey restores the
@@ -101,7 +111,7 @@ func TestAttackRecoversEquivalentKey(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		nIn := 4 + rng.Intn(4)
 		orig, locked, _ := lockedPair(rng, nIn, 30+rng.Intn(40), 4+rng.Intn(4))
-		l := NewLocked(locked, func(i int, s netlist.SignalID) bool {
+		l := mustLock(t, locked, func(i int, s netlist.SignalID) bool {
 			return len(locked.N.SignalName(s)) > 0 && locked.N.SignalName(s)[0] == 'k'
 		})
 		oracle := &simOracle{c: sim.NewComb(orig)}
@@ -128,7 +138,7 @@ func TestEnumeratedCandidatesUnlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 4; trial++ {
 		orig, locked, _ := lockedPair(rng, 5+rng.Intn(3), 40+rng.Intn(30), 5)
-		l := NewLocked(locked, func(i int, s netlist.SignalID) bool {
+		l := mustLock(t, locked, func(i int, s netlist.SignalID) bool {
 			return len(locked.N.SignalName(s)) > 0 && locked.N.SignalName(s)[0] == 'k'
 		})
 		res, err := Run(l, &simOracle{c: sim.NewComb(orig)}, Options{EnumerateLimit: 64})
@@ -154,7 +164,7 @@ func TestDeterministicCandidates(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 4; trial++ {
 		orig, locked, _ := lockedPair(rng, 5+rng.Intn(3), 40+rng.Intn(30), 5)
-		l := NewLocked(locked, func(i int, s netlist.SignalID) bool {
+		l := mustLock(t, locked, func(i int, s netlist.SignalID) bool {
 			return len(locked.N.SignalName(s)) > 0 && locked.N.SignalName(s)[0] == 'k'
 		})
 		var ref *Result
@@ -251,7 +261,7 @@ func TestEnumerationCountsFreeKeyBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := NewLocked(v, func(i int, s netlist.SignalID) bool {
+	l := mustLock(t, v, func(i int, s netlist.SignalID) bool {
 		name := v.N.SignalName(s)
 		return name == "k0" || name == "k1"
 	})
@@ -269,7 +279,7 @@ func TestEnumerationCountsFreeKeyBits(t *testing.T) {
 	}
 	for _, c := range res.Candidates {
 		k0i := 0
-		if l.View.N.SignalName(l.View.Inputs[l.KeyIdx[0]]) != "k0" {
+		if v.N.SignalName(v.Inputs[l.KeyIdx[0]]) != "k0" {
 			k0i = 1
 		}
 		if !c[k0i] {
@@ -287,7 +297,7 @@ func TestEnumerationLimit(t *testing.T) {
 	buf, _ := n.AddGate("z", netlist.Buf, a)
 	n.MarkOutput(buf)
 	v, _ := netlist.NewCombView(n)
-	l := NewLocked(v, func(i int, s netlist.SignalID) bool {
+	l := mustLock(t, v, func(i int, s netlist.SignalID) bool {
 		name := v.N.SignalName(s)
 		return name == "k0" || name == "k1"
 	})
@@ -319,7 +329,7 @@ func TestInconsistentOracle(t *testing.T) {
 	n.MarkOutput(x)
 	n.MarkOutput(kb)
 	v, _ := netlist.NewCombView(n)
-	l := NewLocked(v, func(i int, s netlist.SignalID) bool { return v.N.SignalName(s) == "k" })
+	l := mustLock(t, v, func(i int, s netlist.SignalID) bool { return v.N.SignalName(s) == "k" })
 	oracle := OracleFunc(func(in []bool) []bool {
 		return []bool{in[0], true} // z1 says k=0, z2 says k=1
 	})
@@ -332,7 +342,7 @@ func TestInconsistentOracle(t *testing.T) {
 func TestMaxIterations(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	orig, locked, _ := lockedPair(rng, 6, 40, 5)
-	l := NewLocked(locked, func(i int, s netlist.SignalID) bool {
+	l := mustLock(t, locked, func(i int, s netlist.SignalID) bool {
 		return locked.N.SignalName(s)[0] == 'k'
 	})
 	oracle := &simOracle{c: sim.NewComb(orig)}
@@ -350,7 +360,7 @@ func TestMaxIterations(t *testing.T) {
 func TestLogOutput(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	orig, locked, _ := lockedPair(rng, 5, 30, 3)
-	l := NewLocked(locked, func(i int, s netlist.SignalID) bool {
+	l := mustLock(t, locked, func(i int, s netlist.SignalID) bool {
 		return locked.N.SignalName(s)[0] == 'k'
 	})
 	format := regexp.MustCompile(`^iter (\d+): dip=[01]{5} clauses=\d+ conflicts=\d+$`)
@@ -380,21 +390,20 @@ func TestLogOutput(t *testing.T) {
 func TestLockedValidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	_, locked, _ := lockedPair(rng, 4, 10, 2)
-	good := NewLocked(locked, func(i int, s netlist.SignalID) bool {
+	good := mustLock(t, locked, func(i int, s netlist.SignalID) bool {
 		return locked.N.SignalName(s)[0] == 'k'
 	})
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	noKeys := NewLocked(locked, func(i int, s netlist.SignalID) bool { return false })
-	if err := noKeys.Validate(); err == nil {
+	if _, err := NewLocked(locked, func(i int, s netlist.SignalID) bool { return false }); err == nil {
 		t.Fatal("want error for no key inputs")
 	}
-	dup := &Locked{View: locked, KeyIdx: []int{0, 0}, InIdx: nil}
+	dup := &Locked{Graph: good.Graph, KeyIdx: []int{0, 0}, InIdx: nil}
 	if err := dup.Validate(); err == nil {
 		t.Fatal("want error for duplicate index")
 	}
-	oob := &Locked{View: locked, KeyIdx: []int{999}}
+	oob := &Locked{Graph: good.Graph, KeyIdx: []int{999}}
 	if err := oob.Validate(); err == nil {
 		t.Fatal("want error for out-of-range index")
 	}
@@ -403,7 +412,7 @@ func TestLockedValidate(t *testing.T) {
 func TestDumpCNF(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	orig, locked, _ := lockedPair(rng, 5, 30, 3)
-	l := NewLocked(locked, func(i int, s netlist.SignalID) bool {
+	l := mustLock(t, locked, func(i int, s netlist.SignalID) bool {
 		return locked.N.SignalName(s)[0] == 'k'
 	})
 	dumps := 0

@@ -3,7 +3,6 @@ package satattack
 import (
 	"context"
 
-	"dynunlock/internal/aig"
 	"dynunlock/internal/cnf"
 	"dynunlock/internal/encode"
 	"dynunlock/internal/sat"
@@ -23,23 +22,21 @@ const minCheckBudget = 2000
 // clauses, phases or activities reach the miter: the DIP search is the
 // same with the check as without it.
 type uniqueCheck struct {
-	l   *Locked
-	s   *sat.Solver
-	e   *encode.Encoder
-	k   []cnf.Lit
-	aig *aig.Graph
+	l *Locked
+	s *sat.Solver
+	e *encode.Encoder
+	k []cnf.Lit
 }
 
-// newUniqueCheck takes the check's solver from checkSolvers and gives it
+// newUniqueCheck takes the check's encoder from checkEncoders and gives it
 // one free key copy.
-func newUniqueCheck(l *Locked, g *aig.Graph) *uniqueCheck {
-	s := checkSolvers.Get().(*sat.Solver)
-	e := encode.New(s)
-	u := &uniqueCheck{l: l, s: s, e: e, k: e.FreshVec(len(l.KeyIdx)), aig: g}
+func newUniqueCheck(l *Locked) *uniqueCheck {
+	e := acquire(&checkEncoders, 0, nil)
+	u := &uniqueCheck{l: l, s: e.S, e: e, k: e.FreshVec(len(l.KeyIdx))}
 	// As on the miter: every other variable is a function of the key once
 	// a DIP's inputs are constant, so branch on the key first.
 	for _, kl := range u.k {
-		s.BumpActivity(kl.Var(), 1)
+		u.s.BumpActivity(kl.Var(), 1)
 	}
 	return u
 }
@@ -52,7 +49,7 @@ func (u *uniqueCheck) check(ctx context.Context, tr *trace.Tracer, dip, resp []b
 	sp := tr.Start("unique")
 	mark := u.s.Stats
 	v0, c0 := emitted(u.s)
-	u.e.AssertEqualConst(u.e.EncodeAIG(u.aig, u.l.assemble(u.e.ConstVec(dip), u.k)), resp)
+	u.e.AssertEqualConst(u.e.EncodeAIG(u.l.Graph, u.l.assemble(u.e.ConstVec(dip), u.k)), resp)
 	v1, c1 := emitted(u.s)
 	key := u.unique(ctx, max(minCheckBudget, int64(miterConflicts/4)))
 	addStatsDelta(sp, mark, u.s.Stats)
