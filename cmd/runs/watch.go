@@ -234,7 +234,7 @@ func renderEvent(w io.Writer, ev stream.Event) (done bool) {
 }
 
 // dipLine is the watch rendering of one DIP: the iteration's solver
-// work, then its search anatomy and seed-space state when present.
+// work, then its search anatomy when present.
 func dipLine(d map[string]any) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "dip: trial=%v iter=%v conflicts=%v solve_ms=%s",
@@ -242,9 +242,6 @@ func dipLine(d map[string]any) string {
 	if _, ok := d["difficulty"]; ok {
 		fmt.Fprintf(&b, " difficulty=%s lbd=%s restarts=%v xor=%s",
 			numStr(d["difficulty"]), numStr(d["lbd_mean"]), d["restarts"], numStr(d["xor_share"]))
-	}
-	if _, ok := d["rank"]; ok {
-		fmt.Fprintf(&b, " rank=%v/%v seeds=2^%v", d["rank"], d["rank_target"], d["seeds_log2"])
 	}
 	return b.String()
 }

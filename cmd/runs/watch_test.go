@@ -35,7 +35,6 @@ func TestWatchFollowsLiveRunToCompletion(t *testing.T) {
 		bus.Publish(stream.TypeDIP, map[string]any{
 			"trial": 0, "iteration": 5, "conflicts": 17, "solve_ms": 1.25,
 			"difficulty": 17.5, "lbd_mean": 4.25, "restarts": 2, "xor_share": 0.5,
-			"rank": 6.0, "rank_target": 8.0, "seeds_log2": 2.0,
 		})
 		bus.Publish(stream.TypeResult, map[string]any{
 			"scope": "trial", "iterations": 5, "candidates": 1, "converged": true, "verified": true,
@@ -55,7 +54,7 @@ func TestWatchFollowsLiveRunToCompletion(t *testing.T) {
 		// The delta prints as the -progress line, decoded from the wire.
 		metrics.ProgressLine(delta) + "\n",
 		"progress: s5378 k=8 iters=4 conflicts=120 vars=900 clauses=3.1k",
-		"dip: trial=0 iter=5 conflicts=17 solve_ms=1.25 difficulty=17.5 lbd=4.25 restarts=2 xor=0.5 rank=6/8 seeds=2^2",
+		"dip: trial=0 iter=5 conflicts=17 solve_ms=1.25 difficulty=17.5 lbd=4.25 restarts=2 xor=0.5\n",
 		"result: trial done iterations=5 candidates=1 converged=true verified=true",
 		"result: experiment done trials=1 succeeded=true",
 	} {

@@ -12,7 +12,6 @@ import (
 	"dynunlock/internal/core"
 	"dynunlock/internal/flight"
 	"dynunlock/internal/gf2"
-	"dynunlock/internal/insight"
 	"dynunlock/internal/lock"
 	"dynunlock/internal/metrics"
 	"dynunlock/internal/netlist"
@@ -87,10 +86,10 @@ type ExperimentConfig struct {
 	// reads the secret seed from the unwrapped oracle.
 	ChipWrapper func(trial int, chip core.Chip) core.Chip
 	// Stream, when non-nil, publishes live attack events to the bus: one
-	// "dip" event per DIP iteration carrying the DIP, the solver counters,
-	// the search anatomy and the seed-space state, plus the run's "span"
-	// and "result" events and its periodic metrics sample as "delta"
-	// events, all of which RunExperimentCtx bridges from its trace.
+	// "dip" event per DIP iteration carrying the DIP, the solver counters
+	// and the search anatomy, plus the run's "span" and "result" events
+	// and its periodic metrics sample as "delta" events, all of which
+	// RunExperimentCtx bridges from its trace.
 	// With no subscribers attached the publish path is a single atomic
 	// load and allocates nothing, so an idle bus never perturbs the attack
 	// (pinned by TestStreamDoesNotPerturbAttack).
@@ -204,11 +203,11 @@ func ctxStop(ctx context.Context) core.StopReason {
 // run without one gets a private registry, so the solver hook, the
 // sampler, the recorder and the "dip" events all read one scope: that
 // registry. Each trial of a live run gets one OnDIP observer (see
-// dipObserver) and one insight tracker, and the recorder and the bus
-// bridge join whatever trace sink the caller installed on ctx. A run with
-// a registry and a trace sink samples it every metrics.ProgressInterval,
-// and once more after the last trial, as "snapshot" events naming the run
-// (see metrics.StartSampling). A run that is not live installs no hook at
+// dipObserver), and the recorder and the bus bridge join whatever trace
+// sink the caller installed on ctx. A run with a registry and a trace
+// sink samples it every metrics.ProgressInterval, and once more after the
+// last trial, as "snapshot" events naming the run (see
+// metrics.StartSampling). A run that is not live installs no hook at
 // all. Runs that execute concurrently need registries of their own;
 // bench.SweepCtx hands one to each item.
 func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (*ExperimentResult, error) {
@@ -291,15 +290,8 @@ func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (*ExperimentRes
 		if cfg.Recorder != nil {
 			atkChip = cfg.Recorder.WrapChip(trial, atkChip)
 		}
-		// Seed-space insight runs whenever the run is live. A tracker setup
-		// failure (e.g. a nonlinear PRNG the linear model refuses) degrades
-		// to an untracked run rather than failing the attack.
 		if live {
-			tk, terr := insight.New(design, insight.Options{Metrics: mr})
-			if terr != nil && cfg.Log != nil {
-				fmt.Fprintf(cfg.Log, "insight tracker disabled: %v\n", terr)
-			}
-			opts.OnDIP = dipObserver(cfg.Recorder, cfg.Stream, satattack.LearntLBD(mr), tk, trial)
+			opts.OnDIP = dipObserver(cfg.Recorder, cfg.Stream, satattack.LearntLBD(mr), trial)
 		}
 		start := time.Now()
 		atk, err := core.AttackCtx(ctx, atkChip, opts)
@@ -347,17 +339,15 @@ func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig) (*ExperimentRes
 }
 
 // dipObserver is a trial's one OnDIP hook. At each DIP it appends the
-// dips.jsonl record, feeds the insight tracker and publishes one "dip"
-// event carrying all of it: the DIP and response bits, the solver
-// counters and solve_ms; the iteration's difficulty, the trial's
-// restarts, its sampled LBD count and mean, and the XOR propagation share;
-// and the tracker's rank, rank_target, seeds_log2, eta_ms and
-// inconsistent flag. lbd is the run's learnt-LBD series; the trial's
-// share of it is its reading now minus its reading when the observer is
-// made, at trial start. Each nil part is skipped. The bit strings and the
-// event map are only built when a recorder or a subscriber needs them, so
-// an idle bus costs one atomic load.
-func dipObserver(rec *flight.Recorder, bus *stream.Bus, lbd *metrics.Histogram, tk *insight.Tracker, trial int) satattack.DIPObserver {
+// dips.jsonl record and publishes one "dip" event carrying all of it: the
+// DIP and response bits, the solver counters and solve_ms; and the
+// iteration's difficulty, the trial's restarts, its sampled LBD count and
+// mean, and the XOR propagation share. lbd is the run's learnt-LBD
+// series; the trial's share of it is its reading now minus its reading
+// when the observer is made, at trial start. Each nil part is skipped.
+// The bit strings and the event map are only built when a recorder or a
+// subscriber needs them, so an idle bus costs one atomic load.
+func dipObserver(rec *flight.Recorder, bus *stream.Bus, lbd *metrics.Histogram, trial int) satattack.DIPObserver {
 	var prev sat.Stats
 	lbdCount0, lbdSum0 := lbd.Count(), lbd.Sum()
 	return func(iter int, dip, resp []bool, stats sat.Stats, solveTime time.Duration) {
@@ -373,10 +363,6 @@ func dipObserver(rec *flight.Recorder, bus *stream.Bus, lbd *metrics.Histogram, 
 		}
 		if rec != nil {
 			rec.AppendDIP(d)
-		}
-		var ins insight.Snapshot
-		if tk != nil {
-			ins = tk.Observe(dip, resp)
 		}
 		delta := flight.SolverStats{
 			Conflicts:    stats.Conflicts - prev.Conflicts,
@@ -408,13 +394,6 @@ func dipObserver(rec *flight.Recorder, bus *stream.Bus, lbd *metrics.Histogram, 
 			"lbd_samples":  lbdSamples,
 			"restarts":     stats.Restarts,
 			"xor_share":    xorShare,
-		}
-		if tk != nil {
-			data["rank"] = ins.Rank
-			data["rank_target"] = ins.TargetRank
-			data["seeds_log2"] = ins.SeedsLog2
-			data["eta_ms"] = ins.ETA.Milliseconds()
-			data["inconsistent"] = ins.Inconsistent
 		}
 		bus.Publish(stream.TypeDIP, data)
 	}

@@ -63,5 +63,5 @@ func main() {
 	tb.Render(os.Stdout)
 	fmt.Println("\nAs in the paper: with one capture cycle the attack always returns the")
 	fmt.Println("full candidate class; when it grows beyond brute-force reach, a second")
-	fmt.Println("capture cycle adds independent constraints (core.AttackMulti).")
+	fmt.Println("capture cycle adds independent constraints (core.AttackMultiCtx).")
 }

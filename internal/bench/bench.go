@@ -128,9 +128,9 @@ func min(a, b int) int {
 // inputs. This is the XOR-dominated extreme of the DynUnlock threat model —
 // hardware whose scan responses stay affine in the LFSR seed — and the
 // reference point where GF(2)-native solving should collapse the attack to
-// linear algebra (insight rank saturates, and the one-copy check closes
-// the loop on the unique consistent key). Layout mirrors Generate: a gate pool over PIs and flop outputs,
-// next-states and outputs drawn from the pool.
+// linear algebra (the one-copy check closes the loop on the unique
+// consistent key). Layout mirrors Generate: a gate pool over PIs and flop
+// outputs, next-states and outputs drawn from the pool.
 func GenerateAffine(cfg GenConfig) (*netlist.Netlist, error) {
 	if cfg.PIs < 1 || cfg.POs < 1 || cfg.FFs < 2 {
 		return nil, fmt.Errorf("bench: need >=1 PI, >=1 PO, >=2 FFs, got %d/%d/%d", cfg.PIs, cfg.POs, cfg.FFs)

@@ -197,19 +197,13 @@ func AttackCtx(ctx context.Context, chip Chip, opts Options) (*Result, error) {
 	return attack(ctx, chip, 1, opts)
 }
 
-// AttackMulti runs the DynUnlock attack with a multi-capture session model:
-// every DIP is one session with captures capture cycles, and the seed
-// candidates are the seeds whose masks under that session's [A;B]
+// AttackMultiCtx runs the DynUnlock attack with a multi-capture session
+// model: every DIP is one session with captures capture cycles, and the
+// seed candidates are the seeds whose masks under that session's [A;B]
 // reproduce a recovered mask. It does not combine them with the
 // single-capture masks; a caller that intersects its candidates with
 // Attack's gets the stacked rank of both, which prunes rank-deficient
-// cases as the paper's "second capture" refinement describes. AttackMulti
-// is AttackMultiCtx under context.Background().
-func AttackMulti(chip Chip, captures int, opts Options) (*Result, error) {
-	return AttackMultiCtx(context.Background(), chip, captures, opts)
-}
-
-// AttackMultiCtx is AttackMulti with cancellation and tracing; one capture
+// cases as the paper's "second capture" refinement describes. One capture
 // is AttackCtx. The direct model addresses one-capture sessions only, so
 // captures < 1, and ModeDirect with more than one capture, are errors,
 // returned like a bad enumerate limit before any model is built.

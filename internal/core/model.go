@@ -99,15 +99,6 @@ func maskMatricesN(d *lock.Design, patIdx, captures int) (A, B *gf2.Mat, err err
 	return A, B, nil
 }
 
-// MaskMatrices returns the session mask matrices (A, B) for one capture
-// session at the given pattern index: scan-in bit j is XOR-masked by
-// A.Row(j)·seed on the way in and scan-out bit j by B.Row(j)·seed on the
-// way out. Observability layers (internal/insight) use them to linearize
-// oracle responses over the seed without rebuilding the SAT model.
-func MaskMatrices(d *lock.Design, patIdx int) (A, B *gf2.Mat, err error) {
-	return maskMatricesN(d, patIdx, 1)
-}
-
 // BuildModel constructs the combinational locked model for one capture
 // session of the design (Algorithm 1).
 func BuildModel(d *lock.Design, patIdx int) (*Model, error) {

@@ -84,12 +84,12 @@ func TestMultiCaptureModelMatchesChip(t *testing.T) {
 	}
 }
 
-// AttackMulti must recover the seed end to end through the attack
+// AttackMultiCtx must recover the seed end to end through the attack
 // pipeline: encode counters reported and inprocessing run between DIPs.
 func TestAttackMultiRecoversSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	_, chip := lockedChip(t, 9, 5, scan.PerCycle, rng.Int63n(1<<40)+1, rng.Int63n(1<<40)+1)
-	res, err := AttackMulti(chip, 2, Options{EnumerateLimit: 64})
+	res, err := AttackMultiCtx(context.Background(), chip, 2, Options{EnumerateLimit: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestAttackMultiRecoversSeed(t *testing.T) {
 		t.Fatalf("%d DIPs but no inprocessing: %+v", res.Iterations, res.SolverStats)
 	}
 	// One capture is the standard attack.
-	res1, err := AttackMulti(chip, 1, Options{EnumerateLimit: 64})
+	res1, err := AttackMultiCtx(context.Background(), chip, 1, Options{EnumerateLimit: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestSecondCaptureShrinksCandidates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res2, err := AttackMulti(chip, 2, Options{EnumerateLimit: 2048})
+		res2, err := AttackMultiCtx(context.Background(), chip, 2, Options{EnumerateLimit: 2048})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +191,7 @@ func TestAttackMultiRejectsUnmodeledSessions(t *testing.T) {
 		_, chip := lockedChip(t, 8, 8, scan.PerCycle, 7, 8)
 		sessions := 0
 		chip.SessionHook = func(uint64) { sessions++ }
-		res, err := AttackMulti(chip, tc.captures, tc.opts)
+		res, err := AttackMultiCtx(context.Background(), chip, tc.captures, tc.opts)
 		if err == nil || res != nil || sessions != 0 {
 			t.Fatalf("%s: result %v, err %v after %d sessions, want an error and no session", tc.name, res, err, sessions)
 		}

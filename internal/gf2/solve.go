@@ -133,17 +133,6 @@ func NullspaceBasis(m *Mat) []Vec {
 	return basis
 }
 
-// SolutionCount returns the number of solutions of m·x = rhs as
-// (count = 2^log2Count, ok). ok is false when the system is inconsistent,
-// in which case log2Count is -1.
-func SolutionCount(m *Mat, rhs Vec) (log2Count int, ok bool) {
-	e, consistent := reduce(m, rhs, true)
-	if !consistent {
-		return -1, false
-	}
-	return m.cols - e.Rank(), true
-}
-
 // EnumerateSolutions returns all solutions of m·x = rhs up to limit entries
 // (limit <= 0 means unlimited — beware exponential blowup). The boolean
 // reports consistency.
@@ -164,11 +153,4 @@ func EnumerateSolutions(m *Mat, rhs Vec, limit int) ([]Vec, bool) {
 		}
 	}
 	return sols, true
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

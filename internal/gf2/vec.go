@@ -189,20 +189,6 @@ func (v Vec) Dot(w Vec) bool {
 	return bits.OnesCount64(acc)%2 == 1
 }
 
-// FirstSet returns the index of the lowest set bit, or -1 if v is zero.
-func (v Vec) FirstSet() int {
-	for i, w := range v.words {
-		if w != 0 {
-			idx := i*wordBits + bits.TrailingZeros64(w)
-			if idx < v.n {
-				return idx
-			}
-			return -1
-		}
-	}
-	return -1
-}
-
 // Ones returns the indices of all set bits in ascending order.
 func (v Vec) Ones() []int {
 	out := make([]int, 0, v.PopCount())

@@ -126,12 +126,6 @@ func TestVecOnesAndFirstSet(t *testing.T) {
 	if len(ones) != 3 || ones[0] != 3 || ones[1] != 64 || ones[2] != 199 {
 		t.Errorf("Ones = %v", ones)
 	}
-	if v.FirstSet() != 3 {
-		t.Errorf("FirstSet = %d, want 3", v.FirstSet())
-	}
-	if NewVec(77).FirstSet() != -1 {
-		t.Error("FirstSet of zero vector should be -1")
-	}
 }
 
 func TestVecBoolsRoundTrip(t *testing.T) {

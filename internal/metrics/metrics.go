@@ -71,16 +71,6 @@ const (
 	MetricSweepInflight = "dynunlock_sweep_inflight"
 	MetricSweepItems    = "dynunlock_sweep_items_total"
 
-	// Insight (seed-space progress) series, published by internal/insight:
-	// the certified GF(2) constraint rank, its analytic ceiling
-	// rank([A;B]), the log2 of the surviving seed space, and the DIP-rate
-	// ETA until the rank ceiling (absent until the first rank gain).
-	MetricInsightRank       = "dynunlock_insight_rank"
-	MetricInsightRankTarget = "dynunlock_insight_rank_target"
-	MetricInsightBits       = "dynunlock_insight_bits_learned_total"
-	MetricInsightSeedsLog2  = "dynunlock_insight_seeds_remaining_log2"
-	MetricInsightETA        = "dynunlock_insight_eta_seconds"
-
 	// Process series (updated by the HTTP server on scrape).
 	MetricProcessRSS  = "dynunlock_process_resident_bytes"
 	MetricGoroutines  = "dynunlock_process_goroutines"

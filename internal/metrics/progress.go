@@ -75,10 +75,9 @@ type sampler struct {
 // event: DIPs, conflict and propagation totals with their rates since the
 // previous sample, learnt-clause DB size, oracle scan cycles, RSS, and —
 // once their series exist — encode growth, the DIP solve-latency
-// percentiles, the sampled learnt-clause LBD distribution (lbd_samples,
-// lbd_mean, and lbd_counts per LBDBuckets bucket) and the insight
-// tracker's seed-space state. A run's closing sample is the one copy of
-// its metrics in a recorded bundle.
+// percentiles and the sampled learnt-clause LBD distribution
+// (lbd_samples, lbd_mean, and lbd_counts per LBDBuckets bucket). A run's
+// closing sample is the one copy of its metrics in a recorded bundle.
 func (s *sampler) sample(now time.Time) map[string]any {
 	sum := s.r.Sum
 	total := func(name string) float64 { v, _ := sum(name); return v }
@@ -127,17 +126,6 @@ func (s *sampler) sample(now time.Time) map[string]any {
 		fields["lbd_mean"] = mean
 		fields["lbd_counts"] = counts
 	}
-	if rank, ok := sum(MetricInsightRank); ok {
-		target := total(MetricInsightRankTarget)
-		fields["rank"] = rank
-		fields["rank_target"] = target
-		if seeds, ok := sum(MetricInsightSeedsLog2); ok {
-			fields["seeds_log2"] = seeds
-		}
-		if eta, ok := sum(MetricInsightETA); ok && rank < target {
-			fields["eta_s"] = eta
-		}
-	}
 	return fields
 }
 
@@ -146,8 +134,8 @@ func (s *sampler) sample(now time.Time) map[string]any {
 // bridge makes of it (numbers decoded from JSON render the same). The
 // -progress sink and `runs watch` both print it. Absent fields are
 // skipped, so the line names the run, then its solver and oracle work,
-// encode growth, RSS, DIP solve percentiles and the seed-space state as
-// far as the sample carries them.
+// encode growth, RSS and DIP solve percentiles as far as the sample
+// carries them.
 func ProgressLine(d map[string]any) string {
 	var b strings.Builder
 	b.WriteString("progress:")
@@ -182,18 +170,7 @@ func ProgressLine(d map[string]any) string {
 	if p50, ok := number(d["solve_p50_s"]); ok {
 		p95, _ := number(d["solve_p95_s"])
 		p99, _ := number(d["solve_p99_s"])
-		fmt.Fprintf(&b, " solve_p50=%s p95=%s p99=%s", seconds(p50, time.Microsecond),
-			seconds(p95, time.Microsecond), seconds(p99, time.Microsecond))
-	}
-	if rank, ok := number(d["rank"]); ok {
-		target, _ := number(d["rank_target"])
-		fmt.Fprintf(&b, " rank=%.0f/%.0f", rank, target)
-	}
-	if seeds, ok := number(d["seeds_log2"]); ok {
-		fmt.Fprintf(&b, " seeds=2^%.0f", seeds)
-	}
-	if eta, ok := number(d["eta_s"]); ok {
-		b.WriteString(" eta=" + seconds(eta, time.Second))
+		fmt.Fprintf(&b, " solve_p50=%s p95=%s p99=%s", seconds(p50), seconds(p95), seconds(p99))
 	}
 	return b.String()
 }
@@ -212,9 +189,9 @@ func number(v any) (float64, bool) {
 	return 0, false
 }
 
-// seconds renders a duration given in seconds, rounded to unit.
-func seconds(s float64, unit time.Duration) string {
-	return time.Duration(s * float64(time.Second)).Round(unit).String()
+// seconds renders a duration given in seconds, rounded to the microsecond.
+func seconds(s float64) string {
+	return time.Duration(s * float64(time.Second)).Round(time.Microsecond).String()
 }
 
 // ProgressSink is the -progress trace sink. It prints every "snapshot"

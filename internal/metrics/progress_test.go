@@ -187,33 +187,6 @@ func TestProgressOmitsRSSWhenUnavailable(t *testing.T) {
 	}
 }
 
-// TestProgressRendersInsightGauges pins the extended line: rank, seed
-// space, and ETA appear once the insight gauges exist and stay absent
-// otherwise (the plain registry case is covered above — those lines
-// contain no "rank=").
-func TestProgressRendersInsightGauges(t *testing.T) {
-	r := NewRegistry()
-	r.Gauge(MetricInsightRank).Set(5)
-	r.Gauge(MetricInsightRankTarget).Set(12)
-	r.Gauge(MetricInsightSeedsLog2).Set(123)
-	r.Gauge(MetricInsightETA).Set(90)
-	f := sampleOnce(r, nil)
-	line := ProgressLine(f)
-	for _, want := range []string{"rank=5/12", "seeds=2^123", "eta=1m30s"} {
-		if !strings.Contains(line, want) {
-			t.Errorf("progress line missing %q: %q", want, line)
-		}
-	}
-	if f["rank"].(float64) != 5 || f["seeds_log2"].(float64) != 123 || f["eta_s"].(float64) != 90 {
-		t.Fatalf("snapshot insight fields wrong: %v", f)
-	}
-	// At target rank the ETA token disappears (the run is rank-complete).
-	r.Gauge(MetricInsightRank).Set(12)
-	if line := ProgressLine(sampleOnce(r, nil)); strings.Contains(line, "eta=") {
-		t.Fatalf("eta must vanish at target rank: %q", line)
-	}
-}
-
 // TestProgressSampleCarriesLBDDistribution pins the sample's search
 // telemetry: the run's own learnt-LBD series as a count, a mean and one
 // count per LBDBuckets bucket, absent until the series exists. Another

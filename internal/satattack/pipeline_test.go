@@ -1,6 +1,7 @@
 package satattack
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -19,7 +20,7 @@ func TestSimplifyCountersAccount(t *testing.T) {
 		l := mustLock(t, locked, func(i int, s netlist.SignalID) bool {
 			return len(locked.N.SignalName(s)) > 0 && locked.N.SignalName(s)[0] == 'k'
 		})
-		res, err := Run(l, &simOracle{c: sim.NewComb(orig)}, Options{EnumerateLimit: 64})
+		res, err := RunCtx(context.Background(), l, &simOracle{c: sim.NewComb(orig)}, Options{EnumerateLimit: 64})
 		if err != nil {
 			t.Fatal(err)
 		}

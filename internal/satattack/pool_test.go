@@ -1,6 +1,7 @@
 package satattack
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -42,7 +43,7 @@ func TestPooledAttacksDoNotDependOnHistory(t *testing.T) {
 	}
 	a, b := mk(6, 40, 5), mk(12, 800, 24)
 	attack := func(c circuit) (poolRun, error) {
-		res, err := Run(c.l, &simOracle{c: sim.NewComb(c.orig)}, Options{})
+		res, err := RunCtx(context.Background(), c.l, &simOracle{c: sim.NewComb(c.orig)}, Options{})
 		if err != nil {
 			return poolRun{}, err
 		}

@@ -146,10 +146,10 @@ type Options struct {
 	// response, a snapshot of the solver counters after the iteration, and
 	// the wall time of the SAT call that produced the DIP. The experiment
 	// layer (dynunlock.RunExperimentCtx) hangs one observer here that
-	// persists dips.jsonl, feeds the insight tracker and publishes the
-	// "dip" stream event. The dip and resp slices are only valid for the
-	// duration of the call. nil leaves the hot loop free of timestamps and
-	// allocations, preserving the bit-identical unobserved path.
+	// persists dips.jsonl and publishes the "dip" stream event. The dip
+	// and resp slices are only valid for the duration of the call. nil
+	// leaves the hot loop free of timestamps and allocations, preserving
+	// the bit-identical unobserved path.
 	OnDIP DIPObserver
 }
 
@@ -246,12 +246,6 @@ const (
 // ErrUnsat is returned when the accumulated constraints become
 // unsatisfiable, which indicates an oracle inconsistent with the model.
 var ErrUnsat = errors.New("satattack: constraints unsatisfiable; oracle does not match the locked model")
-
-// Run executes the SAT attack with no cancellation: Run is RunCtx under
-// context.Background().
-func Run(l *Locked, o Oracle, opts Options) (*Result, error) {
-	return RunCtx(context.Background(), l, o, opts)
-}
 
 // miterEncoders and checkEncoders hand a finished attack's encoders, each
 // with its solver and gate table, to the next attack in the process, one

@@ -2,6 +2,8 @@ package satattack
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"io"
 	"math/rand"
 	"regexp"
@@ -115,7 +117,7 @@ func TestAttackRecoversEquivalentKey(t *testing.T) {
 			return len(locked.N.SignalName(s)) > 0 && locked.N.SignalName(s)[0] == 'k'
 		})
 		oracle := &simOracle{c: sim.NewComb(orig)}
-		res, err := Run(l, oracle, Options{})
+		res, err := RunCtx(context.Background(), l, oracle, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -141,7 +143,7 @@ func TestEnumeratedCandidatesUnlock(t *testing.T) {
 		l := mustLock(t, locked, func(i int, s netlist.SignalID) bool {
 			return len(locked.N.SignalName(s)) > 0 && locked.N.SignalName(s)[0] == 'k'
 		})
-		res, err := Run(l, &simOracle{c: sim.NewComb(orig)}, Options{EnumerateLimit: 64})
+		res, err := RunCtx(context.Background(), l, &simOracle{c: sim.NewComb(orig)}, Options{EnumerateLimit: 64})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -169,7 +171,7 @@ func TestDeterministicCandidates(t *testing.T) {
 		})
 		var ref *Result
 		for run := 0; run < 3; run++ {
-			res, err := Run(l, &simOracle{c: sim.NewComb(orig)}, Options{EnumerateLimit: 64})
+			res, err := RunCtx(context.Background(), l, &simOracle{c: sim.NewComb(orig)}, Options{EnumerateLimit: 64})
 			if err != nil {
 				t.Fatalf("trial %d run %d: %v", trial, run, err)
 			}
@@ -267,7 +269,7 @@ func TestEnumerationCountsFreeKeyBits(t *testing.T) {
 	})
 	// Oracle: correct k0 = 1, so output = !a.
 	oracle := OracleFunc(func(in []bool) []bool { return []bool{!in[0]} })
-	res, err := Run(l, oracle, Options{EnumerateLimit: 10})
+	res, err := RunCtx(context.Background(), l, oracle, Options{EnumerateLimit: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,14 +304,14 @@ func TestEnumerationLimit(t *testing.T) {
 		return name == "k0" || name == "k1"
 	})
 	oracle := OracleFunc(func(in []bool) []bool { return []bool{in[0]} })
-	res, err := Run(l, oracle, Options{EnumerateLimit: 3})
+	res, err := RunCtx(context.Background(), l, oracle, Options{EnumerateLimit: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Candidates) != 3 || res.CandidatesExact {
 		t.Fatalf("got %d candidates exact=%v, want 3 inexact", len(res.Candidates), res.CandidatesExact)
 	}
-	res, err = Run(l, oracle, Options{EnumerateLimit: 64})
+	res, err = RunCtx(context.Background(), l, oracle, Options{EnumerateLimit: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,9 +335,9 @@ func TestInconsistentOracle(t *testing.T) {
 	oracle := OracleFunc(func(in []bool) []bool {
 		return []bool{in[0], true} // z1 says k=0, z2 says k=1
 	})
-	_, err := Run(l, oracle, Options{})
-	if err == nil {
-		t.Fatal("want error from inconsistent oracle")
+	_, err := RunCtx(context.Background(), l, oracle, Options{})
+	if !errors.Is(err, ErrUnsat) {
+		t.Fatalf("inconsistent oracle: err = %v, want ErrUnsat", err)
 	}
 }
 
@@ -346,7 +348,7 @@ func TestMaxIterations(t *testing.T) {
 		return locked.N.SignalName(s)[0] == 'k'
 	})
 	oracle := &simOracle{c: sim.NewComb(orig)}
-	res, err := Run(l, oracle, Options{MaxIterations: 1})
+	res, err := RunCtx(context.Background(), l, oracle, Options{MaxIterations: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +367,7 @@ func TestLogOutput(t *testing.T) {
 	})
 	format := regexp.MustCompile(`^iter (\d+): dip=[01]{5} clauses=\d+ conflicts=\d+$`)
 	var buf bytes.Buffer
-	res, err := Run(l, &simOracle{c: sim.NewComb(orig)}, Options{Log: &buf})
+	res, err := RunCtx(context.Background(), l, &simOracle{c: sim.NewComb(orig)}, Options{Log: &buf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +432,7 @@ func TestDumpCNF(t *testing.T) {
 		}
 		dumps++
 	}}
-	res, err := Run(l, &simOracle{c: sim.NewComb(orig)}, opts)
+	res, err := RunCtx(context.Background(), l, &simOracle{c: sim.NewComb(orig)}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

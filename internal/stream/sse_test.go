@@ -216,7 +216,7 @@ func FuzzDecoder(f *testing.F) {
 		{Seq: 3, Type: TypeDIP, Job: "job-0001", Time: time.Unix(3, 0).UTC(), Data: map[string]any{
 			"trial": 0.0, "iteration": 1.0, "dip": "0110", "response": "10", "conflicts": 17.0,
 			"solve_ms": 1.25, "difficulty": 17.5, "lbd_mean": 4.2, "lbd_samples": 9.0, "restarts": 1.0,
-			"xor_share": 0.3, "rank": 6.0, "rank_target": 8.0, "seeds_log2": 2.0, "eta_ms": 40.0, "inconsistent": false,
+			"xor_share": 0.3,
 		}},
 		{Seq: 4, Type: TypeResult, Time: time.Unix(4, 0).UTC(), Data: map[string]any{"scope": "experiment"}},
 	} {

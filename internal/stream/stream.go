@@ -48,14 +48,14 @@ const (
 	// TypeDelta is a run's periodic metrics sample (its "snapshot"
 	// trace event, see metrics.StartSampling): the run's benchmark and
 	// key bits, iterations, conflict/propagation rates, learnt DB,
-	// oracle cycles, encode vars/clauses, insight rank/seeds/ETA.
+	// oracle cycles, encode vars/clauses, RSS, DIP solve percentiles and
+	// the learnt-LBD distribution.
 	TypeDelta = "delta"
 	// TypeDIP is one DIP-loop iteration, published once per DIP: trial,
-	// iteration, DIP and response bits, solve_ms, solver counters; the
-	// search anatomy at that boundary (difficulty, lbd_mean, lbd_samples,
-	// restarts, xor_share; see internal/anatomy); and, when the insight
-	// tracker runs, the seed-space state (rank, rank_target, seeds_log2,
-	// eta_ms, inconsistent; see internal/insight).
+	// iteration, DIP and response bits, solve_ms, solver counters
+	// (conflicts, propagations, learnt); and the search anatomy at that
+	// boundary (difficulty, lbd_mean, lbd_samples, restarts, xor_share;
+	// see internal/anatomy).
 	TypeDIP = "dip"
 	// TypeSpan is a completed attack stage (trace span_end): name,
 	// duration, counters.
@@ -72,8 +72,9 @@ const (
 )
 
 // Proto is the stream schema version carried in hello events. Bump it
-// when the event envelope or the meaning of a type changes. Version 2
-// folded the per-DIP "stage" and "insight" events into "dip".
+// when the event envelope or the meaning of a type changes; dropping a
+// field documented as optional does not. Version 2 folded the per-DIP
+// "stage" and "insight" events into "dip".
 const Proto = 2
 
 // Event is one feed entry. Seq is the bus-assigned ordering (0 on
