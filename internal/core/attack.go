@@ -406,13 +406,13 @@ func NewVerifier(d *lock.Design) (*Verifier, error) {
 
 // newVerifier builds a verifier for session-0 sessions from their mask
 // matrices; the attacks pass their model's, so each attack unrolls the
-// key register once.
+// key register once. It steps the design's one compiled core (Core).
 func newVerifier(d *lock.Design, A, B *gf2.Mat) (*Verifier, error) {
-	seq, err := sim.NewSeqAIG(d.View)
+	g, err := d.Core()
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return &Verifier{d: d, seq: seq, a: A, b: B}, nil
+	return &Verifier{d: d, seq: sim.NewSeqAIG(d.View, g), a: A, b: B}, nil
 }
 
 // Session predicts (scanOut, po) of a session-0 scan session under the

@@ -2,8 +2,12 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
+	"dynunlock/internal/aig"
 	"dynunlock/internal/bench"
 	"dynunlock/internal/gf2"
 	"dynunlock/internal/lock"
@@ -292,4 +296,99 @@ func TestS208Walkthrough(t *testing.T) {
 	if !ContainsSeed(res.SeedCandidates, seed) {
 		t.Fatal("walkthrough failed to recover the seed")
 	}
+}
+
+// TestDesignCoreCompiledOnce checks that a design compiles its core once
+// and that everything stepping it shares that graph safely: Core returns
+// one graph on every call, also from eight goroutines at once; two chips
+// and a verifier of the design step on it; and the two chips, run at once
+// on two goroutines, each answer every session as the verifier predicts
+// for its secret seed.
+func TestDesignCoreCompiledOnce(t *testing.T) {
+	n, err := bench.Generate(bench.GenConfig{Name: "core", PIs: 6, POs: 3, FFs: 12, Gates: 96, Seed: 34})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := lock.Lock(n, lock.Config{KeyBits: 8, Policy: scan.PerCycle})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var graphs [8]*aig.Graph
+	var wg sync.WaitGroup
+	for i := range graphs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g, err := d.Core()
+			if err != nil {
+				t.Error(err)
+			}
+			graphs[i] = g
+		}()
+	}
+	wg.Wait()
+	g, err := d.Core()
+	if err != nil || g == nil {
+		t.Fatalf("Core: %v", err)
+	}
+	for i, gi := range graphs {
+		if gi != g {
+			t.Fatalf("goroutine %d got graph %p, a later call %p", i, gi, g)
+		}
+	}
+
+	v, err := NewVerifier(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chips [2]*oracle.Chip
+	for i := range chips {
+		chips[i], err = oracle.New(d, gf2.Unit(8, i), []bool{true, false, false, false, false, false, false, false})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	owners := map[string]any{"chip 0": chips[0], "chip 1": chips[1], "verifier": v}
+	for who, o := range owners {
+		if got := steppedGraph(o); got != reflect.ValueOf(g).Pointer() {
+			t.Fatalf("%s steps graph %#x, not the design's core %p", who, got, g)
+		}
+	}
+
+	// The verifier is not safe for concurrent use; each goroutine builds
+	// its own, on the same core.
+	for i, c := range chips {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, err := NewVerifier(d)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			rng := rand.New(rand.NewSource(int64(i)))
+			testKey := make([]bool, 8)
+			for s := 0; s < 20; s++ {
+				scanIn := randBools(rng, d.Chain.Length)
+				pi := randBools(rng, d.View.NumPI)
+				c.Reset()
+				gotOut, gotPO := c.Session(testKey, scanIn, pi)
+				wantOut, wantPO := v.Session(c.SecretSeed(), scanIn, pi)
+				if !slices.Equal(gotOut, wantOut) || !slices.Equal(gotPO, wantPO) {
+					t.Errorf("chip %d, session %d: the chip and the verifier disagree", i, s)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// steppedGraph returns the address of the graph that the AIG stepper of a
+// chip or a verifier evaluates. It sits four unexported fields deep
+// (seq, the stepper's comb, its aig.Sim and the Sim's graph), so the test
+// reads it by reflection.
+func steppedGraph(owner any) uintptr {
+	v := reflect.ValueOf(owner).Elem().FieldByName("seq").Elem().FieldByName("comb").Elem().Elem()
+	return v.FieldByName("sim").Elem().FieldByName("g").Pointer()
 }

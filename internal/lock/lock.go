@@ -18,7 +18,9 @@ package lock
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
+	"dynunlock/internal/aig"
 	"dynunlock/internal/lfsr"
 	"dynunlock/internal/netlist"
 	"dynunlock/internal/scan"
@@ -66,6 +68,10 @@ type Design struct {
 	View    *netlist.CombView
 	Chain   scan.Chain
 	Config  Config
+
+	coreOnce sync.Once
+	core     *aig.Graph
+	coreErr  error
 }
 
 // Lock applies scan locking to n according to cfg. The netlist itself is
@@ -164,6 +170,15 @@ func (d *Design) NewRegister() (lfsr.Register, error) {
 		return lfsr.NewNLFSR(d.Config.Poly, d.Config.NonlinearPairs)
 	}
 	return lfsr.New(d.Config.Poly)
+}
+
+// Core returns the design's combinational core (View) compiled into an
+// and-inverter graph. The first call compiles it and every later call, from
+// any goroutine, returns the same graph, which callers must only read: the
+// chips and verifiers of one design step it with their own aig.Sim.
+func (d *Design) Core() (*aig.Graph, error) {
+	d.coreOnce.Do(func() { d.core, d.coreErr = aig.FromCombView(d.View) })
+	return d.core, d.coreErr
 }
 
 // Nonlinear reports whether the key register has nonlinear feedback.

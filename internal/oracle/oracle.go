@@ -69,16 +69,17 @@ func New(d *lock.Design, secretSeed gf2.Vec, authKey []bool) (*Chip, error) {
 	if len(authKey) != d.Config.KeyBits {
 		return nil, fmt.Errorf("oracle: auth key width %d, want %d", len(authKey), d.Config.KeyBits)
 	}
-	// The capture-cycle core runs on the AIG stepper (bit-identical to the
-	// gate-level one; property tests in internal/sim and internal/core pin
-	// that down). A view the AIG compiler rejects is an error.
-	seq, err := sim.NewSeqAIG(d.View)
+	// The capture-cycle core runs on the AIG stepper over the design's one
+	// compiled core (bit-identical to the gate-level one; property tests in
+	// internal/sim and internal/core pin that down). A view the AIG
+	// compiler rejects is an error.
+	g, err := d.Core()
 	if err != nil {
 		return nil, fmt.Errorf("oracle: %w", err)
 	}
 	c := &Chip{
 		design:     d,
-		seq:        seq,
+		seq:        sim.NewSeqAIG(d.View, g),
 		secretSeed: secretSeed.Clone(),
 		authKey:    append([]bool(nil), authKey...),
 	}

@@ -20,11 +20,12 @@ import (
 // A removed clause is detached at once and marked deleted, and Simplify's
 // strengthening shrinks a clause in place; both leave dead words behind,
 // counted in Solver.wasted. Once a fifth of the arena is dead, compact
-// copies the live clauses into a fresh slab and rewrites every cref the
-// solver holds: watchers (in place, so watch order is untouched), reasons,
-// clauses and learnts. Crefs are never compared for order, so compaction
-// cannot change the search. Between compactions the arena grows by
-// doubling (reserve).
+// copies the live clauses into the spare slab (Solver.spare), or into a
+// new one when the spare is too small, and rewrites every cref the solver
+// holds: watchers (in place, so watch order is untouched), reasons,
+// clauses and learnts. The old slab becomes the next spare. Crefs are
+// never compared for order, so compaction cannot change the search.
+// Between compactions the arena grows by doubling (reserve).
 type cref uint32
 
 const (
@@ -120,13 +121,17 @@ func (s *Solver) maybeCompact() {
 	}
 }
 
-// compact copies the live clauses, problem clauses first, into a fresh
-// arena with as much room again, and rewrites every reference to them.
-// Each moved clause leaves its new cref in its old first literal word,
-// which the watcher and reason passes read.
+// compact copies the live clauses, problem clauses first, into an arena
+// with as much room again, and rewrites every reference to them. The new
+// arena is the spare when it has that room, else a new one, and the old
+// arena becomes the spare. Each moved clause leaves its new cref in its
+// old first literal word, which the watcher and reason passes read.
 func (s *Solver) compact() {
 	old := s.arena
-	next := make([]cnf.Lit, 0, 2*(len(old)-s.wasted))
+	next := s.spare[:0]
+	if live := len(old) - s.wasted; cap(next) < 2*live {
+		next = make([]cnf.Lit, 0, 2*live)
+	}
 	move := func(crs []cref, pre cref) {
 		for i, cr := range crs {
 			nc := cref(len(next)) + pre
@@ -159,7 +164,7 @@ func (s *Solver) compact() {
 			s.reason[v] = cref(old[r+1])
 		}
 	}
-	s.arena = next
+	s.arena, s.spare = next, old[:0]
 	s.wasted = 0
 	s.compactions++
 }

@@ -16,16 +16,19 @@ type legAnswer struct {
 	conflict []cnf.Lit
 }
 
-// legRecord is everything a resetLeg observes: each answer, and the LBD
-// of every learnt clause in the order they were learnt.
+// legRecord is everything a resetLeg observes: each answer, the LBD of
+// every learnt clause in the order they were learnt, and the number of
+// arena compactions.
 type legRecord struct {
-	answers []legAnswer
-	lbds    []int32
+	answers     []legAnswer
+	lbds        []int32
+	compactions int
 }
 
 // resetLeg runs p on s the way an attack drives a solver and records
 // every answer: the first half, Simplify and a solve; a forced arena
-// compaction; the rest and a solve under the assumptions; then the same
+// compaction; the rest and a solve under the assumptions; a second forced
+// compaction, which fills the spare the first one left; then the same
 // assumptions under a conflict budget of two more conflicts. A hook
 // records each learnt clause's LBD, which the counters alone would show
 // only through restarts and database reductions.
@@ -58,8 +61,10 @@ func resetLeg(s *Solver, p fuzzProblem) legRecord {
 	s.compact()
 	add(p.rest)
 	solve(p.assumptions)
+	s.compact()
 	s.ConflictBudget = int64(s.Stats.Conflicts) + 2
 	solve(p.assumptions)
+	rec.compactions = s.compactions
 	return rec
 }
 
@@ -78,6 +83,9 @@ func checkResetSearch(t *testing.T, a, b fuzzProblem) {
 		t.Fatal("Reset left a hook, a model or variables")
 	}
 	got, want := resetLeg(s, b), resetLeg(New(), b)
+	if got.compactions < 2 {
+		t.Fatalf("the leg compacted the arena %d times, want at least 2", got.compactions)
+	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("a Reset solver answered\n%+v\na new solver\n%+v", got, want)
 	}

@@ -11,9 +11,10 @@ import "math/bits"
 // else new room at the end of data. Its old room becomes a hole of its
 // class. When data has no room left at its end, repack copies every list
 // in index order, without the holes and in the smallest class that holds
-// it, into a fresh array with as much free room again. Neither a move nor
-// a repack changes a list's entries or their order, so the search visits
-// watchers exactly as it would in separate slices.
+// it, into an array with as much free room again: spare, the array the
+// previous repack left, when it has that room, else a new one. Neither a
+// move nor a repack changes a list's entries or their order, so the search
+// visits watchers exactly as it would in separate slices.
 //
 // A push that repacks returns true. A caller holding a view of another
 // list (propagate scanning a watch list while it pushes onto others) must
@@ -23,6 +24,7 @@ import "math/bits"
 // rewritten included.
 type slab[T any] struct {
 	data  []T
+	spare []T // the array data was before the last repack, at length 0
 	spans []span
 	holes [32][]uint32 // offsets of the holes of each class
 }
@@ -53,7 +55,7 @@ func classFor(n uint32) uint32 {
 // emptied returns a slab with no lists that takes over s's arrays, their
 // capacity included.
 func (s *slab[T]) emptied() slab[T] {
-	e := slab[T]{data: s.data[:0], spans: s.spans[:0]}
+	e := slab[T]{data: s.data[:0], spare: s.spare[:0], spans: s.spans[:0]}
 	for c, h := range s.holes {
 		e.holes[c] = h[:0]
 	}
@@ -120,10 +122,11 @@ func (s *slab[T]) move(sp *span, off uint32) {
 	sp.off = off
 }
 
-// repack copies every list, in index order and without the holes, into a
-// fresh array with as much free room again as the lists own. Each list
-// gets the smallest class that holds it, the full list i with one more
-// entry, which is its next class.
+// repack copies every list, in index order and without the holes, into an
+// array with as much free room again as the lists own: the spare when it
+// has that room, else a new one. The old array becomes the spare. Each
+// list gets the smallest class that holds it, the full list i with one
+// more entry, which is its next class.
 func (s *slab[T]) repack(i int) {
 	owned := 0
 	for j := range s.spans {
@@ -135,7 +138,10 @@ func (s *slab[T]) repack(i int) {
 		sp.nc = sp.nc&^classMask | classFor(n)
 		owned += int(roomOf(classFor(n)))
 	}
-	data := make([]T, 0, 2*owned)
+	data := s.spare[:0]
+	if cap(data) < 2*owned {
+		data = make([]T, 0, 2*owned)
+	}
 	for j := range s.spans {
 		sp := &s.spans[j]
 		off := len(data)
@@ -143,7 +149,7 @@ func (s *slab[T]) repack(i int) {
 		data = data[:off+int(roomOf(sp.nc&classMask))]
 		sp.off = uint32(off)
 	}
-	s.data = data
+	s.data, s.spare = data, s.data[:0]
 	for c := range s.holes {
 		s.holes[c] = s.holes[c][:0]
 	}

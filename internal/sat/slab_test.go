@@ -141,11 +141,15 @@ func TestSlabRepackKeepsSearch(t *testing.T) {
 	}
 }
 
-// forceRepack fills every entry of s that no list holds, the holes and
-// each list's room past its length, with poison, forgets the holes and
-// trims the array's capacity to its length, so that the next push onto a
-// full list repacks.
+// forceRepack fills every entry of s that no list holds, the holes, each
+// list's room past its length and the whole spare array, with poison,
+// forgets the holes and trims the array's capacity to its length, so that
+// the next push onto a full list repacks.
 func forceRepack[T any](s *slab[T], poison T) {
+	spare := s.spare[:cap(s.spare)]
+	for k := range spare {
+		spare[k] = poison
+	}
 	live := make([]bool, len(s.data))
 	for _, sp := range s.spans {
 		for k := sp.off; k < sp.off+sp.nc>>classBits; k++ {
@@ -161,4 +165,47 @@ func forceRepack[T any](s *slab[T], poison T) {
 		s.holes[c] = s.holes[c][:0]
 	}
 	s.data = s.data[:len(s.data):len(s.data)]
+}
+
+// TestSlabRepackReusesSpare fills a slab's lists by random pushes and then
+// repacks it again and again. The first repacks make the spare; from then
+// on each repack copies the lists into the array the one before left and
+// allocates nothing, and every list keeps its entries in order. The spare
+// is poisoned before each repack, since it would otherwise hold the same
+// lists at the same offsets from two repacks before.
+func TestSlabRepackReusesSpare(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	var s slab[int32]
+	ref := make([][]int32, 40)
+	s.spans = make([]span, len(ref))
+	for step := 0; step < 3000; step++ {
+		i := rng.Intn(len(ref))
+		s.push(i, int32(step))
+		ref[i] = append(ref[i], int32(step))
+	}
+	check := func(when string) {
+		t.Helper()
+		for j := range ref {
+			if got := s.list(j); !slices.Equal(got, ref[j]) {
+				t.Fatalf("%s: list %d = %v, want %v", when, j, got, ref[j])
+			}
+		}
+	}
+	s.repack(0)
+	check("after the first repack")
+	before := &s.data[:1][0]
+	repack := func() {
+		spare := s.spare[:cap(s.spare)]
+		for k := range spare {
+			spare[k] = -1
+		}
+		s.repack(0)
+	}
+	if allocs := testing.AllocsPerRun(10, repack); allocs != 0 {
+		t.Fatalf("a repack with a spare of room allocated %v times", allocs)
+	}
+	check("after the repacks into the spare")
+	if &s.data[:1][0] == before || &s.spare[:1][0] != before {
+		t.Fatal("the repacks did not swap the array with its spare")
+	}
 }

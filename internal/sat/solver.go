@@ -83,9 +83,10 @@ type Solver struct {
 	ok bool
 
 	// Clause arena (arena.go): problem and learnt clauses by reference,
-	// the number of dead arena words awaiting compaction, and the number
-	// of compactions run so far.
+	// the array the next compaction fills, the number of dead arena words
+	// awaiting compaction, and the number of compactions run so far.
 	arena       []cnf.Lit
+	spare       []cnf.Lit
 	clauses     []cref
 	learnts     []cref
 	wasted      int
@@ -257,6 +258,7 @@ func (s *Solver) Reset() {
 		learntGrowth: 1.1,
 
 		arena:    s.arena[:0],
+		spare:    s.spare[:0],
 		clauses:  s.clauses[:0],
 		learnts:  s.learnts[:0],
 		watches:  s.watches.emptied(),

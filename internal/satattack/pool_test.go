@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
+	"dynunlock/internal/encode"
 	"dynunlock/internal/netlist"
 	"dynunlock/internal/sat"
 	"dynunlock/internal/sim"
@@ -95,5 +97,44 @@ func TestPooledAttacksDoNotDependOnHistory(t *testing.T) {
 			t.Fatal(errs[g])
 		}
 		check(fmt.Sprintf("goroutine %d of 2", g), runs[g], want)
+	}
+}
+
+// TestPooledEncodersSurviveGC attacks once, collects garbage twice and
+// attacks again: the second attack must run on the encoders, one per
+// role, that the first one released. A pool that a collection empties
+// (sync.Pool) hands the second attack new encoders, which regrow all the
+// storage the first attack's held.
+func TestPooledEncodersSurviveGC(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	orig, locked, _ := lockedPair(rng, 8, 120, 8)
+	l := mustLock(t, locked, func(i int, s netlist.SignalID) bool {
+		return locked.N.SignalName(s)[0] == 'k'
+	})
+	attack := func() {
+		t.Helper()
+		res, err := RunCtx(context.Background(), l, &simOracle{c: sim.NewComb(orig)}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Iterations == 0 {
+			t.Fatal("the attack closed before its first DIP: the check solver never ran")
+		}
+	}
+	// top takes the encoder each role hands out next and puts it back.
+	top := func() [2]*encode.Encoder {
+		m, c := acquire(&miterEncoders, 0, nil), acquire(&checkEncoders, 0, nil)
+		release(&miterEncoders, m)
+		release(&checkEncoders, c)
+		return [2]*encode.Encoder{m, c}
+	}
+	attack()
+	released := top()
+	runtime.GC()
+	runtime.GC()
+	attack()
+	if got := top(); got != released {
+		t.Fatalf("after two collections the attack ran on encoders %p and %p, not on the %p and %p the attack before released",
+			got[0], got[1], released[0], released[1])
 	}
 }

@@ -40,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"time"
 
@@ -253,19 +254,32 @@ var ErrUnsat = errors.New("satattack: constraints unsatisfiable; oracle does not
 // which would leave the next miter to grow its own. A pooled encoder's
 // solver is Reset and its table is cleared when it is taken: it carries
 // capacity, not content, and encodes and searches exactly as a new one.
-var (
-	miterEncoders = sync.Pool{New: newPooled}
-	checkEncoders = sync.Pool{New: newPooled}
-)
+var miterEncoders, checkEncoders rolePool
 
-// newPooled returns an encoder on a new, empty solver; acquire Resets it.
-func newPooled() any { return &encode.Encoder{S: sat.New()} }
+// rolePool is a free list of one role's encoders. A garbage collection
+// cannot empty it, as it would a sync.Pool. It keeps at most GOMAXPROCS
+// encoders, the most attacks that can use the role at once, each as large
+// as the largest attack it served, until the process exits.
+type rolePool struct {
+	mu   sync.Mutex
+	free []*encode.Encoder
+}
 
-// acquire takes an encoder from pool, sets its solver's conflict budget and
-// metrics hook, and then Resets it, so the hook sees every clause from the
-// first.
-func acquire(pool *sync.Pool, budget int64, mr *metrics.Registry) *encode.Encoder {
-	e := pool.Get().(*encode.Encoder)
+// acquire takes an encoder from pool, or a new one when the pool is empty,
+// sets its solver's conflict budget and metrics hook, and then Resets it,
+// so the hook sees every clause from the first.
+func acquire(pool *rolePool, budget int64, mr *metrics.Registry) *encode.Encoder {
+	var e *encode.Encoder
+	pool.mu.Lock()
+	if n := len(pool.free); n > 0 {
+		e = pool.free[n-1]
+		pool.free[n-1] = nil
+		pool.free = pool.free[:n-1]
+	}
+	pool.mu.Unlock()
+	if e == nil {
+		e = &encode.Encoder{S: sat.New()}
+	}
 	e.S.ConflictBudget = budget
 	installSolverMetrics(mr, e.S)
 	e.Reset()
@@ -273,10 +287,14 @@ func acquire(pool *sync.Pool, budget int64, mr *metrics.Registry) *encode.Encode
 }
 
 // release empties a finished attack's solver and returns its encoder to
-// the role's pool.
-func release(pool *sync.Pool, e *encode.Encoder) {
+// the role's pool, or drops it when the pool is full.
+func release(pool *rolePool, e *encode.Encoder) {
 	e.S.Reset()
-	pool.Put(e)
+	pool.mu.Lock()
+	if len(pool.free) < runtime.GOMAXPROCS(0) {
+		pool.free = append(pool.free, e)
+	}
+	pool.mu.Unlock()
 }
 
 // RunCtx executes the SAT attack on one solver (see miter.go).

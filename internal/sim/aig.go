@@ -1,44 +1,34 @@
 package sim
 
 import (
+	"fmt"
+
 	"dynunlock/internal/aig"
 	"dynunlock/internal/netlist"
 )
 
-// AIGComb is the AIG fast path of the combinational simulator: the view is
-// compiled once into a compacted arena (structural hashing, constant
-// folding, cone-of-influence restriction) and evaluation sweeps the flat
-// node slice instead of chasing netlist fanin lists. Results are
-// bit-identical to Comb on every pattern; only the traversal cost differs.
-type AIGComb struct {
+// aigComb is the AIG fast path of the combinational simulator: it
+// evaluates the view's compiled graph (structural hashing, constant
+// folding, cone-of-influence restriction), sweeping the flat node slice
+// instead of chasing netlist fanin lists. Results are bit-identical to
+// Comb on every pattern; only the traversal cost differs.
+type aigComb struct {
 	view *netlist.CombView
 	sim  *aig.Sim
 }
 
-// NewAIGComb compiles v and returns its fast-path simulator.
-func NewAIGComb(v *netlist.CombView) (*AIGComb, error) {
-	g, err := aig.FromCombView(v)
-	if err != nil {
-		return nil, err
-	}
-	return &AIGComb{view: v, sim: aig.NewSim(g)}, nil
-}
-
 // View returns the underlying combinational view.
-func (c *AIGComb) View() *netlist.CombView { return c.view }
-
-// Eval evaluates 64 patterns at once, like Comb.Eval.
-func (c *AIGComb) Eval(inputs []uint64) []uint64 { return c.sim.Eval(inputs) }
+func (c *aigComb) View() *netlist.CombView { return c.view }
 
 // EvalBits evaluates a single pattern of bools.
-func (c *AIGComb) EvalBits(in []bool) []bool {
+func (c *aigComb) EvalBits(in []bool) []bool {
 	words := make([]uint64, len(in))
 	for i, b := range in {
 		if b {
 			words[i] = 1
 		}
 	}
-	out := c.Eval(words)
+	out := c.sim.Eval(words)
 	bits := make([]bool, len(out))
 	for i, w := range out {
 		bits[i] = w&1 == 1
@@ -47,11 +37,12 @@ func (c *AIGComb) EvalBits(in []bool) []bool {
 }
 
 // NewSeqAIG builds a sequential simulator whose combinational core runs on
-// the AIG fast path. Functionally identical to NewSeq.
-func NewSeqAIG(v *netlist.CombView) (*Seq, error) {
-	c, err := NewAIGComb(v)
-	if err != nil {
-		return nil, err
+// g, the graph aig.FromCombView compiles from v. Functionally identical to
+// NewSeq. g is only read, so one graph can back many steppers at once.
+func NewSeqAIG(v *netlist.CombView, g *aig.Graph) *Seq {
+	if g.NumInputs() != len(v.Inputs) || len(g.Outputs()) != len(v.Outputs) {
+		panic(fmt.Sprintf("sim: graph has %d inputs and %d outputs, view %d and %d",
+			g.NumInputs(), len(g.Outputs()), len(v.Inputs), len(v.Outputs)))
 	}
-	return &Seq{comb: c, state: make([]bool, len(v.N.DFFs()))}, nil
+	return &Seq{comb: &aigComb{view: v, sim: aig.NewSim(g)}, state: make([]bool, len(v.N.DFFs()))}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dynunlock/internal/aig"
 	"dynunlock/internal/bench"
 	"dynunlock/internal/netlist"
 )
@@ -23,11 +24,11 @@ func TestSeqAIGMatchesSeq(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := NewSeq(v)
-		fast, err := NewSeqAIG(v)
+		g, err := aig.FromCombView(v)
 		if err != nil {
 			t.Fatal(err)
 		}
+		ref, fast := NewSeq(v), NewSeqAIG(v, g)
 		for cycle := 0; cycle < 50; cycle++ {
 			pi := make([]bool, v.NumPI)
 			for i := range pi {

@@ -118,7 +118,7 @@ func (c *Comb) EvalBits(in []bool) []bool {
 }
 
 // combEval is the combinational core a Seq steps: the gate-level Comb or
-// the AIG fast path (AIGComb).
+// the AIG fast path (aigComb).
 type combEval interface {
 	EvalBits(in []bool) []bool
 	View() *netlist.CombView
