@@ -100,15 +100,11 @@ type Graph struct {
 	folded         int // constructor calls answered without allocating
 }
 
-// New returns an empty graph with n inputs (node 0 is the constant). The
-// graph has room for the given number of nodes, the constant and the
-// inputs included, before it grows; a hint below 1+n leaves room for the
-// inputs only.
-func New(n, nodes int) *Graph {
-	nodes = max(nodes, 1+n)
+// New returns an empty graph with n inputs (node 0 is the constant).
+func New(n int) *Graph {
 	g := &Graph{
-		nodes:  make([]node, 1, nodes),
-		strash: make(map[strashKey]uint32, nodes-1-n),
+		nodes:  make([]node, 1, 1+n),
+		strash: make(map[strashKey]uint32),
 		inputs: make([]Lit, n),
 	}
 	for i := 0; i < n; i++ {
@@ -400,7 +396,7 @@ func (g *Graph) Compile(v *netlist.CombView, cone []bool, in []Lit) ([]Lit, erro
 // synthetic benchmarks, where only a random subset of the gate pool is
 // tapped) is skipped entirely.
 func FromCombView(v *netlist.CombView) (*Graph, error) {
-	g := New(len(v.Inputs), 0)
+	g := New(len(v.Inputs))
 	outs, err := g.Compile(v, Cone(v, nil), g.inputs)
 	if err != nil {
 		return nil, err

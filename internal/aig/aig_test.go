@@ -23,7 +23,7 @@ func TestLit(t *testing.T) {
 }
 
 func TestConstantFolding(t *testing.T) {
-	g := New(2, 0)
+	g := New(2)
 	a, b := g.Input(0), g.Input(1)
 	cases := []struct {
 		name string
@@ -55,7 +55,7 @@ func TestConstantFolding(t *testing.T) {
 }
 
 func TestStructuralHashing(t *testing.T) {
-	g := New(3, 0)
+	g := New(3)
 	a, b, c := g.Input(0), g.Input(1), g.Input(2)
 	if g.And(a, b) != g.And(b, a) {
 		t.Error("AND not commutative under strash")
@@ -82,7 +82,7 @@ func TestStructuralHashing(t *testing.T) {
 }
 
 func TestMuxAsXor(t *testing.T) {
-	g := New(2, 0)
+	g := New(2)
 	s, d := g.Input(0), g.Input(1)
 	if g.Mux(s, d, d.Not()) != g.Xor(s, d) {
 		t.Error("mux with complementary branches should fold to XOR")

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand"
-	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -300,10 +301,10 @@ func TestS208Walkthrough(t *testing.T) {
 
 // TestDesignCoreCompiledOnce checks that a design compiles its core once
 // and that everything stepping it shares that graph safely: Core returns
-// one graph on every call, also from eight goroutines at once; two chips
-// and a verifier of the design step on it; and the two chips, run at once
-// on two goroutines, each answer every session as the verifier predicts
-// for its secret seed.
+// one graph on every call, also from eight goroutines at once; building a
+// chip or a verifier allocates less than one compile of the core, so
+// neither compiles it again; and two chips, run at once on two goroutines,
+// each answer every session as the verifier predicts for its secret seed.
 func TestDesignCoreCompiledOnce(t *testing.T) {
 	n, err := bench.Generate(bench.GenConfig{Name: "core", PIs: 6, POs: 3, FFs: 12, Gates: 96, Seed: 34})
 	if err != nil {
@@ -337,21 +338,23 @@ func TestDesignCoreCompiledOnce(t *testing.T) {
 		}
 	}
 
-	v, err := NewVerifier(d)
+	authKey := []bool{true, false, false, false, false, false, false, false}
+	A, B, err := maskMatricesN(d, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	compile := allocBytes(func() { aig.FromCombView(d.View) })
+	chip := allocBytes(func() { oracle.New(d, gf2.Unit(8, 0), authKey) })
+	verifier := allocBytes(func() { newVerifier(d, A, B) })
+	if chip >= compile || verifier >= compile {
+		t.Fatalf("a chip allocates %d bytes and a verifier %d, one compile of the core %d: they compile it again",
+			chip, verifier, compile)
+	}
 	var chips [2]*oracle.Chip
 	for i := range chips {
-		chips[i], err = oracle.New(d, gf2.Unit(8, i), []bool{true, false, false, false, false, false, false, false})
+		chips[i], err = oracle.New(d, gf2.Unit(8, i), authKey)
 		if err != nil {
 			t.Fatal(err)
-		}
-	}
-	owners := map[string]any{"chip 0": chips[0], "chip 1": chips[1], "verifier": v}
-	for who, o := range owners {
-		if got := steppedGraph(o); got != reflect.ValueOf(g).Pointer() {
-			t.Fatalf("%s steps graph %#x, not the design's core %p", who, got, g)
 		}
 	}
 
@@ -384,11 +387,15 @@ func TestDesignCoreCompiledOnce(t *testing.T) {
 	wg.Wait()
 }
 
-// steppedGraph returns the address of the graph that the AIG stepper of a
-// chip or a verifier evaluates. It sits four unexported fields deep
-// (seq, the stepper's comb, its aig.Sim and the Sim's graph), so the test
-// reads it by reflection.
-func steppedGraph(owner any) uintptr {
-	v := reflect.ValueOf(owner).Elem().FieldByName("seq").Elem().FieldByName("comb").Elem().Elem()
-	return v.FieldByName("sim").Elem().FieldByName("g").Pointer()
+// allocBytes returns the fewest bytes that f allocated over three calls.
+func allocBytes(f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }

@@ -113,15 +113,8 @@ func BuildMaskModel(d *lock.Design, patIdx, captures int) (*MaskModel, error) {
 		}
 	}
 
-	// Each capture adds at most the core's nodes, so the design's compiled
-	// core sizes the graph before it grows.
-	compiled, err := d.Core()
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
 	nonKey := captures*src.NumPI + n
-	masks := len(mm.UPos) + len(mm.VPos)
-	g := aig.New(nonKey+masks, captures*compiled.NumNodes()+masks)
+	g := aig.New(nonKey + len(mm.UPos) + len(mm.VPos))
 	// in is the core's input edges for one capture; state, its tail, is
 	// the chain's content: a' after scan-in, then each capture's next state.
 	in := make([]aig.Lit, len(src.Inputs))

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -136,5 +137,25 @@ func TestPooledEncodersSurviveGC(t *testing.T) {
 	if got := top(); got != released {
 		t.Fatalf("after two collections the attack ran on encoders %p and %p, not on the %p and %p the attack before released",
 			got[0], got[1], released[0], released[1])
+	}
+}
+
+// TestRolePoolKeepsEveryReleasedEncoder holds more encoders of one role at
+// once than the machine runs goroutines in parallel, as a daemon or a
+// sweep with more workers than CPUs does, and releases them all: the next
+// as many acquisitions must hand back those encoders and build none.
+func TestRolePoolKeepsEveryReleasedEncoder(t *testing.T) {
+	var pool rolePool
+	held := make([]*encode.Encoder, runtime.GOMAXPROCS(0)+2)
+	for i := range held {
+		held[i] = acquire(&pool, 0, nil)
+	}
+	for _, e := range held {
+		release(&pool, e)
+	}
+	for i := range held {
+		if e := acquire(&pool, 0, nil); !slices.Contains(held, e) {
+			t.Fatalf("acquisition %d of %d built a new encoder: the pool dropped one it was given", i+1, len(held))
+		}
 	}
 }

@@ -40,7 +40,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"time"
 
@@ -257,9 +256,10 @@ var ErrUnsat = errors.New("satattack: constraints unsatisfiable; oracle does not
 var miterEncoders, checkEncoders rolePool
 
 // rolePool is a free list of one role's encoders. A garbage collection
-// cannot empty it, as it would a sync.Pool. It keeps at most GOMAXPROCS
-// encoders, the most attacks that can use the role at once, each as large
-// as the largest attack it served, until the process exits.
+// cannot empty it, as it would a sync.Pool. It holds as many encoders as
+// the most attacks that ever ran at once in the process, which the
+// callers' worker counts bound, each as large as the largest attack it
+// served, until the process exits.
 type rolePool struct {
 	mu   sync.Mutex
 	free []*encode.Encoder
@@ -287,13 +287,11 @@ func acquire(pool *rolePool, budget int64, mr *metrics.Registry) *encode.Encoder
 }
 
 // release empties a finished attack's solver and returns its encoder to
-// the role's pool, or drops it when the pool is full.
+// the role's pool.
 func release(pool *rolePool, e *encode.Encoder) {
 	e.S.Reset()
 	pool.mu.Lock()
-	if len(pool.free) < runtime.GOMAXPROCS(0) {
-		pool.free = append(pool.free, e)
-	}
+	pool.free = append(pool.free, e)
 	pool.mu.Unlock()
 }
 
