@@ -15,6 +15,7 @@
 package dynunlock
 
 import (
+	"context"
 	"os"
 	"runtime"
 	"strconv"
@@ -153,7 +154,7 @@ func benchSweep(b *testing.B, workers int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		results, err := bench.Sweep(workers, conds, func(j int, e bench.Entry) (*ExperimentResult, error) {
-			return RunExperiment(ExperimentConfig{
+			return RunExperimentCtx(context.Background(), ExperimentConfig{
 				Benchmark: e.Name,
 				KeyBits:   scaledKey(128, scale),
 				Policy:    PerCycle,

@@ -13,11 +13,10 @@
 // its stop reason. -trace streams span/progress/result events as JSON lines
 // (see internal/trace.JSONLSink for the schema).
 //
-// -metrics-addr serves live Prometheus metrics at /metrics, an expvar-style
-// JSON snapshot at /debug/vars, pprof profiles at /debug/pprof/, a live SSE
-// event feed at /events (deltas, one event per DIP, stage spans, results —
-// see internal/stream) while the attack runs; `runs watch ADDR` follows
-// the feed from a terminal.
+// -metrics-addr serves live Prometheus metrics at /metrics, pprof profiles
+// at /debug/pprof/, a live SSE event feed at /events (deltas, one event
+// per DIP, stage spans, results — see internal/stream) while the attack
+// runs; `runs watch ADDR` follows the feed from a terminal.
 // The run samples its own metrics every two seconds as "snapshot" trace
 // events (in the -trace file and a -record bundle's trace.jsonl, and as
 // "delta" events on /events); -progress prints each sample to stderr as
@@ -66,7 +65,7 @@ func main() {
 		verbose   = flag.Bool("v", false, "log attack progress")
 		list      = flag.Bool("list", false, "list available benchmarks and exit")
 
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address while running")
+		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address while running")
 		progress    metrics.ProgressFlag
 	)
 	flag.Var(&progress, "progress", "print the run's periodic metrics samples to stderr (-progress=json for stream-schema delta lines)")

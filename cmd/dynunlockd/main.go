@@ -22,7 +22,7 @@
 //	                               travel in its feed's delta events)
 //	/events[?job=ID]               SSE feed: aggregate or single-job
 //	/healthz /readyz               liveness / drain-aware readiness
-//	/debug/vars /debug/pprof/      expvar snapshot and pprof profiles
+//	/debug/pprof/                  pprof profiles
 //
 // Every job records a durable flight bundle under -data/<job-id>/; a job
 // cancelled or killed mid-run leaves a resumable prefix, and submitting

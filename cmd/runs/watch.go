@@ -180,15 +180,6 @@ func (w *watcher) follow(r io.Reader) (code int, retryable, progressed bool) {
 	}
 }
 
-// watchStream renders a decoded event stream in one shot (no reconnect);
-// split from the watcher so tests can drive it from a recorded stream
-// without a server.
-func watchStream(r io.Reader, stdout, stderr io.Writer) int {
-	w := &watcher{stdout: stdout, stderr: stderr}
-	code, _, _ := w.follow(r)
-	return code
-}
-
 // renderEvent prints one line per event and reports whether the stream
 // reached its terminal experiment result.
 func renderEvent(w io.Writer, ev stream.Event) (done bool) {

@@ -74,7 +74,7 @@ func TestWatchExitCodes(t *testing.T) {
 		t.Errorf("watch refused connection = %d, want %d (%s)", code, exitCorrupt, errOut)
 	}
 	// A non-SSE endpoint (here /metrics) is not a watchable stream.
-	srv, err := metrics.Serve("127.0.0.1:0", metrics.NewRegistry())
+	srv, err := metrics.ServeBus("127.0.0.1:0", metrics.NewRegistry(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,15 +86,21 @@ func TestWatchExitCodes(t *testing.T) {
 
 func TestWatchStreamCorruptAndTruncated(t *testing.T) {
 	var out, errOut bytes.Buffer
+	// One pass over a recorded stream, without a server or a reconnect.
+	watch := func(frames string) int {
+		w := &watcher{stdout: &out, stderr: &errOut}
+		code, _, _ := w.follow(strings.NewReader(frames))
+		return code
+	}
 	corrupt := "id: borked\nevent: delta\ndata: {\"seq\":1,\"type\":\"delta\",\"data\":{}}\n\n"
-	if code := watchStream(strings.NewReader(corrupt), &out, &errOut); code != exitCorrupt {
+	if code := watch(corrupt); code != exitCorrupt {
 		t.Errorf("corrupt frame exit = %d, want %d", code, exitCorrupt)
 	}
 	// A well-formed stream that ends before the experiment result is a
 	// truncated run, not a success.
 	frames := "event: hello\ndata: {\"type\":\"hello\",\"data\":{\"proto\":1}}\n\n"
 	errOut.Reset()
-	if code := watchStream(strings.NewReader(frames), &out, &errOut); code != exitCorrupt {
+	if code := watch(frames); code != exitCorrupt {
 		t.Errorf("truncated stream exit = %d, want %d", code, exitCorrupt)
 	}
 	if !strings.Contains(errOut.String(), "ended before the run finished") {

@@ -55,7 +55,7 @@ func main() {
 		profile   = flag.Bool("profile", false, "capture CPU and heap pprof profiles into each condition's bundle (requires -record and -parallel 1)")
 		v         = flag.Bool("v", false, "log per-trial progress to stderr")
 
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address while running")
+		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address while running")
 		progress    metrics.ProgressFlag
 	)
 	flag.Var(&progress, "progress", "print each condition's periodic metrics samples to stderr (-progress=json for stream-schema delta lines)")

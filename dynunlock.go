@@ -172,14 +172,6 @@ func UnlockCtx(ctx context.Context, chip core.Chip, opts core.Options) (*core.Re
 	return core.AttackCtx(ctx, chip, opts)
 }
 
-// RunExperiment locks the configured benchmark once and attacks it across
-// Trials independently drawn secret seeds, as in the paper's evaluation
-// ("run for 10 different LFSR seeds … averaged over these 10 runs").
-// RunExperiment is RunExperimentCtx under context.Background().
-func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
-	return RunExperimentCtx(context.Background(), cfg)
-}
-
 // ctxStop maps a context error to the core stop classification for bounds
 // that fire between trials (inside a trial, core.AttackCtx classifies).
 func ctxStop(ctx context.Context) core.StopReason {
@@ -189,13 +181,16 @@ func ctxStop(ctx context.Context) core.StopReason {
 	return core.StopCancelled
 }
 
-// RunExperimentCtx is RunExperiment with cancellation and tracing. A
-// deadline or cancellation stops the experiment at the bound: the
-// trial in flight returns its partial result (recorded with Stopped set)
-// and later trials never start. The partial ExperimentResult is returned
-// with Stopped set — never an error. A trace sink on ctx observes every
-// trial's stage spans and "result" events plus one final "experiment"
-// event summarizing the run.
+// RunExperimentCtx locks the configured benchmark once and attacks it
+// across Trials independently drawn secret seeds, as in the paper's
+// evaluation ("run for 10 different LFSR seeds … averaged over these 10
+// runs"), with cancellation and tracing. A deadline or cancellation
+// stops the experiment at the bound: the trial in flight returns its
+// partial result (recorded with Stopped set) and later trials never
+// start. The partial ExperimentResult is returned with Stopped set —
+// never an error. A trace sink on ctx observes every trial's stage spans
+// and "result" events plus one final "experiment" event summarizing the
+// run.
 //
 // RunExperimentCtx is the one place a run's telemetry is wired. The run
 // is live when a recorder, a stream bus or a metrics registry is

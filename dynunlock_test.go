@@ -18,7 +18,7 @@ import (
 
 func TestRunExperimentSmall(t *testing.T) {
 	var log bytes.Buffer
-	res, err := RunExperiment(ExperimentConfig{
+	res, err := RunExperimentCtx(context.Background(), ExperimentConfig{
 		Benchmark: "s5378",
 		KeyBits:   8,
 		Policy:    PerCycle,
@@ -60,7 +60,7 @@ func TestRunExperimentSmall(t *testing.T) {
 }
 
 func TestRunExperimentUnknownBenchmark(t *testing.T) {
-	if _, err := RunExperiment(ExperimentConfig{Benchmark: "s9999", KeyBits: 8}); err == nil {
+	if _, err := RunExperimentCtx(context.Background(), ExperimentConfig{Benchmark: "s9999", KeyBits: 8}); err == nil {
 		t.Fatal("want error")
 	}
 	if _, err := LockBenchmark("s9999", 8, PerCycle, 1); err == nil {
@@ -206,7 +206,7 @@ func TestDIPEventsReadTheRunsScope(t *testing.T) {
 	bus := stream.NewBusSized(4096, 4096)
 	sub := bus.Subscribe(0)
 	defer sub.Close()
-	res, err := RunExperiment(ExperimentConfig{
+	res, err := RunExperimentCtx(context.Background(), ExperimentConfig{
 		Benchmark: "s5378", KeyBits: 8, Policy: PerCycle, Scale: 16,
 		Trials: 2, SeedBase: 11, Recorder: rec, Stream: bus,
 	})
@@ -216,7 +216,7 @@ func TestDIPEventsReadTheRunsScope(t *testing.T) {
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
-	bus.Close()
+	sub.Close()
 	for _, tr := range res.Trials {
 		if tr.Closed != string(core.CloseUnique) {
 			t.Fatalf("trial closed %q, want %q", tr.Closed, core.CloseUnique)
@@ -308,7 +308,7 @@ func TestRunPublishesItsOwnSample(t *testing.T) {
 			Trials: 2, SeedBase: 11, Stream: bus,
 		})
 	})
-	bus.Close()
+	sub.Close()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,7 +97,6 @@ type Graph struct {
 	outs   []Lit
 
 	numAnd, numXor int
-	folded         int // constructor calls answered without allocating
 }
 
 // New returns an empty graph with n inputs (node 0 is the constant).
@@ -126,10 +125,6 @@ func (g *Graph) NumAnds() int { return g.numAnd }
 // NumXors returns the number of XOR nodes.
 func (g *Graph) NumXors() int { return g.numXor }
 
-// Folded returns how many constructor calls were satisfied by constant
-// folding or structural hashing instead of allocating a node.
-func (g *Graph) Folded() int { return g.folded }
-
 // Input returns the edge for input i.
 func (g *Graph) Input(i int) Lit { return g.inputs[i] }
 
@@ -153,13 +148,10 @@ func (g *Graph) And(a, b Lit) Lit {
 	// Constant and trivial folds.
 	switch {
 	case a == ConstFalse || b == ConstFalse || a == b.Not():
-		g.folded++
 		return ConstFalse
 	case a == ConstTrue:
-		g.folded++
 		return b
 	case b == ConstTrue || a == b:
-		g.folded++
 		return a
 	}
 	if a > b {
@@ -180,13 +172,10 @@ func (g *Graph) Xor(a, b Lit) Lit {
 	b &^= 1
 	switch {
 	case a == b:
-		g.folded++
 		return constOf(out)
 	case a == ConstFalse: // a was a constant; b XOR const = b (polarity in out)
-		g.folded++
 		return b.xorSign(out)
 	case b == ConstFalse:
-		g.folded++
 		return a.xorSign(out)
 	}
 	if a > b {
@@ -199,13 +188,10 @@ func (g *Graph) Xor(a, b Lit) Lit {
 func (g *Graph) Mux(sel, d0, d1 Lit) Lit {
 	switch {
 	case sel == ConstFalse:
-		g.folded++
 		return d0
 	case sel == ConstTrue:
-		g.folded++
 		return d1
 	case d0 == d1:
-		g.folded++
 		return d0
 	}
 	if d0 == d1.Not() {
@@ -231,7 +217,6 @@ func constOf(v bool) Lit {
 func (g *Graph) mk(kind Kind, a, b Lit) Lit {
 	key := strashKey{kind: kind, a: a, b: b}
 	if id, ok := g.strash[key]; ok {
-		g.folded++
 		return Lit(id << 1)
 	}
 	id := uint32(len(g.nodes))

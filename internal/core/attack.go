@@ -415,13 +415,6 @@ func newVerifier(d *lock.Design, A, B *gf2.Mat) (*Verifier, error) {
 	return &Verifier{d: d, seq: sim.NewSeqAIG(d.View, g), a: A, b: B}, nil
 }
 
-// Session predicts (scanOut, po) of a session-0 scan session under the
-// given seed, using the closed-form masks.
-func (v *Verifier) Session(seed gf2.Vec, scanIn, pi []bool) (scanOut, po []bool) {
-	scanOut, pos := v.sessionN(seed, scanIn, [][]bool{pi})
-	return scanOut, pos[0]
-}
-
 // sessionN predicts a session with one capture cycle per entry of pis; the
 // verifier's B must be that capture count's.
 func (v *Verifier) sessionN(seed gf2.Vec, scanIn []bool, pis [][]bool) (scanOut []bool, pos [][]bool) {

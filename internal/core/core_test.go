@@ -376,8 +376,8 @@ func TestDesignCoreCompiledOnce(t *testing.T) {
 				pi := randBools(rng, d.View.NumPI)
 				c.Reset()
 				gotOut, gotPO := c.Session(testKey, scanIn, pi)
-				wantOut, wantPO := v.Session(c.SecretSeed(), scanIn, pi)
-				if !slices.Equal(gotOut, wantOut) || !slices.Equal(gotPO, wantPO) {
+				wantOut, wantPOs := v.sessionN(c.SecretSeed(), scanIn, [][]bool{pi})
+				if !slices.Equal(gotOut, wantOut) || !slices.Equal(gotPO, wantPOs[0]) {
 					t.Errorf("chip %d, session %d: the chip and the verifier disagree", i, s)
 					return
 				}

@@ -12,7 +12,7 @@ import (
 
 // stateMatrixMasks is the construction maskMatricesN replaced, kept as its
 // reference: step a symbolic copy of the whole register once per cycle,
-// snapshot every state as a k×k matrix (the identity for Static), and XOR
+// snapshot every state's k rows (the identity for Static), and XOR
 // the key-bit row of the right snapshot for each mask term.
 func stateMatrixMasks(d *lock.Design, patIdx, captures int) (A, B *gf2.Mat) {
 	k := d.Config.KeyBits
@@ -21,13 +21,15 @@ func stateMatrixMasks(d *lock.Design, patIdx, captures int) (A, B *gf2.Mat) {
 	for cycle := 0; cycle <= d.Chain.SessionCyclesN(captures); cycle++ {
 		maxSteps = max(maxSteps, steps(cycle))
 	}
-	states := make([]*gf2.Mat, maxSteps+1)
+	states := make([][]gf2.Vec, maxSteps+1)
 	rows := make([]gf2.Vec, k)
 	for i := range rows {
 		rows[i] = gf2.Unit(k, i)
 	}
 	for t := range states {
-		states[t] = gf2.FromRows(rows)
+		for _, r := range rows {
+			states[t] = append(states[t], r.Clone())
+		}
 		if d.Config.Policy == scan.Static {
 			continue
 		}
@@ -41,15 +43,15 @@ func stateMatrixMasks(d *lock.Design, patIdx, captures int) (A, B *gf2.Mat) {
 	row := func(terms []scan.Term) gf2.Vec {
 		v := gf2.NewVec(k)
 		for _, t := range terms {
-			v.Xor(states[steps(t.Cycle)].Row(t.KeyBit))
+			v.Xor(states[steps(t.Cycle)][t.KeyBit])
 		}
 		return v
 	}
 	n := d.Chain.Length
-	A, B = gf2.NewMat(n, k), gf2.NewMat(n, k)
+	A, B = gf2.NewMat(0, 0), gf2.NewMat(0, 0)
 	for j := 0; j < n; j++ {
-		A.SetRow(j, row(d.Chain.InMaskTerms(j)))
-		B.SetRow(j, row(d.Chain.OutMaskTermsN(j, captures)))
+		A.AppendRow(row(d.Chain.AppendInMaskTerms(nil, j)))
+		B.AppendRow(row(d.Chain.AppendOutMaskTerms(nil, j, captures)))
 	}
 	return A, B
 }

@@ -236,7 +236,7 @@ func TestAttackMultiVerifiesOnProbes(t *testing.T) {
 		}
 	}
 	c = trace.NewCollector()
-	ok, err := verifyCandidates(trace.New(c), chip, make([]bool, d.Config.KeyBits), []gf2.Vec{wrong}, 8, 2, A, B)
+	ok, err := verifyCandidates(trace.From(trace.With(context.Background(), c)), chip, make([]bool, d.Config.KeyBits), []gf2.Vec{wrong}, 8, 2, A, B)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,19 +156,9 @@ func (d *Daemon) Addr() string { return d.srv.Addr() }
 // Registry exposes the shared registry (tests assert on it directly).
 func (d *Daemon) Registry() *metrics.Registry { return d.reg }
 
-// Submit validates spec, assigns a job ID, and enqueues the job. It
+// enqueue admits a resolved spec as a new job, assigning its ID. It
 // returns ErrDraining once shutdown has begun and ErrQueueFull when the
 // queue is at capacity — admission control instead of unbounded buffering.
-func (d *Daemon) Submit(spec JobSpec) (*Job, error) {
-	spec, resumedFrom, err := resolveSpec(d.cfg.DataDir, spec)
-	if err != nil {
-		d.reg.Counter(MetricJobsRejected, "reason", "invalid").Inc()
-		return nil, err
-	}
-	return d.enqueue(spec, resumedFrom)
-}
-
-// enqueue admits a resolved spec as a new job (see Submit).
 func (d *Daemon) enqueue(spec JobSpec, resumedFrom string) (*Job, error) {
 	d.mu.Lock()
 	if d.draining {

@@ -76,27 +76,6 @@ type Job struct {
 	result    *dynunlock.ExperimentResult
 }
 
-// State returns the job's current lifecycle state.
-func (j *Job) State() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
-}
-
-// Result returns the experiment result once the job is done (nil before).
-func (j *Job) Result() *dynunlock.ExperimentResult {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.result
-}
-
-// BundleDir returns the job's flight bundle directory ("" until admitted).
-func (j *Job) BundleDir() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.bundle
-}
-
 // JobStatus is the GET /jobs/{id} response body.
 type JobStatus struct {
 	ID               string         `json:"id"`

@@ -31,15 +31,6 @@ func (f Fault) String() string {
 	return fmt.Sprintf("s-a-%d@%d", v, f.Signal)
 }
 
-// Name renders the fault with the signal's name.
-func (f Fault) Name(n *netlist.Netlist) string {
-	v := 0
-	if f.StuckAt {
-		v = 1
-	}
-	return fmt.Sprintf("%s/s-a-%d", n.SignalName(f.Signal), v)
-}
-
 // AllFaults enumerates both stuck-at faults on every input and gate output
 // signal of the view (the collapsed "output stuck" fault universe).
 func AllFaults(v *netlist.CombView) []Fault {
@@ -184,14 +175,6 @@ type CoverageResult struct {
 	Detected int
 	// Undetected lists the faults no pattern detected.
 	Undetected []Fault
-}
-
-// Coverage returns the fraction of faults detected.
-func (c CoverageResult) Coverage() float64 {
-	if c.Total == 0 {
-		return 0
-	}
-	return float64(c.Detected) / float64(c.Total)
 }
 
 // Campaign fault-simulates all patterns against all faults.

@@ -62,7 +62,7 @@ func TestAllFaultsUniverse(t *testing.T) {
 	if len(fs) != 6 {
 		t.Fatalf("got %d faults", len(fs))
 	}
-	if fs[0].String() == "" || fs[1].Name(v.N) == "" {
+	if fs[0].String() == "" {
 		t.Fatal("naming broken")
 	}
 }
@@ -72,9 +72,6 @@ func TestCampaignFullCoverage(t *testing.T) {
 	// Exhaustive patterns give 100% coverage on an AND gate.
 	patterns := [][]bool{{false, false}, {false, true}, {true, false}, {true, true}}
 	res := Campaign(v, AllFaults(v), patterns)
-	if res.Coverage() != 1.0 {
-		t.Fatalf("coverage %.2f, undetected %v", res.Coverage(), res.Undetected)
-	}
 	if res.Detected != res.Total || len(res.Undetected) != 0 {
 		t.Fatalf("campaign accounting: %+v", res)
 	}
@@ -93,9 +90,6 @@ z = OR(a, na)
 	res := Campaign(v, []Fault{{z, true}}, [][]bool{{false}, {true}})
 	if res.Detected != 0 || len(res.Undetected) != 1 {
 		t.Fatalf("redundant fault detected: %+v", res)
-	}
-	if res.Coverage() != 0 {
-		t.Fatal("coverage should be 0")
 	}
 }
 
@@ -148,10 +142,4 @@ func TestPackPatternsPanics(t *testing.T) {
 		}
 	}()
 	PackPatterns([][]bool{{true}}, 2)
-}
-
-func TestCoverageEmpty(t *testing.T) {
-	if (CoverageResult{}).Coverage() != 0 {
-		t.Fatal("empty coverage")
-	}
 }

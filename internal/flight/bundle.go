@@ -189,8 +189,7 @@ func ValidateManifest(m *Manifest) error {
 	if li.ChainLength < 2 {
 		return fmt.Errorf("lock.chainLength %d, want >= 2", li.ChainLength)
 	}
-	pol, err := ParsePolicy(li.Policy)
-	if err != nil {
+	if _, err := ParsePolicy(li.Policy); err != nil {
 		return err
 	}
 	if li.Policy != "static" {
@@ -206,7 +205,6 @@ func ValidateManifest(m *Manifest) error {
 			}
 		}
 	}
-	_ = pol
 	if len(li.Gates) == 0 {
 		return errors.New("lock.gates missing")
 	}

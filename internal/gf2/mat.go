@@ -23,54 +23,14 @@ func NewMat(rows, cols int) *Mat {
 	return m
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Mat {
-	m := NewMat(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, true)
-	}
-	return m
-}
-
-// FromRows builds a matrix from row vectors, which must share a length.
-// The rows are cloned; the matrix does not alias its arguments.
-func FromRows(rows []Vec) *Mat {
-	if len(rows) == 0 {
-		return NewMat(0, 0)
-	}
-	cols := rows[0].Len()
-	m := &Mat{rows: len(rows), cols: cols, data: make([]Vec, len(rows))}
-	for i, r := range rows {
-		if r.Len() != cols {
-			panic(fmt.Sprintf("gf2: ragged rows: row %d has %d cols, want %d", i, r.Len(), cols))
-		}
-		m.data[i] = r.Clone()
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Mat) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *Mat) Cols() int { return m.cols }
-
-// Get returns element (i, j).
-func (m *Mat) Get(i, j int) bool { return m.data[i].Get(j) }
 
 // Set assigns element (i, j).
 func (m *Mat) Set(i, j int, b bool) { m.data[i].Set(j, b) }
 
 // Row returns row i. The returned vector aliases the matrix storage.
 func (m *Mat) Row(i int) Vec { return m.data[i] }
-
-// SetRow replaces row i with a clone of v.
-func (m *Mat) SetRow(i int, v Vec) {
-	if v.Len() != m.cols {
-		panic(fmt.Sprintf("gf2: row length %d, want %d", v.Len(), m.cols))
-	}
-	m.data[i] = v.Clone()
-}
 
 // AppendRow grows the matrix by one row (cloned).
 func (m *Mat) AppendRow(v Vec) {
@@ -93,7 +53,7 @@ func (m *Mat) Clone() *Mat {
 	return c
 }
 
-// MulVec returns m·x over GF(2). x must have length Cols().
+// MulVec returns m·x over GF(2). x must have one entry per column.
 func (m *Mat) MulVec(x Vec) Vec {
 	if x.Len() != m.cols {
 		panic(fmt.Sprintf("gf2: vector length %d, want %d", x.Len(), m.cols))
@@ -105,32 +65,6 @@ func (m *Mat) MulVec(x Vec) Vec {
 		}
 	}
 	return out
-}
-
-// Mul returns m·b over GF(2).
-func (m *Mat) Mul(b *Mat) *Mat {
-	if m.cols != b.rows {
-		panic(fmt.Sprintf("gf2: dimension mismatch %dx%d · %dx%d", m.rows, m.cols, b.rows, b.cols))
-	}
-	out := NewMat(m.rows, b.cols)
-	for i := 0; i < m.rows; i++ {
-		orow := out.data[i]
-		for _, j := range m.data[i].Ones() {
-			orow.Xor(b.data[j])
-		}
-	}
-	return out
-}
-
-// Transpose returns mᵀ.
-func (m *Mat) Transpose() *Mat {
-	t := NewMat(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for _, j := range m.data[i].Ones() {
-			t.Set(j, i, true)
-		}
-	}
-	return t
 }
 
 // VStack returns the matrix [m; b] (rows of m followed by rows of b).

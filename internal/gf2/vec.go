@@ -135,16 +135,6 @@ func (v Vec) XorInto(w Vec) Vec {
 	return out
 }
 
-// And sets v &= w in place.
-func (v Vec) And(w Vec) {
-	if v.n != w.n {
-		panic(fmt.Sprintf("gf2: length mismatch %d vs %d", v.n, w.n))
-	}
-	for i := range v.words {
-		v.words[i] &= w.words[i]
-	}
-}
-
 // IsZero reports whether every bit of v is zero.
 func (v Vec) IsZero() bool {
 	for _, w := range v.words {

@@ -168,12 +168,3 @@ func TestVecCloneIndependent(t *testing.T) {
 		t.Error("Clone lost bit")
 	}
 }
-
-func TestVecAnd(t *testing.T) {
-	a := FromBools([]bool{true, true, false, false})
-	b := FromBools([]bool{true, false, true, false})
-	a.And(b)
-	if a.String() != "1000" {
-		t.Errorf("And = %s, want 1000", a.String())
-	}
-}

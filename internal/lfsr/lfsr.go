@@ -122,22 +122,6 @@ func New(p Poly) (*LFSR, error) {
 	return &LFSR{poly: p, state: gf2.NewVec(p.N)}, nil
 }
 
-// MustNew is New, panicking on an invalid polynomial. Intended for
-// table-driven construction with known-good polynomials.
-func MustNew(p Poly) *LFSR {
-	l, err := New(p)
-	if err != nil {
-		panic(err)
-	}
-	return l
-}
-
-// Poly returns the feedback polynomial.
-func (l *LFSR) Poly() Poly { return l.poly }
-
-// N returns the register width.
-func (l *LFSR) N() int { return l.poly.N }
-
 // Seed resets the register state to the given seed. The seed length must
 // equal the register width.
 func (l *LFSR) Seed(seed gf2.Vec) {
@@ -146,9 +130,6 @@ func (l *LFSR) Seed(seed gf2.Vec) {
 	}
 	l.state = seed.Clone()
 }
-
-// State returns a copy of the current register state.
-func (l *LFSR) State() gf2.Vec { return l.state.Clone() }
 
 // View returns the current state in place (read-only).
 func (l *LFSR) View() gf2.Vec { return l.state }
@@ -163,25 +144,6 @@ func (l *LFSR) Step() {
 		}
 	}
 	l.state.Shift(fb)
-}
-
-// StepN advances the register by n cycles.
-func (l *LFSR) StepN(n int) {
-	for i := 0; i < n; i++ {
-		l.Step()
-	}
-}
-
-// TransitionMatrix returns the N×N matrix L with state(t+1) = L·state(t).
-func (p Poly) TransitionMatrix() *gf2.Mat {
-	m := gf2.NewMat(p.N, p.N)
-	for _, t := range p.Taps {
-		m.Set(0, t-1, true)
-	}
-	for i := 1; i < p.N; i++ {
-		m.Set(i, i-1, true)
-	}
-	return m
 }
 
 // Schedule is the symbolic key schedule of a register over its first

@@ -7,6 +7,28 @@ import (
 	"dynunlock/internal/gf2"
 )
 
+// mustNew is New for polynomials the test knows to be valid.
+func mustNew(t testing.TB, p Poly) *LFSR {
+	t.Helper()
+	l, err := New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// testNLFSR is a width-n nonlinear register with the default linear taps
+// and two AND pairs, returned with its pairs.
+func testNLFSR(t testing.TB, n int) (*NLFSR, [][2]int) {
+	t.Helper()
+	pairs := [][2]int{{0, n / 2}, {n / 3, n - 1}}
+	r, err := NewNLFSR(DefaultPoly(n), pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, pairs
+}
+
 func randSeed(rng *rand.Rand, n int) gf2.Vec {
 	v := gf2.NewVec(n)
 	any := false
@@ -59,14 +81,14 @@ func TestDefaultPolyAlwaysValid(t *testing.T) {
 // widths where exhaustive cycling is cheap.
 func TestMaximalPeriodSmallWidths(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16} {
-		l := MustNew(DefaultPoly(n))
+		l := mustNew(t, DefaultPoly(n))
 		seed := gf2.Unit(n, 0)
 		l.Seed(seed)
 		period := 0
 		for {
 			l.Step()
 			period++
-			if l.State().Equal(seed) {
+			if l.View().Equal(seed) {
 				break
 			}
 			if period > 1<<uint(n) {
@@ -80,9 +102,11 @@ func TestMaximalPeriodSmallWidths(t *testing.T) {
 }
 
 func TestZeroStateFixedPoint(t *testing.T) {
-	l := MustNew(DefaultPoly(8))
-	l.StepN(5)
-	if !l.State().IsZero() {
+	l := mustNew(t, DefaultPoly(8))
+	for range 5 {
+		l.Step()
+	}
+	if !l.View().IsZero() {
 		t.Fatal("zero state must be a fixed point of XOR feedback")
 	}
 }
@@ -98,7 +122,10 @@ func stepwiseStates(p Poly, steps int) []*gf2.Mat {
 	}
 	out := make([]*gf2.Mat, steps+1)
 	for t := range out {
-		out[t] = gf2.FromRows(rows)
+		out[t] = gf2.NewMat(0, 0)
+		for _, r := range rows {
+			out[t].AppendRow(r)
+		}
 		fb := gf2.NewVec(p.N)
 		for _, tap := range p.Taps {
 			fb.Xor(rows[tap-1])
@@ -136,7 +163,7 @@ func TestSymbolicMatchesConcrete(t *testing.T) {
 		}
 		for trial := 0; trial < 3; trial++ {
 			seed := randSeed(rng, n)
-			l := MustNew(p)
+			l := mustNew(t, p)
 			l.Seed(seed)
 			for tcyc := 0; tcyc <= steps; tcyc++ {
 				for i := 0; i < n; i++ {
@@ -196,29 +223,37 @@ func TestStepMatchesPerBitShift(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, n := range []int{3, 8, 37, 63, 64, 65, 128, 144, 368} {
 		p := DefaultPoly(n)
-		nl, err := DefaultNLFSR(n)
-		if err != nil {
-			t.Fatal(err)
-		}
+		nl, pairs := testNLFSR(t, n)
 		for _, reg := range []struct {
 			r        Register
 			andPairs [][2]int
-		}{{MustNew(p), nil}, {nl, nl.AndPairs()}} {
+		}{{mustNew(t, p), nil}, {nl, pairs}} {
 			seed := randSeed(rng, n)
 			reg.r.Seed(seed)
 			ref := seed.Clone()
 			for step := 0; step < 3*n; step++ {
 				reg.r.Step()
 				stepBits(ref, p, reg.andPairs)
-				if !reg.r.State().Equal(ref) {
-					t.Fatalf("%T n=%d step %d: %s, want %s", reg.r, n, step, reg.r.State(), ref)
-				}
 				if !reg.r.View().Equal(ref) {
-					t.Fatalf("%T n=%d step %d: View %s differs from the state %s", reg.r, n, step, reg.r.View(), ref)
+					t.Fatalf("%T n=%d step %d: %s, want %s", reg.r, n, step, reg.r.View(), ref)
 				}
 			}
 		}
 	}
+}
+
+// transitionMatrix is the N×N matrix L with state(t+1) = L·state(t), the
+// matrix view of p's register that TestUnrollMatchesMatrixPower checks the
+// schedule against.
+func transitionMatrix(p Poly) *gf2.Mat {
+	m := gf2.NewMat(p.N, p.N)
+	for _, t := range p.Taps {
+		m.Set(0, t-1, true)
+	}
+	for i := 1; i < p.N; i++ {
+		m.Set(i, i-1, true)
+	}
+	return m
 }
 
 // The transition matrix must be invertible (bijective state update) and
@@ -227,15 +262,15 @@ func TestTransitionMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, n := range []int{4, 16, 128, 144, 368} {
 		p := DefaultPoly(n)
-		L := p.TransitionMatrix()
+		L := transitionMatrix(p)
 		if gf2.Rank(L) != n {
 			t.Fatalf("width %d: transition matrix singular", n)
 		}
 		seed := randSeed(rng, n)
-		l := MustNew(p)
+		l := mustNew(t, p)
 		l.Seed(seed)
 		l.Step()
-		if !L.MulVec(seed).Equal(l.State()) {
+		if !L.MulVec(seed).Equal(l.View()) {
 			t.Fatalf("width %d: L·s != step(s)", n)
 		}
 	}
@@ -244,20 +279,32 @@ func TestTransitionMatrix(t *testing.T) {
 // Row t of the schedule must equal L^t for all t, tying the two symbolic
 // views together.
 func TestUnrollMatchesMatrixPower(t *testing.T) {
-	p := DefaultPoly(16)
-	L := p.TransitionMatrix()
+	const n = 16
+	p := DefaultPoly(n)
+	L := transitionMatrix(p)
 	s, err := Unroll(p, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	power := gf2.Identity(16)
+	power := make([]gf2.Vec, n) // the rows of L^t, from the identity
+	for i := range power {
+		power[i] = gf2.Unit(n, i)
+	}
 	for tcyc := 0; tcyc <= 40; tcyc++ {
-		for i := 0; i < 16; i++ {
-			if !s.Row(tcyc, i).Equal(power.Row(i)) {
+		for i := 0; i < n; i++ {
+			if !s.Row(tcyc, i).Equal(power[i]) {
 				t.Fatalf("step %d row %d: schedule != L^t", tcyc, i)
 			}
 		}
-		power = L.Mul(power)
+		// Row i of L·P is the XOR of the rows of P that row i of L selects.
+		next := make([]gf2.Vec, n)
+		for i := range next {
+			next[i] = gf2.NewVec(n)
+			for _, j := range L.Row(i).Ones() {
+				next[i].Xor(power[j])
+			}
+		}
+		power = next
 	}
 }
 
@@ -267,7 +314,7 @@ func TestSeedLengthMismatchPanics(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	MustNew(DefaultPoly(8)).Seed(gf2.NewVec(7))
+	mustNew(t, DefaultPoly(8)).Seed(gf2.NewVec(7))
 }
 
 func TestNewRejectsInvalid(t *testing.T) {
@@ -285,10 +332,10 @@ func TestUnrolledStatesFullRank(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stacked := gf2.NewMat(2*n, n)
+		stacked := gf2.NewMat(0, 0)
 		for tcyc := 0; tcyc <= 1; tcyc++ {
 			for i := 0; i < n; i++ {
-				stacked.SetRow(tcyc*n+i, s.Row(tcyc, i))
+				stacked.AppendRow(s.Row(tcyc, i))
 			}
 		}
 		if gf2.Rank(stacked) != n {
@@ -298,7 +345,7 @@ func TestUnrolledStatesFullRank(t *testing.T) {
 }
 
 func BenchmarkStep128(b *testing.B) {
-	l := MustNew(DefaultPoly(128))
+	l := mustNew(b, DefaultPoly(128))
 	l.Seed(gf2.Unit(128, 0))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -322,31 +369,18 @@ func TestNLFSRBasics(t *testing.T) {
 	if _, err := NewNLFSR(DefaultPoly(8), [][2]int{{0, 8}}); err == nil {
 		t.Fatal("want error for out-of-range AND tap")
 	}
-	if _, err := DefaultNLFSR(2); err == nil {
-		t.Fatal("want error for tiny width")
-	}
-	r, err := DefaultNLFSR(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.N() != 8 || len(r.AndPairs()) == 0 || r.Poly().N != 8 {
-		t.Fatal("accessors wrong")
-	}
 }
 
 // The NLFSR key stream must NOT be linear in the seed: superposition must
 // fail for some seed pair, unlike the LFSR where it always holds.
 func TestNLFSRIsNonlinear(t *testing.T) {
 	n := 8
-	r, err := DefaultNLFSR(n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, _ := testNLFSR(t, n)
 	stream := func(reg Register, seed gf2.Vec, cycles int) []gf2.Vec {
 		reg.Seed(seed)
 		var out []gf2.Vec
 		for c := 0; c < cycles; c++ {
-			out = append(out, reg.State())
+			out = append(out, reg.View().Clone())
 			reg.Step()
 		}
 		return out
@@ -370,7 +404,7 @@ func TestNLFSRIsNonlinear(t *testing.T) {
 		t.Fatal("NLFSR stream is linear; AND terms ineffective")
 	}
 	// Control: the LFSR must satisfy superposition everywhere.
-	l := MustNew(DefaultPoly(n))
+	l := mustNew(t, DefaultPoly(n))
 	for trial := 0; trial < 20; trial++ {
 		s1, s2 := randSeed(rng, n), randSeed(rng, n)
 		sum := s1.XorInto(s2)
@@ -386,7 +420,7 @@ func TestNLFSRIsNonlinear(t *testing.T) {
 }
 
 func TestNLFSRSeedPanics(t *testing.T) {
-	r, _ := DefaultNLFSR(8)
+	r, _ := testNLFSR(t, 8)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("want panic")

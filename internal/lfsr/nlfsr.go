@@ -14,13 +14,9 @@ type Register interface {
 	Seed(gf2.Vec)
 	// Step advances one clock cycle.
 	Step()
-	// State returns a copy of the current state.
-	State() gf2.Vec
 	// View returns the current state in place, without copying it. The
 	// caller must not write to it; Step updates it and Seed replaces it.
 	View() gf2.Vec
-	// N returns the register width.
-	N() int
 }
 
 // LFSR implements Register.
@@ -59,28 +55,6 @@ func NewNLFSR(p Poly, andPairs [][2]int) (*NLFSR, error) {
 	return &NLFSR{poly: p, andPairs: pairs, state: gf2.NewVec(p.N)}, nil
 }
 
-// DefaultNLFSR returns a width-n nonlinear register with the default
-// linear taps and two deterministic AND pairs.
-func DefaultNLFSR(n int) (*NLFSR, error) {
-	if n < 3 {
-		return nil, fmt.Errorf("lfsr: NLFSR width %d too small", n)
-	}
-	return NewNLFSR(DefaultPoly(n), [][2]int{{0, n / 2}, {n / 3, n - 1}})
-}
-
-// N returns the register width.
-func (r *NLFSR) N() int { return r.poly.N }
-
-// Poly returns the linear part of the feedback.
-func (r *NLFSR) Poly() Poly { return r.poly }
-
-// AndPairs returns the nonlinear feedback taps.
-func (r *NLFSR) AndPairs() [][2]int {
-	out := make([][2]int, len(r.andPairs))
-	copy(out, r.andPairs)
-	return out
-}
-
 // Seed resets the state.
 func (r *NLFSR) Seed(seed gf2.Vec) {
 	if seed.Len() != r.poly.N {
@@ -88,9 +62,6 @@ func (r *NLFSR) Seed(seed gf2.Vec) {
 	}
 	r.state = seed.Clone()
 }
-
-// State returns a copy of the current state.
-func (r *NLFSR) State() gf2.Vec { return r.state.Clone() }
 
 // View returns the current state in place (read-only).
 func (r *NLFSR) View() gf2.Vec { return r.state }

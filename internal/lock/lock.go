@@ -152,14 +152,6 @@ func randomGates(length, count, keyBits int, seed int64) []scan.KeyGate {
 	return gates
 }
 
-// NewLFSR instantiates the design's PRNG (dynamic policies only).
-func (d *Design) NewLFSR() (*lfsr.LFSR, error) {
-	if d.Config.Policy == scan.Static {
-		return nil, fmt.Errorf("lock: static policy has no LFSR")
-	}
-	return lfsr.New(d.Config.Poly)
-}
-
 // NewRegister instantiates the design's key register: an LFSR, or a
 // nonlinear register when NonlinearPairs is set.
 func (d *Design) NewRegister() (lfsr.Register, error) {

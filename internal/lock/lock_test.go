@@ -66,9 +66,6 @@ func TestLockStaticNoPoly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.NewLFSR(); err == nil {
-		t.Fatal("static design must have no LFSR")
-	}
 	if _, err := d.NewRegister(); err == nil {
 		t.Fatal("static design must have no PRNG")
 	}
@@ -90,7 +87,7 @@ func TestLockPerPatternPeriodDefault(t *testing.T) {
 // cycle.
 func TestKeyRegisterAtMatchesLFSR(t *testing.T) {
 	d := testCircuit(t, 12)
-	reg, err := d.NewLFSR()
+	reg, err := d.NewRegister()
 	if err != nil {
 		t.Fatal(err)
 	}

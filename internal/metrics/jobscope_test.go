@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -14,7 +13,7 @@ import (
 
 func TestUptimeAndGoroutinesGauges(t *testing.T) {
 	r := NewRegistry()
-	srv, err := Serve("127.0.0.1:0", r)
+	srv, err := ServeBus("127.0.0.1:0", r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,24 +40,11 @@ func TestUptimeAndGoroutinesGauges(t *testing.T) {
 	if n, ok := r.Sum(MetricGoroutinesBare); !ok || n < 1 {
 		t.Fatalf("goroutines gauge = %v,%v want >= 1", n, ok)
 	}
-	varsBody := get("/debug/vars")
-	var doc struct {
-		Dynunlock map[string]any `json:"dynunlock"`
-	}
-	if err := json.Unmarshal([]byte(varsBody), &doc); err != nil {
-		t.Fatalf("/debug/vars not JSON: %v", err)
-	}
-	if _, ok := doc.Dynunlock[MetricProcessUptime]; !ok {
-		t.Fatalf("/debug/vars missing %s", MetricProcessUptime)
-	}
-	if _, ok := doc.Dynunlock[MetricGoroutinesBare]; !ok {
-		t.Fatalf("/debug/vars missing %s", MetricGoroutinesBare)
-	}
 }
 
 func TestServerHandleAndHealthEndpoints(t *testing.T) {
 	r := NewRegistry()
-	srv, err := Serve("127.0.0.1:0", r)
+	srv, err := ServeBus("127.0.0.1:0", r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

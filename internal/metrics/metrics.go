@@ -1,8 +1,8 @@
 // Package metrics is the live-telemetry layer of the attack stack: a
 // dependency-free, concurrency-safe registry of named counters, gauges,
 // and fixed-bucket histograms, exported over HTTP (server.go) in
-// Prometheus text exposition and expvar JSON formats, and sampled by each
-// run, every two seconds, into "snapshot" trace events (progress.go).
+// Prometheus text exposition format, and sampled by each run, every two
+// seconds, into "snapshot" trace events (progress.go).
 //
 // The design mirrors internal/trace: the registry rides on
 // context.Context (With / From) as the metrics scope of one run, every
@@ -295,19 +295,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// LinearBuckets returns n linearly spaced bucket bounds.
-func LinearBuckets(start, width float64, n int) []float64 {
-	if n < 1 {
-		panic("metrics: LinearBuckets needs n >= 1")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start
-		start += width
-	}
-	return out
-}
-
 // child is one labeled instrument of a family.
 type child struct {
 	key   string // canonical serialized label set
@@ -518,8 +505,7 @@ func (r *Registry) lookup(name string) *family {
 // JSON-friendly value: float64 for counters and gauges, a
 // {count, sum, buckets, p50, p95, p99} object for histograms (the
 // quantiles are fixed-bucket interpolation estimates; the Prometheus
-// exposition stays raw buckets). The expvar endpoint and the SSE
-// snapshots serve it. Nil-safe.
+// exposition stays raw buckets). The SSE snapshots serve it. Nil-safe.
 func (r *Registry) Snapshot() map[string]any {
 	if r == nil {
 		return nil

@@ -231,8 +231,4 @@ func TestExpBuckets(t *testing.T) {
 	if fmt.Sprint(b) != fmt.Sprint(want) {
 		t.Fatalf("ExpBuckets = %v, want %v", b, want)
 	}
-	l := LinearBuckets(1, 2, 3)
-	if fmt.Sprint(l) != fmt.Sprint([]float64{1, 3, 5}) {
-		t.Fatalf("LinearBuckets = %v", l)
-	}
 }

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -29,7 +30,7 @@ func TestProgressEmitsLineAndSnapshotEvent(t *testing.T) {
 	r.Counter(MetricOracleCycles).Add(4242)
 
 	col := trace.NewCollector()
-	stop := StartSampling(r, trace.New(col),
+	stop := StartSampling(r, trace.From(trace.With(context.Background(), col)),
 		map[string]any{"benchmark": "s5378", "key_bits": 128})
 	stop() // stop takes a closing sample even before the first tick
 	stop() // idempotent
@@ -74,7 +75,7 @@ func TestProgressLineRates(t *testing.T) {
 func TestProgressTicks(t *testing.T) {
 	r := NewRegistry()
 	col := trace.NewCollector()
-	stop := startSampling(r, trace.New(col), nil, time.Millisecond)
+	stop := startSampling(r, trace.From(trace.With(context.Background(), col)), nil, time.Millisecond)
 	for deadline := time.Now().Add(5 * time.Second); len(col.Events()) < 2; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("no two ticks within 5s: %d events", len(col.Events()))
@@ -90,7 +91,7 @@ func TestProgressNilSafety(t *testing.T) {
 	r := NewRegistry()
 	col := trace.NewCollector()
 	// No registry, or no enabled tracer: nothing starts and stop is a no-op.
-	StartSampling(nil, trace.New(col), nil)()
+	StartSampling(nil, trace.From(trace.With(context.Background(), col)), nil)()
 	StartSampling(r, nil, nil)()
 	if n := len(col.Events()); n != 0 {
 		t.Fatalf("a sampler without a registry emitted %d events", n)

@@ -90,7 +90,7 @@ func TestQuantileOfMergesLabeledChildren(t *testing.T) {
 	}
 }
 
-// TestSnapshotCarriesPercentiles checks /debug/vars' histogram objects
+// TestSnapshotCarriesPercentiles checks the snapshot's histogram objects
 // include the estimated p50/p95/p99 alongside the raw buckets.
 func TestSnapshotCarriesPercentiles(t *testing.T) {
 	r := NewRegistry()

@@ -2,12 +2,10 @@ package metrics
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -19,13 +17,12 @@ import (
 // mux, so tests and embedding processes can run several servers):
 //
 //	/metrics       Prometheus text exposition (PrometheusHandler)
-//	/debug/vars    expvar-style JSON: {"cmdline", "memstats", "dynunlock"}
 //	/debug/pprof/  the standard net/http/pprof profile endpoints
-//	/events        live SSE event feed (ServeBus only; see sse.go)
+//	/events        live SSE event feed (with a bus; see sse.go)
 //
-// Each scrape of /metrics or /debug/vars first refreshes the process
-// gauges (RSS, heap, goroutines) so they are sampled lazily instead of by
-// a background poller.
+// Each scrape of /metrics first refreshes the process gauges (RSS, heap,
+// goroutines) so they are sampled lazily instead of by a background
+// poller.
 type Server struct {
 	reg   *Registry
 	bus   *stream.Bus
@@ -47,17 +44,10 @@ type Server struct {
 	draining bool
 }
 
-// Serve starts an HTTP server on addr (e.g. ":9090", "127.0.0.1:0") and
+// ServeBus starts an HTTP server on addr (e.g. ":9090", "127.0.0.1:0") and
 // returns once the listener is bound; requests are served on a background
-// goroutine until Close. Serve is ServeBus without an event stream:
-// /events responds 404.
-func Serve(addr string, r *Registry) (*Server, error) {
-	return ServeBus(addr, r, nil)
-}
-
-// ServeBus is Serve with a live event bus attached: /events streams the
-// bus over SSE (with Last-Event-ID resume). A nil bus degrades to plain
-// Serve.
+// goroutine until Close. /events streams the bus over SSE (with
+// Last-Event-ID resume); with a nil bus it responds 404.
 func ServeBus(addr string, r *Registry, bus *stream.Bus) (*Server, error) {
 	if r == nil {
 		return nil, fmt.Errorf("metrics: nil registry")
@@ -76,7 +66,6 @@ func ServeBus(addr string, r *Registry, bus *stream.Bus) (*Server, error) {
 		s.refreshProcessGauges()
 		PrometheusHandler(r).ServeHTTP(w, req)
 	}))
-	mux.HandleFunc("/debug/vars", s.serveVars)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -219,24 +208,4 @@ func (s *Server) refreshProcessGauges() {
 	if rss, ok := ReadRSS(); ok {
 		s.reg.Gauge(MetricProcessRSS).Set(float64(rss))
 	}
-}
-
-// serveVars renders the expvar-compatible JSON document. It mirrors the
-// stdlib expvar handler's layout (cmdline, memstats) and adds the
-// registry snapshot under "dynunlock", but serves from this server's own
-// registry instead of the process-global expvar map, so multiple
-// registries never collide.
-func (s *Server) serveVars(w http.ResponseWriter, _ *http.Request) {
-	s.refreshProcessGauges()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	doc := map[string]any{
-		"cmdline":   os.Args,
-		"memstats":  ms,
-		"dynunlock": s.reg.Snapshot(),
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(doc)
 }

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -31,7 +30,7 @@ func get(t *testing.T, url string) []byte {
 func TestServerEndpoints(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(MetricAttackDIPs, "engine", "sequential").Add(9)
-	srv, err := Serve("127.0.0.1:0", r)
+	srv, err := ServeBus("127.0.0.1:0", r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,22 +49,14 @@ func TestServerEndpoints(t *testing.T) {
 		t.Errorf("/metrics sample wrong:\n%s", text)
 	}
 
-	// /debug/vars is JSON with cmdline, memstats, and the snapshot.
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(get(t, base+"/debug/vars"), &doc); err != nil {
-		t.Fatalf("/debug/vars does not parse: %v", err)
-	}
-	for _, key := range []string{"cmdline", "memstats", "dynunlock"} {
-		if _, ok := doc[key]; !ok {
-			t.Errorf("/debug/vars missing %q", key)
-		}
-	}
-	var snap map[string]any
-	if err := json.Unmarshal(doc["dynunlock"], &snap); err != nil {
+	// /metrics is the one view of the registry: there is no /debug/vars.
+	resp, err := http.Get(base + "/debug/vars")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := snap[MetricAttackDIPs+`{engine="sequential"}`]; !ok || v.(float64) != 9 {
-		t.Errorf("snapshot series wrong: %v", snap)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/debug/vars: %s, want 404", resp.Status)
 	}
 
 	// /debug/pprof/ serves the index.
@@ -84,7 +75,7 @@ func TestServerEndpoints(t *testing.T) {
 func TestShutdownDrainsInflightScrape(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(MetricAttackDIPs, "engine", "sequential").Add(3)
-	srv, err := Serve("127.0.0.1:0", r)
+	srv, err := ServeBus("127.0.0.1:0", r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +120,7 @@ func TestShutdownDrainsInflightScrape(t *testing.T) {
 }
 
 func TestShutdownTimeoutCutsHungRequests(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", NewRegistry())
+	srv, err := ServeBus("127.0.0.1:0", NewRegistry(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

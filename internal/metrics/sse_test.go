@@ -3,7 +3,6 @@ package metrics
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -222,7 +221,7 @@ func TestEventsRefusedWhileDraining(t *testing.T) {
 // TestEventsAndLive404WithoutBus: /events needs a bus, and /live, the
 // browser dashboard that Markdown reports replaced, has no route at all.
 func TestEventsAndLive404WithoutBus(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", NewRegistry())
+	srv, err := ServeBus("127.0.0.1:0", NewRegistry(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +270,7 @@ func TestEventsKeepAliveComment(t *testing.T) {
 func TestBuildInfoExposition(t *testing.T) {
 	r := NewRegistry()
 	r.SetBuildInfo("goversion", "go1.22.0", "format", "3", "native_xor", "true")
-	srv, err := Serve("127.0.0.1:0", r)
+	srv, err := ServeBus("127.0.0.1:0", r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,15 +285,8 @@ func TestBuildInfoExposition(t *testing.T) {
 		t.Errorf("/metrics missing build_info HELP:\n%s", text)
 	}
 
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(get(t, base+"/debug/vars"), &doc); err != nil {
-		t.Fatal(err)
-	}
-	var snap map[string]any
-	if err := json.Unmarshal(doc["dynunlock"], &snap); err != nil {
-		t.Fatal(err)
-	}
+	snap := r.Snapshot()
 	if v, ok := snap[MetricBuildInfo+`{format="3",goversion="go1.22.0",native_xor="true"}`]; !ok || v.(float64) != 1 {
-		t.Errorf("/debug/vars missing build_info: %v", snap)
+		t.Errorf("snapshot missing build_info: %v", snap)
 	}
 }

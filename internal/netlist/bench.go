@@ -172,26 +172,6 @@ func (n *Netlist) WriteBench(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Clone returns a deep copy of the netlist.
-func (n *Netlist) Clone() *Netlist {
-	c := &Netlist{
-		Name:   n.Name,
-		names:  append([]string(nil), n.names...),
-		byName: make(map[string]SignalID, len(n.byName)),
-		gates:  make([]Gate, len(n.gates)),
-		pis:    append([]SignalID(nil), n.pis...),
-		pos:    append([]SignalID(nil), n.pos...),
-		dffs:   append([]SignalID(nil), n.dffs...),
-	}
-	for k, v := range n.byName {
-		c.byName[k] = v
-	}
-	for i, g := range n.gates {
-		c.gates[i] = Gate{Type: g.Type, Fanin: append([]SignalID(nil), g.Fanin...)}
-	}
-	return c
-}
-
 // CombView presents a sequential netlist as a pure combinational function
 // for simulation, encoding, and attack modeling:
 //
@@ -222,13 +202,4 @@ func NewCombView(n *Netlist) (*CombView, error) {
 		v.Outputs = append(v.Outputs, n.gates[q].Fanin[0])
 	}
 	return v, nil
-}
-
-// InputIndex returns a map from source signal to its position in Inputs.
-func (v *CombView) InputIndex() map[SignalID]int {
-	m := make(map[SignalID]int, len(v.Inputs))
-	for i, s := range v.Inputs {
-		m[s] = i
-	}
-	return m
 }

@@ -12,10 +12,7 @@
 // from primary inputs and present state (DFF Q outputs).
 package netlist
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // GateType enumerates signal kinds.
 type GateType uint8
@@ -101,12 +98,6 @@ func (n *Netlist) Type(id SignalID) GateType { return n.gates[id].Type }
 
 // Fanin returns the fanin list of signal id (aliases internal storage).
 func (n *Netlist) Fanin(id SignalID) []SignalID { return n.gates[id].Fanin }
-
-// PIs returns the primary inputs in declaration order (aliases storage).
-func (n *Netlist) PIs() []SignalID { return n.pis }
-
-// POs returns the primary outputs in declaration order (aliases storage).
-func (n *Netlist) POs() []SignalID { return n.pos }
 
 // DFFs returns the flip-flop output signals in declaration order.
 func (n *Netlist) DFFs() []SignalID { return n.dffs }
@@ -344,12 +335,4 @@ func (n *Netlist) Stats() Stats {
 // String renders stats compactly.
 func (s Stats) String() string {
 	return fmt.Sprintf("%s: %d PI, %d PO, %d DFF, %d gates", s.Name, s.PIs, s.POs, s.DFFs, s.Gates)
-}
-
-// SortedNames returns all signal names in a stable order (for deterministic
-// output in writers and tests).
-func (n *Netlist) SortedNames() []string {
-	out := append([]string(nil), n.names...)
-	sort.Strings(out)
-	return out
 }

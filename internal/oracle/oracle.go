@@ -250,18 +250,6 @@ func boolByte(b bool) byte {
 	return 0
 }
 
-// FunctionalStep clocks the chip one cycle in functional mode (scan
-// disabled): primary inputs applied, primary outputs sampled, state
-// advances. Included for completeness of the chip model; the attack itself
-// only needs Session.
-func (c *Chip) FunctionalStep(pi []bool) (po []bool) {
-	c.seq.SetState(c.flops.Bools())
-	po = c.seq.Step(pi)
-	c.flops = gf2.FromBools(c.seq.State())
-	c.tick()
-	return po
-}
-
 // SecretSeed exposes the programmed secret for experiment verification
 // (checking that a recovered candidate set contains the truth). A real
 // attacker has no such access.

@@ -96,7 +96,7 @@ func closedFormSession(t testing.TB, d *lock.Design, scanIn, pi []bool, key func
 	aPrime := make([]bool, n)
 	for j := 0; j < n; j++ {
 		v := scanIn[j]
-		for _, term := range d.Chain.InMaskTerms(j) {
+		for _, term := range d.Chain.AppendInMaskTerms(nil, j) {
 			if key(term.Cycle, term.KeyBit) {
 				v = !v
 			}
@@ -110,7 +110,7 @@ func closedFormSession(t testing.TB, d *lock.Design, scanIn, pi []bool, key func
 	scanOut = make([]bool, n)
 	for j := 0; j < n; j++ {
 		v := bPrime[j]
-		for _, term := range d.Chain.OutMaskTerms(j) {
+		for _, term := range d.Chain.AppendOutMaskTerms(nil, j, 1) {
 			if key(term.Cycle, term.KeyBit) {
 				v = !v
 			}
@@ -159,8 +159,8 @@ func TestSessionMatchesClosedFormAllPolicies(t *testing.T) {
 					t.Fatal(err)
 				}
 				ref.Seed(seed)
-				for c := 0; c <= d.Chain.SessionCycles(); c++ {
-					states = append(states, ref.State())
+				for c := 0; c <= d.Chain.SessionCyclesN(1); c++ {
+					states = append(states, ref.View().Clone())
 					ref.Step()
 				}
 			}
@@ -271,23 +271,6 @@ func TestUnobfuscatedChainIsTransparent(t *testing.T) {
 	wantPO := seq.Step(pi)
 	assertEq(t, po, wantPO, "po")
 	assertEq(t, scanOut, seq.State(), "scanOut")
-}
-
-func TestFunctionalStep(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	d := lockedDesign(t, 8, 4, scan.PerCycle, 2)
-	chip, err := New(d, gf2.Unit(4, 0), randBools(rng, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pi := randBools(rng, 5)
-	po := chip.FunctionalStep(pi)
-	if len(po) != d.View.NumPO {
-		t.Fatalf("po length %d", len(po))
-	}
-	seq := sim.NewSeq(d.View)
-	want := seq.Step(pi)
-	assertEq(t, po, want, "functional po from reset state")
 }
 
 func TestStatsAndPanics(t *testing.T) {

@@ -71,7 +71,7 @@ func TestSolveCtxCancelMidSolve(t *testing.T) {
 	if s.interrupt.Load() {
 		t.Fatal("interrupt not re-armed after ctx cancellation")
 	}
-	if !s.Okay() {
+	if !s.ok {
 		t.Fatal("solver inconsistent after cancellation")
 	}
 	// The solver must remain usable: a budgeted re-solve runs normally.

@@ -141,16 +141,6 @@ func checkFuzzProblem(t *testing.T, p fuzzProblem, simplify bool) {
 		case got == Sat && !satisfies(s.Model(), cs, assumptions):
 			t.Fatalf("%s (simplify=%v): model %v violates the formula", stage, simplify, s.Model())
 		}
-		// An assumption conflict names only negated assumptions.
-		for _, l := range s.Conflict() {
-			found := false
-			for _, a := range assumptions {
-				found = found || l == a.Not()
-			}
-			if !found {
-				t.Fatalf("%s (simplify=%v): conflict literal %v is not a negated assumption", stage, simplify, l)
-			}
-		}
 	}
 	add(p.first)
 	check("first half", p.first, nil)

@@ -10,10 +10,9 @@ import (
 
 // legAnswer is one Solve call's observable outcome.
 type legAnswer struct {
-	status   Status
-	stats    Stats
-	model    []bool
-	conflict []cnf.Lit
+	status Status
+	stats  Stats
+	model  []bool
 }
 
 // legRecord is everything a resetLeg observes: each answer, the LBD of
@@ -40,7 +39,6 @@ func resetLeg(s *Solver, p fuzzProblem) legRecord {
 		if a.status == Sat {
 			a.model = append([]bool(nil), s.Model()...)
 		}
-		a.conflict = append([]cnf.Lit(nil), s.Conflict()...)
 		rec.answers = append(rec.answers, a)
 	}
 	add := func(cs []fuzzConstraint) {

@@ -143,7 +143,6 @@ type Solver struct {
 	// buffer is reused by every later answer.
 	model    []bool
 	hasModel bool
-	conflict []cnf.Lit // final conflict clause over assumptions
 
 	// ConflictBudget, when positive, bounds the total number of conflicts a
 	// Solve call may spend before returning Unknown.
@@ -285,7 +284,6 @@ func (s *Solver) Reset() {
 		trail:    s.trail[:0],
 		trailLim: s.trailLim[:0],
 		model:    s.model[:0],
-		conflict: s.conflict[:0],
 	}
 }
 
@@ -663,34 +661,6 @@ func (s *Solver) analyze(confl cref) ([]cnf.Lit, int) {
 	return learnt, btLevel
 }
 
-// analyzeFinal computes the subset of assumptions responsible for falsifying
-// p, stored in s.conflict.
-func (s *Solver) analyzeFinal(p cnf.Lit) {
-	s.conflict = s.conflict[:0]
-	s.conflict = append(s.conflict, p)
-	if s.decisionLevel() == 0 {
-		return
-	}
-	s.seen[p.Var()] = 1
-	for i := len(s.trail) - 1; i >= s.trailLim[0]; i-- {
-		v := s.trail[i].Var()
-		if s.seen[v] == 0 {
-			continue
-		}
-		if r := s.reasonFor(v); r == crefUndef {
-			s.conflict = append(s.conflict, s.trail[i].Not())
-		} else {
-			for _, q := range s.lits(r)[1:] {
-				if s.level[q.Var()] > 0 {
-					s.seen[q.Var()] = 1
-				}
-			}
-		}
-		s.seen[v] = 0
-	}
-	s.seen[p.Var()] = 0
-}
-
 // lbd counts the distinct decision levels among lits, stamping each level
 // seen in this call.
 func (s *Solver) lbd(lits []cnf.Lit) int32 {
@@ -862,7 +832,6 @@ func (s *Solver) search(nofConflicts int64, assumptions []cnf.Lit) Status {
 			case lTrue:
 				s.trailLim = append(s.trailLim, len(s.trail)) // dummy level
 			case lFalse:
-				s.analyzeFinal(p.Not())
 				return Unsat
 			default:
 				next = p
@@ -893,8 +862,7 @@ func (s *Solver) search(nofConflicts int64, assumptions []cnf.Lit) Status {
 
 // Solve determines satisfiability under the given assumptions. With no
 // assumptions the result is a definitive Sat/Unsat unless ConflictBudget is
-// exceeded (Unknown). After Sat, Model/Value are valid; after Unsat under
-// assumptions, Conflict returns the failing assumption subset.
+// exceeded (Unknown). After Sat, Model/Value are valid.
 func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 	if !s.ok {
 		return Unsat
@@ -902,7 +870,6 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 	for _, a := range assumptions {
 		s.ensureVars(a.Var())
 	}
-	s.conflict = s.conflict[:0]
 	s.hasModel = false
 	s.maxLearnts = float64(len(s.clauses)) / 3
 	if s.maxLearnts < 1000 {
@@ -993,13 +960,6 @@ func (s *Solver) Value(v int) bool {
 	return s.model[v]
 }
 
-// Conflict returns the failed assumption literals (negated) from the last
-// assumption-UNSAT result.
-func (s *Solver) Conflict() []cnf.Lit { return s.conflict }
-
-// Okay reports whether the solver is still consistent at the top level.
-func (s *Solver) Okay() bool { return s.ok }
-
 // NumClauses returns the number of problem clauses currently attached.
 func (s *Solver) NumClauses() int { return len(s.clauses) }
 
@@ -1033,7 +993,9 @@ func (s *Solver) BumpActivity(v int, amount float64) {
 // cancelled, variables assigned at level 0 when the row was added folded
 // out. A row that folded to one variable became a unit line, so together
 // with the unit lines the dump is equivalent to the constraints as added.
-func (s *Solver) WriteDimacs(w io.Writer) error {
+// Each assumption is written as one more unit line, so the dump is the
+// instance that Solve(assumptions...) decides.
+func (s *Solver) WriteDimacs(w io.Writer, assumptions ...cnf.Lit) error {
 	bw := bufio.NewWriter(w)
 	units := 0
 	if len(s.trailLim) == 0 {
@@ -1045,9 +1007,16 @@ func (s *Solver) WriteDimacs(w io.Writer) error {
 		fmt.Fprintf(bw, "p cnf %d 1\n0\n", s.NumVars())
 		return bw.Flush()
 	}
-	fmt.Fprintf(bw, "p cnf %d %d\n", s.NumVars(), len(s.clauses)+units+len(s.xorRows))
+	vars := s.NumVars()
+	for _, a := range assumptions {
+		vars = max(vars, a.Var()+1)
+	}
+	fmt.Fprintf(bw, "p cnf %d %d\n", vars, len(s.clauses)+units+len(assumptions)+len(s.xorRows))
 	for i := 0; i < units; i++ {
 		fmt.Fprintf(bw, "%d 0\n", s.trail[i].Dimacs())
+	}
+	for _, a := range assumptions {
+		fmt.Fprintf(bw, "%d 0\n", a.Dimacs())
 	}
 	for _, cr := range s.clauses {
 		for _, l := range s.lits(cr) {

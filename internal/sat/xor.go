@@ -238,10 +238,9 @@ func (s *Solver) xorConflict(vars []int32) cref {
 
 // xorReason materializes the reason for an XOR-implied variable v in
 // xorBuf: the implied literal (true under the current assignment) first,
-// then the falsified antecedent literals — the shape analyze,
-// minimization, and analyzeFinal expect from CNF reasons. Synthesized
-// reasons never enter the clause database, so reduceDB and locked() are
-// unaffected.
+// then the falsified antecedent literals — the shape analyze and
+// minimization expect from CNF reasons. Synthesized reasons never enter
+// the clause database, so reduceDB and locked() are unaffected.
 func (s *Solver) xorReason(v int32, row *xorRow) cref {
 	buf := append(s.xorBuf[:0], s.falseLit(v)^1)
 	for _, u := range s.xorPool[row.off : row.off+row.n] {

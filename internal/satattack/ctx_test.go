@@ -104,19 +104,6 @@ func TestRunCtxPreCancelled(t *testing.T) {
 	}
 }
 
-func TestRunCtxConflictBudget(t *testing.T) {
-	l, oracle := testLocked(t)
-	res, err := RunCtx(context.Background(), l, oracle, Options{ConflictBudget: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The convergence proof (miter UNSAT) cannot complete within one
-	// conflict on this circuit, so the budget must fire somewhere.
-	if !res.Stopped || res.StopReason != StopBudget {
-		t.Fatalf("stopped=%v reason=%q conflicts=%d", res.Stopped, res.StopReason, res.SolverStats.Conflicts)
-	}
-}
-
 func TestRunCtxMaxIterationsStillExtracts(t *testing.T) {
 	l, oracle := testLocked(t)
 	res, err := RunCtx(context.Background(), l, oracle, Options{MaxIterations: 1, EnumerateLimit: 8})

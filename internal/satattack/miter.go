@@ -32,7 +32,7 @@ func emitted(s *sat.Solver) (uint64, uint64) {
 // newMiter encodes the miter from the locked graph, XOR gates as native
 // GF(2) rows, on an encoder from miterEncoders.
 func newMiter(l *Locked, opts Options, mr *metrics.Registry) *miter {
-	e := acquire(&miterEncoders, opts.ConflictBudget, mr)
+	e := acquire(&miterEncoders, mr)
 	s := e.S
 	m := &miter{
 		l:  l,
@@ -87,9 +87,9 @@ func blockingClause(ks []cnf.Lit, k []bool, pre ...cnf.Lit) []cnf.Lit {
 
 // enumerate lists the keys consistent with every asserted constraint via
 // blocking clauses, starting from first, up to limit (> 0) keys. exact
-// reports that no further key exists. When a context or budget bound cuts
-// the enumeration short it returns the stop reason; the list is then a
-// valid but possibly incomplete prefix, reported inexact.
+// reports that no further key exists. When the context cuts the
+// enumeration short it returns the stop reason; the list is then a valid
+// but possibly incomplete prefix, reported inexact.
 func (m *miter) enumerate(ctx context.Context, first []bool, limit int) (keys [][]bool, exact bool, stop StopReason) {
 	keys = [][]bool{append([]bool(nil), first...)}
 	if !m.block(first) {

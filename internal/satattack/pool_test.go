@@ -124,7 +124,7 @@ func TestPooledEncodersSurviveGC(t *testing.T) {
 	}
 	// top takes the encoder each role hands out next and puts it back.
 	top := func() [2]*encode.Encoder {
-		m, c := acquire(&miterEncoders, 0, nil), acquire(&checkEncoders, 0, nil)
+		m, c := acquire(&miterEncoders, nil), acquire(&checkEncoders, nil)
 		release(&miterEncoders, m)
 		release(&checkEncoders, c)
 		return [2]*encode.Encoder{m, c}
@@ -148,13 +148,13 @@ func TestRolePoolKeepsEveryReleasedEncoder(t *testing.T) {
 	var pool rolePool
 	held := make([]*encode.Encoder, runtime.GOMAXPROCS(0)+2)
 	for i := range held {
-		held[i] = acquire(&pool, 0, nil)
+		held[i] = acquire(&pool, nil)
 	}
 	for _, e := range held {
 		release(&pool, e)
 	}
 	for i := range held {
-		if e := acquire(&pool, 0, nil); !slices.Contains(held, e) {
+		if e := acquire(&pool, nil); !slices.Contains(held, e) {
 			t.Fatalf("acquisition %d of %d built a new encoder: the pool dropped one it was given", i+1, len(held))
 		}
 	}

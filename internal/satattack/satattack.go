@@ -130,8 +130,6 @@ type Options struct {
 	// EnumerateLimit bounds post-convergence key-candidate enumeration:
 	// 0 extracts a single key, n > 0 enumerates up to n candidates.
 	EnumerateLimit int
-	// ConflictBudget bounds total solver conflicts (0 = unlimited).
-	ConflictBudget int64
 	// Log, when non-nil, receives per-iteration progress lines.
 	Log io.Writer
 	// DumpCNF, when non-nil, is called after every iteration with the
@@ -139,6 +137,8 @@ type Options struct {
 	// methodology dumps the accumulated CNF after each iteration to
 	// inspect which seed bits have been pinned. Pass a func that opens a
 	// per-iteration file and writes the solver's DIMACS dump into it. The
+	// dump is the formula the next DIP solve decides, its activation
+	// literal included as a unit: satisfiable while a DIP remains. The
 	// dump func is valid only for the duration of the call.
 	DumpCNF func(iteration int, dump func(w io.Writer) error)
 	// OnDIP, when non-nil, observes every completed DIP iteration: the
@@ -166,21 +166,16 @@ const (
 	StopNone       StopReason = ""
 	StopDeadline   StopReason = "deadline"
 	StopCancelled  StopReason = "cancelled"
-	StopBudget     StopReason = "budget"
 	StopIterations StopReason = "max-iterations"
 )
 
-// ctxStopReason maps a context error to its stop reason; a nil error means
-// the solver's own budget was the cause.
+// ctxStopReason maps the error of a context that cut a solve short to its
+// stop reason.
 func ctxStopReason(ctx context.Context) StopReason {
-	switch ctx.Err() {
-	case context.DeadlineExceeded:
+	if ctx.Err() == context.DeadlineExceeded {
 		return StopDeadline
-	case nil:
-		return StopBudget
-	default:
-		return StopCancelled
 	}
+	return StopCancelled
 }
 
 // Result reports the attack outcome.
@@ -220,8 +215,8 @@ type Result struct {
 	// with and without the check; zero when the loop ended before its
 	// first check.
 	CheckStats sat.Stats
-	// Stopped is true when a deadline, cancellation, or budget bounded the
-	// attack before it finished; the Result is then partial (Key and
+	// Stopped is true when a deadline or cancellation bounded the attack
+	// before it finished; the Result is then partial (Key and
 	// Candidates may be nil) but every counter is valid. StopIterations is
 	// the exception: the DIP loop was bounded, yet extraction and
 	// enumeration still ran on the accumulated constraints.
@@ -266,9 +261,9 @@ type rolePool struct {
 }
 
 // acquire takes an encoder from pool, or a new one when the pool is empty,
-// sets its solver's conflict budget and metrics hook, and then Resets it,
-// so the hook sees every clause from the first.
-func acquire(pool *rolePool, budget int64, mr *metrics.Registry) *encode.Encoder {
+// sets its solver's metrics hook, and then Resets it, so the hook sees
+// every clause from the first.
+func acquire(pool *rolePool, mr *metrics.Registry) *encode.Encoder {
 	var e *encode.Encoder
 	pool.mu.Lock()
 	if n := len(pool.free); n > 0 {
@@ -280,7 +275,6 @@ func acquire(pool *rolePool, budget int64, mr *metrics.Registry) *encode.Encoder
 	if e == nil {
 		e = &encode.Encoder{S: sat.New()}
 	}
-	e.S.ConflictBudget = budget
 	installSolverMetrics(mr, e.S)
 	e.Reset()
 	return e
@@ -297,11 +291,11 @@ func release(pool *rolePool, e *encode.Encoder) {
 
 // RunCtx executes the SAT attack on one solver (see miter.go).
 //
-// Cancelling ctx — or exhausting its deadline, or the conflict budget —
-// never returns an error: the attack stops at the next solver check point
-// and returns the partial Result with Stopped set and StopReason naming
-// the bound. Under a background context and no trace sink the attack takes
-// the same search path on every run, bit for bit.
+// Cancelling ctx, or exhausting its deadline, never returns an error:
+// the attack stops at the next solver check point and returns the
+// partial Result with Stopped set and StopReason naming the bound. Under
+// a background context and no trace sink the attack takes the same
+// search path on every run, bit for bit.
 func RunCtx(ctx context.Context, l *Locked, o Oracle, opts Options) (*Result, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
@@ -417,7 +411,7 @@ dipLoop:
 			}
 		}
 		if opts.DumpCNF != nil {
-			opts.DumpCNF(res.Iterations, m.s.WriteDimacs)
+			opts.DumpCNF(res.Iterations, func(w io.Writer) error { return m.s.WriteDimacs(w, m.act) })
 		}
 		// The uniqueness check comes last, after this DIP's progress
 		// line, so the line still marks the end of the DIP's own work.

@@ -14,6 +14,7 @@ import (
 
 	"dynunlock/internal/cnf"
 	"dynunlock/internal/netlist"
+	"dynunlock/internal/sat"
 	"dynunlock/internal/sim"
 )
 
@@ -411,32 +412,40 @@ func TestLockedValidate(t *testing.T) {
 	}
 }
 
+// TestDumpCNF solves every per-iteration dump cold: each is the formula
+// the next DIP solve decides, so every dump but the last is satisfiable
+// (another DIP exists) and the last, after which the loop closed, is not.
 func TestDumpCNF(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	orig, locked, _ := lockedPair(rng, 5, 30, 3)
+	rng := rand.New(rand.NewSource(4))
+	orig, locked, _ := lockedPair(rng, 10, 120, 8)
 	l := mustLock(t, locked, func(i int, s netlist.SignalID) bool {
 		return locked.N.SignalName(s)[0] == 'k'
 	})
-	dumps := 0
+	var status []sat.Status
 	opts := Options{DumpCNF: func(iter int, dump func(w io.Writer) error) {
 		var buf bytes.Buffer
 		if err := dump(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if !strings.HasPrefix(buf.String(), "p cnf ") {
-			t.Fatalf("iteration %d: not DIMACS: %q", iter, buf.String()[:20])
+		f, err := cnf.ParseDimacs(&buf)
+		if err != nil {
+			t.Fatalf("iteration %d: %v", iter, err)
 		}
-		// The dump must be a loadable formula.
-		if _, err := cnf.ParseDimacs(&buf); err != nil {
-			t.Fatal(err)
-		}
-		dumps++
+		s := sat.New()
+		s.AddFormula(f)
+		status = append(status, s.Solve())
 	}}
 	res, err := RunCtx(context.Background(), l, &simOracle{c: sim.NewComb(orig)}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dumps != res.Iterations {
-		t.Fatalf("dumps %d != iterations %d", dumps, res.Iterations)
+	if !res.Converged || res.Iterations < 2 || len(status) != res.Iterations {
+		t.Fatalf("converged=%v after %d DIPs with %d dumps; want a converged attack of at least two DIPs, one dump each",
+			res.Converged, res.Iterations, len(status))
+	}
+	for i, st := range status {
+		if want := i < len(status)-1; (st == sat.Sat) != want || st == sat.Unknown {
+			t.Errorf("dump %d of %d solves %v, want satisfiable=%v", i+1, len(status), st, want)
+		}
 	}
 }

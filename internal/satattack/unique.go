@@ -31,7 +31,7 @@ type uniqueCheck struct {
 // newUniqueCheck takes the check's encoder from checkEncoders and gives it
 // one free key copy.
 func newUniqueCheck(l *Locked) *uniqueCheck {
-	e := acquire(&checkEncoders, 0, nil)
+	e := acquire(&checkEncoders, nil)
 	u := &uniqueCheck{l: l, s: e.S, e: e, k: e.FreshVec(len(l.KeyIdx))}
 	// As on the miter: every other variable is a function of the key once
 	// a DIP's inputs are constant, so branch on the key first.

@@ -113,13 +113,6 @@ func (c *Chain) Validate(keyBits int) error {
 	return nil
 }
 
-// SessionCycles returns the number of clock cycles in one test session
-// (shift-in, capture, shift-out).
-func (c *Chain) SessionCycles() int { return 2*c.Length + 1 }
-
-// CaptureCycle returns the global cycle index of the capture edge.
-func (c *Chain) CaptureCycle() int { return c.Length }
-
 // Term is one XOR contribution to a scan bit: key register bit KeyBit, as
 // valued at global cycle Cycle.
 type Term struct {
@@ -127,14 +120,11 @@ type Term struct {
 	KeyBit int
 }
 
-// InMaskTerms returns the key terms XORed onto the bit destined for chain
-// flop j during shift-in: every key gate at link ℓ ≤ j contributes its key
-// bit at cycle n-1-j+ℓ. Terms come in gate order; the order of an XOR does
-// not matter.
-func (c *Chain) InMaskTerms(j int) []Term { return c.AppendInMaskTerms(nil, j) }
-
-// AppendInMaskTerms appends InMaskTerms(j) to dst, so that a caller
-// building every flop's mask can reuse one buffer.
+// AppendInMaskTerms appends to dst the key terms XORed onto the bit
+// destined for chain flop j during shift-in: every key gate at link ℓ ≤ j
+// contributes its key bit at cycle n-1-j+ℓ. Terms come in gate order; the
+// order of an XOR does not matter. A caller building every flop's mask can
+// reuse one buffer.
 func (c *Chain) AppendInMaskTerms(dst []Term, j int) []Term {
 	c.checkFlop(j)
 	for _, g := range c.Gates {
@@ -145,20 +135,12 @@ func (c *Chain) AppendInMaskTerms(dst []Term, j int) []Term {
 	return dst
 }
 
-// OutMaskTerms returns the key terms XORed onto the captured bit of chain
-// flop j during shift-out: every key gate at link ℓ > j contributes its key
-// bit at cycle n+ℓ-j. Terms come in gate order.
-func (c *Chain) OutMaskTerms(j int) []Term { return c.OutMaskTermsN(j, 1) }
-
-// OutMaskTermsN is OutMaskTerms for a session with `captures` consecutive
-// capture cycles (paper Sec. III-A's "new capture cycle" extension): each
-// extra capture delays shift-out by one cycle, so every term cycle shifts
-// by captures-1.
-func (c *Chain) OutMaskTermsN(j, captures int) []Term {
-	return c.AppendOutMaskTerms(nil, j, captures)
-}
-
-// AppendOutMaskTerms appends OutMaskTermsN(j, captures) to dst.
+// AppendOutMaskTerms appends to dst the key terms XORed onto the captured
+// bit of chain flop j during shift-out: with one capture cycle, every key
+// gate at link ℓ > j contributes its key bit at cycle n+ℓ-j. Terms come in
+// gate order. A session with `captures` consecutive capture cycles (paper
+// Sec. III-A's "new capture cycle" extension) delays shift-out by one cycle
+// per extra capture, so every term cycle shifts by captures-1.
 func (c *Chain) AppendOutMaskTerms(dst []Term, j, captures int) []Term {
 	c.checkFlop(j)
 	if captures < 1 {

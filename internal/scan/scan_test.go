@@ -68,11 +68,11 @@ func fig1Chain() Chain {
 func TestInMaskTermsFig1(t *testing.T) {
 	c := fig1Chain()
 	// Flop 0 crosses no links.
-	if got := c.InMaskTerms(0); len(got) != 0 {
+	if got := c.AppendInMaskTerms(nil, 0); len(got) != 0 {
 		t.Fatalf("flop 0 terms = %v", got)
 	}
 	// Flop 7 (enters at cycle 0) crosses links 1,2,5 at cycles 1,2,5.
-	got := c.InMaskTerms(7)
+	got := c.AppendInMaskTerms(nil, 7)
 	want := []Term{{1, 0}, {2, 1}, {5, 2}}
 	if len(got) != len(want) {
 		t.Fatalf("flop 7 terms = %v", got)
@@ -83,7 +83,7 @@ func TestInMaskTermsFig1(t *testing.T) {
 		}
 	}
 	// Flop 3 (enters at cycle 4) crosses links 1,2 at cycles 5,6.
-	got = c.InMaskTerms(3)
+	got = c.AppendInMaskTerms(nil, 3)
 	want = []Term{{5, 0}, {6, 1}}
 	for i := range want {
 		if got[i] != want[i] {
@@ -95,11 +95,11 @@ func TestInMaskTermsFig1(t *testing.T) {
 func TestOutMaskTermsFig1(t *testing.T) {
 	c := fig1Chain()
 	// Flop 7 is read directly: no links crossed.
-	if got := c.OutMaskTerms(7); len(got) != 0 {
+	if got := c.AppendOutMaskTerms(nil, 7, 1); len(got) != 0 {
 		t.Fatalf("flop 7 out terms = %v", got)
 	}
 	// Flop 0 crosses links 1,2,5 at cycles n+1-0=9, 10, 13.
-	got := c.OutMaskTerms(0)
+	got := c.AppendOutMaskTerms(nil, 0, 1)
 	want := []Term{{9, 0}, {10, 1}, {13, 2}}
 	if len(got) != len(want) {
 		t.Fatalf("flop 0 out terms = %v", got)
@@ -110,7 +110,7 @@ func TestOutMaskTermsFig1(t *testing.T) {
 		}
 	}
 	// Flop 4 crosses link 5 at cycle 8+5-4=9.
-	got = c.OutMaskTerms(4)
+	got = c.AppendOutMaskTerms(nil, 4, 1)
 	if len(got) != 1 || got[0] != (Term{9, 2}) {
 		t.Fatalf("flop 4 out terms = %v", got)
 	}
@@ -119,19 +119,19 @@ func TestOutMaskTermsFig1(t *testing.T) {
 func TestMaskTermCyclesInRange(t *testing.T) {
 	c := Chain{Length: 12, Gates: SpreadGates(12, 8, 8)}
 	for j := 0; j < c.Length; j++ {
-		for _, term := range c.InMaskTerms(j) {
-			if term.Cycle < 0 || term.Cycle >= c.CaptureCycle() {
+		for _, term := range c.AppendInMaskTerms(nil, j) {
+			if term.Cycle < 0 || term.Cycle >= c.Length {
 				t.Fatalf("in term cycle %d outside shift-in window", term.Cycle)
 			}
 		}
-		for _, term := range c.OutMaskTerms(j) {
-			if term.Cycle <= c.CaptureCycle() || term.Cycle > 2*c.Length {
+		for _, term := range c.AppendOutMaskTerms(nil, j, 1) {
+			if term.Cycle <= c.Length || term.Cycle > 2*c.Length {
 				t.Fatalf("out term cycle %d outside shift-out window", term.Cycle)
 			}
 		}
 	}
-	if c.SessionCycles() != 25 {
-		t.Fatalf("SessionCycles = %d", c.SessionCycles())
+	if c.SessionCyclesN(1) != 25 {
+		t.Fatalf("SessionCyclesN(1) = %d", c.SessionCyclesN(1))
 	}
 }
 
@@ -220,7 +220,7 @@ func TestMaskTermsPanicOnBadFlop(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	c.InMaskTerms(8)
+	c.AppendInMaskTerms(nil, 8)
 }
 
 // Property: for random chains, every in-mask term cycle lies strictly
@@ -233,14 +233,14 @@ func TestMaskTermsQuick(t *testing.T) {
 		nGates := 1 + int(gateSeed%10)
 		c := Chain{Length: length, Gates: SpreadGates(length, nGates, nGates)}
 		for j := 0; j < length; j++ {
-			inTerms := c.InMaskTerms(j)
+			inTerms := c.AppendInMaskTerms(nil, j)
 			for _, term := range inTerms {
-				if term.Cycle < 0 || term.Cycle >= c.CaptureCycle() {
+				if term.Cycle < 0 || term.Cycle >= c.Length {
 					return false
 				}
 			}
-			for _, term := range c.OutMaskTerms(j) {
-				if term.Cycle <= c.CaptureCycle() || term.Cycle > 2*length {
+			for _, term := range c.AppendOutMaskTerms(nil, j, 1) {
+				if term.Cycle <= c.Length || term.Cycle > 2*length {
 					return false
 				}
 			}
@@ -270,8 +270,8 @@ func TestOutMaskTermsNShiftQuick(t *testing.T) {
 		captures := 1 + int(capSeed%4)
 		c := Chain{Length: length, Gates: SpreadGates(length, 4, 4)}
 		for j := 0; j < length; j++ {
-			base := c.OutMaskTerms(j)
-			multi := c.OutMaskTermsN(j, captures)
+			base := c.AppendOutMaskTerms(nil, j, 1)
+			multi := c.AppendOutMaskTerms(nil, j, captures)
 			if len(base) != len(multi) {
 				return false
 			}

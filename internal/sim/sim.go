@@ -136,13 +136,6 @@ func NewSeq(v *netlist.CombView) *Seq {
 	return &Seq{comb: NewComb(v), state: make([]bool, len(v.N.DFFs()))}
 }
 
-// Reset clears the flip-flop state to all zeros.
-func (s *Seq) Reset() {
-	for i := range s.state {
-		s.state[i] = false
-	}
-}
-
 // State returns a copy of the current flip-flop state.
 func (s *Seq) State() []bool { return append([]bool(nil), s.state...) }
 
@@ -152,13 +145,6 @@ func (s *Seq) SetState(st []bool) {
 		panic(fmt.Sprintf("sim: state length %d, want %d", len(st), len(s.state)))
 	}
 	copy(s.state, st)
-}
-
-// Outputs evaluates the primary outputs for the given PI values under the
-// current state, without advancing the clock.
-func (s *Seq) Outputs(pi []bool) []bool {
-	out := s.evalAll(pi)
-	return out[:s.comb.View().NumPO]
 }
 
 // Step applies pi for one clock cycle: primary outputs are sampled before

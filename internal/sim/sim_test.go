@@ -142,20 +142,20 @@ func TestSeqCounter(t *testing.T) {
 	if st[0] != true || st[1] != false {
 		t.Fatalf("state after idle = %v", st)
 	}
-	// q1 output is sampled pre-edge.
-	s.Reset()
+	// q1 output is sampled pre-edge; a disabled cycle reads it unchanged.
+	s.SetState([]bool{false, false})
 	po := s.Step([]bool{true})
 	if po[0] != false {
 		t.Fatal("PO must be pre-edge value")
 	}
-	if got := s.Outputs([]bool{false}); got[0] != false {
-		t.Fatalf("Outputs = %v", got)
+	if got := s.Step([]bool{false}); got[0] != false {
+		t.Fatalf("q1 after 1 count = %v", got)
 	}
 	for i := 0; i < 1; i++ {
 		s.Step([]bool{true})
 	}
 	// state now 2 -> q1 = 1
-	if got := s.Outputs([]bool{false}); got[0] != true {
+	if got := s.Step([]bool{false}); got[0] != true {
 		t.Fatalf("q1 after 2 counts = %v", got)
 	}
 }
@@ -164,7 +164,7 @@ func TestSeqSetState(t *testing.T) {
 	v := mustParse(t, counterSrc)
 	s := NewSeq(v)
 	s.SetState([]bool{true, true})
-	if got := s.Outputs([]bool{false}); got[0] != true {
+	if got := s.Step([]bool{false}); got[0] != true {
 		t.Fatal("SetState not honored")
 	}
 	defer func() {

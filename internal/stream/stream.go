@@ -127,12 +127,11 @@ type busCore struct {
 	// lastSeq mirrors seq for lock-free LastSeq reads.
 	lastSeq atomic.Uint64
 
-	mu     sync.Mutex
-	seq    uint64
-	ring   []Event // resume ring, oldest at head
-	head   int
-	subs   map[*Subscriber]struct{}
-	closed bool
+	mu   sync.Mutex
+	seq  uint64
+	ring []Event // resume ring, oldest at head
+	head int
+	subs map[*Subscriber]struct{}
 }
 
 // NewBus returns a bus with the default ring and subscriber-buffer
@@ -164,15 +163,6 @@ func (b *Bus) WithJob(id string) *Bus {
 	return &Bus{core: b.core, job: id}
 }
 
-// Job returns the job tag events published through this handle carry
-// (empty for the root handle). Nil-safe.
-func (b *Bus) Job() string {
-	if b == nil {
-		return ""
-	}
-	return b.job
-}
-
 // Enabled reports whether at least one subscriber is attached. Nil-safe
 // and lock-free: publishers call it before building an event payload so
 // the no-subscriber path allocates nothing.
@@ -191,7 +181,7 @@ func (b *Bus) LastSeq() uint64 {
 
 // Publish assigns the next sequence number to a typ event carrying data
 // and fans it out to every subscriber, retaining it in the resume ring.
-// With no subscribers attached (or a nil/closed bus) the event is
+// With no subscribers attached (or a nil bus) the event is
 // discarded without a sequence number. The data map is retained by the
 // ring and subscriber buffers; callers must not mutate it afterwards.
 // Publish never blocks on a slow subscriber.
@@ -202,7 +192,7 @@ func (b *Bus) Publish(typ string, data map[string]any) {
 	now := time.Now()
 	c := b.core
 	c.mu.Lock()
-	if c.closed || len(c.subs) == 0 {
+	if len(c.subs) == 0 {
 		c.mu.Unlock()
 		return
 	}
@@ -226,16 +216,11 @@ func (b *Bus) Publish(typ string, data map[string]any) {
 // the subscriber's buffer before live delivery begins. If the requested
 // position has already been evicted from the ring, the subscriber's Gap
 // flag is set and delivery starts from the oldest retained event.
-// Subscribing to a closed bus returns an already-closed subscriber.
 func (b *Bus) Subscribe(lastEventID uint64) *Subscriber {
 	c := b.core
 	s := &Subscriber{bus: c, cap: c.subCap, notify: make(chan struct{}, 1)}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		s.closed = true
-		return s
-	}
 	if lastEventID < c.seq {
 		n := len(c.ring)
 		if n > 0 {
@@ -254,32 +239,6 @@ func (b *Bus) Subscribe(lastEventID uint64) *Subscriber {
 	c.subs[s] = struct{}{}
 	c.subscribers.Add(1)
 	return s
-}
-
-// Close shuts the bus down: every subscriber is closed (draining its
-// buffered events first) and later Publish calls are discarded. Closing
-// any view closes the shared core, so every other view stops too.
-func (b *Bus) Close() {
-	if b == nil {
-		return
-	}
-	c := b.core
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.closed = true
-	subs := make([]*Subscriber, 0, len(c.subs))
-	for s := range c.subs {
-		subs = append(subs, s)
-	}
-	c.subs = map[*Subscriber]struct{}{}
-	c.subscribers.Store(0)
-	c.mu.Unlock()
-	for _, s := range subs {
-		s.markClosed()
-	}
 }
 
 // detach removes s from the live set (idempotent).
@@ -409,14 +368,10 @@ func (s *Subscriber) Close() {
 		return
 	}
 	s.bus.detach(s)
-	s.markClosed()
-}
-
-// markClosed flags the subscriber closed and wakes a blocked Next.
-func (s *Subscriber) markClosed() {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
+	// Wake a blocked Next.
 	select {
 	case s.notify <- struct{}{}:
 	default:

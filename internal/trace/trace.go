@@ -85,16 +85,6 @@ type Tracer struct {
 	sink Sink
 }
 
-// New returns a tracer emitting to s (nil s gives the no-op tracer).
-// Most callers use With/From instead; New exists for tests and CLIs that
-// hold a tracer directly.
-func New(s Sink) *Tracer {
-	if s == nil {
-		return nil
-	}
-	return &Tracer{sink: s}
-}
-
 // Enabled reports whether events reach a real sink.
 func (t *Tracer) Enabled() bool { return t != nil && t.sink != nil }
 

@@ -80,7 +80,7 @@ func TestWithNilSinkReturnsSameContext(t *testing.T) {
 
 func TestJSONLSinkSchema(t *testing.T) {
 	var buf bytes.Buffer
-	tr := New(NewJSONLSink(&buf))
+	tr := From(With(context.Background(), NewJSONLSink(&buf)))
 	sp := tr.Start("dip_loop")
 	sp.Add("dips", 7)
 	sp.End()
@@ -130,7 +130,7 @@ func TestMultiSink(t *testing.T) {
 	if Multi(a) != Sink(a) {
 		t.Fatal("single sink must pass through")
 	}
-	tr := New(Multi(a, nil, b))
+	tr := From(With(context.Background(), Multi(a, nil, b)))
 	tr.Progressf("x")
 	if len(a.Events()) != 1 || len(b.Events()) != 1 {
 		t.Fatal("event not fanned out")
@@ -142,7 +142,7 @@ func TestMultiSink(t *testing.T) {
 func TestConcurrentEmit(t *testing.T) {
 	c := NewCollector()
 	var jbuf bytes.Buffer
-	tr := New(Multi(c, NewJSONLSink(&jbuf)))
+	tr := From(With(context.Background(), Multi(c, NewJSONLSink(&jbuf))))
 	sp := tr.Start("dip_loop")
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -171,7 +171,7 @@ func TestConcurrentEmit(t *testing.T) {
 func TestConcurrentSpanEmissionJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	col := NewCollector()
-	tr := New(Multi(NewJSONLSink(&buf), col))
+	tr := From(With(context.Background(), Multi(NewJSONLSink(&buf), col)))
 	const goroutines, spansPer = 8, 50
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {

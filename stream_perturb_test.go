@@ -32,7 +32,7 @@ func TestStreamDoesNotPerturbAttack(t *testing.T) {
 			Log:       &log,
 			Stream:    bus,
 		}
-		res, err := RunExperiment(cfg)
+		res, err := RunExperimentCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,13 +82,13 @@ func TestStreamPublishesDIPEvents(t *testing.T) {
 		SeedBase:  11,
 		Stream:    bus,
 	}
-	res, err := RunExperiment(cfg)
+	res, err := RunExperimentCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Close drains the subscriber: buffered events still pop, then Next
-	// reports ok=false instead of blocking on an idle bus.
-	bus.Close()
+	// Closing the subscriber ends its stream: buffered events still pop,
+	// then Next reports ok=false instead of blocking on an idle bus.
+	sub.Close()
 	wantIters := 0
 	for _, tr := range res.Trials {
 		wantIters += tr.Iterations
